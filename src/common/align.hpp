@@ -1,7 +1,7 @@
 // Cache-line padding for cross-worker data layout.
 //
 // Slots written by different worker threads (per-shard aggregates, result
-// buffers, per-model processor freelists) are padded to kCacheLine so two
+// buffers) are padded to kCacheLine so two
 // workers never invalidate each other's line — false sharing turns
 // logically independent writes into coherence traffic, which is exactly the
 // kind of silent serialization the parallel-scaling gate exists to catch

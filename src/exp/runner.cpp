@@ -9,7 +9,6 @@
 #include <utility>
 
 #include "energy/ledger.hpp"
-#include "hhpim/processor.hpp"
 #include "placement/lut_cache.hpp"
 
 namespace hhpim::exp {
@@ -31,69 +30,12 @@ placement::LutCache* Runner::resolve_lut_cache() const {
                                        : &placement::LutCache::process_cache();
 }
 
-ProcessorPool::Lease::Lease(ProcessorPool* pool, std::uint64_t key,
-                            std::unique_ptr<sys::Processor> proc)
-    : pool_(pool), key_(key), proc_(std::move(proc)) {}
-
-ProcessorPool::Lease::Lease(Lease&& other) noexcept
-    : pool_(std::exchange(other.pool_, nullptr)),
-      key_(other.key_),
-      proc_(std::move(other.proc_)) {}
-
-ProcessorPool::Lease& ProcessorPool::Lease::operator=(Lease&& other) noexcept {
-  if (this != &other) {
-    if (pool_ != nullptr && proc_ != nullptr) pool_->give_back(key_, std::move(proc_));
-    pool_ = std::exchange(other.pool_, nullptr);
-    key_ = other.key_;
-    proc_ = std::move(other.proc_);
-  }
-  return *this;
-}
-
-ProcessorPool::Lease::~Lease() {
-  if (pool_ != nullptr && proc_ != nullptr) pool_->give_back(key_, std::move(proc_));
-}
-
-ProcessorPool::Lease ProcessorPool::checkout(const sys::SystemConfig& config,
-                                             const nn::Model& model) {
-  const std::uint64_t key = sys::processor_reuse_key(config, model);
-  std::unique_ptr<sys::Processor> p;
-  {
-    const std::lock_guard<std::mutex> lock{mu_};
-    const auto it = idle_.find(key);
-    if (it != idle_.end() && !it->second.empty()) {
-      p = std::move(it->second.back());
-      it->second.pop_back();
-    }
-  }
-  // reset()/construction run outside the lock — the critical section is a
-  // pointer pop, never simulation-state work.
-  if (p != nullptr) {
-    p->reset();
-  } else {
-    p = std::make_unique<sys::Processor>(config, model);
-  }
-  return Lease{this, key, std::move(p)};
-}
-
-void ProcessorPool::give_back(std::uint64_t key, std::unique_ptr<sys::Processor> proc) {
-  const std::lock_guard<std::mutex> lock{mu_};
-  idle_[key].push_back(std::move(proc));
-}
-
-std::size_t ProcessorPool::size() const {
-  const std::lock_guard<std::mutex> lock{mu_};
-  std::size_t total = 0;
-  for (const auto& [key, procs] : idle_) total += procs.size();
-  return total;
-}
-
 RunResult Runner::execute(const RunSpec& spec, bool keep_slices,
-                          placement::LutCache* lut_cache, ProcessorPool* pool) {
+                          placement::LutCache* lut_cache, sys::ProcessorPool* pool) {
   sys::SystemConfig config = spec.config;
   if (config.lut_cache == nullptr) config.lut_cache = lut_cache;
   std::optional<sys::Processor> local;
-  ProcessorPool::Lease lease;
+  sys::ProcessorPool::Lease lease;
   if (pool != nullptr) lease = pool->checkout(config, spec.model);
   sys::Processor& proc =
       pool != nullptr ? lease.get() : local.emplace(config, spec.model);
@@ -140,43 +82,37 @@ ResultSet Runner::run_all(std::vector<RunSpec> runs) const {
   const unsigned workers = resolve_workers(options_.threads, runs.size());
 
   placement::LutCache* const lut_cache = resolve_lut_cache();
+  sys::ProcessorPool pool;  // shared by all workers (checkout/return is thread-safe)
+  sys::ProcessorPool* const pool_ptr = options_.reuse_processors ? &pool : nullptr;
+  const bool keep_slices = options_.keep_slices;
   std::exception_ptr first_error;
-  ProcessorPool pool;  // shared by all workers (checkout/return is thread-safe)
-  ProcessorPool* const pool_ptr = options_.reuse_processors ? &pool : nullptr;
-  if (workers <= 1) {
-    for (std::size_t i = 0; i < runs.size(); ++i) {
+  std::mutex error_mutex;
+  std::atomic<std::size_t> next{0};
+  auto worker = [&] {
+    // Results are buffered per worker and placed after the claiming loop
+    // drains: while runs execute, no two workers write anywhere near each
+    // other. Each result lands at the run's *position* (not RunSpec::index,
+    // which echoes the original grid coordinate and may be sparse when the
+    // caller passes a filtered subset), so output order always matches
+    // input order regardless of completion order.
+    std::vector<std::pair<std::size_t, RunResult>> local;
+    for (;;) {
+      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+      if (i >= runs.size()) break;
       try {
-        results[i] = execute(runs[i], options_.keep_slices, lut_cache, pool_ptr);
+        local.emplace_back(i, execute(runs[i], keep_slices, lut_cache, pool_ptr));
       } catch (...) {
+        const std::lock_guard<std::mutex> lock{error_mutex};
         if (!first_error) first_error = std::current_exception();
       }
     }
+    // Disjoint indices: placement needs no lock, and it happens once per
+    // worker, after all simulation work.
+    for (auto& [i, r] : local) results[i] = std::move(r);
+  };
+  if (workers <= 1) {
+    worker();  // inline on the calling thread: no pool
   } else {
-    std::atomic<std::size_t> next{0};
-    std::mutex error_mutex;
-    const bool keep_slices = options_.keep_slices;
-    auto worker = [&] {
-      // Results are buffered per worker and placed after the claiming loop
-      // drains: while runs execute, no two workers write anywhere near each
-      // other. Each result lands at the run's *position* (not
-      // RunSpec::index, which echoes the original grid coordinate and may
-      // be sparse when the caller passes a filtered subset), so output
-      // order always matches input order regardless of completion order.
-      std::vector<std::pair<std::size_t, RunResult>> local;
-      for (;;) {
-        const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-        if (i >= runs.size()) break;
-        try {
-          local.emplace_back(i, execute(runs[i], keep_slices, lut_cache, pool_ptr));
-        } catch (...) {
-          const std::lock_guard<std::mutex> lock{error_mutex};
-          if (!first_error) first_error = std::current_exception();
-        }
-      }
-      // Disjoint indices: placement needs no lock, and it happens once per
-      // worker, after all simulation work.
-      for (auto& [i, r] : local) results[i] = std::move(r);
-    };
     std::vector<std::thread> threads;
     threads.reserve(workers);
     for (unsigned t = 0; t < workers; ++t) threads.emplace_back(worker);

@@ -4,7 +4,7 @@
 // pool of N worker threads (no work stealing: workers claim the next grid
 // index from a shared atomic counter; never more workers than runs). Each
 // run executes on a sys::Processor checked out of a pool shared by every
-// worker (ProcessorPool; RunnerOptions::reuse_processors, default on; a
+// worker (sys::ProcessorPool; RunnerOptions::reuse_processors, default on; a
 // reset() Processor is bit-exchangeable for a fresh one), or constructed
 // per run with reuse off. Workers buffer their RunResults locally and place
 // them at the runs' grid indices after the claiming loop drains, so no two
@@ -23,72 +23,17 @@
 // served by the cache.
 #pragma once
 
-#include <cstdint>
-#include <memory>
-#include <mutex>
-#include <unordered_map>
 #include <vector>
 
 #include "exp/result.hpp"
 #include "exp/spec.hpp"
+#include "hhpim/processor_pool.hpp"
 
 namespace hhpim::placement {
 class LutCache;  // placement/lut_cache.hpp — only a pointer is stored here
 }
 
 namespace hhpim::exp {
-
-/// Thread-safe checkout pool of reusable sys::Processors, keyed by
-/// sys::processor_reuse_key(config, model) and shared by every worker of a
-/// run_all call. checkout() pops an idle processor (Processor::reset() and
-/// construction both happen outside the lock) or constructs one, so grid
-/// cells sharing a (model, arch, config) stop paying CostModel::build +
-/// cluster construction per run; the Lease returns it on destruction.
-/// Sharing one pool bounds constructions per key by the peak number of
-/// concurrent runs of that key — per-worker pools would construct
-/// workers × keys processors, which is what made oversubscribed workers
-/// slower than one. Results are bit-identical to fresh construction
-/// (pinned by tests/test_batched.cpp).
-class ProcessorPool {
- public:
-  /// RAII checkout: returns the processor to the pool when destroyed.
-  class Lease {
-   public:
-    Lease() = default;
-    Lease(Lease&& other) noexcept;
-    Lease& operator=(Lease&& other) noexcept;
-    Lease(const Lease&) = delete;
-    Lease& operator=(const Lease&) = delete;
-    ~Lease();
-
-    /// The leased processor, in just-constructed state at checkout.
-    [[nodiscard]] sys::Processor& get() const { return *proc_; }
-
-   private:
-    friend class ProcessorPool;
-    Lease(ProcessorPool* pool, std::uint64_t key,
-          std::unique_ptr<sys::Processor> proc);
-    ProcessorPool* pool_ = nullptr;
-    std::uint64_t key_ = 0;
-    std::unique_ptr<sys::Processor> proc_;
-  };
-
-  /// A processor for (config, model) in just-constructed state.
-  /// `config.lut_cache` must already be resolved by the caller (it is part
-  /// of the key). Safe to call from any thread.
-  [[nodiscard]] Lease checkout(const sys::SystemConfig& config,
-                               const nn::Model& model);
-
-  /// Idle processors currently pooled (leased ones excluded).
-  [[nodiscard]] std::size_t size() const;
-
- private:
-  void give_back(std::uint64_t key, std::unique_ptr<sys::Processor> proc);
-
-  mutable std::mutex mu_;
-  std::unordered_map<std::uint64_t, std::vector<std::unique_ptr<sys::Processor>>>
-      idle_;
-};
 
 struct RunnerOptions {
   /// Worker threads. 0 = one per hardware thread (min 1); 1 = run inline on
@@ -105,7 +50,7 @@ struct RunnerOptions {
   /// nullptr = the process-wide placement::LutCache::process_cache().
   placement::LutCache* lut_cache = nullptr;
   /// Reuse Processors across runs sharing a (config, model) via the
-  /// checkout ProcessorPool shared by all workers: repeated grid cells
+  /// checkout sys::ProcessorPool shared by all workers: repeated grid cells
   /// skip CostModel::build and cluster construction. Results are
   /// byte-identical with reuse on or off; only wall-clock changes.
   bool reuse_processors = true;
@@ -132,7 +77,7 @@ class Runner {
   /// (config, model).
   [[nodiscard]] static RunResult execute(const RunSpec& spec, bool keep_slices = false,
                                          placement::LutCache* lut_cache = nullptr,
-                                         ProcessorPool* pool = nullptr);
+                                         sys::ProcessorPool* pool = nullptr);
 
   [[nodiscard]] const RunnerOptions& options() const { return options_; }
   /// The cache this runner's options resolve to (nullptr when sharing off).

@@ -29,6 +29,15 @@ void FleetAggregate::add_device(const DeviceResult& r) {
   final_soc.add(r.final_soc);
 }
 
+void FleetAggregate::add_finished_device(const DeviceProgress& p) {
+  const Time slice = Time::ps(p.result.slice_ps);
+  for (std::size_t k = 0; k < p.sample_busy_ps.size(); ++k) {
+    const Time busy = Time::ps(p.sample_busy_ps[k]);
+    add_slice(busy / slice, busy.as_us(), Energy::pj(p.sample_energy_pj[k]).as_mj());
+  }
+  add_device(p.result);
+}
+
 void FleetAggregate::merge(const FleetAggregate& o) {
   devices += o.devices;
   executed_slices += o.executed_slices;

@@ -21,7 +21,8 @@
 
 namespace hhpim::fleet {
 
-struct DeviceResult;  // fleet/device.hpp
+struct DeviceResult;    // fleet/device.hpp
+struct DeviceProgress;  // fleet/device.hpp
 
 class FleetAggregate {
  public:
@@ -34,6 +35,11 @@ class FleetAggregate {
 
   /// Accounts one finished device (its counters and totals).
   void add_device(const DeviceResult& r);
+
+  /// Accounts a finished device's buffered per-slice samples in slice order,
+  /// then its totals — the device-major order every run path feeds, which
+  /// keeps order-sensitive Summary adds byte-identical.
+  void add_finished_device(const DeviceProgress& p);
 
   /// Adds `other` into this aggregate. Shapes must match (throws
   /// std::invalid_argument via Histogram::merge otherwise). Summary merges

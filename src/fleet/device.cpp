@@ -3,8 +3,8 @@
 #include <algorithm>
 
 #include "common/serialize.hpp"
+#include "energy/battery.hpp"
 #include "fleet/aggregate.hpp"
-#include "fleet/outcome_cache.hpp"
 #include "hhpim/scheduler.hpp"
 #include "placement/pareto.hpp"
 
@@ -16,7 +16,7 @@ sys::SystemConfig Device::device_config(const FleetSpec& fleet,
   sys::SystemConfig c = fleet.resolved_firmware()[spec.firmware_index];
   // The spec's own lut_cache is rejected by FleetSpec::validate(); the
   // simulator's resolved cache (may be null = private builds) is the only
-  // one devices ever see, so its stats delta covers every build.
+  // one devices ever see, so its key probe covers every build.
   c.lut_cache = lut_cache;
   return c;
 }
@@ -35,8 +35,6 @@ Device::Device(const FleetSpec& fleet, const DeviceSpec& spec,
       model_(model),
       owned_(std::in_place, device_config(fleet, spec, lut_cache), model),
       proc_(&*owned_),
-      battery_(fleet.battery),
-      policy_(fleet.thresholds),
       low_power_alloc_(fleet.adapt
                            ? sys::balanced_mram_split(proc_->cost_model(),
                                                       proc_->total_weights())
@@ -50,8 +48,6 @@ Device::Device(const FleetSpec& fleet, const DeviceSpec& spec,
       spec_(spec),
       model_(model),
       proc_(&proc),
-      battery_(fleet.battery),
-      policy_(fleet.thresholds),
       low_power_alloc_(fleet.adapt
                            ? sys::balanced_mram_split(proc_->cost_model(),
                                                       proc_->total_weights())
@@ -80,185 +76,183 @@ void Device::init_slo_tiers() {
   slo_ok_ = true;
 }
 
-const placement::Allocation& Device::tier_alloc(FrontierTier t) const {
-  return slo_allocs_[static_cast<std::size_t>(t)];
+void DeviceProgress::start(const FleetSpec& fleet, const DeviceSpec& spec,
+                           std::int64_t slice_ps, std::size_t n_loads) {
+  const energy::Battery battery{fleet.battery};
+  // Lifecycle window: a device staying to the horizon runs its arrivals plus
+  // the trailing drain slice; an early leaver runs its arrivals only.
+  const bool has_drain = spec.leave_slice < 0 || spec.leave_slice >= fleet.slices;
+  result = DeviceResult{};
+  result.id = spec.id;
+  result.model_index = static_cast<std::uint32_t>(spec.model_index);
+  result.scenario = spec.scenario;
+  result.seed = spec.seed;
+  result.slice_ps = slice_ps;
+  result.slices_total = static_cast<int>(n_loads) + (has_drain ? 1 : 0);
+  result.battery_capacity_pj = battery.capacity().as_pj();
+  result.latency_slo_ps = spec.latency_slo_ps;
+  next_k = 0;
+  started = true;
+  done = result.slices_total == 0;
+  mode = static_cast<std::uint8_t>(DeviceMode::kDynamic);
+  switches = 0;
+  tier = 255;
+  buffered = 0;
+  charge_pj = battery.charge().as_pj();
+  result.final_soc = battery.soc();
+  sample_busy_ps.clear();
+  sample_energy_pj.clear();
+  proc_state.clear();
 }
 
-bool Device::has_drain() const {
-  return spec_.leave_slice < 0 || spec_.leave_slice >= fleet_.slices;
+bool DeviceProgress::begin_slice(const FleetSpec& fleet, const DeviceSpec& spec,
+                                 bool slo) {
+  const ChargingSpec& ch = fleet.charging;
+  if (ch.period > 0 && ch.window > 0 &&
+      (spec.join_slice + next_k) % ch.period < ch.window) {
+    // Global charging window, applied before the policy observes the SoC
+    // (a device wakes into a charged state, it doesn't observe-then-charge).
+    charge_pj += ch.energy_per_slice.as_pj();
+    if (charge_pj > result.battery_capacity_pj) charge_pj = result.battery_capacity_pj;
+  }
+  if (!fleet.adapt && !slo) return false;
+  // SLO-aware frontier policy: the hysteresis mode still advances (it feeds
+  // kSaver and the JSONL mode fields), but the placement pinned is the
+  // tier's frontier point, not the dynamic/MRAM toggle. Without adaptation
+  // there is no SoC signal — an SLO device holds kBalanced.
+  FrontierTier t = FrontierTier::kBalanced;
+  if (fleet.adapt) {
+    const double soc = charge_pj / result.battery_capacity_pj;
+    const DeviceMode m =
+        next_mode(static_cast<DeviceMode>(mode), soc, fleet.thresholds, switches);
+    mode = static_cast<std::uint8_t>(m);
+    if (slo) t = select_tier(m, soc, fleet.thresholds);
+  }
+  if (!slo || static_cast<std::uint8_t>(t) == tier) return false;
+  if (tier != 255) ++result.tier_switches;
+  tier = static_cast<std::uint8_t>(t);
+  return true;
 }
 
-int Device::total_steps(const std::vector<int>& loads) const {
-  return static_cast<int>(loads.size()) + (has_drain() ? 1 : 0);
+SliceOutcomeKey DeviceProgress::slice_key(std::uint64_t reuse_key,
+                                          std::uint64_t state,
+                                          std::int64_t slo_ps) const {
+  return SliceOutcomeKey{reuse_key, state, slo_ps,
+                         static_cast<std::uint32_t>(buffered), mode,
+                         slo_ps > 0 ? tier : std::uint8_t{0}};
+}
+
+void DeviceProgress::end_slice(const SliceOutcome& out,
+                               const std::vector<int>& loads) {
+  const int n_loads = static_cast<int>(loads.size());
+  const int arriving = next_k < n_loads ? loads[next_k] : 0;
+  const double drained = out.energy_pj < charge_pj ? out.energy_pj : charge_pj;
+  charge_pj -= drained;
+
+  DeviceResult& r = result;
+  ++r.slices_executed;
+  r.tasks += static_cast<std::uint64_t>(buffered);
+  r.deadline_violations += out.deadline_violated ? 1 : 0;
+  r.energy_pj += drained;
+  r.busy_time_ps += out.busy_ps;
+  r.max_busy_ps = std::max(r.max_busy_ps, out.busy_ps);
+  r.movement_time_ps += out.movement_ps;
+  r.host_cycles += out.host_cycles;
+  if (mode == static_cast<std::uint8_t>(DeviceMode::kLowPower)) ++r.low_power_slices;
+  sample_busy_ps.push_back(out.busy_ps);
+  sample_energy_pj.push_back(out.energy_pj);
+
+  if (drained < out.energy_pj) {
+    // The battery died during this slice: the slice's work happened (the
+    // device browns out at the boundary, not instantaneously), but nothing
+    // after it runs. Arrivals still in flight are dropped.
+    r.exhausted_at_slice = next_k;
+    std::uint64_t dropped = static_cast<std::uint64_t>(arriving);
+    for (int j = next_k + 1; j < n_loads; ++j) {
+      dropped += static_cast<std::uint64_t>(loads[j]);
+    }
+    r.tasks_dropped = dropped;
+    done = true;
+  }
+  buffered = arriving;
+  ++next_k;
+  if (!done && next_k >= r.slices_total) {
+    done = true;
+    if (r.slices_total == n_loads) {
+      // Early leaver: its final buffer never gets a drain slice — those
+      // arrivals are dropped exactly like exhaustion drops in-flight work.
+      r.tasks_dropped += static_cast<std::uint64_t>(buffered);
+    }
+  }
+  r.mode_switches = switches;
+  r.final_soc = charge_pj / r.battery_capacity_pj;
 }
 
 DeviceResult Device::run(FleetAggregate* agg) {
   std::vector<int> loads;
   device_loads_into(spec_, fleet_.envelope_multipliers(), loads);
-  return run(agg, loads, nullptr);
-}
-
-DeviceResult Device::run(FleetAggregate* agg, const std::vector<int>& loads,
-                         OutcomeRecorder* recorder) {
   DeviceProgress p;
   start_progress(p, loads);
-  run_steps(p, loads, total_steps(loads), agg, recorder);
-  if (agg != nullptr) agg->add_device(p.result);
+  run_steps(p, loads, p.result.slices_total, nullptr);
+  if (agg != nullptr) agg->add_finished_device(p);
   return p.result;
 }
 
 void Device::start_progress(DeviceProgress& p, const std::vector<int>& loads) const {
-  DeviceResult& r = p.result;
-  r.id = spec_.id;
-  r.model_index = static_cast<std::uint32_t>(spec_.model_index);
-  r.scenario = spec_.scenario;
-  r.seed = spec_.seed;
-  r.slice_ps = proc_->slice_length().as_ps();
-  r.slices_total = total_steps(loads);
-  r.battery_capacity_pj = battery_.capacity().as_pj();
-  r.latency_slo_ps = spec_.latency_slo_ps;
-  p.started = true;
+  p.start(fleet_, spec_, proc_->slice_length().as_ps(), loads.size());
 }
 
 void Device::capture_progress(DeviceProgress& p) const {
-  p.mode = static_cast<std::uint8_t>(policy_.mode());
-  p.switches = policy_.switches();
-  p.tier = applied_tier_;
-  p.charge_pj = battery_.charge().as_pj();
   ByteWriter w;
   proc_->save_state(w);
   p.proc_state = w.take();
 }
 
 void Device::restore_progress(const DeviceProgress& p) {
-  battery_.restore_charge(Energy::pj(p.charge_pj));
-  policy_.restore(static_cast<DeviceMode>(p.mode), p.switches);
-  // The override itself rides in the processor blob; only the tier label
-  // needs restoring so the next slice doesn't re-install (and recount) it.
-  applied_tier_ = p.tier;
+  // The charge is read from a snapshot file: range-check it like a battery
+  // restore would. Mode, tier and the placement override ride in p and in
+  // the processor blob.
+  energy::Battery{fleet_.battery}.restore_charge(Energy::pj(p.charge_pj));
   ByteReader r{p.proc_state};
   proc_->load_state(r);
 }
 
 bool Device::run_steps(DeviceProgress& p, const std::vector<int>& loads,
-                       int k_end, FleetAggregate* agg,
-                       OutcomeRecorder* recorder, bool buffer_samples) {
-  DeviceResult& r = p.result;
-  const Time slice = Time::ps(r.slice_ps);
-  const int steps = total_steps(loads);
-  const int n_loads = static_cast<int>(loads.size());
-  if (k_end > steps) k_end = steps;
-
+                       int k_end, OutcomeRecorder* recorder) {
+  const bool slo = slo_active();
+  const std::int64_t slo_ps = slo ? spec_.latency_slo_ps : 0;
   // Digest chain for outcome recording: `pre` is the processor state the
-  // coming slice starts from. The mode decided below is part of the key,
-  // not the digest — the override flip it causes lands in the slice's
+  // coming slice starts from. The mode decided by begin_slice is part of the
+  // key, not the digest — the override flip it causes lands in the slice's
   // *post* digest, which seeds the next link.
   std::uint64_t pre = recorder != nullptr ? proc_->state_digest() : 0;
-
-  int buffered = p.buffered;
-  int k = p.next_k;
-  for (; k < k_end && !p.done; ++k) {
-    const int arriving = k < n_loads ? loads[k] : 0;
-
-    if (fleet_.charging.period > 0 && fleet_.charging.window > 0) {
-      // Global charging window, applied before the policy observes the SoC
-      // (a device wakes into a charged state, it doesn't observe-then-charge).
-      const int g = spec_.join_slice + k;
-      if (g % fleet_.charging.period < fleet_.charging.window) {
-        battery_.recharge(fleet_.charging.energy_per_slice);
-      }
-    }
-
-    DeviceMode mode = DeviceMode::kDynamic;
-    FrontierTier tier = FrontierTier::kBalanced;
-    if (slo_active()) {
-      // SLO-aware frontier policy: the hysteresis mode still advances (it
-      // feeds kSaver and the JSONL mode fields), but the placement pinned is
-      // the tier's frontier point, not the dynamic/MRAM toggle. Without
-      // adaptation there is no SoC signal — the device holds kBalanced.
-      if (fleet_.adapt) {
-        mode = policy_.update(battery_.soc());
-        tier = select_tier(mode, battery_.soc(), fleet_.thresholds);
-      }
-      if (static_cast<std::uint8_t>(tier) != applied_tier_) {
-        proc_->set_placement_override(tier_alloc(tier));
-        if (applied_tier_ != 255) ++r.tier_switches;
-        applied_tier_ = static_cast<std::uint8_t>(tier);
-      }
-    } else if (fleet_.adapt) {
-      mode = policy_.update(battery_.soc());
-      if (mode == DeviceMode::kLowPower && !proc_->placement_override_active()) {
+  while (!p.done && p.next_k < k_end) {
+    if (p.begin_slice(fleet_, spec_, slo)) {
+      proc_->set_placement_override(slo_allocs_[p.tier]);
+    } else if (!slo && fleet_.adapt) {
+      const bool low = p.mode == static_cast<std::uint8_t>(DeviceMode::kLowPower);
+      if (low && !proc_->placement_override_active()) {
         proc_->set_placement_override(low_power_alloc_);
-      } else if (mode == DeviceMode::kDynamic && proc_->placement_override_active()) {
+      } else if (!low && proc_->placement_override_active()) {
         proc_->set_placement_override(std::nullopt);
       }
     }
 
-    const sys::SliceStats s = proc_->run_slice(buffered);
-    const Energy requested = s.energy;
-    const Energy drained = battery_.drain(requested);
-
+    const sys::SliceStats s = proc_->run_slice(p.buffered);
+    // Recorded even for an exhaustion slice: the slice's outcome is
+    // independent of the battery (the clamp is replay-side), so the entry
+    // is valid for any device reaching this state.
+    const SliceOutcome out{s.energy.as_pj(), s.busy_time.as_ps(),
+                           s.movement_time.as_ps(),
+                           recorder != nullptr ? proc_->state_digest() : 0,
+                           s.host_cycles, s.deadline_violated};
     if (recorder != nullptr) {
-      // Recorded even for an exhaustion slice: the slice's outcome is
-      // independent of the battery (the clamp is replay-side), so the
-      // entry is valid for any device reaching this state.
-      const std::uint64_t post = proc_->state_digest();
-      recorder->recorded.push_back(
-          {SliceOutcomeKey{recorder->reuse_key, pre,
-                           slo_active() ? spec_.latency_slo_ps : 0,
-                           static_cast<std::uint32_t>(buffered),
-                           static_cast<std::uint8_t>(mode),
-                           slo_active() ? static_cast<std::uint8_t>(tier)
-                                        : std::uint8_t{0}},
-           SliceOutcome{requested.as_pj(), s.busy_time.as_ps(),
-                        s.movement_time.as_ps(), post, s.host_cycles,
-                        s.deadline_violated}});
-      pre = post;
+      recorder->recorded.emplace_back(p.slice_key(recorder->reuse_key, pre, slo_ps),
+                                      out);
+      pre = out.post_state;
     }
-
-    ++r.slices_executed;
-    r.tasks += static_cast<std::uint64_t>(s.tasks_executed);
-    r.deadline_violations += s.deadline_violated ? 1 : 0;
-    r.energy_pj += drained.as_pj();
-    r.busy_time_ps += s.busy_time.as_ps();
-    r.max_busy_ps = std::max(r.max_busy_ps, s.busy_time.as_ps());
-    r.movement_time_ps += s.movement_time.as_ps();
-    r.host_cycles += s.host_cycles;
-    if (mode == DeviceMode::kLowPower) ++r.low_power_slices;
-    if (agg != nullptr) {
-      agg->add_slice(s.busy_time / slice, s.busy_time.as_us(), s.energy.as_mj());
-    } else if (buffer_samples) {
-      p.sample_busy_ps.push_back(s.busy_time.as_ps());
-      p.sample_energy_pj.push_back(requested.as_pj());
-    }
-
-    if (drained < requested) {
-      // The battery died during this slice: the slice's work happened (the
-      // device browns out at the boundary, not instantaneously), but nothing
-      // after it runs. Arrivals still in flight are dropped.
-      r.exhausted_at_slice = s.slice;
-      std::uint64_t dropped = static_cast<std::uint64_t>(arriving);
-      for (int j = k + 1; j < n_loads; ++j) {
-        dropped += static_cast<std::uint64_t>(loads[j]);
-      }
-      r.tasks_dropped = dropped;
-      p.done = true;
-    }
-    buffered = arriving;
+    p.end_slice(out, loads);
   }
-
-  p.next_k = k;
-  p.buffered = buffered;
-  if (!p.done && p.next_k >= steps) {
-    p.done = true;
-    if (!has_drain()) {
-      // Early leaver: its final buffer never gets a drain slice — those
-      // arrivals are dropped exactly like exhaustion drops in-flight work.
-      r.tasks_dropped += static_cast<std::uint64_t>(buffered);
-    }
-  }
-  r.mode_switches = policy_.switches();
-  r.final_soc = battery_.soc();
   return p.done;
 }
 

@@ -1,23 +1,26 @@
-// One simulated edge device: a sys::Processor + energy::Battery +
-// fleet::AdaptivePolicy executing its per-device request stream.
+// One simulated edge device: the per-slice control loop of the fleet.
 //
-// The device runs the slice protocol of sys::Processor::run_scenario
-// (arrivals in slice k execute in slice k+1, one trailing drain slice), but
-// drives it slice by slice so the battery and the adaptation loop sit in
-// the middle:
+// A device's whole mutable state is a DeviceProgress — battery charge,
+// hysteresis mode, frontier tier, counters and buffered aggregate samples —
+// and every slice is one step on it, whoever computes the slice:
 //
-//   per slice boundary:
-//     1. observe battery SoC -> AdaptivePolicy::update
-//     2. kLowPower  -> Processor::set_placement_override(MRAM-balanced)
-//        kDynamic   -> clear the override (HH-PIM LUT placement resumes)
-//     3. run the slice, drain the slice's energy from the battery
-//     4. battery hit zero mid-slice -> record exhaustion, stop; arrivals
-//        that never executed are counted as dropped
+//   begin_slice  1. charging window: recharge, clamped to capacity
+//                2. observe SoC -> hysteresis mode (next_mode); SLO devices
+//                   also pick a frontier tier (select_tier)
+//   (outcome)    3. run the slice: on a sys::Processor (Device::run_steps,
+//                   with the mode/tier installed as a placement override)
+//                   or replayed from the fleet's outcome memo
+//   end_slice    4. drain the slice's requested energy, clamped to the
+//                   charge; count; buffer the aggregate sample
+//                5. battery hit zero mid-slice -> record exhaustion, stop;
+//                   arrivals that never executed are counted as dropped
 //
-// Devices are strictly single-threaded and share no mutable state; the only
-// cross-device object is the placement::LutCache (immutable entries), which
-// is what makes a fleet of thousands cheap: devices with the same model and
-// arch resolve to the same LUT build.
+// The slice protocol is sys::Processor::run_scenario's (arrivals in slice k
+// execute in slice k+1, one trailing drain slice for devices that stay to
+// the horizon). Devices are strictly single-threaded and share no mutable
+// state; the only cross-device object is the placement::LutCache (immutable
+// entries), which is what makes a fleet of thousands cheap: devices with the
+// same model and arch resolve to the same LUT build.
 #pragma once
 
 #include <array>
@@ -26,7 +29,7 @@
 #include <string>
 #include <vector>
 
-#include "energy/battery.hpp"
+#include "fleet/outcome_cache.hpp"
 #include "fleet/policy.hpp"
 #include "fleet/spec.hpp"
 #include "hhpim/processor.hpp"
@@ -38,8 +41,7 @@ class LutCache;  // placement/lut_cache.hpp — only a pointer is passed through
 
 namespace hhpim::fleet {
 
-class FleetAggregate;   // fleet/aggregate.hpp
-struct OutcomeRecorder;  // fleet/outcome_cache.hpp
+class FleetAggregate;  // fleet/aggregate.hpp
 
 /// Everything one device run produces; one JSONL line each (the schema is
 /// documented in docs/FLEET.md). Times are picoseconds, energies picojoules
@@ -83,19 +85,20 @@ struct DeviceResult {
   std::uint64_t host_cycles = 0;
 };
 
-/// One device's resumable mid-run state — what a FleetSnapshot stores per
-/// device. Captures everything Device::run_steps needs to continue at step
-/// `next_k` and still produce byte-identical output: the partial
-/// DeviceResult, the policy/battery state, the processor checkpoint blob
-/// (Processor::save_state), and the per-slice aggregate samples buffered
-/// until the final segment (histogram insertion order is device-major and
-/// must not interleave with other devices until the whole stream is known).
+/// One device's whole mutable state, and what a FleetSnapshot stores per
+/// device: the partial DeviceResult, the battery/policy lane, the processor
+/// checkpoint blob (Processor::save_state; live snapshot devices only), and
+/// the per-slice aggregate samples, buffered until the device finishes
+/// (histogram insertion order is device-major and must not interleave with
+/// other devices). begin_slice/end_slice are the only per-slice step: the
+/// exact path (Device::run_steps) and the memo replay (FleetSimulator) both
+/// go through them, so every policy rule exists once.
 struct DeviceProgress {
   DeviceResult result;
   int next_k = 0;           ///< next local step (slice) to execute
-  bool started = false;     ///< start_progress() ran; result header is valid
+  bool started = false;     ///< start() ran; result header is valid
   bool done = false;        ///< stream complete (drained, left, or exhausted)
-  std::uint8_t mode = 0;    ///< AdaptivePolicy mode (DeviceMode)
+  std::uint8_t mode = 0;    ///< hysteresis mode (DeviceMode)
   std::uint32_t switches = 0;
   std::uint8_t tier = 255;  ///< FrontierTier applied (255 = none yet; SLO only)
   int buffered = 0;         ///< arrivals awaiting execution in the next slice
@@ -103,6 +106,31 @@ struct DeviceProgress {
   std::vector<std::int64_t> sample_busy_ps;  ///< per executed slice
   std::vector<double> sample_energy_pj;      ///< requested (pre-clamp) energy
   std::string proc_state;   ///< Processor::save_state blob (live devices only)
+
+  /// Resets to step 0 of `spec`'s stream of `n_loads` arrival slices: the
+  /// result header, the initial battery charge and a fresh lane. Sample
+  /// buffers keep their capacity. `slice_ps` is the processor's slice
+  /// length T.
+  void start(const FleetSpec& fleet, const DeviceSpec& spec,
+             std::int64_t slice_ps, std::size_t n_loads);
+
+  /// First half of the step for slice `next_k`: the charging window, then
+  /// the hysteresis mode and — when `slo` (the frontier policy is active) —
+  /// the frontier tier, both decided on the SoC the device wakes into.
+  /// Returns true when the tier changed (the caller installs its placement).
+  bool begin_slice(const FleetSpec& fleet, const DeviceSpec& spec, bool slo);
+
+  /// The memo key of the slice begin_slice just planned, starting from
+  /// processor state digest `state`. `slo_ps` is the device's active SLO
+  /// (0 = none; the tier then stays out of the key).
+  [[nodiscard]] SliceOutcomeKey slice_key(std::uint64_t reuse_key,
+                                          std::uint64_t state,
+                                          std::int64_t slo_ps) const;
+
+  /// Second half: drains `out.energy_pj` (clamped to the charge), counts the
+  /// slice, buffers its aggregate sample, and ends the stream on exhaustion
+  /// or after the last step (an early leaver drops its final buffer).
+  void end_slice(const SliceOutcome& out, const std::vector<int>& loads);
 };
 
 class Device {
@@ -123,56 +151,38 @@ class Device {
          sys::Processor& proc);
 
   /// Executes the device's whole stream (loads materialized from the spec
-  /// with the fleet's envelope applied). Per-slice samples are accumulated
-  /// into `agg` (may be null). Call once.
+  /// with the fleet's envelope applied). The device's samples and totals
+  /// are accounted into `agg` (may be null). Call once.
   DeviceResult run(FleetAggregate* agg);
 
-  /// Same, with the load trace precomputed by the caller (`loads` must
-  /// equal device_loads(spec) with the fleet envelope applied) and optional
-  /// outcome recording: when `recorder` is non-null, every executed slice
-  /// appends one (SliceOutcomeKey, SliceOutcome) pair chained through
-  /// Processor::state_digest() — the exact-path side of the fleet's
-  /// device-level memo (recorder->reuse_key must be the processor's
-  /// sys::processor_reuse_key). Recording changes wall-clock only, never
-  /// the result. Call once.
-  DeviceResult run(FleetAggregate* agg, const std::vector<int>& loads,
-                   OutcomeRecorder* recorder);
-
-  // --- segmented execution (fleet checkpoint/restore) ----------------------
+  // --- stepwise execution ---------------------------------------------------
   // A whole run is: start_progress once, then run_steps in one or more
   // [next_k, k_end) windows — capture_progress / restore_progress (plus a
   // fresh Device on a reset processor) between windows — until run_steps
   // returns true. The step sequence executed this way is instruction-for-
   // instruction the one run() executes, so output stays byte-identical.
 
-  /// True when the device stays to the horizon and runs the trailing drain
-  /// slice; a device leaving early drops its final buffer instead.
-  [[nodiscard]] bool has_drain() const;
-
-  /// Steps of this device's whole stream: loads.size() + 1 drain slice for
-  /// horizon devices, loads.size() for early leavers.
-  [[nodiscard]] int total_steps(const std::vector<int>& loads) const;
-
-  /// Fills p.result's identity/header fields and p's initial lane state
-  /// from this (fresh) device. Call exactly once per device stream.
+  /// DeviceProgress::start for this device's processor and `loads` (which
+  /// must equal device_loads with the fleet envelope applied).
   void start_progress(DeviceProgress& p, const std::vector<int>& loads) const;
 
   /// Resumes a prior capture_progress onto this device, whose processor
-  /// must be fresh/reset() and built from the same reuse key.
+  /// must be fresh/reset() and built from the same reuse key. Throws
+  /// std::invalid_argument when p.charge_pj lies outside [0, capacity].
   void restore_progress(const DeviceProgress& p);
 
-  /// Captures policy/battery/processor state so a later restore_progress
-  /// continues the stream exactly. Only valid between run_steps windows.
+  /// Captures the processor blob so a later restore_progress continues the
+  /// stream exactly. Only valid between run_steps windows.
   void capture_progress(DeviceProgress& p) const;
 
-  /// Executes local steps [p.next_k, min(k_end, total_steps)) and updates
-  /// p. Returns true when the stream completed (drained, left early, or
-  /// exhausted). With `agg` non-null, samples post directly; with
-  /// `buffer_samples`, they append to p's sample vectors instead (segmented
-  /// runs — replayed into the aggregate by the final segment).
+  /// Executes local steps [p.next_k, min(k_end, total steps)) and returns
+  /// p.done. With `recorder` non-null, every executed slice appends one
+  /// (SliceOutcomeKey, SliceOutcome) pair chained through
+  /// Processor::state_digest() — the exact-path side of the fleet's
+  /// device-level memo (recorder->reuse_key must be the processor's
+  /// sys::processor_reuse_key). Recording never changes the result.
   bool run_steps(DeviceProgress& p, const std::vector<int>& loads, int k_end,
-                 FleetAggregate* agg, OutcomeRecorder* recorder,
-                 bool buffer_samples = false);
+                 OutcomeRecorder* recorder);
 
   /// The SystemConfig a device of `fleet` runs under: the device's firmware
   /// entry with the simulator-resolved LUT cache plugged in. What both
@@ -187,28 +197,23 @@ class Device {
       const FleetSpec& fleet, placement::LutCache* lut_cache);
 
   [[nodiscard]] const sys::Processor& processor() const { return *proc_; }
-  [[nodiscard]] const energy::Battery& battery() const { return battery_; }
 
  private:
   /// Resolves the three frontier-tier allocations once per device (SLO set
   /// and HH-PIM LUT present; no-ops otherwise — slo_active() stays false).
   void init_slo_tiers();
   [[nodiscard]] bool slo_active() const { return spec_.latency_slo_ps > 0 && slo_ok_; }
-  [[nodiscard]] const placement::Allocation& tier_alloc(FrontierTier t) const;
 
   const FleetSpec& fleet_;
   const DeviceSpec& spec_;
   const nn::Model& model_;
   std::optional<sys::Processor> owned_;  ///< engaged by the owning constructor
   sys::Processor* proc_;                 ///< the processor this device runs on
-  energy::Battery battery_;
-  AdaptivePolicy policy_;
   placement::Allocation low_power_alloc_;
   // SLO frontier picks, resolved once from the processor's LUT: [balanced,
   // performance, saver] indexed by FrontierTier.
   std::array<placement::Allocation, 3> slo_allocs_{};
-  bool slo_ok_ = false;           ///< tiers resolved (LUT had a feasible entry)
-  std::uint8_t applied_tier_ = 255;  ///< override installed (255 = none yet)
+  bool slo_ok_ = false;  ///< tiers resolved (LUT had a feasible entry)
 };
 
 }  // namespace hhpim::fleet

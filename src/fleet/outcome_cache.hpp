@@ -93,10 +93,11 @@ struct SliceOutcome {
   bool deadline_violated = false;
 };
 
-/// Per-device recording sink for the exact path: Device::run chains
+/// Per-device recording sink for the exact path: Device::run_steps chains
 /// state digests across its slices and appends one (key, outcome) pair per
 /// slice. The buffer is reused across devices (clear(), capacity retained);
-/// the shard inserts it as one batch when the device completes.
+/// the shard collects every device's pairs and inserts them as one batch at
+/// shard end.
 struct OutcomeRecorder {
   std::uint64_t reuse_key = 0;
   std::vector<std::pair<SliceOutcomeKey, SliceOutcome>> recorded;

@@ -37,14 +37,22 @@ AdaptivePolicy::AdaptivePolicy(AdaptiveThresholds thresholds)
   }
 }
 
-DeviceMode AdaptivePolicy::update(double soc) {
-  if (mode_ == DeviceMode::kDynamic && soc <= thresholds_.low_soc) {
-    mode_ = DeviceMode::kLowPower;
-    ++switches_;
-  } else if (mode_ == DeviceMode::kLowPower && soc >= thresholds_.high_soc) {
-    mode_ = DeviceMode::kDynamic;
-    ++switches_;
+DeviceMode next_mode(DeviceMode mode, double soc,
+                     const AdaptiveThresholds& thresholds,
+                     std::uint32_t& switches) {
+  if (mode == DeviceMode::kDynamic && soc <= thresholds.low_soc) {
+    ++switches;
+    return DeviceMode::kLowPower;
   }
+  if (mode == DeviceMode::kLowPower && soc >= thresholds.high_soc) {
+    ++switches;
+    return DeviceMode::kDynamic;
+  }
+  return mode;
+}
+
+DeviceMode AdaptivePolicy::update(double soc) {
+  mode_ = next_mode(mode_, soc, thresholds_, switches_);
   return mode_;
 }
 

@@ -48,10 +48,17 @@ struct AdaptiveThresholds {
   double high_soc = 0.50;
 };
 
+/// One hysteresis step, the only place the mode rule lives: from `mode`,
+/// with the SoC in [0, 1] observed at the slice boundary, returns the mode
+/// for the coming slice and counts a transition into `switches`.
+[[nodiscard]] DeviceMode next_mode(DeviceMode mode, double soc,
+                                   const AdaptiveThresholds& thresholds,
+                                   std::uint32_t& switches);
+
 /// The frontier tier for one slice, from the hysteresis mode and the SoC
-/// observed at the slice boundary. Pure — Device::run_steps and the fleet
-/// simulator's SoA replay mirror call this same function, which is what
-/// keeps memo replays byte-identical to the exact path:
+/// observed at the slice boundary. Pure — called from the one per-slice
+/// step (DeviceProgress::begin_slice) that both the exact path and the
+/// memo replay take:
 ///   kSaver        iff mode == kLowPower (inherits the mode hysteresis);
 ///   kPerformance  iff soc >= high_soc (exact threshold, like update());
 ///   kBalanced     otherwise.
@@ -73,13 +80,6 @@ class AdaptivePolicy {
   [[nodiscard]] DeviceMode mode() const { return mode_; }
   /// Number of mode transitions so far (either direction).
   [[nodiscard]] std::uint32_t switches() const { return switches_; }
-
-  /// Checkpoint restore: resumes the controller mid-run with the mode and
-  /// transition count captured by a prior mode()/switches() read.
-  void restore(DeviceMode mode, std::uint32_t switches) {
-    mode_ = mode;
-    switches_ = switches;
-  }
 
  private:
   AdaptiveThresholds thresholds_;

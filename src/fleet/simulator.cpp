@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <exception>
 #include <fstream>
+#include <limits>
 #include <mutex>
 #include <sstream>
 #include <stdexcept>
@@ -13,6 +14,7 @@
 #include "common/align.hpp"
 #include "common/serialize.hpp"
 #include "fleet/outcome_cache.hpp"
+#include "hhpim/processor_pool.hpp"
 #include "placement/lut_cache.hpp"
 
 namespace hhpim::fleet {
@@ -172,536 +174,6 @@ std::string shard_path(const std::string& dir, std::size_t shard) {
   return dir + "/" + name;
 }
 
-}  // namespace
-
-FleetResult FleetSimulator::run(const FleetSpec& spec) const {
-  const std::vector<DeviceSpec> device_specs = spec.expand();
-  const std::vector<nn::Model> models = spec.resolved_models();
-  const std::vector<sys::SystemConfig> firmwares = spec.resolved_firmware();
-  const std::size_t n_models = models.size();
-  // The global load envelope, resolved once and shared read-only by every
-  // worker (empty = no envelope).
-  const std::vector<double> env = spec.envelope_multipliers();
-  placement::LutCache* const cache = resolve_lut_cache();
-  const placement::LutCache::Stats stats_before =
-      cache != nullptr ? cache->stats() : placement::LutCache::Stats{};
-  OutcomeCache* const memo = resolve_outcome_cache();
-  const OutcomeCache::Stats memo_before =
-      memo != nullptr ? memo->stats() : OutcomeCache::Stats{};
-
-  const std::size_t n = device_specs.size();
-  const std::size_t shard_size = options_.shard_size;
-  const std::size_t shards = n == 0 ? 0 : (n + shard_size - 1) / shard_size;
-
-  FleetResult result{.fleet_name = spec.name,
-                     .devices = {},
-                     .model_names = {},
-                     .aggregate = FleetAggregate{spec.histograms},
-                     .shard_count = shards,
-                     .shard_size = shard_size};
-  result.model_names.reserve(models.size());
-  for (const nn::Model& m : models) result.model_names.push_back(m.name());
-  if (options_.keep_results) result.devices.resize(n);
-
-  // One slot per shard, each on its own cache line: a worker finishing
-  // shard s move-assigns into slot s while a sibling fills s±1 — without
-  // the alignment those writes would false-share a line.
-  struct alignas(kCacheLine) ShardSlot {
-    FleetAggregate agg;
-  };
-  std::vector<ShardSlot> shard_aggs(shards, ShardSlot{FleetAggregate{spec.histograms}});
-
-  std::exception_ptr first_error;
-  std::mutex error_mutex;
-  std::atomic<std::size_t> next{0};
-
-  // Checkout pool of reusable processors, one freelist per (firmware,
-  // model) pair — flattened as firmware * n_models + model — shared by all
-  // workers (reuse_processors): the pair fully determines a device's
-  // processor. Sharing the pool bounds constructions by the peak per-pair
-  // overlap — a per-worker pool would construct workers × pairs
-  // processors, which is exactly what made 8 oversubscribed workers slower
-  // than 1 on a single core. Checkout/return are pointer pops under a
-  // per-pair mutex, held for nanoseconds against device runs of tens of
-  // microseconds; each freelist sits on its own cache line.
-  struct alignas(kCacheLine) ModelPool {
-    std::mutex mu;
-    std::vector<std::unique_ptr<sys::Processor>> idle;
-  };
-  const bool reuse = options_.reuse_processors;
-  const std::size_t n_pairs = firmwares.size() * n_models;
-  std::vector<ModelPool> model_pools(reuse ? n_pairs : 0);
-  std::vector<sys::SystemConfig> fw_cfgs;
-  if (reuse || memo != nullptr) {
-    fw_cfgs.reserve(firmwares.size());
-    for (const sys::SystemConfig& fw : firmwares) {
-      sys::SystemConfig c = fw;
-      c.lut_cache = cache;
-      fw_cfgs.push_back(c);
-    }
-  }
-  const auto pair_of = [n_models](const DeviceSpec& ds) {
-    return ds.firmware_index * n_models + ds.model_index;
-  };
-
-  // Returns a processor for pair `p` in just-constructed state (pooled ones
-  // are reset() outside the lock; construction also happens outside the
-  // lock).
-  auto checkout = [&](std::size_t pair) {
-    ModelPool& mp = model_pools[pair];
-    std::unique_ptr<sys::Processor> p;
-    {
-      const std::lock_guard<std::mutex> lock{mp.mu};
-      if (!mp.idle.empty()) {
-        p = std::move(mp.idle.back());
-        mp.idle.pop_back();
-      }
-    }
-    if (p != nullptr) {
-      p->reset();
-      return p;
-    }
-    return std::make_unique<sys::Processor>(fw_cfgs[pair / n_models],
-                                            models[pair % n_models]);
-  };
-  auto give_back = [&](std::size_t pair, std::unique_ptr<sys::Processor> p) {
-    ModelPool& mp = model_pools[pair];
-    const std::lock_guard<std::mutex> lock{mp.mu};
-    mp.idle.push_back(std::move(p));
-  };
-
-  // Per-pair constants of the memo path, computed once up front. Only
-  // pairs some device actually uses get a processor built here — building
-  // an unused pair's LUT would bump lut_builds and break the memo-on /
-  // memo-off byte-identity of the summary. Pool processors are checked out
-  // and returned, so nothing extra is constructed under reuse.
-  struct ModelMemoInfo {
-    std::uint64_t reuse_key = 0;
-    std::uint64_t init_state = 0;  ///< state_digest() of a fresh processor
-    Time slice = Time::zero();
-    std::int64_t slice_ps = 0;
-  };
-  std::vector<ModelMemoInfo> model_info(memo != nullptr ? n_pairs : 0);
-  if (memo != nullptr && n > 0) {
-    std::vector<char> used(n_pairs, 0);
-    for (const DeviceSpec& ds : device_specs) used[pair_of(ds)] = 1;
-    for (std::size_t pair = 0; pair < n_pairs; ++pair) {
-      if (used[pair] == 0) continue;
-      ModelMemoInfo& info = model_info[pair];
-      info.reuse_key = sys::processor_reuse_key(fw_cfgs[pair / n_models],
-                                                models[pair % n_models]);
-      if (reuse) {
-        std::unique_ptr<sys::Processor> p = checkout(pair);
-        info.init_state = p->state_digest();
-        info.slice = p->slice_length();
-        give_back(pair, std::move(p));
-      } else {
-        const sys::Processor p{fw_cfgs[pair / n_models], models[pair % n_models]};
-        info.init_state = p.state_digest();
-        info.slice = p.slice_length();
-      }
-      info.slice_ps = info.slice.as_ps();
-    }
-  }
-
-  // Battery constants shared by every device (the fleet has one
-  // BatteryConfig): replay lanes mirror energy::Battery on these raw pJ
-  // doubles. spec.expand() already validated the config.
-  const double capacity_pj =
-      memo != nullptr ? energy::Battery{spec.battery}.capacity().as_pj() : 0.0;
-  const double initial_charge_pj =
-      memo != nullptr ? energy::Battery{spec.battery}.charge().as_pj() : 0.0;
-  const auto k_dynamic = static_cast<std::uint8_t>(DeviceMode::kDynamic);
-  const auto k_low_power = static_cast<std::uint8_t>(DeviceMode::kLowPower);
-  const bool charging_on = spec.charging.period > 0 && spec.charging.window > 0;
-  const double charge_step_pj = spec.charging.energy_per_slice.as_pj();
-
-  // SoA hot state of one shard's replay lanes, owned per worker and reused
-  // across its shards (assign() keeps capacity): a memo-hit device advances
-  // entirely inside these arrays — no Processor, no Battery, no per-device
-  // allocation. sample_* buffer phase 1's per-slice aggregate samples so
-  // phase 2 can flush them device-major, in the exact order the scalar path
-  // feeds FleetAggregate (Summary adds are order-sensitive in the last
-  // floating-point bit).
-  struct ReplayScratch {
-    std::vector<std::vector<int>> loads;   ///< per-device trace, buffers reused
-    std::vector<int> exact_loads;          ///< non-memo path trace buffer
-    std::vector<std::int32_t> steps;       ///< per-device stream length
-    std::vector<std::int32_t> join;        ///< global slice of local step 0
-    std::vector<std::uint8_t> drain;       ///< runs the trailing drain slice?
-    std::vector<std::uint8_t> replay;      ///< lane still on the memo path?
-    std::vector<double> charge_pj;         ///< Battery::charge mirror
-    std::vector<std::uint8_t> mode;        ///< DeviceMode
-    std::vector<std::uint32_t> switches;   ///< AdaptivePolicy::switches mirror
-    std::vector<std::uint8_t> tier;        ///< applied FrontierTier (255 = none)
-    std::vector<std::uint32_t> tier_switches;  ///< Device tier_switches mirror
-    std::vector<std::uint64_t> state;      ///< current processor-state digest
-    std::vector<std::int32_t> buffered;    ///< arrivals awaiting execution
-    std::vector<double> energy_pj;
-    std::vector<std::int64_t> busy_ps;
-    std::vector<std::int64_t> max_busy_ps;
-    std::vector<std::int64_t> movement_ps;
-    std::vector<std::uint64_t> host_cycles;
-    std::vector<std::uint64_t> tasks;
-    std::vector<std::uint64_t> deadline_violations;
-    std::vector<std::int32_t> low_power;
-    std::vector<std::int64_t> sample_busy_ps;   ///< count x (slices+1)
-    std::vector<double> sample_energy_pj;       ///< count x (slices+1)
-    OutcomeRecorder recorder;
-    /// The shard's recorded outcomes, published in ONE insert_batch at
-    /// shard end: all of a shard's lookups happen in phase 1, before any
-    /// phase-2 device records, so batching per shard has the same hit
-    /// behavior as per-device inserts at a fraction of the copy-on-write
-    /// churn (one snapshot copy per shard with news, not one per device).
-    std::vector<std::pair<SliceOutcomeKey, SliceOutcome>> pending;
-  };
-  std::atomic<std::uint64_t> memo_replayed{0};
-  std::atomic<std::uint64_t> memo_exact{0};
-
-  auto run_shard = [&](std::size_t s, ReplayScratch& scratch) {
-    const std::size_t begin = s * shard_size;
-    const std::size_t end = std::min(n, begin + shard_size);
-    FleetAggregate agg{spec.histograms};
-    std::vector<DeviceResult> local;
-    const bool stream = !options_.shard_dir.empty();
-    if (stream && !options_.keep_results) local.reserve(end - begin);
-
-    // The shard's current lease: held across consecutive devices of the
-    // same (firmware, model) pair, returned on a pair switch or at shard
-    // end. A device that throws abandons the lease (the processor may be
-    // mid-run).
-    std::unique_ptr<sys::Processor> held;
-    std::size_t held_model = 0;
-
-    auto emit = [&](std::size_t i, DeviceResult&& r) {
-      if (options_.keep_results) {
-        result.devices[i] = std::move(r);
-      } else if (stream) {
-        local.push_back(std::move(r));
-      }
-    };
-
-    if (memo != nullptr) {
-      const std::size_t count = end - begin;
-      const auto total_slices = static_cast<std::size_t>(spec.slices) + 1;
-
-      if (scratch.loads.size() < count) scratch.loads.resize(count);
-      scratch.steps.resize(count);
-      scratch.join.resize(count);
-      scratch.drain.resize(count);
-      scratch.replay.assign(count, 1);
-      scratch.charge_pj.assign(count, initial_charge_pj);
-      scratch.mode.assign(count, k_dynamic);
-      scratch.switches.assign(count, 0);
-      scratch.tier.assign(count, 255);
-      scratch.tier_switches.assign(count, 0);
-      scratch.state.resize(count);
-      scratch.buffered.assign(count, 0);
-      scratch.energy_pj.assign(count, 0.0);
-      scratch.busy_ps.assign(count, 0);
-      scratch.max_busy_ps.assign(count, 0);
-      scratch.movement_ps.assign(count, 0);
-      scratch.host_cycles.assign(count, 0);
-      scratch.tasks.assign(count, 0);
-      scratch.deadline_violations.assign(count, 0);
-      scratch.low_power.assign(count, 0);
-      scratch.sample_busy_ps.resize(count * total_slices);
-      scratch.sample_energy_pj.resize(count * total_slices);
-      for (std::size_t i = 0; i < count; ++i) {
-        const DeviceSpec& ds = device_specs[begin + i];
-        device_loads_into(ds, env, scratch.loads[i]);
-        scratch.state[i] = model_info[pair_of(ds)].init_state;
-        // Lifecycle window (mirrors Device::has_drain/total_steps): a
-        // horizon device runs its arrivals plus the drain slice; an early
-        // leaver runs arrivals only and drops its final buffer.
-        const bool has_drain = ds.leave_slice < 0 || ds.leave_slice >= spec.slices;
-        scratch.drain[i] = has_drain ? 1 : 0;
-        scratch.join[i] = ds.join_slice;
-        scratch.steps[i] =
-            static_cast<std::int32_t>(scratch.loads[i].size()) + (has_drain ? 1 : 0);
-      }
-
-      // Phase 1 — slice-major lane advance. Each lane mirrors exactly what
-      // Device::run does around run_slice: hysteresis on the pre-drain SoC,
-      // then the battery clamp on the outcome's *requested* energy. A cold
-      // key or a clamped drain (exhaustion boundary) parks the lane for the
-      // exact path — its partial lane state is discarded wholesale, so
-      // nothing double-counts.
-      for (std::size_t k = 0; k < total_slices; ++k) {
-        for (std::size_t i = 0; i < count; ++i) {
-          if (scratch.replay[i] == 0) continue;
-          if (static_cast<std::int32_t>(k) >= scratch.steps[i]) continue;
-          const DeviceSpec& ds = device_specs[begin + i];
-          if (charging_on) {
-            // Mirrors Battery::recharge on raw pJ doubles, before the
-            // policy observes the SoC (same order as Device::run_steps).
-            const int g = scratch.join[i] + static_cast<int>(k);
-            if (g % spec.charging.period < spec.charging.window) {
-              scratch.charge_pj[i] += charge_step_pj;
-              if (scratch.charge_pj[i] > capacity_pj) {
-                scratch.charge_pj[i] = capacity_pj;
-              }
-            }
-          }
-          std::uint8_t slice_tier = 0;
-          if (spec.adapt) {
-            const double soc = scratch.charge_pj[i] / capacity_pj;
-            if (scratch.mode[i] == k_dynamic && soc <= spec.thresholds.low_soc) {
-              scratch.mode[i] = k_low_power;
-              ++scratch.switches[i];
-            } else if (scratch.mode[i] == k_low_power &&
-                       soc >= spec.thresholds.high_soc) {
-              scratch.mode[i] = k_dynamic;
-              ++scratch.switches[i];
-            }
-            if (ds.latency_slo_ps > 0) {
-              // Mirror of the Device's frontier pick — the same pure
-              // select_tier on the same (mode, SoC) the hysteresis just saw.
-              slice_tier = static_cast<std::uint8_t>(
-                  select_tier(static_cast<DeviceMode>(scratch.mode[i]), soc,
-                              spec.thresholds));
-            }
-          }
-          if (ds.latency_slo_ps > 0 && slice_tier != scratch.tier[i]) {
-            if (scratch.tier[i] != 255) ++scratch.tier_switches[i];
-            scratch.tier[i] = slice_tier;
-          }
-          const SliceOutcome* out = memo->lookup(
-              SliceOutcomeKey{model_info[pair_of(ds)].reuse_key,
-                              scratch.state[i], ds.latency_slo_ps,
-                              static_cast<std::uint32_t>(scratch.buffered[i]),
-                              scratch.mode[i], slice_tier});
-          if (out == nullptr) {
-            scratch.replay[i] = 0;  // cold key -> exact path
-            continue;
-          }
-          const double requested = out->energy_pj;
-          const double drained =
-              requested < scratch.charge_pj[i] ? requested : scratch.charge_pj[i];
-          if (drained < requested) {
-            scratch.replay[i] = 0;  // exhaustion boundary -> exact path
-            continue;
-          }
-          scratch.charge_pj[i] -= drained;
-          scratch.tasks[i] += static_cast<std::uint64_t>(scratch.buffered[i]);
-          scratch.deadline_violations[i] += out->deadline_violated ? 1 : 0;
-          scratch.energy_pj[i] += drained;
-          scratch.busy_ps[i] += out->busy_ps;
-          scratch.max_busy_ps[i] = std::max(scratch.max_busy_ps[i], out->busy_ps);
-          scratch.movement_ps[i] += out->movement_ps;
-          scratch.host_cycles[i] += out->host_cycles;
-          if (scratch.mode[i] == k_low_power) ++scratch.low_power[i];
-          scratch.sample_busy_ps[i * total_slices + k] = out->busy_ps;
-          scratch.sample_energy_pj[i * total_slices + k] = out->energy_pj;
-          scratch.state[i] = out->post_state;
-          scratch.buffered[i] =
-              k < scratch.loads[i].size() ? scratch.loads[i][k] : 0;
-        }
-      }
-
-      // Phase 2 — device-major flush, in device order: replayed lanes
-      // materialize their DeviceResult and feed the aggregate exactly as
-      // the scalar path would have; parked lanes run the full Device path
-      // at their ordinal position, recording their outcomes for everyone
-      // after them.
-      std::uint64_t shard_replayed = 0;
-      std::uint64_t shard_exact = 0;
-      scratch.pending.clear();
-      for (std::size_t i = 0; i < count; ++i) {
-        const DeviceSpec& ds = device_specs[begin + i];
-        DeviceResult r;
-        if (scratch.replay[i] != 0) {
-          const ModelMemoInfo& info = model_info[pair_of(ds)];
-          const auto dev_steps = static_cast<std::size_t>(scratch.steps[i]);
-          r.id = ds.id;
-          r.model_index = static_cast<std::uint32_t>(ds.model_index);
-          r.scenario = ds.scenario;
-          r.seed = ds.seed;
-          r.slice_ps = info.slice_ps;
-          r.slices_total = scratch.steps[i];
-          r.slices_executed = scratch.steps[i];
-          r.tasks = scratch.tasks[i];
-          // Replayed devices never exhaust; an early leaver still drops its
-          // final buffer (no drain slice runs it).
-          r.tasks_dropped = scratch.drain[i] != 0
-                                ? 0
-                                : static_cast<std::uint64_t>(scratch.buffered[i]);
-          r.deadline_violations = scratch.deadline_violations[i];
-          r.energy_pj = scratch.energy_pj[i];
-          r.battery_capacity_pj = capacity_pj;
-          r.final_soc = scratch.charge_pj[i] / capacity_pj;
-          r.exhausted_at_slice = -1;
-          r.mode_switches = scratch.switches[i];
-          r.low_power_slices = scratch.low_power[i];
-          r.busy_time_ps = scratch.busy_ps[i];
-          r.max_busy_ps = scratch.max_busy_ps[i];
-          r.movement_time_ps = scratch.movement_ps[i];
-          r.host_cycles = scratch.host_cycles[i];
-          r.latency_slo_ps = ds.latency_slo_ps;
-          r.tier_switches = scratch.tier_switches[i];
-          for (std::size_t k = 0; k < dev_steps; ++k) {
-            const Time busy = Time::ps(scratch.sample_busy_ps[i * total_slices + k]);
-            agg.add_slice(
-                busy / info.slice, busy.as_us(),
-                Energy::pj(scratch.sample_energy_pj[i * total_slices + k]).as_mj());
-          }
-          agg.add_device(r);
-          ++shard_replayed;
-        } else {
-          const std::size_t pair = pair_of(ds);
-          scratch.recorder.reuse_key = model_info[pair].reuse_key;
-          scratch.recorder.recorded.clear();
-          if (reuse) {
-            if (held == nullptr) {
-              held = checkout(pair);
-              held_model = pair;
-            } else if (held_model != pair) {
-              give_back(held_model, std::move(held));
-              held = checkout(pair);
-              held_model = pair;
-            } else {
-              held->reset();
-            }
-            Device dev{spec, ds, models[ds.model_index], *held};
-            r = dev.run(&agg, scratch.loads[i], &scratch.recorder);
-          } else {
-            Device dev{spec, ds, models[ds.model_index], cache};
-            r = dev.run(&agg, scratch.loads[i], &scratch.recorder);
-          }
-          scratch.pending.insert(scratch.pending.end(),
-                                 scratch.recorder.recorded.begin(),
-                                 scratch.recorder.recorded.end());
-          ++shard_exact;
-        }
-        emit(begin + i, std::move(r));
-      }
-      if (!scratch.pending.empty()) memo->insert_batch(scratch.pending);
-      memo_replayed.fetch_add(shard_replayed, std::memory_order_relaxed);
-      memo_exact.fetch_add(shard_exact, std::memory_order_relaxed);
-    } else {
-      for (std::size_t i = begin; i < end; ++i) {
-        const DeviceSpec& ds = device_specs[i];
-        device_loads_into(ds, env, scratch.exact_loads);
-        DeviceResult r;
-        if (reuse) {
-          const std::size_t pair = pair_of(ds);
-          if (held == nullptr) {
-            held = checkout(pair);
-            held_model = pair;
-          } else if (held_model != pair) {
-            give_back(held_model, std::move(held));
-            held = checkout(pair);
-            held_model = pair;
-          } else {
-            held->reset();
-          }
-          Device dev{spec, ds, models[ds.model_index], *held};
-          r = dev.run(&agg, scratch.exact_loads, nullptr);
-        } else {
-          Device dev{spec, ds, models[ds.model_index], cache};
-          r = dev.run(&agg, scratch.exact_loads, nullptr);
-        }
-        emit(i, std::move(r));
-      }
-    }
-    if (held != nullptr) give_back(held_model, std::move(held));
-
-    if (stream) {
-      // Format into a private buffer first, then write the file in one
-      // call: the worker spends no time in the filesystem while holding
-      // work another claim could overlap with, and no handoff ever blocks
-      // a sibling worker.
-      std::ostringstream buf;
-      if (options_.keep_results) {
-        for (std::size_t i = begin; i < end; ++i) {
-          write_device_line(buf, result.devices[i], result.model_names);
-        }
-      } else {
-        for (const DeviceResult& r : local) {
-          write_device_line(buf, r, result.model_names);
-        }
-      }
-      const std::string path = shard_path(options_.shard_dir, s);
-      std::ofstream out(path, std::ios::binary);
-      if (!out) throw std::runtime_error("fleet: cannot open " + path);
-      const std::string& bytes = buf.str();
-      out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-      if (!out) throw std::runtime_error("fleet: write failed for " + path);
-    }
-    shard_aggs[s].agg = std::move(agg);
-  };
-
-  const unsigned workers = resolve_workers(options_.threads, shards);
-  const std::size_t batch =
-      resolve_claim_batch(options_.claim_batch, shards, workers);
-
-  auto worker = [&] {
-    ReplayScratch scratch;  // per-worker; lane buffers reused across shards
-    for (;;) {
-      const std::size_t base = next.fetch_add(batch, std::memory_order_relaxed);
-      if (base >= shards) return;
-      const std::size_t limit = std::min(shards, base + batch);
-      for (std::size_t s = base; s < limit; ++s) {
-        try {
-          run_shard(s, scratch);
-        } catch (...) {
-          const std::lock_guard<std::mutex> lock{error_mutex};
-          if (!first_error) first_error = std::current_exception();
-        }
-      }
-    }
-  };
-
-  if (workers <= 1) {
-    worker();
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (unsigned t = 0; t < workers; ++t) pool.emplace_back(worker);
-    for (std::thread& t : pool) t.join();
-  }
-  if (first_error) std::rethrow_exception(first_error);
-
-  // Merge in shard-index order: Summary merges are order-sensitive in the
-  // last floating-point bit, so a fixed order keeps output byte-identical
-  // at any thread count.
-  for (const ShardSlot& slot : shard_aggs) result.aggregate.merge(slot.agg);
-
-  if (cache != nullptr) {
-    const placement::LutCache::Stats after = cache->stats();
-    // Builds: one cache miss per new key, regardless of thread count or
-    // processor reuse (concurrent first touches dedup through the cache's
-    // build future). Shared: the devices that ran on a LUT they didn't
-    // build. Raw hit counts would vary with threads under processor reuse
-    // (each worker's pool probes the cache once per model it encounters),
-    // so the shared count is derived instead — keeping the summary JSON
-    // byte-identical at any thread count.
-    result.lut_builds = after.misses - stats_before.misses;
-    // Only HH-PIM devices resolve through the LUT cache; static archs in a
-    // mixed-firmware fleet never share a build. (Single-firmware fleets
-    // reduce to the old all-or-nothing formula.)
-    std::uint64_t hhpim_devices = 0;
-    for (const DeviceSpec& ds : device_specs) {
-      if (firmwares[ds.firmware_index].arch.kind == sys::ArchKind::kHhpim) {
-        ++hhpim_devices;
-      }
-    }
-    result.lut_shared = hhpim_devices >= result.lut_builds
-                            ? hhpim_devices - result.lut_builds
-                            : 0;
-  }
-  if (memo != nullptr) {
-    const OutcomeCache::Stats memo_after = memo->stats();
-    result.memo_replayed_devices = memo_replayed.load(std::memory_order_relaxed);
-    result.memo_exact_devices = memo_exact.load(std::memory_order_relaxed);
-    result.memo_hits = memo_after.hits - memo_before.hits;
-    result.memo_misses = memo_after.misses - memo_before.misses;
-  }
-  return result;
-}
-
-namespace {
-
 /// The LUT-cache key a Processor built from (cfg, model) resolves through —
 /// mirrors the kHhpim branch of the Processor constructor, without
 /// constructing one. Only meaningful for an HH-PIM arch.
@@ -721,6 +193,12 @@ placement::LutCacheKey device_lut_key(const sys::SystemConfig& cfg,
 
 }  // namespace
 
+FleetResult FleetSimulator::run(const FleetSpec& spec) const {
+  FleetResult result;
+  (void)drive(spec, spec.slices, nullptr, &result);
+  return result;
+}
+
 FleetSnapshot FleetSimulator::run_to(const FleetSpec& spec, int end_slice,
                                      const FleetSnapshot* from) const {
   const int start = from != nullptr ? from->next_slice : 0;
@@ -729,26 +207,35 @@ FleetSnapshot FleetSimulator::run_to(const FleetSpec& spec, int end_slice,
         "FleetSimulator::run_to: end_slice must lie in (" +
         std::to_string(start) + ", " + std::to_string(spec.slices) + "]");
   }
-  return run_segment(spec, end_slice, from, nullptr);
+  return drive(spec, end_slice, from, nullptr);
 }
 
 FleetResult FleetSimulator::resume(const FleetSpec& spec,
                                    const FleetSnapshot& from) const {
   FleetResult result;
-  (void)run_segment(spec, spec.slices, &from, &result);
+  (void)drive(spec, spec.slices, &from, &result);
   return result;
 }
 
-FleetSnapshot FleetSimulator::run_segment(const FleetSpec& spec, int end_slice,
-                                          const FleetSnapshot* from,
-                                          FleetResult* final_out) const {
+FleetSnapshot FleetSimulator::drive(const FleetSpec& spec, int end_slice,
+                                    const FleetSnapshot* from,
+                                    FleetResult* final_out) const {
   const bool final_segment = final_out != nullptr;
+  // run(): every device starts and finishes inside this call, so no device
+  // state outlives its device (per-worker scratch, no fleet-sized array) and
+  // the outcome memo may replay whole devices.
+  const bool whole = final_segment && from == nullptr;
   const std::vector<DeviceSpec> device_specs = spec.expand();
   const std::vector<nn::Model> models = spec.resolved_models();
   const std::vector<sys::SystemConfig> firmwares = spec.resolved_firmware();
   const std::size_t n_models = models.size();
+  // The global load envelope, resolved once and shared read-only by every
+  // worker (empty = no envelope).
   const std::vector<double> env = spec.envelope_multipliers();
   placement::LutCache* const cache = resolve_lut_cache();
+  OutcomeCache* const memo = whole ? resolve_outcome_cache() : nullptr;
+  const OutcomeCache::Stats memo_before =
+      memo != nullptr ? memo->stats() : OutcomeCache::Stats{};
   const std::uint64_t digest = spec.content_digest();
   const std::size_t n = device_specs.size();
 
@@ -774,48 +261,74 @@ FleetSnapshot FleetSimulator::run_segment(const FleetSpec& spec, int end_slice,
     snap.lut_builds = from->lut_builds;
     snap.lut_counted = from->lut_counted;
     snap.devices = from->devices;
-  } else {
+  } else if (!whole) {
     snap.devices.resize(n);
   }
 
-  // Active = will construct a processor and execute steps this segment:
-  // not yet finished, and (for a bounded segment) already joined.
+  // Active = will construct a processor and execute steps this call: not
+  // yet finished, and (for a bounded segment) already joined.
   const auto active = [&](std::size_t i) {
-    const DeviceProgress& p = snap.devices[i];
-    if (p.done) return false;
+    if (!whole && snap.devices[i].done) return false;
     return final_segment || device_specs[i].join_slice < end_slice;
   };
+  const auto pair_of = [n_models](const DeviceSpec& ds) {
+    return ds.firmware_index * n_models + ds.model_index;
+  };
 
-  // LUT-build accounting, single-threaded before the pool spins up: a
-  // newly-accounted key absent from the cache counts as one build (the
-  // segment's workers will build it); rebuilds of an already-accounted key
-  // — a later segment in a fresh process with a cold cache — are never
-  // re-counted. The final summary's lut_builds therefore equals the delta
-  // one uninterrupted run() would have measured.
-  if (cache != nullptr) {
-    std::vector<char> pair_probed(firmwares.size() * n_models, 0);
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!active(i)) continue;
-      const DeviceSpec& ds = device_specs[i];
-      const sys::SystemConfig& fw = firmwares[ds.firmware_index];
-      if (fw.arch.kind != sys::ArchKind::kHhpim) continue;
-      const std::size_t pair = ds.firmware_index * n_models + ds.model_index;
-      if (pair_probed[pair] != 0) continue;
-      pair_probed[pair] = 1;
-      const placement::LutCacheKey key =
-          device_lut_key(fw, models[ds.model_index]);
-      if (std::find(snap.lut_counted.begin(), snap.lut_counted.end(), key) !=
-          snap.lut_counted.end()) {
-        continue;
-      }
-      if (!cache->contains(key)) ++snap.lut_builds;
-      snap.lut_counted.push_back(key);
+  // LUT-build accounting, single-threaded before any processor exists: a
+  // newly-accounted key absent from the cache counts as one build (this
+  // call's workers will build it); rebuilds of an already-accounted key — a
+  // later segment in a fresh process with a cold cache — are never
+  // re-counted. The count is therefore one per new key at any thread count
+  // and with processor reuse on or off, and a segmented run's final
+  // lut_builds equals the uninterrupted run's.
+  const std::size_t n_pairs = firmwares.size() * n_models;
+  std::vector<char> pair_used(n_pairs, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (!active(i)) continue;
+    const DeviceSpec& ds = device_specs[i];
+    const std::size_t pair = pair_of(ds);
+    if (pair_used[pair] != 0) continue;
+    pair_used[pair] = 1;
+    const sys::SystemConfig& fw = firmwares[ds.firmware_index];
+    if (cache == nullptr || fw.arch.kind != sys::ArchKind::kHhpim) continue;
+    const placement::LutCacheKey key = device_lut_key(fw, models[ds.model_index]);
+    if (std::find(snap.lut_counted.begin(), snap.lut_counted.end(), key) !=
+        snap.lut_counted.end()) {
+      continue;
+    }
+    if (!cache->contains(key)) ++snap.lut_builds;
+    snap.lut_counted.push_back(key);
+  }
+
+  // Per-pair constants: the resolved firmware config and its processor
+  // reuse key (the pool's key and the memo keys' machine field). With the
+  // memo on, also the fresh-processor state digest and slice length of
+  // every used pair — only used pairs get a processor, since building an
+  // unused pair's LUT would cost a build nobody needs.
+  struct PairInfo {
+    sys::SystemConfig config;
+    std::uint64_t reuse_key = 0;
+    std::uint64_t init_state = 0;  ///< state_digest() of a fresh processor
+    std::int64_t slice_ps = 0;
+  };
+  std::vector<PairInfo> pairs(n_pairs);
+  sys::ProcessorPool pool;
+  for (std::size_t pair = 0; pair < n_pairs; ++pair) {
+    PairInfo& info = pairs[pair];
+    info.config = firmwares[pair / n_models];
+    info.config.lut_cache = cache;
+    info.reuse_key = sys::processor_reuse_key(info.config, models[pair % n_models]);
+    if (memo != nullptr && pair_used[pair] != 0) {
+      const sys::ProcessorPool::Lease lease =
+          pool.checkout(info.reuse_key, info.config, models[pair % n_models]);
+      info.init_state = lease.get().state_digest();
+      info.slice_ps = lease.get().slice_length().as_ps();
     }
   }
 
   const std::size_t shard_size = options_.shard_size;
   const std::size_t shards = n == 0 ? 0 : (n + shard_size - 1) / shard_size;
-
   if (final_segment) {
     *final_out = FleetResult{.fleet_name = spec.name,
                              .devices = {},
@@ -828,151 +341,152 @@ FleetSnapshot FleetSimulator::run_segment(const FleetSpec& spec, int end_slice,
     if (options_.keep_results) final_out->devices.resize(n);
   }
 
+  // One slot per shard, each on its own cache line: a worker finishing
+  // shard s move-assigns into slot s while a sibling fills s±1 — without
+  // the alignment those writes would false-share a line.
   struct alignas(kCacheLine) ShardSlot {
     FleetAggregate agg;
   };
   std::vector<ShardSlot> shard_aggs(final_segment ? shards : 0,
                                     ShardSlot{FleetAggregate{spec.histograms}});
 
-  // Processor checkout pool, identical in shape to run()'s.
-  struct alignas(kCacheLine) ModelPool {
-    std::mutex mu;
-    std::vector<std::unique_ptr<sys::Processor>> idle;
+  // Per-worker buffers, reused across the worker's shards and devices.
+  struct Scratch {
+    std::vector<int> loads;
+    DeviceProgress progress;  ///< run(): the device in flight
+    OutcomeRecorder recorder;
+    /// The shard's recorded outcomes, published in ONE insert_batch at
+    /// shard end: every lookup of the shard sees the map as it stood when
+    /// the shard began, whatever its device order, at a fraction of the
+    /// copy-on-write churn of per-device inserts.
+    std::vector<std::pair<SliceOutcomeKey, SliceOutcome>> pending;
   };
-  const bool reuse = options_.reuse_processors;
-  const std::size_t n_pairs = firmwares.size() * n_models;
-  std::vector<ModelPool> model_pools(reuse ? n_pairs : 0);
-  std::vector<sys::SystemConfig> fw_cfgs;
-  fw_cfgs.reserve(firmwares.size());
-  for (const sys::SystemConfig& fw : firmwares) {
-    sys::SystemConfig c = fw;
-    c.lut_cache = cache;
-    fw_cfgs.push_back(c);
-  }
-  auto checkout = [&](std::size_t pair) {
-    ModelPool& mp = model_pools[pair];
-    std::unique_ptr<sys::Processor> p;
-    {
-      const std::lock_guard<std::mutex> lock{mp.mu};
-      if (!mp.idle.empty()) {
-        p = std::move(mp.idle.back());
-        mp.idle.pop_back();
-      }
+  std::atomic<std::uint64_t> memo_replayed{0};
+  std::atomic<std::uint64_t> memo_exact{0};
+
+  // Replays a device wholly from the memo. False = parked on a cold key or
+  // an exhaustion boundary; `p` is then discarded and the device reruns
+  // exactly from step 0.
+  const auto replay = [&](const DeviceSpec& ds, DeviceProgress& p,
+                          const std::vector<int>& loads) {
+    const PairInfo& info = pairs[pair_of(ds)];
+    p.start(spec, ds, info.slice_ps, loads.size());
+    const bool slo = ds.latency_slo_ps > 0;
+    std::uint64_t state = info.init_state;
+    while (!p.done) {
+      (void)p.begin_slice(spec, ds, slo);
+      const SliceOutcome* out =
+          memo->lookup(p.slice_key(info.reuse_key, state, ds.latency_slo_ps));
+      if (out == nullptr) return false;
+      p.end_slice(*out, loads);
+      if (p.result.exhausted_at_slice >= 0) return false;
+      state = out->post_state;
     }
-    if (p != nullptr) {
-      p->reset();
-      return p;
-    }
-    return std::make_unique<sys::Processor>(fw_cfgs[pair / n_models],
-                                            models[pair % n_models]);
-  };
-  auto give_back = [&](std::size_t pair, std::unique_ptr<sys::Processor> p) {
-    ModelPool& mp = model_pools[pair];
-    const std::lock_guard<std::mutex> lock{mp.mu};
-    mp.idle.push_back(std::move(p));
+    return true;
   };
 
-  std::exception_ptr first_error;
-  std::mutex error_mutex;
-  std::atomic<std::size_t> next{0};
-
-  auto run_shard = [&](std::size_t s, std::vector<int>& loads_buf) {
+  auto run_shard = [&](std::size_t s, Scratch& w) {
     const std::size_t begin = s * shard_size;
     const std::size_t end = std::min(n, begin + shard_size);
     FleetAggregate agg{spec.histograms};
     std::vector<DeviceResult> local;
     const bool stream = final_segment && !options_.shard_dir.empty();
     if (stream && !options_.keep_results) local.reserve(end - begin);
+    // Held across consecutive devices of one reuse key; returned to the
+    // pool on a key switch or at shard end.
+    sys::ProcessorPool::Lease lease;
+    std::uint64_t replayed = 0;
+    std::uint64_t exact = 0;
+    w.pending.clear();
 
-    std::unique_ptr<sys::Processor> held;
-    std::size_t held_pair = 0;
-
-    auto emit = [&](std::size_t i, DeviceResult&& r) {
-      if (options_.keep_results) {
-        final_out->devices[i] = std::move(r);
-      } else if (stream) {
-        local.push_back(std::move(r));
-      }
-    };
-
-    // Replays the sample slices buffered by earlier segments, then (final
-    // segment) runs the rest live — per device, all add_slice calls in
-    // slice order followed by one add_device: the exact device-major
-    // order the uninterrupted run feeds the aggregate.
-    auto advance = [&](Device& dev, DeviceProgress& p, const DeviceSpec& ds) {
-      if (!p.started) {
-        dev.start_progress(p, loads_buf);
-      } else {
-        dev.restore_progress(p);
-      }
-      if (final_segment) {
-        const Time slice = Time::ps(p.result.slice_ps);
-        for (std::size_t k = 0; k < p.sample_busy_ps.size(); ++k) {
-          const Time busy = Time::ps(p.sample_busy_ps[k]);
-          agg.add_slice(busy / slice, busy.as_us(),
-                        Energy::pj(p.sample_energy_pj[k]).as_mj());
+    // Runs local steps up to k_end on a processor: from step 0 for a fresh
+    // device (always, in run()), else from the captured state.
+    const auto run_exact = [&](const DeviceSpec& ds, DeviceProgress& p, int k_end,
+                               OutcomeRecorder* recorder) {
+      const auto go = [&](Device& dev) {
+        if (whole || !p.started) {
+          dev.start_progress(p, w.loads);
+        } else {
+          dev.restore_progress(p);
         }
-        (void)dev.run_steps(p, loads_buf, dev.total_steps(loads_buf), &agg,
-                            nullptr);
-        agg.add_device(p.result);
-      } else {
-        const int k_end = end_slice - ds.join_slice;
-        const bool done =
-            dev.run_steps(p, loads_buf, k_end, nullptr, nullptr,
-                          /*buffer_samples=*/true);
+        const bool done = dev.run_steps(p, w.loads, k_end, recorder);
+        if (final_segment) return;
         if (done) {
           p.proc_state.clear();  // finished devices carry no processor blob
         } else {
           dev.capture_progress(p);
         }
+      };
+      if (!options_.reuse_processors) {
+        Device dev{spec, ds, models[ds.model_index], cache};
+        go(dev);
+        return;
+      }
+      const PairInfo& info = pairs[pair_of(ds)];
+      if (lease && lease.key() == info.reuse_key) {
+        lease.get().reset();
+      } else {
+        lease = pool.checkout(info.reuse_key, info.config, models[ds.model_index]);
+      }
+      Device dev{spec, ds, models[ds.model_index], lease.get()};
+      go(dev);
+    };
+
+    // Accounts a finished device at its ordinal position: samples, then
+    // totals — the device-major order of one uninterrupted run.
+    const auto finish = [&](std::size_t i, DeviceProgress& p) {
+      agg.add_finished_device(p);
+      if (options_.keep_results) {
+        final_out->devices[i] = p.result;
+      } else if (stream) {
+        local.push_back(p.result);
+      }
+      if (!whole) {
+        // resume()'s snapshot copy dies with this call: free as we go.
+        p.sample_busy_ps = {};
+        p.sample_energy_pj = {};
+        p.proc_state = {};
       }
     };
 
     for (std::size_t i = begin; i < end; ++i) {
-      DeviceProgress& p = snap.devices[i];
       const DeviceSpec& ds = device_specs[i];
-      if (p.done) {
-        if (final_segment) {
-          // Finished in an earlier segment: replay its buffered samples at
-          // its ordinal position and emit its stored result.
-          const Time slice = Time::ps(p.result.slice_ps);
-          for (std::size_t k = 0; k < p.sample_busy_ps.size(); ++k) {
-            const Time busy = Time::ps(p.sample_busy_ps[k]);
-            agg.add_slice(busy / slice, busy.as_us(),
-                          Energy::pj(p.sample_energy_pj[k]).as_mj());
-          }
-          agg.add_device(p.result);
-          emit(i, std::move(p.result));
-        }
+      DeviceProgress& p = whole ? w.progress : snap.devices[i];
+      if (!active(i)) {
+        // Finished in an earlier segment (the final one accounts its stored
+        // result) or not joined yet.
+        if (final_segment) finish(i, p);
         continue;
       }
-      if (!final_segment && ds.join_slice >= end_slice) continue;
-
-      device_loads_into(ds, env, loads_buf);
-      if (reuse) {
-        const std::size_t pair =
-            ds.firmware_index * n_models + ds.model_index;
-        if (held == nullptr) {
-          held = checkout(pair);
-          held_pair = pair;
-        } else if (held_pair != pair) {
-          give_back(held_pair, std::move(held));
-          held = checkout(pair);
-          held_pair = pair;
-        } else {
-          held->reset();
-        }
-        Device dev{spec, ds, models[ds.model_index], *held};
-        advance(dev, p, ds);
+      device_loads_into(ds, env, w.loads);
+      if (memo == nullptr) {
+        const int k_end = final_segment ? std::numeric_limits<int>::max()
+                                        : end_slice - ds.join_slice;
+        run_exact(ds, p, k_end, nullptr);
+      } else if (replay(ds, p, w.loads)) {
+        ++replayed;
       } else {
-        Device dev{spec, ds, models[ds.model_index], cache};
-        advance(dev, p, ds);
+        // Exact rerun, recording its outcomes for every later shard.
+        w.recorder.reuse_key = pairs[pair_of(ds)].reuse_key;
+        w.recorder.recorded.clear();
+        run_exact(ds, p, std::numeric_limits<int>::max(), &w.recorder);
+        w.pending.insert(w.pending.end(), w.recorder.recorded.begin(),
+                         w.recorder.recorded.end());
+        ++exact;
       }
-      if (final_segment) emit(i, std::move(p.result));
+      if (final_segment) finish(i, p);
     }
-    if (held != nullptr) give_back(held_pair, std::move(held));
+    if (memo != nullptr) {
+      if (!w.pending.empty()) memo->insert_batch(w.pending);
+      memo_replayed.fetch_add(replayed, std::memory_order_relaxed);
+      memo_exact.fetch_add(exact, std::memory_order_relaxed);
+    }
 
     if (stream) {
+      // Format into a private buffer first, then write the file in one
+      // call: the worker spends no time in the filesystem while holding
+      // work another claim could overlap with, and no handoff ever blocks
+      // a sibling worker.
       std::ostringstream buf;
       if (options_.keep_results) {
         for (std::size_t i = begin; i < end; ++i) {
@@ -996,16 +510,19 @@ FleetSnapshot FleetSimulator::run_segment(const FleetSpec& spec, int end_slice,
   const unsigned workers = resolve_workers(options_.threads, shards);
   const std::size_t batch =
       resolve_claim_batch(options_.claim_batch, shards, workers);
+  std::exception_ptr first_error;
+  std::mutex error_mutex;
+  std::atomic<std::size_t> next{0};
 
   auto worker = [&] {
-    std::vector<int> loads_buf;  // per-worker trace buffer, reused
+    Scratch scratch;
     for (;;) {
       const std::size_t base = next.fetch_add(batch, std::memory_order_relaxed);
       if (base >= shards) return;
       const std::size_t limit = std::min(shards, base + batch);
       for (std::size_t s = base; s < limit; ++s) {
         try {
-          run_shard(s, loads_buf);
+          run_shard(s, scratch);
         } catch (...) {
           const std::lock_guard<std::mutex> lock{error_mutex};
           if (!first_error) first_error = std::current_exception();
@@ -1017,31 +534,38 @@ FleetSnapshot FleetSimulator::run_segment(const FleetSpec& spec, int end_slice,
   if (workers <= 1) {
     worker();
   } else {
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (unsigned t = 0; t < workers; ++t) pool.emplace_back(worker);
-    for (std::thread& t : pool) t.join();
+    std::vector<std::thread> threads;
+    threads.reserve(workers);
+    for (unsigned t = 0; t < workers; ++t) threads.emplace_back(worker);
+    for (std::thread& t : threads) t.join();
   }
   if (first_error) std::rethrow_exception(first_error);
+  if (!final_segment) return snap;
 
-  if (final_segment) {
-    for (const ShardSlot& slot : shard_aggs) {
-      final_out->aggregate.merge(slot.agg);
-    }
-    if (cache != nullptr) {
-      final_out->lut_builds = snap.lut_builds;
-      std::uint64_t hhpim_devices = 0;
-      for (const DeviceSpec& ds : device_specs) {
-        if (firmwares[ds.firmware_index].arch.kind == sys::ArchKind::kHhpim) {
-          ++hhpim_devices;
-        }
+  // Merge in shard-index order: Summary merges are order-sensitive in the
+  // last floating-point bit, so a fixed order keeps output byte-identical
+  // at any thread count.
+  for (const ShardSlot& slot : shard_aggs) final_out->aggregate.merge(slot.agg);
+  if (cache != nullptr) {
+    // Shared: the devices that ran on a LUT they didn't build. Only HH-PIM
+    // devices resolve through the LUT cache; static archs in a
+    // mixed-firmware fleet never share a build.
+    std::uint64_t hhpim_devices = 0;
+    for (const DeviceSpec& ds : device_specs) {
+      if (firmwares[ds.firmware_index].arch.kind == sys::ArchKind::kHhpim) {
+        ++hhpim_devices;
       }
-      final_out->lut_shared = hhpim_devices >= snap.lut_builds
-                                  ? hhpim_devices - snap.lut_builds
-                                  : 0;
     }
-    // memo_* stats stay 0: segments run the exact path (to which the memo
-    // path is byte-identical), so nothing is looked up or recorded.
+    final_out->lut_builds = snap.lut_builds;
+    final_out->lut_shared =
+        hhpim_devices >= snap.lut_builds ? hhpim_devices - snap.lut_builds : 0;
+  }
+  if (memo != nullptr) {
+    const OutcomeCache::Stats memo_after = memo->stats();
+    final_out->memo_replayed_devices = memo_replayed.load(std::memory_order_relaxed);
+    final_out->memo_exact_devices = memo_exact.load(std::memory_order_relaxed);
+    final_out->memo_hits = memo_after.hits - memo_before.hits;
+    final_out->memo_misses = memo_after.misses - memo_before.misses;
   }
   return snap;
 }

@@ -8,19 +8,21 @@
 //     depend only on the spec and options — never on the thread count.
 //   * Workers claim batches of consecutive shard indices from a shared
 //     atomic counter (FleetOptions::claim_batch), run each device of each
-//     shard (its own Processor + Battery + policy), and accumulate one
-//     FleetAggregate per shard. Shard aggregate slots are cache-line
+//     shard in device order, and accumulate one FleetAggregate per shard. Shard aggregate slots are cache-line
 //     aligned so sibling workers never false-share a line, and never more
 //     workers than shards are spawned (resolve_workers).
-//   * With FleetOptions::memoize_devices (default), a shard first advances
-//     all of its devices through the device-level outcome memo
-//     (fleet::OutcomeCache): per-device hot state lives in SoA lanes —
-//     charge, mode, counters, the processor-state digest — and a memo hit
-//     advances a lane without touching a sys::Processor at all. Devices
-//     that miss (cold keys, exhaustion-boundary slices) fall back to the
-//     full Device::run path, recording their outcomes for everyone after
-//     them. Replayed aggregate/JSONL output is byte-identical to the
-//     scalar path (see docs/PERF.md "Device-level memoization").
+//   * run(), run_to() and resume() are one engine: run() is a single
+//     segment run to completion. Every device advances through the same
+//     per-slice step on its fleet::DeviceProgress (fleet/device.hpp) —
+//     charging, hysteresis, tier pick, battery clamp, lifecycle — whether
+//     the slice runs on a sys::Processor or replays from the memo.
+//   * With FleetOptions::memoize_devices (default), run() first replays
+//     each device from the device-level outcome memo (fleet::OutcomeCache):
+//     a memo hit advances the device without touching a sys::Processor at
+//     all. A device that misses (a cold key, an exhaustion-boundary slice)
+//     restarts on the exact Processor path, recording its outcomes for
+//     every later shard. Replayed aggregate/JSONL output is byte-identical
+//     to the exact path (see docs/PERF.md "Device-level memoization").
 //   * When FleetOptions::shard_dir is set, each worker streams its shard's
 //     device lines to <dir>/shard-NNNNN.jsonl as the shard completes — a
 //     fleet of millions never holds all results in memory
@@ -90,10 +92,10 @@ struct FleetOptions {
   /// workers × models as per-worker pools would be. Results are
   /// byte-identical with reuse on or off; only wall-clock changes.
   bool reuse_processors = true;
-  /// Device-level outcome memoization (fleet::OutcomeCache): devices whose
-  /// per-slice (processor state, mode, load) keys are all warm replay from
-  /// SoA hot-state lanes without constructing or running a Processor;
-  /// misses fall back to the exact Device::run path and record for later
+  /// Device-level outcome memoization (fleet::OutcomeCache): in run(),
+  /// devices whose per-slice (processor state, mode, load) keys are all
+  /// warm replay through the per-slice step without constructing or running
+  /// a Processor; misses rerun on the exact path and record for later
   /// devices. Output is byte-identical with memoization on or off at any
   /// thread count (pinned by tests/test_outcome_memo.cpp); only wall-clock
   /// changes.
@@ -114,9 +116,10 @@ struct FleetResult {
   FleetAggregate aggregate;
   std::size_t shard_count = 0;
   std::size_t shard_size = 0;
-  /// LUT-cache economy of this run: `builds` counts LUTs actually
-  /// constructed (cache-stats delta — exactly one per new key regardless of
-  /// thread count), `shared` the devices whose LUT came from a shared build
+  /// LUT-cache economy of this run: `builds` counts LUT keys the run needed
+  /// that the cache did not hold when it started (probed before any
+  /// processor exists — exactly one per new key regardless of thread count),
+  /// `shared` the devices whose LUT came from a shared build
   /// (devices - builds for an HH-PIM fleet with a cache; 0 otherwise).
   /// Both are deterministic at any thread count and with processor reuse on
   /// or off. builds ≪ devices is the fleet's whole economy.
@@ -162,20 +165,22 @@ class FleetSimulator {
   /// [from ? from->next_slice : 0, end_slice) and returns the fleet state
   /// at that boundary. `end_slice` must lie in (start, spec.slices]; the
   /// trailing drain slices belong to the final segment (resume). Segments
-  /// run the exact Device path (to which the memo path is byte-identical),
-  /// buffering per-slice aggregate samples in the snapshot; no JSONL or
-  /// aggregates are produced until resume(). The snapshot is pinned to
-  /// FleetSpec::content_digest() — run_to/resume throw std::runtime_error
-  /// on a digest mismatch, std::invalid_argument on a bad window.
+  /// run the exact Processor path (the memo's replayed devices carry no
+  /// processor blob to checkpoint), buffering per-slice aggregate samples
+  /// in the snapshot; no JSONL or aggregates are produced until resume().
+  /// The snapshot is pinned to FleetSpec::content_digest() — run_to/resume
+  /// throw std::runtime_error on a digest mismatch, std::invalid_argument on
+  /// a bad window.
   [[nodiscard]] FleetSnapshot run_to(const FleetSpec& spec, int end_slice,
                                      const FleetSnapshot* from = nullptr) const;
 
   /// Final segment: resumes `from` and runs every device to completion
-  /// (remaining arrival slices plus the drain slices). The FleetResult —
+  /// (remaining arrival slices plus the drain slices) — the same engine as
+  /// run(), which is this call with an empty snapshot. The FleetResult —
   /// devices, aggregate, JSONL shard files, summary JSON, lut_builds/
   /// lut_shared — is byte-identical to run() on the same spec and options
-  /// at any thread count (memo_* stats are 0: segments bypass the outcome
-  /// memo, whose output the exact path equals by invariant).
+  /// at any thread count (memo_* stats are 0: segments take the exact path,
+  /// which the memo replay equals by invariant).
   [[nodiscard]] FleetResult resume(const FleetSpec& spec,
                                    const FleetSnapshot& from) const;
 
@@ -199,13 +204,14 @@ class FleetSimulator {
                                                        unsigned workers);
 
  private:
-  /// Shared engine of run_to/resume: one segment over global slices
+  /// The one engine of run/run_to/resume: a segment over global slices
   /// [from ? from->next_slice : 0, end_slice), or to completion when
-  /// `final_out` is non-null (end_slice ignored). Returns the end-of-
-  /// segment snapshot (meaningless for the final segment).
-  FleetSnapshot run_segment(const FleetSpec& spec, int end_slice,
-                            const FleetSnapshot* from,
-                            FleetResult* final_out) const;
+  /// `final_out` is non-null (end_slice ignored). Owns shard claiming, the
+  /// per-shard aggregate slots, JSONL shard streaming, the ordered merge and
+  /// LUT-build accounting. Returns the end-of-segment snapshot (meaningless
+  /// for the final segment; device-less when `from` is null too — run()).
+  FleetSnapshot drive(const FleetSpec& spec, int end_slice,
+                      const FleetSnapshot* from, FleetResult* final_out) const;
 
   FleetOptions options_;
 };

@@ -28,7 +28,6 @@
 #include "placement/cost_model.hpp"
 #include "placement/lut.hpp"
 #include "riscv/engine.hpp"
-#include "workload/task.hpp"
 
 namespace hhpim {
 class ByteWriter;  // common/serialize.hpp
@@ -327,7 +326,7 @@ class Processor {
 /// Digest of every (config, model) field that determines a Processor's
 /// behavior — equal keys mean a reset() Processor built from one pair is
 /// bit-exchangeable for a fresh Processor built from the other. Used by the
-/// experiment runner's shared processor checkout pool (exp::ProcessorPool).
+/// shared processor checkout pool (sys::ProcessorPool).
 [[nodiscard]] std::uint64_t processor_reuse_key(const SystemConfig& config,
                                                 const nn::Model& model);
 

@@ -19,6 +19,7 @@
 #include "common/rng.hpp"
 #include "fleet/outcome_cache.hpp"
 #include "fleet/simulator.hpp"
+#include "hhpim/processor.hpp"
 #include "nn/zoo.hpp"
 #include "placement/lut_cache.hpp"
 
@@ -561,6 +562,53 @@ TEST(Firmware, MixedFleetIsDeterministicAndSegmentable) {
   const RunOutput seg = run_segmented(spec, {3, 6}, 8, true);
   EXPECT_EQ(seg.jsonl, t1.jsonl);
   EXPECT_EQ(seg.summary, t1.summary);
+}
+
+TEST(Firmware, LutAccountingCountsOnlyMissingHhpimKeys) {
+  // One HH-PIM firmware, one static-arch firmware (which never resolves
+  // through the LUT cache), two models, and a cache pre-warmed with one of
+  // the two HH-PIM keys: run() and run_to + resume must both count exactly
+  // the missing key as a build, and agree on lut_shared.
+  FleetSpec spec = small_fleet(24, 8);
+  spec.adapt = false;  // static archs cannot adapt
+  spec.models = {nn::zoo::efficientnet_b0(), nn::zoo::mobilenet_v2()};
+  sys::SystemConfig fw_static = spec.config;
+  fw_static.arch = sys::ArchConfig::hybrid();
+  spec.firmware = {spec.config, fw_static};
+
+  std::uint64_t hhpim_devices = 0;
+  std::uint64_t cold_model_devices = 0;
+  for (const DeviceSpec& ds : spec.expand()) {
+    if (ds.firmware_index != 0) continue;
+    ++hhpim_devices;
+    if (ds.model_index == 1) ++cold_model_devices;
+  }
+  ASSERT_GT(cold_model_devices, 0u);
+  ASSERT_GT(hhpim_devices, cold_model_devices);
+
+  const auto prewarm = [&](placement::LutCache& cache) {
+    sys::SystemConfig cfg = spec.config;
+    cfg.lut_cache = &cache;
+    (void)sys::Processor{cfg, spec.models[0]};
+  };
+  placement::LutCache whole_lut;
+  prewarm(whole_lut);
+  OutcomeCache whole_memo;
+  const FleetResult whole =
+      FleetSimulator{base_options(1, true, &whole_lut, &whole_memo)}.run(spec);
+  EXPECT_EQ(whole.lut_builds, 1u);
+  EXPECT_EQ(whole.lut_shared, hhpim_devices - 1);
+
+  placement::LutCache seg_lut;
+  prewarm(seg_lut);
+  OutcomeCache seg_memo;
+  const FleetSimulator seg_sim{base_options(8, true, &seg_lut, &seg_memo)};
+  const FleetSnapshot snap =
+      FleetSnapshot::from_bytes(seg_sim.run_to(spec, 3).to_bytes());
+  const FleetResult seg = seg_sim.resume(spec, snap);
+  EXPECT_EQ(seg.lut_builds, whole.lut_builds);
+  EXPECT_EQ(seg.lut_shared, whole.lut_shared);
+  EXPECT_EQ(seg.summary_to_json(), whole.summary_to_json());
 }
 
 }  // namespace

@@ -2,7 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include "sim/trace.hpp"
+#include <algorithm>
+#include <string>
 
 namespace hhpim::sim {
 namespace {
@@ -90,25 +91,6 @@ TEST(Histogram, RenderProducesOneLinePerBin) {
   h.add(0.5);
   const std::string s = h.render();
   EXPECT_EQ(std::count(s.begin(), s.end(), '\n'), 2);
-}
-
-TEST(Tracer, DisabledDropsRecords) {
-  Tracer t;
-  t.record(Time::zero(), "a", "b");
-  EXPECT_TRUE(t.records().empty());
-}
-
-TEST(Tracer, CapturesAndCounts) {
-  Tracer t;
-  t.enable(true);
-  t.record(Time::ns(1), "pim0", "LOAD burst=4");
-  t.record(Time::ns(2), "pim0", "EXECUTE");
-  t.record(Time::ns(3), "pim1", "LOAD burst=2");
-  EXPECT_EQ(t.records().size(), 3u);
-  EXPECT_EQ(t.count_matching("LOAD"), 2u);
-  EXPECT_NE(t.dump().find("pim1"), std::string::npos);
-  t.clear();
-  EXPECT_TRUE(t.records().empty());
 }
 
 }  // namespace

@@ -5,8 +5,6 @@
 #include <cstdio>
 #include <vector>
 
-#include "workload/task.hpp"
-
 namespace hhpim::workload {
 namespace {
 
@@ -204,45 +202,6 @@ TEST(Scenario, TraceReplayInlineAndValidation) {
 TEST(Scenario, SparklineLengthMatches) {
   const auto loads = generate(Scenario::kPulsing, {});
   EXPECT_EQ(sparkline(loads, 10).size(), loads.size());
-}
-
-TEST(TaskBuffer, FifoOrder) {
-  TaskBuffer buf;
-  TaskFactory factory{1000, 200};
-  factory.emit(buf, 0, 3);
-  EXPECT_EQ(buf.size(), 3u);
-  const auto first = buf.pop();
-  ASSERT_TRUE(first.has_value());
-  EXPECT_EQ(first->id, 0u);
-  EXPECT_EQ(first->pim_macs, 1000u);
-  EXPECT_EQ(first->core_ops, 200u);
-  const auto second = buf.pop();
-  EXPECT_EQ(second->id, 1u);
-}
-
-TEST(TaskBuffer, DrainEmptiesAll) {
-  TaskBuffer buf;
-  TaskFactory factory{10, 1};
-  factory.emit(buf, 3, 5);
-  const auto all = buf.drain();
-  EXPECT_EQ(all.size(), 5u);
-  EXPECT_TRUE(buf.empty());
-  EXPECT_EQ(all[4].arrival_slice, 3);
-  EXPECT_EQ(buf.total_enqueued(), 5u);
-}
-
-TEST(TaskBuffer, PopOnEmpty) {
-  TaskBuffer buf;
-  EXPECT_FALSE(buf.pop().has_value());
-}
-
-TEST(TaskFactory, IdsAreGloballyUnique) {
-  TaskBuffer a, b;
-  TaskFactory factory{1, 1};
-  factory.emit(a, 0, 2);
-  factory.emit(b, 1, 2);
-  EXPECT_EQ(factory.issued(), 4u);
-  EXPECT_EQ(b.pop()->id, 2u);
 }
 
 }  // namespace
