@@ -1,13 +1,16 @@
 // Streaming FNV-1a (64-bit) over canonical scalar encodings.
 //
 // The one hashing utility shared by the digest-producing layers:
-// nn::Model::topology_hash(), sys::ArchConfig::config_hash(), and the
-// placement-LUT cache key (placement/lut_cache.hpp). Header-only so
+// nn::Model::topology_hash(), sys::ArchConfig::config_hash(), the
+// placement-LUT cache key (placement/lut_cache.hpp), the component state
+// digest (common/state_visitor.hpp) and the fleet snapshot checksum
+// (fleet/snapshot.cpp). Header-only so
 // dependency-light subsystems (nn) can use it without pulling anything else
 // out of common.
 #pragma once
 
 #include <bit>
+#include <cstddef>
 #include <cstdint>
 
 namespace hhpim {
@@ -28,6 +31,21 @@ class Fnv1a {
   Fnv1a& add(double v) {
     if (v == 0.0) v = 0.0;
     return add(std::bit_cast<std::uint64_t>(v));
+  }
+  /// Hashes a byte run: its length first (so a zero-padded tail cannot
+  /// collide), then 8 bytes per step, little-endian packed.
+  Fnv1a& add_bytes(const void* data, std::size_t size) {
+    const auto* bytes = static_cast<const unsigned char*>(data);
+    add(static_cast<std::uint64_t>(size));
+    for (std::size_t i = 0; i < size; i += 8) {
+      std::uint64_t chunk = 0;
+      const std::size_t n = size - i < 8 ? size - i : 8;
+      for (std::size_t j = 0; j < n; ++j) {
+        chunk |= static_cast<std::uint64_t>(bytes[i + j]) << (8 * j);
+      }
+      add(chunk);
+    }
+    return *this;
   }
   [[nodiscard]] std::uint64_t digest() const { return h_; }
 

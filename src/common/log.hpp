@@ -11,7 +11,7 @@ namespace hhpim {
 enum class LogLevel { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3, kOff = 4 };
 
 /// Global logger configuration. Not thread-safe by design: the simulator is
-/// single-threaded (a discrete-event loop), and benches configure logging
+/// single-threaded per Processor, and benches configure logging
 /// before running.
 class Log {
  public:

@@ -2,7 +2,7 @@
 //
 // Conventions:
 //   * Time is an integer number of picoseconds. Integer time makes the
-//     discrete-event simulation deterministic (no floating-point event-order
+//     timed hardware model deterministic (no floating-point ordering
 //     ambiguity) and is exact for every latency in the paper's Table III
 //     (all are multiples of 10 ps).
 //   * Energy is a double number of picojoules.

@@ -160,20 +160,22 @@ class LeakageTracker {
     total_on_ = Time::zero();
   }
 
-  /// Checkpoint restore: sets the power state directly without posting
-  /// anything to the ledger. `anchor` is the open-interval start to resume
-  /// from (ignored while off); accumulated on-time stays wherever reset()
-  /// left it — on-time totals are history, and the checkpoint contract
-  /// (sys::Processor::state_digest) excludes history.
-  void restore(bool on, Time anchor, Power leakage) {
-    leakage_ = leakage;
-    on_ = on;
-    on_since_ = on ? anchor : Time::zero();
+  /// State walk (common/state_visitor.hpp): the power state and, while on,
+  /// the open-interval anchor relative to `now`. Loading posts nothing to
+  /// the ledger. Leakage power is derived (the owner's config, or
+  /// mem::Bank's gating) and on-time totals are history, so both stay out.
+  template <class V>
+  void visit_state(V& v, Time now) {
+    v.flag(on_);
+    if (on_) v.relative(on_since_, now);
   }
+
+  /// Checkpoint restore of a derived leakage power: replaces it without
+  /// settling the open interval (mem::Bank's load).
+  void restore_leakage(Power leakage) { leakage_ = leakage; }
 
   [[nodiscard]] bool is_on() const { return on_; }
   [[nodiscard]] Time total_on_time() const { return total_on_; }
-  [[nodiscard]] Power leakage() const { return leakage_; }
   /// Start of the currently-open leakage interval (last power_on / settle /
   /// set_power while on). Stale while off. The batched kernel diffs two
   /// anchor readings to learn whether a steady-state interval touched this

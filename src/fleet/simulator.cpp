@@ -252,6 +252,25 @@ FleetSnapshot FleetSimulator::drive(const FleetSpec& spec, int end_slice,
     if (from->next_slice > spec.slices) {
       throw std::runtime_error("snapshot: next_slice beyond the fleet horizon");
     }
+    // The checksum is recomputable, so it does not vouch for decoded
+    // values: a device's identity must match its re-expanded spec (the
+    // JSONL writer indexes the model table with it) and its lane must be
+    // in range. Devices not yet started carry no header; start() writes it.
+    for (std::size_t i = 0; i < n; ++i) {
+      const DeviceProgress& p = from->devices[i];
+      if (!p.started && !p.done) continue;
+      const DeviceSpec& ds = device_specs[i];
+      const DeviceResult& r = p.result;
+      const bool tier_ok = p.tier == 255 ||
+                           p.tier <= static_cast<std::uint8_t>(FrontierTier::kSaver);
+      if (r.id != ds.id || r.model_index != ds.model_index ||
+          r.scenario != ds.scenario || r.seed != ds.seed ||
+          p.mode > static_cast<std::uint8_t>(DeviceMode::kLowPower) || !tier_ok) {
+        throw std::runtime_error("snapshot: device " + std::to_string(i) +
+                                 " does not match its spec (id, model, scenario "
+                                 "or seed) or has an out-of-range mode/tier");
+      }
+    }
   }
 
   FleetSnapshot snap;

@@ -11,9 +11,11 @@ namespace hhpim::fleet {
 namespace {
 
 // "hhpimsnp", little-endian. Version bumps whenever the payload layout
-// changes incompatibly; a reader never guesses at a newer layout.
+// changes incompatibly; a reader parses its own version only, never guessing
+// at an older or newer layout. Version 2: the processor blob is the one
+// visit_state walk (no tracker leakage bits, no slice index).
 constexpr std::uint64_t kMagic = 0x706e736d69706868ULL;
-constexpr std::uint32_t kVersion = 1;
+constexpr std::uint32_t kVersion = 2;
 
 // Per-device field tags. Explicit tags (rather than bare field order) keep
 // the format self-describing: a reader meeting a tag it does not know
@@ -36,22 +38,8 @@ enum : std::uint16_t {
   kTagHost = 8,
 };
 
-/// FNV-1a over a byte run, 8 bytes per step (little-endian packed, zero
-/// padded tail; the length is hashed first so padding cannot collide).
 std::uint64_t digest_bytes(std::string_view bytes) {
-  Fnv1a h;
-  h.add(static_cast<std::uint64_t>(bytes.size()));
-  for (std::size_t i = 0; i < bytes.size(); i += 8) {
-    std::uint64_t chunk = 0;
-    const std::size_t n = bytes.size() - i < 8 ? bytes.size() - i : 8;
-    for (std::size_t j = 0; j < n; ++j) {
-      chunk |= static_cast<std::uint64_t>(
-                   static_cast<unsigned char>(bytes[i + j]))
-               << (8 * j);
-    }
-    h.add(chunk);
-  }
-  return h.digest();
+  return Fnv1a{}.add_bytes(bytes.data(), bytes.size()).digest();
 }
 
 void write_device(ByteWriter& w, const DeviceProgress& p) {
@@ -218,11 +206,10 @@ FleetSnapshot FleetSnapshot::from_bytes(std::string_view bytes) {
     throw std::runtime_error("snapshot: bad magic (not a fleet snapshot)");
   }
   const std::uint32_t version = header.u32();
-  if (version > kVersion) {
+  if (version != kVersion) {
     throw std::runtime_error(
         "snapshot: format version " + std::to_string(version) +
-        " is newer than this build supports (" + std::to_string(kVersion) +
-        ")");
+        " is not the one this build reads (" + std::to_string(kVersion) + ")");
   }
   if (header.remaining() < 8) {
     throw std::runtime_error("snapshot: truncated stream (missing checksum)");

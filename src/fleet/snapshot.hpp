@@ -50,8 +50,9 @@ struct FleetSnapshot {
   [[nodiscard]] std::string to_bytes() const;
 
   /// Parses to_bytes() output. Throws std::runtime_error on a bad magic, a
-  /// version newer than this build supports, a checksum mismatch, a
-  /// truncated stream, or an unknown field tag.
+  /// version other than this build's, a checksum mismatch, a truncated
+  /// stream, or an unknown field tag. Device identity is checked later,
+  /// against the spec, by FleetSimulator::run_to/resume.
   [[nodiscard]] static FleetSnapshot from_bytes(std::string_view bytes);
 
   /// to_bytes()/from_bytes() through a file. Throw std::runtime_error on

@@ -7,6 +7,7 @@
 
 #include "common/hash.hpp"
 #include "common/serialize.hpp"
+#include "common/state_visitor.hpp"
 #include "placement/lut_cache.hpp"
 #include "riscv/rv_asm.hpp"
 
@@ -39,20 +40,6 @@ Time slice_from_cost(const placement::CostModel& cost, std::uint64_t weights,
                      int max_inferences_per_slice) {
   const Time peak = placement::task_time(cost, balanced_sram_split(cost, weights));
   return peak * static_cast<std::int64_t>(max_inferences_per_slice) * 1.01;
-}
-
-/// FNV-1a over a byte run, 8 bytes per step (length hashed first so a zero
-/// tail cannot collide) — the host program text and host RAM digests.
-void add_bytes(Fnv1a& h, const std::uint8_t* bytes, std::size_t size) {
-  h.add(static_cast<std::uint64_t>(size));
-  for (std::size_t i = 0; i < size; i += 8) {
-    std::uint64_t chunk = 0;
-    const std::size_t n = size - i < 8 ? size - i : 8;
-    for (std::size_t j = 0; j < n; ++j) {
-      chunk |= static_cast<std::uint64_t>(bytes[i + j]) << (8 * j);
-    }
-    h.add(chunk);
-  }
 }
 
 }  // namespace
@@ -636,80 +623,53 @@ void Processor::reset() {
   }
 }
 
-std::uint64_t Processor::state_digest() const {
-  Fnv1a h;
-  for (const std::uint64_t w : current_.weights) h.add(w);
-  h.add(override_.has_value() ? 1 : 0);
-  if (override_.has_value()) {
-    for (const std::uint64_t w : override_->weights) h.add(w);
+template <class V>
+void Processor::visit_state(V& v, Time now) {
+  for (std::uint64_t& w : current_.weights) v.count(w);
+  bool pinned = override_.has_value();
+  v.flag(pinned);
+  if constexpr (V::kLoad) {
+    if (pinned) {
+      override_.emplace();
+    } else {
+      override_.reset();
+    }
   }
-  h.add(hp_.has_value() ? 1 : 0);
-  if (hp_.has_value()) hp_->add_state(h, now_);
-  h.add(lp_.has_value() ? 1 : 0);
-  if (lp_.has_value()) lp_->add_state(h, now_);
-  xfer_->add_state(h, now_);
+  if (pinned) {
+    for (std::uint64_t& w : override_->weights) v.count(w);
+  }
+  v.shape(hp_.has_value() ? 1 : 0, "HP-cluster presence", "processor");
+  if (hp_.has_value()) hp_->visit_state(v, now);
+  v.shape(lp_.has_value() ? 1 : 0, "LP-cluster presence", "processor");
+  if (lp_.has_value()) lp_->visit_state(v, now);
+  xfer_->visit_state(v, now);
   // Host RAM is the scheduler's persistent state (registers are re-armed
-  // per slice, the block cache is wall-clock-only). Folded only when the
-  // host exists so feature-off digests match pre-feature builds bit-exactly.
+  // per slice, the block cache is wall-clock-only). Visited only when the
+  // host exists — the reuse key pins its presence — so feature-off digests
+  // and blobs match pre-feature builds.
   if (host_ != nullptr) {
-    add_bytes(h, host_->ram.data(), host_->ram.size());
+    v.bytes({host_->ram.data(), host_->ram.size()}, "host RAM size", "processor");
+    if constexpr (V::kLoad) host_->engine.clear_cache();  // RAM rewritten behind the Bus
   }
-  return h.digest();
+}
+
+std::uint64_t Processor::state_digest() const {
+  StateDigest d;
+  const_cast<Processor*>(this)->visit_state(d, now_);  // read-only visitor
+  return d.digest();
 }
 
 void Processor::save_state(ByteWriter& w) const {
-  for (const std::uint64_t v : current_.weights) w.u64(v);
-  w.u8(override_.has_value() ? 1 : 0);
-  if (override_.has_value()) {
-    for (const std::uint64_t v : override_->weights) w.u64(v);
-  }
-  w.i32(slice_index_);
-  w.u8(hp_.has_value() ? 1 : 0);
-  if (hp_.has_value()) hp_->save_state(w, now_);
-  w.u8(lp_.has_value() ? 1 : 0);
-  if (lp_.has_value()) lp_->save_state(w, now_);
-  xfer_->save_state(w, now_);
-  // Written only when the host exists: load_state requires an identical
-  // reuse key, so writer and reader agree on the host's presence, and
-  // feature-off blobs stay byte-identical to pre-feature builds.
-  if (host_ != nullptr) {
-    w.blob(std::string_view(reinterpret_cast<const char*>(host_->ram.data()),
-                            host_->ram.size()));
-  }
+  StateSaver s{w};
+  const_cast<Processor*>(this)->visit_state(s, now_);  // read-only visitor
 }
 
 void Processor::load_state(ByteReader& r) {
-  for (std::uint64_t& v : current_.weights) v = r.u64();
-  if (r.u8() != 0) {
-    placement::Allocation o;
-    for (std::uint64_t& v : o.weights) v = r.u64();
-    override_ = o;
-  } else {
-    override_.reset();
-  }
-  slice_index_ = r.i32();
-  if ((r.u8() != 0) != hp_.has_value()) {
-    throw std::runtime_error("snapshot: HP-cluster shape mismatch");
-  }
-  if (hp_.has_value()) hp_->load_state(r);
-  if ((r.u8() != 0) != lp_.has_value()) {
-    throw std::runtime_error("snapshot: LP-cluster shape mismatch");
-  }
-  if (lp_.has_value()) lp_->load_state(r);
-  xfer_->load_state(r);
-  if (host_ != nullptr) {
-    const std::string_view bytes = r.blob();
-    if (bytes.size() != host_->ram.size()) {
-      throw std::runtime_error("snapshot: host RAM shape mismatch");
-    }
-    host_->ram.load_image(
-        0, reinterpret_cast<const std::uint8_t*>(bytes.data()), bytes.size());
-    host_->engine.clear_cache();
-  }
-  // The restored component times are relative to the snapshot's slice
-  // boundary; the clock rebases to zero (save_state stored them that way).
-  // The decision memo stays cold — decisions are pure.
+  // The stored times are relative to the snapshot's slice boundary; the
+  // clock rebases to zero. The decision memo stays cold — decisions are pure.
   now_ = Time::zero();
+  StateLoader l{r};
+  visit_state(l, now_);
   memo_.clear();
 }
 
@@ -761,8 +721,7 @@ std::uint64_t processor_reuse_key(const SystemConfig& config,
     const std::string source =
         hc.program.empty() ? default_host_program() : hc.program;
     h.add(static_cast<std::uint64_t>(0x74736f68u));  // "host" marker
-    add_bytes(h, reinterpret_cast<const std::uint8_t*>(source.data()),
-              source.size());
+    h.add_bytes(source.data(), source.size());
     h.add(static_cast<std::uint64_t>(hc.ram_bytes))
         .add(hc.clock_ghz)
         .add(hc.power_scale)

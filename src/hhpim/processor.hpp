@@ -200,29 +200,26 @@ class Processor {
   /// run. Cost: O(components); no allocation, no LUT work.
   void reset();
 
-  /// FNV digest of every piece of mutable state that determines future
-  /// behavior, with times translated relative to the internal clock. Two
-  /// processors built from the same processor_reuse_key inputs whose
-  /// state_digest() agree at a slice boundary produce bit-identical
-  /// SliceStats (and equal successor digests) for equal run_slice inputs —
-  /// the invariant the fleet's device-level outcome memo
-  /// (fleet::OutcomeCache) is keyed on; pinned by tests/test_outcome_memo.
-  /// Cumulative counters, the ledger, now_ and the slice index are excluded
-  /// (history / translation-invariant); the decision memo is excluded
-  /// because decisions are pure. Meaningful at slice boundaries (after
-  /// construction, reset() or run_slice) — mid-operation state is not
-  /// digested.
+  // --- State: one walk, three visitors (common/state_visitor.hpp) ----------
+  // visit_state() names the allocation, the placement override, every
+  // cluster and the inter-cluster link, and host RAM when the host exists.
+  // The three entry points below run it; all are meaningful only at slice
+  // boundaries (after construction, reset() or run_slice).
+
+  /// FNV digest of the walk. Two processors built from the same
+  /// processor_reuse_key inputs whose digests agree at a slice boundary
+  /// produce bit-identical SliceStats (and equal successor digests) for
+  /// equal run_slice inputs — the invariant the fleet's device-level
+  /// outcome memo (fleet::OutcomeCache) is keyed on; pinned by
+  /// tests/test_outcome_memo. The decision memo is excluded because
+  /// decisions are pure.
   [[nodiscard]] std::uint64_t state_digest() const;
 
-  /// Checkpoint save: serializes exactly the mutable state state_digest()
-  /// walks (allocation, override, cluster/xfer component state with times
-  /// relative to the internal clock) plus the slice index — everything a
-  /// load_state() needs to resume at a slice boundary. Call only at slice
-  /// boundaries (after construction, reset() or run_slice), like
-  /// state_digest(). History (cumulative counters, the ledger, now_) is
-  /// deliberately not saved: slice energy is window-based and all times are
-  /// stored relative, so a restored processor continues bit-identically
-  /// with its clock rebased to zero (tests/test_snapshot.cpp pins this).
+  /// Checkpoint save of the walk. Slice energy is window-based and all
+  /// times are stored relative, so a restored processor continues
+  /// bit-identically with its clock rebased to zero (tests/test_snapshot.cpp
+  /// pins this). The slice index is a SliceStats label, not state: a
+  /// restored processor numbers its slices from 0.
   void save_state(ByteWriter& w) const;
 
   /// Inverse of save_state(). Must be called on a freshly constructed or
@@ -253,6 +250,9 @@ class Processor {
   [[nodiscard]] Inventory inventory() const;
 
  private:
+  /// The state walk behind state_digest/save_state/load_state.
+  template <class V>
+  void visit_state(V& v, Time now);
   void apply_movement(const placement::MovementPlan& plan);
   void apply_residency(const placement::Allocation& alloc);
   /// SliceDecision for a pinned (override) placement; mirrors StaticPolicy

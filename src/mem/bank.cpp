@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "common/serialize.hpp"
-
 namespace hhpim::mem {
 
 Bank::Bank(BankConfig config, energy::EnergyLedger* ledger)
@@ -61,11 +59,17 @@ void Bank::set_active_bytes(std::size_t bytes, Time now) {
   const std::size_t g = config_.gate_granularity_bytes;
   const std::size_t powered = std::min(config_.capacity_bytes, ((bytes + g - 1) / g) * g);
   if (tracker_.is_on() && powered == active_bytes_) return;
-  const double fraction =
-      static_cast<double>(powered) / static_cast<double>(config_.capacity_bytes);
-  tracker_.set_power(leakage_power() * fraction, now);
+  tracker_.set_power(powered_leakage(powered), now);
   tracker_.power_on(now);
   active_bytes_ = powered;
+}
+
+Power Bank::powered_leakage(std::size_t powered) const {
+  // For a fully powered macro the fraction is exactly 1.0, so this matches
+  // power_on's leakage_power() bit for bit.
+  const double fraction =
+      static_cast<double>(powered) / static_cast<double>(config_.capacity_bytes);
+  return leakage_power() * fraction;
 }
 
 void Bank::check_range(std::size_t addr, std::size_t words) const {
@@ -172,41 +176,6 @@ void Bank::reset_accounting() {
   if (storage_dirty_) {
     std::fill(storage_.begin(), storage_.end(), 0);
     storage_dirty_ = false;
-  }
-}
-
-void Bank::save_state(ByteWriter& w, Time now) const {
-  const bool on = tracker_.is_on();
-  w.u8(on ? 1 : 0);
-  w.i64(on ? (tracker_.anchor() - now).as_ps() : std::int64_t{0});
-  w.f64(tracker_.leakage().as_mw());
-  w.u64(static_cast<std::uint64_t>(active_bytes_));
-  w.u8(data_valid_ ? 1 : 0);
-  w.u8(storage_dirty_ ? 1 : 0);
-  w.i64(std::max<std::int64_t>((busy_until_ - now).as_ps(), 0));
-  if (storage_dirty_) {
-    w.blob(std::string_view{reinterpret_cast<const char*>(storage_.data()),
-                            storage_.size()});
-  }
-}
-
-void Bank::load_state(ByteReader& r) {
-  const bool on = r.u8() != 0;
-  const Time anchor = Time::ps(r.i64());
-  const Power leakage = Power::mw(r.f64());
-  tracker_.restore(on, anchor, leakage);
-  active_bytes_ = static_cast<std::size_t>(r.u64());
-  data_valid_ = r.u8() != 0;
-  storage_dirty_ = r.u8() != 0;
-  busy_until_ = Time::ps(r.i64());
-  if (storage_dirty_) {
-    const std::string_view bytes = r.blob();
-    if (bytes.size() != storage_.size()) {
-      throw std::runtime_error("snapshot: storage size mismatch for bank " +
-                               config_.name);
-    }
-    std::copy(bytes.begin(), bytes.end(),
-              reinterpret_cast<char*>(storage_.data()));
   }
 }
 

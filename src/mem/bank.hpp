@@ -8,20 +8,13 @@
 // retention: MRAM keeps its contents across gating, SRAM loses them).
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "common/hash.hpp"
 #include "common/units.hpp"
 #include "energy/ledger.hpp"
 #include "energy/power_spec.hpp"
-
-namespace hhpim {
-class ByteWriter;  // common/serialize.hpp
-class ByteReader;
-}  // namespace hhpim
 
 namespace hhpim::mem {
 
@@ -123,34 +116,21 @@ class Bank {
   /// ever written. The owning processor resets the ledger separately.
   void reset_accounting();
 
-  /// Folds the bank's behavior-relevant state into `h`, times translated
-  /// relative to `now` (sys::Processor::state_digest contract: two banks
-  /// with equal digests at a slice boundary behave identically for all
-  /// future operations). Cumulative counters, on-time totals and the
-  /// ledger are deliberately excluded — they record history, not behavior.
-  /// Storage *contents* are represented only by the data_valid/dirty flags:
-  /// the accounting-only burst path (charge_reads/charge_writes) never
-  /// writes functional data, so dirty banks simply never share a digest.
-  void add_state(Fnv1a& h, Time now) const {
-    h.add(tracker_.is_on() ? 1 : 0)
-        .add(static_cast<std::uint64_t>(active_bytes_))
-        .add(data_valid_ ? 1 : 0)
-        .add(storage_dirty_ ? 1 : 0)
-        .add(tracker_.is_on() ? (tracker_.anchor() - now).as_ps()
-                              : std::int64_t{0})
-        .add(std::max<std::int64_t>((busy_until_ - now).as_ps(), 0));
+  /// State walk (common/state_visitor.hpp): power state, gated size,
+  /// validity flags, the busy horizon and, when dirty, the storage bytes.
+  /// The tracker's leakage power is recomputed on load from the gated size.
+  template <class V>
+  void visit_state(V& v, Time now) {
+    tracker_.visit_state(v, now);
+    v.count(active_bytes_);
+    if constexpr (V::kLoad) {
+      if (tracker_.is_on()) tracker_.restore_leakage(powered_leakage(active_bytes_));
+    }
+    v.flag(data_valid_);
+    v.flag(storage_dirty_);
+    v.horizon(busy_until_, now);
+    if (storage_dirty_) v.bytes(storage_, "storage size", config_.name);
   }
-
-  /// Checkpoint save of exactly the state add_state() digests — power
-  /// state (including the tracker's exact leakage-power bits, which vary
-  /// with set_active_bytes), residency gating, validity flags and the
-  /// busy horizon relative to `now` — plus storage contents when dirty.
-  /// load_state() is the inverse: call it on a reset_accounting() bank
-  /// whose internal clock is at zero (times load as now = 0; the clamp in
-  /// add_state makes that behaviorally exact at slice boundaries). Throws
-  /// std::runtime_error on a storage-size mismatch.
-  void save_state(ByteWriter& w, Time now) const;
-  void load_state(ByteReader& r);
 
   // --- Untimed (functional) accesses — used by the RISC-V bus --------------
 
@@ -164,6 +144,9 @@ class Bank {
   [[nodiscard]] Energy dynamic_energy() const;
 
  private:
+  /// Leakage with `powered` bytes of sub-arrays on: the macro's leakage
+  /// scaled by the powered fraction.
+  [[nodiscard]] Power powered_leakage(std::size_t powered) const;
   void check_range(std::size_t addr, std::size_t words) const;
   AccessResult access(Time now, std::size_t words, bool is_write);
 

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/serialize.hpp"
-
 namespace hhpim::noc {
 
 Link::Link(LinkConfig config, energy::EnergyLedger* ledger)
@@ -28,11 +26,5 @@ TransferResult Link::transfer(Time now, std::uint64_t bytes) {
   bytes_moved_ += bytes;
   return TransferResult{start, complete, e};
 }
-
-void Link::save_state(ByteWriter& w, Time now) const {
-  w.i64(std::max<std::int64_t>((busy_until_ - now).as_ps(), 0));
-}
-
-void Link::load_state(ByteReader& r) { busy_until_ = Time::ps(r.i64()); }
 
 }  // namespace hhpim::noc

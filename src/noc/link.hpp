@@ -3,18 +3,11 @@
 // transfer is serializing; back-to-back transfers queue.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <string>
 
-#include "common/hash.hpp"
 #include "common/units.hpp"
 #include "energy/ledger.hpp"
-
-namespace hhpim {
-class ByteWriter;  // common/serialize.hpp
-class ByteReader;
-}  // namespace hhpim
 
 namespace hhpim::noc {
 
@@ -52,18 +45,11 @@ class Link {
     bytes_moved_ = 0;
   }
 
-  /// Checkpoint save/load of exactly the state add_state() digests (the
-  /// clamped occupancy horizon; see mem::Bank::save_state for the contract).
-  void save_state(ByteWriter& w, Time now) const;
-  void load_state(ByteReader& r);
-
-  /// Behavior-relevant state relative to `now` (see mem::Bank::add_state):
-  /// only the occupancy horizon; bytes_moved is history.
-  void add_state(Fnv1a& h, Time now) const {
-    // Clamped at 0: a horizon in the past is behaviorally "free now"
-    // (transfer() starts at max(now, busy_until_)) — see
-    // pim::PimModule::add_state.
-    h.add(std::max<std::int64_t>((busy_until_ - now).as_ps(), 0));
+  /// State walk (common/state_visitor.hpp): only the occupancy horizon;
+  /// bytes_moved is history.
+  template <class V>
+  void visit_state(V& v, Time now) {
+    v.horizon(busy_until_, now);
   }
 
  private:

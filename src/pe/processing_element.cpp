@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "common/serialize.hpp"
-
 namespace hhpim::pe {
 
 ProcessingElement::ProcessingElement(std::string name, energy::PeSpec spec,
@@ -57,22 +55,6 @@ Energy ProcessingElement::charge_macs(std::uint64_t count) {
   const Energy e = spec_.mac_energy() * static_cast<double>(count);
   if (ledger_ != nullptr) ledger_->add(id_, energy::Activity::kCompute, e);
   return e;
-}
-
-void ProcessingElement::save_state(ByteWriter& w, Time now) const {
-  const bool on = tracker_.is_on();
-  w.u8(on ? 1 : 0);
-  w.i64(on ? (tracker_.anchor() - now).as_ps() : std::int64_t{0});
-  w.f64(tracker_.leakage().as_mw());
-  w.i64(std::max<std::int64_t>((busy_until_ - now).as_ps(), 0));
-}
-
-void ProcessingElement::load_state(ByteReader& r) {
-  const bool on = r.u8() != 0;
-  const Time anchor = Time::ps(r.i64());
-  const Power leakage = Power::mw(r.f64());
-  tracker_.restore(on, anchor, leakage);
-  busy_until_ = Time::ps(r.i64());
 }
 
 std::int8_t ProcessingElement::requantize(std::int32_t acc, int shift) {

@@ -3,20 +3,13 @@
 // requantization back to int8) and timed/powered per the cluster spec.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <string>
 
-#include "common/hash.hpp"
 #include "common/units.hpp"
 #include "energy/ledger.hpp"
 #include "energy/power_spec.hpp"
-
-namespace hhpim {
-class ByteWriter;  // common/serialize.hpp
-class ByteReader;
-}  // namespace hhpim
 
 namespace hhpim::pe {
 
@@ -73,13 +66,12 @@ class ProcessingElement {
     macs_ += extra_macs;
   }
 
-  /// Behavior-relevant state relative to `now` (see mem::Bank::add_state);
-  /// the MAC counter and on-time totals are history, not behavior.
-  void add_state(Fnv1a& h, Time now) const {
-    h.add(tracker_.is_on() ? 1 : 0)
-        .add(tracker_.is_on() ? (tracker_.anchor() - now).as_ps()
-                              : std::int64_t{0})
-        .add(std::max<std::int64_t>((busy_until_ - now).as_ps(), 0));
+  /// State walk (common/state_visitor.hpp): power state and busy horizon;
+  /// the MAC counter is history.
+  template <class V>
+  void visit_state(V& v, Time now) {
+    tracker_.visit_state(v, now);
+    v.horizon(busy_until_, now);
   }
 
   /// Returns accounting state to just-constructed (off, zero counters).
@@ -89,11 +81,6 @@ class ProcessingElement {
     busy_until_ = Time::zero();
     macs_ = 0;
   }
-
-  /// Checkpoint save/load of exactly the state add_state() digests (see
-  /// mem::Bank::save_state for the contract).
-  void save_state(ByteWriter& w, Time now) const;
-  void load_state(ByteReader& r);
 
   // --- Functional helpers --------------------------------------------------
 

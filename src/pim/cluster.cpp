@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "common/serialize.hpp"
-
 namespace hhpim::pim {
 
 Cluster::Cluster(ClusterConfig config, const energy::PowerSpec& spec,
@@ -120,22 +118,6 @@ void Cluster::settle(Time now) {
 void Cluster::reset_accounting() {
   for (auto& m : modules_) m->reset_accounting();
   controller_->reset_accounting();
-}
-
-void Cluster::save_state(ByteWriter& w, Time now) const {
-  w.u64(static_cast<std::uint64_t>(modules_.size()));
-  for (const auto& m : modules_) m->save_state(w, now);
-  controller_->save_state(w, now);
-}
-
-void Cluster::load_state(ByteReader& r) {
-  const std::uint64_t count = r.u64();
-  if (count != modules_.size()) {
-    throw std::runtime_error("snapshot: module count mismatch for cluster " +
-                             config_.name);
-  }
-  for (auto& m : modules_) m->load_state(r);
-  controller_->load_state(r);
 }
 
 }  // namespace hhpim::pim

@@ -13,11 +13,6 @@
 #include "pim/controller.hpp"
 #include "pim/module.hpp"
 
-namespace hhpim {
-class ByteWriter;  // common/serialize.hpp
-class ByteReader;
-}  // namespace hhpim
-
 namespace hhpim::pim {
 
 struct ClusterConfig {
@@ -78,18 +73,13 @@ class Cluster {
   /// the ledger separately).
   void reset_accounting();
 
-  /// Checkpoint save/load of exactly the state add_state() digests (see
-  /// mem::Bank::save_state for the contract). load_state throws
-  /// std::runtime_error on a module-count mismatch.
-  void save_state(ByteWriter& w, Time now) const;
-  void load_state(ByteReader& r);
-
-  /// Behavior-relevant state of every module and the controller, relative
-  /// to `now` (see mem::Bank::add_state).
-  void add_state(Fnv1a& h, Time now) const {
-    h.add(static_cast<std::uint64_t>(modules_.size()));
-    for (const auto& m : modules_) m->add_state(h, now);
-    controller_->add_state(h, now);
+  /// State walk (common/state_visitor.hpp): the module count, then every
+  /// module and the controller.
+  template <class V>
+  void visit_state(V& v, Time now) {
+    v.shape(modules_.size(), "module count", config_.name);
+    for (auto& m : modules_) m->visit_state(v, now);
+    controller_->visit_state(v, now);
   }
 
  private:

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "common/serialize.hpp"
-
 namespace hhpim::pim {
 
 const char* to_string(ControllerState s) {
@@ -177,36 +175,6 @@ RunSummary PimController::run_program(Time now,
   tracker_.power_off(summary.complete);
   if (state_ != ControllerState::kHalted) state_ = ControllerState::kIdle;
   return summary;
-}
-
-void PimController::save_state(ByteWriter& w, Time now) const {
-  if (queue_.size() != 0) {
-    // The slice-loop workload path never enqueues; a program-driven caller
-    // must drain its program before checkpointing (mid-program controller
-    // state is not digested either — see add_state).
-    throw std::logic_error("PimController " + config_.name +
-                           ": checkpoint requires a drained instruction queue");
-  }
-  w.u8(static_cast<std::uint8_t>(state_));
-  const bool on = tracker_.is_on();
-  w.u8(on ? 1 : 0);
-  w.i64(on ? (tracker_.anchor() - now).as_ps() : std::int64_t{0});
-  w.f64(tracker_.leakage().as_mw());
-  allocator_.save_state(w, now);
-}
-
-void PimController::load_state(ByteReader& r) {
-  const std::uint8_t raw_state = r.u8();
-  if (raw_state > static_cast<std::uint8_t>(ControllerState::kHalted)) {
-    throw std::runtime_error("snapshot: invalid controller state for " +
-                             config_.name);
-  }
-  state_ = static_cast<ControllerState>(raw_state);
-  const bool on = r.u8() != 0;
-  const Time anchor = Time::ps(r.i64());
-  const Power leakage = Power::mw(r.f64());
-  tracker_.restore(on, anchor, leakage);
-  allocator_.load_state(r);
 }
 
 }  // namespace hhpim::pim

@@ -13,18 +13,12 @@
 #include <string>
 #include <vector>
 
-#include "common/hash.hpp"
 #include "common/units.hpp"
 #include "energy/ledger.hpp"
 #include "isa/instruction.hpp"
 #include "pim/data_allocator.hpp"
 #include "pim/instruction_queue.hpp"
 #include "pim/module.hpp"
-
-namespace hhpim {
-class ByteWriter;  // common/serialize.hpp
-class ByteReader;
-}  // namespace hhpim
 
 namespace hhpim::pim {
 
@@ -86,24 +80,18 @@ class PimController {
   /// Closes the controller leakage window.
   void settle(Time now) { tracker_.settle(now); }
 
-  /// Behavior-relevant state relative to `now` (see mem::Bank::add_state):
-  /// FSM state, queue depth, leakage window and the allocator's link. The
-  /// retired-instruction counter is history.
-  void add_state(Fnv1a& h, Time now) const {
-    h.add(static_cast<int>(state_))
-        .add(static_cast<std::uint64_t>(queue_.size()))
-        .add(tracker_.is_on() ? 1 : 0)
-        .add(tracker_.is_on() ? (tracker_.anchor() - now).as_ps()
-                              : std::int64_t{0});
-    allocator_.add_state(h, now);
+  /// State walk (common/state_visitor.hpp): FSM state, queue depth, leakage
+  /// window and the allocator's link. The retired-instruction counter is
+  /// history. Queue contents are never serialized: saving requires a
+  /// drained queue (the slice-loop workload path never enqueues), and a
+  /// program-driven caller must drain its program before checkpointing.
+  template <class V>
+  void visit_state(V& v, Time now) {
+    v.choice(state_, ControllerState::kHalted, "controller state", config_.name);
+    v.drained(queue_.size(), "instruction queue", config_.name);
+    tracker_.visit_state(v, now);
+    allocator_.visit_state(v, now);
   }
-
-  /// Checkpoint save/load of exactly the state add_state() digests (see
-  /// mem::Bank::save_state for the contract). save_state throws
-  /// std::logic_error while instructions are queued — queue contents are
-  /// not serialized (the slice-loop workload path never enqueues any).
-  void save_state(ByteWriter& w, Time now) const;
-  void load_state(ByteReader& r);
 
   /// Returns FSM/accounting state to just-constructed (processor reuse).
   /// Queued instructions are not dropped — the slice-loop workload path

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "common/serialize.hpp"
-
 namespace hhpim::pim {
 
 DataAllocator::DataAllocator(DataAllocatorConfig config, std::size_t modules_per_cluster,
@@ -64,11 +62,5 @@ TransferSummary DataAllocator::execute(Time now, const std::vector<TransferReque
   total_moved_ += summary.weights_moved;
   return summary;
 }
-
-void DataAllocator::save_state(ByteWriter& w, Time now) const {
-  mem_interface_.save_state(w, now);
-}
-
-void DataAllocator::load_state(ByteReader& r) { mem_interface_.load_state(r); }
 
 }  // namespace hhpim::pim

@@ -19,11 +19,6 @@
 #include "noc/link.hpp"
 #include "pim/module.hpp"
 
-namespace hhpim {
-class ByteWriter;  // common/serialize.hpp
-class ByteReader;
-}  // namespace hhpim
-
 namespace hhpim::pim {
 
 /// One planned movement of `weights` int8 weights.
@@ -73,13 +68,12 @@ class DataAllocator {
     mem_interface_.reset_accounting();
   }
 
-  /// Behavior-relevant state relative to `now` (see mem::Bank::add_state):
-  /// the MEM-interface occupancy; total_weights_moved is history.
-  void add_state(Fnv1a& h, Time now) const { mem_interface_.add_state(h, now); }
-
-  /// Checkpoint save/load of exactly the state add_state() digests.
-  void save_state(ByteWriter& w, Time now) const;
-  void load_state(ByteReader& r);
+  /// State walk (common/state_visitor.hpp): the MEM-interface occupancy;
+  /// total_weights_moved is history.
+  template <class V>
+  void visit_state(V& v, Time now) {
+    mem_interface_.visit_state(v, now);
+  }
 
  private:
   /// One pipelined chunked transfer between two modules.

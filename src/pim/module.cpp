@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "common/serialize.hpp"
-
 namespace hhpim::pim {
 
 namespace {
@@ -262,30 +260,6 @@ void PimModule::reset_accounting() {
   if (mram_.has_value()) mram_->reset_accounting();
   sram_.reset_accounting();
   pe_.reset_accounting();
-}
-
-void PimModule::save_state(ByteWriter& w, Time now) const {
-  w.u64(static_cast<std::uint64_t>(resident_[0]));
-  w.u64(static_cast<std::uint64_t>(resident_[1]));
-  w.i64(std::max<std::int64_t>((busy_until_ - now).as_ps(), 0));
-  w.u8(mram_.has_value() ? 1 : 0);
-  if (mram_.has_value()) mram_->save_state(w, now);
-  sram_.save_state(w, now);
-  pe_.save_state(w, now);
-}
-
-void PimModule::load_state(ByteReader& r) {
-  resident_[0] = r.u64();
-  resident_[1] = r.u64();
-  busy_until_ = Time::ps(r.i64());
-  const bool has_mram = r.u8() != 0;
-  if (has_mram != mram_.has_value()) {
-    throw std::runtime_error("snapshot: MRAM shape mismatch for module " +
-                             config_.name);
-  }
-  if (mram_.has_value()) mram_->load_state(r);
-  sram_.load_state(r);
-  pe_.load_state(r);
 }
 
 }  // namespace hhpim::pim

@@ -14,22 +14,15 @@
 //   * The PE is powered only during compute bursts.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <string>
 
-#include "common/hash.hpp"
 #include "common/units.hpp"
 #include "energy/ledger.hpp"
 #include "energy/power_spec.hpp"
 #include "mem/bank.hpp"
 #include "pe/processing_element.hpp"
-
-namespace hhpim {
-class ByteWriter;  // common/serialize.hpp
-class ByteReader;
-}  // namespace hhpim
 
 namespace hhpim::pim {
 
@@ -146,32 +139,18 @@ class PimModule {
   /// just-constructed. The owning processor resets the ledger separately.
   void reset_accounting();
 
-  /// Behavior-relevant state relative to `now` (see mem::Bank::add_state):
-  /// residency, the module occupancy horizon, and each component's power/
-  /// occupancy state. Equal digests at a slice boundary mean identical
-  /// timing/energy for all future bursts.
-  void add_state(Fnv1a& h, Time now) const {
-    // A horizon in the past is behaviorally "free now": every op starts at
-    // max(now, busy_until_), so clamping the offset at 0 keeps the digest
-    // exact while erasing *when* an idle module was last used — without the
-    // clamp, stale horizons would chain arbitrary history into the digest
-    // and the fleet's outcome memo would never converge.
-    h.add(static_cast<std::uint64_t>(resident_[0]))
-        .add(static_cast<std::uint64_t>(resident_[1]))
-        .add(std::max<std::int64_t>((busy_until_ - now).as_ps(), 0))
-        .add(mram_.has_value() ? 1 : 0);
-    if (mram_.has_value()) mram_->add_state(h, now);
-    sram_.add_state(h, now);
-    pe_.add_state(h, now);
+  /// State walk (common/state_visitor.hpp): residency, the module
+  /// occupancy horizon, the MRAM shape, then each bank and the PE.
+  template <class V>
+  void visit_state(V& v, Time now) {
+    v.count(resident_[0]);
+    v.count(resident_[1]);
+    v.horizon(busy_until_, now);
+    v.shape(mram_.has_value() ? 1 : 0, "MRAM presence", config_.name);
+    if (mram_.has_value()) mram_->visit_state(v, now);
+    sram_.visit_state(v, now);
+    pe_.visit_state(v, now);
   }
-
-  /// Checkpoint save/load of exactly the state add_state() digests —
-  /// residency, the occupancy horizon, and each component's state (see
-  /// mem::Bank::save_state for the contract). load_state throws
-  /// std::runtime_error when the blob's MRAM shape does not match this
-  /// module's.
-  void save_state(ByteWriter& w, Time now) const;
-  void load_state(ByteReader& r);
 
   /// Per-MAC latency when streaming from memory `m` (t_read + t_pe).
   [[nodiscard]] Time mac_latency(energy::MemoryKind m) const;

@@ -31,6 +31,9 @@ class Ram : public Device {
 
   [[nodiscard]] std::size_t size() const { return data_.size(); }
   [[nodiscard]] const std::uint8_t* data() const { return data_.data(); }
+  /// Direct write access (checkpoint restore). Like load_image, writes
+  /// bypass the Bus: a BlockEngine running from this RAM must clear_cache().
+  [[nodiscard]] std::uint8_t* data() { return data_.data(); }
   /// Copies a blob into RAM (program loading).
   void load_image(std::uint32_t addr, const std::uint8_t* bytes, std::size_t n);
 

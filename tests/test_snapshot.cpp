@@ -5,18 +5,23 @@
 // uninterrupted run, at any thread count, with device memoization on or off,
 // across lifecycle events, charging windows, firmware mixes and load
 // envelopes. Plus: the format's loud-failure guarantees (truncated,
-// corrupted, future-version, wrong-spec blobs all throw with a diagnostic),
-// lifecycle/envelope/charging semantics, and a ~200-spec seeded fuzz sweep
-// that dumps the offending seed + spec on any divergence.
+// corrupted, other-version, wrong-spec blobs and devices that do not match
+// the spec all throw with a diagnostic), lifecycle/envelope/charging
+// semantics, and a ~200-spec seeded fuzz sweep that dumps the offending
+// seed + spec on any divergence and checks the processor state walk on
+// every cut (load then re-save is the identity; equal digests, equal blobs).
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <cstdlib>
+#include <map>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "common/serialize.hpp"
 #include "fleet/outcome_cache.hpp"
 #include "fleet/simulator.hpp"
 #include "hhpim/processor.hpp"
@@ -68,9 +73,10 @@ RunOutput run_whole(const FleetSpec& spec, unsigned threads, bool memo) {
 }
 
 /// The same run cut at the given global slice boundaries, each snapshot
-/// round-tripped through the binary format between segments.
+/// round-tripped through the binary format between segments. `last`, when
+/// given, receives the final cut's decoded snapshot.
 RunOutput run_segmented(const FleetSpec& spec, const std::vector<int>& cuts,
-                        unsigned threads, bool memo) {
+                        unsigned threads, bool memo, FleetSnapshot* last = nullptr) {
   placement::LutCache lut;
   OutcomeCache outcome;
   const FleetSimulator sim{base_options(threads, memo, &lut, &outcome)};
@@ -81,6 +87,7 @@ RunOutput run_segmented(const FleetSpec& spec, const std::vector<int>& cuts,
     snap = FleetSnapshot::from_bytes(snap.to_bytes());
     have = true;
   }
+  if (last != nullptr) *last = snap;
   const FleetResult r = have ? sim.resume(spec, snap) : sim.run(spec);
   return {r.to_jsonl(), r.summary_to_json()};
 }
@@ -202,6 +209,12 @@ TEST(SnapshotFuzz, RandomSpecsRandomCuts) {
   SplitMix64 rng{kFuzzSeed};
   const std::vector<nn::Model> zoo = {nn::zoo::efficientnet_b0(),
                                       nn::zoo::mobilenet_v2()};
+  // The one state walk, checked on every live processor blob of every cut:
+  // (machine, state_digest) -> the blob that state saves to.
+  placement::LutCache walk_lut;
+  std::map<std::pair<std::uint64_t, std::uint64_t>, std::string> blob_of_state;
+  int blobs = 0;
+  int shared_digests = 0;
   for (int i = 0; i < kSpecs; ++i) {
     FleetSpec spec;
     spec.name = "fuzz";
@@ -259,16 +272,52 @@ TEST(SnapshotFuzz, RandomSpecsRandomCuts) {
     const bool memo = rng.next() % 2 == 0;
 
     const RunOutput whole = run_whole(spec, threads, memo);
+    FleetSnapshot at_cut;
     const RunOutput seg =
         cut == spec.slices
             ? run_segmented(spec, {}, threads, memo)  // degenerate: no cut fits
-            : run_segmented(spec, {cut}, threads, memo);
+            : run_segmented(spec, {cut}, threads, memo, &at_cut);
     if (seg.jsonl != whole.jsonl || seg.summary != whole.summary) {
       ADD_FAILURE() << "snapshot fuzz divergence; repro spec #" << i << ": "
                     << describe(spec, kFuzzSeed, cut, threads, memo);
       return;  // one dump is actionable; 199 more are noise
     }
+
+    // Load every live blob into a fresh processor of the same config and
+    // model: re-saving must give the same bytes, and equal digests on one
+    // machine must mean equal blobs.
+    const std::vector<DeviceSpec> device_specs = spec.expand();
+    const std::vector<nn::Model> models = spec.resolved_models();
+    for (std::size_t d = 0; d < at_cut.devices.size(); ++d) {
+      const std::string& blob = at_cut.devices[d].proc_state;
+      if (blob.empty()) continue;
+      const DeviceSpec& ds = device_specs[d];
+      const sys::SystemConfig cfg = Device::device_config(spec, ds, &walk_lut);
+      const nn::Model& model = models[ds.model_index];
+      sys::Processor fresh{cfg, model};
+      ByteReader r{blob};
+      fresh.load_state(r);
+      ByteWriter w;
+      fresh.save_state(w);
+      ++blobs;
+      const auto [it, inserted] = blob_of_state.emplace(
+          std::pair{sys::processor_reuse_key(cfg, model), fresh.state_digest()}, blob);
+      shared_digests += inserted ? 0 : 1;
+      if (!r.at_end() || w.bytes() != blob || it->second != blob) {
+        ADD_FAILURE() << "state walk disagreement at device " << d
+                      << " (load leftover " << r.remaining() << " B, resave "
+                      << (w.bytes() == blob ? "same" : "differs")
+                      << ", equal-digest blob "
+                      << (it->second == blob ? "same" : "differs")
+                      << "); repro spec #" << i << ": "
+                      << describe(spec, kFuzzSeed, cut, threads, memo);
+        return;
+      }
+    }
   }
+  // Both properties were exercised, not vacuously true.
+  EXPECT_GT(blobs, 0);
+  EXPECT_GT(shared_digests, 0);
 }
 
 // --- loud failure: window, digest, blob --------------------------------------
@@ -364,9 +413,55 @@ TEST(Snapshot, FailsLoudlyOnDamagedBlobs) {
     EXPECT_NE(std::string(e.what()).find("version"), std::string::npos);
   }
 
+  // Older versions are refused the same way: a reader parses only its own
+  // layout (version 1 blobs carried tracker leakage bits and the slice
+  // index in every processor blob).
+  for (const char old_version : {0, 1}) {
+    std::string old = bytes;
+    old[8] = old_version;
+    try {
+      (void)FleetSnapshot::from_bytes(old);
+      ADD_FAILURE() << "version-" << int{old_version} << " blob was accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("version"), std::string::npos);
+    }
+  }
+
   // Trailing garbage after the checksum is not silently ignored.
   EXPECT_THROW((void)FleetSnapshot::from_bytes(bytes + "x"),
                std::runtime_error);
+}
+
+TEST(Snapshot, ResumeRejectsDevicesThatDoNotMatchTheSpec) {
+  // The checksum is recomputable, so a blob re-encoded after tampering
+  // decodes cleanly; run_to/resume must still refuse a device whose identity
+  // differs from its re-expanded spec (the JSONL writer indexes the model
+  // table with model_index) or whose lane is out of range.
+  const FleetSpec spec = small_fleet(6, 6);
+  placement::LutCache lut;
+  const FleetSimulator sim{base_options(1, false, &lut, nullptr)};
+  const FleetSnapshot good = sim.run_to(spec, 3);
+  const std::vector<void (*)(DeviceProgress&)> tampers = {
+      [](DeviceProgress& p) { p.result.model_index = 100000; },
+      [](DeviceProgress& p) { p.result.id ^= 1; },
+      [](DeviceProgress& p) { p.result.seed ^= 1; },
+      [](DeviceProgress& p) {
+        p.result.scenario = p.result.scenario == workload::Scenario::kRandom
+                                ? workload::Scenario::kPulsing
+                                : workload::Scenario::kRandom;
+      },
+      [](DeviceProgress& p) { p.mode = 7; },
+      [](DeviceProgress& p) { p.tier = 3; },
+  };
+  for (std::size_t t = 0; t < tampers.size(); ++t) {
+    FleetSnapshot snap = good;
+    tampers[t](snap.devices[0]);
+    snap = FleetSnapshot::from_bytes(snap.to_bytes());
+    EXPECT_THROW((void)sim.resume(spec, snap), std::runtime_error) << "tamper " << t;
+    EXPECT_THROW((void)sim.run_to(spec, 4, &snap), std::runtime_error)
+        << "tamper " << t;
+  }
+  EXPECT_NO_THROW((void)sim.resume(spec, good));
 }
 
 // --- lifecycle / envelope / charging semantics -------------------------------
