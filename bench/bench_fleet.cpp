@@ -19,15 +19,14 @@
 //     with ≥ 2 cores; `hardware_threads` records what this host offered,
 //     and a 1-core container necessarily reports ~1×).
 //   * fleet/t1-scalar vs fleet/t1 — the same warm fleet with the batched
-//     slice kernel, decision memo and processor reuse all off vs all on.
-//     `batched_speedup_t1` is the steady-state fast-path criterion.
+//     slice kernel off vs on. `batched_speedup_t1` is the steady-state
+//     fast-path criterion.
 //   * fleet/t1-cold — fresh cache per rep (LUT builds inside the timed
 //     region), the pre-PR-5 measurement convention, kept for trajectory
 //     continuity.
-//   * lut_shared/t1 vs lut_private/t1 — a small fleet with the shared LUT
-//     cache on vs off. Sharing makes per-device cost independent of the LUT
-//     build: `lut_sharing_speedup` is the fan-in economy that lets device
-//     counts scale into the thousands at all, on any core count.
+//   * lut_shared/t1 — a small fleet on a fresh cache per rep: its LUT
+//     builds are inside the timed region, amortized over the devices that
+//     share them.
 //   * fleet/t1-memo vs fleet/t1 — the same warm fleet with the device-level
 //     outcome memo (fleet::OutcomeCache) on vs off. The memo is pre-warmed
 //     by one untimed pass (`memo_warm_ms`, mirroring the LUT convention), so
@@ -44,8 +43,8 @@
 // a correctness scenario (tests/test_outcome_memo.cpp), not a throughput
 // one.
 //
-// Fleet outputs are byte-identical across all of these (threads, sharing,
-// batching, reuse, device memo); tests/test_fleet.cpp, tests/test_batched.cpp
+// Fleet outputs are byte-identical across all of these (threads, batching,
+// device memo); tests/test_fleet.cpp, tests/test_batched.cpp
 // and tests/test_outcome_memo.cpp pin that — only wall-clock moves here.
 #include <algorithm>
 #include <chrono>
@@ -96,24 +95,20 @@ struct Measurement {
 /// null, a fresh private cache per rep keeps reps identical (first-rep
 /// builds are part of the measurement, exactly like a cold CLI invocation);
 /// with a pre-warmed cache the legs measure steady-state throughput.
-/// `reuse` toggles processor pooling (FleetOptions::reuse_processors).
 /// `device_memo` is the outcome memo to run on (nullptr = memoization off,
 /// the scalar per-device path).
 Measurement run_fleet(const fleet::FleetSpec& spec, unsigned threads,
-                      bool share_luts, std::size_t shard_size, int reps,
+                      std::size_t shard_size, int reps,
                       placement::LutCache* warm_cache = nullptr,
-                      bool reuse = true,
                       fleet::OutcomeCache* device_memo = nullptr) {
   Measurement best;
   for (int rep = 0; rep < reps; ++rep) {
     placement::LutCache fresh;
     fleet::FleetOptions opts;
     opts.threads = threads;
-    opts.share_luts = share_luts;
     opts.lut_cache = warm_cache != nullptr ? warm_cache : &fresh;
     opts.shard_size = shard_size;
     opts.keep_results = false;  // throughput, not result plumbing
-    opts.reuse_processors = reuse;
     opts.memoize_devices = device_memo != nullptr;
     opts.outcome_cache = device_memo;
     const fleet::FleetSimulator sim{opts};
@@ -138,12 +133,11 @@ Measurement run_fleet(const fleet::FleetSpec& spec, unsigned threads,
 }
 
 void write_result(JsonWriter& w, const char* name, int devices, unsigned threads,
-                  bool share_luts, const Measurement& m) {
+                  const Measurement& m) {
   w.begin_object();
   w.field("name", name);
   w.field("devices", devices);
   w.field("threads", static_cast<std::uint64_t>(threads));
-  w.field("lut_cache", share_luts);
   w.field("wall_ms", m.wall_ms);
   w.field("devices_per_s",
           m.wall_ms > 0.0 ? static_cast<double>(devices) / (m.wall_ms * 1e-3) : 0.0);
@@ -167,7 +161,7 @@ int main(int argc, char** argv) {
   const int lut = static_cast<int>(cli.get_int("lut", 64));
   const int reps = static_cast<int>(cli.get_int("reps", 3));
   const std::size_t shard = static_cast<std::size_t>(cli.get_int("shard-size", 64));
-  // The uncached leg rebuilds one LUT per HH-PIM device; keep it small.
+  // The cold small-fleet leg (lut_shared/t1).
   const int nocache_devices =
       static_cast<int>(cli.get_int("nocache-devices", 24));
   const int big_devices =
@@ -177,7 +171,6 @@ int main(int argc, char** argv) {
   const fleet::FleetSpec spec = bench_spec(devices, slices, lut);
   fleet::FleetSpec scalar_spec = spec;
   scalar_spec.config.batched_execution = false;
-  scalar_spec.config.memoize_decisions = false;
   const fleet::FleetSpec small = bench_spec(nocache_devices, slices, lut);
 
   std::printf("bench_fleet: %d devices x %d slices (lut %d, shard %zu, "
@@ -199,18 +192,17 @@ int main(int argc, char** argv) {
                                  std::chrono::steady_clock::now() - w0)
                                  .count();
 
-  const Measurement t1 = run_fleet(spec, 1, true, shard, reps, &warm);
+  const Measurement t1 = run_fleet(spec, 1, shard, reps, &warm);
   std::printf("  fleet/t1        : %8.1f ms  (%.0f devices/s, warm cache)\n",
               t1.wall_ms, devices / (t1.wall_ms * 1e-3));
-  const Measurement t8 = run_fleet(spec, 8, true, shard, reps, &warm);
+  const Measurement t8 = run_fleet(spec, 8, shard, reps, &warm);
   std::printf("  fleet/t8        : %8.1f ms  (%.0f devices/s, %.2fx vs t1)\n",
               t8.wall_ms, devices / (t8.wall_ms * 1e-3), t1.wall_ms / t8.wall_ms);
-  const Measurement t1_scalar =
-      run_fleet(scalar_spec, 1, true, shard, reps, &warm, /*reuse=*/false);
-  std::printf("  fleet/t1-scalar : %8.1f ms  (batch/memo/reuse off, %.2fx "
+  const Measurement t1_scalar = run_fleet(scalar_spec, 1, shard, reps, &warm);
+  std::printf("  fleet/t1-scalar : %8.1f ms  (batched kernel off, %.2fx "
               "slower)\n",
               t1_scalar.wall_ms, t1_scalar.wall_ms / t1.wall_ms);
-  const Measurement t1_cold = run_fleet(spec, 1, true, shard, reps);
+  const Measurement t1_cold = run_fleet(spec, 1, shard, reps);
   std::printf("  fleet/t1-cold   : %8.1f ms  (builds in timed region)\n",
               t1_cold.wall_ms);
 
@@ -219,13 +211,12 @@ int main(int argc, char** argv) {
   // memo legs measure steady-state replay throughput.
   fleet::OutcomeCache warm_memo;
   const auto m0 = std::chrono::steady_clock::now();
-  run_fleet(spec, 1, true, shard, 1, &warm, true, &warm_memo);
+  run_fleet(spec, 1, shard, 1, &warm, &warm_memo);
   const double memo_warm_ms = std::chrono::duration<double, std::milli>(
                                   std::chrono::steady_clock::now() - m0)
                                   .count();
 
-  const Measurement t1_memo =
-      run_fleet(spec, 1, true, shard, reps, &warm, true, &warm_memo);
+  const Measurement t1_memo = run_fleet(spec, 1, shard, reps, &warm, &warm_memo);
   std::printf("  fleet/t1-memo   : %8.1f ms  (%llu replayed / %llu exact, "
               "%.2fx vs t1)\n",
               t1_memo.wall_ms,
@@ -238,24 +229,15 @@ int main(int argc, char** argv) {
   // appear). One rep — at this size the first pass is already steady-state.
   const fleet::FleetSpec big = bench_spec(big_devices, slices, lut);
   const Measurement t1_big =
-      run_fleet(big, 1, true, std::size_t{256}, 1, &warm, true, &warm_memo);
+      run_fleet(big, 1, std::size_t{256}, 1, &warm, &warm_memo);
   std::printf("  fleet/t1-1m     : %8.1f ms  (%d devices, %.0f devices/s)\n",
               t1_big.wall_ms, big_devices,
               big_devices / (t1_big.wall_ms * 1e-3));
 
-  // Reuse off: with processor pooling, a 24-device fleet builds only one
-  // processor (and so one private LUT) per model either way, which would
-  // flatten the comparison — these legs isolate the PR 3 LUT-cache economy.
-  const Measurement shared =
-      run_fleet(small, 1, true, shard, reps, nullptr, /*reuse=*/false);
-  const Measurement priv =
-      run_fleet(small, 1, false, shard, reps, nullptr, /*reuse=*/false);
+  const Measurement shared = run_fleet(small, 1, shard, reps);
   std::printf("  lut_shared/t1   : %8.1f ms  (%d devices, %llu builds)\n",
               shared.wall_ms, nocache_devices,
               static_cast<unsigned long long>(shared.lut_builds));
-  std::printf("  lut_private/t1  : %8.1f ms  (%d devices, private LUT each, "
-              "%.1fx slower)\n",
-              priv.wall_ms, nocache_devices, priv.wall_ms / shared.wall_ms);
 
   const unsigned hw = std::thread::hardware_concurrency();
   std::ofstream out(out_path);
@@ -283,21 +265,19 @@ int main(int argc, char** argv) {
   w.end_object();
   w.key("results");
   w.begin_array();
-  write_result(w, "fleet/t1", devices, 1, true, t1);
-  write_result(w, "fleet/t8", devices, 8, true, t8);
-  write_result(w, "fleet/t1-scalar", devices, 1, true, t1_scalar);
-  write_result(w, "fleet/t1-cold", devices, 1, true, t1_cold);
-  write_result(w, "fleet/t1-memo", devices, 1, true, t1_memo);
-  write_result(w, "fleet/t1-1m", big_devices, 1, true, t1_big);
-  write_result(w, "lut_shared/t1", nocache_devices, 1, true, shared);
-  write_result(w, "lut_private/t1", nocache_devices, 1, false, priv);
+  write_result(w, "fleet/t1", devices, 1, t1);
+  write_result(w, "fleet/t8", devices, 8, t8);
+  write_result(w, "fleet/t1-scalar", devices, 1, t1_scalar);
+  write_result(w, "fleet/t1-cold", devices, 1, t1_cold);
+  write_result(w, "fleet/t1-memo", devices, 1, t1_memo);
+  write_result(w, "fleet/t1-1m", big_devices, 1, t1_big);
+  write_result(w, "lut_shared/t1", nocache_devices, 1, shared);
   w.end_array();
   w.field("lut_warm_ms", lut_warm_ms);
   w.field("memo_warm_ms", memo_warm_ms);
   w.field("speedup_t8_vs_t1", t1.wall_ms / t8.wall_ms);
   w.field("batched_speedup_t1", t1_scalar.wall_ms / t1.wall_ms);
   w.field("cold_vs_warm_t1", t1_cold.wall_ms / t1.wall_ms);
-  w.field("lut_sharing_speedup", priv.wall_ms / shared.wall_ms);
   w.field("memo_speedup_t1", t1.wall_ms / t1_memo.wall_ms);
   w.field("memo_hit_rate",
           t1_memo.memo_hits + t1_memo.memo_misses > 0

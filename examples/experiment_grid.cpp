@@ -5,7 +5,6 @@
 //                     [--models=all|EfficientNet-B0,ResNet-18,...]
 //                     [--scenarios=paper|extended|all|name1,name2,...]
 //                     [--trace=FILE]        # adds a trace-replay scenario
-//                     [--no-lut-cache]      # rebuild LUTs per run (cold path)
 //                     [--json=PATH] [--csv=PATH] [--with-slices] [--quiet]
 //
 // The same spec at any --threads value produces byte-identical JSON/CSV —
@@ -14,6 +13,7 @@
 #include <fstream>
 #include <iostream>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -28,9 +28,9 @@
 
 using namespace hhpim;
 
-int main(int argc, char** argv) {
-  const Cli cli{argc, argv};
+namespace {
 
+int run_cli(const Cli& cli) {
   workload::ScenarioConfig wc;
   wc.slices = static_cast<int>(cli.get_int("slices", 20));
 
@@ -100,9 +100,8 @@ int main(int argc, char** argv) {
   spec.variants.push_back({"", base});
 
   exp::RunnerOptions opts;
-  opts.threads = static_cast<unsigned>(cli.get_int("threads", 0));
+  opts.threads = static_cast<unsigned>(cli.get_count("threads", 0));
   opts.keep_slices = cli.get_bool("with-slices", false);
-  opts.share_luts = !cli.get_bool("no-lut-cache", false);
   placement::LutCache lut_cache;  // private per invocation, deterministic stats
   opts.lut_cache = &lut_cache;
   const exp::Runner runner{opts};
@@ -112,10 +111,9 @@ int main(int argc, char** argv) {
   if (!cli.get_bool("quiet", false)) {
     const auto cache_stats = lut_cache.stats();
     std::printf("grid: %zu archs x %zu models x %zu scenarios = %zu runs "
-                "(%u threads, %d slices; LUT cache: %s, %llu built, %llu shared)\n\n",
+                "(%u threads, %d slices; LUT cache: %llu built, %llu shared)\n\n",
                 spec.archs.size(), spec.models.size(), spec.scenarios.size(),
                 results.size(), exp::Runner::resolve_threads(opts.threads), wc.slices,
-                opts.share_luts ? "on" : "off",
                 static_cast<unsigned long long>(cache_stats.misses),
                 static_cast<unsigned long long>(cache_stats.hits));
     Table t{{"Arch", "Model", "Scenario", "total energy", "mean/slice", "misses",
@@ -154,4 +152,16 @@ int main(int argc, char** argv) {
     if (!cli.get_bool("quiet", false)) std::printf("wrote %s\n", csv_path.c_str());
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // Malformed or negative numeric flags (Cli::get_int/get_count) land here.
+  try {
+    return run_cli(Cli{argc, argv});
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 1;
+  }
 }

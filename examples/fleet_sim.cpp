@@ -17,7 +17,7 @@
 //               [--envelope-max=M] [--envelope-seed=S]
 //               [--checkpoint-every=N]  (run as resumable N-slice segments)
 //               [--snapshot-dir=DIR]    (save/load each segment's snapshot)
-//               [--no-lut-cache] [--no-device-memo] [--no-results]
+//               [--no-device-memo] [--no-results]
 //               [--jsonl=PATH|-] [--summary=PATH|-] [--shard-dir=DIR] [--quiet]
 //
 // The same spec at any --threads value produces byte-identical JSONL and
@@ -30,6 +30,7 @@
 #include <fstream>
 #include <functional>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -61,11 +62,7 @@ int write_stream(const std::string& path, bool quiet, const char* what,
   return 0;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const Cli cli{argc, argv};
-
+int run_cli(const Cli& cli) {
   fleet::FleetSpec spec;
   spec.name = "fleet-sim";
   spec.devices = static_cast<int>(cli.get_int("devices", 1000));
@@ -133,10 +130,9 @@ int main(int argc, char** argv) {
   }  // "mix" = FleetSpec's default dynamic mix
 
   fleet::FleetOptions opts;
-  opts.threads = static_cast<unsigned>(cli.get_int("threads", 0));
-  opts.shard_size = static_cast<std::size_t>(cli.get_int("shard-size", 256));
-  opts.claim_batch = static_cast<std::size_t>(cli.get_int("claim-batch", 0));
-  opts.share_luts = !cli.get_bool("no-lut-cache", false);
+  opts.threads = static_cast<unsigned>(cli.get_count("threads", 0));
+  opts.shard_size = static_cast<std::size_t>(cli.get_count("shard-size", 256));
+  opts.claim_batch = static_cast<std::size_t>(cli.get_count("claim-batch", 0));
   opts.shard_dir = cli.get("shard-dir", "");
   opts.keep_results = !cli.get_bool("no-results", false);
   opts.memoize_devices = !cli.get_bool("no-device-memo", false);
@@ -197,10 +193,9 @@ int main(int argc, char** argv) {
   if (!quiet) {
     const auto& a = result.aggregate;
     std::printf("fleet: %d devices x %d slices, %zu shards of %zu "
-                "(%u threads; LUT cache: %s, %llu built, %llu shared)\n",
+                "(%u threads; LUT cache: %llu built, %llu shared)\n",
                 spec.devices, spec.slices, result.shard_count, result.shard_size,
                 fleet::FleetSimulator::resolve_threads(opts.threads),
-                opts.share_luts ? "on" : "off",
                 static_cast<unsigned long long>(result.lut_builds),
                 static_cast<unsigned long long>(result.lut_shared));
     if (checkpoint_every > 0) {
@@ -262,4 +257,16 @@ int main(int argc, char** argv) {
                 opts.shard_dir.c_str());
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // Malformed or negative numeric flags (Cli::get_int/get_count) land here.
+  try {
+    return run_cli(Cli{argc, argv});
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 1;
+  }
 }

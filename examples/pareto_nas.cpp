@@ -25,6 +25,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -89,11 +90,7 @@ FrontierMetrics frontier_metrics(const sys::SystemConfig& cfg, const nn::Model& 
   return fm;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const Cli cli{argc, argv};
-
+int run_cli(const Cli& cli) {
   workload::ScenarioConfig wc;
   wc.slices = static_cast<int>(cli.get_int("slices", 12));
 
@@ -165,8 +162,7 @@ int main(int argc, char** argv) {
   spec.variants.push_back({"", base_cfg});
 
   exp::RunnerOptions opts;
-  opts.threads = static_cast<unsigned>(cli.get_int("threads", 0));
-  opts.share_luts = true;
+  opts.threads = static_cast<unsigned>(cli.get_count("threads", 0));
   placement::LutCache lut_cache;  // private per invocation, deterministic stats
   opts.lut_cache = &lut_cache;
   const exp::Runner runner{opts};
@@ -232,4 +228,16 @@ int main(int argc, char** argv) {
     if (!cli.get_bool("quiet", false)) std::printf("wrote %s\n", csv_path.c_str());
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // Malformed or negative numeric flags (Cli::get_int/get_count) land here.
+  try {
+    return run_cli(Cli{argc, argv});
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 1;
+  }
 }

@@ -1,10 +1,27 @@
 #include "common/cli.hpp"
 
+#include <cctype>
+#include <cerrno>
+#include <charconv>
+#include <cmath>
 #include <cstdlib>
+#include <limits>
+#include <stdexcept>
+#include <string_view>
 
 #include "common/strings.hpp"
 
 namespace hhpim {
+
+namespace {
+
+[[noreturn]] void bad_value(const std::string& name, const std::string& value,
+                            const char* expected) {
+  throw std::invalid_argument("--" + name + ": expected " + expected +
+                              ", got '" + value + "'");
+}
+
+}  // namespace
 
 Cli::Cli(int argc, const char* const* argv) {
   if (argc > 0) program_ = argv[0];
@@ -33,12 +50,54 @@ std::string Cli::get(const std::string& name, const std::string& def) const {
 
 std::int64_t Cli::get_int(const std::string& name, std::int64_t def) const {
   const auto it = flags_.find(name);
-  return it == flags_.end() ? def : std::strtoll(it->second.c_str(), nullptr, 10);
+  if (it == flags_.end()) return def;
+  const std::string& text = it->second;
+  std::string_view digits = text;
+  const bool negative = !digits.empty() && digits.front() == '-';
+  if (negative || (!digits.empty() && digits.front() == '+')) digits.remove_prefix(1);
+  int base = 10;
+  if (digits.size() > 2 && digits[0] == '0' && (digits[1] == 'x' || digits[1] == 'X')) {
+    base = 16;
+    digits.remove_prefix(2);
+  }
+  // from_chars takes no sign or prefix of its own, so "0x-1", "--1" and
+  // "+-1" fail the whole-value check below.
+  std::uint64_t magnitude = 0;
+  const char* const end = digits.data() + digits.size();
+  const auto [ptr, ec] = std::from_chars(digits.data(), end, magnitude, base);
+  if (digits.empty() || ptr != end) {
+    bad_value(name, text, "a decimal or 0x-hex integer");
+  }
+  const std::uint64_t limit =
+      static_cast<std::uint64_t>(std::numeric_limits<std::int64_t>::max()) +
+      (negative ? 1 : 0);
+  if (ec == std::errc::result_out_of_range || magnitude > limit) {
+    bad_value(name, text, "an integer that fits in 64 signed bits");
+  }
+  return negative ? static_cast<std::int64_t>(0 - magnitude)
+                  : static_cast<std::int64_t>(magnitude);
+}
+
+std::uint64_t Cli::get_count(const std::string& name, std::uint64_t def) const {
+  if (!has(name)) return def;
+  const std::int64_t v = get_int(name, 0);
+  if (v < 0) bad_value(name, get(name, ""), "a non-negative integer");
+  return static_cast<std::uint64_t>(v);
 }
 
 double Cli::get_double(const std::string& name, double def) const {
   const auto it = flags_.find(name);
-  return it == flags_.end() ? def : std::strtod(it->second.c_str(), nullptr);
+  if (it == flags_.end()) return def;
+  const std::string& text = it->second;
+  if (text.empty() || std::isspace(static_cast<unsigned char>(text.front())) != 0) {
+    bad_value(name, text, "a number");
+  }
+  char* end = nullptr;
+  errno = 0;
+  const double v = std::strtod(text.c_str(), &end);
+  if (end != text.c_str() + text.size()) bad_value(name, text, "a number");
+  if (errno == ERANGE && std::isinf(v)) bad_value(name, text, "a finite number");
+  return v;
 }
 
 bool Cli::get_bool(const std::string& name, bool def) const {

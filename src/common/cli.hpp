@@ -17,7 +17,13 @@ class Cli {
 
   [[nodiscard]] bool has(const std::string& name) const;
   [[nodiscard]] std::string get(const std::string& name, const std::string& def) const;
+  /// Decimal or `0x`-hex, optionally signed. Throws std::invalid_argument
+  /// naming the flag on an empty value, trailing characters or overflow.
   [[nodiscard]] std::int64_t get_int(const std::string& name, std::int64_t def) const;
+  /// get_int() for counts (threads, sizes): also throws on a negative value.
+  [[nodiscard]] std::uint64_t get_count(const std::string& name, std::uint64_t def) const;
+  /// strtod syntax over the whole value; throws std::invalid_argument naming
+  /// the flag on an empty value, trailing characters or overflow.
   [[nodiscard]] double get_double(const std::string& name, double def) const;
   [[nodiscard]] bool get_bool(const std::string& name, bool def) const;
 

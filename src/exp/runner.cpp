@@ -25,7 +25,6 @@ unsigned Runner::resolve_workers(unsigned requested, std::size_t runs) {
 }
 
 placement::LutCache* Runner::resolve_lut_cache() const {
-  if (!options_.share_luts) return nullptr;
   return options_.lut_cache != nullptr ? options_.lut_cache
                                        : &placement::LutCache::process_cache();
 }
@@ -83,7 +82,6 @@ ResultSet Runner::run_all(std::vector<RunSpec> runs) const {
 
   placement::LutCache* const lut_cache = resolve_lut_cache();
   sys::ProcessorPool pool;  // shared by all workers (checkout/return is thread-safe)
-  sys::ProcessorPool* const pool_ptr = options_.reuse_processors ? &pool : nullptr;
   const bool keep_slices = options_.keep_slices;
   std::exception_ptr first_error;
   std::mutex error_mutex;
@@ -100,7 +98,7 @@ ResultSet Runner::run_all(std::vector<RunSpec> runs) const {
       const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
       if (i >= runs.size()) break;
       try {
-        local.emplace_back(i, execute(runs[i], keep_slices, lut_cache, pool_ptr));
+        local.emplace_back(i, execute(runs[i], keep_slices, lut_cache, &pool));
       } catch (...) {
         const std::lock_guard<std::mutex> lock{error_mutex};
         if (!first_error) first_error = std::current_exception();

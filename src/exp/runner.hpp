@@ -4,23 +4,26 @@
 // pool of N worker threads (no work stealing: workers claim the next grid
 // index from a shared atomic counter; never more workers than runs). Each
 // run executes on a sys::Processor checked out of a pool shared by every
-// worker (sys::ProcessorPool; RunnerOptions::reuse_processors, default on; a
-// reset() Processor is bit-exchangeable for a fresh one), or constructed
-// per run with reuse off. Workers buffer their RunResults locally and place
-// them at the runs' grid indices after the claiming loop drains, so no two
-// workers write near each other mid-run. Results are bit-identical
-// regardless of thread count, completion order or reuse; only wall-clock
-// changes.
+// worker (sys::ProcessorPool: a reset() Processor is bit-exchangeable for a
+// fresh one, so repeated grid cells skip CostModel::build and cluster
+// construction), and HH-PIM runs agreeing on (model topology, arch, cost
+// model, slice, resolution) share one LUT build. Workers buffer their
+// RunResults locally and place them at the runs' grid indices after the
+// claiming loop drains, so no two workers write near each other mid-run.
+// Results are bit-identical regardless of thread count or completion order,
+// and to execute() on a freshly constructed, uncached Processor per run
+// (pinned by tests/test_batched.cpp and tests/test_lut_cache.cpp); only
+// wall-clock changes.
 //
 // Thread safety: a Runner is immutable after construction — run()/run_all()
 // may be called concurrently from multiple threads (each call spins up its
 // own pool). The LutCache the options name must itself be thread-safe
 // (placement::LutCache is) and outlive every call that uses it.
 //
-// Cost: one Processor construction + scenario execution per run —
-// O(runs · slices · tasks/slice) simulation work; for HH-PIM runs the LUT
-// build (O(t_entries · k_blocks) DP entries) dominates construction unless
-// served by the cache.
+// Cost: one scenario execution per run — O(runs · slices · tasks/slice)
+// simulation work — plus one Processor construction per (config, model)
+// overlap and one LUT build (O(t_entries · k_blocks) DP entries) per distinct
+// HH-PIM key the cache does not already hold.
 #pragma once
 
 #include <vector>
@@ -41,19 +44,10 @@ struct RunnerOptions {
   unsigned threads = 0;
   /// Retain per-slice metrics in each RunResult (larger results/JSON).
   bool keep_slices = false;
-  /// Share placement LUTs across the grid's runs: HH-PIM runs agreeing on
-  /// (model topology, arch, cost model, slice, resolution) build one LUT
-  /// instead of one per run. Results are byte-identical with sharing on or
-  /// off (pinned by tests/test_lut_cache.cpp); only wall-clock changes.
-  bool share_luts = true;
-  /// Cache used when `share_luts` (not owned; must outlive the grid run).
-  /// nullptr = the process-wide placement::LutCache::process_cache().
+  /// The placement-LUT cache the grid's runs share (not owned; must outlive
+  /// the grid run). nullptr = the process-wide
+  /// placement::LutCache::process_cache().
   placement::LutCache* lut_cache = nullptr;
-  /// Reuse Processors across runs sharing a (config, model) via the
-  /// checkout sys::ProcessorPool shared by all workers: repeated grid cells
-  /// skip CostModel::build and cluster construction. Results are
-  /// byte-identical with reuse on or off; only wall-clock changes.
-  bool reuse_processors = true;
 };
 
 class Runner {
@@ -80,7 +74,7 @@ class Runner {
                                          sys::ProcessorPool* pool = nullptr);
 
   [[nodiscard]] const RunnerOptions& options() const { return options_; }
-  /// The cache this runner's options resolve to (nullptr when sharing off).
+  /// The cache this runner's options resolve to (never null).
   [[nodiscard]] placement::LutCache* resolve_lut_cache() const;
   /// The worker count a `threads` request resolves to on this host.
   [[nodiscard]] static unsigned resolve_threads(unsigned requested);

@@ -137,14 +137,15 @@ class Device {
  public:
   /// `model` must be fleet.resolved_models()[spec.model_index] (the caller
   /// resolves once per run, not once per device); `lut_cache` may be null
-  /// (private LUT build). The Processor is constructed here — with a cache,
-  /// construction is cheap for every device after the first per model.
+  /// (private LUT build). The Processor is constructed here: the
+  /// fresh-construction reference the simulator's pooled path must match
+  /// byte for byte (tests/test_batched.cpp).
   Device(const FleetSpec& fleet, const DeviceSpec& spec, const nn::Model& model,
          placement::LutCache* lut_cache);
 
-  /// Processor-reuse variant (FleetOptions::reuse_processors): runs on
-  /// `proc`, a pooled processor built from the same (fleet config, model)
-  /// pair, already reset() by the caller. `proc` must outlive the Device.
+  /// The simulator's variant: runs on `proc`, a pooled processor built from
+  /// the same (fleet config, model) pair, already reset() by the caller.
+  /// `proc` must outlive the Device.
   /// Results are bit-identical to the owning constructor (reset ==
   /// fresh construction; pinned by tests/test_batched.cpp).
   Device(const FleetSpec& fleet, const DeviceSpec& spec, const nn::Model& model,

@@ -42,7 +42,6 @@ std::size_t FleetSimulator::resolve_claim_batch(std::size_t requested,
 }
 
 placement::LutCache* FleetSimulator::resolve_lut_cache() const {
-  if (!options_.share_luts) return nullptr;
   return options_.lut_cache != nullptr ? options_.lut_cache
                                        : &placement::LutCache::process_cache();
 }
@@ -298,9 +297,8 @@ FleetSnapshot FleetSimulator::drive(const FleetSpec& spec, int end_slice,
   // newly-accounted key absent from the cache counts as one build (this
   // call's workers will build it); rebuilds of an already-accounted key — a
   // later segment in a fresh process with a cold cache — are never
-  // re-counted. The count is therefore one per new key at any thread count
-  // and with processor reuse on or off, and a segmented run's final
-  // lut_builds equals the uninterrupted run's.
+  // re-counted. The count is therefore one per new key at any thread count,
+  // and a segmented run's final lut_builds equals the uninterrupted run's.
   const std::size_t n_pairs = firmwares.size() * n_models;
   std::vector<char> pair_used(n_pairs, 0);
   for (std::size_t i = 0; i < n; ++i) {
@@ -310,7 +308,7 @@ FleetSnapshot FleetSimulator::drive(const FleetSpec& spec, int end_slice,
     if (pair_used[pair] != 0) continue;
     pair_used[pair] = 1;
     const sys::SystemConfig& fw = firmwares[ds.firmware_index];
-    if (cache == nullptr || fw.arch.kind != sys::ArchKind::kHhpim) continue;
+    if (fw.arch.kind != sys::ArchKind::kHhpim) continue;
     const placement::LutCacheKey key = device_lut_key(fw, models[ds.model_index]);
     if (std::find(snap.lut_counted.begin(), snap.lut_counted.end(), key) !=
         snap.lut_counted.end()) {
@@ -422,25 +420,6 @@ FleetSnapshot FleetSimulator::drive(const FleetSpec& spec, int end_slice,
     // device (always, in run()), else from the captured state.
     const auto run_exact = [&](const DeviceSpec& ds, DeviceProgress& p, int k_end,
                                OutcomeRecorder* recorder) {
-      const auto go = [&](Device& dev) {
-        if (whole || !p.started) {
-          dev.start_progress(p, w.loads);
-        } else {
-          dev.restore_progress(p);
-        }
-        const bool done = dev.run_steps(p, w.loads, k_end, recorder);
-        if (final_segment) return;
-        if (done) {
-          p.proc_state.clear();  // finished devices carry no processor blob
-        } else {
-          dev.capture_progress(p);
-        }
-      };
-      if (!options_.reuse_processors) {
-        Device dev{spec, ds, models[ds.model_index], cache};
-        go(dev);
-        return;
-      }
       const PairInfo& info = pairs[pair_of(ds)];
       if (lease && lease.key() == info.reuse_key) {
         lease.get().reset();
@@ -448,7 +427,18 @@ FleetSnapshot FleetSimulator::drive(const FleetSpec& spec, int end_slice,
         lease = pool.checkout(info.reuse_key, info.config, models[ds.model_index]);
       }
       Device dev{spec, ds, models[ds.model_index], lease.get()};
-      go(dev);
+      if (whole || !p.started) {
+        dev.start_progress(p, w.loads);
+      } else {
+        dev.restore_progress(p);
+      }
+      const bool done = dev.run_steps(p, w.loads, k_end, recorder);
+      if (final_segment) return;
+      if (done) {
+        p.proc_state.clear();  // finished devices carry no processor blob
+      } else {
+        dev.capture_progress(p);
+      }
     };
 
     // Accounts a finished device at its ordinal position: samples, then
@@ -565,20 +555,18 @@ FleetSnapshot FleetSimulator::drive(const FleetSpec& spec, int end_slice,
   // last floating-point bit, so a fixed order keeps output byte-identical
   // at any thread count.
   for (const ShardSlot& slot : shard_aggs) final_out->aggregate.merge(slot.agg);
-  if (cache != nullptr) {
-    // Shared: the devices that ran on a LUT they didn't build. Only HH-PIM
-    // devices resolve through the LUT cache; static archs in a
-    // mixed-firmware fleet never share a build.
-    std::uint64_t hhpim_devices = 0;
-    for (const DeviceSpec& ds : device_specs) {
-      if (firmwares[ds.firmware_index].arch.kind == sys::ArchKind::kHhpim) {
-        ++hhpim_devices;
-      }
+  // Shared: the devices that ran on a LUT they didn't build. Only HH-PIM
+  // devices resolve through the LUT cache; static archs in a mixed-firmware
+  // fleet never share a build.
+  std::uint64_t hhpim_devices = 0;
+  for (const DeviceSpec& ds : device_specs) {
+    if (firmwares[ds.firmware_index].arch.kind == sys::ArchKind::kHhpim) {
+      ++hhpim_devices;
     }
-    final_out->lut_builds = snap.lut_builds;
-    final_out->lut_shared =
-        hhpim_devices >= snap.lut_builds ? hhpim_devices - snap.lut_builds : 0;
   }
+  final_out->lut_builds = snap.lut_builds;
+  final_out->lut_shared =
+      hhpim_devices >= snap.lut_builds ? hhpim_devices - snap.lut_builds : 0;
   if (memo != nullptr) {
     const OutcomeCache::Stats memo_after = memo->stats();
     final_out->memo_replayed_devices = memo_replayed.load(std::memory_order_relaxed);

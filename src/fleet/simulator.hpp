@@ -62,12 +62,9 @@ struct FleetOptions {
   /// and aggregate merging. Smaller shards balance load better; larger
   /// shards mean fewer files. Must be >= 1 (clamped).
   std::size_t shard_size = 256;
-  /// Share placement LUTs across devices (devices with the same model/arch
-  /// resolve to one build). Results are byte-identical with sharing on or
-  /// off; only wall-clock changes.
-  bool share_luts = true;
-  /// Cache used when `share_luts` (not owned; must outlive the run).
-  /// nullptr = the process-wide placement::LutCache::process_cache().
+  /// The placement-LUT cache the fleet's devices share: devices with the
+  /// same model/arch resolve to one build (not owned; must outlive the
+  /// run). nullptr = the process-wide placement::LutCache::process_cache().
   placement::LutCache* lut_cache = nullptr;
   /// When non-empty: write <shard_dir>/shard-NNNNN.jsonl while the run
   /// progresses (the directory must exist; open/write failures are
@@ -83,15 +80,6 @@ struct FleetOptions {
   /// Retain per-device results in FleetResult::devices. Turn off for very
   /// large fleets streamed to shard files — aggregates are kept either way.
   bool keep_results = true;
-  /// Reuse sys::Processors across devices: devices sharing the fleet
-  /// config and a model run on a reset() processor instead of paying
-  /// CostModel::build + cluster construction each (Processor::reset ==
-  /// fresh construction; pinned by tests/test_batched.cpp). Processors
-  /// live in a checkout pool shared by all workers, so the number
-  /// constructed is bounded by the peak per-model overlap — not by
-  /// workers × models as per-worker pools would be. Results are
-  /// byte-identical with reuse on or off; only wall-clock changes.
-  bool reuse_processors = true;
   /// Device-level outcome memoization (fleet::OutcomeCache): in run(),
   /// devices whose per-slice (processor state, mode, load) keys are all
   /// warm replay through the per-slice step without constructing or running
@@ -119,10 +107,9 @@ struct FleetResult {
   /// LUT-cache economy of this run: `builds` counts LUT keys the run needed
   /// that the cache did not hold when it started (probed before any
   /// processor exists — exactly one per new key regardless of thread count),
-  /// `shared` the devices whose LUT came from a shared build
-  /// (devices - builds for an HH-PIM fleet with a cache; 0 otherwise).
-  /// Both are deterministic at any thread count and with processor reuse on
-  /// or off. builds ≪ devices is the fleet's whole economy.
+  /// `shared` the HH-PIM devices whose LUT came from a shared build
+  /// (HH-PIM devices - builds). Both are deterministic at any thread count.
+  /// builds ≪ devices is the fleet's whole economy.
   std::uint64_t lut_builds = 0;
   std::uint64_t lut_shared = 0;
 
@@ -185,7 +172,7 @@ class FleetSimulator {
                                    const FleetSnapshot& from) const;
 
   [[nodiscard]] const FleetOptions& options() const { return options_; }
-  /// The cache this run will use (nullptr when sharing is off).
+  /// The cache this run will use (never null).
   [[nodiscard]] placement::LutCache* resolve_lut_cache() const;
   /// The device-outcome memo this run will use (nullptr when memoization
   /// is off).

@@ -81,7 +81,10 @@ std::uint64_t FleetSpec::content_digest() const {
   add_scenario_cfg(h, workload);
   // Firmware x model reuse keys digest everything a Processor's behavior
   // depends on (arch, power spec, knobs, model topology/params/macs). The
-  // raw lut_cache pointer is process-local, so key with it nulled.
+  // raw lut_cache pointer is process-local, so key with it nulled. Policy
+  // state is not digested: PlacementPolicy::decide is pure (scheduler.hpp),
+  // so the reuse key and a Processor's state digest fully determine its
+  // slices.
   const std::vector<nn::Model> ms = resolved_models();
   const std::vector<sys::SystemConfig> fws = resolved_firmware();
   h.add(static_cast<std::uint64_t>(ms.size()))
@@ -133,7 +136,7 @@ void FleetSpec::validate() const {
     if (fw.lut_cache != nullptr) {
       // The cache is an execution concern: FleetOptions names it (and the
       // simulator's lut_builds/lut_shared stats are measured on it). A cache
-      // smuggled in through the SystemConfig would bypass share_luts and
+      // smuggled in through the SystemConfig would bypass that cache and
       // silently skew those stats.
       throw std::invalid_argument(
           "FleetSpec: set the LUT cache via FleetOptions::lut_cache, "

@@ -376,29 +376,14 @@ Time Processor::run_tasks_batched(Time cursor, int n_tasks) {
     return cursor;
   }
 
-  // Single active space: the whole task is one cluster burst — hand the
-  // batch to the cluster-level kernel.
-  std::size_t active = placement::kSpaceCount;
-  int active_count = 0;
-  for (std::size_t i = 0; i < placement::kSpaceCount; ++i) {
-    if (macs[i] > 0 && cluster_of(static_cast<Space>(i)) != nullptr) {
-      active = i;
-      ++active_count;
-    }
-  }
-  if (active_count == 0) return cursor;
-  if (active_count == 1) {
-    const auto s = static_cast<Space>(active);
-    return cluster_of(s)->compute_batch(cursor, placement::memory_of(s),
-                                        macs[active], n_tasks);
-  }
-
-  // Generic steady-state replay. Task 1 absorbs whatever power-window and
+  // Steady-state replay. Task 1 absorbs whatever power-window and
   // busy-time state the slice boundary (movement, residency flips) left
   // behind; from task 2 on, every task advances the system by an identical
   // period with identical energy posts and integer-state deltas. Record
   // task 2, then replay it (n - 2) times — bit-identical to the scalar
-  // loop (pinned by tests/test_batched.cpp).
+  // loop (pinned by tests/test_batched.cpp). A module the placement leaves
+  // idle has a zero delta, and fast-forwarding it by zero is a no-op, so
+  // single-space placements (Baseline, Hybrid) take this path unchanged.
   cursor = run_task(cursor, macs);
 
   probe_.clear();
@@ -453,29 +438,6 @@ void Processor::set_placement_override(
     }
   }
   override_ = alloc;
-  // Memoized decisions were computed under the previous decision source.
-  memo_.clear();
-}
-
-const SliceDecision& Processor::slice_decision(int n_tasks) {
-  if (!config_.memoize_decisions) {
-    scratch_decision_ = override_.has_value()
-                            ? decide_override(*override_, n_tasks)
-                            : policy_->decide(current_, n_tasks);
-    return scratch_decision_;
-  }
-  for (const MemoEntry& e : memo_) {
-    if (e.n_tasks == n_tasks && e.current == current_) return e.decision;
-  }
-  SliceDecision d = override_.has_value() ? decide_override(*override_, n_tasks)
-                                          : policy_->decide(current_, n_tasks);
-  if (memo_.size() >= kMemoCapacity) {
-    // Pathological churn (capacity distinct slice states): serve uncached.
-    scratch_decision_ = std::move(d);
-    return scratch_decision_;
-  }
-  memo_.push_back(MemoEntry{current_, n_tasks, std::move(d)});
-  return memo_.back().decision;
 }
 
 // A pinned (override) placement decided exactly like a static policy would:
@@ -510,9 +472,9 @@ SliceStats Processor::run_slice(int n_tasks) {
   // on exactly that (fleet/outcome_cache.hpp).
   ledger_.begin_window();
 
-  // NOTE: `d` may reference a memo entry — it must not outlive any call that
-  // mutates memo_ (none happens below).
-  const SliceDecision& d = slice_decision(n_tasks);
+  const SliceDecision d = override_.has_value()
+                              ? decide_override(*override_, n_tasks)
+                              : policy_->decide(current_, n_tasks);
   if (!(d.alloc == current_) && d.plan.total() > 0) {
     apply_movement(d.plan);
     // Residency flips after the data lands.
@@ -606,7 +568,6 @@ void Processor::reset() {
   if (lp_.has_value()) lp_->reset_accounting();
   xfer_->reset_accounting();
   override_.reset();
-  memo_.clear();
   now_ = Time::zero();
   slice_index_ = 0;
   // Re-run the constructor's initial deployment: the policy's initial
@@ -666,11 +627,10 @@ void Processor::save_state(ByteWriter& w) const {
 
 void Processor::load_state(ByteReader& r) {
   // The stored times are relative to the snapshot's slice boundary; the
-  // clock rebases to zero. The decision memo stays cold — decisions are pure.
+  // clock rebases to zero.
   now_ = Time::zero();
   StateLoader l{r};
   visit_state(l, now_);
-  memo_.clear();
 }
 
 std::uint64_t processor_reuse_key(const SystemConfig& config,
@@ -711,8 +671,7 @@ std::uint64_t processor_reuse_key(const SystemConfig& config,
       .add(config.movement.bytes_per_ns_per_module)
       .add(config.movement.interface_latency.as_ps())
       .add(config.movement.energy_per_byte.as_pj())
-      .add(static_cast<std::uint64_t>(config.batched_execution ? 1 : 0))
-      .add(static_cast<std::uint64_t>(config.memoize_decisions ? 1 : 0));
+      .add(static_cast<std::uint64_t>(config.batched_execution ? 1 : 0));
   // Host fields fold in only when the host is enabled, so feature-off keys
   // (and everything derived from them — FleetSpec::content_digest, snapshot
   // compatibility) are unchanged from pre-feature builds.

@@ -111,11 +111,6 @@ struct SystemConfig {
   /// scalar loop (pinned by tests/test_batched.cpp); only wall-clock
   /// changes. Off = always run the scalar per-task loop (A/B benches).
   bool batched_execution = true;
-  /// Memoize placement decisions per (current allocation, n_tasks) pair
-  /// within a run — PlacementPolicy::decide is required to be pure (see
-  /// scheduler.hpp), so repeated slice states skip the LUT probe and
-  /// movement planning. Byte-identical results; off for A/B benches.
-  bool memoize_decisions = true;
   /// RISC-V host co-simulation (off by default; see HostConfig).
   HostConfig host{};
 };
@@ -191,8 +186,8 @@ class Processor {
 
   /// Re-arms the processor to its just-constructed state: ledger zeroed,
   /// clusters/banks/PEs/allocators back to pristine power and counter
-  /// state, clock and slice index at zero, any placement override and memo
-  /// cleared, and the policy's initial residency re-applied. Subsequent
+  /// state, clock and slice index at zero, any placement override cleared,
+  /// and the policy's initial residency re-applied. Subsequent
   /// runs produce bit-identical results to a freshly constructed Processor
   /// (pinned by tests/test_batched.cpp) — this is what lets exp::Runner and
   /// fleet::FleetSimulator reuse one Processor per (config, model) per
@@ -211,8 +206,7 @@ class Processor {
   /// produce bit-identical SliceStats (and equal successor digests) for
   /// equal run_slice inputs — the invariant the fleet's device-level
   /// outcome memo (fleet::OutcomeCache) is keyed on; pinned by
-  /// tests/test_outcome_memo. The decision memo is excluded because
-  /// decisions are pure.
+  /// tests/test_outcome_memo.
   [[nodiscard]] std::uint64_t state_digest() const;
 
   /// Checkpoint save of the walk. Slice energy is window-based and all
@@ -225,9 +219,7 @@ class Processor {
   /// Inverse of save_state(). Must be called on a freshly constructed or
   /// reset() Processor built from the same processor_reuse_key inputs.
   /// Throws std::runtime_error when the blob's component shape does not
-  /// match this processor's (wrong arch/model for the snapshot). The
-  /// decision memo starts cold — decisions are pure, so warmth is a
-  /// wall-clock concern, never a behavioral one.
+  /// match this processor's (wrong arch/model for the snapshot).
   void load_state(ByteReader& r);
 
   [[nodiscard]] Time slice_length() const { return slice_; }
@@ -259,9 +251,6 @@ class Processor {
   /// but plans/charges movement from the current residency.
   [[nodiscard]] SliceDecision decide_override(const placement::Allocation& target,
                                               int n_tasks) const;
-  /// The slice's decision — memoized per (current allocation, n_tasks) when
-  /// `memoize_decisions` is on, computed fresh otherwise.
-  [[nodiscard]] const SliceDecision& slice_decision(int n_tasks);
   /// Per-space MAC shares of one task under the current placement. Shares
   /// sum to exactly pim_macs_ (largest-remainder rounding). Returns false
   /// when there is nothing to compute.
@@ -271,8 +260,7 @@ class Processor {
   Time run_task(Time start,
                 const std::array<std::uint64_t, placement::kSpaceCount>& macs);
   /// Runs the slice's `n_tasks` identical tasks starting at `cursor`:
-  /// scalar for n <= 2 (and when batching is off), otherwise via
-  /// pim::Cluster::compute_batch (single active space) or the generic
+  /// scalar for n <= 2 (and when batching is off), otherwise via the
   /// record/replay steady-state kernel (task 1 absorbs boundary state,
   /// task 2 is recorded, tasks 3..n replayed). Bit-identical to the scalar
   /// loop; see docs/PERF.md.
@@ -300,18 +288,6 @@ class Processor {
   placement::Allocation current_;
   Time now_ = Time::zero();
   int slice_index_ = 0;
-
-  /// Decision memo: (current allocation, n_tasks) -> SliceDecision. Small
-  /// and linearly scanned — steady-state runs cycle through a handful of
-  /// (alloc, load) pairs. Cleared by reset() and set_placement_override().
-  struct MemoEntry {
-    placement::Allocation current;
-    int n_tasks = 0;
-    SliceDecision decision;
-  };
-  static constexpr std::size_t kMemoCapacity = 64;
-  std::vector<MemoEntry> memo_;
-  SliceDecision scratch_decision_;  ///< fallback when the memo is bypassed
 
   // Scratch buffers for the batched kernel, reused across slices.
   std::vector<energy::RecordedPost> replay_posts_;

@@ -39,11 +39,12 @@ class PlacementPolicy {
   /// transitioning from `current`.
   ///
   /// Contract: decide() must be a pure function of (current, n_tasks) and
-  /// construction-time state — no per-call mutable state. sys::Processor
-  /// memoizes decisions per (current, n_tasks) pair when
-  /// SystemConfig::memoize_decisions is on (the default), so a stateful
-  /// policy would silently see stale decisions. Both shipped policies
-  /// (StaticPolicy, DynamicLutPolicy) are pure.
+  /// construction-time state — no per-call mutable state. Neither
+  /// sys::Processor::state_digest() nor save_state() records policy state,
+  /// so the fleet's outcome memo (fleet::OutcomeCache) and checkpoint
+  /// snapshots (fleet::FleetSnapshot) would silently diverge from a stateful
+  /// policy. Both shipped policies (StaticPolicy, DynamicLutPolicy) are
+  /// pure.
   virtual SliceDecision decide(const placement::Allocation& current, int n_tasks) = 0;
 
   /// Initial placement at application start.

@@ -7,7 +7,7 @@ namespace hhpim::pim {
 
 Cluster::Cluster(ClusterConfig config, const energy::PowerSpec& spec,
                  energy::EnergyLedger* ledger)
-    : config_(std::move(config)), ledger_(ledger) {
+    : config_(std::move(config)) {
   modules_.reserve(config_.module_count);
   for (std::size_t i = 0; i < config_.module_count; ++i) {
     ModuleConfig mc;
@@ -60,44 +60,6 @@ Time Cluster::compute(Time now, energy::MemoryKind m, std::uint64_t macs) {
     done = std::max(done, modules_[i]->compute_burst(now, m, share).complete);
   }
   return done;
-}
-
-Time Cluster::compute_batch(Time start, energy::MemoryKind m, std::uint64_t macs,
-                            int n) {
-  if (n <= 0 || macs == 0) return start;
-  Time end = compute(start, m, macs);
-  if (n == 1) return end;
-
-  // Without a ledger (purely functional clusters) there is nothing to
-  // record; fall back to the scalar loop.
-  if (ledger_ == nullptr) {
-    for (int k = 1; k < n; ++k) end = compute(end, m, macs);
-    return end;
-  }
-
-  // Task 2 is the steady-state exemplar: from here on every task repeats the
-  // same per-module burst durations, energy posts and inter-task gaps, so it
-  // can be recorded once and replayed (n - 2) times.
-  batch_probe_.clear();
-  for (const auto& mod : modules_) batch_probe_.push_back(mod->counters());
-
-  batch_posts_.clear();
-  const Time c1 = end;
-  ledger_->begin_recording(&batch_posts_);
-  end = compute(end, m, macs);
-  ledger_->end_recording();
-
-  const int repeats = n - 2;
-  if (repeats > 0) {
-    ledger_->replay(batch_posts_, repeats);
-    for (std::size_t i = 0; i < modules_.size(); ++i) {
-      modules_[i]->fast_forward(
-          ModuleCounters::delta(batch_probe_[i], modules_[i]->counters()),
-          repeats);
-    }
-    end += (end - c1) * static_cast<std::int64_t>(repeats);
-  }
-  return end;
 }
 
 Time Cluster::busy_until() const {

@@ -49,17 +49,6 @@ class Cluster {
   /// the modules, starting at `now`. Returns the cluster completion time.
   Time compute(Time now, energy::MemoryKind m, std::uint64_t macs);
 
-  /// Batched task kernel: equivalent to `n` barrier-synchronized compute()
-  /// calls — task k starts when task k-1's slowest module finishes — but
-  /// executed in closed form for the steady-state tail. The first task runs
-  /// scalar (absorbing whatever power-window state precedes the batch), the
-  /// second runs scalar while its energy posts and integer state deltas are
-  /// recorded, and tasks 3..n are applied by replaying those posts and
-  /// fast-forwarding the modules. Ledger cells, counters and the returned
-  /// completion time are bit-identical to the scalar loop (pinned by
-  /// tests/test_batched.cpp). Returns the last task's completion.
-  Time compute_batch(Time start, energy::MemoryKind m, std::uint64_t macs, int n);
-
   /// Time when every module is idle.
   [[nodiscard]] Time busy_until() const;
 
@@ -84,13 +73,8 @@ class Cluster {
 
  private:
   ClusterConfig config_;
-  energy::EnergyLedger* ledger_;
   std::vector<std::unique_ptr<PimModule>> modules_;
   std::unique_ptr<PimController> controller_;
-  // Scratch buffers for compute_batch, reused across calls (it runs once
-  // per slice on the steady-state hot path).
-  std::vector<ModuleCounters> batch_probe_;
-  std::vector<energy::RecordedPost> batch_posts_;
 };
 
 }  // namespace hhpim::pim

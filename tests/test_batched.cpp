@@ -1,22 +1,23 @@
 // The steady-state fast path's load-bearing property: batched slice
-// execution (pim::Cluster::compute_batch + sys::Processor::run_tasks_batched),
-// the per-processor decision memo and processor reuse (Processor::reset +
-// the runner/fleet pools) all produce output byte-identical to the scalar,
-// unmemoized, freshly-constructed path — across architectures, override
-// placements, zero-task slices and thread counts.
+// execution (sys::Processor::run_tasks_batched), processor reuse
+// (Processor::reset + the runner/fleet pools) and LUT sharing all produce
+// output byte-identical to the scalar, freshly-constructed, uncached path —
+// across architectures, override placements, zero-task slices and thread
+// counts.
 #include <gtest/gtest.h>
 
-#include <sstream>
+#include <algorithm>
 #include <vector>
 
 #include "energy/power_spec.hpp"
 #include "exp/runner.hpp"
 #include "exp/spec.hpp"
+#include "fleet/aggregate.hpp"
+#include "fleet/device.hpp"
 #include "fleet/simulator.hpp"
 #include "hhpim/processor.hpp"
 #include "hhpim/scheduler.hpp"
 #include "nn/zoo.hpp"
-#include "pim/cluster.hpp"
 #include "placement/lut_cache.hpp"
 #include "workload/scenario.hpp"
 
@@ -29,13 +30,12 @@ using sys::RunStats;
 using sys::SliceStats;
 using sys::SystemConfig;
 
-SystemConfig small_config(ArchConfig arch, bool batched, bool memo) {
+SystemConfig small_config(ArchConfig arch, bool batched) {
   SystemConfig c;
   c.arch = arch;
   c.lut_t_entries = 16;
   c.lut_k_blocks = 16;
   c.batched_execution = batched;
-  c.memoize_decisions = memo;
   return c;
 }
 
@@ -66,34 +66,25 @@ void expect_identical(const RunStats& a, const RunStats& b) {
   EXPECT_EQ(a.total_time.as_ps(), b.total_time.as_ps());
 }
 
-RunStats run_arch(ArchConfig arch, bool batched, bool memo,
-                  const std::vector<int>& loads) {
-  Processor proc{small_config(arch, batched, memo), nn::zoo::efficientnet_b0()};
+RunStats run_arch(ArchConfig arch, bool batched, const std::vector<int>& loads) {
+  Processor proc{small_config(arch, batched), nn::zoo::efficientnet_b0()};
   return proc.run_scenario(loads);
 }
 
 TEST(BatchedExecution, MatchesScalarAcrossArchitectures) {
   for (const ArchConfig& arch : ArchConfig::paper_table1()) {
     SCOPED_TRACE(arch.name);
-    const RunStats scalar = run_arch(arch, false, false, mixed_loads());
-    const RunStats batched = run_arch(arch, true, false, mixed_loads());
+    if (arch.kind == sys::ArchKind::kBaseline || arch.kind == sys::ArchKind::kHybrid) {
+      // One active space (HP-SRAM / HP-MRAM): the whole task is one HP
+      // cluster burst. Unequal per-module MAC shares make the replay
+      // reproduce per-module gaps exactly, and the idle LP cluster (if any)
+      // must survive its zero-delta fast-forward untouched.
+      ASSERT_NE(nn::zoo::efficientnet_b0().pim_macs() % arch.hp_modules, 0u);
+    }
+    const RunStats scalar = run_arch(arch, false, mixed_loads());
+    const RunStats batched = run_arch(arch, true, mixed_loads());
     expect_identical(scalar, batched);
   }
-}
-
-TEST(BatchedExecution, DecisionMemoMatchesUnmemoized) {
-  for (const ArchConfig& arch : {ArchConfig::hhpim(), ArchConfig::baseline()}) {
-    SCOPED_TRACE(arch.name);
-    const RunStats plain = run_arch(arch, false, false, mixed_loads());
-    const RunStats memoized = run_arch(arch, false, true, mixed_loads());
-    expect_identical(plain, memoized);
-  }
-}
-
-TEST(BatchedExecution, FullFastPathMatchesScalar) {
-  const RunStats scalar = run_arch(ArchConfig::hhpim(), false, false, mixed_loads());
-  const RunStats fast = run_arch(ArchConfig::hhpim(), true, true, mixed_loads());
-  expect_identical(scalar, fast);
 }
 
 TEST(BatchedExecution, MatchesScalarUnderPlacementOverride) {
@@ -101,7 +92,7 @@ TEST(BatchedExecution, MatchesScalarUnderPlacementOverride) {
   const std::vector<int> loads = mixed_loads();
   RunStats results[2];
   for (int batched = 0; batched < 2; ++batched) {
-    Processor proc{small_config(ArchConfig::hhpim(), batched != 0, false), model};
+    Processor proc{small_config(ArchConfig::hhpim(), batched != 0), model};
     // Pin the low-power MRAM split (two active spaces, both MRAM — the
     // fleet's adaptation placement), run, then release the override
     // mid-scenario.
@@ -131,50 +122,14 @@ TEST(BatchedExecution, ZeroAndTinyTaskSlices) {
   const std::vector<int> loads = {0, 0, 1, 0, 2, 0};
   for (const ArchConfig& arch : {ArchConfig::hhpim(), ArchConfig::hybrid()}) {
     SCOPED_TRACE(arch.name);
-    expect_identical(run_arch(arch, false, false, loads),
-                     run_arch(arch, true, true, loads));
-  }
-}
-
-TEST(ClusterComputeBatch, MatchesBarrierSynchronizedScalarLoop) {
-  using energy::MemoryKind;
-  for (const MemoryKind mem : {MemoryKind::kMram, MemoryKind::kSram}) {
-    SCOPED_TRACE(mem == MemoryKind::kMram ? "mram" : "sram");
-    const energy::PowerSpec spec = energy::PowerSpec::paper_45nm();
-    pim::ClusterConfig cc;
-    cc.module_count = 4;
-    energy::EnergyLedger scalar_ledger, batched_ledger;
-    pim::Cluster scalar_cluster{cc, spec, &scalar_ledger};
-    pim::Cluster batched_cluster{cc, spec, &batched_ledger};
-    // Odd MAC count: modules get unequal shares, so the batch must
-    // reproduce per-module gaps exactly.
-    const std::uint64_t macs = 4 * 1000 + 3;
-    constexpr int kTasks = 9;
-
-    Time scalar_end = Time::ps(100);
-    for (int k = 0; k < kTasks; ++k) {
-      scalar_end = scalar_cluster.compute(scalar_end, mem, macs);
-    }
-    const Time batched_end =
-        batched_cluster.compute_batch(Time::ps(100), mem, macs, kTasks);
-
-    EXPECT_EQ(scalar_end.as_ps(), batched_end.as_ps());
-    scalar_cluster.settle(scalar_end);
-    batched_cluster.settle(batched_end);
-    EXPECT_EQ(scalar_ledger.total().as_pj(), batched_ledger.total().as_pj());
-    for (std::size_t i = 0; i < 4; ++i) {
-      EXPECT_EQ(scalar_cluster.module(i).busy_until().as_ps(),
-                batched_cluster.module(i).busy_until().as_ps());
-      EXPECT_EQ(scalar_cluster.module(i).total_macs(),
-                batched_cluster.module(i).total_macs());
-    }
+    expect_identical(run_arch(arch, false, loads), run_arch(arch, true, loads));
   }
 }
 
 TEST(ProcessorReset, ResetEqualsFreshConstruction) {
   const nn::Model model = nn::zoo::efficientnet_b0();
   placement::LutCache cache;
-  SystemConfig config = small_config(ArchConfig::hhpim(), true, true);
+  SystemConfig config = small_config(ArchConfig::hhpim(), true);
   config.lut_cache = &cache;
 
   Processor reused{config, model};
@@ -192,7 +147,7 @@ TEST(ProcessorReset, ResetEqualsFreshConstruction) {
 
 TEST(ProcessorReset, RepeatedResetRunsAreStable) {
   const nn::Model model = nn::zoo::mobilenet_v2();
-  SystemConfig config = small_config(ArchConfig::hhpim(), true, true);
+  SystemConfig config = small_config(ArchConfig::hhpim(), true);
   Processor proc{config, model};
   const RunStats first = proc.run_scenario({5, 2, 8});
   for (int i = 0; i < 3; ++i) {
@@ -210,35 +165,31 @@ TEST(RunnerGrid, ByteIdenticalScalarVsBatchedAtAnyThreadCount) {
   wc.slices = 5;
   spec.scenarios = {exp::ScenarioSpec::of(workload::Scenario::kPulsing, wc),
                     exp::ScenarioSpec::of(workload::Scenario::kRandom, wc)};
-  SystemConfig scalar_cfg;
-  scalar_cfg.lut_t_entries = 16;
-  scalar_cfg.lut_k_blocks = 16;
+  SystemConfig fast_cfg;
+  fast_cfg.lut_t_entries = 16;
+  fast_cfg.lut_k_blocks = 16;
+  SystemConfig scalar_cfg = fast_cfg;
   scalar_cfg.batched_execution = false;
-  scalar_cfg.memoize_decisions = false;
-  SystemConfig fast_cfg = scalar_cfg;
-  fast_cfg.batched_execution = true;
-  fast_cfg.memoize_decisions = true;
 
   exp::ExperimentSpec scalar_spec = spec;
   scalar_spec.variants.push_back({"", scalar_cfg});
   exp::ExperimentSpec fast_spec = spec;
   fast_spec.variants.push_back({"", fast_cfg});
 
-  placement::LutCache c1, c2, c3;
-  exp::RunnerOptions scalar_opts;  // reuse off: the fully scalar reference
-  scalar_opts.threads = 1;
-  scalar_opts.lut_cache = &c1;
-  scalar_opts.reuse_processors = false;
-  exp::RunnerOptions fast_t1;
-  fast_t1.threads = 1;
-  fast_t1.lut_cache = &c2;
-  exp::RunnerOptions fast_t8;
-  fast_t8.threads = 8;
-  fast_t8.lut_cache = &c3;
+  // The fully scalar reference: every run on its own freshly constructed
+  // processor with a private LUT.
+  std::vector<exp::RunResult> runs;
+  for (const exp::RunSpec& run : scalar_spec.expand()) {
+    runs.push_back(exp::Runner::execute(run, false, nullptr, nullptr));
+  }
+  exp::ResultSet scalar{std::move(runs)};
+  scalar.experiment_name = scalar_spec.name;
 
-  const exp::ResultSet scalar = exp::Runner{scalar_opts}.run(scalar_spec);
-  const exp::ResultSet fast1 = exp::Runner{fast_t1}.run(fast_spec);
-  const exp::ResultSet fast8 = exp::Runner{fast_t8}.run(fast_spec);
+  placement::LutCache c1, c8;
+  const exp::ResultSet fast1 =
+      exp::Runner{{.threads = 1, .lut_cache = &c1}}.run(fast_spec);
+  const exp::ResultSet fast8 =
+      exp::Runner{{.threads = 8, .lut_cache = &c8}}.run(fast_spec);
 
   // The variant label is the only allowed difference — none exists here.
   EXPECT_EQ(scalar.to_json(), fast1.to_json());
@@ -259,22 +210,33 @@ TEST(FleetFastPath, ByteIdenticalScalarVsBatchedAndAcrossThreads) {
 
   fleet::FleetSpec scalar_spec = spec;
   scalar_spec.config.batched_execution = false;
-  scalar_spec.config.memoize_decisions = false;
 
-  placement::LutCache c_scalar, c1, c8;
-  fleet::FleetOptions scalar_opts;  // scalar, unmemoized, no reuse
-  scalar_opts.threads = 1;
-  scalar_opts.shard_size = 4;
-  scalar_opts.lut_cache = &c_scalar;
-  scalar_opts.reuse_processors = false;
+  placement::LutCache c1, c8;
   fleet::FleetOptions fast1{.threads = 1, .shard_size = 4, .lut_cache = &c1};
   fleet::FleetOptions fast8{.threads = 8, .shard_size = 4, .lut_cache = &c8};
-
-  const fleet::FleetResult scalar = fleet::FleetSimulator{scalar_opts}.run(scalar_spec);
   const fleet::FleetResult r1 = fleet::FleetSimulator{fast1}.run(spec);
   const fleet::FleetResult r8 = fleet::FleetSimulator{fast8}.run(spec);
 
-  EXPECT_EQ(scalar.to_jsonl(), r1.to_jsonl());
+  // The scalar reference: every device on its own owning fleet::Device (a
+  // freshly constructed processor with a private LUT; no pool, no memo),
+  // shard aggregates merged in shard order as the simulator merges them.
+  // LUT and shard accounting belong to the pooled run; every byte the
+  // devices produce must match.
+  fleet::FleetResult scalar = r1;
+  scalar.devices.clear();
+  scalar.aggregate = fleet::FleetAggregate{scalar_spec.histograms};
+  const std::vector<nn::Model> models = scalar_spec.resolved_models();
+  const std::vector<fleet::DeviceSpec> devices = scalar_spec.expand();
+  for (std::size_t begin = 0; begin < devices.size(); begin += r1.shard_size) {
+    fleet::FleetAggregate shard{scalar_spec.histograms};
+    for (std::size_t i = begin; i < std::min(devices.size(), begin + r1.shard_size); ++i) {
+      fleet::Device dev{scalar_spec, devices[i], models[devices[i].model_index], nullptr};
+      scalar.devices.push_back(dev.run(&shard));
+    }
+    scalar.aggregate.merge(shard);
+  }
+
+  EXPECT_EQ(scalar.to_jsonl(), r1.to_jsonl());  // both via write_device_line
   EXPECT_EQ(scalar.summary_to_json(), r1.summary_to_json());
   EXPECT_EQ(r1.to_jsonl(), r8.to_jsonl());
   EXPECT_EQ(r1.summary_to_json(), r8.summary_to_json());

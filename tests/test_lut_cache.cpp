@@ -1,8 +1,8 @@
 // Placement-LUT cache suite: key construction (collisions must be
 // impossible between differing build inputs), sharing semantics, concurrent
 // build deduplication, and the load-bearing acceptance property — a grid run
-// with the cache produces byte-identical JSON/CSV to the uncached path at
-// any thread count.
+// with the cache produces byte-identical JSON/CSV to fresh uncached
+// construction at any thread count.
 #include "placement/lut_cache.hpp"
 
 #include <gtest/gtest.h>
@@ -203,8 +203,21 @@ TEST(LutCacheIntegration, ProcessorsShareOneEntryAndMatchUncached) {
   }
 }
 
-// The acceptance property: grid JSON/CSV is byte-identical with the cache on
-// (1 and 8 threads) and off.
+// Every run of `spec` on its own freshly constructed Processor (no pool),
+// through `cache` (nullptr = a private LUT build per HH-PIM run).
+exp::ResultSet run_fresh(const exp::ExperimentSpec& spec, LutCache* cache) {
+  std::vector<exp::RunResult> runs;
+  for (const exp::RunSpec& run : spec.expand()) {
+    runs.push_back(exp::Runner::execute(run, false, cache, nullptr));
+  }
+  exp::ResultSet rs{std::move(runs)};
+  rs.experiment_name = spec.name;
+  return rs;
+}
+
+// The acceptance property: grid JSON/CSV through the runner (shared cache,
+// pooled processors; 1 and 8 threads) is byte-identical to fresh uncached
+// construction per run.
 TEST(LutCacheIntegration, GridOutputByteIdenticalCachedVsUncached) {
   exp::ExperimentSpec spec;
   spec.name = "lut-cache-grid";
@@ -221,23 +234,13 @@ TEST(LutCacheIntegration, GridOutputByteIdenticalCachedVsUncached) {
   spec.variants.push_back({"", cfg});
   ASSERT_EQ(spec.run_count(), 24u);
 
-  exp::RunnerOptions uncached;
-  uncached.threads = 1;
-  uncached.share_luts = false;
-
   LutCache cache1;
-  exp::RunnerOptions cached1;
-  cached1.threads = 1;
-  cached1.lut_cache = &cache1;
-
   LutCache cache8;
-  exp::RunnerOptions cached8;
-  cached8.threads = 8;
-  cached8.lut_cache = &cache8;
-
-  const exp::ResultSet r_off = exp::Runner{uncached}.run(spec);
-  const exp::ResultSet r_t1 = exp::Runner{cached1}.run(spec);
-  const exp::ResultSet r_t8 = exp::Runner{cached8}.run(spec);
+  const exp::ResultSet r_off = run_fresh(spec, nullptr);
+  const exp::ResultSet r_t1 =
+      exp::Runner{{.threads = 1, .lut_cache = &cache1}}.run(spec);
+  const exp::ResultSet r_t8 =
+      exp::Runner{{.threads = 8, .lut_cache = &cache8}}.run(spec);
 
   EXPECT_EQ(r_off.to_json(), r_t1.to_json());
   EXPECT_EQ(r_off.to_csv(), r_t1.to_csv());
@@ -245,25 +248,19 @@ TEST(LutCacheIntegration, GridOutputByteIdenticalCachedVsUncached) {
   EXPECT_EQ(r_off.to_csv(), r_t8.to_csv());
   EXPECT_FALSE(r_off.to_json().empty());
 
-  // 6 HH-PIM runs over 3 distinct models: exactly 3 builds each cache. With
-  // processor reuse (the default), each worker probes the cache once per
-  // (config, model) it constructs a processor for — at 1 thread that is 3
-  // probes, all builds, zero hits.
+  // 6 HH-PIM runs over 3 distinct models: exactly 3 builds each cache. The
+  // runner's pool probes the cache once per (config, model) it constructs a
+  // processor for — at 1 thread that is 3 probes, all builds, zero hits.
   EXPECT_EQ(cache1.stats().misses, 3u);
   EXPECT_EQ(cache1.stats().hits, 0u);
   EXPECT_EQ(cache8.stats().misses, 3u);
 
-  // With reuse off, every HH-PIM run constructs its own processor and the
-  // repeated (model, arch) pairs resolve as cache hits — the PR 3 economy.
-  LutCache cache_nr;
-  exp::RunnerOptions no_reuse;
-  no_reuse.threads = 1;
-  no_reuse.lut_cache = &cache_nr;
-  no_reuse.reuse_processors = false;
-  const exp::ResultSet r_nr = exp::Runner{no_reuse}.run(spec);
-  EXPECT_EQ(r_off.to_json(), r_nr.to_json());
-  EXPECT_EQ(cache_nr.stats().misses, 3u);
-  EXPECT_EQ(cache_nr.stats().hits, 3u);
+  // Without the pool every HH-PIM run constructs its own processor, and the
+  // repeated (model, arch) pairs resolve as cache hits.
+  LutCache cache_fresh;
+  EXPECT_EQ(r_off.to_json(), run_fresh(spec, &cache_fresh).to_json());
+  EXPECT_EQ(cache_fresh.stats().misses, 3u);
+  EXPECT_EQ(cache_fresh.stats().hits, 3u);
 }
 
 }  // namespace

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <stdexcept>
+#include <string>
+
 #include "common/cli.hpp"
 #include "common/table.hpp"
 
@@ -87,6 +91,36 @@ TEST(Cli, BoolSpellings) {
   EXPECT_FALSE(cli.get_bool("b", true));
   EXPECT_TRUE(cli.get_bool("c", false));
   EXPECT_FALSE(cli.get_bool("d", true));
+}
+
+TEST(Cli, IntegersAreDecimalOrHex) {
+  const char* argv[] = {"prog", "--hex=0x5eed2025", "--upper=0XFF", "--neg=-12",
+                        "--min=-0x8000000000000000"};
+  const Cli cli{5, argv};
+  EXPECT_EQ(cli.get_int("hex", 0), 1592598565);  // a base-10 parse stopped at 'x': 0
+  EXPECT_EQ(cli.get_int("upper", 0), 255);
+  EXPECT_EQ(cli.get_int("neg", 0), -12);
+  EXPECT_EQ(cli.get_int("min", 0), INT64_MIN);
+  EXPECT_EQ(cli.get_count("upper", 0), 255u);
+}
+
+TEST(Cli, RejectsGarbageTrailingJunkOverflowAndNegativeCounts) {
+  for (const char* arg : {"--v=", "--v=abc", "--v=12abc", "--v=0x", "--v=1.5", "--v=4 ",
+                          "--v=0x-4", "--v=9223372036854775808", "--v=0x10000000000000000"}) {
+    const char* argv[] = {"prog", arg};
+    EXPECT_THROW((void)Cli(2, argv).get_int("v", 0), std::invalid_argument) << arg;
+  }
+  for (const char* arg : {"--v=", "--v=abc", "--v=1.5x", "--v=1e999"}) {
+    const char* argv[] = {"prog", arg};
+    EXPECT_THROW((void)Cli(2, argv).get_double("v", 0.0), std::invalid_argument) << arg;
+  }
+  const char* argv[] = {"prog", "--threads=-1"};  // used to wrap to 4294967295
+  try {
+    (void)Cli(2, argv).get_count("threads", 0);
+    ADD_FAILURE() << "--threads=-1 accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string{e.what()}.find("--threads"), std::string::npos) << e.what();
+  }
 }
 
 }  // namespace
