@@ -168,7 +168,8 @@ std::string FleetResult::summary_to_json() const {
 namespace {
 
 std::string shard_path(const std::string& dir, std::size_t shard) {
-  char name[32];
+  // Room for the widest index: digits10 + 1 digits.
+  char name[sizeof "shard-.jsonl" + std::numeric_limits<std::size_t>::digits10 + 1];
   std::snprintf(name, sizeof name, "shard-%05zu.jsonl", shard);
   return dir + "/" + name;
 }

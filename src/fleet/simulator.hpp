@@ -71,7 +71,7 @@ struct FleetOptions {
   /// reported as std::runtime_error after all shards finish). Each worker
   /// formats its shard into a private memory buffer and writes the file in
   /// one call — stream handoff never blocks a sibling worker.
-  std::string shard_dir;
+  std::string shard_dir{};
   /// Shards claimed per atomic fetch_add (the work-claiming granularity).
   /// Larger batches cut claim traffic on the shared counter; smaller
   /// batches balance the tail. 0 = auto: ~8 claims per worker

@@ -1,7 +1,9 @@
 #include "placement/knapsack.hpp"
 
 #include <algorithm>
+#include <memory>
 #include <stdexcept>
+#include <vector>
 
 namespace hhpim::placement {
 
@@ -50,11 +52,27 @@ int max_feasible_blocks(const ClusterItems& items, int t_steps, int k_max) {
 ClusterDpTable ClusterDpTable::build(const ClusterItems& items, int t_steps, int k_blocks) {
   validate_items(items, t_steps, k_blocks);
 
+  const DpItem& mram = items[0];
+  const DpItem& sram = items[1];
+  // Cells with k > cap_mram + cap_sram are infeasible for every placement.
+  const int k_cap = static_cast<int>(std::min<std::int64_t>(
+      k_blocks, static_cast<std::int64_t>(mram.cap_blocks) + sram.cap_blocks));
+  // The saturation row: every predicate the recurrence tests at (t, k <= k_cap)
+  // — min_steps(k) <= t, k·dt_mram <= t, and row t - j·dt_sram existing along
+  // the SRAM chain — has the form c <= t with c <= k_cap·max(dt), so rows
+  // past it are copies of it and are not stored (index() clamps to it).
+  const int last_row = static_cast<int>(std::min<std::int64_t>(
+      t_steps, static_cast<std::int64_t>(k_cap) *
+                   std::max(mram.time_steps, sram.time_steps)));
+
   ClusterDpTable table;
   table.t_steps_ = t_steps;
   table.k_blocks_ = k_blocks;
+  table.last_row_ = last_row;
   const std::size_t stride = static_cast<std::size_t>(k_blocks + 1);
-  const std::size_t cells = static_cast<std::size_t>(t_steps + 1) * stride;
+  const std::size_t cells = static_cast<std::size_t>(last_row + 1) * stride;
+  table.dp_ = std::make_unique_for_overwrite<double[]>(cells);
+  table.cnt_ = std::make_unique_for_overwrite<std::uint16_t[]>(cells);
 
   // Algorithm 1 over the two spaces of one cluster, with the MRAM level
   // (space 0) collapsed to its closed form: placing k blocks using MRAM only
@@ -69,20 +87,9 @@ ClusterDpTable ClusterDpTable::build(const ClusterItems& items, int t_steps, int
   // SRAM; it traces the allocation and enforces the SRAM capacity. The MRAM
   // prefix energies are accumulated iteratively (e0sum[k] = e0sum[k-1] + e)
   // so results stay bit-identical to a literal per-level DP.
-  table.dp_.assign(cells, kInfEnergy);
-  table.cnt_.assign(cells, 0);
-  for (int t = 0; t <= t_steps; ++t) table.dp_[static_cast<std::size_t>(t) * stride] = 0.0;
-  if (k_blocks == 0) return table;
-
-  const DpItem& mram = items[0];
-  const DpItem& sram = items[1];
-
-  // Early-infeasibility bounds: cells with k > cap_mram + cap_sram, or with
-  // t < min_steps(k), are infeasible for every placement and are never
-  // visited (their infinity initialization is their exact value).
-  const int k_cap = std::min<std::int64_t>(
-      k_blocks,
-      static_cast<std::int64_t>(mram.cap_blocks) + sram.cap_blocks);
+  //
+  // Cells with t < min_steps(k) are infeasible for every placement; each row
+  // writes them as infinity instead of visiting them.
   std::vector<std::int64_t> min_steps(static_cast<std::size_t>(k_cap) + 1, 0);
   for (int k = 1; k <= k_cap; ++k) {
     min_steps[static_cast<std::size_t>(k)] = min_steps_for(items, k);
@@ -95,44 +102,51 @@ ClusterDpTable ClusterDpTable::build(const ClusterItems& items, int t_steps, int
     mram_energy[k] = mram_energy[k - 1] + mram.energy_pj;
   }
 
-  double* dp = table.dp_.data();
-  std::uint16_t* cnt = table.cnt_.data();
+  double* dp = table.dp_.get();
+  std::uint16_t* cnt = table.cnt_.get();
+  // Copied out of `items` so stores into the table cannot alias them.
   const int dt = sram.time_steps;
+  const double e_sram = sram.energy_pj;
+  const int cap_sram = sram.cap_blocks;
   // t outer / k inner: dp[t][*] and dp[t - dt][*] are contiguous rows, so the
   // inner loop streams through memory instead of striding by k.
   int k_ub = 0;  // largest k with min_steps(k) <= t; nondecreasing in t
-  for (int t = 0; t <= t_steps; ++t) {
+  for (int t = 0; t <= last_row; ++t) {
     while (k_ub < k_cap && min_steps[static_cast<std::size_t>(k_ub) + 1] <= t) ++k_ub;
     double* row = dp + static_cast<std::size_t>(t) * stride;
     std::uint16_t* crow = cnt + static_cast<std::size_t>(t) * stride;
-    const double* prev_row =
-        t >= dt ? dp + static_cast<std::size_t>(t - dt) * stride : nullptr;
-    const std::uint16_t* prev_crow =
-        t >= dt ? cnt + static_cast<std::size_t>(t - dt) * stride : nullptr;
-    const std::int64_t mram_budget = static_cast<std::int64_t>(t) / mram.time_steps;
-    for (int k = 1; k <= k_ub; ++k) {
-      // Option A: all remaining blocks stayed in MRAM (the closed-form level).
-      double best = kInfEnergy;
-      std::uint16_t best_cnt = 0;
-      if (k <= mram.cap_blocks && k <= mram_budget) {
-        best = mram_energy[static_cast<std::size_t>(k)];
+    // Option A (all blocks stayed in MRAM) is available exactly for k <= k_a.
+    const int k_a = std::min({k_ub, mram.cap_blocks, t / mram.time_steps});
+    row[0] = 0.0;
+    crow[0] = 0;
+    if (t < dt) {
+      for (int k = 1; k <= k_a; ++k) {
+        row[k] = mram_energy[static_cast<std::size_t>(k)];
+        crow[k] = 0;
       }
-      // Option B: one more block into SRAM, if it fits time and capacity.
-      if (prev_row != nullptr) {
-        const double from = prev_row[k - 1];
-        if (from < kInfEnergy) {
-          const std::uint16_t used = prev_crow[k - 1];
-          if (static_cast<int>(used) < sram.cap_blocks) {
-            const double e = from + sram.energy_pj;
-            if (e < best) {
-              best = e;
-              best_cnt = static_cast<std::uint16_t>(used + 1);
-            }
-          }
-        }
+      for (int k = k_a + 1; k <= k_ub; ++k) {
+        row[k] = kInfEnergy;
+        crow[k] = 0;
       }
-      row[k] = best;
-      crow[k] = best_cnt;
+    } else {
+      // Option B: one more block into SRAM, if it fits capacity. No
+      // feasibility test on the source cell: inf + e_sram is inf (or NaN),
+      // which never compares below `best`, exactly as if it were skipped.
+      const double* prev_row = dp + static_cast<std::size_t>(t - dt) * stride;
+      const std::uint16_t* prev_crow = cnt + static_cast<std::size_t>(t - dt) * stride;
+      auto cell = [&](int k, double best) {
+        const std::uint16_t used = prev_crow[k - 1];
+        const double e = prev_row[k - 1] + e_sram;
+        const bool take = static_cast<int>(used) < cap_sram && e < best;
+        row[k] = take ? e : best;
+        crow[k] = take ? static_cast<std::uint16_t>(used + 1) : std::uint16_t{0};
+      };
+      for (int k = 1; k <= k_a; ++k) cell(k, mram_energy[static_cast<std::size_t>(k)]);
+      for (int k = k_a + 1; k <= k_ub; ++k) cell(k, kInfEnergy);
+    }
+    for (int k = k_ub + 1; k <= k_blocks; ++k) {
+      row[k] = kInfEnergy;
+      crow[k] = 0;
     }
   }
   return table;

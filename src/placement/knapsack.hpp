@@ -14,11 +14,12 @@
 // AllocationLut), energy in picojoules, capacities in blocks.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <utility>
-#include <vector>
 
 namespace hhpim::placement {
 
@@ -54,16 +55,23 @@ inline constexpr double kInfEnergy = std::numeric_limits<double>::infinity();
 /// build() is Algorithm 1 specialized to the n/2 = 2 spaces of one cluster:
 /// the MRAM-only level has the closed form dp_0[t][k] = k·e_mram (feasible
 /// iff k <= cap_mram and k·dt_mram <= t), so only the SRAM level runs as an
-/// actual DP — computed in place, in one allocation per table, visiting only
-/// cells above the per-k feasibility bound t >= min_steps(k). Worst case
-/// O(t_steps * k_blocks) cells; the pruning skips the provably-infeasible
-/// triangle (cells below the bound keep their infinity initialization, which
-/// is exactly their value). Preconditions: t_steps, k_blocks >= 0; every
-/// item's time_steps >= 1 (throws std::invalid_argument otherwise);
-/// k_blocks < 65536 (block counts trace through uint16 counters).
+/// actual DP — computed in place, in one uninitialized allocation per array,
+/// each cell written exactly once. Rows stop at the saturation row
+/// R = min(t_steps, k_cap · max(dt_mram, dt_sram)), k_cap = min(k_blocks,
+/// cap_mram + cap_sram): every condition the recurrence tests at (t, k) —
+/// the feasibility bound min_steps(k) <= t, the MRAM budget k·dt_mram <= t,
+/// and the existence of row t - j·dt_sram along the SRAM chain — is c <= t
+/// with c <= R, so every row past R equals row R (energies and traced splits
+/// alike) and lookups there read row R. energy()/split() are valid for any
+/// 0 <= t <= t_steps(). Cost: O(min(t_steps, k_cap·max dt) * k_blocks) cells,
+/// with cells below the per-k bound t >= min_steps(k) written as infinity
+/// (their exact value) without running the recurrence. Move-only.
+/// Preconditions: t_steps, k_blocks >= 0; every item's time_steps >= 1
+/// (throws std::invalid_argument otherwise); k_blocks < 65536 (block counts
+/// trace through uint16 counters).
 class ClusterDpTable {
  public:
-  /// Algorithm 1. O(t_steps * k_blocks) worst case, pruned as above.
+  /// Algorithm 1. O(min(t_steps, k_cap·max dt) * k_blocks) cells.
   static ClusterDpTable build(const ClusterItems& items, int t_steps, int k_blocks);
 
   /// Minimum energy (pJ) to place exactly `k` blocks within `t` steps;
@@ -81,13 +89,15 @@ class ClusterDpTable {
 
  private:
   [[nodiscard]] std::size_t index(int t, int k) const {
-    return static_cast<std::size_t>(t) * static_cast<std::size_t>(k_blocks_ + 1) +
+    return static_cast<std::size_t>(std::min(t, last_row_)) *
+               static_cast<std::size_t>(k_blocks_ + 1) +
            static_cast<std::size_t>(k);
   }
   int t_steps_ = 0;
   int k_blocks_ = 0;
-  std::vector<double> dp_;          // (t_steps+1) x (k_blocks+1)
-  std::vector<std::uint16_t> cnt_;  // blocks in SRAM (space index 1) on best path
+  int last_row_ = 0;                        // the saturation row R
+  std::unique_ptr<double[]> dp_;            // (R+1) x (k_blocks+1)
+  std::unique_ptr<std::uint16_t[]> cnt_;    // blocks in SRAM (space 1) on best path
 };
 
 /// Result of Algorithm 2 at one time constraint.

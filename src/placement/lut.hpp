@@ -55,9 +55,14 @@ struct LutEntry {
 class AllocationLut {
  public:
   /// Builds the LUT: per entry, an O(K) feasibility precheck (the peak
-  /// boundary), then Algorithms 1 & 2 for feasible entries only —
-  /// O(t_entries * internal_steps * k_blocks) DP cells worst case, with
-  /// internal_steps = 16 * k_blocks. Energies in pJ, times in integer ps.
+  /// boundary), then Algorithms 1 & 2 for feasible entries only. Each of an
+  /// entry's two cluster tables stores min(internal_steps, k_blocks·dt_max)
+  /// + 1 rows of k_blocks + 1 cells (ClusterDpTable's saturation row), with
+  /// internal_steps = 16 * k_blocks and dt_max the cluster's slower per-block
+  /// time in internal steps. dt_max shrinks as t_constraint grows, so the
+  /// O(t_entries * internal_steps * k_blocks) worst case applies only to
+  /// entries tighter than the cluster's all-in-the-slower-space time.
+  /// Energies in pJ, times in integer ps.
   static AllocationLut build(const CostModel& model, const LutParams& params);
 
   /// The entry for the largest tabulated t_constraint <= `tc` (so the

@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <set>
 #include <sstream>
 #include <string>
@@ -297,7 +298,7 @@ TEST(FleetSimulator, ShardFilesMatchInMemoryJsonl) {
   EXPECT_EQ(r.shard_count, 3u);
   std::string concatenated;
   for (std::size_t s = 0; s < r.shard_count; ++s) {
-    char name[32];
+    char name[sizeof "shard-.jsonl" + std::numeric_limits<std::size_t>::digits10 + 1];
     std::snprintf(name, sizeof name, "shard-%05zu.jsonl", s);
     std::ifstream in(dir + "/" + name);
     ASSERT_TRUE(in.good()) << name;

@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <random>
+#include <vector>
 
 namespace hhpim::placement {
 namespace {
@@ -110,6 +116,150 @@ TEST(ClusterDp, ZeroDimensionsDegenerate) {
   const auto zero_t = ClusterDpTable::build(items, 0, 3);
   EXPECT_TRUE(zero_t.feasible(0, 0));
   EXPECT_FALSE(zero_t.feasible(0, 1));  // every block costs >= 1 step
+}
+
+// The literal Algorithm 1 kernel, kept as the reference for the optimized
+// build(): a full (T+1) x (K+1) table pre-filled with infinity, every row
+// computed up to t_steps, and the branchy cell that skips infeasible sources.
+struct LiteralDp {
+  int k_blocks = 0;
+  std::vector<double> dp;
+  std::vector<std::uint16_t> cnt;
+
+  double energy(int t, int k) const { return dp[index(t, k)]; }
+  std::pair<int, int> split(int t, int k) const {
+    const int sram = cnt[index(t, k)];
+    return {k - sram, sram};
+  }
+  std::size_t index(int t, int k) const {
+    return static_cast<std::size_t>(t) * static_cast<std::size_t>(k_blocks + 1) +
+           static_cast<std::size_t>(k);
+  }
+};
+
+std::int64_t literal_min_steps(const ClusterItems& items, int k) {
+  const int fast = items[0].time_steps <= items[1].time_steps ? 0 : 1;
+  const auto& f = items[static_cast<std::size_t>(fast)];
+  const auto& s = items[static_cast<std::size_t>(1 - fast)];
+  const int in_fast = std::min(k, f.cap_blocks);
+  const int in_slow = k - in_fast;
+  if (in_slow > s.cap_blocks) return -1;
+  return static_cast<std::int64_t>(in_fast) * f.time_steps +
+         static_cast<std::int64_t>(in_slow) * s.time_steps;
+}
+
+LiteralDp literal_dp(const ClusterItems& items, int t_steps, int k_blocks) {
+  LiteralDp table;
+  table.k_blocks = k_blocks;
+  const std::size_t stride = static_cast<std::size_t>(k_blocks + 1);
+  const std::size_t cells = static_cast<std::size_t>(t_steps + 1) * stride;
+  table.dp.assign(cells, kInfEnergy);
+  table.cnt.assign(cells, 0);
+  for (int t = 0; t <= t_steps; ++t) table.dp[static_cast<std::size_t>(t) * stride] = 0.0;
+  if (k_blocks == 0) return table;
+  const DpItem& mram = items[0];
+  const DpItem& sram = items[1];
+  const int k_cap = static_cast<int>(std::min<std::int64_t>(
+      k_blocks, static_cast<std::int64_t>(mram.cap_blocks) + sram.cap_blocks));
+  std::vector<std::int64_t> min_steps(static_cast<std::size_t>(k_cap) + 1, 0);
+  for (int k = 1; k <= k_cap; ++k) {
+    min_steps[static_cast<std::size_t>(k)] = literal_min_steps(items, k);
+  }
+  std::vector<double> mram_energy(static_cast<std::size_t>(std::min(k_cap, mram.cap_blocks)) + 1,
+                                  0.0);
+  for (std::size_t k = 1; k < mram_energy.size(); ++k) {
+    mram_energy[k] = mram_energy[k - 1] + mram.energy_pj;
+  }
+  const int dt = sram.time_steps;
+  int k_ub = 0;
+  for (int t = 0; t <= t_steps; ++t) {
+    while (k_ub < k_cap && min_steps[static_cast<std::size_t>(k_ub) + 1] <= t) ++k_ub;
+    const std::int64_t mram_budget = static_cast<std::int64_t>(t) / mram.time_steps;
+    for (int k = 1; k <= k_ub; ++k) {
+      double best = kInfEnergy;
+      std::uint16_t best_cnt = 0;
+      if (k <= mram.cap_blocks && k <= mram_budget) {
+        best = mram_energy[static_cast<std::size_t>(k)];
+      }
+      if (t >= dt) {
+        const double from = table.energy(t - dt, k - 1);
+        if (from < kInfEnergy) {
+          const std::uint16_t used = table.cnt[table.index(t - dt, k - 1)];
+          if (static_cast<int>(used) < sram.cap_blocks) {
+            const double e = from + sram.energy_pj;
+            if (e < best) {
+              best = e;
+              best_cnt = static_cast<std::uint16_t>(used + 1);
+            }
+          }
+        }
+      }
+      table.dp[table.index(t, k)] = best;
+      table.cnt[table.index(t, k)] = best_cnt;
+    }
+  }
+  return table;
+}
+
+// Differential fuzz: build() (saturation-row clamp, write-once rows,
+// branchless cell) against the literal kernel, bit for bit on every (t, k).
+TEST(ClusterDp, SaturatedKernelMatchesLiteralDp) {
+  std::mt19937 rng(0x5eed2025u);
+  auto pick = [&rng](int n) { return static_cast<int>(rng() % static_cast<unsigned>(n)); };
+  auto energy = [&](void) -> double {
+    switch (pick(16)) {
+      case 0: return 0.0;
+      case 1: return 2.0;  // ties with the other space's integer energies
+      case 2: return std::numeric_limits<double>::quiet_NaN();
+      case 3: return kInfEnergy;
+      default: return 0.1 + pick(1000) / 7.0;  // inexact sums: order matters
+    }
+  };
+  int saturated = 0;  // cases where some looked-up row lies past R
+  for (int c = 0; c < 600; ++c) {
+    const int k_blocks = pick(13);
+    auto capacity = [&]() {
+      switch (pick(4)) {
+        case 0: return 0;                              // space absent
+        case 1: return pick(k_blocks + 1);             // may bind
+        default: return k_blocks + pick(4);            // slack
+      }
+    };
+    ClusterItems items;
+    for (auto& it : items) {
+      it.time_steps = 1 + pick(6);  // dt_sram <, = and > dt_mram
+      it.energy_pj = energy();
+      it.cap_blocks = capacity();
+    }
+    const int k_cap = std::min(k_blocks, items[0].cap_blocks + items[1].cap_blocks);
+    const int r = k_cap * std::max(items[0].time_steps, items[1].time_steps);
+    int t_steps = 0;
+    switch (pick(5)) {
+      case 0: t_steps = pick(r + 1); break;             // below (or at) R
+      case 1: t_steps = r; break;                       // at R
+      case 2: t_steps = r + 1; break;                   // just above
+      case 3: t_steps = r + 1 + pick(3 * r + 8); break; // far above
+      default: t_steps = std::max(0, r - 1); break;
+    }
+    if (t_steps > r) ++saturated;
+
+    const auto got = ClusterDpTable::build(items, t_steps, k_blocks);
+    const auto want = literal_dp(items, t_steps, k_blocks);
+    ASSERT_EQ(got.t_steps(), t_steps);
+    ASSERT_EQ(got.k_blocks(), k_blocks);
+    for (int t = 0; t <= t_steps; ++t) {
+      for (int k = 0; k <= k_blocks; ++k) {
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(got.energy(t, k)),
+                  std::bit_cast<std::uint64_t>(want.energy(t, k)))
+            << "case=" << c << " t=" << t << " k=" << k << " T=" << t_steps
+            << " K=" << k_blocks << " R=" << r;
+        ASSERT_EQ(got.split(t, k), want.split(t, k))
+            << "case=" << c << " t=" << t << " k=" << k << " T=" << t_steps
+            << " K=" << k_blocks << " R=" << r;
+      }
+    }
+  }
+  EXPECT_GT(saturated, 100);  // the clamp itself is exercised
 }
 
 TEST(MaxFeasibleBlocks, MatchesTheDpFrontier) {

@@ -69,7 +69,7 @@ TEST(NvsimLite, CapacityScaling) {
 
 TEST(NvsimLite, SubThresholdVoltageRejected) {
   const NvsimLite model;
-  EXPECT_THROW(model.evaluate({MemoryKind::kSram, 64 * 1024, 0.2, 45.0}),
+  EXPECT_THROW((void)model.evaluate({MemoryKind::kSram, 64 * 1024, 0.2, 45.0}),
                std::invalid_argument);
 }
 
