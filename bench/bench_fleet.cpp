@@ -245,7 +245,8 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "cannot open %s\n", out_path.c_str());
     return 1;
   }
-  JsonWriter w{out};
+  std::string json;
+  JsonWriter w{json};
   w.begin_object();
   w.field("bench", "fleet");
   w.key("host");
@@ -289,7 +290,7 @@ int main(int argc, char** argv) {
               ? static_cast<double>(big_devices) / (t1_big.wall_ms * 1e-3)
               : 0.0);
   w.end_object();
-  out << '\n';
+  out << json << '\n';
   std::printf("wrote %s\n", out_path.c_str());
   return 0;
 }

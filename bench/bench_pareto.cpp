@@ -190,7 +190,8 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "cannot open %s\n", out_path.c_str());
     return 1;
   }
-  JsonWriter w{out};
+  std::string json;
+  JsonWriter w{json};
   w.begin_object();
   w.field("bench", "pareto");
   w.key("host");
@@ -244,7 +245,7 @@ int main(int argc, char** argv) {
   w.field("slo_overhead_t1", no_slo_ms > 0.0 ? slo_ms / no_slo_ms : 0.0);
   w.field("slo_memo_speedup", slo_memo_ms > 0.0 ? slo_ms / slo_memo_ms : 0.0);
   w.end_object();
-  out << '\n';
+  out << json << '\n';
   std::printf("wrote %s\n", out_path.c_str());
   return 0;
 }

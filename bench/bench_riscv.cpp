@@ -272,7 +272,8 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "cannot open %s\n", out_path.c_str());
     return 1;
   }
-  JsonWriter w{out};
+  std::string json;
+  JsonWriter w{json};
   w.begin_object();
   w.field("bench", "riscv");
   w.key("host");
@@ -310,7 +311,7 @@ int main(int argc, char** argv) {
   w.field("decode_cache_speedup", decode_cache_speedup);
   w.field("host_overhead_t1", off_ms > 0.0 ? on_ms / off_ms : 0.0);
   w.end_object();
-  out << '\n';
+  out << json << '\n';
   std::printf("wrote %s\n", out_path.c_str());
   return 0;
 }

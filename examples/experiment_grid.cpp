@@ -10,9 +10,8 @@
 // The same spec at any --threads value produces byte-identical JSON/CSV —
 // CI diffs --threads=1 against --threads=2 as a determinism smoke check.
 #include <cstdio>
-#include <fstream>
-#include <iostream>
 #include <optional>
+#include <ostream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -108,7 +107,8 @@ int run_cli(const Cli& cli) {
 
   const exp::ResultSet results = runner.run(spec);
 
-  if (!cli.get_bool("quiet", false)) {
+  const bool quiet = cli.get_bool("quiet", false);
+  if (!quiet) {
     const auto cache_stats = lut_cache.stats();
     std::printf("grid: %zu archs x %zu models x %zu scenarios = %zu runs "
                 "(%u threads, %d slices; LUT cache: %llu built, %llu shared)\n\n",
@@ -128,28 +128,17 @@ int run_cli(const Cli& cli) {
   }
 
   const std::string json_path = cli.get("json", "");
-  if (json_path == "-") {
-    results.write_json(std::cout, opts.keep_slices);
-  } else if (!json_path.empty()) {
-    std::ofstream out(json_path);
-    if (!out) {
-      std::fprintf(stderr, "cannot open %s\n", json_path.c_str());
-      return 1;
-    }
-    results.write_json(out, opts.keep_slices);
-    if (!cli.get_bool("quiet", false)) std::printf("wrote %s\n", json_path.c_str());
+  if (!json_path.empty()) {
+    const int rc = write_output(json_path, quiet, "grid JSON", [&](std::ostream& os) {
+      results.write_json(os, opts.keep_slices);
+    });
+    if (rc != 0) return rc;
   }
   const std::string csv_path = cli.get("csv", "");
-  if (csv_path == "-") {
-    results.write_csv(std::cout);
-  } else if (!csv_path.empty()) {
-    std::ofstream out(csv_path);
-    if (!out) {
-      std::fprintf(stderr, "cannot open %s\n", csv_path.c_str());
-      return 1;
-    }
-    results.write_csv(out);
-    if (!cli.get_bool("quiet", false)) std::printf("wrote %s\n", csv_path.c_str());
+  if (!csv_path.empty()) {
+    const int rc = write_output(csv_path, quiet, "grid CSV",
+                                [&](std::ostream& os) { results.write_csv(os); });
+    if (rc != 0) return rc;
   }
   return 0;
 }

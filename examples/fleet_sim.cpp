@@ -27,9 +27,7 @@
 // is byte-identical to the one-shot run — CI diffs that too.
 #include <chrono>
 #include <cstdio>
-#include <fstream>
-#include <functional>
-#include <iostream>
+#include <ostream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -45,22 +43,6 @@
 using namespace hhpim;
 
 namespace {
-
-int write_stream(const std::string& path, bool quiet, const char* what,
-                 const std::function<void(std::ostream&)>& writer) {
-  if (path == "-") {
-    writer(std::cout);
-    return 0;
-  }
-  std::ofstream out(path);
-  if (!out) {
-    std::fprintf(stderr, "cannot open %s\n", path.c_str());
-    return 1;
-  }
-  writer(out);
-  if (!quiet) std::printf("wrote %s (%s)\n", path.c_str(), what);
-  return 0;
-}
 
 int run_cli(const Cli& cli) {
   fleet::FleetSpec spec;
@@ -241,14 +223,14 @@ int run_cli(const Cli& cli) {
   }
 
   if (!jsonl_path.empty()) {
-    const int rc = write_stream(jsonl_path, quiet, "device JSONL",
+    const int rc = write_output(jsonl_path, quiet, "device JSONL",
                                 [&](std::ostream& os) { result.write_jsonl(os); });
     if (rc != 0) return rc;
   }
   const std::string summary_path = cli.get("summary", "");
   if (!summary_path.empty()) {
     const int rc =
-        write_stream(summary_path, quiet, "fleet summary",
+        write_output(summary_path, quiet, "fleet summary",
                      [&](std::ostream& os) { result.write_summary_json(os); });
     if (rc != 0) return rc;
   }

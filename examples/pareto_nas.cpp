@@ -23,8 +23,8 @@
 // variant must stay resident to meet the SLO at all.
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <map>
+#include <ostream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -201,31 +201,30 @@ int run_cli(const Cli& cli) {
 
   const std::string csv_path = cli.get("csv", "");
   if (!csv_path.empty()) {
-    std::ofstream out(csv_path);
-    if (!out) {
-      std::fprintf(stderr, "cannot open %s\n", csv_path.c_str());
-      return 1;
-    }
-    out << "model,params,macs,scenario,tasks,deadline_violations,total_energy_pj,"
-           "busy_time_ps,max_busy_ps,slo_ps,slo_met,frontier_points,"
-           "anchor_energy_pj,anchor_latency_ps,perf_energy_pj,perf_latency_ps,"
-           "min_sram_weights\n";
-    char buf[64];
-    const auto f = [&buf](double v) {  // shortest round-trip double, locale-free
-      std::snprintf(buf, sizeof buf, "%.17g", v);
-      return std::string{buf};
+    const auto write_csv = [&](std::ostream& out) {
+      out << "model,params,macs,scenario,tasks,deadline_violations,total_energy_pj,"
+             "busy_time_ps,max_busy_ps,slo_ps,slo_met,frontier_points,"
+             "anchor_energy_pj,anchor_latency_ps,perf_energy_pj,perf_latency_ps,"
+             "min_sram_weights\n";
+      char buf[64];
+      const auto f = [&buf](double v) {  // shortest round-trip double, locale-free
+        std::snprintf(buf, sizeof buf, "%.17g", v);
+        return std::string{buf};
+      };
+      for (const auto& r : results.runs()) {
+        const FrontierMetrics& fm = frontier.at(r.model);
+        out << r.model << ',' << fm.params << ',' << fm.macs << ',' << r.scenario
+            << ',' << r.tasks << ',' << r.deadline_violations << ','
+            << f(r.total_energy_pj) << ',' << r.busy_time_ps << ',' << r.max_busy_ps
+            << ',' << fm.slo_ps << ',' << (fm.slo_met ? 1 : 0) << ','
+            << fm.frontier_points << ',' << f(fm.anchor_energy_pj) << ','
+            << fm.anchor_latency_ps << ',' << f(fm.perf_energy_pj) << ','
+            << fm.perf_latency_ps << ',' << fm.min_sram_weights << '\n';
+      }
     };
-    for (const auto& r : results.runs()) {
-      const FrontierMetrics& fm = frontier.at(r.model);
-      out << r.model << ',' << fm.params << ',' << fm.macs << ',' << r.scenario
-          << ',' << r.tasks << ',' << r.deadline_violations << ','
-          << f(r.total_energy_pj) << ',' << r.busy_time_ps << ',' << r.max_busy_ps
-          << ',' << fm.slo_ps << ',' << (fm.slo_met ? 1 : 0) << ','
-          << fm.frontier_points << ',' << f(fm.anchor_energy_pj) << ','
-          << fm.anchor_latency_ps << ',' << f(fm.perf_energy_pj) << ','
-          << fm.perf_latency_ps << ',' << fm.min_sram_weights << '\n';
-    }
-    if (!cli.get_bool("quiet", false)) std::printf("wrote %s\n", csv_path.c_str());
+    const int rc =
+        write_output(csv_path, cli.get_bool("quiet", false), "NAS CSV", write_csv);
+    if (rc != 0) return rc;
   }
   return 0;
 }

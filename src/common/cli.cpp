@@ -4,7 +4,10 @@
 #include <cerrno>
 #include <charconv>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <iostream>
 #include <limits>
 #include <stdexcept>
 #include <string_view>
@@ -105,6 +108,28 @@ bool Cli::get_bool(const std::string& name, bool def) const {
   if (it == flags_.end()) return def;
   const auto v = to_lower(it->second);
   return v == "1" || v == "true" || v == "yes" || v == "on";
+}
+
+int write_output(const std::string& path, bool quiet, const char* what,
+                 const std::function<void(std::ostream&)>& write) {
+  const bool to_stdout = path == "-";
+  std::ofstream file;
+  if (!to_stdout) {
+    file.open(path, std::ios::binary);
+    if (!file) {
+      std::fprintf(stderr, "cannot open %s\n", path.c_str());
+      return 1;
+    }
+  }
+  std::ostream& out = to_stdout ? std::cout : file;
+  write(out);
+  out.flush();
+  if (!out) {
+    std::fprintf(stderr, "cannot write %s\n", path.c_str());
+    return 1;
+  }
+  if (!quiet && !to_stdout) std::printf("wrote %s (%s)\n", path.c_str(), what);
+  return 0;
 }
 
 }  // namespace hhpim

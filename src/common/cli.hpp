@@ -1,9 +1,11 @@
 // Tiny command-line flag parser for the example binaries.
 // Supports `--name=value` and boolean `--flag`; everything else is a
-// positional argument.
+// positional argument. write_output is their one way to write a file flag.
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <iosfwd>
 #include <map>
 #include <string>
 #include <vector>
@@ -35,5 +37,13 @@ class Cli {
   std::map<std::string, std::string> flags_;
   std::vector<std::string> positionals_;
 };
+
+/// Runs `write` on the file at `path`, or on stdout when `path` is "-", then
+/// flushes and checks the stream: a full disk or a closed pipe is an error,
+/// not a silent success. Returns 0, or prints "cannot open PATH" / "cannot
+/// write PATH" to stderr and returns 1. Unless `quiet` (or stdout), prints
+/// "wrote PATH (what)".
+int write_output(const std::string& path, bool quiet, const char* what,
+                 const std::function<void(std::ostream&)>& write);
 
 }  // namespace hhpim

@@ -1,14 +1,41 @@
 #include "common/serialize.hpp"
 
+#include <algorithm>
+#include <array>
 #include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <cstring>
 #include <stdexcept>
 
 namespace hhpim {
 
+namespace {
+
+constexpr bool needs_escape(char c) {
+  return c == '"' || c == '\\' || static_cast<unsigned char>(c) < 0x20;
+}
+
+constexpr auto kNeedsEscape = [] {
+  std::array<bool, 256> t{};
+  for (int c = 0; c < 256; ++c) t[c] = needs_escape(static_cast<char>(c));
+  return t;
+}();
+
+/// Room a number needs: the longest double is 24 chars
+/// ("-2.2250738585072014e-308"), the longest integer 20.
+constexpr std::size_t kMaxNumber = 32;
+
+/// Writes `v`, or "null" when it is not finite, at `first` (kMaxNumber
+/// bytes of room); returns the end.
+char* format_number(char* first, double v) {
+  if (!std::isfinite(v)) return std::copy_n("null", 4, first);
+  return std::to_chars(first, first + kMaxNumber, v).ptr;
+}
+
+}  // namespace
+
 std::string json_escape(std::string_view s) {
+  static constexpr char kHex[] = "0123456789abcdef";
   std::string out;
   out.reserve(s.size());
   for (const char c : s) {
@@ -21,10 +48,10 @@ std::string json_escape(std::string_view s) {
       case '\r': out += "\\r"; break;
       case '\t': out += "\\t"; break;
       default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
+        if (needs_escape(c)) {
+          const auto u = static_cast<unsigned char>(c);
+          const char esc[] = {'\\', 'u', '0', '0', kHex[u >> 4], kHex[u & 0xf]};
+          out.append(esc, sizeof esc);
         } else {
           out += c;
         }
@@ -34,128 +61,188 @@ std::string json_escape(std::string_view s) {
 }
 
 std::string json_number(double v) {
-  if (!std::isfinite(v)) return "null";
-  char buf[64];
-  const auto res = std::to_chars(buf, buf + sizeof buf, v);
-  return std::string(buf, res.ptr);
+  char buf[kMaxNumber];
+  return std::string(buf, format_number(buf, v));
+}
+
+// The stage: every token is stored into stage_ with plain stores, and the
+// stage moves to out_ in one append when it fills and when the top-level
+// value completes. Small appends straight into a std::string cost a library
+// call each, several per field.
+
+void JsonWriter::flush() {
+  out_.append(stage_, staged_);
+  staged_ = 0;
+}
+
+char* JsonWriter::room(std::size_t n) {
+  if (kStage - staged_ < n) [[unlikely]] flush();
+  return stage_ + staged_;
+}
+
+void JsonWriter::put(char c) {
+  *room(1) = c;
+  ++staged_;
+}
+
+void JsonWriter::put(std::string_view s) {
+  if (s.size() > kStage / 2) {
+    flush();
+    out_.append(s);
+    return;
+  }
+  std::copy(s.begin(), s.end(), room(s.size()));
+  staged_ += s.size();
+}
+
+void JsonWriter::put_string(std::string_view s) {
+  // One pass copies and checks the bytes; most strings (keys, model and
+  // scenario names) need no escape, and are then done.
+  if (s.size() + 2 <= kStage / 2) {
+    char* const first = room(s.size() + 2);
+    char* p = first;
+    *p++ = '"';
+    bool dirty = false;
+    for (const char c : s) {
+      *p++ = c;
+      dirty |= kNeedsEscape[static_cast<unsigned char>(c)];
+    }
+    *p++ = '"';
+    if (!dirty) [[likely]] {
+      staged_ += static_cast<std::size_t>(p - first);
+      return;
+    }
+  }
+  put('"');
+  put(json_escape(s));
+  put('"');
+}
+
+template <typename Int>
+void JsonWriter::put_integer(Int v) {
+  char* const first = room(kMaxNumber);
+  staged_ += static_cast<std::size_t>(std::to_chars(first, first + kMaxNumber, v).ptr - first);
 }
 
 void JsonWriter::newline_indent() {
   if (style_ == Style::kCompact) return;
-  os_ << '\n';
-  for (std::size_t i = 0; i < stack_.size(); ++i) os_ << "  ";
+  put('\n');
+  const std::size_t n = 2 * depth_;  // <= 2 * kMaxDepth < kStage
+  std::fill_n(room(n), n, ' ');
+  staged_ += n;
 }
 
 void JsonWriter::before_value() {
-  if (stack_.empty()) {
+  if (depth_ == 0) {
     if (top_written_) throw std::logic_error("JsonWriter: second top-level value");
     return;
   }
-  const Ctx ctx = stack_.back();
-  if (ctx == Ctx::kObjectKey) {
+  Level& level = stack_[depth_ - 1];
+  if (level.ctx == Ctx::kObjectKey) {
     throw std::logic_error("JsonWriter: value in object without a key");
   }
-  if (ctx == Ctx::kArray) {
-    if (!first_.back()) os_ << ',';
-    first_.back() = false;
+  if (level.ctx == Ctx::kArray) {
+    if (!level.first) put(',');
+    level.first = false;
     newline_indent();
   }
 }
 
 void JsonWriter::after_value() {
-  if (stack_.empty()) {
+  if (depth_ == 0) {
     top_written_ = true;
-  } else if (stack_.back() == Ctx::kObjectValue) {
-    stack_.back() = Ctx::kObjectKey;  // next must be a key
+    flush();
+  } else if (stack_[depth_ - 1].ctx == Ctx::kObjectValue) {
+    stack_[depth_ - 1].ctx = Ctx::kObjectKey;  // next must be a key
   }
 }
 
-void JsonWriter::begin_object() {
+void JsonWriter::open(Ctx ctx, char bracket) {
+  if (depth_ == kMaxDepth) {
+    throw std::logic_error("JsonWriter: nesting deeper than kMaxDepth");
+  }
   before_value();
-  os_ << '{';
-  stack_.push_back(Ctx::kObjectKey);
-  first_.push_back(true);
+  put(bracket);
+  stack_[depth_++] = Level{ctx, true};
 }
+
+void JsonWriter::close(char bracket) {
+  const bool empty = stack_[--depth_].first;
+  if (!empty) newline_indent();
+  put(bracket);
+  after_value();
+}
+
+void JsonWriter::begin_object() { open(Ctx::kObjectKey, '{'); }
 
 void JsonWriter::end_object() {
-  if (stack_.empty() || (stack_.back() != Ctx::kObjectKey)) {
+  if (depth_ == 0 || stack_[depth_ - 1].ctx != Ctx::kObjectKey) {
     throw std::logic_error("JsonWriter: end_object outside object (or after dangling key)");
   }
-  const bool empty = first_.back();
-  stack_.pop_back();
-  first_.pop_back();
-  if (!empty) newline_indent();
-  os_ << '}';
-  after_value();
+  close('}');
 }
 
-void JsonWriter::begin_array() {
-  before_value();
-  os_ << '[';
-  stack_.push_back(Ctx::kArray);
-  first_.push_back(true);
-}
+void JsonWriter::begin_array() { open(Ctx::kArray, '['); }
 
 void JsonWriter::end_array() {
-  if (stack_.empty() || stack_.back() != Ctx::kArray) {
+  if (depth_ == 0 || stack_[depth_ - 1].ctx != Ctx::kArray) {
     throw std::logic_error("JsonWriter: end_array outside array");
   }
-  const bool empty = first_.back();
-  stack_.pop_back();
-  first_.pop_back();
-  if (!empty) newline_indent();
-  os_ << ']';
-  after_value();
+  close(']');
 }
 
 void JsonWriter::key(std::string_view k) {
-  if (stack_.empty() || stack_.back() != Ctx::kObjectKey) {
+  if (depth_ == 0 || stack_[depth_ - 1].ctx != Ctx::kObjectKey) {
     throw std::logic_error("JsonWriter: key outside object (or two keys in a row)");
   }
-  if (!first_.back()) os_ << ',';
-  first_.back() = false;
+  Level& level = stack_[depth_ - 1];
+  if (!level.first) put(',');
+  level.first = false;
   newline_indent();
-  os_ << '"' << json_escape(k) << (style_ == Style::kCompact ? "\":" : "\": ");
-  stack_.back() = Ctx::kObjectValue;
+  put_string(k);
+  put(':');
+  if (style_ == Style::kPretty) put(' ');
+  level.ctx = Ctx::kObjectValue;
 }
 
 void JsonWriter::value(std::string_view v) {
   before_value();
-  os_ << '"' << json_escape(v) << '"';
+  put_string(v);
   after_value();
 }
 
 void JsonWriter::value(double v) {
   before_value();
-  os_ << json_number(v);
+  char* const first = room(kMaxNumber);
+  staged_ += static_cast<std::size_t>(format_number(first, v) - first);
   after_value();
 }
 
 void JsonWriter::value(std::int64_t v) {
   before_value();
-  os_ << v;
+  put_integer(v);
   after_value();
 }
 
 void JsonWriter::value(std::uint64_t v) {
   before_value();
-  os_ << v;
+  put_integer(v);
   after_value();
 }
 
 void JsonWriter::value(bool v) {
   before_value();
-  os_ << (v ? "true" : "false");
+  put(v ? std::string_view{"true"} : std::string_view{"false"});
   after_value();
 }
 
 void JsonWriter::null() {
   before_value();
-  os_ << "null";
+  put("null");
   after_value();
 }
 
-bool JsonWriter::done() const { return top_written_ && stack_.empty(); }
+bool JsonWriter::done() const { return top_written_ && depth_ == 0; }
 
 std::string CsvWriter::escape(std::string_view cell) {
   const bool needs_quotes =

@@ -10,6 +10,8 @@
 // and the fleet simulator restore a checkpoint byte-identically.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <ostream>
 #include <string>
@@ -25,9 +27,11 @@ namespace hhpim {
 /// NaN/Inf (not valid JSON numbers) render as null.
 [[nodiscard]] std::string json_number(double v);
 
-/// Streaming JSON writer with 2-space indentation. Usage:
+/// JSON writer with 2-space indentation that appends to a caller-owned
+/// string. Usage:
 ///
-///   JsonWriter w{os};
+///   std::string out;
+///   JsonWriter w{out};
 ///   w.begin_object();
 ///     w.key("runs"); w.begin_array();
 ///       w.value(1); w.value("two");
@@ -35,7 +39,15 @@ namespace hhpim {
 ///   w.end_object();
 ///
 /// The writer validates nesting via its context stack; misuse (e.g. a value
-/// in an object without a preceding key) throws std::logic_error.
+/// in an object without a preceding key, or nesting deeper than kMaxDepth)
+/// throws std::logic_error. Tokens are staged in a fixed buffer inside the
+/// writer and reach `out` in one append when the buffer fills and when the
+/// top-level value completes: read `out` once done() is true. Strings are
+/// copied and checked for escapes in one pass and numbers go through
+/// std::to_chars, so a caller that reuses one string across many writers
+/// (one per JSONL line) formats without touching the heap unless a string
+/// needs escaping. Callers that own a std::ostream write the finished
+/// string once.
 ///
 /// Style::kCompact emits no whitespace at all — one value per line of
 /// output. This is what JSON Lines (JSONL) emitters use: the fleet
@@ -44,9 +56,12 @@ namespace hhpim {
 class JsonWriter {
  public:
   enum class Style : std::uint8_t { kPretty, kCompact };
+  static constexpr std::size_t kMaxDepth = 64;
 
-  explicit JsonWriter(std::ostream& os, Style style = Style::kPretty)
-      : os_(os), style_(style) {}
+  explicit JsonWriter(std::string& out, Style style = Style::kPretty)
+      : out_(out), style_(style) {}
+  JsonWriter(const JsonWriter&) = delete;  // a copy would stage bytes twice
+  JsonWriter& operator=(const JsonWriter&) = delete;
 
   void begin_object();
   void end_object();
@@ -76,16 +91,35 @@ class JsonWriter {
 
  private:
   enum class Ctx : std::uint8_t { kObjectKey, kObjectValue, kArray };
+  struct Level {
+    Ctx ctx;
+    bool first;  ///< no comma yet at this level
+  };
+
+  static constexpr std::size_t kStage = 512;
 
   void before_value();
   void after_value();
   void newline_indent();
+  void open(Ctx ctx, char bracket);
+  void close(char bracket);
+  /// The stage with room for `n` (<= kStage) more bytes, flushed first if
+  /// it lacks it.
+  char* room(std::size_t n);
+  void put(char c);
+  void put(std::string_view s);
+  void put_string(std::string_view s);  ///< quoted and escaped
+  template <typename Int>
+  void put_integer(Int v);
+  void flush();
 
-  std::ostream& os_;
+  std::string& out_;
   Style style_ = Style::kPretty;
-  std::vector<Ctx> stack_;
-  std::vector<bool> first_;  // parallel to stack_: no comma yet at this level
+  std::array<Level, kMaxDepth> stack_{};
+  std::size_t depth_ = 0;
   bool top_written_ = false;
+  char stage_[kStage];  ///< bytes not yet appended to out_
+  std::size_t staged_ = 0;
 };
 
 /// Appending binary writer: fixed-width little-endian integers, doubles as

@@ -31,7 +31,13 @@ const RunResult& ResultSet::at(const std::string& arch, const std::string& model
 }
 
 void ResultSet::write_json(std::ostream& os, bool include_slices) const {
-  JsonWriter w{os};
+  const std::string bytes = to_json(include_slices);
+  os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+std::string ResultSet::to_json(bool include_slices) const {
+  std::string out;
+  JsonWriter w{out};
   w.begin_object();
   w.field("experiment", experiment_name);
   w.field("run_count", static_cast<std::uint64_t>(runs_.size()));
@@ -77,13 +83,8 @@ void ResultSet::write_json(std::ostream& os, bool include_slices) const {
   }
   w.end_array();
   w.end_object();
-  os << '\n';
-}
-
-std::string ResultSet::to_json(bool include_slices) const {
-  std::ostringstream os;
-  write_json(os, include_slices);
-  return os.str();
+  out += '\n';
+  return out;
 }
 
 void ResultSet::write_csv(std::ostream& os) const {

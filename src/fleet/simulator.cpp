@@ -7,7 +7,7 @@
 #include <fstream>
 #include <limits>
 #include <mutex>
-#include <sstream>
+#include <span>
 #include <stdexcept>
 #include <thread>
 
@@ -52,53 +52,72 @@ OutcomeCache* FleetSimulator::resolve_outcome_cache() const {
                                            : &OutcomeCache::process_cache();
 }
 
-void write_device_line(std::ostream& os, const DeviceResult& r,
-                       const std::vector<std::string>& model_names) {
-  JsonWriter w{os, JsonWriter::Style::kCompact};
-  w.begin_object();
-  w.field("device", static_cast<std::uint64_t>(r.id));
-  w.field("model", model_names[r.model_index]);
-  w.field("scenario", std::string_view{workload::to_string(r.scenario)});
-  w.field("seed", r.seed);
-  w.field("slice_ps", r.slice_ps);
-  w.field("slices_total", r.slices_total);
-  w.field("slices_executed", r.slices_executed);
-  w.field("tasks", r.tasks);
-  w.field("tasks_dropped", r.tasks_dropped);
-  w.field("deadline_violations", r.deadline_violations);
-  w.field("energy_pj", r.energy_pj);
-  w.field("battery_capacity_pj", r.battery_capacity_pj);
-  w.field("final_soc", r.final_soc);
-  w.field("exhausted_at_slice", r.exhausted_at_slice);
-  w.field("mode_switches", static_cast<std::uint64_t>(r.mode_switches));
-  w.field("low_power_slices", r.low_power_slices);
-  w.field("busy_time_ps", r.busy_time_ps);
-  w.field("max_busy_ps", r.max_busy_ps);
-  w.field("movement_time_ps", r.movement_time_ps);
-  if (r.host_cycles > 0) {
-    // Appended only when the firmware co-simulates the RISC-V host, so
-    // host-off fleets keep the pre-host line layout byte for byte
-    // (pinned by tests/test_host_loop.cpp).
-    w.field("host_cycles", r.host_cycles);
+namespace {
+
+/// The one JSONL formatter: appends one compact line per device, in order.
+/// FleetResult::write_jsonl/to_jsonl and the shard files all go through it,
+/// so their bytes agree. `model_names` resolves DeviceResult::model_index.
+void append_device_lines(std::string& out, std::span<const DeviceResult> devices,
+                         const std::vector<std::string>& model_names) {
+  for (const DeviceResult& r : devices) {
+    JsonWriter w{out, JsonWriter::Style::kCompact};
+    w.begin_object();
+    w.field("device", static_cast<std::uint64_t>(r.id));
+    w.field("model", model_names[r.model_index]);
+    w.field("scenario", std::string_view{workload::to_string(r.scenario)});
+    w.field("seed", r.seed);
+    w.field("slice_ps", r.slice_ps);
+    w.field("slices_total", r.slices_total);
+    w.field("slices_executed", r.slices_executed);
+    w.field("tasks", r.tasks);
+    w.field("tasks_dropped", r.tasks_dropped);
+    w.field("deadline_violations", r.deadline_violations);
+    w.field("energy_pj", r.energy_pj);
+    w.field("battery_capacity_pj", r.battery_capacity_pj);
+    w.field("final_soc", r.final_soc);
+    w.field("exhausted_at_slice", r.exhausted_at_slice);
+    w.field("mode_switches", static_cast<std::uint64_t>(r.mode_switches));
+    w.field("low_power_slices", r.low_power_slices);
+    w.field("busy_time_ps", r.busy_time_ps);
+    w.field("max_busy_ps", r.max_busy_ps);
+    w.field("movement_time_ps", r.movement_time_ps);
+    if (r.host_cycles > 0) {
+      // Appended only when the firmware co-simulates the RISC-V host, so
+      // host-off fleets keep the pre-host line layout byte for byte
+      // (pinned by tests/test_host_loop.cpp).
+      w.field("host_cycles", r.host_cycles);
+    }
+    if (r.latency_slo_ps > 0) {
+      // Appended only for SLO devices so no-SLO fleets keep the pre-SLO line
+      // layout byte for byte (pinned by tests/test_fleet.cpp).
+      w.field("latency_slo_ps", r.latency_slo_ps);
+      w.field("tier_switches", static_cast<std::uint64_t>(r.tier_switches));
+    }
+    w.end_object();
+    out += '\n';
   }
-  if (r.latency_slo_ps > 0) {
-    // Appended only for SLO devices so no-SLO fleets keep the pre-SLO line
-    // layout byte for byte (pinned by tests/test_fleet.cpp).
-    w.field("latency_slo_ps", r.latency_slo_ps);
-    w.field("tier_switches", static_cast<std::uint64_t>(r.tier_switches));
-  }
-  w.end_object();
-  os << '\n';
 }
 
+}  // namespace
+
 void FleetResult::write_jsonl(std::ostream& os) const {
-  for (const DeviceResult& r : devices) write_device_line(os, r, model_names);
+  // One shard-sized chunk at a time through a reused string: memory stays
+  // bounded by a chunk however large the fleet.
+  const std::span<const DeviceResult> all{devices};
+  const std::size_t chunk = std::max<std::size_t>(shard_size, 1);
+  std::string bytes;
+  for (std::size_t b = 0; b < all.size(); b += chunk) {
+    bytes.clear();
+    append_device_lines(bytes, all.subspan(b, std::min(chunk, all.size() - b)),
+                        model_names);
+    os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
 }
 
 std::string FleetResult::to_jsonl() const {
-  std::ostringstream os;
-  write_jsonl(os);
-  return os.str();
+  std::string out;
+  append_device_lines(out, devices, model_names);
+  return out;
 }
 
 namespace {
@@ -126,7 +145,13 @@ void write_quantiles(JsonWriter& w, const sim::Histogram& h) {
 }  // namespace
 
 void FleetResult::write_summary_json(std::ostream& os) const {
-  JsonWriter w{os};
+  const std::string bytes = summary_to_json();
+  os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+std::string FleetResult::summary_to_json() const {
+  std::string out;
+  JsonWriter w{out};
   w.begin_object();
   w.field("fleet", fleet_name);
   w.field("devices", aggregate.devices);
@@ -156,13 +181,8 @@ void FleetResult::write_summary_json(std::ostream& os) const {
   w.key("slice_energy_mj");
   write_quantiles(w, aggregate.slice_energy_hist());
   w.end_object();
-  os << '\n';
-}
-
-std::string FleetResult::summary_to_json() const {
-  std::ostringstream os;
-  write_summary_json(os);
-  return os.str();
+  out += '\n';
+  return out;
 }
 
 namespace {
@@ -378,6 +398,9 @@ FleetSnapshot FleetSimulator::drive(const FleetSpec& spec, int end_slice,
     /// the shard began, whatever its device order, at a fraction of the
     /// copy-on-write churn of per-device inserts.
     std::vector<std::pair<SliceOutcomeKey, SliceOutcome>> pending;
+    /// --shard-dir: the shard's JSONL lines, formatted as its devices
+    /// finish and written to the shard file in one call.
+    std::string jsonl;
   };
   std::atomic<std::uint64_t> memo_replayed{0};
   std::atomic<std::uint64_t> memo_exact{0};
@@ -407,15 +430,14 @@ FleetSnapshot FleetSimulator::drive(const FleetSpec& spec, int end_slice,
     const std::size_t begin = s * shard_size;
     const std::size_t end = std::min(n, begin + shard_size);
     FleetAggregate agg{spec.histograms};
-    std::vector<DeviceResult> local;
     const bool stream = final_segment && !options_.shard_dir.empty();
-    if (stream && !options_.keep_results) local.reserve(end - begin);
     // Held across consecutive devices of one reuse key; returned to the
     // pool on a key switch or at shard end.
     sys::ProcessorPool::Lease lease;
     std::uint64_t replayed = 0;
     std::uint64_t exact = 0;
     w.pending.clear();
+    w.jsonl.clear();
 
     // Runs local steps up to k_end on a processor: from step 0 for a fresh
     // device (always, in run()), else from the captured state.
@@ -446,11 +468,8 @@ FleetSnapshot FleetSimulator::drive(const FleetSpec& spec, int end_slice,
     // totals — the device-major order of one uninterrupted run.
     const auto finish = [&](std::size_t i, DeviceProgress& p) {
       agg.add_finished_device(p);
-      if (options_.keep_results) {
-        final_out->devices[i] = p.result;
-      } else if (stream) {
-        local.push_back(p.result);
-      }
+      if (options_.keep_results) final_out->devices[i] = p.result;
+      if (stream) append_device_lines(w.jsonl, {&p.result, 1}, final_out->model_names);
       if (!whole) {
         // resume()'s snapshot copy dies with this call: free as we go.
         p.sample_busy_ps = {};
@@ -493,25 +512,13 @@ FleetSnapshot FleetSimulator::drive(const FleetSpec& spec, int end_slice,
     }
 
     if (stream) {
-      // Format into a private buffer first, then write the file in one
-      // call: the worker spends no time in the filesystem while holding
-      // work another claim could overlap with, and no handoff ever blocks
-      // a sibling worker.
-      std::ostringstream buf;
-      if (options_.keep_results) {
-        for (std::size_t i = begin; i < end; ++i) {
-          write_device_line(buf, final_out->devices[i], final_out->model_names);
-        }
-      } else {
-        for (const DeviceResult& r : local) {
-          write_device_line(buf, r, final_out->model_names);
-        }
-      }
+      // The lines sit in the worker's buffer; write the file in one call:
+      // no handoff ever blocks a sibling worker.
       const std::string path = shard_path(options_.shard_dir, s);
       std::ofstream out(path, std::ios::binary);
       if (!out) throw std::runtime_error("fleet: cannot open " + path);
-      const std::string& bytes = buf.str();
-      out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+      out.write(w.jsonl.data(), static_cast<std::streamsize>(w.jsonl.size()));
+      out.close();
       if (!out) throw std::runtime_error("fleet: write failed for " + path);
     }
     if (final_segment) shard_aggs[s].agg = std::move(agg);

@@ -124,7 +124,9 @@ struct FleetResult {
   std::uint64_t memo_misses = 0;
 
   /// One compact JSON object per device, '\n'-separated (JSON Lines).
-  /// Byte-identical to the concatenation of the run's shard files.
+  /// Byte-identical to the concatenation of the run's shard files: one
+  /// formatter serves both. write_jsonl formats one shard-sized chunk at a
+  /// time into a reused string, so its memory is bounded by a chunk.
   void write_jsonl(std::ostream& os) const;
   [[nodiscard]] std::string to_jsonl() const;
 
@@ -133,12 +135,6 @@ struct FleetResult {
   void write_summary_json(std::ostream& os) const;
   [[nodiscard]] std::string summary_to_json() const;
 };
-
-/// Writes one device's compact JSONL line (shared by shard streaming and
-/// FleetResult::write_jsonl so the bytes agree). `model_names` resolves
-/// DeviceResult::model_index (FleetResult::model_names). Appends '\n'.
-void write_device_line(std::ostream& os, const DeviceResult& r,
-                       const std::vector<std::string>& model_names);
 
 class FleetSimulator {
  public:

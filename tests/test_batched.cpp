@@ -236,7 +236,7 @@ TEST(FleetFastPath, ByteIdenticalScalarVsBatchedAndAcrossThreads) {
     scalar.aggregate.merge(shard);
   }
 
-  EXPECT_EQ(scalar.to_jsonl(), r1.to_jsonl());  // both via write_device_line
+  EXPECT_EQ(scalar.to_jsonl(), r1.to_jsonl());  // one JSONL formatter
   EXPECT_EQ(scalar.summary_to_json(), r1.summary_to_json());
   EXPECT_EQ(r1.to_jsonl(), r8.to_jsonl());
   EXPECT_EQ(r1.summary_to_json(), r8.summary_to_json());

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <sstream>
+#include <string>
 
 namespace hhpim {
 namespace {
@@ -24,7 +27,7 @@ TEST(JsonNumber, ShortestRoundTripAndNonFinite) {
 }
 
 TEST(JsonWriter, NestedStructure) {
-  std::ostringstream os;
+  std::string os;
   JsonWriter w{os};
   w.begin_object();
   w.field("name", "grid");
@@ -38,13 +41,13 @@ TEST(JsonWriter, NestedStructure) {
   w.end_array();
   w.end_object();
   EXPECT_TRUE(w.done());
-  EXPECT_EQ(os.str(),
+  EXPECT_EQ(os,
             "{\n  \"name\": \"grid\",\n  \"runs\": [\n    {\n      \"i\": 0,\n"
             "      \"ok\": true\n    },\n    2.5\n  ]\n}");
 }
 
 TEST(JsonWriter, EmptyContainersStayCompact) {
-  std::ostringstream os;
+  std::string os;
   JsonWriter w{os};
   w.begin_object();
   w.key("a");
@@ -54,11 +57,11 @@ TEST(JsonWriter, EmptyContainersStayCompact) {
   w.begin_object();
   w.end_object();
   w.end_object();
-  EXPECT_EQ(os.str(), "{\n  \"a\": [],\n  \"o\": {}\n}");
+  EXPECT_EQ(os, "{\n  \"a\": [],\n  \"o\": {}\n}");
 }
 
 TEST(JsonWriter, CompactStyleEmitsNoWhitespace) {
-  std::ostringstream os;
+  std::string os;
   JsonWriter w{os, JsonWriter::Style::kCompact};
   w.begin_object();
   w.field("name", "grid");
@@ -73,17 +76,58 @@ TEST(JsonWriter, CompactStyleEmitsNoWhitespace) {
   w.end_object();
   EXPECT_TRUE(w.done());
   // One line, no spaces: the JSONL device-line format of the fleet shards.
-  EXPECT_EQ(os.str(), "{\"name\":\"grid\",\"runs\":[{\"i\":0,\"ok\":true},2.5]}");
+  EXPECT_EQ(os, "{\"name\":\"grid\",\"runs\":[{\"i\":0,\"ok\":true},2.5]}");
 }
 
 TEST(JsonWriter, MisuseThrows) {
-  std::ostringstream os;
+  std::string os;
   JsonWriter w{os};
   w.begin_object();
   EXPECT_THROW(w.value(1), std::logic_error);   // value without key
   EXPECT_THROW(w.end_array(), std::logic_error);  // wrong closer
   w.key("k");
   EXPECT_THROW(w.key("k2"), std::logic_error);  // two keys in a row
+}
+
+TEST(JsonWriter, AppendsToTheCallersString) {
+  std::string out = "prefix ";
+  JsonWriter w{out, JsonWriter::Style::kCompact};
+  w.value(1);
+  EXPECT_EQ(out, "prefix 1");
+}
+
+TEST(JsonWriter, IntegerExtremes) {
+  std::string out;
+  JsonWriter w{out, JsonWriter::Style::kCompact};
+  w.begin_array();
+  w.value(std::numeric_limits<std::int64_t>::min());
+  w.value(std::numeric_limits<std::int64_t>::max());
+  w.value(std::numeric_limits<std::uint64_t>::max());
+  w.value(std::uint64_t{0});
+  w.value(-1);
+  w.end_array();
+  EXPECT_EQ(out,
+            "[-9223372036854775808,9223372036854775807,18446744073709551615,0,-1]");
+}
+
+TEST(JsonWriter, EscapesKeysAndValues) {
+  std::string out;
+  JsonWriter w{out, JsonWriter::Style::kCompact};
+  w.begin_object();
+  w.field(std::string_view{"a\"b\\c\n\x1f"}, "\t\u00e9");
+  w.end_object();
+  EXPECT_EQ(out, "{\"a\\\"b\\\\c\\n\\u001f\":\"\\t\u00e9\"}");
+}
+
+TEST(JsonWriter, NestingDepthIsBounded) {
+  std::string out;
+  JsonWriter w{out, JsonWriter::Style::kCompact};
+  for (std::size_t i = 0; i < JsonWriter::kMaxDepth; ++i) w.begin_array();
+  EXPECT_THROW(w.begin_array(), std::logic_error);
+  for (std::size_t i = 0; i < JsonWriter::kMaxDepth; ++i) w.end_array();
+  EXPECT_TRUE(w.done());
+  EXPECT_EQ(out, std::string(JsonWriter::kMaxDepth, '[') +
+                     std::string(JsonWriter::kMaxDepth, ']'));
 }
 
 TEST(CsvWriter, QuotesOnlyWhenNeeded) {
