@@ -4,7 +4,6 @@
 #include <array>
 #include <charconv>
 #include <cmath>
-#include <cstring>
 #include <stdexcept>
 
 namespace hhpim {
@@ -265,38 +264,11 @@ void CsvWriter::row(const std::vector<std::string>& cells) {
   os_ << '\n';
 }
 
-void ByteWriter::f64(double v) {
-  std::uint64_t bits = 0;
-  std::memcpy(&bits, &v, sizeof bits);
-  u64(bits);
-}
-
-void ByteWriter::blob(std::string_view v) {
-  u64(v.size());
-  raw(v);
-}
-
-std::uint64_t ByteReader::take(std::size_t n) {
-  if (remaining() < n) {
-    throw std::runtime_error(
-        "snapshot: truncated stream (need " + std::to_string(n) +
-        " bytes at offset " + std::to_string(pos_) + ", have " +
-        std::to_string(remaining()) + ")");
-  }
-  std::uint64_t v = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    v |= static_cast<std::uint64_t>(static_cast<std::uint8_t>(bytes_[pos_ + i]))
-         << (8 * i);
-  }
-  pos_ += n;
-  return v;
-}
-
-double ByteReader::f64() {
-  const std::uint64_t bits = u64();
-  double v = 0.0;
-  std::memcpy(&v, &bits, sizeof v);
-  return v;
+void ByteReader::truncated(std::size_t n) const {
+  throw std::runtime_error(
+      "snapshot: truncated stream (need " + std::to_string(n) +
+      " bytes at offset " + std::to_string(pos_) + ", have " +
+      std::to_string(remaining()) + ")");
 }
 
 std::string_view ByteReader::blob() {
@@ -311,12 +283,7 @@ std::string_view ByteReader::blob() {
 }
 
 std::string_view ByteReader::raw(std::size_t n) {
-  if (remaining() < n) {
-    throw std::runtime_error(
-        "snapshot: truncated stream (need " + std::to_string(n) +
-        " bytes at offset " + std::to_string(pos_) + ", have " +
-        std::to_string(remaining()) + ")");
-  }
+  if (remaining() < n) truncated(n);
   const std::string_view v = bytes_.substr(pos_, n);
   pos_ += n;
   return v;

@@ -11,9 +11,12 @@
 #pragma once
 
 #include <array>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <ostream>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -125,18 +128,31 @@ class JsonWriter {
 /// Appending binary writer: fixed-width little-endian integers, doubles as
 /// their raw IEEE-754 bit pattern (exact round trip, no decimal detour).
 /// The byte stream it produces is host-independent for the types used —
-/// which is what makes fleet checkpoints portable across processes.
+/// which is what makes fleet checkpoints portable across processes. On a
+/// little-endian host a field is one memcpy of its bytes and a column
+/// (i64s/f64s) one append of the whole array; other hosts take a byte loop
+/// that writes the same bytes.
 class ByteWriter {
  public:
+  /// Capacity for `n` bytes in total (see ByteSizer).
+  void reserve(std::size_t n) { bytes_.reserve(n); }
+
   void u8(std::uint8_t v) { bytes_.push_back(static_cast<char>(v)); }
   void u16(std::uint16_t v) { append(v, 2); }
   void u32(std::uint32_t v) { append(v, 4); }
   void u64(std::uint64_t v) { append(v, 8); }
   void i32(std::int32_t v) { append(static_cast<std::uint32_t>(v), 4); }
   void i64(std::int64_t v) { append(static_cast<std::uint64_t>(v), 8); }
-  void f64(double v);
+  void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
+  /// A column: every value as i64()/f64() writes it, back to back, no
+  /// length prefix (the caller writes the count).
+  void i64s(std::span<const std::int64_t> v) { column(v); }
+  void f64s(std::span<const double> v) { column(v); }
   /// Length-prefixed (u64) byte run.
-  void blob(std::string_view v);
+  void blob(std::string_view v) {
+    u64(v.size());
+    raw(v);
+  }
   /// Raw bytes, no length prefix (caller owns the framing).
   void raw(std::string_view v) { bytes_.append(v); }
 
@@ -146,12 +162,50 @@ class ByteWriter {
   [[nodiscard]] std::string take() { return std::move(bytes_); }
 
  private:
-  void append(std::uint64_t v, int n) {
-    for (int i = 0; i < n; ++i) {
-      bytes_.push_back(static_cast<char>((v >> (8 * i)) & 0xffu));
+  void append(std::uint64_t v, std::size_t n) {
+    if constexpr (std::endian::native == std::endian::little) {
+      char le[8];
+      std::memcpy(le, &v, sizeof le);
+      bytes_.append(le, n);
+    } else {
+      for (std::size_t i = 0; i < n; ++i) {
+        bytes_.push_back(static_cast<char>((v >> (8 * i)) & 0xffu));
+      }
     }
   }
+  template <typename T>
+  void column(std::span<const T> v) {
+    if constexpr (std::endian::native == std::endian::little) {
+      if (!v.empty()) bytes_.append(reinterpret_cast<const char*>(v.data()), v.size_bytes());
+    } else {
+      for (const T x : v) u64(std::bit_cast<std::uint64_t>(x));
+    }
+  }
+
   std::string bytes_;
+};
+
+/// Counts the bytes a ByteWriter appends for the same calls, so an encoder
+/// written once as a template over the writer can size its buffer exactly
+/// before it writes.
+class ByteSizer {
+ public:
+  void u8(std::uint8_t) { n_ += 1; }
+  void u16(std::uint16_t) { n_ += 2; }
+  void u32(std::uint32_t) { n_ += 4; }
+  void u64(std::uint64_t) { n_ += 8; }
+  void i32(std::int32_t) { n_ += 4; }
+  void i64(std::int64_t) { n_ += 8; }
+  void f64(double) { n_ += 8; }
+  void i64s(std::span<const std::int64_t> v) { n_ += v.size_bytes(); }
+  void f64s(std::span<const double> v) { n_ += v.size_bytes(); }
+  void blob(std::string_view v) { n_ += 8 + v.size(); }
+  void raw(std::string_view v) { n_ += v.size(); }
+
+  [[nodiscard]] std::size_t size() const { return n_; }
+
+ private:
+  std::size_t n_ = 0;
 };
 
 /// Reader over a ByteWriter stream. Every accessor throws std::runtime_error
@@ -167,7 +221,10 @@ class ByteReader {
   [[nodiscard]] std::uint64_t u64() { return take(8); }
   [[nodiscard]] std::int32_t i32() { return static_cast<std::int32_t>(take(4)); }
   [[nodiscard]] std::int64_t i64() { return static_cast<std::int64_t>(take(8)); }
-  [[nodiscard]] double f64();
+  [[nodiscard]] double f64() { return std::bit_cast<double>(take(8)); }
+  /// Fills `out` from a column written by ByteWriter::i64s/f64s.
+  void i64s(std::span<std::int64_t> out) { column(out); }
+  void f64s(std::span<double> out) { column(out); }
   /// Length-prefixed (u64) byte run, as written by ByteWriter::blob.
   [[nodiscard]] std::string_view blob();
   /// `n` raw bytes.
@@ -178,7 +235,32 @@ class ByteReader {
   [[nodiscard]] bool at_end() const { return pos_ == bytes_.size(); }
 
  private:
-  std::uint64_t take(std::size_t n);
+  std::uint64_t take(std::size_t n) {
+    if (remaining() < n) [[unlikely]] truncated(n);
+    std::uint64_t v = 0;
+    if constexpr (std::endian::native == std::endian::little) {
+      std::memcpy(&v, bytes_.data() + pos_, n);
+    } else {
+      for (std::size_t i = 0; i < n; ++i) {
+        v |= static_cast<std::uint64_t>(static_cast<std::uint8_t>(bytes_[pos_ + i]))
+             << (8 * i);
+      }
+    }
+    pos_ += n;
+    return v;
+  }
+  template <typename T>
+  void column(std::span<T> out) {
+    if (remaining() / sizeof(T) < out.size()) [[unlikely]] truncated(out.size_bytes());
+    if constexpr (std::endian::native == std::endian::little) {
+      if (!out.empty()) std::memcpy(out.data(), bytes_.data() + pos_, out.size_bytes());
+      pos_ += out.size_bytes();
+    } else {
+      for (T& x : out) x = std::bit_cast<T>(take(8));
+    }
+  }
+  /// Throws the truncation diagnostic for a read of `n` bytes.
+  [[noreturn]] void truncated(std::size_t n) const;
 
   std::string_view bytes_;
   std::size_t pos_ = 0;

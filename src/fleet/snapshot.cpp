@@ -1,7 +1,6 @@
 #include "fleet/snapshot.hpp"
 
 #include <fstream>
-#include <sstream>
 #include <stdexcept>
 
 #include "common/hash.hpp"
@@ -13,9 +12,12 @@ namespace {
 // "hhpimsnp", little-endian. Version bumps whenever the payload layout
 // changes incompatibly; a reader parses its own version only, never guessing
 // at an older or newer layout. Version 2: the processor blob is the one
-// visit_state walk (no tracker leakage bits, no slice index).
+// visit_state walk (no tracker leakage bits, no slice index). Version 3:
+// samples are two columns, and the checksum is checksum64.
 constexpr std::uint64_t kMagic = 0x706e736d69706868ULL;
-constexpr std::uint32_t kVersion = 2;
+constexpr std::uint32_t kVersion = 3;
+/// Magic + version; the checksummed payload follows.
+constexpr std::size_t kHeaderBytes = 12;
 
 // Per-device field tags. Explicit tags (rather than bare field order) keep
 // the format self-describing: a reader meeting a tag it does not know
@@ -24,7 +26,7 @@ enum : std::uint16_t {
   kTagFlags = 1,    ///< u8: bit0 started, bit1 done
   kTagResult = 2,   ///< the DeviceResult fixed block
   kTagLane = 3,     ///< next_k, mode, switches, buffered, charge
-  kTagSamples = 4,  ///< buffered per-slice aggregate samples
+  kTagSamples = 4,  ///< u64 n, n busy i64s, then n energy f64s
   kTagProc = 5,     ///< Processor::save_state blob (live devices only)
   kTagDeviceEnd = 6,
   /// SLO lane (latency_slo_ps, tier_switches, applied tier) — written only
@@ -38,11 +40,34 @@ enum : std::uint16_t {
   kTagHost = 8,
 };
 
-std::uint64_t digest_bytes(std::string_view bytes) {
-  return Fnv1a{}.add_bytes(bytes.data(), bytes.size()).digest();
+/// Every device record carries these fields, so it is never shorter than
+/// min_device_bytes().
+constexpr unsigned kRequiredTags =
+    (1u << kTagFlags) | (1u << kTagResult) | (1u << kTagLane) | (1u << kTagSamples);
+
+/// Bytes per record, which bound a declared count by the bytes left.
+constexpr std::size_t kLutKeyBytes = 48;
+constexpr std::size_t kSampleBytes = 16;
+
+/// Reads a u64 record count and checks that `n` records of at least
+/// `min_bytes` fit in what is left, so a corrupt count throws instead of
+/// reserving memory it names.
+std::size_t read_count(ByteReader& r, std::size_t min_bytes, const char* what) {
+  const std::size_t at = r.position();
+  const std::uint64_t n = r.u64();
+  if (n > r.remaining() / min_bytes) {
+    throw std::runtime_error(
+        "snapshot: " + std::to_string(n) + " " + what + " declared at offset " +
+        std::to_string(at) + ", but only " + std::to_string(r.remaining()) +
+        " bytes remain");
+  }
+  return static_cast<std::size_t>(n);
 }
 
-void write_device(ByteWriter& w, const DeviceProgress& p) {
+// The encoder is written once over the writer type: a ByteSizer pass sizes
+// the buffer exactly, then a ByteWriter pass fills it.
+template <class W>
+void write_device(W& w, const DeviceProgress& p) {
   w.u16(kTagFlags);
   w.u8(static_cast<std::uint8_t>((p.started ? 1u : 0u) | (p.done ? 2u : 0u)));
 
@@ -75,12 +100,13 @@ void write_device(ByteWriter& w, const DeviceProgress& p) {
   w.i32(p.buffered);
   w.f64(p.charge_pj);
 
+  if (p.sample_energy_pj.size() != p.sample_busy_ps.size()) {
+    throw std::logic_error("snapshot: sample columns differ in length");
+  }
   w.u16(kTagSamples);
   w.u64(static_cast<std::uint64_t>(p.sample_busy_ps.size()));
-  for (std::size_t i = 0; i < p.sample_busy_ps.size(); ++i) {
-    w.i64(p.sample_busy_ps[i]);
-    w.f64(p.sample_energy_pj[i]);
-  }
+  w.i64s(p.sample_busy_ps);
+  w.f64s(p.sample_energy_pj);
 
   if (!p.proc_state.empty()) {
     w.u16(kTagProc);
@@ -99,10 +125,20 @@ void write_device(ByteWriter& w, const DeviceProgress& p) {
   w.u16(kTagDeviceEnd);
 }
 
+/// The smallest device record: the required fields, no samples.
+std::size_t min_device_bytes() {
+  ByteSizer s;
+  write_device(s, DeviceProgress{});
+  return s.size();
+}
+
 DeviceProgress read_device(ByteReader& r) {
   DeviceProgress p;
+  const std::size_t at = r.position();
+  unsigned seen = 0;  // bit t: tag t was read
   for (;;) {
     const std::uint16_t tag = r.u16();
+    if (tag < 32) seen |= 1u << tag;
     switch (tag) {
       case kTagFlags: {
         const std::uint8_t f = r.u8();
@@ -141,13 +177,11 @@ DeviceProgress read_device(ByteReader& r) {
         p.charge_pj = r.f64();
         break;
       case kTagSamples: {
-        const std::uint64_t n = r.u64();
-        p.sample_busy_ps.reserve(static_cast<std::size_t>(n));
-        p.sample_energy_pj.reserve(static_cast<std::size_t>(n));
-        for (std::uint64_t i = 0; i < n; ++i) {
-          p.sample_busy_ps.push_back(r.i64());
-          p.sample_energy_pj.push_back(r.f64());
-        }
+        const std::size_t n = read_count(r, kSampleBytes, "samples");
+        p.sample_busy_ps.resize(n);
+        p.sample_energy_pj.resize(n);
+        r.i64s(p.sample_busy_ps);
+        r.f64s(p.sample_energy_pj);
         break;
       }
       case kTagProc:
@@ -162,6 +196,11 @@ DeviceProgress read_device(ByteReader& r) {
         p.result.host_cycles = r.u64();
         break;
       case kTagDeviceEnd:
+        if ((seen & kRequiredTags) != kRequiredTags) {
+          throw std::runtime_error(
+              "snapshot: device record at offset " + std::to_string(at) +
+              " lacks its flags, result, lane or samples field");
+        }
         return p;
       default:
         throw std::runtime_error(
@@ -172,32 +211,43 @@ DeviceProgress read_device(ByteReader& r) {
   }
 }
 
+template <class W>
+void write_snapshot(W& w, const FleetSnapshot& s) {
+  w.u64(kMagic);
+  w.u32(kVersion);
+  w.u64(s.spec_digest);
+  w.u32(static_cast<std::uint32_t>(s.next_slice));
+  w.u64(s.lut_builds);
+  w.u64(static_cast<std::uint64_t>(s.lut_counted.size()));
+  for (const placement::LutCacheKey& k : s.lut_counted) {
+    w.u64(k.topology_hash);
+    w.u64(k.arch_hash);
+    w.u64(k.cost_hash);
+    w.i64(k.slice_ps);
+    w.u64(k.total_weights);
+    w.i32(k.t_entries);
+    w.i32(k.k_blocks);
+  }
+  w.u64(static_cast<std::uint64_t>(s.devices.size()));
+  for (const DeviceProgress& p : s.devices) write_device(w, p);
+}
+
 }  // namespace
 
 std::string FleetSnapshot::to_bytes() const {
-  ByteWriter payload;
-  payload.u64(spec_digest);
-  payload.u32(static_cast<std::uint32_t>(next_slice));
-  payload.u64(lut_builds);
-  payload.u64(static_cast<std::uint64_t>(lut_counted.size()));
-  for (const placement::LutCacheKey& k : lut_counted) {
-    payload.u64(k.topology_hash);
-    payload.u64(k.arch_hash);
-    payload.u64(k.cost_hash);
-    payload.i64(k.slice_ps);
-    payload.u64(k.total_weights);
-    payload.i32(k.t_entries);
-    payload.i32(k.k_blocks);
-  }
-  payload.u64(static_cast<std::uint64_t>(devices.size()));
-  for (const DeviceProgress& p : devices) write_device(payload, p);
+  ByteSizer sizer;
+  write_snapshot(sizer, *this);
+  const std::size_t size = sizer.size() + 8;  // + the checksum
 
-  ByteWriter out;
-  out.u64(kMagic);
-  out.u32(kVersion);
-  out.raw(payload.bytes());
-  out.u64(digest_bytes(payload.bytes()));
-  return out.take();
+  ByteWriter w;
+  w.reserve(size);
+  write_snapshot(w, *this);
+  w.u64(checksum64(std::string_view{w.bytes()}.substr(kHeaderBytes)));
+  if (w.size() != size) {
+    throw std::logic_error("snapshot: encoded " + std::to_string(w.size()) +
+                           " bytes, sized " + std::to_string(size));
+  }
+  return w.take();
 }
 
 FleetSnapshot FleetSnapshot::from_bytes(std::string_view bytes) {
@@ -215,9 +265,9 @@ FleetSnapshot FleetSnapshot::from_bytes(std::string_view bytes) {
     throw std::runtime_error("snapshot: truncated stream (missing checksum)");
   }
   const std::string_view payload =
-      bytes.substr(header.position(), header.remaining() - 8);
+      bytes.substr(kHeaderBytes, header.remaining() - 8);
   ByteReader tail{bytes.substr(bytes.size() - 8)};
-  if (digest_bytes(payload) != tail.u64()) {
+  if (checksum64(payload) != tail.u64()) {
     throw std::runtime_error(
         "snapshot: checksum mismatch (corrupted or truncated stream)");
   }
@@ -227,9 +277,9 @@ FleetSnapshot FleetSnapshot::from_bytes(std::string_view bytes) {
   snap.spec_digest = r.u64();
   snap.next_slice = static_cast<int>(r.u32());
   snap.lut_builds = r.u64();
-  const std::uint64_t n_seen = r.u64();
-  snap.lut_counted.reserve(static_cast<std::size_t>(n_seen));
-  for (std::uint64_t i = 0; i < n_seen; ++i) {
+  const std::size_t n_keys = read_count(r, kLutKeyBytes, "LUT keys");
+  snap.lut_counted.reserve(n_keys);
+  for (std::size_t i = 0; i < n_keys; ++i) {
     placement::LutCacheKey k;
     k.topology_hash = r.u64();
     k.arch_hash = r.u64();
@@ -240,9 +290,9 @@ FleetSnapshot FleetSnapshot::from_bytes(std::string_view bytes) {
     k.k_blocks = r.i32();
     snap.lut_counted.push_back(k);
   }
-  const std::uint64_t n_devices = r.u64();
-  snap.devices.reserve(static_cast<std::size_t>(n_devices));
-  for (std::uint64_t i = 0; i < n_devices; ++i) {
+  const std::size_t n_devices = read_count(r, min_device_bytes(), "devices");
+  snap.devices.reserve(n_devices);
+  for (std::size_t i = 0; i < n_devices; ++i) {
     snap.devices.push_back(read_device(r));
   }
   if (!r.at_end()) {
@@ -262,12 +312,17 @@ void FleetSnapshot::save(const std::string& path) const {
 }
 
 FleetSnapshot FleetSnapshot::load(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
   if (!in) throw std::runtime_error("snapshot: cannot open " + path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  if (in.bad()) throw std::runtime_error("snapshot: read failed for " + path);
-  return from_bytes(buf.str());
+  const std::streamoff size = in.tellg();
+  if (size < 0) throw std::runtime_error("snapshot: cannot size " + path);
+  std::string bytes(static_cast<std::size_t>(size), '\0');
+  in.seekg(0);
+  in.read(bytes.data(), size);
+  if (in.gcount() != size) {
+    throw std::runtime_error("snapshot: read failed for " + path);
+  }
+  return from_bytes(bytes);
 }
 
 }  // namespace hhpim::fleet

@@ -46,12 +46,15 @@ struct FleetSnapshot {
   std::vector<DeviceProgress> devices;
 
   /// Serializes to the versioned binary format (magic, version, tagged
-  /// payload, trailing FNV-1a checksum).
+  /// payload, trailing checksum64 of the payload) in one buffer of the
+  /// exact final size.
   [[nodiscard]] std::string to_bytes() const;
 
-  /// Parses to_bytes() output. Throws std::runtime_error on a bad magic, a
-  /// version other than this build's, a checksum mismatch, a truncated
-  /// stream, or an unknown field tag. Device identity is checked later,
+  /// Parses to_bytes() output. Throws std::runtime_error (and only that) on
+  /// a bad magic, a version other than this build's, a checksum mismatch, a
+  /// truncated stream, a record count larger than the bytes left, a device
+  /// record without its flags/result/lane/samples fields, or an unknown
+  /// field tag. Device identity is checked later,
   /// against the spec, by FleetSimulator::run_to/resume.
   [[nodiscard]] static FleetSnapshot from_bytes(std::string_view bytes);
 

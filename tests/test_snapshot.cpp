@@ -14,12 +14,14 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/hash.hpp"
 #include "common/rng.hpp"
 #include "common/serialize.hpp"
 #include "fleet/outcome_cache.hpp"
@@ -30,6 +32,9 @@
 
 namespace hhpim::fleet {
 namespace {
+
+/// Magic and version precede the checksummed payload.
+constexpr std::size_t kHeaderBytes = 12;
 
 /// A small fleet that runs in milliseconds: one model, low LUT resolution.
 FleetSpec small_fleet(int devices = 24, int slices = 10) {
@@ -388,14 +393,50 @@ TEST(Snapshot, FailsLoudlyOnDamagedBlobs) {
         << "keep=" << keep;
   }
 
-  // A flipped bit anywhere in the payload fails the checksum.
-  for (const std::size_t at : {std::size_t{12}, bytes.size() / 2,
-                               bytes.size() - 9}) {
-    std::string corrupt = bytes;
-    corrupt[at] = static_cast<char>(corrupt[at] ^ 0x40);
-    EXPECT_THROW((void)FleetSnapshot::from_bytes(corrupt), std::runtime_error)
-        << "at=" << at;
+  // A flipped bit anywhere in the payload or the checksum fails the
+  // checksum: every single bit of a one-device snapshot (live, so with a
+  // processor blob and samples), exhaustively — checksum64 detects any
+  // change confined to one 8-byte word.
+  {
+    FleetSpec live = small_fleet(1, 6);
+    live.battery.capacity = Energy::mj(1000.0);
+    const FleetSnapshot one_snap = sim.run_to(live, 3);
+    ASSERT_FALSE(one_snap.devices[0].proc_state.empty());
+    ASSERT_FALSE(one_snap.devices[0].sample_busy_ps.empty());
+    const std::string one = one_snap.to_bytes();
+    std::string flipped = one;
+    for (std::size_t at = kHeaderBytes; at < flipped.size(); ++at) {
+      for (int bit = 0; bit < 8; ++bit) {
+        flipped[at] = static_cast<char>(flipped[at] ^ (1 << bit));
+        try {
+          (void)FleetSnapshot::from_bytes(flipped);
+          ADD_FAILURE() << "bit " << bit << " of byte " << at << " flipped unnoticed";
+        } catch (const std::runtime_error&) {
+        }
+        flipped[at] = static_cast<char>(flipped[at] ^ (1 << bit));
+      }
+    }
+    EXPECT_EQ(flipped, one);
   }
+
+  // Two distinct payload words swapped across checksum lanes (word i of the
+  // payload feeds lane i mod 4) fail the checksum too.
+  int swaps = 0;
+  const std::size_t words = (bytes.size() - kHeaderBytes - 8) / 8;
+  for (std::size_t a = 0; a + 3 < words; a += 61) {
+    for (std::size_t d = 1; d <= 3; ++d) {
+      const std::size_t x = kHeaderBytes + 8 * a;
+      const std::size_t y = kHeaderBytes + 8 * (a + d);
+      if (bytes.compare(x, 8, bytes, y, 8) == 0) continue;
+      std::string swapped = bytes;
+      swapped.replace(x, 8, bytes, y, 8);
+      swapped.replace(y, 8, bytes, x, 8);
+      EXPECT_THROW((void)FleetSnapshot::from_bytes(swapped), std::runtime_error)
+          << "words " << a << " and " << a + d;
+      ++swaps;
+    }
+  }
+  EXPECT_GT(swaps, 10);
 
   // Wrong magic: not a snapshot at all.
   std::string not_snap = bytes;
@@ -415,8 +456,9 @@ TEST(Snapshot, FailsLoudlyOnDamagedBlobs) {
 
   // Older versions are refused the same way: a reader parses only its own
   // layout (version 1 blobs carried tracker leakage bits and the slice
-  // index in every processor blob).
-  for (const char old_version : {0, 1}) {
+  // index in every processor blob; version 2 interleaved the samples and
+  // was checksummed with FNV-1a).
+  for (const char old_version : {0, 1, 2}) {
     std::string old = bytes;
     old[8] = old_version;
     try {
@@ -430,6 +472,96 @@ TEST(Snapshot, FailsLoudlyOnDamagedBlobs) {
   // Trailing garbage after the checksum is not silently ignored.
   EXPECT_THROW((void)FleetSnapshot::from_bytes(bytes + "x"),
                std::runtime_error);
+}
+
+void put_u64(std::string& blob, std::size_t at, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) blob[at + i] = static_cast<char>(v >> (8 * i));
+}
+
+/// `blob` with its trailing checksum recomputed, as a deliberate forger
+/// would: only the payload walk can catch what it carries.
+std::string rechecksummed(std::string blob) {
+  const std::string_view payload =
+      std::string_view{blob}.substr(kHeaderBytes, blob.size() - kHeaderBytes - 8);
+  put_u64(blob, blob.size() - 8, checksum64(payload));
+  return blob;
+}
+
+/// `blob` with the u64 at `at` overwritten, re-checksummed.
+std::string patched(std::string blob, std::size_t at, std::uint64_t v) {
+  put_u64(blob, at, v);
+  return rechecksummed(std::move(blob));
+}
+
+std::uint64_t u64_at(const std::string& blob, std::size_t at) {
+  ByteReader r{std::string_view{blob}.substr(at)};
+  return r.u64();
+}
+
+TEST(Snapshot, HugeDeclaredCountsThrowRuntimeError) {
+  // A re-checksummed blob that declares more LUT keys, devices or samples
+  // than its bytes can hold must throw std::runtime_error — not reserve
+  // the memory it names (std::bad_alloc) or past max_size()
+  // (std::length_error).
+  FleetSnapshot snap;
+  snap.spec_digest = 7;
+  snap.next_slice = 2;
+  snap.lut_builds = 1;
+  snap.lut_counted.resize(1);
+  snap.devices.resize(2);
+  snap.devices[0].started = true;
+  snap.devices[0].sample_busy_ps = {10, 20, 30};
+  snap.devices[0].sample_energy_pj = {1.0, 2.0, 3.0};
+  const std::string bytes = snap.to_bytes();
+
+  // Offsets of the three counts: the LUT-key count follows spec digest,
+  // next slice and build count; each key is 48 bytes; device 0's sample
+  // count follows its flags (3 bytes), result (2 + 117) and lane (2 + 21)
+  // fields and the samples tag (2).
+  const std::size_t key_count = kHeaderBytes + 8 + 4 + 8;
+  const std::size_t device_count = key_count + 8 + 48;
+  const std::size_t sample_count = device_count + 8 + 3 + 119 + 23 + 2;
+  ASSERT_EQ(u64_at(bytes, key_count), 1u);
+  ASSERT_EQ(u64_at(bytes, device_count), 2u);
+  ASSERT_EQ(u64_at(bytes, sample_count), 3u);
+  EXPECT_EQ(FleetSnapshot::from_bytes(patched(bytes, sample_count, 3)).to_bytes(), bytes);
+
+  for (const std::size_t at : {key_count, device_count, sample_count}) {
+    for (const std::uint64_t n :
+         {std::uint64_t{1} << 40, std::numeric_limits<std::uint64_t>::max()}) {
+      try {
+        (void)FleetSnapshot::from_bytes(patched(bytes, at, n));
+        ADD_FAILURE() << "count " << n << " at offset " << at << " was accepted";
+      } catch (const std::runtime_error& e) {
+        EXPECT_NE(std::string(e.what()).find("remain"), std::string::npos) << e.what();
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << "count " << n << " at offset " << at
+                      << " threw a non-runtime_error: " << e.what();
+      }
+    }
+  }
+}
+
+TEST(Snapshot, DeviceRecordsNeedTheirRequiredFields) {
+  // A re-checksummed blob whose device record is a bare end tag (6), padded
+  // so the device count fits the bytes left: the record walk refuses it.
+  const std::string header = FleetSnapshot{}.to_bytes().substr(0, kHeaderBytes);
+  ByteWriter w;
+  w.raw(header);
+  w.u64(0);  // spec digest
+  w.u32(0);  // next slice
+  w.u64(0);  // LUT builds
+  w.u64(0);  // LUT keys
+  w.u64(1);  // devices
+  w.u16(6);  // end of device record
+  w.raw(std::string(256, '\0'));
+  w.u64(0);  // checksum, filled below
+  try {
+    (void)FleetSnapshot::from_bytes(rechecksummed(w.take()));
+    ADD_FAILURE() << "a device record without fields was accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("lacks"), std::string::npos) << e.what();
+  }
 }
 
 TEST(Snapshot, ResumeRejectsDevicesThatDoNotMatchTheSpec) {
