@@ -160,6 +160,8 @@ class ByteWriter {
   [[nodiscard]] std::size_t size() const { return bytes_.size(); }
   /// Moves the accumulated bytes out; the writer is empty afterwards.
   [[nodiscard]] std::string take() { return std::move(bytes_); }
+  /// Empties the writer, keeping its capacity for reuse.
+  void clear() { bytes_.clear(); }
 
  private:
   void append(std::uint64_t v, std::size_t n) {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/serialize.hpp"
 #include "energy/battery.hpp"
 #include "fleet/aggregate.hpp"
 #include "hhpim/scheduler.hpp"
@@ -55,13 +54,18 @@ Device::Device(const FleetSpec& fleet, const DeviceSpec& spec,
   init_slo_tiers();
 }
 
+bool Device::slo_active(const placement::AllocationLut* lut, std::int64_t slo_ps) {
+  // validate() rejects non-HH-PIM SLO fleets; a null LUT only means no SLO.
+  if (slo_ps <= 0 || lut == nullptr) return false;
+  const placement::LutEntry* entry = lut->lookup_or_peak(Time::ps(slo_ps));
+  return entry != nullptr && !entry->frontier.empty();  // something feasible
+}
+
 void Device::init_slo_tiers() {
-  if (spec_.latency_slo_ps <= 0) return;
   const placement::AllocationLut* lut = proc_->lut();
-  if (lut == nullptr) return;  // validate() rejects non-HH-PIM SLO fleets
+  if (!slo_active(lut, spec_.latency_slo_ps)) return;
   const placement::LutEntry* entry =
       lut->lookup_or_peak(Time::ps(spec_.latency_slo_ps));
-  if (entry == nullptr || entry->frontier.empty()) return;  // nothing feasible
   // kBalanced: the entry's anchor — min energy subject to the SLO (the
   // legacy knapsack answer for this constraint, bit-exact).
   slo_allocs_[static_cast<std::size_t>(FrontierTier::kBalanced)] = entry->alloc;
@@ -102,7 +106,8 @@ void DeviceProgress::start(const FleetSpec& fleet, const DeviceSpec& spec,
   result.final_soc = battery.soc();
   sample_busy_ps.clear();
   sample_energy_pj.clear();
-  proc_state.clear();
+  proc_digest = 0;
+  proc_blob.reset();
 }
 
 bool DeviceProgress::begin_slice(const FleetSpec& fleet, const DeviceSpec& spec,
@@ -192,68 +197,29 @@ DeviceResult Device::run(FleetAggregate* agg) {
   std::vector<int> loads;
   device_loads_into(spec_, fleet_.envelope_multipliers(), loads);
   DeviceProgress p;
-  start_progress(p, loads);
-  run_steps(p, loads, p.result.slices_total, nullptr);
+  p.start(fleet_, spec_, proc_->slice_length().as_ps(), loads.size());
+  while (!p.done) p.end_slice(step(p, p.begin_slice(fleet_, spec_, slo_ok_)), loads);
   if (agg != nullptr) agg->add_finished_device(p);
   return p.result;
 }
 
-void Device::start_progress(DeviceProgress& p, const std::vector<int>& loads) const {
-  p.start(fleet_, spec_, proc_->slice_length().as_ps(), loads.size());
-}
-
-void Device::capture_progress(DeviceProgress& p) const {
-  ByteWriter w;
-  proc_->save_state(w);
-  p.proc_state = w.take();
-}
-
-void Device::restore_progress(const DeviceProgress& p) {
-  // The charge is read from a snapshot file: range-check it like a battery
-  // restore would. Mode, tier and the placement override ride in p and in
-  // the processor blob.
-  energy::Battery{fleet_.battery}.restore_charge(Energy::pj(p.charge_pj));
-  ByteReader r{p.proc_state};
-  proc_->load_state(r);
-}
-
-bool Device::run_steps(DeviceProgress& p, const std::vector<int>& loads,
-                       int k_end, OutcomeRecorder* recorder) {
-  const bool slo = slo_active();
-  const std::int64_t slo_ps = slo ? spec_.latency_slo_ps : 0;
-  // Digest chain for outcome recording: `pre` is the processor state the
-  // coming slice starts from. The mode decided by begin_slice is part of the
-  // key, not the digest — the override flip it causes lands in the slice's
-  // *post* digest, which seeds the next link.
-  std::uint64_t pre = recorder != nullptr ? proc_->state_digest() : 0;
-  while (!p.done && p.next_k < k_end) {
-    if (p.begin_slice(fleet_, spec_, slo)) {
-      proc_->set_placement_override(slo_allocs_[p.tier]);
-    } else if (!slo && fleet_.adapt) {
-      const bool low = p.mode == static_cast<std::uint8_t>(DeviceMode::kLowPower);
-      if (low && !proc_->placement_override_active()) {
-        proc_->set_placement_override(low_power_alloc_);
-      } else if (!low && proc_->placement_override_active()) {
-        proc_->set_placement_override(std::nullopt);
-      }
+SliceOutcome Device::step(const DeviceProgress& p, bool tier_changed) {
+  if (tier_changed) {
+    proc_->set_placement_override(slo_allocs_[p.tier]);
+  } else if (!slo_ok_ && fleet_.adapt) {
+    const bool low = p.mode == static_cast<std::uint8_t>(DeviceMode::kLowPower);
+    if (low && !proc_->placement_override_active()) {
+      proc_->set_placement_override(low_power_alloc_);
+    } else if (!low && proc_->placement_override_active()) {
+      proc_->set_placement_override(std::nullopt);
     }
-
-    const sys::SliceStats s = proc_->run_slice(p.buffered);
-    // Recorded even for an exhaustion slice: the slice's outcome is
-    // independent of the battery (the clamp is replay-side), so the entry
-    // is valid for any device reaching this state.
-    const SliceOutcome out{s.energy.as_pj(), s.busy_time.as_ps(),
-                           s.movement_time.as_ps(),
-                           recorder != nullptr ? proc_->state_digest() : 0,
-                           s.host_cycles, s.deadline_violated};
-    if (recorder != nullptr) {
-      recorder->recorded.emplace_back(p.slice_key(recorder->reuse_key, pre, slo_ps),
-                                      out);
-      pre = out.post_state;
-    }
-    p.end_slice(out, loads);
   }
-  return p.done;
+  const sys::SliceStats s = proc_->run_slice(p.buffered);
+  return SliceOutcome{.energy_pj = s.energy.as_pj(),
+                      .busy_ps = s.busy_time.as_ps(),
+                      .movement_ps = s.movement_time.as_ps(),
+                      .host_cycles = s.host_cycles,
+                      .deadline_violated = s.deadline_violated};
 }
 
 }  // namespace hhpim::fleet

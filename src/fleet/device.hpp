@@ -7,9 +7,9 @@
 //   begin_slice  1. charging window: recharge, clamped to capacity
 //                2. observe SoC -> hysteresis mode (next_mode); SLO devices
 //                   also pick a frontier tier (select_tier)
-//   (outcome)    3. run the slice: on a sys::Processor (Device::run_steps,
-//                   with the mode/tier installed as a placement override)
-//                   or replayed from the fleet's outcome memo
+//   (outcome)    3. run the slice: on a sys::Processor (Device::step, with
+//                   the mode/tier installed as a placement override) or
+//                   replayed from the fleet's outcome memo
 //   end_slice    4. drain the slice's requested energy, clamped to the
 //                   charge; count; buffer the aggregate sample
 //                5. battery hit zero mid-slice -> record exhaustion, stop;
@@ -87,12 +87,12 @@ struct DeviceResult {
 
 /// One device's whole mutable state, and what a FleetSnapshot stores per
 /// device: the partial DeviceResult, the battery/policy lane, the processor
-/// checkpoint blob (Processor::save_state; live snapshot devices only), and
-/// the per-slice aggregate samples, buffered until the device finishes
-/// (histogram insertion order is device-major and must not interleave with
-/// other devices). begin_slice/end_slice are the only per-slice step: the
-/// exact path (Device::run_steps) and the memo replay (FleetSimulator) both
-/// go through them, so every policy rule exists once.
+/// checkpoint (state digest plus shared save_state blob; live snapshot
+/// devices only), and the per-slice aggregate samples, buffered until the
+/// device finishes (histogram insertion order is device-major and must not
+/// interleave with other devices). begin_slice/end_slice are the only
+/// per-slice step: the exact slice (Device::step) and the memo replay
+/// (FleetSimulator) both go through them, so every policy rule exists once.
 struct DeviceProgress {
   DeviceResult result;
   int next_k = 0;           ///< next local step (slice) to execute
@@ -105,12 +105,16 @@ struct DeviceProgress {
   double charge_pj = 0.0;   ///< exact battery charge bits
   std::vector<std::int64_t> sample_busy_ps;  ///< per executed slice
   std::vector<double> sample_energy_pj;      ///< requested (pre-clamp) energy
-  std::string proc_state;   ///< Processor::save_state blob (live devices only)
+  /// Processor::state_digest() of the state the device stopped at, and that
+  /// state's save_state blob — shared with every device (and memo outcome)
+  /// at the same state. Set at a checkpoint for live devices only.
+  std::uint64_t proc_digest = 0;
+  StateBlob proc_blob;
 
   /// Resets to step 0 of `spec`'s stream of `n_loads` arrival slices: the
-  /// result header, the initial battery charge and a fresh lane. Sample
-  /// buffers keep their capacity. `slice_ps` is the processor's slice
-  /// length T.
+  /// result header, the initial battery charge and a fresh lane, with no
+  /// processor checkpoint. Sample buffers keep their capacity. `slice_ps`
+  /// is the processor's slice length T.
   void start(const FleetSpec& fleet, const DeviceSpec& spec,
              std::int64_t slice_ps, std::size_t n_loads);
 
@@ -156,34 +160,20 @@ class Device {
   /// are accounted into `agg` (may be null). Call once.
   DeviceResult run(FleetAggregate* agg);
 
-  // --- stepwise execution ---------------------------------------------------
-  // A whole run is: start_progress once, then run_steps in one or more
-  // [next_k, k_end) windows — capture_progress / restore_progress (plus a
-  // fresh Device on a reset processor) between windows — until run_steps
-  // returns true. The step sequence executed this way is instruction-for-
-  // instruction the one run() executes, so output stays byte-identical.
+  /// Runs the slice DeviceProgress::begin_slice just planned on `p` (which
+  /// returned `tier_changed`) on this device's processor, installing the
+  /// tier or low-power placement it decided, and returns the slice's
+  /// outcome (post_state and blob unset). The caller applies it with
+  /// end_slice. A whole run is start, then begin_slice/step/end_slice until
+  /// done; the simulator interleaves step with memo replay, making the
+  /// processor live (reset, or load_state of the device's blob) first.
+  [[nodiscard]] SliceOutcome step(const DeviceProgress& p, bool tier_changed);
 
-  /// DeviceProgress::start for this device's processor and `loads` (which
-  /// must equal device_loads with the fleet envelope applied).
-  void start_progress(DeviceProgress& p, const std::vector<int>& loads) const;
-
-  /// Resumes a prior capture_progress onto this device, whose processor
-  /// must be fresh/reset() and built from the same reuse key. Throws
-  /// std::invalid_argument when p.charge_pj lies outside [0, capacity].
-  void restore_progress(const DeviceProgress& p);
-
-  /// Captures the processor blob so a later restore_progress continues the
-  /// stream exactly. Only valid between run_steps windows.
-  void capture_progress(DeviceProgress& p) const;
-
-  /// Executes local steps [p.next_k, min(k_end, total steps)) and returns
-  /// p.done. With `recorder` non-null, every executed slice appends one
-  /// (SliceOutcomeKey, SliceOutcome) pair chained through
-  /// Processor::state_digest() — the exact-path side of the fleet's
-  /// device-level memo (recorder->reuse_key must be the processor's
-  /// sys::processor_reuse_key). Recording never changes the result.
-  bool run_steps(DeviceProgress& p, const std::vector<int>& loads, int k_end,
-                 OutcomeRecorder* recorder);
+  /// Whether the device runs the SLO frontier policy: it has an SLO and its
+  /// LUT (null = not HH-PIM) has a feasible entry for it. The flag
+  /// begin_slice takes.
+  [[nodiscard]] static bool slo_active(const placement::AllocationLut* lut,
+                                       std::int64_t slo_ps);
 
   /// The SystemConfig a device of `fleet` runs under: the device's firmware
   /// entry with the simulator-resolved LUT cache plugged in. What both
@@ -200,10 +190,9 @@ class Device {
   [[nodiscard]] const sys::Processor& processor() const { return *proc_; }
 
  private:
-  /// Resolves the three frontier-tier allocations once per device (SLO set
-  /// and HH-PIM LUT present; no-ops otherwise — slo_active() stays false).
+  /// Resolves the three frontier-tier allocations once per device when
+  /// slo_active(lut, SLO); a no-op otherwise (slo_ok_ stays false).
   void init_slo_tiers();
-  [[nodiscard]] bool slo_active() const { return spec_.latency_slo_ps > 0 && slo_ok_; }
 
   const FleetSpec& fleet_;
   const DeviceSpec& spec_;
@@ -214,7 +203,7 @@ class Device {
   // SLO frontier picks, resolved once from the processor's LUT: [balanced,
   // performance, saver] indexed by FrontierTier.
   std::array<placement::Allocation, 3> slo_allocs_{};
-  bool slo_ok_ = false;  ///< tiers resolved (LUT had a feasible entry)
+  bool slo_ok_ = false;  ///< tiers resolved: the SLO policy is active
 };
 
 }  // namespace hhpim::fleet

@@ -45,6 +45,16 @@ void OutcomeCache::insert_batch(
   publish_locked(std::move(next));
 }
 
+const StateBlob* OutcomeCache::intern_blob(std::string_view bytes) {
+  const std::lock_guard<std::mutex> lock{mu_};
+  auto it = blobs_.find(bytes);
+  if (it == blobs_.end()) {
+    auto blob = std::make_shared<const std::string>(bytes);
+    it = blobs_.try_emplace(std::string_view{*blob}, std::move(blob)).first;
+  }
+  return &it->second;
+}
+
 void OutcomeCache::publish_locked(std::unique_ptr<const ReadyMap> next) {
   ready_.store(next.get(), std::memory_order_release);
   retired_.push_back(std::move(next));
@@ -52,8 +62,9 @@ void OutcomeCache::publish_locked(std::unique_ptr<const ReadyMap> next) {
 
 void OutcomeCache::clear() {
   const std::lock_guard<std::mutex> lock{mu_};
-  // The superseded snapshot already lives in retired_; publishing null is
-  // enough (readers treat it as empty).
+  // The superseded snapshot already lives in retired_, and blobs_ keeps the
+  // blobs its outcomes point at; publishing null is enough (readers treat it
+  // as empty).
   ready_.store(nullptr, std::memory_order_release);
   hits_.store(0, std::memory_order_relaxed);
   misses_.store(0, std::memory_order_relaxed);
@@ -67,6 +78,8 @@ OutcomeCache::Stats OutcomeCache::stats() const {
   s.insertions = insertions_.load(std::memory_order_relaxed);
   const ReadyMap* snap = ready_.load(std::memory_order_acquire);
   s.entries = snap != nullptr ? snap->size() : 0;
+  const std::lock_guard<std::mutex> lock{mu_};
+  s.blobs = blobs_.size();
   return s;
 }
 

@@ -8,9 +8,10 @@
 // state_digest), the placement mode the adaptation loop picked, and the
 // number of buffered tasks. Battery state never enters: the SoC only
 // influences a slice *through* the hysteresis mode decision, which is an
-// exact field of the key, and the drain clamp is re-applied at replay time.
-// That is what lets the fleet replay memoized outcomes byte-identically to
-// the scalar Device::run path (pinned by tests/test_outcome_memo.cpp).
+// exact field of the key, and the drain clamp is re-applied at replay time
+// (exhaustion slices included). That is what lets the fleet replay memoized
+// outcomes byte-identically to the scalar Device::run path (pinned by
+// tests/test_outcome_memo.cpp).
 //
 // Key anatomy (docs/PERF.md "Device-level memoization"):
 //   reuse_key  sys::processor_reuse_key(config, model) — which machine
@@ -23,21 +24,33 @@
 // bucket only when the simulator would compute bit-identical slices for
 // them, so memoization changes wall-clock, never output.
 //
+// Every outcome also carries its post-state's processor blob
+// (Processor::save_state), interned by exact bytes: a fleet converges onto
+// a handful of states, so a few dozen blobs serve every outcome. The blob
+// is what lets a replayed device stop at a checkpoint, or fall back to the
+// exact path mid-stream, without rerunning from step 0 (docs/PERF.md "Memo
+// replay inside segments").
+//
 // Concurrency mirrors placement::LutCache (docs/PERF.md "Parallel
 // scaling"): completed outcomes live in an immutable snapshot map published
 // through an atomic pointer — a hit is one acquire load plus a hash lookup,
-// no lock. Inserts arrive in per-device batches (one copy-on-write republish
-// per recorded device, not per slice), first writer wins per key; racing
-// inserts of the same key are benign because honest writers compute
-// identical values. Superseded snapshots are retired, not freed, until the
-// cache is destroyed, so a pointer returned by lookup() stays valid for the
-// cache's lifetime — even across clear().
+// no lock. Inserts arrive in per-shard batches (one copy-on-write republish
+// per batch, not per slice), first writer wins per key; racing inserts of
+// the same key are benign because honest writers compute identical values.
+// A recorder interns a slice's blob (intern_blob, under the lock) before
+// the slice's outcome is published, so every outcome a lookup returns
+// already points at an interned blob. Superseded snapshots are retired, not
+// freed, and interned blobs are never dropped until the cache is destroyed,
+// so a pointer returned by lookup() or intern_blob() — and the blob it
+// points at — stays valid for the cache's lifetime, even across clear().
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <string>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -80,10 +93,14 @@ struct SliceOutcomeKey {
   };
 };
 
+/// A Processor::save_state blob, shared and immutable: devices (and memo
+/// outcomes) at one processor state share one copy of its bytes.
+using StateBlob = std::shared_ptr<const std::string>;
+
 /// Everything a replayed slice contributes to a device run. `energy_pj` is
 /// the *requested* slice energy (sys::SliceStats::energy) — the battery's
-/// drain clamp is re-applied per device at replay time, which is also how
-/// exhaustion-boundary slices are detected and routed to the exact path.
+/// drain clamp is re-applied per device at replay time, so one outcome
+/// serves devices with any charge, including the one it exhausts.
 struct SliceOutcome {
   double energy_pj = 0.0;
   std::int64_t busy_ps = 0;
@@ -91,16 +108,10 @@ struct SliceOutcome {
   std::uint64_t post_state = 0;   ///< state_digest() after the slice
   std::uint64_t host_cycles = 0;  ///< host-core cycles (0 when host disabled)
   bool deadline_violated = false;
-};
-
-/// Per-device recording sink for the exact path: Device::run_steps chains
-/// state digests across its slices and appends one (key, outcome) pair per
-/// slice. The buffer is reused across devices (clear(), capacity retained);
-/// the shard collects every device's pairs and inserts them as one batch at
-/// shard end.
-struct OutcomeRecorder {
-  std::uint64_t reuse_key = 0;
-  std::vector<std::pair<SliceOutcomeKey, SliceOutcome>> recorded;
+  /// save_state() after the slice (post_state's bytes), as returned by the
+  /// cache's intern_blob(). Null only in hand-built entries that no device
+  /// resumes from.
+  const StateBlob* blob = nullptr;
 };
 
 /// Thread-safe memo of slice outcomes. One instance is process-wide
@@ -112,6 +123,7 @@ class OutcomeCache {
     std::uint64_t misses = 0;      ///< lookup() calls that returned nullptr
     std::uint64_t insertions = 0;  ///< keys actually added (first writer only)
     std::size_t entries = 0;       ///< keys in the current snapshot
+    std::size_t blobs = 0;         ///< distinct post-state blobs interned
   };
 
   OutcomeCache() = default;
@@ -125,15 +137,21 @@ class OutcomeCache {
   /// published, which state convergence keeps small).
   [[nodiscard]] const SliceOutcome* lookup(const SliceOutcomeKey& key);
 
-  /// Publishes a device's recorded (key, outcome) pairs: one copy-on-write
-  /// republish for the whole batch, first writer wins per key, no republish
-  /// when every key is already present. Safe to call concurrently with
-  /// lookups and other inserts.
+  /// Publishes recorded (key, outcome) pairs: one copy-on-write republish
+  /// for the whole batch, first writer wins per key, no republish when every
+  /// key is already present. Safe to call concurrently with lookups and
+  /// other inserts.
   void insert_batch(
       const std::vector<std::pair<SliceOutcomeKey, SliceOutcome>>& entries);
 
+  /// The cache's one copy of a processor blob with these bytes, added when
+  /// absent. Exact: keyed by the bytes themselves, not by a digest. Called
+  /// once per exact slice a recorder runs; safe to call concurrently.
+  [[nodiscard]] const StateBlob* intern_blob(std::string_view bytes);
+
   /// Forgets all entries and zeroes the counters. Outcomes already handed
-  /// out by lookup() stay valid (retired snapshots are kept).
+  /// out by lookup() stay valid (retired snapshots and interned blobs are
+  /// kept).
   void clear();
 
   [[nodiscard]] Stats stats() const;
@@ -156,8 +174,12 @@ class OutcomeCache {
   /// retired_ (every snapshot ever published lives there).
   std::atomic<const ReadyMap*> ready_{nullptr};
   std::vector<std::unique_ptr<const ReadyMap>> retired_;
+  /// Interned post-state blobs, keyed by a view of their own bytes. Map
+  /// nodes never move and are never erased, so a pointer to a node's value
+  /// stays valid.
+  std::unordered_map<std::string_view, StateBlob> blobs_;
 
-  mutable std::mutex mu_;  ///< guards retired_ and snapshot swaps
+  mutable std::mutex mu_;  ///< guards retired_, blobs_ and snapshot swaps
 
   // Counter increments race only with each other; relaxed is enough.
   std::atomic<std::uint64_t> hits_{0};

@@ -6,13 +6,17 @@
 #include <exception>
 #include <fstream>
 #include <limits>
+#include <memory>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <stdexcept>
+#include <string_view>
 #include <thread>
 
 #include "common/align.hpp"
 #include "common/serialize.hpp"
+#include "energy/battery.hpp"
 #include "fleet/outcome_cache.hpp"
 #include "hhpim/processor_pool.hpp"
 #include "placement/lut_cache.hpp"
@@ -242,8 +246,7 @@ FleetSnapshot FleetSimulator::drive(const FleetSpec& spec, int end_slice,
                                     FleetResult* final_out) const {
   const bool final_segment = final_out != nullptr;
   // run(): every device starts and finishes inside this call, so no device
-  // state outlives its device (per-worker scratch, no fleet-sized array) and
-  // the outcome memo may replay whole devices.
+  // state outlives its device (per-worker scratch, no fleet-sized array).
   const bool whole = final_segment && from == nullptr;
   const std::vector<DeviceSpec> device_specs = spec.expand();
   const std::vector<nn::Model> models = spec.resolved_models();
@@ -253,7 +256,7 @@ FleetSnapshot FleetSimulator::drive(const FleetSpec& spec, int end_slice,
   // worker (empty = no envelope).
   const std::vector<double> env = spec.envelope_multipliers();
   placement::LutCache* const cache = resolve_lut_cache();
-  OutcomeCache* const memo = whole ? resolve_outcome_cache() : nullptr;
+  OutcomeCache* const memo = resolve_outcome_cache();
   const OutcomeCache::Stats memo_before =
       memo != nullptr ? memo->stats() : OutcomeCache::Stats{};
   const std::uint64_t digest = spec.content_digest();
@@ -276,6 +279,8 @@ FleetSnapshot FleetSimulator::drive(const FleetSpec& spec, int end_slice,
     // values: a device's identity must match its re-expanded spec (the
     // JSONL writer indexes the model table with it) and its lane must be
     // in range. Devices not yet started carry no header; start() writes it.
+    // A live device's processor blob is checked against its digest when it
+    // is loaded.
     for (std::size_t i = 0; i < n; ++i) {
       const DeviceProgress& p = from->devices[i];
       if (!p.started && !p.done) continue;
@@ -290,6 +295,8 @@ FleetSnapshot FleetSimulator::drive(const FleetSpec& spec, int end_slice,
                                  " does not match its spec (id, model, scenario "
                                  "or seed) or has an out-of-range mode/tier");
       }
+      // Range-checked like a battery restore (std::invalid_argument).
+      if (!p.done) energy::Battery{spec.battery}.restore_charge(Energy::pj(p.charge_pj));
     }
   }
 
@@ -340,15 +347,18 @@ FleetSnapshot FleetSimulator::drive(const FleetSpec& spec, int end_slice,
   }
 
   // Per-pair constants: the resolved firmware config and its processor
-  // reuse key (the pool's key and the memo keys' machine field). With the
-  // memo on, also the fresh-processor state digest and slice length of
-  // every used pair — only used pairs get a processor, since building an
-  // unused pair's LUT would cost a build nobody needs.
+  // reuse key (the pool's key and the memo keys' machine field), plus the
+  // fresh-processor state digest, slice length and LUT of every used pair —
+  // only used pairs get a processor, since building an unused pair's LUT
+  // would cost a build nobody needs.
   struct PairInfo {
     sys::SystemConfig config;
     std::uint64_t reuse_key = 0;
     std::uint64_t init_state = 0;  ///< state_digest() of a fresh processor
     std::int64_t slice_ps = 0;
+    /// The pair's LUT (null unless HH-PIM): immutable, kept alive by the
+    /// pool's processors for the whole call.
+    const placement::AllocationLut* lut = nullptr;
   };
   std::vector<PairInfo> pairs(n_pairs);
   sys::ProcessorPool pool;
@@ -357,11 +367,12 @@ FleetSnapshot FleetSimulator::drive(const FleetSpec& spec, int end_slice,
     info.config = firmwares[pair / n_models];
     info.config.lut_cache = cache;
     info.reuse_key = sys::processor_reuse_key(info.config, models[pair % n_models]);
-    if (memo != nullptr && pair_used[pair] != 0) {
+    if (pair_used[pair] != 0) {
       const sys::ProcessorPool::Lease lease =
           pool.checkout(info.reuse_key, info.config, models[pair % n_models]);
       info.init_state = lease.get().state_digest();
       info.slice_ps = lease.get().slice_length().as_ps();
+      info.lut = lease.get().lut();
     }
   }
 
@@ -392,39 +403,18 @@ FleetSnapshot FleetSimulator::drive(const FleetSpec& spec, int end_slice,
   struct Scratch {
     std::vector<int> loads;
     DeviceProgress progress;  ///< run(): the device in flight
-    OutcomeRecorder recorder;
     /// The shard's recorded outcomes, published in ONE insert_batch at
     /// shard end: every lookup of the shard sees the map as it stood when
     /// the shard began, whatever its device order, at a fraction of the
     /// copy-on-write churn of per-device inserts.
     std::vector<std::pair<SliceOutcomeKey, SliceOutcome>> pending;
+    ByteWriter save;  ///< save_state scratch, reused
     /// --shard-dir: the shard's JSONL lines, formatted as its devices
     /// finish and written to the shard file in one call.
     std::string jsonl;
   };
   std::atomic<std::uint64_t> memo_replayed{0};
   std::atomic<std::uint64_t> memo_exact{0};
-
-  // Replays a device wholly from the memo. False = parked on a cold key or
-  // an exhaustion boundary; `p` is then discarded and the device reruns
-  // exactly from step 0.
-  const auto replay = [&](const DeviceSpec& ds, DeviceProgress& p,
-                          const std::vector<int>& loads) {
-    const PairInfo& info = pairs[pair_of(ds)];
-    p.start(spec, ds, info.slice_ps, loads.size());
-    const bool slo = ds.latency_slo_ps > 0;
-    std::uint64_t state = info.init_state;
-    while (!p.done) {
-      (void)p.begin_slice(spec, ds, slo);
-      const SliceOutcome* out =
-          memo->lookup(p.slice_key(info.reuse_key, state, ds.latency_slo_ps));
-      if (out == nullptr) return false;
-      p.end_slice(*out, loads);
-      if (p.result.exhausted_at_slice >= 0) return false;
-      state = out->post_state;
-    }
-    return true;
-  };
 
   auto run_shard = [&](std::size_t s, Scratch& w) {
     const std::size_t begin = s * shard_size;
@@ -439,29 +429,90 @@ FleetSnapshot FleetSimulator::drive(const FleetSpec& spec, int end_slice,
     w.pending.clear();
     w.jsonl.clear();
 
-    // Runs local steps up to k_end on a processor: from step 0 for a fresh
-    // device (always, in run()), else from the captured state.
-    const auto run_exact = [&](const DeviceSpec& ds, DeviceProgress& p, int k_end,
-                               OutcomeRecorder* recorder) {
+    // The leased processor's save_state bytes, in the reused scratch.
+    const auto saved_state = [&]() -> std::string_view {
+      w.save.clear();
+      lease.get().save_state(w.save);
+      return w.save.bytes();
+    };
+
+    // Advances a started device through local steps [p.next_k, k_end).
+    // Every slice runs begin_slice once, then one memo lookup: a hit applies
+    // the outcome and moves the chain digest and blob along; a miss makes
+    // the leased processor live (reset at step 0, else the current blob
+    // loaded and its digest checked), runs just this slice exact, records
+    // it, and goes back to lookups. Without the memo every slice misses, so
+    // the processor goes live once and stays live. Returns true when any
+    // slice ran exact.
+    const auto advance = [&](const DeviceSpec& ds, DeviceProgress& p, int k_end) {
       const PairInfo& info = pairs[pair_of(ds)];
-      if (lease && lease.key() == info.reuse_key) {
-        lease.get().reset();
-      } else {
-        lease = pool.checkout(info.reuse_key, info.config, models[ds.model_index]);
+      const bool slo = Device::slo_active(info.lut, ds.latency_slo_ps);
+      const std::int64_t slo_ps = slo ? ds.latency_slo_ps : 0;
+      // The state the next slice starts from: its digest, and its blob (a
+      // plain pointer while replaying; shared ownership is taken only at a
+      // checkpoint, so replay workers never touch a shared refcount).
+      std::uint64_t state = p.next_k == 0 ? info.init_state : p.proc_digest;
+      const StateBlob* blob = &p.proc_blob;
+      std::optional<Device> dev;  // built on the device's first miss
+      bool live = false;          // the leased processor is at `state`
+      bool ran_exact = false;
+      while (!p.done && p.next_k < k_end) {
+        const bool tier_changed = p.begin_slice(spec, ds, slo);
+        // The mode/tier begin_slice decided is a key field, not part of the
+        // digest: the override flip it causes lands in the post digest.
+        const SliceOutcomeKey key = p.slice_key(info.reuse_key, state, slo_ps);
+        if (const SliceOutcome* out = memo != nullptr ? memo->lookup(key) : nullptr) {
+          p.end_slice(*out, w.loads);
+          state = out->post_state;
+          blob = out->blob;
+          live = false;
+          continue;
+        }
+        if (!live) {
+          if (lease && lease.key() == info.reuse_key) {
+            lease.get().reset();
+          } else {
+            lease = pool.checkout(info.reuse_key, info.config, models[ds.model_index]);
+          }
+          if (!dev) dev.emplace(spec, ds, models[ds.model_index], lease.get());
+          if (p.next_k > 0) {
+            if (blob == nullptr || *blob == nullptr) {
+              throw std::runtime_error("fleet: device " + std::to_string(ds.id) +
+                                       " has no processor state to resume from");
+            }
+            ByteReader r{**blob};
+            lease.get().load_state(r);
+            if (!r.at_end() || lease.get().state_digest() != state) {
+              throw std::runtime_error(
+                  "fleet: device " + std::to_string(ds.id) +
+                  "'s processor blob does not restore its recorded state digest");
+            }
+          }
+          live = true;
+        }
+        SliceOutcome out = dev->step(p, tier_changed);
+        if (memo != nullptr) {
+          // Record the slice with its post-state blob, for every later shard
+          // and for this device's own next miss.
+          out.post_state = lease.get().state_digest();
+          out.blob = memo->intern_blob(saved_state());
+          w.pending.emplace_back(key, out);
+          state = out.post_state;
+          blob = out.blob;
+        }
+        p.end_slice(out, w.loads);
+        ran_exact = true;
       }
-      Device dev{spec, ds, models[ds.model_index], lease.get()};
-      if (whole || !p.started) {
-        dev.start_progress(p, w.loads);
-      } else {
-        dev.restore_progress(p);
+      if (final_segment || p.done) {
+        p.proc_blob.reset();  // finished devices carry no processor blob
+      } else if (memo != nullptr) {
+        p.proc_digest = state;
+        if (blob != &p.proc_blob) p.proc_blob = *blob;
+      } else if (live) {
+        p.proc_digest = lease.get().state_digest();
+        p.proc_blob = std::make_shared<const std::string>(saved_state());
       }
-      const bool done = dev.run_steps(p, w.loads, k_end, recorder);
-      if (final_segment) return;
-      if (done) {
-        p.proc_state.clear();  // finished devices carry no processor blob
-      } else {
-        dev.capture_progress(p);
-      }
+      return ran_exact;
     };
 
     // Accounts a finished device at its ordinal position: samples, then
@@ -474,7 +525,6 @@ FleetSnapshot FleetSimulator::drive(const FleetSpec& spec, int end_slice,
         // resume()'s snapshot copy dies with this call: free as we go.
         p.sample_busy_ps = {};
         p.sample_energy_pj = {};
-        p.proc_state = {};
       }
     };
 
@@ -488,20 +538,13 @@ FleetSnapshot FleetSimulator::drive(const FleetSpec& spec, int end_slice,
         continue;
       }
       device_loads_into(ds, env, w.loads);
-      if (memo == nullptr) {
-        const int k_end = final_segment ? std::numeric_limits<int>::max()
-                                        : end_slice - ds.join_slice;
-        run_exact(ds, p, k_end, nullptr);
-      } else if (replay(ds, p, w.loads)) {
-        ++replayed;
-      } else {
-        // Exact rerun, recording its outcomes for every later shard.
-        w.recorder.reuse_key = pairs[pair_of(ds)].reuse_key;
-        w.recorder.recorded.clear();
-        run_exact(ds, p, std::numeric_limits<int>::max(), &w.recorder);
-        w.pending.insert(w.pending.end(), w.recorder.recorded.begin(),
-                         w.recorder.recorded.end());
+      if (whole || !p.started) p.start(spec, ds, pairs[pair_of(ds)].slice_ps, w.loads.size());
+      const int k_end = final_segment ? std::numeric_limits<int>::max()
+                                      : end_slice - ds.join_slice;
+      if (advance(ds, p, k_end)) {
         ++exact;
+      } else {
+        ++replayed;
       }
       if (final_segment) finish(i, p);
     }

@@ -16,13 +16,16 @@
 //     per-slice step on its fleet::DeviceProgress (fleet/device.hpp) —
 //     charging, hysteresis, tier pick, battery clamp, lifecycle — whether
 //     the slice runs on a sys::Processor or replays from the memo.
-//   * With FleetOptions::memoize_devices (default), run() first replays
-//     each device from the device-level outcome memo (fleet::OutcomeCache):
-//     a memo hit advances the device without touching a sys::Processor at
-//     all. A device that misses (a cold key, an exhaustion-boundary slice)
-//     restarts on the exact Processor path, recording its outcomes for
-//     every later shard. Replayed aggregate/JSONL output is byte-identical
-//     to the exact path (see docs/PERF.md "Device-level memoization").
+//   * With FleetOptions::memoize_devices (default), every slice of every
+//     call — run, run_to and resume alike — is first looked up in the
+//     device-level outcome memo (fleet::OutcomeCache): a hit advances the
+//     device without touching a sys::Processor. A miss makes a leased
+//     processor live at the device's state (reset at step 0, else its
+//     current processor blob loaded) and runs just that slice exact,
+//     recording the outcome and its post-state blob for every later shard.
+//     Replayed aggregate/JSONL output is byte-identical to the exact path
+//     (docs/PERF.md "Device-level memoization", "Memo replay inside
+//     segments").
 //   * When FleetOptions::shard_dir is set, each worker streams its shard's
 //     device lines to <dir>/shard-NNNNN.jsonl as the shard completes — a
 //     fleet of millions never holds all results in memory
@@ -80,13 +83,14 @@ struct FleetOptions {
   /// Retain per-device results in FleetResult::devices. Turn off for very
   /// large fleets streamed to shard files — aggregates are kept either way.
   bool keep_results = true;
-  /// Device-level outcome memoization (fleet::OutcomeCache): in run(),
-  /// devices whose per-slice (processor state, mode, load) keys are all
-  /// warm replay through the per-slice step without constructing or running
-  /// a Processor; misses rerun on the exact path and record for later
-  /// devices. Output is byte-identical with memoization on or off at any
-  /// thread count (pinned by tests/test_outcome_memo.cpp); only wall-clock
-  /// changes.
+  /// Device-level outcome memoization (fleet::OutcomeCache), in run(),
+  /// run_to() and resume(): a slice whose (processor state, mode, load) key
+  /// is warm replays through the per-slice step without running a
+  /// Processor; a miss runs that one slice exact and records it for later
+  /// devices. Off = the exact reference path (every slice on a Processor).
+  /// Output is byte-identical with memoization on or off, segmented or
+  /// not, at any thread count (pinned by tests/test_outcome_memo.cpp and
+  /// tests/test_snapshot.cpp); only wall-clock changes.
   bool memoize_devices = true;
   /// Cache used when `memoize_devices` (not owned; must outlive the run).
   /// nullptr = the process-wide fleet::OutcomeCache::process_cache().
@@ -113,13 +117,14 @@ struct FleetResult {
   std::uint64_t lut_builds = 0;
   std::uint64_t lut_shared = 0;
 
-  /// Device-memo economy of this run (zero when memoization is off). The
-  /// replayed/exact split is deterministic at one thread; hit/miss deltas
-  /// vary with worker interleaving and cache warmth — which is exactly why
-  /// none of these appear in summary_to_json() (the summary must stay
-  /// byte-identical at any thread count and with the memo toggled).
-  std::uint64_t memo_replayed_devices = 0;  ///< advanced wholly via the memo
-  std::uint64_t memo_exact_devices = 0;     ///< ran the full Device::run path
+  /// Device-memo economy of this call (zero when memoization is off; for
+  /// resume(), the final segment only). The replayed/exact split is
+  /// deterministic at one thread; hit/miss deltas vary with worker
+  /// interleaving and cache warmth — which is exactly why none of these
+  /// appear in summary_to_json() (the summary must stay byte-identical at
+  /// any thread count and with the memo toggled).
+  std::uint64_t memo_replayed_devices = 0;  ///< every slice a memo hit
+  std::uint64_t memo_exact_devices = 0;     ///< at least one slice run exact
   std::uint64_t memo_hits = 0;              ///< OutcomeCache stats delta
   std::uint64_t memo_misses = 0;
 
@@ -148,9 +153,10 @@ class FleetSimulator {
   /// [from ? from->next_slice : 0, end_slice) and returns the fleet state
   /// at that boundary. `end_slice` must lie in (start, spec.slices]; the
   /// trailing drain slices belong to the final segment (resume). Segments
-  /// run the exact Processor path (the memo's replayed devices carry no
-  /// processor blob to checkpoint), buffering per-slice aggregate samples
-  /// in the snapshot; no JSONL or aggregates are produced until resume().
+  /// replay from the memo like run() — a live device stops at a checkpoint
+  /// holding its state digest and shared processor blob — and buffer
+  /// per-slice aggregate samples in the snapshot; no JSONL or aggregates
+  /// are produced until resume().
   /// The snapshot is pinned to FleetSpec::content_digest() — run_to/resume
   /// throw std::runtime_error on a digest mismatch, std::invalid_argument on
   /// a bad window.
@@ -162,8 +168,10 @@ class FleetSimulator {
   /// run(), which is this call with an empty snapshot. The FleetResult —
   /// devices, aggregate, JSONL shard files, summary JSON, lut_builds/
   /// lut_shared — is byte-identical to run() on the same spec and options
-  /// at any thread count (memo_* stats are 0: segments take the exact path,
-  /// which the memo replay equals by invariant).
+  /// at any thread count, with a warm memo or a cold one (a fresh process:
+  /// each live device loads its blob at its first miss — std::runtime_error
+  /// when the blob does not restore the stored digest — and its exact
+  /// slices re-seed the memo).
   [[nodiscard]] FleetResult resume(const FleetSpec& spec,
                                    const FleetSnapshot& from) const;
 

@@ -1,7 +1,9 @@
 #include "fleet/snapshot.hpp"
 
 #include <fstream>
+#include <memory>
 #include <stdexcept>
+#include <unordered_map>
 
 #include "common/hash.hpp"
 #include "common/serialize.hpp"
@@ -13,9 +15,11 @@ namespace {
 // changes incompatibly; a reader parses its own version only, never guessing
 // at an older or newer layout. Version 2: the processor blob is the one
 // visit_state walk (no tracker leakage bits, no slice index). Version 3:
-// samples are two columns, and the checksum is checksum64.
+// samples are two columns, and the checksum is checksum64. Version 4:
+// processor blobs live once each in a table deduplicated by bytes, and a
+// live device stores an index into it plus its state digest.
 constexpr std::uint64_t kMagic = 0x706e736d69706868ULL;
-constexpr std::uint32_t kVersion = 3;
+constexpr std::uint32_t kVersion = 4;
 /// Magic + version; the checksummed payload follows.
 constexpr std::size_t kHeaderBytes = 12;
 
@@ -27,7 +31,7 @@ enum : std::uint16_t {
   kTagResult = 2,   ///< the DeviceResult fixed block
   kTagLane = 3,     ///< next_k, mode, switches, buffered, charge
   kTagSamples = 4,  ///< u64 n, n busy i64s, then n energy f64s
-  kTagProc = 5,     ///< Processor::save_state blob (live devices only)
+  kTagProc = 5,     ///< u32 blob-table index, u64 state digest (live only)
   kTagDeviceEnd = 6,
   /// SLO lane (latency_slo_ps, tier_switches, applied tier) — written only
   /// when the device carries an SLO, so no-SLO snapshots stay byte-identical
@@ -48,6 +52,38 @@ constexpr unsigned kRequiredTags =
 /// Bytes per record, which bound a declared count by the bytes left.
 constexpr std::size_t kLutKeyBytes = 48;
 constexpr std::size_t kSampleBytes = 16;
+constexpr std::size_t kBlobBytes = 8;  ///< the length prefix of an empty blob
+
+/// No blob: a device record without kTagProc.
+constexpr std::uint32_t kNoBlob = 0xffffffffu;
+
+/// The snapshot's processor blobs, each stored once: devices sharing a blob
+/// (the common case — a fleet converges onto a few processor states) are
+/// found by pointer, and distinct copies of equal bytes by content.
+struct BlobTable {
+  std::vector<std::string_view> blobs;
+  std::vector<std::uint32_t> index;  ///< per device; kNoBlob = none
+
+  explicit BlobTable(const std::vector<DeviceProgress>& devices) {
+    std::unordered_map<const std::string*, std::uint32_t> by_ptr;
+    std::unordered_map<std::string_view, std::uint32_t> by_bytes;
+    index.reserve(devices.size());
+    for (const DeviceProgress& p : devices) {
+      if (p.proc_blob == nullptr) {
+        index.push_back(kNoBlob);
+        continue;
+      }
+      const auto [it, fresh] = by_ptr.try_emplace(p.proc_blob.get(), 0);
+      if (fresh) {
+        const auto [jt, new_bytes] = by_bytes.try_emplace(
+            *p.proc_blob, static_cast<std::uint32_t>(blobs.size()));
+        if (new_bytes) blobs.push_back(*p.proc_blob);
+        it->second = jt->second;
+      }
+      index.push_back(it->second);
+    }
+  }
+};
 
 /// Reads a u64 record count and checks that `n` records of at least
 /// `min_bytes` fit in what is left, so a corrupt count throws instead of
@@ -67,7 +103,7 @@ std::size_t read_count(ByteReader& r, std::size_t min_bytes, const char* what) {
 // The encoder is written once over the writer type: a ByteSizer pass sizes
 // the buffer exactly, then a ByteWriter pass fills it.
 template <class W>
-void write_device(W& w, const DeviceProgress& p) {
+void write_device(W& w, const DeviceProgress& p, std::uint32_t blob) {
   w.u16(kTagFlags);
   w.u8(static_cast<std::uint8_t>((p.started ? 1u : 0u) | (p.done ? 2u : 0u)));
 
@@ -108,9 +144,10 @@ void write_device(W& w, const DeviceProgress& p) {
   w.i64s(p.sample_busy_ps);
   w.f64s(p.sample_energy_pj);
 
-  if (!p.proc_state.empty()) {
+  if (blob != kNoBlob) {
     w.u16(kTagProc);
-    w.blob(p.proc_state);
+    w.u32(blob);
+    w.u64(p.proc_digest);
   }
   if (p.result.latency_slo_ps > 0 || p.result.tier_switches != 0 || p.tier != 255) {
     w.u16(kTagSlo);
@@ -128,11 +165,11 @@ void write_device(W& w, const DeviceProgress& p) {
 /// The smallest device record: the required fields, no samples.
 std::size_t min_device_bytes() {
   ByteSizer s;
-  write_device(s, DeviceProgress{});
+  write_device(s, DeviceProgress{}, kNoBlob);
   return s.size();
 }
 
-DeviceProgress read_device(ByteReader& r) {
+DeviceProgress read_device(ByteReader& r, const std::vector<StateBlob>& blobs) {
   DeviceProgress p;
   const std::size_t at = r.position();
   unsigned seen = 0;  // bit t: tag t was read
@@ -184,9 +221,18 @@ DeviceProgress read_device(ByteReader& r) {
         r.f64s(p.sample_energy_pj);
         break;
       }
-      case kTagProc:
-        p.proc_state = std::string(r.blob());
+      case kTagProc: {
+        const std::uint32_t i = r.u32();
+        if (i >= blobs.size()) {
+          throw std::runtime_error("snapshot: blob index " + std::to_string(i) +
+                                   " at offset " + std::to_string(r.position() - 4) +
+                                   " is out of range (" +
+                                   std::to_string(blobs.size()) + " blobs)");
+        }
+        p.proc_blob = blobs[i];
+        p.proc_digest = r.u64();
         break;
+      }
       case kTagSlo:
         p.result.latency_slo_ps = r.i64();
         p.result.tier_switches = r.u32();
@@ -212,7 +258,7 @@ DeviceProgress read_device(ByteReader& r) {
 }
 
 template <class W>
-void write_snapshot(W& w, const FleetSnapshot& s) {
+void write_snapshot(W& w, const FleetSnapshot& s, const BlobTable& t) {
   w.u64(kMagic);
   w.u32(kVersion);
   w.u64(s.spec_digest);
@@ -228,20 +274,25 @@ void write_snapshot(W& w, const FleetSnapshot& s) {
     w.i32(k.t_entries);
     w.i32(k.k_blocks);
   }
+  w.u64(static_cast<std::uint64_t>(t.blobs.size()));
+  for (const std::string_view b : t.blobs) w.blob(b);
   w.u64(static_cast<std::uint64_t>(s.devices.size()));
-  for (const DeviceProgress& p : s.devices) write_device(w, p);
+  for (std::size_t i = 0; i < s.devices.size(); ++i) {
+    write_device(w, s.devices[i], t.index[i]);
+  }
 }
 
 }  // namespace
 
 std::string FleetSnapshot::to_bytes() const {
+  const BlobTable table{devices};
   ByteSizer sizer;
-  write_snapshot(sizer, *this);
+  write_snapshot(sizer, *this, table);
   const std::size_t size = sizer.size() + 8;  // + the checksum
 
   ByteWriter w;
   w.reserve(size);
-  write_snapshot(w, *this);
+  write_snapshot(w, *this, table);
   w.u64(checksum64(std::string_view{w.bytes()}.substr(kHeaderBytes)));
   if (w.size() != size) {
     throw std::logic_error("snapshot: encoded " + std::to_string(w.size()) +
@@ -290,10 +341,16 @@ FleetSnapshot FleetSnapshot::from_bytes(std::string_view bytes) {
     k.k_blocks = r.i32();
     snap.lut_counted.push_back(k);
   }
+  const std::size_t n_blobs = read_count(r, kBlobBytes, "processor blobs");
+  std::vector<StateBlob> blobs;
+  blobs.reserve(n_blobs);
+  for (std::size_t i = 0; i < n_blobs; ++i) {
+    blobs.push_back(std::make_shared<const std::string>(r.blob()));
+  }
   const std::size_t n_devices = read_count(r, min_device_bytes(), "devices");
   snap.devices.reserve(n_devices);
   for (std::size_t i = 0; i < n_devices; ++i) {
-    snap.devices.push_back(read_device(r));
+    snap.devices.push_back(read_device(r, blobs));
   }
   if (!r.at_end()) {
     throw std::runtime_error(

@@ -10,10 +10,17 @@
 // version-skewed or wrong-spec blobs all throw std::runtime_error with a
 // diagnostic — a snapshot is never silently misread.
 //
+// Processor state is stored once per distinct blob: a table of
+// Processor::save_state blobs deduplicated by bytes, and per live device an
+// index into it plus the state digest the blob must restore to (checked
+// when the device next runs exact). Devices of a converged fleet share a
+// few dozen blobs.
+//
 // What is NOT stored: load traces (regenerated from the spec — exact),
 // LUT-cache contents (rebuilt per process; lut_builds stats stay correct
-// via the counted-pair list below), and OutcomeCache contents (segments run
-// the exact path, which the memo path is byte-identical to by invariant).
+// via the counted-pair list below), and OutcomeCache contents (a resumed
+// device in a cold process misses, loads its blob and runs exact, which
+// re-seeds the memo; the output is the same either way).
 #pragma once
 
 #include <cstdint>
@@ -53,9 +60,10 @@ struct FleetSnapshot {
   /// Parses to_bytes() output. Throws std::runtime_error (and only that) on
   /// a bad magic, a version other than this build's, a checksum mismatch, a
   /// truncated stream, a record count larger than the bytes left, a device
-  /// record without its flags/result/lane/samples fields, or an unknown
-  /// field tag. Device identity is checked later,
-  /// against the spec, by FleetSimulator::run_to/resume.
+  /// record without its flags/result/lane/samples fields, a blob index past
+  /// the blob table, or an unknown field tag. Device identity is checked
+  /// later, against the spec, by FleetSimulator::run_to/resume; equal blobs
+  /// decode to one shared StateBlob.
   [[nodiscard]] static FleetSnapshot from_bytes(std::string_view bytes);
 
   /// to_bytes()/from_bytes() through a file. Throw std::runtime_error on

@@ -2,8 +2,9 @@
 // semantics (exact buckets, first-writer-wins, pointer stability across
 // clear()), the processor state digest it keys on, and the subsystem's
 // load-bearing property — fleet output with memoization on is byte-identical
-// to the scalar Device::run path at any thread count, cold or warm, and
-// exhausted devices always take the exact path.
+// to the exact path at any thread count, cold or warm, one-shot or
+// segmented (run_to/resume, in one process or through a fresh cache),
+// exhaustion slices included.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -32,15 +33,44 @@ FleetSpec small_fleet(int devices = 24, int slices = 6) {
   return spec;
 }
 
-FleetResult run_with(const FleetSpec& spec, unsigned threads,
-                     placement::LutCache* luts, OutcomeCache* memo) {
+/// The CI churn smoke's fleet (fleet_sim --capacity-mj=300
+/// --join-fraction=0.3 --leave-fraction=0.3 --charge-period=12
+/// --charge-window=4 --charge-mj=2, LUT r16, the default model zoo and
+/// scenario mix): joiners, early leavers, charging windows, and a battery
+/// most devices exhaust.
+FleetSpec churn_fleet(int devices, int slices) {
+  FleetSpec spec;
+  spec.name = "memo-churn";
+  spec.devices = devices;
+  spec.slices = slices;
+  spec.config.lut_t_entries = 16;
+  spec.config.lut_k_blocks = 16;
+  spec.battery.capacity = Energy::mj(300.0);
+  spec.lifecycle.join_fraction = 0.3;
+  spec.lifecycle.leave_fraction = 0.3;
+  spec.charging = {.period = 12, .window = 4, .energy_per_slice = Energy::mj(2.0)};
+  return spec;
+}
+
+FleetOptions options_for(unsigned threads, placement::LutCache* luts,
+                         OutcomeCache* memo) {
   FleetOptions opts;
   opts.threads = threads;
   opts.shard_size = 4;
   opts.lut_cache = luts;
   opts.memoize_devices = memo != nullptr;
   opts.outcome_cache = memo;
-  return FleetSimulator{opts}.run(spec);
+  return opts;
+}
+
+FleetResult run_with(const FleetSpec& spec, unsigned threads,
+                     placement::LutCache* luts, OutcomeCache* memo) {
+  return FleetSimulator{options_for(threads, luts, memo)}.run(spec);
+}
+
+/// `snap` through the binary format, as between two processes.
+FleetSnapshot round_trip(const FleetSnapshot& snap) {
+  return FleetSnapshot::from_bytes(snap.to_bytes());
 }
 
 // --- cache semantics ---------------------------------------------------------
@@ -78,6 +108,30 @@ TEST(OutcomeCache, LookupInsertStatsClear) {
   EXPECT_EQ(cache.stats().hits, 0u);
   EXPECT_DOUBLE_EQ(hit->energy_pj, 100.0);
   EXPECT_EQ(cache.lookup(key), nullptr);
+}
+
+TEST(OutcomeCache, InternsPostStateBlobsByBytes) {
+  OutcomeCache cache;
+  // Equal bytes from two recorders share one copy; other bytes get their own.
+  const StateBlob* a1 = cache.intern_blob("state-a");
+  const StateBlob* a2 = cache.intern_blob(std::string("state-a"));
+  const StateBlob* b = cache.intern_blob("state-b");
+  EXPECT_EQ(a1, a2);
+  EXPECT_NE(a1, b);
+  EXPECT_EQ(**a1, "state-a");
+  EXPECT_EQ(**b, "state-b");
+  EXPECT_EQ(cache.stats().blobs, 2u);
+
+  // A published outcome carries the interned blob; both outlive clear().
+  std::vector<std::pair<SliceOutcomeKey, SliceOutcome>> batch;
+  batch.push_back({{7, 1, 0, 1}, SliceOutcome{.post_state = 10, .blob = a1}});
+  cache.insert_batch(batch);
+  const SliceOutcome* hit = cache.lookup({7, 1, 0, 1});
+  ASSERT_NE(hit, nullptr);
+  EXPECT_EQ(hit->blob, a1);
+  cache.clear();
+  EXPECT_EQ(**hit->blob, "state-a");
+  EXPECT_EQ(cache.intern_blob("state-a"), a1);
 }
 
 TEST(OutcomeCache, KeysSeparateOnEveryField) {
@@ -140,9 +194,8 @@ TEST(OutcomeMemo, ByteIdenticalToScalarPathAcrossThreads) {
 
 TEST(OutcomeMemo, WarmCacheReplaysEveryDeviceByteIdentically) {
   FleetSpec spec = small_fleet(24, 5);
-  // Non-exhausting battery: exhaustion-boundary devices are pinned to the
-  // exact path by design (see the exhaustion test below), and this test
-  // wants the all-replay steady state.
+  // Non-exhausting battery: the steady state of a long-lived fleet
+  // (ExhaustedDevicesReplayFromTheMemo covers devices that die).
   spec.battery.capacity = Energy::mj(5000.0);
   // One LUT cache for every run: outcome keys embed the lut_cache pointer
   // (sys::processor_reuse_key), so a per-run cache would cold-start the
@@ -166,35 +219,81 @@ TEST(OutcomeMemo, WarmCacheReplaysEveryDeviceByteIdentically) {
   EXPECT_EQ(warm.memo_misses, 0u);
 }
 
-TEST(OutcomeMemo, ExhaustedDevicesTakeExactPath) {
-  FleetSpec spec = small_fleet(16, 6);
-  // A battery that dies after roughly one busy slice: most of the fleet
-  // exhausts mid-run.
-  spec.battery.capacity = Energy::mj(10.0);
-  // One pre-warmed LUT cache for every run (see
-  // WarmCacheReplaysEveryDeviceByteIdentically).
+TEST(OutcomeMemo, ExhaustedDevicesReplayFromTheMemo) {
+  // The battery clamp is applied per device at replay time, so a memoized
+  // outcome serves the device it exhausts too: on a fleet most of whose
+  // devices exhaust, a warm memo replays every device, exhaustion slices
+  // included, with output identical to the memo-off path.
+  const FleetSpec spec = churn_fleet(96, 48);
   placement::LutCache luts;
-  (void)run_with(spec, 1, &luts, nullptr);
+  (void)run_with(spec, 1, &luts, nullptr);  // warm the LUTs (lut_builds = 0)
   const FleetResult ref = run_with(spec, 1, &luts, nullptr);
   std::uint64_t exhausted = 0;
   for (const DeviceResult& d : ref.devices) {
     if (d.exhausted_at_slice >= 0) ++exhausted;
   }
-  ASSERT_GT(exhausted, 0u);
+  ASSERT_GT(2 * exhausted, static_cast<std::uint64_t>(spec.devices));
 
-  OutcomeCache memo;
-  const FleetResult cold = run_with(spec, 1, &luts, &memo);
-  EXPECT_EQ(cold.to_jsonl(), ref.to_jsonl());
+  for (const unsigned threads : {1u, 4u}) {
+    OutcomeCache memo;
+    const FleetResult cold = run_with(spec, threads, &luts, &memo);
+    EXPECT_EQ(cold.to_jsonl(), ref.to_jsonl()) << "threads=" << threads;
+    EXPECT_EQ(cold.summary_to_json(), ref.summary_to_json()) << "threads=" << threads;
 
-  // Warm run: devices that drain the battery mid-slice must still run the
-  // full Device::run path (the replay lane parks when drained < requested),
-  // no matter how warm the cache is.
-  const FleetResult warm = run_with(spec, 1, &luts, &memo);
-  EXPECT_EQ(warm.to_jsonl(), ref.to_jsonl());
-  EXPECT_EQ(warm.summary_to_json(), ref.summary_to_json());
-  EXPECT_GE(warm.memo_exact_devices, exhausted);
-  EXPECT_EQ(warm.memo_replayed_devices + warm.memo_exact_devices,
-            static_cast<std::uint64_t>(spec.devices));
+    const FleetResult warm = run_with(spec, threads, &luts, &memo);
+    EXPECT_EQ(warm.to_jsonl(), ref.to_jsonl()) << "threads=" << threads;
+    EXPECT_EQ(warm.summary_to_json(), ref.summary_to_json()) << "threads=" << threads;
+    EXPECT_EQ(warm.memo_exact_devices, 0u) << "threads=" << threads;
+    EXPECT_EQ(warm.memo_misses, 0u) << "threads=" << threads;
+    EXPECT_EQ(warm.memo_replayed_devices, static_cast<std::uint64_t>(spec.devices))
+        << "threads=" << threads;
+  }
+}
+
+// --- memo replay inside checkpointed segments --------------------------------
+
+/// Cut points of the segmented runs below: mid-charging-window, across
+/// joins, leaves and exhaustion.
+const std::vector<int> kCuts = {5, 11, 17};
+
+TEST(OutcomeMemo, SegmentedRunsMatchExactOneShot) {
+  // run_to/resume replay from the memo and still equal the exact one-shot
+  // run: warm (one memo across segments) and cold (the "new process" case:
+  // every segment on fresh, empty LUT and outcome caches, so live devices
+  // restore from their snapshot blobs at their first miss and their exact
+  // slices re-seed the memo).
+  const FleetSpec spec = churn_fleet(40, 24);
+  placement::LutCache ref_luts;
+  const FleetResult ref = run_with(spec, 1, &ref_luts, nullptr);
+  for (const unsigned threads : {1u, 4u}) {
+    for (const bool cold : {false, true}) {
+      placement::LutCache warm_luts;
+      OutcomeCache warm_memo;
+      FleetSnapshot snap;
+      FleetResult r;
+      for (std::size_t c = 0; c <= kCuts.size(); ++c) {
+        placement::LutCache fresh_luts;
+        OutcomeCache fresh_memo;
+        const FleetSimulator sim{options_for(threads, cold ? &fresh_luts : &warm_luts,
+                                             cold ? &fresh_memo : &warm_memo)};
+        if (c == kCuts.size()) {
+          r = sim.resume(spec, snap);
+          if (cold) {
+            EXPECT_GT(fresh_memo.stats().entries, 0u) << "threads=" << threads;
+          }
+        } else {
+          snap = round_trip(sim.run_to(spec, kCuts[c], c == 0 ? nullptr : &snap));
+        }
+      }
+      EXPECT_EQ(r.to_jsonl(), ref.to_jsonl()) << "threads=" << threads << " cold=" << cold;
+      EXPECT_EQ(r.summary_to_json(), ref.summary_to_json())
+          << "threads=" << threads << " cold=" << cold;
+      if (!cold) {
+        EXPECT_GT(r.memo_hits, 0u) << "threads=" << threads;
+        EXPECT_GT(r.memo_replayed_devices, 0u) << "threads=" << threads;
+      }
+    }
+  }
 }
 
 }  // namespace

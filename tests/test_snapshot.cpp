@@ -16,6 +16,7 @@
 #include <cstdlib>
 #include <limits>
 #include <map>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -294,8 +295,8 @@ TEST(SnapshotFuzz, RandomSpecsRandomCuts) {
     const std::vector<DeviceSpec> device_specs = spec.expand();
     const std::vector<nn::Model> models = spec.resolved_models();
     for (std::size_t d = 0; d < at_cut.devices.size(); ++d) {
-      const std::string& blob = at_cut.devices[d].proc_state;
-      if (blob.empty()) continue;
+      if (at_cut.devices[d].proc_blob == nullptr) continue;
+      const std::string& blob = *at_cut.devices[d].proc_blob;
       const DeviceSpec& ds = device_specs[d];
       const sys::SystemConfig cfg = Device::device_config(spec, ds, &walk_lut);
       const nn::Model& model = models[ds.model_index];
@@ -308,10 +309,15 @@ TEST(SnapshotFuzz, RandomSpecsRandomCuts) {
       const auto [it, inserted] = blob_of_state.emplace(
           std::pair{sys::processor_reuse_key(cfg, model), fresh.state_digest()}, blob);
       shared_digests += inserted ? 0 : 1;
-      if (!r.at_end() || w.bytes() != blob || it->second != blob) {
+      if (!r.at_end() || w.bytes() != blob || it->second != blob ||
+          fresh.state_digest() != at_cut.devices[d].proc_digest) {
         ADD_FAILURE() << "state walk disagreement at device " << d
                       << " (load leftover " << r.remaining() << " B, resave "
                       << (w.bytes() == blob ? "same" : "differs")
+                      << ", digest "
+                      << (fresh.state_digest() == at_cut.devices[d].proc_digest
+                              ? "same"
+                              : "differs")
                       << ", equal-digest blob "
                       << (it->second == blob ? "same" : "differs")
                       << "); repro spec #" << i << ": "
@@ -401,7 +407,7 @@ TEST(Snapshot, FailsLoudlyOnDamagedBlobs) {
     FleetSpec live = small_fleet(1, 6);
     live.battery.capacity = Energy::mj(1000.0);
     const FleetSnapshot one_snap = sim.run_to(live, 3);
-    ASSERT_FALSE(one_snap.devices[0].proc_state.empty());
+    ASSERT_NE(one_snap.devices[0].proc_blob, nullptr);
     ASSERT_FALSE(one_snap.devices[0].sample_busy_ps.empty());
     const std::string one = one_snap.to_bytes();
     std::string flipped = one;
@@ -457,8 +463,9 @@ TEST(Snapshot, FailsLoudlyOnDamagedBlobs) {
   // Older versions are refused the same way: a reader parses only its own
   // layout (version 1 blobs carried tracker leakage bits and the slice
   // index in every processor blob; version 2 interleaved the samples and
-  // was checksummed with FNV-1a).
-  for (const char old_version : {0, 1, 2}) {
+  // was checksummed with FNV-1a; version 3 stored each live device's
+  // processor blob inline, with no digest).
+  for (const char old_version : {0, 1, 2, 3}) {
     std::string old = bytes;
     old[8] = old_version;
     try {
@@ -499,10 +506,10 @@ std::uint64_t u64_at(const std::string& blob, std::size_t at) {
 }
 
 TEST(Snapshot, HugeDeclaredCountsThrowRuntimeError) {
-  // A re-checksummed blob that declares more LUT keys, devices or samples
-  // than its bytes can hold must throw std::runtime_error — not reserve
-  // the memory it names (std::bad_alloc) or past max_size()
-  // (std::length_error).
+  // A re-checksummed blob that declares more LUT keys, processor blobs,
+  // devices or samples than its bytes can hold must throw
+  // std::runtime_error — not reserve the memory it names (std::bad_alloc)
+  // or past max_size() (std::length_error).
   FleetSnapshot snap;
   snap.spec_digest = 7;
   snap.next_slice = 2;
@@ -512,21 +519,27 @@ TEST(Snapshot, HugeDeclaredCountsThrowRuntimeError) {
   snap.devices[0].started = true;
   snap.devices[0].sample_busy_ps = {10, 20, 30};
   snap.devices[0].sample_energy_pj = {1.0, 2.0, 3.0};
+  snap.devices[0].proc_blob = std::make_shared<const std::string>("blob");
   const std::string bytes = snap.to_bytes();
 
-  // Offsets of the three counts: the LUT-key count follows spec digest,
-  // next slice and build count; each key is 48 bytes; device 0's sample
-  // count follows its flags (3 bytes), result (2 + 117) and lane (2 + 21)
-  // fields and the samples tag (2).
+  // Offsets of the counts: the LUT-key count follows spec digest, next
+  // slice and build count; each key is 48 bytes; the blob table's one blob
+  // is a u64 length and 4 bytes; device 0's sample count follows its flags
+  // (3 bytes), result (2 + 117) and lane (2 + 21) fields and the samples
+  // tag (2).
   const std::size_t key_count = kHeaderBytes + 8 + 4 + 8;
-  const std::size_t device_count = key_count + 8 + 48;
+  const std::size_t blob_count = key_count + 8 + 48;
+  const std::size_t blob_length = blob_count + 8;
+  const std::size_t device_count = blob_length + 8 + 4;
   const std::size_t sample_count = device_count + 8 + 3 + 119 + 23 + 2;
   ASSERT_EQ(u64_at(bytes, key_count), 1u);
+  ASSERT_EQ(u64_at(bytes, blob_count), 1u);
+  ASSERT_EQ(u64_at(bytes, blob_length), 4u);
   ASSERT_EQ(u64_at(bytes, device_count), 2u);
   ASSERT_EQ(u64_at(bytes, sample_count), 3u);
   EXPECT_EQ(FleetSnapshot::from_bytes(patched(bytes, sample_count, 3)).to_bytes(), bytes);
 
-  for (const std::size_t at : {key_count, device_count, sample_count}) {
+  for (const std::size_t at : {key_count, blob_count, device_count, sample_count}) {
     for (const std::uint64_t n :
          {std::uint64_t{1} << 40, std::numeric_limits<std::uint64_t>::max()}) {
       try {
@@ -552,6 +565,7 @@ TEST(Snapshot, DeviceRecordsNeedTheirRequiredFields) {
   w.u32(0);  // next slice
   w.u64(0);  // LUT builds
   w.u64(0);  // LUT keys
+  w.u64(0);  // processor blobs
   w.u64(1);  // devices
   w.u16(6);  // end of device record
   w.raw(std::string(256, '\0'));
@@ -561,6 +575,130 @@ TEST(Snapshot, DeviceRecordsNeedTheirRequiredFields) {
     ADD_FAILURE() << "a device record without fields was accepted";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("lacks"), std::string::npos) << e.what();
+  }
+}
+
+TEST(Snapshot, IdenticalBlobsAreStoredOnce) {
+  // Devices at one processor state share one blob: equal bytes are stored
+  // once whether the devices share the allocation or hold equal copies, and
+  // decode to one shared blob.
+  const std::string a(200, 'a');
+  const std::string b(200, 'b');
+  FleetSnapshot snap;
+  snap.devices.resize(4);
+  const StateBlob shared = std::make_shared<const std::string>(a);
+  snap.devices[0].proc_blob = shared;
+  snap.devices[1].proc_blob = shared;
+  snap.devices[2].proc_blob = std::make_shared<const std::string>(a);  // a copy
+  snap.devices[3].proc_blob = std::make_shared<const std::string>(b);
+  for (std::size_t d = 0; d < snap.devices.size(); ++d) {
+    snap.devices[d].started = true;
+    snap.devices[d].proc_digest = 100 + d;
+  }
+  const std::string bytes = snap.to_bytes();
+  const auto occurrences = [&bytes](const std::string& needle) {
+    int n = 0;
+    for (std::size_t at = bytes.find(needle); at != std::string::npos;
+         at = bytes.find(needle, at + needle.size())) {
+      ++n;
+    }
+    return n;
+  };
+  EXPECT_EQ(occurrences(a), 1);
+  EXPECT_EQ(occurrences(b), 1);
+
+  const FleetSnapshot back = FleetSnapshot::from_bytes(bytes);
+  ASSERT_EQ(back.devices.size(), 4u);
+  EXPECT_EQ(back.devices[0].proc_blob.get(), back.devices[1].proc_blob.get());
+  EXPECT_EQ(back.devices[0].proc_blob.get(), back.devices[2].proc_blob.get());
+  EXPECT_NE(back.devices[0].proc_blob.get(), back.devices[3].proc_blob.get());
+  EXPECT_EQ(*back.devices[0].proc_blob, a);
+  EXPECT_EQ(*back.devices[3].proc_blob, b);
+  for (std::size_t d = 0; d < back.devices.size(); ++d) {
+    EXPECT_EQ(back.devices[d].proc_digest, 100 + d);
+  }
+  EXPECT_EQ(back.to_bytes(), bytes);
+}
+
+TEST(Snapshot, OutOfRangeBlobIndexThrowsRuntimeError) {
+  // A re-checksummed snapshot whose device points past the blob table is
+  // refused at decode time.
+  FleetSnapshot snap;
+  snap.devices.resize(1);
+  snap.devices[0].started = true;
+  snap.devices[0].proc_blob = std::make_shared<const std::string>("blob");
+  snap.devices[0].proc_digest = 0x0123456789abcdefULL;
+  const std::string bytes = snap.to_bytes();
+  // The device's proc field is a u32 index then the u64 digest: find the
+  // digest's little-endian bytes.
+  std::string digest(8, '\0');
+  put_u64(digest, 0, snap.devices[0].proc_digest);
+  const std::size_t at = bytes.find(digest);
+  ASSERT_NE(at, std::string::npos);
+  const std::size_t index_at = at - 4;
+  ASSERT_EQ(bytes.compare(index_at, 4, std::string(4, '\0')), 0);  // index 0
+  for (const std::uint32_t bad : {1u, 0xfffffffeu, 0xffffffffu}) {
+    std::string tampered = bytes;
+    for (int i = 0; i < 4; ++i) tampered[index_at + i] = static_cast<char>(bad >> (8 * i));
+    try {
+      (void)FleetSnapshot::from_bytes(rechecksummed(tampered));
+      ADD_FAILURE() << "blob index " << bad << " was accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("out of range"), std::string::npos) << e.what();
+    }
+  }
+}
+
+TEST(Snapshot, ResumeRejectsBlobsThatDoNotRestoreTheirDigest) {
+  // The blob and the digest are both decoded values: a device whose blob
+  // restores a state other than its stored digest is refused when the
+  // device next runs exact — with the memo off, and with a cold memo (the
+  // fresh-process case, where every device misses first).
+  FleetSpec spec = small_fleet(6, 6);
+  spec.battery.capacity = Energy::mj(1000.0);  // every device stays live
+  for (const bool memo : {false, true}) {
+    placement::LutCache lut;
+    OutcomeCache first;
+    const FleetSnapshot good =
+        FleetSimulator{base_options(1, memo, &lut, &first)}.run_to(spec, 3);
+    std::size_t a = good.devices.size();
+    std::size_t b = good.devices.size();
+    for (std::size_t d = 0; d < good.devices.size(); ++d) {
+      const DeviceProgress& p = good.devices[d];
+      if (p.proc_blob == nullptr) continue;
+      if (a == good.devices.size()) {
+        a = d;
+      } else if (p.proc_digest != good.devices[a].proc_digest) {
+        b = d;
+        break;
+      }
+    }
+    ASSERT_LT(b, good.devices.size()) << "memo=" << memo;  // two live states
+
+    const std::vector<std::pair<const char*, void (*)(FleetSnapshot&, std::size_t,
+                                                      std::size_t)>>
+        tampers = {
+            {"digest", [](FleetSnapshot& s, std::size_t x, std::size_t) {
+               s.devices[x].proc_digest ^= 1;
+             }},
+            {"blob", [](FleetSnapshot& s, std::size_t x, std::size_t y) {
+               s.devices[x].proc_blob = s.devices[y].proc_blob;
+             }},
+        };
+    for (const auto& [name, tamper] : tampers) {
+      FleetSnapshot snap = good;
+      tamper(snap, a, b);
+      snap = FleetSnapshot::from_bytes(snap.to_bytes());
+      OutcomeCache cold;
+      const FleetSimulator sim{base_options(1, memo, &lut, &cold)};
+      EXPECT_THROW((void)sim.resume(spec, snap), std::runtime_error)
+          << name << " memo=" << memo;
+      EXPECT_THROW((void)sim.run_to(spec, 4, &snap), std::runtime_error)
+          << name << " memo=" << memo;
+    }
+    OutcomeCache cold;
+    EXPECT_NO_THROW(
+        (void)FleetSimulator{base_options(1, memo, &lut, &cold)}.resume(spec, good));
   }
 }
 
