@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <condition_variable>
 #include <cstdio>
 #include <exception>
 #include <fstream>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <mutex>
@@ -60,10 +62,18 @@ namespace {
 
 /// The one JSONL formatter: appends one compact line per device, in order.
 /// FleetResult::write_jsonl/to_jsonl and the shard files all go through it,
-/// so their bytes agree. `model_names` resolves DeviceResult::model_index.
+/// so their bytes agree. `model_names` resolves DeviceResult::model_index;
+/// an index outside it (a hand-built or corrupted result) throws
+/// std::out_of_range naming the device.
 void append_device_lines(std::string& out, std::span<const DeviceResult> devices,
                          const std::vector<std::string>& model_names) {
   for (const DeviceResult& r : devices) {
+    if (r.model_index >= model_names.size()) {
+      throw std::out_of_range("fleet JSONL: device " + std::to_string(r.id) +
+                              " has model index " + std::to_string(r.model_index) +
+                              " outside its " + std::to_string(model_names.size()) +
+                              "-name model table");
+    }
     JsonWriter w{out, JsonWriter::Style::kCompact};
     w.begin_object();
     w.field("device", static_cast<std::uint64_t>(r.id));
@@ -102,25 +112,135 @@ void append_device_lines(std::string& out, std::span<const DeviceResult> devices
   }
 }
 
+/// The ordered-chunk pipeline behind write_jsonl and to_jsonl: formats
+/// `r.devices` in shard-sized chunks on up to `r.threads` threads and hands
+/// each chunk's bytes to `emit` on the calling thread, strictly in chunk
+/// order, so the sink is only ever touched by one thread. `emit` returns
+/// false to stop: chunks not formatted by then never are.
+///
+/// Chunk c is formatted into ring slot c % ring. Helper threads claim chunk
+/// indices from an atomic counter and wait while their chunk is a whole
+/// ring ahead of the writer (its slot still holds an unwritten chunk), so
+/// memory is bounded by the ring, not by the fleet. The calling thread is
+/// the writer: while its next chunk is not ready it formats an unclaimed
+/// chunk whose slot is free, which also makes one thread a plain serial
+/// loop. The first exception stops the pipeline and is rethrown after the
+/// join.
+void format_in_order(const FleetResult& r,
+                     const std::function<bool(std::string_view)>& emit) {
+  const std::span<const DeviceResult> all{r.devices};
+  const std::size_t chunk = std::max<std::size_t>(r.shard_size, 1);
+  const std::size_t chunks = (all.size() + chunk - 1) / chunk;
+  const auto threads = static_cast<unsigned>(std::min<std::size_t>(
+      std::max(r.threads, 1U), std::max<std::size_t>(chunks, 1)));
+  const std::size_t ring = 2 * static_cast<std::size_t>(threads);
+
+  std::vector<std::string> slots(ring);
+  std::atomic<std::size_t> next{0};  // the next unclaimed chunk
+  // Guarded by `m`: the chunk each slot holds formatted (npos = none), the
+  // chunks written so far, and the stop flag with the first error.
+  std::mutex m;
+  std::vector<std::size_t> ready(ring, std::string::npos);
+  std::size_t written = 0;
+  bool stop = false;
+  std::exception_ptr error;
+  std::condition_variable chunk_ready;  // the writer waits on a chunk
+  std::condition_variable slot_freed;   // helpers wait on the writer
+
+  const auto halt = [&](std::exception_ptr e) {
+    {
+      const std::lock_guard<std::mutex> lock{m};
+      if (!error) error = std::move(e);
+      stop = true;
+    }
+    chunk_ready.notify_all();
+    slot_freed.notify_all();
+  };
+  const auto format = [&](std::size_t c) {
+    try {
+      std::string& bytes = slots[c % ring];
+      bytes.clear();
+      const std::size_t b = c * chunk;
+      append_device_lines(bytes, all.subspan(b, std::min(chunk, all.size() - b)),
+                          r.model_names);
+    } catch (...) {
+      halt(std::current_exception());
+      return;
+    }
+    {
+      const std::lock_guard<std::mutex> lock{m};
+      ready[c % ring] = c;
+    }
+    chunk_ready.notify_one();
+  };
+  const auto helper = [&] {
+    for (;;) {
+      const std::size_t c = next.fetch_add(1);
+      if (c >= chunks) return;
+      {
+        std::unique_lock<std::mutex> lock{m};
+        slot_freed.wait(lock, [&] { return stop || c < written + ring; });
+        if (stop) return;
+      }
+      format(c);
+    }
+  };
+  // True once chunk w sits formatted in its slot, false if stopped.
+  const auto await_chunk = [&](std::size_t w) {
+    const std::size_t limit = std::min(chunks, w + ring);
+    for (;;) {
+      std::size_t c = 0;
+      {
+        std::unique_lock<std::mutex> lock{m};
+        if (stop) return false;
+        if (ready[w % ring] == w) return true;
+        c = next.load();
+        if (c >= limit) {
+          // Chunk w is claimed and every free slot too: wait for w.
+          chunk_ready.wait(lock, [&] { return stop || ready[w % ring] == w; });
+          return !stop;
+        }
+      }
+      if (next.compare_exchange_strong(c, c + 1)) format(c);
+    }
+  };
+
+  std::vector<std::thread> helpers;
+  try {
+    helpers.reserve(threads - 1);
+    for (unsigned t = 1; t < threads; ++t) helpers.emplace_back(helper);
+    for (std::size_t w = 0; w < chunks && await_chunk(w); ++w) {
+      const bool ok = emit(slots[w % ring]);
+      {
+        const std::lock_guard<std::mutex> lock{m};
+        ++written;
+        stop = stop || !ok;
+      }
+      slot_freed.notify_all();
+    }
+  } catch (...) {
+    halt(std::current_exception());
+  }
+  halt(nullptr);
+  for (std::thread& t : helpers) t.join();
+  if (error) std::rethrow_exception(error);
+}
+
 }  // namespace
 
 void FleetResult::write_jsonl(std::ostream& os) const {
-  // One shard-sized chunk at a time through a reused string: memory stays
-  // bounded by a chunk however large the fleet.
-  const std::span<const DeviceResult> all{devices};
-  const std::size_t chunk = std::max<std::size_t>(shard_size, 1);
-  std::string bytes;
-  for (std::size_t b = 0; b < all.size(); b += chunk) {
-    bytes.clear();
-    append_device_lines(bytes, all.subspan(b, std::min(chunk, all.size() - b)),
-                        model_names);
+  format_in_order(*this, [&os](std::string_view bytes) {
     os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  }
+    return static_cast<bool>(os);
+  });
 }
 
 std::string FleetResult::to_jsonl() const {
   std::string out;
-  append_device_lines(out, devices, model_names);
+  format_in_order(*this, [&out](std::string_view bytes) {
+    out += bytes;
+    return true;
+  });
   return out;
 }
 
@@ -384,7 +504,8 @@ FleetSnapshot FleetSimulator::drive(const FleetSpec& spec, int end_slice,
                              .model_names = {},
                              .aggregate = FleetAggregate{spec.histograms},
                              .shard_count = shards,
-                             .shard_size = shard_size};
+                             .shard_size = shard_size,
+                             .threads = resolve_threads(options_.threads)};
     final_out->model_names.reserve(models.size());
     for (const nn::Model& m : models) final_out->model_names.push_back(m.name());
     if (options_.keep_results) final_out->devices.resize(n);

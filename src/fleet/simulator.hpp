@@ -108,6 +108,10 @@ struct FleetResult {
   FleetAggregate aggregate;
   std::size_t shard_count = 0;
   std::size_t shard_size = 0;
+  /// The run's resolved thread count (FleetSimulator::resolve_threads of
+  /// FleetOptions::threads): write_jsonl and to_jsonl format on that many
+  /// threads, capped at the chunk count. A hand-built result stays serial.
+  unsigned threads = 1;
   /// LUT-cache economy of this run: `builds` counts LUT keys the run needed
   /// that the cache did not hold when it started (probed before any
   /// processor exists — exactly one per new key regardless of thread count),
@@ -129,10 +133,15 @@ struct FleetResult {
   std::uint64_t memo_misses = 0;
 
   /// One compact JSON object per device, '\n'-separated (JSON Lines).
-  /// Byte-identical to the concatenation of the run's shard files: one
-  /// formatter serves both. write_jsonl formats one shard-sized chunk at a
-  /// time into a reused string, so its memory is bounded by a chunk.
+  /// Byte-identical to the concatenation of the run's shard files, at any
+  /// `threads`: one formatter serves both. Shard-sized chunks are formatted
+  /// on `threads` threads into a ring of ~2×threads reused strings (memory
+  /// is bounded by a few chunks, not by the fleet) and written strictly in
+  /// chunk order by the calling thread, the only one that touches `os`.
+  /// Once `os` fails the remaining chunks are not formatted. A model_index
+  /// outside `model_names` throws std::out_of_range naming the device.
   void write_jsonl(std::ostream& os) const;
+  /// write_jsonl's chunk pipeline, appending into one string.
   [[nodiscard]] std::string to_jsonl() const;
 
   /// Fleet-wide aggregate metrics (counters, energy/SoC summaries,

@@ -15,6 +15,7 @@
 #include <random>
 #include <sstream>
 #include <stdexcept>
+#include <streambuf>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -356,14 +357,116 @@ TEST(JsonlGolden, DeviceLinesMatchTheOstreamFormatter) {
 
   const std::string expected = ref::jsonl(result.devices, result.model_names);
   ASSERT_EQ(std::count(expected.begin(), expected.end(), '\n'), 1500);
-  EXPECT_EQ(first_difference(result.to_jsonl(), expected), "");
-  // write_jsonl formats in shard-sized chunks: a size that divides nothing,
-  // one device per chunk, one chunk for all, and an unset (zero) size.
-  for (const std::size_t shard_size : {7u, 1u, 5000u, 0u}) {
-    result.shard_size = shard_size;
+  // Both writers format shard-sized chunks on `threads` threads: a size that
+  // divides nothing, one device per chunk, one chunk for all (fewer chunks
+  // than threads), and an unset (zero) size.
+  for (const unsigned threads : {1U, 2U, 3U, 4U, 8U}) {
+    for (const std::size_t shard_size : {7U, 1U, 5000U, 0U}) {
+      result.threads = threads;
+      result.shard_size = shard_size;
+      std::ostringstream os;
+      result.write_jsonl(os);
+      EXPECT_EQ(first_difference(os.str(), expected), "")
+          << "write_jsonl threads=" << threads << " shard_size=" << shard_size;
+      EXPECT_EQ(first_difference(result.to_jsonl(), expected), "")
+          << "to_jsonl threads=" << threads << " shard_size=" << shard_size;
+    }
+  }
+}
+
+TEST(JsonlGolden, AnEmptyResultWritesNothing) {
+  fleet::FleetResult result;
+  result.shard_size = 1;
+  for (const unsigned threads : {1U, 4U}) {
+    result.threads = threads;
     std::ostringstream os;
     result.write_jsonl(os);
-    EXPECT_EQ(first_difference(os.str(), expected), "") << "shard_size=" << shard_size;
+    EXPECT_TRUE(os.good());
+    EXPECT_EQ(os.str(), "") << "threads=" << threads;
+    EXPECT_EQ(result.to_jsonl(), "") << "threads=" << threads;
+  }
+}
+
+TEST(JsonlGolden, ModelIndexOutsideTheTableThrowsNamingTheDevice) {
+  fleet::FleetResult result;
+  result.model_names = tricky_names();
+  result.devices = seeded_devices(600, result.model_names.size(), 11);
+  result.shard_size = 16;
+  result.devices[500].id = 424242;
+  result.devices[500].model_index = static_cast<std::uint32_t>(result.model_names.size());
+  const auto expect_named = [](const auto& call, const char* what) {
+    try {
+      call();
+      ADD_FAILURE() << what << " accepted an out-of-range model index";
+    } catch (const std::out_of_range& e) {
+      EXPECT_NE(std::string{e.what()}.find("device 424242"), std::string::npos)
+          << what << ": " << e.what();
+    }
+  };
+  // At 4 threads the bad chunk is formatted on a helper thread or on the
+  // writer: either way its exception reaches the caller.
+  for (const unsigned threads : {1U, 4U}) {
+    result.threads = threads;
+    std::ostringstream os;
+    expect_named([&] { result.write_jsonl(os); }, "write_jsonl");
+    expect_named([&] { (void)result.to_jsonl(); }, "to_jsonl");
+  }
+}
+
+/// A stream buffer that accepts `limit` bytes, then fails every write.
+class FailAfter : public std::streambuf {
+ public:
+  explicit FailAfter(std::size_t limit) : limit_(limit) {}
+  [[nodiscard]] std::size_t accepted() const { return accepted_; }
+
+ protected:
+  std::streamsize xsputn(const char* /*s*/, std::streamsize n) override {
+    const std::size_t take = std::min(static_cast<std::size_t>(n), limit_ - accepted_);
+    accepted_ += take;
+    return static_cast<std::streamsize>(take);
+  }
+  int_type overflow(int_type c) override {
+    if (traits_type::eq_int_type(c, traits_type::eof())) return traits_type::not_eof(c);
+    const char ch = traits_type::to_char_type(c);
+    return xsputn(&ch, 1) == 1 ? c : traits_type::eof();
+  }
+
+ private:
+  std::size_t limit_;
+  std::size_t accepted_ = 0;
+};
+
+TEST(JsonlGolden, AFailedStreamStopsFormatting) {
+  // 200 chunks of 10 devices; every device from chunk 40 on has a model
+  // index outside the table, so formatting any of those chunks would throw.
+  // The stream fails inside chunk 1: write_jsonl must return (no hang),
+  // leave the stream bad, and format nothing past the ring — at most a few
+  // chunks beyond the failed one, far fewer than all 200.
+  fleet::FleetResult result;
+  result.model_names = tricky_names();
+  result.devices = seeded_devices(2000, result.model_names.size(), 13);
+  result.shard_size = 10;
+  const std::vector<fleet::DeviceResult> first_chunk(result.devices.begin(),
+                                                     result.devices.begin() + 10);
+  const std::size_t limit = ref::jsonl(first_chunk, result.model_names).size() + 1;
+  for (std::size_t i = 400; i < result.devices.size(); ++i) {
+    result.devices[i].model_index = static_cast<std::uint32_t>(result.model_names.size());
+  }
+  for (const unsigned threads : {1U, 2U, 4U, 8U}) {
+    result.threads = threads;
+    EXPECT_THROW((void)result.to_jsonl(), std::out_of_range) << "threads=" << threads;
+    FailAfter buf{limit};
+    std::ostream os{&buf};
+    EXPECT_NO_THROW(result.write_jsonl(os)) << "threads=" << threads;
+    EXPECT_TRUE(os.bad()) << "threads=" << threads;
+    EXPECT_EQ(buf.accepted(), limit) << "threads=" << threads;
+    // A stream that throws on failure: its exception comes out after the
+    // helpers are joined.
+    FailAfter throwing_buf{limit};
+    std::ostream throwing{&throwing_buf};
+    throwing.exceptions(std::ios::badbit);
+    EXPECT_THROW(result.write_jsonl(throwing), std::ios_base::failure)
+        << "threads=" << threads;
   }
 }
 
