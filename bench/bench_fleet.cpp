@@ -35,6 +35,13 @@
 //   * fleet/t1-1m — `--big-devices` (default 1,000,000) devices through the
 //     warm memo at one thread, one rep, results streamed nowhere: the
 //     million-device headline (`big_devices_per_s`).
+//   * fleet/t4-1m vs fleet/t1-1m — the same big warm-memo fleet at 4 and 1
+//     worker threads. `memo_speedup_t4_vs_t1` is the replay path's scaling
+//     criterion: a memo hit writes nothing shared, so replay workers must
+//     not serialize on one cache line (docs/PERF.md "Contention-free memo
+//     hits"). The big fleet, not fleet/t1-memo's: at the default 1,000
+//     devices a replay leg takes about a millisecond, which thread start-up
+//     noise swamps.
 //
 // The bench battery is large enough that no device exhausts: exhausted
 // devices stop early (fewer slices of work) and must take the exact
@@ -233,6 +240,10 @@ int main(int argc, char** argv) {
   std::printf("  fleet/t1-1m     : %8.1f ms  (%d devices, %.0f devices/s)\n",
               t1_big.wall_ms, big_devices,
               big_devices / (t1_big.wall_ms * 1e-3));
+  const Measurement t4_big =
+      run_fleet(big, 4, std::size_t{256}, 1, &warm, &warm_memo);
+  std::printf("  fleet/t4-1m     : %8.1f ms  (%.2fx vs t1-1m)\n", t4_big.wall_ms,
+              t1_big.wall_ms / t4_big.wall_ms);
 
   const Measurement shared = run_fleet(small, 1, shard, reps);
   std::printf("  lut_shared/t1   : %8.1f ms  (%d devices, %llu builds)\n",
@@ -272,6 +283,7 @@ int main(int argc, char** argv) {
   write_result(w, "fleet/t1-cold", devices, 1, t1_cold);
   write_result(w, "fleet/t1-memo", devices, 1, t1_memo);
   write_result(w, "fleet/t1-1m", big_devices, 1, t1_big);
+  write_result(w, "fleet/t4-1m", big_devices, 4, t4_big);
   write_result(w, "lut_shared/t1", nocache_devices, 1, shared);
   w.end_array();
   w.field("lut_warm_ms", lut_warm_ms);
@@ -280,6 +292,7 @@ int main(int argc, char** argv) {
   w.field("batched_speedup_t1", t1_scalar.wall_ms / t1.wall_ms);
   w.field("cold_vs_warm_t1", t1_cold.wall_ms / t1.wall_ms);
   w.field("memo_speedup_t1", t1.wall_ms / t1_memo.wall_ms);
+  w.field("memo_speedup_t4_vs_t1", t1_big.wall_ms / t4_big.wall_ms);
   w.field("memo_hit_rate",
           t1_memo.memo_hits + t1_memo.memo_misses > 0
               ? static_cast<double>(t1_memo.memo_hits) /

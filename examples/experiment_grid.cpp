@@ -19,6 +19,7 @@
 #include "common/cli.hpp"
 #include "common/strings.hpp"
 #include "common/table.hpp"
+#include "common/threads.hpp"
 #include "exp/runner.hpp"
 #include "exp/spec.hpp"
 #include "placement/lut_cache.hpp"
@@ -113,7 +114,7 @@ int run_cli(const Cli& cli) {
     std::printf("grid: %zu archs x %zu models x %zu scenarios = %zu runs "
                 "(%u threads, %d slices; LUT cache: %llu built, %llu shared)\n\n",
                 spec.archs.size(), spec.models.size(), spec.scenarios.size(),
-                results.size(), exp::Runner::resolve_threads(opts.threads), wc.slices,
+                results.size(), resolve_threads(opts.threads), wc.slices,
                 static_cast<unsigned long long>(cache_stats.misses),
                 static_cast<unsigned long long>(cache_stats.hits));
     Table t{{"Arch", "Model", "Scenario", "total energy", "mean/slice", "misses",

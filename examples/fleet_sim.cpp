@@ -34,6 +34,7 @@
 
 #include "common/cli.hpp"
 #include "common/strings.hpp"
+#include "common/threads.hpp"
 #include "fleet/outcome_cache.hpp"
 #include "fleet/simulator.hpp"
 #include "nn/zoo.hpp"
@@ -177,7 +178,7 @@ int run_cli(const Cli& cli) {
     std::printf("fleet: %d devices x %d slices, %zu shards of %zu "
                 "(%u threads; LUT cache: %llu built, %llu shared)\n",
                 spec.devices, spec.slices, result.shard_count, result.shard_size,
-                fleet::FleetSimulator::resolve_threads(opts.threads),
+                resolve_threads(opts.threads),
                 static_cast<unsigned long long>(result.lut_builds),
                 static_cast<unsigned long long>(result.lut_shared));
     if (checkpoint_every > 0) {

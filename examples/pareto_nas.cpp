@@ -32,6 +32,7 @@
 #include "common/cli.hpp"
 #include "common/strings.hpp"
 #include "common/table.hpp"
+#include "common/threads.hpp"
 #include "exp/runner.hpp"
 #include "exp/spec.hpp"
 #include "hhpim/processor.hpp"
@@ -185,7 +186,7 @@ int run_cli(const Cli& cli) {
     std::printf("pareto-nas: %zu variants x %zu scenarios (%u threads, lut %d, "
                 "SLO %.0f%% of slice)\n\n",
                 spec.models.size(), spec.scenarios.size(),
-                exp::Runner::resolve_threads(opts.threads), lut, slo_frac * 100.0);
+                resolve_threads(opts.threads), lut, slo_frac * 100.0);
     Table t{{"Model", "params", "Scenario", "energy", "misses", "front", "SLO ok",
              "anchor lat", "perf lat"}};
     for (const auto& r : results.runs()) {

@@ -8,16 +8,11 @@
 #include <thread>
 #include <utility>
 
+#include "common/threads.hpp"
 #include "energy/ledger.hpp"
 #include "placement/lut_cache.hpp"
 
 namespace hhpim::exp {
-
-unsigned Runner::resolve_threads(unsigned requested) {
-  if (requested != 0) return requested;
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : hw;
-}
 
 unsigned Runner::resolve_workers(unsigned requested, std::size_t runs) {
   return std::min<unsigned>(resolve_threads(requested),

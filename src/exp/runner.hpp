@@ -39,7 +39,8 @@ class LutCache;  // placement/lut_cache.hpp — only a pointer is stored here
 namespace hhpim::exp {
 
 struct RunnerOptions {
-  /// Worker threads. 0 = one per hardware thread (min 1); 1 = run inline on
+  /// Worker threads. 0 = one per CPU the process may run on (hhpim::
+  /// resolve_threads, which honours the affinity mask); 1 = run inline on
   /// the calling thread (no pool).
   unsigned threads = 0;
   /// Retain per-slice metrics in each RunResult (larger results/JSON).
@@ -76,11 +77,9 @@ class Runner {
   [[nodiscard]] const RunnerOptions& options() const { return options_; }
   /// The cache this runner's options resolve to (never null).
   [[nodiscard]] placement::LutCache* resolve_lut_cache() const;
-  /// The worker count a `threads` request resolves to on this host.
-  [[nodiscard]] static unsigned resolve_threads(unsigned requested);
   /// Workers actually spawned for `requested` threads over `runs` runs:
-  /// min(resolve_threads(requested), runs), at least 1. Surplus workers
-  /// would only contend on the claim counter.
+  /// min(hhpim::resolve_threads(requested), runs), at least 1. Surplus
+  /// workers would only contend on the claim counter.
   [[nodiscard]] static unsigned resolve_workers(unsigned requested,
                                                 std::size_t runs);
 

@@ -2,17 +2,11 @@
 
 namespace hhpim::fleet {
 
-const SliceOutcome* OutcomeCache::lookup(const SliceOutcomeKey& key) {
+const SliceOutcome* OutcomeCache::lookup(const SliceOutcomeKey& key) const {
   const ReadyMap* snap = ready_.load(std::memory_order_acquire);
-  if (snap != nullptr) {
-    const auto it = snap->find(key);
-    if (it != snap->end()) {
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      return &it->second;
-    }
-  }
-  misses_.fetch_add(1, std::memory_order_relaxed);
-  return nullptr;
+  if (snap == nullptr) return nullptr;
+  const auto it = snap->find(key);
+  return it != snap->end() ? &it->second : nullptr;
 }
 
 void OutcomeCache::insert_batch(
@@ -41,7 +35,7 @@ void OutcomeCache::insert_batch(
     if (next->emplace(e.first, e.second).second) ++inserted;
   }
   if (inserted == 0) return;
-  insertions_.fetch_add(inserted, std::memory_order_relaxed);
+  insertions_ += inserted;
   publish_locked(std::move(next));
 }
 
@@ -66,21 +60,15 @@ void OutcomeCache::clear() {
   // blobs its outcomes point at; publishing null is enough (readers treat it
   // as empty).
   ready_.store(nullptr, std::memory_order_release);
-  hits_.store(0, std::memory_order_relaxed);
-  misses_.store(0, std::memory_order_relaxed);
-  insertions_.store(0, std::memory_order_relaxed);
+  insertions_ = 0;
 }
 
 OutcomeCache::Stats OutcomeCache::stats() const {
-  Stats s;
-  s.hits = hits_.load(std::memory_order_relaxed);
-  s.misses = misses_.load(std::memory_order_relaxed);
-  s.insertions = insertions_.load(std::memory_order_relaxed);
-  const ReadyMap* snap = ready_.load(std::memory_order_acquire);
-  s.entries = snap != nullptr ? snap->size() : 0;
   const std::lock_guard<std::mutex> lock{mu_};
-  s.blobs = blobs_.size();
-  return s;
+  const ReadyMap* snap = ready_.load(std::memory_order_relaxed);
+  return Stats{.insertions = insertions_,
+               .entries = snap != nullptr ? snap->size() : 0,
+               .blobs = blobs_.size()};
 }
 
 OutcomeCache& OutcomeCache::process_cache() {

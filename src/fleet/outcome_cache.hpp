@@ -33,16 +33,21 @@
 //
 // Concurrency mirrors placement::LutCache (docs/PERF.md "Parallel
 // scaling"): completed outcomes live in an immutable snapshot map published
-// through an atomic pointer — a hit is one acquire load plus a hash lookup,
-// no lock. Inserts arrive in per-shard batches (one copy-on-write republish
-// per batch, not per slice), first writer wins per key; racing inserts of
-// the same key are benign because honest writers compute identical values.
-// A recorder interns a slice's blob (intern_blob, under the lock) before
-// the slice's outcome is published, so every outcome a lookup returns
-// already points at an interned blob. Superseded snapshots are retired, not
-// freed, and interned blobs are never dropped until the cache is destroyed,
-// so a pointer returned by lookup() or intern_blob() — and the blob it
-// points at — stays valid for the cache's lifetime, even across clear().
+// through an atomic pointer. A hit is one acquire load plus a hash probe —
+// no lock and no shared write: lookup() is const and counts nothing (the
+// fleet tallies its hits per shard), and the published pointer sits on its
+// own cache line, so neither a sibling's hit nor a recorder's blob intern
+// invalidates the line every reader loads (docs/PERF.md "Contention-free
+// memo hits"). Inserts arrive in per-shard batches (one copy-on-write
+// republish per batch, not per slice), first writer wins per key; racing
+// inserts of the same key are benign because honest writers compute
+// identical values. A recorder interns a slice's blob (intern_blob, under
+// the lock) before the slice's outcome is published, so every outcome a
+// lookup returns already points at an interned blob. Superseded snapshots
+// are retired, not freed, and interned blobs are never dropped until the
+// cache is destroyed, so a pointer returned by lookup() or intern_blob() —
+// and the blob it points at — stays valid for the cache's lifetime, even
+// across clear().
 #pragma once
 
 #include <atomic>
@@ -55,7 +60,7 @@
 #include <utility>
 #include <vector>
 
-#include "common/hash.hpp"
+#include "common/align.hpp"
 
 namespace hhpim::fleet {
 
@@ -79,16 +84,26 @@ struct SliceOutcomeKey {
 
   [[nodiscard]] bool operator==(const SliceOutcomeKey&) const = default;
 
+  /// Word-wise multiply–xorshift fold over the 64-bit fields, with
+  /// n_tasks, mode and tier packed into one word. Each step is a bijection
+  /// of the running value for a fixed word and of the word for a fixed
+  /// running value, so keys that differ in exactly one field always hash
+  /// apart. In-memory only: the hash is never persisted, so it may change
+  /// freely (the persisted digests use Fnv1a, common/hash.hpp).
   struct Hash {
     [[nodiscard]] std::size_t operator()(const SliceOutcomeKey& k) const {
-      Fnv1a h;
-      h.add(k.reuse_key)
-          .add(k.state)
-          .add(k.slo_ps)
-          .add(static_cast<std::uint64_t>(k.n_tasks))
-          .add(static_cast<std::uint64_t>(k.mode))
-          .add(static_cast<std::uint64_t>(k.tier));
-      return static_cast<std::size_t>(h.digest());
+      std::uint64_t h = 0;
+      const auto mix = [&h](std::uint64_t v) {
+        h = (h ^ v) * 0x9e3779b97f4a7c15ULL;
+        h ^= h >> 29;
+      };
+      mix(k.reuse_key);
+      mix(k.state);
+      mix(static_cast<std::uint64_t>(k.slo_ps));
+      mix(static_cast<std::uint64_t>(k.n_tasks) |
+          static_cast<std::uint64_t>(k.mode) << 32 |
+          static_cast<std::uint64_t>(k.tier) << 40);
+      return static_cast<std::size_t>(h);
     }
   };
 };
@@ -119,8 +134,6 @@ struct SliceOutcome {
 class OutcomeCache {
  public:
   struct Stats {
-    std::uint64_t hits = 0;        ///< lookup() calls that returned an outcome
-    std::uint64_t misses = 0;      ///< lookup() calls that returned nullptr
     std::uint64_t insertions = 0;  ///< keys actually added (first writer only)
     std::size_t entries = 0;       ///< keys in the current snapshot
     std::size_t blobs = 0;         ///< distinct post-state blobs interned
@@ -131,11 +144,12 @@ class OutcomeCache {
   OutcomeCache& operator=(const OutcomeCache&) = delete;
   ~OutcomeCache() = default;
 
-  /// Lock-free: the outcome memoized for `key`, or nullptr. The pointer
-  /// stays valid until the cache is destroyed (snapshots are retired, never
-  /// freed — memory stays proportional to insert batches actually
-  /// published, which state convergence keeps small).
-  [[nodiscard]] const SliceOutcome* lookup(const SliceOutcomeKey& key);
+  /// Lock-free and read-only: the outcome memoized for `key`, or nullptr.
+  /// Callers count their own hits and misses. The pointer stays valid until
+  /// the cache is destroyed (snapshots are retired, never freed — memory
+  /// stays proportional to insert batches actually published, which state
+  /// convergence keeps small).
+  [[nodiscard]] const SliceOutcome* lookup(const SliceOutcomeKey& key) const;
 
   /// Publishes recorded (key, outcome) pairs: one copy-on-write republish
   /// for the whole batch, first writer wins per key, no republish when every
@@ -149,9 +163,9 @@ class OutcomeCache {
   /// once per exact slice a recorder runs; safe to call concurrently.
   [[nodiscard]] const StateBlob* intern_blob(std::string_view bytes);
 
-  /// Forgets all entries and zeroes the counters. Outcomes already handed
-  /// out by lookup() stay valid (retired snapshots and interned blobs are
-  /// kept).
+  /// Forgets all entries and zeroes the insertion count. Outcomes already
+  /// handed out by lookup() stay valid (retired snapshots and interned blobs
+  /// are kept).
   void clear();
 
   [[nodiscard]] Stats stats() const;
@@ -171,20 +185,18 @@ class OutcomeCache {
   void publish_locked(std::unique_ptr<const ReadyMap> next);
 
   /// Current snapshot; readers load-acquire and never lock. Owned by
-  /// retired_ (every snapshot ever published lives there).
-  std::atomic<const ReadyMap*> ready_{nullptr};
+  /// retired_ (every snapshot ever published lives there). Alone on its
+  /// cache line: the members below are written on every exact slice.
+  alignas(kCacheLine) std::atomic<const ReadyMap*> ready_{nullptr};
+
+  /// Guards everything below and snapshot swaps.
+  alignas(kCacheLine) mutable std::mutex mu_;
   std::vector<std::unique_ptr<const ReadyMap>> retired_;
   /// Interned post-state blobs, keyed by a view of their own bytes. Map
   /// nodes never move and are never erased, so a pointer to a node's value
   /// stays valid.
   std::unordered_map<std::string_view, StateBlob> blobs_;
-
-  mutable std::mutex mu_;  ///< guards retired_, blobs_ and snapshot swaps
-
-  // Counter increments race only with each other; relaxed is enough.
-  std::atomic<std::uint64_t> hits_{0};
-  std::atomic<std::uint64_t> misses_{0};
-  std::atomic<std::uint64_t> insertions_{0};
+  std::uint64_t insertions_ = 0;
 };
 
 }  // namespace hhpim::fleet

@@ -18,6 +18,7 @@
 
 #include "common/align.hpp"
 #include "common/serialize.hpp"
+#include "common/threads.hpp"
 #include "energy/battery.hpp"
 #include "fleet/outcome_cache.hpp"
 #include "hhpim/processor_pool.hpp"
@@ -27,12 +28,6 @@ namespace hhpim::fleet {
 
 FleetSimulator::FleetSimulator(FleetOptions options) : options_(options) {
   if (options_.shard_size == 0) options_.shard_size = 1;
-}
-
-unsigned FleetSimulator::resolve_threads(unsigned requested) {
-  if (requested != 0) return requested;
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : hw;
 }
 
 unsigned FleetSimulator::resolve_workers(unsigned requested, std::size_t shards) {
@@ -377,8 +372,6 @@ FleetSnapshot FleetSimulator::drive(const FleetSpec& spec, int end_slice,
   const std::vector<double> env = spec.envelope_multipliers();
   placement::LutCache* const cache = resolve_lut_cache();
   OutcomeCache* const memo = resolve_outcome_cache();
-  const OutcomeCache::Stats memo_before =
-      memo != nullptr ? memo->stats() : OutcomeCache::Stats{};
   const std::uint64_t digest = spec.content_digest();
   const std::size_t n = device_specs.size();
 
@@ -534,8 +527,12 @@ FleetSnapshot FleetSimulator::drive(const FleetSpec& spec, int end_slice,
     /// finish and written to the shard file in one call.
     std::string jsonl;
   };
+  // This call's memo economy, summed once per shard from run_shard locals
+  // (a lookup itself writes nothing shared).
   std::atomic<std::uint64_t> memo_replayed{0};
   std::atomic<std::uint64_t> memo_exact{0};
+  std::atomic<std::uint64_t> memo_hits{0};
+  std::atomic<std::uint64_t> memo_misses{0};
 
   auto run_shard = [&](std::size_t s, Scratch& w) {
     const std::size_t begin = s * shard_size;
@@ -547,6 +544,8 @@ FleetSnapshot FleetSimulator::drive(const FleetSpec& spec, int end_slice,
     sys::ProcessorPool::Lease lease;
     std::uint64_t replayed = 0;
     std::uint64_t exact = 0;
+    std::uint64_t hits = 0;
+    std::uint64_t misses = 0;
     w.pending.clear();
     w.jsonl.clear();
 
@@ -583,12 +582,14 @@ FleetSnapshot FleetSimulator::drive(const FleetSpec& spec, int end_slice,
         // digest: the override flip it causes lands in the post digest.
         const SliceOutcomeKey key = p.slice_key(info.reuse_key, state, slo_ps);
         if (const SliceOutcome* out = memo != nullptr ? memo->lookup(key) : nullptr) {
+          ++hits;
           p.end_slice(*out, w.loads);
           state = out->post_state;
           blob = out->blob;
           live = false;
           continue;
         }
+        ++misses;
         if (!live) {
           if (lease && lease.key() == info.reuse_key) {
             lease.get().reset();
@@ -673,6 +674,8 @@ FleetSnapshot FleetSimulator::drive(const FleetSpec& spec, int end_slice,
       if (!w.pending.empty()) memo->insert_batch(w.pending);
       memo_replayed.fetch_add(replayed, std::memory_order_relaxed);
       memo_exact.fetch_add(exact, std::memory_order_relaxed);
+      memo_hits.fetch_add(hits, std::memory_order_relaxed);
+      memo_misses.fetch_add(misses, std::memory_order_relaxed);
     }
 
     if (stream) {
@@ -739,13 +742,10 @@ FleetSnapshot FleetSimulator::drive(const FleetSpec& spec, int end_slice,
   final_out->lut_builds = snap.lut_builds;
   final_out->lut_shared =
       hhpim_devices >= snap.lut_builds ? hhpim_devices - snap.lut_builds : 0;
-  if (memo != nullptr) {
-    const OutcomeCache::Stats memo_after = memo->stats();
-    final_out->memo_replayed_devices = memo_replayed.load(std::memory_order_relaxed);
-    final_out->memo_exact_devices = memo_exact.load(std::memory_order_relaxed);
-    final_out->memo_hits = memo_after.hits - memo_before.hits;
-    final_out->memo_misses = memo_after.misses - memo_before.misses;
-  }
+  final_out->memo_replayed_devices = memo_replayed.load(std::memory_order_relaxed);
+  final_out->memo_exact_devices = memo_exact.load(std::memory_order_relaxed);
+  final_out->memo_hits = memo_hits.load(std::memory_order_relaxed);
+  final_out->memo_misses = memo_misses.load(std::memory_order_relaxed);
   return snap;
 }
 

@@ -59,7 +59,8 @@ namespace hhpim::fleet {
 class OutcomeCache;  // fleet/outcome_cache.hpp
 
 struct FleetOptions {
-  /// Worker threads. 0 = one per hardware thread (min 1); 1 = run inline.
+  /// Worker threads. 0 = one per CPU the process may run on (hhpim::
+  /// resolve_threads, which honours the affinity mask); 1 = run inline.
   unsigned threads = 0;
   /// Devices per shard: the unit of work claiming, JSONL file granularity
   /// and aggregate merging. Smaller shards balance load better; larger
@@ -108,7 +109,7 @@ struct FleetResult {
   FleetAggregate aggregate;
   std::size_t shard_count = 0;
   std::size_t shard_size = 0;
-  /// The run's resolved thread count (FleetSimulator::resolve_threads of
+  /// The run's resolved thread count (hhpim::resolve_threads of
   /// FleetOptions::threads): write_jsonl and to_jsonl format on that many
   /// threads, capped at the chunk count. A hand-built result stays serial.
   unsigned threads = 1;
@@ -122,15 +123,19 @@ struct FleetResult {
   std::uint64_t lut_shared = 0;
 
   /// Device-memo economy of this call (zero when memoization is off; for
-  /// resume(), the final segment only). The replayed/exact split is
-  /// deterministic at one thread; hit/miss deltas vary with worker
-  /// interleaving and cache warmth — which is exactly why none of these
-  /// appear in summary_to_json() (the summary must stay byte-identical at
-  /// any thread count and with the memo toggled).
+  /// resume(), the final segment only). The run tallies its own lookups per
+  /// shard, so these count exactly this call's work, whatever else shares
+  /// the cache: memo_hits + memo_misses is the slices this call executed
+  /// (one lookup each) and memo_replayed_devices + memo_exact_devices the
+  /// devices it advanced. The replayed/exact and hit/miss splits are
+  /// deterministic at one thread but vary with worker interleaving and
+  /// cache warmth — which is exactly why none of these appear in
+  /// summary_to_json() (the summary must stay byte-identical at any thread
+  /// count and with the memo toggled).
   std::uint64_t memo_replayed_devices = 0;  ///< every slice a memo hit
   std::uint64_t memo_exact_devices = 0;     ///< at least one slice run exact
-  std::uint64_t memo_hits = 0;              ///< OutcomeCache stats delta
-  std::uint64_t memo_misses = 0;
+  std::uint64_t memo_hits = 0;              ///< lookups that found an outcome
+  std::uint64_t memo_misses = 0;            ///< lookups that ran the slice exact
 
   /// One compact JSON object per device, '\n'-separated (JSON Lines).
   /// Byte-identical to the concatenation of the run's shard files, at any
@@ -190,10 +195,10 @@ class FleetSimulator {
   /// The device-outcome memo this run will use (nullptr when memoization
   /// is off).
   [[nodiscard]] OutcomeCache* resolve_outcome_cache() const;
-  [[nodiscard]] static unsigned resolve_threads(unsigned requested);
   /// Workers actually spawned for a `requested` thread count over `shards`
-  /// shards: min(resolve_threads(requested), shards), at least 1. Surplus
-  /// workers would only contend on the claim counter and error mutex.
+  /// shards: min(hhpim::resolve_threads(requested), shards), at least 1.
+  /// Surplus workers would only contend on the claim counter and error
+  /// mutex.
   [[nodiscard]] static unsigned resolve_workers(unsigned requested,
                                                 std::size_t shards);
   /// The shard-claim batch a `requested` FleetOptions::claim_batch value

@@ -19,6 +19,11 @@
 #include <thread>
 #include <vector>
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
+#include "common/threads.hpp"
 #include "exp/runner.hpp"
 #include "fleet/outcome_cache.hpp"
 #include "fleet/simulator.hpp"
@@ -260,6 +265,33 @@ TEST(FleetSimulator, WorkerCountClampsToShards) {
   EXPECT_GE(FleetSimulator::resolve_workers(0, 64), 1u); // 0 = hw concurrency
 }
 
+TEST(ResolveThreads, DefaultCountHonoursTheAffinityMask) {
+  EXPECT_EQ(resolve_threads(3), 3u);  // an explicit request always wins
+#if defined(__linux__)
+  // Pin this thread to the first CPU of its mask, resolve, restore the mask
+  // before any assertion can return early.
+  cpu_set_t saved;
+  CPU_ZERO(&saved);
+  ASSERT_EQ(sched_getaffinity(0, sizeof saved, &saved), 0);
+  int first = 0;
+  while (!CPU_ISSET(first, &saved)) ++first;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(first, &one);
+  ASSERT_EQ(sched_setaffinity(0, sizeof one, &one), 0);
+  const unsigned pinned = resolve_threads(0);
+  const unsigned fleet_workers = fleet::FleetSimulator::resolve_workers(0, 64);
+  const unsigned runner_workers = exp::Runner::resolve_workers(0, 64);
+  ASSERT_EQ(sched_setaffinity(0, sizeof saved, &saved), 0);
+  EXPECT_EQ(pinned, 1u);
+  EXPECT_EQ(fleet_workers, 1u);
+  EXPECT_EQ(runner_workers, 1u);
+  EXPECT_EQ(resolve_threads(0), static_cast<unsigned>(CPU_COUNT(&saved)));
+#else
+  GTEST_SKIP() << "no affinity mask on this platform";
+#endif
+}
+
 TEST(FleetSimulator, ClaimBatchResolution) {
   using fleet::FleetSimulator;
   // Explicit request wins.
@@ -341,7 +373,8 @@ TEST(ProcessorPool, ConcurrentCheckoutsAreDistinctAndRecycled) {
 // device-memo access pattern (miss -> run exact -> publish batch). Honest
 // writers compute identical values, so any hit must carry the key's
 // canonical value no matter which thread's insert won. Each worker records
-// mismatches into its own slot; asserts run after the join (TSan-clean).
+// mismatches and hits into its own slots (lookup() itself counts nothing);
+// asserts run after the join (TSan-clean).
 TEST(FleetConcurrency, OutcomeCacheConcurrentGetOrInsert) {
   constexpr int kThreads = 8;
   constexpr std::uint64_t kKeys = 64;
@@ -349,10 +382,11 @@ TEST(FleetConcurrency, OutcomeCacheConcurrentGetOrInsert) {
   fleet::OutcomeCache cache;
   std::atomic<bool> start{false};
   std::vector<std::uint64_t> mismatches(kThreads, 0);
+  std::vector<std::uint64_t> hits(kThreads, 0);
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&cache, &start, &mismatches, t] {
+    threads.emplace_back([&cache, &start, &mismatches, &hits, t] {
       while (!start.load(std::memory_order_acquire)) {
         std::this_thread::yield();
       }
@@ -368,9 +402,12 @@ TEST(FleetConcurrency, OutcomeCacheConcurrentGetOrInsert) {
                                                     static_cast<std::int64_t>(k), 0,
                                                     k ^ 0xabcdULL, 0, false}});
           cache.insert_batch(batch);
-        } else if (hit->post_state != (k ^ 0xabcdULL) ||
-                   hit->energy_pj != static_cast<double>(k)) {
-          ++mismatches[static_cast<std::size_t>(t)];
+        } else {
+          ++hits[static_cast<std::size_t>(t)];
+          if (hit->post_state != (k ^ 0xabcdULL) ||
+              hit->energy_pj != static_cast<double>(k)) {
+            ++mismatches[static_cast<std::size_t>(t)];
+          }
         }
       }
     });
@@ -380,12 +417,14 @@ TEST(FleetConcurrency, OutcomeCacheConcurrentGetOrInsert) {
   std::uint64_t total = 0;
   for (const std::uint64_t m : mismatches) total += m;
   EXPECT_EQ(total, 0u);
+  std::uint64_t total_hits = 0;
+  for (const std::uint64_t h : hits) total_hits += h;
   const fleet::OutcomeCache::Stats s = cache.stats();
   // Every residue mod kKeys is visited, so the snapshot converges to
   // exactly the canonical key set (first writer wins, no duplicates).
   EXPECT_EQ(s.entries, static_cast<std::size_t>(kKeys));
   EXPECT_EQ(s.insertions, kKeys);
-  EXPECT_GT(s.hits, 0u);
+  EXPECT_GT(total_hits, 0u);
 }
 
 // --- fleet identity across threads and claim batching ------------------------

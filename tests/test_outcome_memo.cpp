@@ -7,8 +7,12 @@
 // exhaustion slices included.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <random>
 #include <string>
+#include <thread>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -77,20 +81,22 @@ FleetSnapshot round_trip(const FleetSnapshot& snap) {
 
 TEST(OutcomeCache, LookupInsertStatsClear) {
   OutcomeCache cache;
+  // lookup() is read-only: it runs on a const cache and counts nothing
+  // (callers tally their own hits and misses).
+  const OutcomeCache& reader = cache;
   const SliceOutcomeKey key{7, 42, 3, 1};
-  EXPECT_EQ(cache.lookup(key), nullptr);
-  EXPECT_EQ(cache.stats().misses, 1u);
+  EXPECT_EQ(reader.lookup(key), nullptr);  // a miss on the empty cache
 
   std::vector<std::pair<SliceOutcomeKey, SliceOutcome>> batch;
   batch.push_back({key, SliceOutcome{100.0, 5, 2, 99, 0, true}});
   cache.insert_batch(batch);
-  const SliceOutcome* hit = cache.lookup(key);
+  const SliceOutcome* hit = reader.lookup(key);
   ASSERT_NE(hit, nullptr);
   EXPECT_DOUBLE_EQ(hit->energy_pj, 100.0);
   EXPECT_EQ(hit->busy_ps, 5);
   EXPECT_EQ(hit->post_state, 99u);
   EXPECT_TRUE(hit->deadline_violated);
-  EXPECT_EQ(cache.stats().hits, 1u);
+  EXPECT_EQ(reader.lookup(key), hit);  // a repeated hit is the same entry
   EXPECT_EQ(cache.stats().insertions, 1u);
   EXPECT_EQ(cache.stats().entries, 1u);
 
@@ -101,13 +107,13 @@ TEST(OutcomeCache, LookupInsertStatsClear) {
   EXPECT_EQ(cache.stats().insertions, 1u);
   EXPECT_DOUBLE_EQ(cache.lookup(key)->energy_pj, 100.0);
 
-  // clear() forgets entries and counters, but outcomes already handed out
-  // stay valid (snapshots are retired, never freed).
+  // clear() forgets entries and the insertion count, but outcomes already
+  // handed out stay valid (snapshots are retired, never freed).
   cache.clear();
   EXPECT_EQ(cache.stats().entries, 0u);
-  EXPECT_EQ(cache.stats().hits, 0u);
+  EXPECT_EQ(cache.stats().insertions, 0u);
   EXPECT_DOUBLE_EQ(hit->energy_pj, 100.0);
-  EXPECT_EQ(cache.lookup(key), nullptr);
+  EXPECT_EQ(reader.lookup(key), nullptr);  // a miss again
 }
 
 TEST(OutcomeCache, InternsPostStateBlobsByBytes) {
@@ -136,18 +142,120 @@ TEST(OutcomeCache, InternsPostStateBlobsByBytes) {
 
 TEST(OutcomeCache, KeysSeparateOnEveryField) {
   OutcomeCache cache;
-  const SliceOutcomeKey key{7, 42, 3, 1};
+  const SliceOutcomeKey key{7, 42, 3, 1, 2, 1};
   std::vector<std::pair<SliceOutcomeKey, SliceOutcome>> batch;
   batch.push_back({key, SliceOutcome{}});
   cache.insert_batch(batch);
 
   ASSERT_NE(cache.lookup(key), nullptr);
-  // Exact buckets: changing any field — machine, state digest, buffered
-  // load, or mode — is a different key, never a fuzzy match.
-  EXPECT_EQ(cache.lookup({8, 42, 3, 1}), nullptr);
-  EXPECT_EQ(cache.lookup({7, 43, 3, 1}), nullptr);
-  EXPECT_EQ(cache.lookup({7, 42, 4, 1}), nullptr);
-  EXPECT_EQ(cache.lookup({7, 42, 3, 0}), nullptr);
+  // Exact buckets: changing any field — machine, state digest, SLO,
+  // buffered load, mode or tier — is a different key, never a fuzzy match.
+  EXPECT_EQ(cache.lookup({8, 42, 3, 1, 2, 1}), nullptr);
+  EXPECT_EQ(cache.lookup({7, 43, 3, 1, 2, 1}), nullptr);
+  EXPECT_EQ(cache.lookup({7, 42, 4, 1, 2, 1}), nullptr);
+  EXPECT_EQ(cache.lookup({7, 42, 3, 0, 2, 1}), nullptr);
+  EXPECT_EQ(cache.lookup({7, 42, 3, 1, 0, 1}), nullptr);
+  EXPECT_EQ(cache.lookup({7, 42, 3, 1, 2, 0}), nullptr);
+}
+
+// --- the in-memory key hash --------------------------------------------------
+
+std::uint64_t key_hash(const SliceOutcomeKey& k) {
+  return static_cast<std::uint64_t>(SliceOutcomeKey::Hash{}(k));
+}
+
+TEST(SliceOutcomeKeyHash, EverySingleFieldChangeMovesTheHash) {
+  // Every fold step is a bijection, so a key that differs from another in
+  // exactly one field never shares its hash — checked over a seeded sweep
+  // of base keys, every n_tasks in 0..500 and every mode/tier byte.
+  std::mt19937_64 rng{0x5eed};
+  for (int trial = 0; trial < 200; ++trial) {
+    const SliceOutcomeKey base{rng(), rng(), static_cast<std::int64_t>(rng() >> 1),
+                               static_cast<std::uint32_t>(rng() % 501),
+                               static_cast<std::uint8_t>(rng()),
+                               static_cast<std::uint8_t>(rng())};
+    const std::uint64_t h = key_hash(base);
+    const auto differs = [&](SliceOutcomeKey k) {
+      return !(k == base) && key_hash(k) != h;
+    };
+    for (int i = 0; i < 16; ++i) {
+      SliceOutcomeKey k = base;
+      k.reuse_key ^= rng() | 1;
+      EXPECT_TRUE(differs(k)) << "reuse_key, trial " << trial;
+      k = base;
+      k.state ^= rng() | 1;
+      EXPECT_TRUE(differs(k)) << "state, trial " << trial;
+      k = base;
+      k.slo_ps ^= static_cast<std::int64_t>(rng() | 1);
+      EXPECT_TRUE(differs(k)) << "slo_ps, trial " << trial;
+    }
+    for (std::uint32_t n = 0; n <= 500; ++n) {
+      SliceOutcomeKey k = base;
+      k.n_tasks = n;
+      if (n != base.n_tasks) {
+        EXPECT_TRUE(differs(k)) << "n_tasks=" << n;
+      }
+    }
+    for (int v = 0; v < 256; ++v) {
+      SliceOutcomeKey k = base;
+      k.mode = static_cast<std::uint8_t>(v);
+      if (k.mode != base.mode) {
+        EXPECT_TRUE(differs(k)) << "mode=" << v;
+      }
+      k = base;
+      k.tier = static_cast<std::uint8_t>(v);
+      if (k.tier != base.tier) {
+        EXPECT_TRUE(differs(k)) << "tier=" << v;
+      }
+    }
+  }
+}
+
+TEST(SliceOutcomeKeyHash, NoFullCollisionsOverManyDistinctKeys) {
+  // Fleet-shaped keys: a few machines, many states, small SLO, load, mode
+  // and tier ranges. 120k distinct keys, no two with the same 64-bit hash.
+  std::mt19937_64 rng{20250611};
+  std::vector<SliceOutcomeKey> keys;
+  while (keys.size() < 120000) {
+    keys.push_back({rng() % 8, rng(), static_cast<std::int64_t>(rng() % 4) * 1000000,
+                    static_cast<std::uint32_t>(rng() % 64),
+                    static_cast<std::uint8_t>(rng() % 3),
+                    static_cast<std::uint8_t>(rng() % 4)});
+  }
+  const auto as_tuple = [](const SliceOutcomeKey& k) {
+    return std::tuple{k.reuse_key, k.state, k.slo_ps, k.n_tasks, k.mode, k.tier};
+  };
+  std::sort(keys.begin(), keys.end(), [&](const auto& a, const auto& b) {
+    return as_tuple(a) < as_tuple(b);
+  });
+  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+  ASSERT_GE(keys.size(), 100000u);
+
+  std::vector<std::uint64_t> hashes;
+  hashes.reserve(keys.size());
+  for (const SliceOutcomeKey& k : keys) hashes.push_back(key_hash(k));
+  std::sort(hashes.begin(), hashes.end());
+  EXPECT_EQ(std::adjacent_find(hashes.begin(), hashes.end()), hashes.end());
+}
+
+TEST(SliceOutcomeKeyHash, ModeAndTierOnlyKeysAreDistinctEntries) {
+  // mode and tier share one packed word with n_tasks: keys that differ only
+  // there must still land as separate entries with their own outcomes.
+  OutcomeCache cache;
+  std::vector<std::pair<SliceOutcomeKey, SliceOutcome>> batch;
+  for (std::uint8_t mode = 0; mode < 4; ++mode) {
+    for (std::uint8_t tier = 0; tier < 4; ++tier) {
+      batch.push_back({{7, 42, 0, 3, mode, tier},
+                       SliceOutcome{.post_state = 16u * mode + tier}});
+    }
+  }
+  cache.insert_batch(batch);
+  EXPECT_EQ(cache.stats().entries, batch.size());
+  for (const auto& [key, outcome] : batch) {
+    const SliceOutcome* hit = cache.lookup(key);
+    ASSERT_NE(hit, nullptr);
+    EXPECT_EQ(hit->post_state, outcome.post_state);
+  }
 }
 
 // --- the digest the key is built on ------------------------------------------
@@ -190,6 +298,44 @@ TEST(OutcomeMemo, ByteIdenticalToScalarPathAcrossThreads) {
     EXPECT_EQ(r.memo_replayed_devices + r.memo_exact_devices,
               static_cast<std::uint64_t>(spec.devices));
   }
+}
+
+TEST(OutcomeMemo, LookupsCountExactlyThisCallsSlices) {
+  // One lookup per executed slice, counted by the run itself: the identity
+  // holds cold and warm, at any thread count.
+  const FleetSpec spec = small_fleet(24, 5);
+  for (const unsigned threads : {1u, 2u, 4u, 8u}) {
+    placement::LutCache luts;
+    OutcomeCache memo;
+    for (const char* pass : {"cold", "warm"}) {
+      const FleetResult r = run_with(spec, threads, &luts, &memo);
+      EXPECT_EQ(r.memo_hits + r.memo_misses, r.aggregate.executed_slices)
+          << "threads=" << threads << " " << pass;
+      EXPECT_EQ(r.memo_replayed_devices + r.memo_exact_devices,
+                static_cast<std::uint64_t>(spec.devices))
+          << "threads=" << threads << " " << pass;
+    }
+  }
+}
+
+TEST(OutcomeMemo, ConcurrentRunsOnOneCacheCountOnlyTheirOwnLookups) {
+  // Two fleets of different sizes share one memo from two threads: each
+  // result reports its own lookups, untouched by the other run's.
+  const FleetSpec a = churn_fleet(48, 24);
+  const FleetSpec b = small_fleet(16, 5);
+  placement::LutCache luts;
+  OutcomeCache memo;
+  FleetResult ra;
+  FleetResult rb;
+  std::thread other{[&] { ra = run_with(a, 2, &luts, &memo); }};
+  rb = run_with(b, 2, &luts, &memo);
+  other.join();
+  EXPECT_EQ(ra.memo_hits + ra.memo_misses, ra.aggregate.executed_slices);
+  EXPECT_EQ(rb.memo_hits + rb.memo_misses, rb.aggregate.executed_slices);
+  EXPECT_EQ(ra.memo_replayed_devices + ra.memo_exact_devices,
+            static_cast<std::uint64_t>(a.devices));
+  EXPECT_EQ(rb.memo_replayed_devices + rb.memo_exact_devices,
+            static_cast<std::uint64_t>(b.devices));
 }
 
 TEST(OutcomeMemo, WarmCacheReplaysEveryDeviceByteIdentically) {
@@ -278,6 +424,14 @@ TEST(OutcomeMemo, SegmentedRunsMatchExactOneShot) {
                                              cold ? &fresh_memo : &warm_memo)};
         if (c == kCuts.size()) {
           r = sim.resume(spec, snap);
+          // resume() reports the final segment's lookups: one per slice it
+          // executed, i.e. the run's total less the slices before the cut.
+          std::uint64_t before = 0;
+          for (const DeviceProgress& p : snap.devices) {
+            before += static_cast<std::uint64_t>(p.result.slices_executed);
+          }
+          EXPECT_EQ(r.memo_hits + r.memo_misses, r.aggregate.executed_slices - before)
+              << "threads=" << threads << " cold=" << cold;
           if (cold) {
             EXPECT_GT(fresh_memo.stats().entries, 0u) << "threads=" << threads;
           }
