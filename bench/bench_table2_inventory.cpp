@@ -18,7 +18,7 @@ int main() {
 
   const nn::Model model = nn::zoo::efficientnet_b0();
   Table t{{"Architecture", "HP mods", "LP mods", "MRAM banks", "SRAM banks",
-           "PEs", "Controllers", "MRAM", "SRAM", "IQ depth"}};
+           "PEs", "Controllers", "MRAM", "SRAM"}};
   for (const auto& arch : sys::ArchConfig::paper_table1()) {
     sys::SystemConfig c;
     c.arch = arch;
@@ -30,8 +30,7 @@ int main() {
                std::to_string(inv.mram_banks), std::to_string(inv.sram_banks),
                std::to_string(inv.pes), std::to_string(inv.controllers),
                std::to_string(inv.mram_bytes / 1024) + " kB",
-               std::to_string(inv.sram_bytes / 1024) + " kB",
-               std::to_string(inv.instruction_queue_depth)});
+               std::to_string(inv.sram_bytes / 1024) + " kB"});
   }
   std::printf("%s\n", t.render().c_str());
   std::printf("Paper Table II (for reference, HH-PIM prototype): Rocket core 14998 LUTs,\n"

@@ -2,8 +2,8 @@
 // stateful hardware component.
 //
 // Each component — energy::LeakageTracker, mem::Bank, pe::ProcessingElement,
-// noc::Link, pim::DataAllocator, pim::PimModule, pim::PimController,
-// pim::Cluster and sys::Processor — names its state once, in
+// noc::Link, pim::DataAllocator, pim::PimModule, pim::Cluster and
+// sys::Processor — names its state once, in
 //
 //   template <class V> void visit_state(V& v, Time now);
 //
@@ -29,18 +29,15 @@
 //     means "free now", and clamping keeps stale history out of the digest
 //     — without it the outcome memo would never converge.
 //   * No derived values. A bank's leakage power follows from (on, active
-//     bytes) and is recomputed on load; PE and controller leakage are config
-//     constants that reset() already sets.
+//     bytes) and is recomputed on load; PE leakage is a config constant
+//     that reset() already sets.
 //   * Storage contents only as byte runs, and only when they can differ
 //     from zero (a dirty bank, host RAM). The accounting-only burst path
 //     never writes data, so fleet and grid runs never digest a bank's bytes.
 //   * Shape is checked, never restored. Module counts, MRAM and cluster
 //     presence and byte-run sizes are fixed at construction; on load a
 //     mismatch (a blob from another arch or model) throws
-//     std::runtime_error. Enumerations are range-checked the same way.
-//   * Invariants that must hold to save (drained): the controller's
-//     instruction queue is digested but must be empty to save, and saving
-//     a non-empty queue throws std::logic_error.
+//     std::runtime_error.
 //
 // Loading runs on a freshly constructed or reset() component; loaded times
 // are `now` plus the stored offset (the processor rebases its clock to zero
@@ -92,13 +89,6 @@ class StateDigest {
     h_.add_bytes(run.data(), run.size());
   }
   void shape(std::uint64_t n, std::string_view, std::string_view) { h_.add(n); }
-  template <class E>
-  void choice(E& e, E, std::string_view, std::string_view) {
-    h_.add(static_cast<std::uint64_t>(e));
-  }
-  void drained(std::size_t depth, std::string_view, std::string_view) {
-    h_.add(static_cast<std::uint64_t>(depth));
-  }
 
   [[nodiscard]] std::uint64_t digest() const { return h_.digest(); }
 
@@ -106,8 +96,8 @@ class StateDigest {
   Fnv1a h_;
 };
 
-/// Appends a walk to a ByteWriter: flags and choices as u8, counts and
-/// shapes as u64, times as i64, byte runs length-prefixed.
+/// Appends a walk to a ByteWriter: flags as u8, counts and shapes as u64,
+/// times as i64, byte runs length-prefixed.
 class StateSaver {
  public:
   static constexpr bool kLoad = false;
@@ -125,22 +115,12 @@ class StateSaver {
     w_.blob(std::string_view{reinterpret_cast<const char*>(run.data()), run.size()});
   }
   void shape(std::uint64_t n, std::string_view, std::string_view) { w_.u64(n); }
-  template <class E>
-  void choice(E& e, E, std::string_view, std::string_view) {
-    w_.u8(static_cast<std::uint8_t>(e));
-  }
-  void drained(std::size_t depth, std::string_view what, std::string_view owner) {
-    if (depth != 0) {
-      throw std::logic_error(std::string(owner) + ": checkpoint requires a drained " +
-                             std::string(what));
-    }
-  }
 
  private:
   ByteWriter& w_;
 };
 
-/// Reads a walk back from a ByteReader, checking shapes and ranges.
+/// Reads a walk back from a ByteReader, checking shapes.
 class StateLoader {
  public:
   static constexpr bool kLoad = true;
@@ -162,16 +142,6 @@ class StateLoader {
   void shape(std::uint64_t n, std::string_view what, std::string_view owner) {
     if (r_.u64() != n) state_detail::mismatch(what, owner);
   }
-  template <class E>
-  void choice(E& e, E last, std::string_view what, std::string_view owner) {
-    const std::uint8_t raw = r_.u8();
-    if (raw > static_cast<std::uint8_t>(last)) {
-      throw std::runtime_error("snapshot: invalid " + std::string(what) + " for " +
-                               std::string(owner));
-    }
-    e = static_cast<E>(raw);
-  }
-  void drained(std::size_t, std::string_view, std::string_view) {}
 
  private:
   ByteReader& r_;

@@ -18,7 +18,7 @@ enum class Activity : std::uint8_t {
   kMemWrite,
   kCompute,
   kTransfer,   // inter-module / NoC data movement
-  kControl,    // controller & instruction handling
+  kControl,    // host-core instruction energy
   kLeakage,
   kCount,
 };

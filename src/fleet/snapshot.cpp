@@ -17,9 +17,11 @@ namespace {
 // visit_state walk (no tracker leakage bits, no slice index). Version 3:
 // samples are two columns, and the checksum is checksum64. Version 4:
 // processor blobs live once each in a table deduplicated by bytes, and a
-// live device stores an index into it plus its state digest.
+// live device stores an index into it plus its state digest. Version 5: the
+// processor blob no longer carries a per-cluster controller (FSM state and
+// MEM-interface horizon).
 constexpr std::uint64_t kMagic = 0x706e736d69706868ULL;
-constexpr std::uint32_t kVersion = 4;
+constexpr std::uint32_t kVersion = 5;
 /// Magic + version; the checksummed payload follows.
 constexpr std::size_t kHeaderBytes = 12;
 

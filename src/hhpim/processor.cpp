@@ -710,8 +710,6 @@ Inventory Processor::inventory() const {
                    config_.arch.mram_kb_per_module * 1024;
   inv.sram_bytes = static_cast<std::uint64_t>(inv.sram_banks) *
                    config_.arch.sram_kb_per_module * 1024;
-  inv.instruction_queue_depth =
-      hp_.has_value() ? hp_->controller().queue().depth() : 0;
   return inv;
 }
 

@@ -1,4 +1,4 @@
-// The PIM processor (Fig. 3): clusters + controllers + data allocator +
+// The PIM processor (Fig. 3): clusters + inter-cluster data allocator +
 // energy accounting, executing a scenario of time slices.
 //
 // Slice protocol (paper §III-A): inferences arriving during slice k are
@@ -156,7 +156,6 @@ struct Inventory {
   std::size_t hp_modules = 0, lp_modules = 0;
   std::size_t mram_banks = 0, sram_banks = 0, pes = 0, controllers = 0;
   std::uint64_t mram_bytes = 0, sram_bytes = 0;
-  std::size_t instruction_queue_depth = 0;
 };
 
 class Processor {

@@ -17,15 +17,6 @@ Cluster::Cluster(ClusterConfig config, const energy::PowerSpec& spec,
     mc.sram_bytes = config_.sram_bytes_per_module;
     modules_.push_back(std::make_unique<PimModule>(mc, spec, ledger));
   }
-  std::vector<PimModule*> raw;
-  raw.reserve(modules_.size());
-  for (auto& m : modules_) raw.push_back(m.get());
-
-  ControllerConfig cc;
-  cc.name = config_.name + ".ctrl";
-  DataAllocatorConfig ac;
-  ac.name = config_.name + ".alloc";
-  controller_ = std::make_unique<PimController>(cc, std::move(raw), ac, ledger);
 }
 
 std::uint64_t Cluster::weight_capacity(energy::MemoryKind m) const {
@@ -74,12 +65,10 @@ Time Cluster::mac_latency(energy::MemoryKind m) const {
 
 void Cluster::settle(Time now) {
   for (auto& m : modules_) m->settle(now);
-  controller_->settle(now);
 }
 
 void Cluster::reset_accounting() {
   for (auto& m : modules_) m->reset_accounting();
-  controller_->reset_accounting();
 }
 
 }  // namespace hhpim::pim

@@ -1,5 +1,5 @@
-// A PIM module cluster (HP or LP): N identical modules plus their controller
-// and the cluster-side interface (Fig. 1).
+// A PIM module cluster (HP or LP): N identical modules and the cluster-side
+// interface (Fig. 1).
 #pragma once
 
 #include <cstdint>
@@ -10,7 +10,6 @@
 #include "common/units.hpp"
 #include "energy/ledger.hpp"
 #include "energy/power_spec.hpp"
-#include "pim/controller.hpp"
 #include "pim/module.hpp"
 
 namespace hhpim::pim {
@@ -32,8 +31,6 @@ class Cluster {
   [[nodiscard]] std::size_t module_count() const { return modules_.size(); }
   [[nodiscard]] PimModule& module(std::size_t i) { return *modules_[i]; }
   [[nodiscard]] const PimModule& module(std::size_t i) const { return *modules_[i]; }
-  [[nodiscard]] PimController& controller() { return *controller_; }
-  [[nodiscard]] const PimController& controller() const { return *controller_; }
 
   /// Total weight capacity across modules for one memory kind.
   [[nodiscard]] std::uint64_t weight_capacity(energy::MemoryKind m) const;
@@ -57,24 +54,21 @@ class Cluster {
 
   void settle(Time now);
 
-  /// Returns every module and the controller to just-constructed
-  /// power/accounting state (processor reuse; the owning processor resets
-  /// the ledger separately).
+  /// Returns every module to just-constructed power/accounting state
+  /// (processor reuse; the owning processor resets the ledger separately).
   void reset_accounting();
 
   /// State walk (common/state_visitor.hpp): the module count, then every
-  /// module and the controller.
+  /// module.
   template <class V>
   void visit_state(V& v, Time now) {
     v.shape(modules_.size(), "module count", config_.name);
     for (auto& m : modules_) m->visit_state(v, now);
-    controller_->visit_state(v, now);
   }
 
  private:
   ClusterConfig config_;
   std::vector<std::unique_ptr<PimModule>> modules_;
-  std::unique_ptr<PimController> controller_;
 };
 
 }  // namespace hhpim::pim

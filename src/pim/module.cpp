@@ -100,16 +100,6 @@ BurstResult PimModule::compute_burst(Time now, energy::MemoryKind m, std::uint64
   return BurstResult{start, end};
 }
 
-BurstResult PimModule::pe_only_burst(Time now, std::uint64_t ops) {
-  const Time start = std::max(now, busy_until_);
-  const Time end = start + spec_.pe.mac_latency * static_cast<std::int64_t>(ops);
-  busy_until_ = end;
-  open_windows(start, energy::MemoryKind::kSram, /*uses_pe=*/true);
-  pe_.charge_macs(ops);
-  close_windows(end, energy::MemoryKind::kSram, /*uses_pe=*/true);
-  return BurstResult{start, end};
-}
-
 BurstResult PimModule::stream_out(Time now, energy::MemoryKind m, std::uint64_t weights) {
   mem::Bank& bank = require_bank(m);
   const Time start = std::max(now, busy_until_);

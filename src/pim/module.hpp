@@ -88,11 +88,6 @@ class PimModule {
   /// the module frees up.
   BurstResult compute_burst(Time now, energy::MemoryKind m, std::uint64_t macs);
 
-  /// PE-only burst (ReLU / requantization): `ops` datapath operations with no
-  /// weight fetch; operands come from the SRAM I/O buffer, which stays
-  /// powered for the window.
-  BurstResult pe_only_burst(Time now, std::uint64_t ops);
-
   /// Streams `weights` int8 weights out of memory `m` (reads, for transfers).
   BurstResult stream_out(Time now, energy::MemoryKind m, std::uint64_t weights);
 

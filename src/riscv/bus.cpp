@@ -1,11 +1,12 @@
 #include "riscv/bus.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace hhpim::riscv {
 
 std::uint32_t Ram::load(std::uint32_t addr, unsigned size) {
-  if (addr + size > data_.size()) {
+  if (std::uint64_t{addr} + size > data_.size()) {
     throw std::out_of_range("Ram: load beyond end at 0x" + std::to_string(addr));
   }
   std::uint32_t v = 0;
@@ -14,14 +15,14 @@ std::uint32_t Ram::load(std::uint32_t addr, unsigned size) {
 }
 
 void Ram::store(std::uint32_t addr, unsigned size, std::uint32_t value) {
-  if (addr + size > data_.size()) {
+  if (std::uint64_t{addr} + size > data_.size()) {
     throw std::out_of_range("Ram: store beyond end at 0x" + std::to_string(addr));
   }
   for (unsigned i = 0; i < size; ++i) data_[addr + i] = static_cast<std::uint8_t>(value >> (8 * i));
 }
 
 void Ram::load_image(std::uint32_t addr, const std::uint8_t* bytes, std::size_t n) {
-  if (addr + n > data_.size()) {
+  if (std::uint64_t{addr} + n > data_.size()) {
     throw std::out_of_range("Ram: image does not fit");
   }
   std::copy_n(bytes, n, data_.begin() + addr);
@@ -31,27 +32,10 @@ void Console::store(std::uint32_t addr, unsigned, std::uint32_t value) {
   if (addr == 0) out_.push_back(static_cast<char>(value & 0xff));
 }
 
-PimPort::PimPort(PushFn push, StatusFn status, DoorbellFn doorbell)
-    : push_(std::move(push)), status_(std::move(status)), doorbell_(std::move(doorbell)) {}
-
-std::uint32_t PimPort::load(std::uint32_t addr, unsigned) {
-  if (addr == 0x4 && status_) return status_();
-  return 0;
-}
-
-void PimPort::store(std::uint32_t addr, unsigned, std::uint32_t value) {
-  if (addr == 0x0 && push_) {
-    push_(value);
-    ++pushes_;
-  } else if (addr == 0x8 && doorbell_) {
-    doorbell_();
-    ++doorbells_;
-  }
-}
-
 void Bus::map(std::uint32_t base, std::uint32_t size, Device* device) {
   for (const auto& r : regions_) {
-    const bool overlap = base < r.base + r.size && r.base < base + size;
+    const bool overlap = base < std::uint64_t{r.base} + r.size &&
+                         r.base < std::uint64_t{base} + size;
     if (overlap) throw std::invalid_argument("Bus: overlapping region");
   }
   regions_.push_back(Region{base, size, device});
@@ -59,7 +43,9 @@ void Bus::map(std::uint32_t base, std::uint32_t size, Device* device) {
 
 Bus::Region* Bus::find(std::uint32_t addr, unsigned size) {
   for (auto& r : regions_) {
-    if (addr >= r.base && addr + size <= r.base + r.size) return &r;
+    if (addr >= r.base && std::uint64_t{addr} + size <= std::uint64_t{r.base} + r.size) {
+      return &r;
+    }
   }
   return nullptr;
 }

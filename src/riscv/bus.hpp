@@ -1,12 +1,11 @@
 // System bus of the host processor (Fig. 3): the RISC-V core talks to RAM
-// and memory-mapped devices (UART-style console, the PIM instruction queue
-// port) through this bus. Addresses are 32-bit; devices are mapped at fixed
-// base addresses.
+// and memory-mapped devices (a UART-style console) through this bus.
+// Addresses are 32-bit; devices are mapped at fixed base addresses. Region
+// bounds are checked in 64 bits, so an access near 0xffffffff cannot wrap
+// its end address back into a mapped region.
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -51,32 +50,6 @@ class Console : public Device {
 
  private:
   std::string out_;
-};
-
-/// Memory-mapped PIM port:
-///   offset 0x0 (write): push one encoded PIM instruction into the queue
-///   offset 0x4 (read):  status — bit0 = queue full, bit1 = queue empty
-///   offset 0x8 (write): doorbell — the owner's callback runs the queue
-class PimPort : public Device {
- public:
-  using PushFn = std::function<bool(std::uint32_t)>;   ///< returns false if full
-  using StatusFn = std::function<std::uint32_t()>;
-  using DoorbellFn = std::function<void()>;
-
-  PimPort(PushFn push, StatusFn status, DoorbellFn doorbell);
-
-  std::uint32_t load(std::uint32_t addr, unsigned size) override;
-  void store(std::uint32_t addr, unsigned size, std::uint32_t value) override;
-
-  [[nodiscard]] std::uint64_t pushes() const { return pushes_; }
-  [[nodiscard]] std::uint64_t doorbells() const { return doorbells_; }
-
- private:
-  PushFn push_;
-  StatusFn status_;
-  DoorbellFn doorbell_;
-  std::uint64_t pushes_ = 0;
-  std::uint64_t doorbells_ = 0;
 };
 
 /// The address decoder.

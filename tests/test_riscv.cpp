@@ -315,6 +315,17 @@ TEST(Cpu, UnmappedFetchHalts) {
   EXPECT_EQ(m.cpu.pc(), 0x00200000u);
 }
 
+TEST(Cpu, WrappingAccessHalts) {
+  // An access whose end address wraps past 0xffffffff is outside every
+  // mapped region: it halts instead of wrapping into the RAM at address 0.
+  for (const char* access : {"sb t0, -1(zero)", "sh t0, -2(zero)", "lw a0, -4(zero)"}) {
+    Machine m(std::string("li t0, 0x55\n") + access + "\necall");
+    m.cpu.run();
+    EXPECT_EQ(m.cpu.halt_reason(), HaltReason::kUnmappedAccess) << access;
+    EXPECT_EQ(m.cpu.retired(), 2u) << access;
+  }
+}
+
 TEST(Cpu, FetchFaultDoesNotRetire) {
   // A fetch that never produced an instruction retires nothing; a data
   // fault retires its instruction (the access happened architecturally).
@@ -483,6 +494,11 @@ TEST(Bus, UnmappedAccessThrows) {
   bus.map(0, 64, &ram);
   EXPECT_THROW(bus.load(100, 4), std::out_of_range);
   EXPECT_THROW(bus.map(32, 64, &ram), std::invalid_argument);  // overlap
+  // End addresses are computed in 64 bits: no access wraps back to 0.
+  EXPECT_THROW(bus.load(0xffffffffu, 1), std::out_of_range);
+  EXPECT_THROW(bus.store(0xfffffffeu, 4, 0), std::out_of_range);
+  EXPECT_THROW(ram.load(0xffffffffu, 1), std::out_of_range);
+  EXPECT_THROW(ram.store(0xfffffffcu, 4, 0), std::out_of_range);
 }
 
 TEST(RvAsm, ReportsErrors) {

@@ -139,6 +139,16 @@ TEST(BlockEngine, EquivalentOnFaults) {
   }
 }
 
+TEST(BlockEngine, WrappingAccessHalts) {
+  // The end address of each access wraps past 0xffffffff to 0.
+  for (const char* access : {"sb t0, -1(zero)", "sh t0, -2(zero)", "lw a0, -4(zero)"}) {
+    DualMachine m(std::string("li t0, 0x55\n") + access + "\necall");
+    m.run();
+    m.expect_equivalent();
+    EXPECT_EQ(m.engine.halt_reason(), HaltReason::kUnmappedAccess) << access;
+  }
+}
+
 TEST(BlockEngine, EquivalentOnBadInstruction) {
   DualMachine m("nop\n ecall");
   m.cpu_ram.store(4, 4, 0xffffffffu);

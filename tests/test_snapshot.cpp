@@ -464,8 +464,9 @@ TEST(Snapshot, FailsLoudlyOnDamagedBlobs) {
   // layout (version 1 blobs carried tracker leakage bits and the slice
   // index in every processor blob; version 2 interleaved the samples and
   // was checksummed with FNV-1a; version 3 stored each live device's
-  // processor blob inline, with no digest).
-  for (const char old_version : {0, 1, 2, 3}) {
+  // processor blob inline, with no digest; version 4 processor blobs
+  // carried a per-cluster controller).
+  for (const char old_version : {0, 1, 2, 3, 4}) {
     std::string old = bytes;
     old[8] = old_version;
     try {
