@@ -10,8 +10,7 @@ Bank::Bank(BankConfig config, energy::EnergyLedger* ledger)
       ledger_(ledger),
       id_(ledger != nullptr ? ledger->register_component(config_.name)
                             : energy::ComponentId{}),
-      tracker_(ledger, id_, leakage_power()),
-      storage_(config_.capacity_bytes, 0) {
+      tracker_(ledger, id_, leakage_power()) {
   if (config_.word_bytes == 0 || config_.capacity_bytes % config_.word_bytes != 0) {
     throw std::invalid_argument("Bank: capacity must be a multiple of word size");
   }
@@ -108,8 +107,12 @@ AccessResult Bank::read(Time now, std::size_t addr, std::size_t words, std::uint
   check_range(addr, words);
   const AccessResult r = access(now, words, /*is_write=*/false);
   if (out != nullptr) {
-    std::copy_n(storage_.begin() + static_cast<std::ptrdiff_t>(addr),
-                words * config_.word_bytes, out);
+    const std::size_t bytes = words * config_.word_bytes;
+    if (storage_.empty()) {
+      std::fill_n(out, bytes, std::uint8_t{0});
+    } else {
+      std::copy_n(storage_.begin() + static_cast<std::ptrdiff_t>(addr), bytes, out);
+    }
   }
   return r;
 }
@@ -119,6 +122,7 @@ AccessResult Bank::write(Time now, std::size_t addr, std::size_t words,
   check_range(addr, words);
   const AccessResult r = access(now, words, /*is_write=*/true);
   if (data != nullptr) {
+    allocate_storage();
     std::copy_n(data, words * config_.word_bytes,
                 storage_.begin() + static_cast<std::ptrdiff_t>(addr));
     storage_dirty_ = true;
@@ -147,13 +151,14 @@ std::uint8_t Bank::peek(std::size_t addr) const {
   if (addr >= config_.capacity_bytes) {
     throw std::out_of_range("Bank " + config_.name + ": peek beyond capacity");
   }
-  return storage_[addr];
+  return storage_.empty() ? std::uint8_t{0} : storage_[addr];
 }
 
 void Bank::poke(std::size_t addr, std::uint8_t value) {
   if (addr >= config_.capacity_bytes) {
     throw std::out_of_range("Bank " + config_.name + ": poke beyond capacity");
   }
+  allocate_storage();
   storage_[addr] = value;
   data_valid_ = true;
   storage_dirty_ = true;

@@ -129,7 +129,10 @@ class Bank {
     v.flag(data_valid_);
     v.flag(storage_dirty_);
     v.horizon(busy_until_, now);
-    if (storage_dirty_) v.bytes(storage_, "storage size", config_.name);
+    if (storage_dirty_) {
+      if constexpr (V::kLoad) allocate_storage();
+      v.bytes(storage_, "storage size", config_.name);
+    }
   }
 
   // --- Untimed (functional) accesses — used by the RISC-V bus --------------
@@ -149,11 +152,18 @@ class Bank {
   [[nodiscard]] Power powered_leakage(std::size_t powered) const;
   void check_range(std::size_t addr, std::size_t words) const;
   AccessResult access(Time now, std::size_t words, bool is_write);
+  /// Sizes storage_ to the capacity (zeros) if it is still unallocated.
+  void allocate_storage() {
+    if (storage_.empty()) storage_.assign(config_.capacity_bytes, 0);
+  }
 
   BankConfig config_;
   energy::EnergyLedger* ledger_;
   energy::ComponentId id_;
   energy::LeakageTracker tracker_;
+  /// The bank's bytes, allocated on the first data write or poke (or on
+  /// loading a dirty bank); until then every byte reads as zero. Most banks
+  /// only ever take accounting-only bursts, so most are never allocated.
   std::vector<std::uint8_t> storage_;
   std::size_t active_bytes_ = 0;
   bool data_valid_ = false;

@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <span>
 #include <utility>
 
 namespace hhpim::placement {
@@ -41,12 +42,17 @@ using ClusterItems = std::array<DpItem, 2>;
 inline constexpr double kInfEnergy = std::numeric_limits<double>::infinity();
 
 /// The largest block count k <= `k_max` this cluster can process within
-/// `t_steps` (its time-minimal schedule fills the faster space first, capped
-/// by capacity). This is exactly the DP's feasibility frontier: for any k,
-/// ClusterDpTable::feasible(t_steps, k) iff k <= max_feasible_blocks(...).
-/// The LUT builder uses it to reject infeasible t_constraint entries in O(K)
-/// before paying for the O(T*K) table. Preconditions: t_steps, k_max >= 0 and
-/// every item's time_steps >= 1.
+/// `t_steps`: its time-minimal schedule fills the faster space first, capped
+/// by capacity. O(1). This bounds the DP's feasibility frontier from above,
+/// one way only: ClusterDpTable::feasible(t_steps, k) implies
+/// k <= max_feasible_blocks(...), but not conversely — the paper's count[]
+/// trace keeps one best path per cell, so a cell whose cheapest path used up
+/// the SRAM capacity can leave a larger k infeasible although a schedule
+/// fits (tests/test_knapsack.cpp pins a counterexample). As a rejection it
+/// is exact: k above the bound is infeasible in the DP. The LUT builder uses
+/// it to reject infeasible entries and budget-search probes without reading
+/// a table. Preconditions: t_steps, k_max >= 0 and every item's
+/// time_steps >= 1.
 [[nodiscard]] int max_feasible_blocks(const ClusterItems& items, int t_steps, int k_max);
 
 /// The DP table of one cluster: dp[t][k] = minimum energy to place exactly k
@@ -55,48 +61,71 @@ inline constexpr double kInfEnergy = std::numeric_limits<double>::infinity();
 /// build() is Algorithm 1 specialized to the n/2 = 2 spaces of one cluster:
 /// the MRAM-only level has the closed form dp_0[t][k] = k·e_mram (feasible
 /// iff k <= cap_mram and k·dt_mram <= t), so only the SRAM level runs as an
-/// actual DP — computed in place, in one uninitialized allocation per array,
-/// each cell written exactly once. Rows stop at the saturation row
-/// R = min(t_steps, k_cap · max(dt_mram, dt_sram)), k_cap = min(k_blocks,
-/// cap_mram + cap_sram): every condition the recurrence tests at (t, k) —
-/// the feasibility bound min_steps(k) <= t, the MRAM budget k·dt_mram <= t,
-/// and the existence of row t - j·dt_sram along the SRAM chain — is c <= t
-/// with c <= R, so every row past R equals row R (energies and traced splits
-/// alike) and lookups there read row R. energy()/split() are valid for any
-/// 0 <= t <= t_steps(). Cost: O(min(t_steps, k_cap·max dt) * k_blocks) cells,
-/// with cells below the per-k bound t >= min_steps(k) written as infinity
-/// (their exact value) without running the recurrence. Move-only.
-/// Preconditions: t_steps, k_blocks >= 0; every item's time_steps >= 1
-/// (throws std::invalid_argument otherwise); k_blocks < 65536 (block counts
-/// trace through uint16 counters).
+/// actual DP: dp[t][k] = min(dp_0[t][k], dp[t - dt_sram][k - 1] + e_sram).
+///
+/// A table stores only the rows it is asked for. Row t reads only row
+/// t - dt_sram, one block down, so the kernel walks each SRAM-chain residue
+/// class (t mod dt_sram) bottom-up to the highest requested row in it,
+/// through two scratch rows, and stores the requested rows. A walked row t
+/// below the next requested row t_next of its class gets only the cells in
+/// that row's dependency cone, k <= k_cap - (t_next - t)/dt_sram, and only
+/// those below the feasibility bound k_ub(t) = max_feasible_blocks(t), which
+/// are the only cells that can be finite; rows whose cone is empty are
+/// skipped. Every requested row is bit-identical to the same row of the full
+/// table. The all-rows build() is the same kernel with every row requested.
+///
+/// Rows stop at the saturation row R = min(t_steps, k_cap · max(dt_mram,
+/// dt_sram)), k_cap = min(k_blocks, cap_mram + cap_sram): every condition
+/// the recurrence tests at (t, k) — the feasibility bound, the MRAM budget
+/// k·dt_mram <= t, and the existence of row t - j·dt_sram along the SRAM
+/// chain — is c <= t with c <= R, so every row past R equals row R
+/// (energies and traced splits alike); requests and lookups past R read
+/// row R. Move-only.
+/// Preconditions: t_steps, k_blocks >= 0; every item's time_steps >= 1 and
+/// every requested row in [0, t_steps] (throws std::invalid_argument
+/// otherwise); k_blocks < 65536 (block counts trace through uint16
+/// counters).
 class ClusterDpTable {
  public:
-  /// Algorithm 1. O(min(t_steps, k_cap·max dt) * k_blocks) cells.
+  /// Algorithm 1, every row. O(min(t_steps, k_cap·max dt) * k_blocks) cells.
   static ClusterDpTable build(const ClusterItems& items, int t_steps, int k_blocks);
+  /// Algorithm 1, only `rows` (any order, duplicates allowed): the cells in
+  /// the dependency cones of the requested rows.
+  static ClusterDpTable build(const ClusterItems& items, int t_steps, int k_blocks,
+                              std::span<const int> rows);
+
+  /// Whether row `t` (0 <= t <= t_steps()) was requested, or saturates into
+  /// a requested row.
+  [[nodiscard]] bool has_row(int t) const { return row_of_[saturated(t)] >= 0; }
 
   /// Minimum energy (pJ) to place exactly `k` blocks within `t` steps;
-  /// kInfEnergy when infeasible. Precondition: 0 <= t <= t_steps(),
+  /// kInfEnergy when infeasible. Precondition: has_row(t),
   /// 0 <= k <= k_blocks().
   [[nodiscard]] double energy(int t, int k) const { return dp_[index(t, k)]; }
   [[nodiscard]] bool feasible(int t, int k) const { return energy(t, k) < kInfEnergy; }
 
   /// Blocks placed in (MRAM, SRAM) on the optimal path for (t, k).
   /// Meaningful only when feasible(t, k); returns (k, 0) otherwise.
+  /// Precondition: has_row(t).
   [[nodiscard]] std::pair<int, int> split(int t, int k) const;
 
   [[nodiscard]] int t_steps() const { return t_steps_; }
   [[nodiscard]] int k_blocks() const { return k_blocks_; }
 
  private:
+  [[nodiscard]] std::size_t saturated(int t) const {
+    return static_cast<std::size_t>(std::min(t, last_row_));
+  }
   [[nodiscard]] std::size_t index(int t, int k) const {
-    return static_cast<std::size_t>(std::min(t, last_row_)) *
+    return static_cast<std::size_t>(row_of_[saturated(t)]) *
                static_cast<std::size_t>(k_blocks_ + 1) +
            static_cast<std::size_t>(k);
   }
   int t_steps_ = 0;
   int k_blocks_ = 0;
   int last_row_ = 0;                        // the saturation row R
-  std::unique_ptr<double[]> dp_;            // (R+1) x (k_blocks+1)
+  std::unique_ptr<int[]> row_of_;           // R+1 entries: stored row index, or -1
+  std::unique_ptr<double[]> dp_;            // stored rows x (k_blocks+1)
   std::unique_ptr<std::uint16_t[]> cnt_;    // blocks in SRAM (space 1) on best path
 };
 

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <stdexcept>
+#include <utility>
 
 namespace hhpim::placement {
 
@@ -55,6 +57,69 @@ Allocation reconstruct_alloc(const ClusterDpTable& hp, const ClusterDpTable& lp,
   return a;
 }
 
+constexpr int kFrontierSamples = 16;
+
+/// The i-th of the frontier's budgets, evenly spaced over [t_min, steps].
+int frontier_budget(int t_min, int internal_steps, int i) {
+  return t_min + static_cast<int>(static_cast<std::int64_t>(internal_steps - t_min) * i /
+                                  (kFrontierSamples - 1));
+}
+
+/// The frontier's budget search: bisection over [1, internal_steps] with a
+/// predicate that may decline to answer (nullopt), which aborts the search.
+template <class Feasible>
+std::optional<int> bisect_budget(int internal_steps, Feasible feasible) {
+  int lo = 1;
+  int hi = internal_steps;
+  while (lo < hi) {
+    const int mid = lo + (hi - lo) / 2;
+    const std::optional<bool> f = feasible(mid);
+    if (!f) return std::nullopt;
+    if (*f) {
+      hi = mid;
+    } else {
+      lo = mid + 1;
+    }
+  }
+  return lo;
+}
+
+/// Algorithm 2 at budget `t`, or nullopt when either table lacks row t.
+std::optional<CombineResult> combine_at(const ClusterDpTable& hp, const ClusterDpTable& lp,
+                                        int k_total, int t) {
+  if (!hp.has_row(t) || !lp.has_row(t)) return std::nullopt;
+  return combine_clusters(hp, lp, k_total, t);
+}
+
+/// One entry's closed-form feasibility bound: at budget t, the combine step
+/// can be feasible only if the clusters' time-minimal schedules together
+/// hold k_total blocks (max_feasible_blocks). A "no" is exact, so the
+/// budget search answers it without reading a table.
+struct FeasibilityBound {
+  const ClusterItems& hp;
+  const ClusterItems& lp;
+  int k_total;
+  [[nodiscard]] bool operator()(int t) const {
+    return max_feasible_blocks(hp, t, k_total) + max_feasible_blocks(lp, t, k_total) >= k_total;
+  }
+};
+
+/// The DP rows an entry reads if every budget the bound admits is
+/// DP-feasible: the anchor row, the search probes the bound admits, and the
+/// frontier budgets from the search's predicted result.
+std::vector<int> plan_rows(const FeasibilityBound& bound, int internal_steps) {
+  std::vector<int> rows = {internal_steps};
+  const int t_min = *bisect_budget(internal_steps, [&](int t) -> std::optional<bool> {
+    const bool f = bound(t);
+    if (f) rows.push_back(t);
+    return f;
+  });
+  for (int i = 0; i < kFrontierSamples; ++i) {
+    rows.push_back(frontier_budget(t_min, internal_steps, i));
+  }
+  return rows;
+}
+
 /// The frontier sweep: re-combine the entry's cluster tables at a
 /// deterministic grid of tighter budgets t' in [min feasible, internal_steps]
 /// — each yields the min-(linearized-)energy placement at that latency, one
@@ -62,38 +127,37 @@ Allocation reconstruct_alloc(const ClusterDpTable& hp, const ClusterDpTable& lp,
 /// t' = internal_steps) is kept unconditionally; other candidates survive
 /// only with strictly higher re-evaluated energy, so after dominance pruning
 /// the frontier's min-energy point is the legacy answer bit-exactly.
-std::vector<ParetoPoint> build_frontier(const CostModel& model, const ClusterDpTable& hp,
-                                        const ClusterDpTable& lp, int k_total,
-                                        int internal_steps, std::uint64_t block,
-                                        std::uint64_t total_weights, Time tc,
-                                        const ParetoPoint& anchor) {
-  // Feasibility is monotone in the budget, so the tightest feasible t' is a
-  // binary search over O(k_total)-cost combines.
-  int lo = 1;
-  int hi = internal_steps;
-  while (lo < hi) {
-    const int mid = lo + (hi - lo) / 2;
-    if (combine_clusters(hp, lp, k_total, mid).feasible) {
-      hi = mid;
-    } else {
-      lo = mid + 1;
-    }
-  }
-  const int t_min = lo;
+/// nullopt when a budget's row is missing from the tables.
+std::optional<std::vector<ParetoPoint>> build_frontier(
+    const CostModel& model, const ClusterDpTable& hp, const ClusterDpTable& lp,
+    const FeasibilityBound& bound, const detail::EntryGrid& grid, Time tc,
+    const ParetoPoint& anchor) {
+  const int k_total = grid.k_total;
+  const int internal_steps = grid.internal_steps;
+  // The tightest feasible t' by bisection over O(k_total)-cost combines.
+  // (The count[] trace can make feasibility non-monotone in t'; the output
+  // is defined by this bisection either way.)
+  const std::optional<int> t_min =
+      bisect_budget(internal_steps, [&](int t) -> std::optional<bool> {
+        if (!bound(t)) return false;
+        const std::optional<CombineResult> comb = combine_at(hp, lp, k_total, t);
+        if (!comb) return std::nullopt;
+        return comb->feasible;
+      });
+  if (!t_min) return std::nullopt;
 
-  constexpr int kFrontierSamples = 16;
   std::vector<ParetoPoint> candidates;
   candidates.reserve(kFrontierSamples + 1);
   candidates.push_back(anchor);
   int prev_t = internal_steps;  // the anchor's budget — skip resampling it
   for (int i = 0; i < kFrontierSamples; ++i) {
-    const int t = t_min + static_cast<int>(
-        static_cast<std::int64_t>(internal_steps - t_min) * i / (kFrontierSamples - 1));
+    const int t = frontier_budget(*t_min, internal_steps, i);
     if (t == prev_t) continue;
     prev_t = t;
-    const CombineResult comb = combine_clusters(hp, lp, k_total, t);
-    if (!comb.feasible) continue;
-    const Allocation a = reconstruct_alloc(hp, lp, comb, t, block, total_weights);
+    const std::optional<CombineResult> comb = combine_at(hp, lp, k_total, t);
+    if (!comb) return std::nullopt;
+    if (!comb->feasible) continue;
+    const Allocation a = reconstruct_alloc(hp, lp, *comb, t, grid.block, grid.total_weights);
     const ParetoPoint p = evaluate_point(model, a, tc);
     // The DP optimizes linearized energy; the quantized re-evaluation can
     // rank a tighter-budget placement at or below the anchor. Those are
@@ -106,22 +170,82 @@ std::vector<ParetoPoint> build_frontier(const CostModel& model, const ClusterDpT
   return candidates;
 }
 
+/// An entry from its two cluster tables (Algorithm 2 at the anchor budget,
+/// then the frontier), or nullopt when a row it reads is missing.
+std::optional<LutEntry> read_entry(const CostModel& model, const ClusterDpTable& hp,
+                                   const ClusterDpTable& lp, const FeasibilityBound& bound,
+                                   const detail::EntryGrid& grid, Time tc) {
+  const std::optional<CombineResult> comb =
+      combine_at(hp, lp, grid.k_total, grid.internal_steps);
+  if (!comb) return std::nullopt;
+  LutEntry entry;
+  entry.t_constraint = tc;
+  entry.feasible = comb->feasible;
+  if (!comb->feasible) return entry;
+  entry.alloc = reconstruct_alloc(hp, lp, *comb, grid.internal_steps, grid.block,
+                                  grid.total_weights);
+  // Prediction uses the gating-quantized retention (what the hardware
+  // pays); the DP itself optimizes the linearized form per Algorithm 1.
+  const ParetoPoint anchor = evaluate_point(model, entry.alloc, tc);
+  entry.predicted_task_energy = anchor.energy;
+  // The trade-off surface rides along on the already-built DP tables
+  // (~the cost of a few extra O(K) combines per entry).
+  std::optional<std::vector<ParetoPoint>> frontier =
+      build_frontier(model, hp, lp, bound, grid, tc, anchor);
+  if (!frontier) return std::nullopt;
+  entry.frontier = std::move(*frontier);
+  return entry;
+}
+
 }  // namespace
 
-AllocationLut AllocationLut::build(const CostModel& model, const LutParams& params) {
+namespace detail {
+
+EntrySolve solve_entry(const CostModel& model, const ClusterItems& hp_items,
+                       const ClusterItems& lp_items, const EntryGrid& grid, Time tc,
+                       RowPlan plan) {
+  const int k_total = grid.k_total;
+  const int steps = grid.internal_steps;
+  const FeasibilityBound bound{hp_items, lp_items, k_total};
+  // Early infeasibility cutoff: entries left of the peak boundary — the
+  // paper's grey "Not Possible" region — are rejected without building a
+  // table. Exact as a rejection: a DP-feasible split has each half within
+  // its cluster's max_feasible_blocks.
+  if (!bound(steps)) {
+    LutEntry entry;
+    entry.t_constraint = tc;
+    return {entry, false};
+  }
+
+  // Algorithm 1, once per cluster, with this entry's time constraint as
+  // the end of the quantized time axis; then Algorithm 2 and the frontier.
+  if (plan == RowPlan::kPlanned) {
+    const std::vector<int> rows = plan_rows(bound, steps);
+    const auto hp = ClusterDpTable::build(hp_items, steps, k_total, rows);
+    const auto lp = ClusterDpTable::build(lp_items, steps, k_total, rows);
+    if (std::optional<LutEntry> entry = read_entry(model, hp, lp, bound, grid, tc)) {
+      return {std::move(*entry), false};
+    }
+  }
+  // All rows: the reference, and the fallback when the count[] trace made a
+  // budget the bound admits DP-infeasible and the search left the plan.
+  const auto hp = ClusterDpTable::build(hp_items, steps, k_total);
+  const auto lp = ClusterDpTable::build(lp_items, steps, k_total);
+  return {*read_entry(model, hp, lp, bound, grid, tc), plan == RowPlan::kPlanned};
+}
+
+std::vector<LutEntry> build_entries(const CostModel& model, const LutParams& params,
+                                    RowPlan plan) {
   if (params.slice <= Time::zero() || params.total_weights == 0 ||
       params.t_entries <= 0 || params.k_blocks <= 0) {
     throw std::invalid_argument("AllocationLut: bad parameters");
   }
 
-  AllocationLut lut;
-  lut.params_ = params;
-
-  const std::uint64_t block =
-      (params.total_weights + static_cast<std::uint64_t>(params.k_blocks) - 1) /
-      static_cast<std::uint64_t>(params.k_blocks);
-  const int k_total = static_cast<int>(
-      (params.total_weights + block - 1) / block);
+  EntryGrid grid;
+  grid.total_weights = params.total_weights;
+  grid.block = (params.total_weights + static_cast<std::uint64_t>(params.k_blocks) - 1) /
+               static_cast<std::uint64_t>(params.k_blocks);
+  grid.k_total = static_cast<int>((params.total_weights + grid.block - 1) / grid.block);
   const Time t_step = Time::ps(params.slice.as_ps() / params.t_entries);
   if (t_step <= Time::zero()) {
     throw std::invalid_argument("AllocationLut: slice too short for t_entries");
@@ -131,62 +255,33 @@ AllocationLut AllocationLut::build(const CostModel& model, const LutParams& para
   // stays below ~1/kStepsPerBlock of the constraint even if every block
   // lands in one cluster.
   constexpr int kStepsPerBlock = 16;
-  const int internal_steps = k_total * kStepsPerBlock;
+  grid.internal_steps = grid.k_total * kStepsPerBlock;
 
-  lut.entries_.reserve(static_cast<std::size_t>(params.t_entries));
+  std::vector<LutEntry> entries;
+  entries.reserve(static_cast<std::size_t>(params.t_entries));
   for (int s = 1; s <= params.t_entries; ++s) {
     const Time tc = Time::ps(t_step.as_ps() * s);
-    const Time t_int = Time::ps(std::max<std::int64_t>(1, tc.as_ps() / internal_steps));
+    const Time t_int = Time::ps(std::max<std::int64_t>(1, tc.as_ps() / grid.internal_steps));
 
     const ClusterItems hp_items = {
-        make_item(model.at(Space::kHpMram), block, t_int, tc),
-        make_item(model.at(Space::kHpSram), block, t_int, tc),
+        make_item(model.at(Space::kHpMram), grid.block, t_int, tc),
+        make_item(model.at(Space::kHpSram), grid.block, t_int, tc),
     };
     const ClusterItems lp_items = {
-        make_item(model.at(Space::kLpMram), block, t_int, tc),
-        make_item(model.at(Space::kLpSram), block, t_int, tc),
+        make_item(model.at(Space::kLpMram), grid.block, t_int, tc),
+        make_item(model.at(Space::kLpSram), grid.block, t_int, tc),
     };
-
-    // Early infeasibility cutoff: the DP's feasibility frontier per cluster
-    // is known in O(K) (time-minimal schedules), so entries left of the peak
-    // boundary — the paper's grey "Not Possible" region — are rejected
-    // without paying for the O(T*K) tables. Exact: the combine step is
-    // feasible iff some split k_hp + k_lp = K has both halves inside their
-    // cluster's frontier, i.e. iff the frontiers sum to at least K.
-    const int k_max_hp = max_feasible_blocks(hp_items, internal_steps, k_total);
-    const int k_max_lp = max_feasible_blocks(lp_items, internal_steps, k_total);
-    if (k_max_hp + k_max_lp < k_total) {
-      LutEntry entry;
-      entry.t_constraint = tc;
-      lut.entries_.push_back(entry);
-      continue;
-    }
-
-    // Algorithm 1, once per cluster, with this entry's time constraint as
-    // the end of the quantized time axis.
-    const auto hp = ClusterDpTable::build(hp_items, internal_steps, k_total);
-    const auto lp = ClusterDpTable::build(lp_items, internal_steps, k_total);
-    // Algorithm 2.
-    const CombineResult comb = combine_clusters(hp, lp, k_total, internal_steps);
-
-    LutEntry entry;
-    entry.t_constraint = tc;
-    entry.feasible = comb.feasible;
-    if (comb.feasible) {
-      const Allocation a =
-          reconstruct_alloc(hp, lp, comb, internal_steps, block, params.total_weights);
-      entry.alloc = a;
-      // Prediction uses the gating-quantized retention (what the hardware
-      // pays); the DP itself optimizes the linearized form per Algorithm 1.
-      ParetoPoint anchor = evaluate_point(model, a, tc);
-      entry.predicted_task_energy = anchor.energy;
-      // The trade-off surface rides along on the already-built DP tables
-      // (~the cost of a few extra O(K) combines per entry).
-      entry.frontier = build_frontier(model, hp, lp, k_total, internal_steps, block,
-                                      params.total_weights, tc, anchor);
-    }
-    lut.entries_.push_back(entry);
+    entries.push_back(solve_entry(model, hp_items, lp_items, grid, tc, plan).entry);
   }
+  return entries;
+}
+
+}  // namespace detail
+
+AllocationLut AllocationLut::build(const CostModel& model, const LutParams& params) {
+  AllocationLut lut;
+  lut.entries_ = detail::build_entries(model, params, detail::RowPlan::kPlanned);
+  lut.params_ = params;
   return lut;
 }
 

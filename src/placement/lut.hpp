@@ -54,15 +54,18 @@ struct LutEntry {
 /// (model, arch, cost, resolution) via LutCache (lut_cache.hpp).
 class AllocationLut {
  public:
-  /// Builds the LUT: per entry, an O(K) feasibility precheck (the peak
-  /// boundary), then Algorithms 1 & 2 for feasible entries only. Each of an
-  /// entry's two cluster tables stores min(internal_steps, k_blocks·dt_max)
-  /// + 1 rows of k_blocks + 1 cells (ClusterDpTable's saturation row), with
-  /// internal_steps = 16 * k_blocks and dt_max the cluster's slower per-block
-  /// time in internal steps. dt_max shrinks as t_constraint grows, so the
-  /// O(t_entries * internal_steps * k_blocks) worst case applies only to
-  /// entries tighter than the cluster's all-in-the-slower-space time.
-  /// Energies in pJ, times in integer ps.
+  /// Builds the LUT: per entry, an O(1) feasibility precheck (the peak
+  /// boundary), then Algorithms 1 & 2 for feasible entries only. An entry
+  /// reads about 28 rows of each of its two cluster tables: the anchor row
+  /// internal_steps = 16 * k_blocks, the frontier's budget-search probes and
+  /// its 16 budgets. The rows are planned before the tables exist, from the
+  /// closed-form bound max_feasible_blocks, and each table is built with
+  /// only those rows' dependency cones (ClusterDpTable's row-set kernel) —
+  /// about a quarter of the (internal_steps + 1) * (k_blocks + 1) cells of
+  /// a full table, fewer past its saturation row. An entry whose search
+  /// leaves the plan (the paper's count[] trace made a budget the bound
+  /// admits DP-infeasible) is rebuilt from full tables, so every entry is
+  /// bit-identical to an all-rows build. Energies in pJ, times in integer ps.
   static AllocationLut build(const CostModel& model, const LutParams& params);
 
   /// The entry for the largest tabulated t_constraint <= `tc` (so the
@@ -87,6 +90,37 @@ class AllocationLut {
   LutParams params_;
   std::vector<LutEntry> entries_;
 };
+
+namespace detail {
+
+/// How solve_entry builds an entry's cluster tables: only the rows the
+/// entry is planned to read (with the all-rows fallback), or every row.
+enum class RowPlan { kPlanned, kAllRows };
+
+/// The block/step grid shared by all entries of one LUT.
+struct EntryGrid {
+  int k_total = 0;                  ///< blocks in the model
+  int internal_steps = 0;           ///< DP steps over each t_constraint
+  std::uint64_t block = 0;          ///< weights per block
+  std::uint64_t total_weights = 0;  ///< K, in weights
+};
+
+struct EntrySolve {
+  LutEntry entry;
+  bool fell_back = false;  ///< a planned build left its plan and was rebuilt
+};
+
+/// One LUT entry from its quantized cluster items. AllocationLut::build
+/// runs it with RowPlan::kPlanned; kAllRows is the reference for tests.
+[[nodiscard]] EntrySolve solve_entry(const CostModel& model, const ClusterItems& hp_items,
+                                     const ClusterItems& lp_items, const EntryGrid& grid,
+                                     Time tc, RowPlan plan);
+
+/// The entries AllocationLut::build(model, params) holds, built with `plan`.
+[[nodiscard]] std::vector<LutEntry> build_entries(const CostModel& model,
+                                                  const LutParams& params, RowPlan plan);
+
+}  // namespace detail
 
 /// The paper's resolution limiter: picks (t_entries, k_blocks) so that LUT
 /// construction costs at most `budget_fraction` (default 1 %) of the time

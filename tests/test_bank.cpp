@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
+#include "common/serialize.hpp"
+#include "common/state_visitor.hpp"
+
 namespace hhpim::mem {
 namespace {
 
@@ -147,6 +153,43 @@ TEST_F(BankTest, UnalignedAccessRejectedForWideWords) {
   b.power_on(Time::zero());
   EXPECT_THROW(b.read(Time::zero(), 2, 1, nullptr), std::out_of_range);
   EXPECT_NO_THROW(b.read(Time::zero(), 4, 1, nullptr));
+}
+
+std::string saved_state(Bank& bank) {
+  ByteWriter w;
+  StateSaver saver{w};
+  bank.visit_state(saver, Time::zero());
+  return w.take();
+}
+
+// Storage is allocated on the first data write: until then the bank reads
+// and peeks as zeros, and its state walk is the same as a fresh bank's.
+TEST_F(BankTest, NeverWrittenBankReadsZerosAndKeepsItsStateBlob) {
+  Bank sram = make_sram(spec, ClusterKind::kLowPower, "s", 64 * 1024, &ledger);
+  const std::string fresh = saved_state(sram);
+  sram.power_on(Time::zero());
+  sram.write(Time::zero(), 0, 16, nullptr);  // timing only: no data stored
+  std::uint8_t out[16];
+  std::fill_n(out, 16, std::uint8_t{0xab});
+  sram.read(Time::zero(), 32, 16, out);
+  for (const std::uint8_t b : out) EXPECT_EQ(b, 0);
+  EXPECT_EQ(sram.peek(64 * 1024 - 1), 0);
+  sram.power_off(Time::ns(100));
+  sram.reset_accounting();
+  EXPECT_EQ(saved_state(sram), fresh);
+
+  // A written bank saves its bytes; loading them into a never-written bank
+  // restores them and the same blob.
+  sram.poke(4096, 7);
+  const std::string dirty = saved_state(sram);
+  EXPECT_GT(dirty.size(), fresh.size() + 64 * 1024);
+  Bank copy = make_sram(spec, ClusterKind::kLowPower, "s", 64 * 1024, nullptr);
+  ByteReader r{dirty};
+  StateLoader loader{r};
+  copy.visit_state(loader, Time::zero());
+  EXPECT_EQ(copy.peek(4096), 7);
+  EXPECT_EQ(copy.peek(4095), 0);
+  EXPECT_EQ(saved_state(copy), dirty);
 }
 
 }  // namespace

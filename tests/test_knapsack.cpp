@@ -202,7 +202,8 @@ LiteralDp literal_dp(const ClusterItems& items, int t_steps, int k_blocks) {
 }
 
 // Differential fuzz: build() (saturation-row clamp, write-once rows,
-// branchless cell) against the literal kernel, bit for bit on every (t, k).
+// branchless cell, row-set walk) against the literal kernel, bit for bit on
+// every (t, k) — for the full table and for random row subsets.
 TEST(ClusterDp, SaturatedKernelMatchesLiteralDp) {
   std::mt19937 rng(0x5eed2025u);
   auto pick = [&rng](int n) { return static_cast<int>(rng() % static_cast<unsigned>(n)); };
@@ -216,6 +217,7 @@ TEST(ClusterDp, SaturatedKernelMatchesLiteralDp) {
     }
   };
   int saturated = 0;  // cases where some looked-up row lies past R
+  int sparse = 0;     // subset builds that left some row out
   for (int c = 0; c < 600; ++c) {
     const int k_blocks = pick(13);
     auto capacity = [&]() {
@@ -243,36 +245,107 @@ TEST(ClusterDp, SaturatedKernelMatchesLiteralDp) {
     }
     if (t_steps > r) ++saturated;
 
-    const auto got = ClusterDpTable::build(items, t_steps, k_blocks);
     const auto want = literal_dp(items, t_steps, k_blocks);
-    ASSERT_EQ(got.t_steps(), t_steps);
-    ASSERT_EQ(got.k_blocks(), k_blocks);
-    for (int t = 0; t <= t_steps; ++t) {
-      for (int k = 0; k <= k_blocks; ++k) {
-        ASSERT_EQ(std::bit_cast<std::uint64_t>(got.energy(t, k)),
-                  std::bit_cast<std::uint64_t>(want.energy(t, k)))
-            << "case=" << c << " t=" << t << " k=" << k << " T=" << t_steps
-            << " K=" << k_blocks << " R=" << r;
-        ASSERT_EQ(got.split(t, k), want.split(t, k))
-            << "case=" << c << " t=" << t << " k=" << k << " T=" << t_steps
-            << " K=" << k_blocks << " R=" << r;
+    auto check = [&](const ClusterDpTable& got, const std::vector<int>& rows) {
+      ASSERT_EQ(got.t_steps(), t_steps);
+      ASSERT_EQ(got.k_blocks(), k_blocks);
+      for (int t = 0; t <= t_steps; ++t) {
+        // A row is stored iff requested, or saturating into a requested row.
+        const bool requested = std::any_of(rows.begin(), rows.end(), [&](int q) {
+          return q == t || (t >= r && q >= r);
+        });
+        ASSERT_EQ(got.has_row(t), requested) << "case=" << c << " t=" << t;
+        if (!requested) continue;
+        for (int k = 0; k <= k_blocks; ++k) {
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(got.energy(t, k)),
+                    std::bit_cast<std::uint64_t>(want.energy(t, k)))
+              << "case=" << c << " t=" << t << " k=" << k << " T=" << t_steps
+              << " K=" << k_blocks << " R=" << r << " rows=" << rows.size();
+          ASSERT_EQ(got.split(t, k), want.split(t, k))
+              << "case=" << c << " t=" << t << " k=" << k << " T=" << t_steps
+              << " K=" << k_blocks << " R=" << r << " rows=" << rows.size();
+        }
       }
+    };
+
+    std::vector<int> all(static_cast<std::size_t>(t_steps) + 1);
+    for (int t = 0; t <= t_steps; ++t) all[static_cast<std::size_t>(t)] = t;
+    check(ClusterDpTable::build(items, t_steps, k_blocks), all);
+
+    for (int subset = 0; subset < 4; ++subset) {
+      std::vector<int> rows;
+      const int n = pick(6);
+      for (int i = 0; i < n; ++i) rows.push_back(pick(t_steps + 1));
+      if (pick(2) == 0) rows.push_back(t_steps);
+      if (pick(3) == 0) rows.push_back(0);
+      if (!rows.empty() && pick(3) == 0) rows.push_back(rows.front());   // duplicate
+      if (t_steps > r && pick(2) == 0) rows.push_back(r + 1 + pick(t_steps - r));  // past R
+      if (static_cast<int>(rows.size()) < std::min(t_steps, r) + 1) ++sparse;
+      check(ClusterDpTable::build(items, t_steps, k_blocks, rows), rows);
     }
   }
   EXPECT_GT(saturated, 100);  // the clamp itself is exercised
+  EXPECT_GT(sparse, 1000);    // and the row-set walk
 }
 
-TEST(MaxFeasibleBlocks, MatchesTheDpFrontier) {
-  const ClusterItems items = {DpItem{3, 1.0, 4}, DpItem{1, 5.0, 3}};
-  const int T = 20;
-  const int K = 10;
-  const auto table = ClusterDpTable::build(items, T, K);
-  for (int t = 0; t <= T; ++t) {
-    const int frontier = max_feasible_blocks(items, t, K);
-    for (int k = 0; k <= K; ++k) {
-      EXPECT_EQ(table.feasible(t, k), k <= frontier) << "t=" << t << " k=" << k;
+TEST(ClusterDp, RowsOutOfRangeThrow) {
+  const ClusterItems items = {DpItem{1, 1.0, 4}, DpItem{2, 2.0, 4}};
+  const std::vector<int> past = {0, 11};
+  const std::vector<int> negative = {-1};
+  EXPECT_THROW(ClusterDpTable::build(items, 10, 4, past), std::invalid_argument);
+  EXPECT_THROW(ClusterDpTable::build(items, 10, 4, negative), std::invalid_argument);
+  const auto none = ClusterDpTable::build(items, 10, 4, std::vector<int>{});
+  EXPECT_FALSE(none.has_row(0));
+  EXPECT_FALSE(none.has_row(10));
+}
+
+// max_feasible_blocks bounds the DP frontier from above, one way only:
+// feasible(t, k) implies k <= max_feasible_blocks(t). A DP-feasible cell
+// always fits the time-minimal schedule.
+TEST(MaxFeasibleBlocks, BoundsTheDpFrontier) {
+  std::mt19937 rng(0xb10c5u);
+  auto pick = [&rng](int n) { return static_cast<int>(rng() % static_cast<unsigned>(n)); };
+  int strict = 0;  // cells under the bound that the DP leaves infeasible
+  for (int c = 0; c < 400; ++c) {
+    const int k_blocks = pick(12);
+    ClusterItems items;
+    for (auto& it : items) {
+      it.time_steps = 1 + pick(5);
+      it.energy_pj = 1.0 + pick(100);
+      it.cap_blocks = pick(k_blocks + 2);
+    }
+    const int t_steps = pick(40);
+    const auto table = ClusterDpTable::build(items, t_steps, k_blocks);
+    for (int t = 0; t <= t_steps; ++t) {
+      const int bound = max_feasible_blocks(items, t, k_blocks);
+      for (int k = 0; k <= k_blocks; ++k) {
+        // The bound is the exact schedule frontier ...
+        ASSERT_EQ(k <= bound, cluster_reference(items, t, k) < kInfEnergy)
+            << "case=" << c << " t=" << t << " k=" << k;
+        // ... and the DP never goes past it.
+        if (table.feasible(t, k)) {
+          ASSERT_LE(k, bound) << "case=" << c << " t=" << t << " k=" << k;
+        } else if (k <= bound) {
+          ++strict;
+        }
+      }
     }
   }
+  EXPECT_GT(strict, 0);  // "iff" would be false
+}
+
+// The converse fails: the count[] trace keeps one best path per cell. At
+// dp[6][4] the path with one SRAM block (3 MRAM + 1 SRAM = 199 pJ) beats
+// four MRAM blocks (200 pJ) and uses up the SRAM capacity, so dp[9][5] has
+// no source, although 4 MRAM + 1 SRAM blocks fit in 7 <= 9 steps.
+TEST(MaxFeasibleBlocks, CountTraceCounterexample) {
+  const ClusterItems items = {DpItem{1, 50.0, 4}, DpItem{3, 49.0, 1}};
+  const auto table = ClusterDpTable::build(items, 9, 5);
+  EXPECT_EQ(max_feasible_blocks(items, 9, 5), 5);
+  EXPECT_EQ(table.split(6, 4), std::make_pair(3, 1));
+  EXPECT_DOUBLE_EQ(table.energy(6, 4), 199.0);
+  EXPECT_FALSE(table.feasible(9, 5));
+  EXPECT_TRUE(table.feasible(7, 5));
 }
 
 TEST(MaxFeasibleBlocks, CapsAndBudget) {
