@@ -5,6 +5,7 @@
 // which keeps the benchmark workloads reproducible everywhere.
 #pragma once
 
+#include <array>
 #include <cstdint>
 
 namespace hhpim {
@@ -28,10 +29,18 @@ class SplitMix64 {
 /// xoshiro256** 1.0 (Blackman & Vigna, public domain reference algorithm).
 class Rng {
  public:
+  /// The generator's whole state: four xoshiro words.
+  using State = std::array<std::uint64_t, 4>;
+
   explicit constexpr Rng(std::uint64_t seed) {
     SplitMix64 sm{seed};
     for (auto& s : s_) s = sm.next();
   }
+
+  /// Resumes the stream at a point captured with state().
+  explicit constexpr Rng(const State& state) : s_(state) {}
+
+  [[nodiscard]] constexpr State state() const { return s_; }
 
   constexpr std::uint64_t next_u64() {
     const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
@@ -48,11 +57,22 @@ class Rng {
   /// Uniform in [0, bound). Uses rejection sampling (no modulo bias).
   constexpr std::uint64_t next_below(std::uint64_t bound) {
     if (bound == 0) return 0;
-    const std::uint64_t threshold = (0 - bound) % bound;
+    return next_below(bound, rejection_threshold(bound));
+  }
+
+  /// next_below(bound) with its rejection threshold precomputed by a caller
+  /// drawing many values below one bound (> 0). Same draws, same values.
+  constexpr std::uint64_t next_below(std::uint64_t bound, std::uint64_t threshold) {
     for (;;) {
       const std::uint64_t r = next_u64();
       if (r >= threshold) return r % bound;
     }
+  }
+
+  /// The draws below `threshold` that next_below(bound) rejects: 2^64 mod
+  /// bound, so the accepted range is a whole number of `bound` periods.
+  static constexpr std::uint64_t rejection_threshold(std::uint64_t bound) {
+    return (0 - bound) % bound;
   }
 
   /// Uniform integer in the closed interval [lo, hi].
@@ -73,7 +93,7 @@ class Rng {
   static constexpr std::uint64_t rotl(std::uint64_t x, int k) {
     return (x << k) | (x >> (64 - k));
   }
-  std::uint64_t s_[4]{};
+  State s_{};
 };
 
 }  // namespace hhpim

@@ -81,7 +81,8 @@ void Device::init_slo_tiers() {
 }
 
 void DeviceProgress::start(const FleetSpec& fleet, const DeviceSpec& spec,
-                           std::int64_t slice_ps, std::size_t n_loads) {
+                           std::int64_t slice_ps, std::span<const double> env) {
+  loads = device_load_stream(spec, env);
   const energy::Battery battery{fleet.battery};
   // Lifecycle window: a device staying to the horizon runs its arrivals plus
   // the trailing drain slice; an early leaver runs its arrivals only.
@@ -92,7 +93,7 @@ void DeviceProgress::start(const FleetSpec& fleet, const DeviceSpec& spec,
   result.scenario = spec.scenario;
   result.seed = spec.seed;
   result.slice_ps = slice_ps;
-  result.slices_total = static_cast<int>(n_loads) + (has_drain ? 1 : 0);
+  result.slices_total = loads.size() + (has_drain ? 1 : 0);
   result.battery_capacity_pj = battery.capacity().as_pj();
   result.latency_slo_ps = spec.latency_slo_ps;
   next_k = 0;
@@ -147,10 +148,9 @@ SliceOutcomeKey DeviceProgress::slice_key(std::uint64_t reuse_key,
                          slo_ps > 0 ? tier : std::uint8_t{0}};
 }
 
-void DeviceProgress::end_slice(const SliceOutcome& out,
-                               const std::vector<int>& loads) {
-  const int n_loads = static_cast<int>(loads.size());
-  const int arriving = next_k < n_loads ? loads[next_k] : 0;
+void DeviceProgress::end_slice(const SliceOutcome& out) {
+  const int n_loads = loads.size();
+  const int arriving = next_k < n_loads ? loads.next() : 0;
   const double drained = out.energy_pj < charge_pj ? out.energy_pj : charge_pj;
   charge_pj -= drained;
 
@@ -173,8 +173,8 @@ void DeviceProgress::end_slice(const SliceOutcome& out,
     // after it runs. Arrivals still in flight are dropped.
     r.exhausted_at_slice = next_k;
     std::uint64_t dropped = static_cast<std::uint64_t>(arriving);
-    for (int j = next_k + 1; j < n_loads; ++j) {
-      dropped += static_cast<std::uint64_t>(loads[j]);
+    for (workload::LoadStream rest = loads; !rest.done();) {
+      dropped += static_cast<std::uint64_t>(rest.next());
     }
     r.tasks_dropped = dropped;
     done = true;
@@ -194,11 +194,10 @@ void DeviceProgress::end_slice(const SliceOutcome& out,
 }
 
 DeviceResult Device::run(FleetAggregate* agg) {
-  std::vector<int> loads;
-  device_loads_into(spec_, fleet_.envelope_multipliers(), loads);
+  const std::vector<double> env = fleet_.envelope_multipliers();
   DeviceProgress p;
-  p.start(fleet_, spec_, proc_->slice_length().as_ps(), loads.size());
-  while (!p.done) p.end_slice(step(p, p.begin_slice(fleet_, spec_, slo_ok_)), loads);
+  p.start(fleet_, spec_, proc_->slice_length().as_ps(), env);
+  while (!p.done) p.end_slice(step(p, p.begin_slice(fleet_, spec_, slo_ok_)));
   if (agg != nullptr) agg->add_finished_device(p);
   return p.result;
 }

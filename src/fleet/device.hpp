@@ -11,7 +11,8 @@
 //                   the mode/tier installed as a placement override) or
 //                   replayed from the fleet's outcome memo
 //   end_slice    4. drain the slice's requested energy, clamped to the
-//                   charge; count; buffer the aggregate sample
+//                   charge; count; buffer the aggregate sample and the
+//                   slice's arrivals, drawn from the device's load cursor
 //                5. battery hit zero mid-slice -> record exhaustion, stop;
 //                   arrivals that never executed are counted as dropped
 //
@@ -26,6 +27,7 @@
 #include <array>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -86,11 +88,12 @@ struct DeviceResult {
 };
 
 /// One device's whole mutable state, and what a FleetSnapshot stores per
-/// device: the partial DeviceResult, the battery/policy lane, the processor
-/// checkpoint (state digest plus shared save_state blob; live snapshot
-/// devices only), and the per-slice aggregate samples, buffered until the
-/// device finishes (histogram insertion order is device-major and must not
-/// interleave with other devices). begin_slice/end_slice are the only
+/// device: the partial DeviceResult, the battery/policy lane, the load
+/// cursor, the processor checkpoint (state digest plus shared save_state
+/// blob; live snapshot devices only), and the per-slice aggregate samples,
+/// buffered until the device finishes (histogram insertion order is
+/// device-major and must not interleave with other devices).
+/// begin_slice/end_slice are the only
 /// per-slice step: the exact slice (Device::step) and the memo replay
 /// (FleetSimulator) both go through them, so every policy rule exists once.
 struct DeviceProgress {
@@ -110,13 +113,20 @@ struct DeviceProgress {
   /// at the same state. Set at a checkpoint for live devices only.
   std::uint64_t proc_digest = 0;
   StateBlob proc_blob;
+  /// The arrival cursor: loads.next() is the arrival of step next_k while
+  /// next_k < loads.size(). Bound to the spec and envelope of the call
+  /// advancing the device; at a checkpoint it keeps only its generator
+  /// words (an unbound LoadStream, stored for live devices of randomized
+  /// shapes) and the resuming call rebuilds it at next_k.
+  workload::LoadStream loads;
 
-  /// Resets to step 0 of `spec`'s stream of `n_loads` arrival slices: the
-  /// result header, the initial battery charge and a fresh lane, with no
-  /// processor checkpoint. Sample buffers keep their capacity. `slice_ps`
-  /// is the processor's slice length T.
+  /// Resets to step 0 of `spec`'s arrival stream, scaled by the fleet
+  /// envelope `env` (empty = none; must outlive the device's run): the
+  /// result header, the initial battery charge, a fresh lane and load
+  /// cursor, with no processor checkpoint. Sample buffers keep their
+  /// capacity. `slice_ps` is the processor's slice length T.
   void start(const FleetSpec& fleet, const DeviceSpec& spec,
-             std::int64_t slice_ps, std::size_t n_loads);
+             std::int64_t slice_ps, std::span<const double> env);
 
   /// First half of the step for slice `next_k`: the charging window, then
   /// the hysteresis mode and — when `slo` (the frontier policy is active) —
@@ -132,9 +142,11 @@ struct DeviceProgress {
                                           std::int64_t slo_ps) const;
 
   /// Second half: drains `out.energy_pj` (clamped to the charge), counts the
-  /// slice, buffers its aggregate sample, and ends the stream on exhaustion
-  /// or after the last step (an early leaver drops its final buffer).
-  void end_slice(const SliceOutcome& out, const std::vector<int>& loads);
+  /// slice, buffers its aggregate sample and the slice's arrivals (from
+  /// `loads`), and ends the stream on exhaustion — the arrivals left in the
+  /// cursor are dropped — or after the last step (an early leaver drops its
+  /// final buffer).
+  void end_slice(const SliceOutcome& out);
 };
 
 class Device {
@@ -155,8 +167,8 @@ class Device {
   Device(const FleetSpec& fleet, const DeviceSpec& spec, const nn::Model& model,
          sys::Processor& proc);
 
-  /// Executes the device's whole stream (loads materialized from the spec
-  /// with the fleet's envelope applied). The device's samples and totals
+  /// Executes the device's whole stream (loads streamed from the spec with
+  /// the fleet's envelope applied). The device's samples and totals
   /// are accounted into `agg` (may be null). Call once.
   DeviceResult run(FleetAggregate* agg);
 

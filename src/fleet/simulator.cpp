@@ -360,9 +360,6 @@ FleetSnapshot FleetSimulator::drive(const FleetSpec& spec, int end_slice,
                                     const FleetSnapshot* from,
                                     FleetResult* final_out) const {
   const bool final_segment = final_out != nullptr;
-  // run(): every device starts and finishes inside this call, so no device
-  // state outlives its device (per-worker scratch, no fleet-sized array).
-  const bool whole = final_segment && from == nullptr;
   const std::vector<DeviceSpec> device_specs = spec.expand();
   const std::vector<nn::Model> models = spec.resolved_models();
   const std::vector<sys::SystemConfig> firmwares = spec.resolved_firmware();
@@ -390,26 +387,47 @@ FleetSnapshot FleetSimulator::drive(const FleetSpec& spec, int end_slice,
     }
     // The checksum is recomputable, so it does not vouch for decoded
     // values: a device's identity must match its re-expanded spec (the
-    // JSONL writer indexes the model table with it) and its lane must be
-    // in range. Devices not yet started carry no header; start() writes it.
-    // A live device's processor blob is checked against its digest when it
-    // is loaded.
+    // JSONL writer indexes the model table with it), its lane must be in
+    // range, and a live device must stand at this snapshot's slice with its
+    // load cursor's words (the cursor is rebuilt at next_k). Devices not yet
+    // started carry no header; start() writes it. A live device's processor
+    // blob is checked against its digest when it is loaded.
     for (std::size_t i = 0; i < n; ++i) {
       const DeviceProgress& p = from->devices[i];
+      const DeviceResult& r = p.result;
+      if (p.next_k < 0 || p.next_k > r.slices_total) {
+        throw std::runtime_error("snapshot: device " + std::to_string(i) + "'s step " +
+                                 std::to_string(p.next_k) + " lies outside [0, " +
+                                 std::to_string(r.slices_total) + "]");
+      }
       if (!p.started && !p.done) continue;
       const DeviceSpec& ds = device_specs[i];
-      const DeviceResult& r = p.result;
       const bool tier_ok = p.tier == 255 ||
                            p.tier <= static_cast<std::uint8_t>(FrontierTier::kSaver);
+      const int slices_total = ds.cfg.slices + (ds.leave_slice >= spec.slices ? 1 : 0);
       if (r.id != ds.id || r.model_index != ds.model_index ||
           r.scenario != ds.scenario || r.seed != ds.seed ||
+          r.slices_total != slices_total ||
           p.mode > static_cast<std::uint8_t>(DeviceMode::kLowPower) || !tier_ok) {
         throw std::runtime_error("snapshot: device " + std::to_string(i) +
-                                 " does not match its spec (id, model, scenario "
-                                 "or seed) or has an out-of-range mode/tier");
+                                 " does not match its spec (id, model, scenario, "
+                                 "seed or slice count) or has an out-of-range "
+                                 "mode/tier");
+      }
+      if (p.done) continue;
+      if (p.next_k != from->next_slice - ds.join_slice || p.next_k >= slices_total) {
+        throw std::runtime_error("snapshot: live device " + std::to_string(i) +
+                                 " is at step " + std::to_string(p.next_k) +
+                                 ", not at the snapshot's slice " +
+                                 std::to_string(from->next_slice));
+      }
+      if (workload::LoadStream::randomized(ds.scenario) &&
+          p.loads.state() == workload::LoadStream::State{}) {
+        throw std::runtime_error("snapshot: live device " + std::to_string(i) +
+                                 " has no load cursor state");
       }
       // Range-checked like a battery restore (std::invalid_argument).
-      if (!p.done) energy::Battery{spec.battery}.restore_charge(Energy::pj(p.charge_pj));
+      energy::Battery{spec.battery}.restore_charge(Energy::pj(p.charge_pj));
     }
   }
 
@@ -419,15 +437,15 @@ FleetSnapshot FleetSimulator::drive(const FleetSpec& spec, int end_slice,
   if (from != nullptr) {
     snap.lut_builds = from->lut_builds;
     snap.lut_counted = from->lut_counted;
-    snap.devices = from->devices;
-  } else if (!whole) {
-    snap.devices.resize(n);
   }
+  // A bounded segment's devices, filled by the shard workers: each copies
+  // its devices' progress from `from` (or starts them) itself.
+  if (!final_segment) snap.devices.resize(n);
 
   // Active = will construct a processor and execute steps this call: not
   // yet finished, and (for a bounded segment) already joined.
   const auto active = [&](std::size_t i) {
-    if (!whole && snap.devices[i].done) return false;
+    if (from != nullptr && from->devices[i].done) return false;
     return final_segment || device_specs[i].join_slice < end_slice;
   };
   const auto pair_of = [n_models](const DeviceSpec& ds) {
@@ -515,8 +533,9 @@ FleetSnapshot FleetSimulator::drive(const FleetSpec& spec, int end_slice,
 
   // Per-worker buffers, reused across the worker's shards and devices.
   struct Scratch {
-    std::vector<int> loads;
-    DeviceProgress progress;  ///< run(): the device in flight
+    /// run() and resume(): the device in flight (run_to advances devices in
+    /// their snapshot slots).
+    DeviceProgress progress;
     /// The shard's recorded outcomes, published in ONE insert_batch at
     /// shard end: every lookup of the shard sees the map as it stood when
     /// the shard began, whatever its device order, at a fraction of the
@@ -583,7 +602,7 @@ FleetSnapshot FleetSimulator::drive(const FleetSpec& spec, int end_slice,
         const SliceOutcomeKey key = p.slice_key(info.reuse_key, state, slo_ps);
         if (const SliceOutcome* out = memo != nullptr ? memo->lookup(key) : nullptr) {
           ++hits;
-          p.end_slice(*out, w.loads);
+          p.end_slice(*out);
           state = out->post_state;
           blob = out->blob;
           live = false;
@@ -622,7 +641,7 @@ FleetSnapshot FleetSimulator::drive(const FleetSpec& spec, int end_slice,
           state = out.post_state;
           blob = out.blob;
         }
-        p.end_slice(out, w.loads);
+        p.end_slice(out);
         ran_exact = true;
       }
       if (final_segment || p.done) {
@@ -634,33 +653,43 @@ FleetSnapshot FleetSimulator::drive(const FleetSpec& spec, int end_slice,
         p.proc_digest = lease.get().state_digest();
         p.proc_blob = std::make_shared<const std::string>(saved_state());
       }
+      if (!final_segment) {
+        // The snapshot outlives this call's envelope: its cursor keeps only
+        // the generator words, and the next segment rebuilds it.
+        p.loads = workload::LoadStream{p.done ? workload::LoadStream::State{}
+                                              : p.loads.state()};
+      }
       return ran_exact;
     };
 
     // Accounts a finished device at its ordinal position: samples, then
     // totals — the device-major order of one uninterrupted run.
-    const auto finish = [&](std::size_t i, DeviceProgress& p) {
+    const auto finish = [&](std::size_t i, const DeviceProgress& p) {
       agg.add_finished_device(p);
       if (options_.keep_results) final_out->devices[i] = p.result;
       if (stream) append_device_lines(w.jsonl, {&p.result, 1}, final_out->model_names);
-      if (!whole) {
-        // resume()'s snapshot copy dies with this call: free as we go.
-        p.sample_busy_ps = {};
-        p.sample_energy_pj = {};
-      }
     };
 
     for (std::size_t i = begin; i < end; ++i) {
       const DeviceSpec& ds = device_specs[i];
-      DeviceProgress& p = whole ? w.progress : snap.devices[i];
+      const DeviceProgress* src = from != nullptr ? &from->devices[i] : nullptr;
       if (!active(i)) {
         // Finished in an earlier segment (the final one accounts its stored
-        // result) or not joined yet.
-        if (final_segment) finish(i, p);
+        // result) or not joined yet (carried to the next snapshot as is).
+        if (final_segment) {
+          finish(i, *src);
+        } else if (src != nullptr) {
+          snap.devices[i] = *src;
+        }
         continue;
       }
-      device_loads_into(ds, env, w.loads);
-      if (whole || !p.started) p.start(spec, ds, pairs[pair_of(ds)].slice_ps, w.loads.size());
+      DeviceProgress& p = final_segment ? w.progress : snap.devices[i];
+      if (src != nullptr && src->started) {
+        p = *src;
+        p.loads = device_load_stream(ds, env, p.next_k, p.loads.state());
+      } else {
+        p.start(spec, ds, pairs[pair_of(ds)].slice_ps, env);
+      }
       const int k_end = final_segment ? std::numeric_limits<int>::max()
                                       : end_slice - ds.join_slice;
       if (advance(ds, p, k_end)) {

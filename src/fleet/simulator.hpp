@@ -172,8 +172,9 @@ class FleetSimulator {
   /// per-slice aggregate samples in the snapshot; no JSONL or aggregates
   /// are produced until resume().
   /// The snapshot is pinned to FleetSpec::content_digest() — run_to/resume
-  /// throw std::runtime_error on a digest mismatch, std::invalid_argument on
-  /// a bad window.
+  /// throw std::runtime_error on a digest mismatch or a device that does not
+  /// match its spec or stand at the snapshot's slice, std::invalid_argument
+  /// on a bad window.
   [[nodiscard]] FleetSnapshot run_to(const FleetSpec& spec, int end_slice,
                                      const FleetSnapshot* from = nullptr) const;
 

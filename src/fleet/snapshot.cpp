@@ -19,9 +19,10 @@ namespace {
 // processor blobs live once each in a table deduplicated by bytes, and a
 // live device stores an index into it plus its state digest. Version 5: the
 // processor blob no longer carries a per-cluster controller (FSM state and
-// MEM-interface horizon).
+// MEM-interface horizon). Version 6: a live device of a randomized load
+// shape stores its load cursor's generator words.
 constexpr std::uint64_t kMagic = 0x706e736d69706868ULL;
-constexpr std::uint32_t kVersion = 5;
+constexpr std::uint32_t kVersion = 6;
 /// Magic + version; the checksummed payload follows.
 constexpr std::size_t kHeaderBytes = 12;
 
@@ -44,6 +45,9 @@ enum : std::uint16_t {
   /// RISC-V host cycle counter — written only when non-zero, so host-off
   /// snapshots stay byte-identical to pre-host builds (docs/RISCV.md).
   kTagHost = 8,
+  /// The load cursor's four generator words — written only when non-zero:
+  /// live devices of randomized shapes. The cursor's position is next_k.
+  kTagLoads = 9,
 };
 
 /// Every device record carries these fields, so it is never shorter than
@@ -161,6 +165,11 @@ void write_device(W& w, const DeviceProgress& p, std::uint32_t blob) {
     w.u16(kTagHost);
     w.u64(p.result.host_cycles);
   }
+  if (const workload::LoadStream::State words = p.loads.state();
+      words != workload::LoadStream::State{}) {
+    w.u16(kTagLoads);
+    for (const std::uint64_t word : words) w.u64(word);
+  }
   w.u16(kTagDeviceEnd);
 }
 
@@ -243,6 +252,12 @@ DeviceProgress read_device(ByteReader& r, const std::vector<StateBlob>& blobs) {
       case kTagHost:
         p.result.host_cycles = r.u64();
         break;
+      case kTagLoads: {
+        workload::LoadStream::State words{};
+        for (std::uint64_t& word : words) word = r.u64();
+        p.loads = workload::LoadStream{words};
+        break;
+      }
       case kTagDeviceEnd:
         if ((seen & kRequiredTags) != kRequiredTags) {
           throw std::runtime_error(

@@ -16,7 +16,9 @@
 // when the device next runs exact). Devices of a converged fleet share a
 // few dozen blobs.
 //
-// What is NOT stored: load traces (regenerated from the spec — exact),
+// What is NOT stored: load traces (a live device's load cursor is rebuilt
+// from the spec at its next step; only a randomized shape's four generator
+// words are kept, since reaching them again would mean redrawing the trace),
 // LUT-cache contents (rebuilt per process; lut_builds stats stay correct
 // via the counted-pair list below), and OutcomeCache contents (a resumed
 // device in a cold process misses, loads its blob and runs exact, which

@@ -294,27 +294,27 @@ std::vector<DeviceSpec> FleetSpec::expand() const {
 
 std::vector<int> device_loads(const DeviceSpec& spec) {
   std::vector<int> loads;
-  device_loads_into(spec, loads);
+  device_loads_into(spec, {}, loads);
   return loads;
-}
-
-void device_loads_into(const DeviceSpec& spec, std::vector<int>& out) {
-  workload::generate_into(spec.scenario, spec.cfg, out);
-  const auto phase = static_cast<std::size_t>(spec.phase) % out.size();
-  std::rotate(out.begin(),
-              out.begin() + static_cast<std::vector<int>::difference_type>(phase),
-              out.end());
 }
 
 void device_loads_into(const DeviceSpec& spec, const std::vector<double>& env,
                        std::vector<int>& out) {
-  device_loads_into(spec, out);
-  if (env.empty()) return;
-  const auto join = static_cast<std::size_t>(spec.join_slice < 0 ? 0 : spec.join_slice);
-  for (std::size_t k = 0; k < out.size(); ++k) {
-    const double m = env[(join + k) % env.size()];
-    out[k] = static_cast<int>(static_cast<double>(out[k]) * m + 0.5);
-  }
+  workload::LoadStream stream = device_load_stream(spec, env);
+  out.resize(static_cast<std::size_t>(stream.size()));
+  for (int& l : out) l = stream.next();
+}
+
+workload::LoadStream device_load_stream(const DeviceSpec& spec,
+                                        std::span<const double> env) {
+  return workload::LoadStream{spec.scenario, spec.cfg, spec.phase, spec.join_slice, env};
+}
+
+workload::LoadStream device_load_stream(const DeviceSpec& spec,
+                                        std::span<const double> env, int k,
+                                        const workload::LoadStream::State& state) {
+  return workload::LoadStream{spec.scenario, spec.cfg, spec.phase,
+                              spec.join_slice, env, k, state};
 }
 
 }  // namespace hhpim::fleet

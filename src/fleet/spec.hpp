@@ -4,9 +4,9 @@
 // the model population, the scenario mix each device draws its request
 // stream from, the shared SystemConfig, the battery, and the adaptation
 // thresholds. expand() derives one DeviceSpec per device — deterministic,
-// single-threaded, and cheap (loads are *not* materialized here; each worker
-// generates its device's trace from the DeviceSpec's scenario config, which
-// fully determines it).
+// single-threaded, and cheap (loads are *not* materialized here; each device
+// carries a cursor over its trace, built from the DeviceSpec's scenario
+// config, which fully determines it).
 //
 // Per-device diversity comes from three seeded draws per device (model
 // index, scenario kind, phase) plus a per-device scenario seed, all derived
@@ -16,6 +16,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -43,7 +44,8 @@ struct AggregateShape {
 
 /// Everything one worker needs to simulate one device (plus the FleetSpec
 /// it came from). Loads are generated on demand: workload::generate(kind,
-/// cfg) rotated left by `phase` slices — the per-device jitter.
+/// cfg) rotated left by `phase` slices — the per-device jitter — streamed
+/// slice by slice (device_load_stream).
 struct DeviceSpec {
   std::uint32_t id = 0;
   std::size_t model_index = 0;       ///< into FleetSpec::resolved_models()
@@ -189,18 +191,26 @@ struct FleetSpec {
   void validate() const;
 };
 
-/// The materialized per-slice load trace of one device: generate + rotate.
+/// The materialized per-slice load trace of one device: generate + rotate
+/// (a drain of device_load_stream(spec, {})).
 [[nodiscard]] std::vector<int> device_loads(const DeviceSpec& spec);
 
-/// device_loads() into a caller-owned buffer (resized, capacity reused) —
-/// what the fleet's shard workers call per device so trace regeneration
-/// allocates nothing after the first device of a shard.
-void device_loads_into(const DeviceSpec& spec, std::vector<int>& out);
-
-/// device_loads_into() with the fleet's envelope applied: arrival k of a
-/// device is scaled by env[join_slice + k] (the device's *global* slice
-/// index), rounded to nearest. An empty `env` applies no scaling.
+/// device_loads() with the fleet's envelope applied, into a caller-owned
+/// buffer (resized, capacity reused): arrival k of a device is scaled by
+/// env[join_slice + k] (the device's *global* slice index), rounded to
+/// nearest. An empty `env` applies no scaling.
 void device_loads_into(const DeviceSpec& spec, const std::vector<double>& env,
                        std::vector<int>& out);
+
+/// The device's arrival cursor at arrival 0: what device_loads_into(spec,
+/// env, ...) materializes, one value per next(). `env` must outlive it.
+/// Throws std::invalid_argument for a trace-replay device.
+[[nodiscard]] workload::LoadStream device_load_stream(const DeviceSpec& spec,
+                                                      std::span<const double> env);
+
+/// The same cursor at arrival `k`, resumed from the state() it had there.
+[[nodiscard]] workload::LoadStream device_load_stream(
+    const DeviceSpec& spec, std::span<const double> env, int k,
+    const workload::LoadStream::State& state);
 
 }  // namespace hhpim::fleet

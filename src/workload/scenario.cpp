@@ -61,10 +61,10 @@ std::array<Scenario, 4> extended_scenarios() {
 
 namespace {
 
-/// One Poisson draw via Knuth's product-of-uniforms method; exact for the
-/// small means used here (< ~30) and bit-stable given the Rng stream.
-int poisson_draw(Rng& rng, double mean) {
-  const double limit = std::exp(-mean);
+/// Knuth's product-of-uniforms Poisson method; exact for the small means
+/// used here (< ~30) and bit-stable given the Rng stream. `limit` is
+/// exp(-mean).
+int poisson_draw(Rng& rng, double limit) {
   double p = 1.0;
   int k = 0;
   do {
@@ -95,80 +95,172 @@ void generate_into(Scenario s, const ScenarioConfig& cfg, std::vector<int>& out)
     out = std::move(loads);
     return;
   }
+  LoadStream stream{s, cfg};
+  out.resize(static_cast<std::size_t>(stream.size()));
+  for (int& l : out) l = stream.next();
+}
+
+LoadStream::LoadStream(Scenario s, const ScenarioConfig& cfg, int phase, int join,
+                       std::span<const double> envelope) {
+  init(s, cfg, phase, join, envelope, 0);
+  if (!randomized()) return;
+  // Reach the first arrival's trace index. The values drawn on the way are
+  // the trace's head, which the rotation yields last: keep them for after
+  // the wrap instead of reseeding and drawing them again.
+  Rng rng{seed_};
+  head_.resize(static_cast<std::size_t>(pos_));
+  for (int& load : head_) load = draw(rng);
+  rng_ = rng;
+}
+
+LoadStream::LoadStream(Scenario s, const ScenarioConfig& cfg, int phase, int join,
+                       std::span<const double> envelope, int k, const State& state) {
+  init(s, cfg, phase, join, envelope, k);
+  if (!randomized()) return;
+  // All-zero words are no xoshiro state: the generator would yield zeros
+  // forever, and a uniform draw would reject them forever.
+  if (state == State{}) {
+    throw std::invalid_argument("LoadStream: a randomized stream resumes from non-zero words");
+  }
+  rng_ = Rng{state};
+}
+
+void LoadStream::init(Scenario s, const ScenarioConfig& cfg, int phase, int join,
+                      std::span<const double> envelope, int k) {
+  if (s == Scenario::kTrace) {
+    throw std::invalid_argument("LoadStream: kTrace is replayed, not streamed");
+  }
   if (cfg.slices <= 0 || cfg.low < 0 || cfg.high < cfg.low) {
     throw std::invalid_argument("ScenarioConfig: need slices > 0 and 0 <= low <= high");
   }
-  std::vector<int>& loads = out;
-  loads.assign(static_cast<std::size_t>(cfg.slices), cfg.low);
+  if (k < 0 || k > cfg.slices) {
+    throw std::invalid_argument("LoadStream: position outside [0, slices]");
+  }
+  scenario_ = s;
+  n_ = cfg.slices;
+  k_ = k;
+  pos_ = static_cast<int>((static_cast<std::uint64_t>(phase) % static_cast<std::uint64_t>(n_) +
+                           static_cast<std::uint64_t>(k)) %
+                          static_cast<std::uint64_t>(n_));
+  low_ = cfg.low;
+  high_ = cfg.high;
+  seed_ = cfg.seed;
+  env_ = envelope;
+  if (!env_.empty()) {
+    env_at_ = (static_cast<std::size_t>(join < 0 ? 0 : join) + static_cast<std::size_t>(k)) %
+              env_.size();
+  }
   switch (s) {
-    case Scenario::kLowConstant:
-      break;  // all low
-    case Scenario::kHighConstant:
-      std::fill(loads.begin(), loads.end(), cfg.high);
-      break;
     case Scenario::kPeriodicSpike:
-      for (int i = 0; i < cfg.slices; i += cfg.spike_period) {
-        loads[static_cast<std::size_t>(i)] = cfg.high;
-      }
-      break;
     case Scenario::kPeriodicSpikeFrequent:
-      for (int i = 0; i < cfg.slices; i += cfg.spike_period_frequent) {
-        loads[static_cast<std::size_t>(i)] = cfg.high;
-      }
+      cycle_ = s == Scenario::kPeriodicSpike ? cfg.spike_period : cfg.spike_period_frequent;
+      if (cycle_ <= 0) throw std::invalid_argument("ScenarioConfig: spike periods must be > 0");
       break;
     case Scenario::kPulsing:
-      for (int i = 0; i < cfg.slices; ++i) {
-        const bool high_phase = (i / cfg.pulse_width) % 2 == 0;
-        loads[static_cast<std::size_t>(i)] = high_phase ? cfg.high : cfg.low;
+      // High while (i / width) is even: while i mod 2 * width < width.
+      if (cfg.pulse_width <= 0) {
+        throw std::invalid_argument("ScenarioConfig: pulse_width must be > 0");
       }
+      cycle_ = 2 * static_cast<std::int64_t>(cfg.pulse_width);
       break;
-    case Scenario::kRandom: {
-      Rng rng{cfg.seed};
-      for (auto& l : loads) {
-        l = static_cast<int>(rng.next_in(cfg.low, cfg.high));
-      }
+    case Scenario::kRandom:
+      bound_ = static_cast<std::uint64_t>(static_cast<std::int64_t>(high_) - low_ + 1);
+      threshold_ = Rng::rejection_threshold(bound_);
       break;
-    }
-    case Scenario::kRamp: {
+    case Scenario::kRamp:
       // Monotone non-decreasing climb from low to high across the run.
-      const double span = static_cast<double>(cfg.high - cfg.low);
-      const double steps = cfg.slices > 1 ? static_cast<double>(cfg.slices - 1) : 1.0;
-      for (int i = 0; i < cfg.slices; ++i) {
-        loads[static_cast<std::size_t>(i)] =
-            cfg.low + static_cast<int>(std::llround(span * static_cast<double>(i) / steps));
-      }
+      span_ = static_cast<double>(high_ - low_);
+      steps_ = n_ > 1 ? static_cast<double>(n_ - 1) : 1.0;
       break;
-    }
     case Scenario::kBurstDecay: {
       if (cfg.burst_period <= 0 || cfg.burst_decay <= 0.0 || cfg.burst_decay > 1.0) {
         throw std::invalid_argument(
             "ScenarioConfig: kBurstDecay needs burst_period > 0 and burst_decay in (0, 1]");
       }
-      const double span = static_cast<double>(cfg.high - cfg.low);
-      for (int i = 0; i < cfg.slices; ++i) {
-        const int phase = i % cfg.burst_period;
-        const double amplitude = span * std::pow(cfg.burst_decay, static_cast<double>(phase));
-        loads[static_cast<std::size_t>(i)] =
-            cfg.low + static_cast<int>(std::llround(amplitude));
+      // Trace index i decays for i % burst_period slices; only the phases a
+      // trace of n slices reaches are tabled.
+      const double span = static_cast<double>(high_ - low_);
+      burst_.resize(static_cast<std::size_t>(std::min(cfg.burst_period, n_)));
+      for (std::size_t ph = 0; ph < burst_.size(); ++ph) {
+        const double amplitude = span * std::pow(cfg.burst_decay, static_cast<double>(ph));
+        burst_[ph] = low_ + static_cast<int>(std::llround(amplitude));
       }
+      cycle_ = static_cast<std::int64_t>(burst_.size());
       break;
     }
-    case Scenario::kPoisson: {
+    case Scenario::kPoisson:
       // Upper bound keeps exp(-mean) well away from underflow, where Knuth's
       // method degenerates; per-slice inference counts are far below this.
       if (cfg.poisson_mean <= 0.0 || cfg.poisson_mean > 500.0) {
         throw std::invalid_argument(
             "ScenarioConfig: kPoisson needs poisson_mean in (0, 500]");
       }
-      Rng rng{cfg.seed};
-      for (auto& l : loads) {
-        l = std::min(cfg.high, poisson_draw(rng, cfg.poisson_mean));
+      limit_ = std::exp(-cfg.poisson_mean);
+      break;
+    case Scenario::kLowConstant:
+    case Scenario::kHighConstant:
+    case Scenario::kTrace:
+      break;
+  }
+  cyc_ = pos_ % cycle_;
+}
+
+inline int LoadStream::draw(Rng& rng) const {
+  if (scenario_ == Scenario::kRandom) {
+    return low_ + static_cast<int>(rng.next_below(bound_, threshold_));
+  }
+  Rng local = rng;  // the draw loop keeps the words in registers
+  const int k = poisson_draw(local, limit_);
+  rng = local;
+  return std::min(high_, k);
+}
+
+LoadStream::State LoadStream::state() const {
+  if (static_cast<std::size_t>(pos_) >= head_.size()) return rng_.state();
+  // Past the wrap, inside the kept head: the words are those after the
+  // head's first pos_ draws, which a cursor without the head resumes from.
+  Rng rng{seed_};
+  for (int i = 0; i < pos_; ++i) (void)draw(rng);
+  return rng.state();
+}
+
+int LoadStream::next() {
+  int load = low_;
+  switch (scenario_) {
+    case Scenario::kLowConstant: break;
+    case Scenario::kHighConstant: load = high_; break;
+    case Scenario::kPeriodicSpike:
+    case Scenario::kPeriodicSpikeFrequent: load = cyc_ == 0 ? high_ : low_; break;
+    case Scenario::kPulsing: load = 2 * cyc_ < cycle_ ? high_ : low_; break;
+    case Scenario::kRandom:
+    case Scenario::kPoisson: {
+      if (static_cast<std::size_t>(pos_) < head_.size()) {
+        load = head_[static_cast<std::size_t>(pos_)];
+        break;
       }
+      // Trace index 0 is the generator's first draw: reseed there.
+      if (pos_ == 0) rng_ = Rng{seed_};
+      load = draw(rng_);
       break;
     }
-    case Scenario::kTrace:
-      break;  // handled above
+    case Scenario::kRamp:
+      load = low_ + static_cast<int>(std::llround(span_ * static_cast<double>(pos_) / steps_));
+      break;
+    case Scenario::kBurstDecay: load = burst_[static_cast<std::size_t>(cyc_)]; break;
+    case Scenario::kTrace: break;
   }
+  if (++pos_ == n_) {
+    pos_ = 0;
+    cyc_ = 0;
+  } else if (++cyc_ == cycle_) {
+    cyc_ = 0;
+  }
+  ++k_;
+  if (!env_.empty()) {
+    load = static_cast<int>(static_cast<double>(load) * env_[env_at_] + 0.5);
+    if (++env_at_ == env_.size()) env_at_ = 0;
+  }
+  return load;
 }
 
 void save_trace(const std::string& path, const std::vector<int>& loads) {

@@ -6,15 +6,22 @@
 // draw from common/rng.hpp seeded by ScenarioConfig::seed, bit-identical
 // across hosts and standard libraries) — safe to call concurrently, and the
 // reason a load trace never needs to be stored: regenerating it from the
-// config is exact. generate() is O(slices); file I/O helpers are O(lines).
+// config is exact. A LoadStream yields one trace slice by slice, so a
+// consumer that runs a trace in pieces (the fleet's checkpointed segments)
+// generates each value once; generate() drains one. generate() is
+// O(slices); file I/O helpers are O(lines).
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "common/rng.hpp"
 
 namespace hhpim::workload {
 
@@ -67,10 +74,106 @@ struct ScenarioConfig {
 [[nodiscard]] std::vector<int> generate(Scenario s, const ScenarioConfig& cfg = {});
 
 /// generate() into a caller-owned buffer (resized to the trace length,
-/// capacity reused): the fleet's shard workers regenerate one trace per
-/// device, and reusing the buffer removes that per-device allocation.
-/// Identical output to generate().
+/// capacity reused). Identical output to generate(): kTrace replays its
+/// trace, every other shape drains a LoadStream{s, cfg}.
 void generate_into(Scenario s, const ScenarioConfig& cfg, std::vector<int>& out);
+
+/// A cursor over one generated load trace: next() yields the loads of
+/// generate(s, cfg) rotated left by `phase` slices, arrival k multiplied by
+/// envelope[(join + k) % envelope.size()] and rounded to nearest
+/// (int(load * m + 0.5)) when `envelope` is non-empty — bit for bit what
+/// materializing, rotating and scaling the trace gives (a negative `join`
+/// counts as 0).
+///
+/// Its saved state is only what cannot be recomputed: the generator words of
+/// the randomized shapes (kRandom, kPoisson; all zero for the others). The
+/// position k fixes the rest, so (s, cfg, phase, join, envelope, k, state())
+/// rebuilds the cursor exactly, in O(1) — O(min(burst_period, slices)) for
+/// kBurstDecay, whose per-phase loads are tabled. Per-shape constants (the
+/// Poisson limit exp(-mean), the uniform draw's rejection threshold, the
+/// burst table) are computed once per stream, not once per value. A
+/// randomized stream built at k = 0 draws the trace's first `phase` values
+/// to reach its first arrival and keeps them for after the wrap, so a
+/// stream drained in one piece draws each value once; a resumed one
+/// reseeds when the rotation wraps to the trace's first slice.
+///
+/// The envelope is not copied: it must outlive the stream. Throws
+/// std::invalid_argument on the configs generate() rejects, on kTrace (a
+/// replayed trace is already materialized), and on a non-positive period
+/// for the spike and pulsing shapes.
+class LoadStream {
+ public:
+  using State = Rng::State;
+
+  /// An empty stream (size 0).
+  LoadStream() = default;
+
+  /// An empty stream that only carries `state`: a checkpointed cursor, kept
+  /// without its config (or the envelope it must not outlive) until it is
+  /// rebuilt with the resuming constructor.
+  explicit LoadStream(const State& state) : rng_(state) {}
+
+  /// The stream at arrival 0.
+  LoadStream(Scenario s, const ScenarioConfig& cfg, int phase = 0, int join = 0,
+             std::span<const double> envelope = {});
+
+  /// The same stream at arrival `k` (0 <= k <= size(), else
+  /// std::invalid_argument), resumed from the state() it had there (never
+  /// all zero for a randomized shape, else std::invalid_argument).
+  LoadStream(Scenario s, const ScenarioConfig& cfg, int phase, int join,
+             std::span<const double> envelope, int k, const State& state);
+
+  /// Arrivals in the whole stream (cfg.slices).
+  [[nodiscard]] int size() const { return n_; }
+  /// Arrivals yielded so far: the index of the next one.
+  [[nodiscard]] int position() const { return k_; }
+  [[nodiscard]] bool done() const { return k_ >= n_; }
+  /// The generator words at position(); all zero exactly for the
+  /// deterministic shapes.
+  [[nodiscard]] State state() const;
+
+  /// Arrival position(), then advances. Precondition: !done().
+  int next();
+
+  /// Whether streams of shape `s` carry generator words (kRandom, kPoisson).
+  [[nodiscard]] static bool randomized(Scenario s) {
+    return s == Scenario::kRandom || s == Scenario::kPoisson;
+  }
+
+ private:
+  /// Sets the shape constants and the position; draws nothing.
+  void init(Scenario s, const ScenarioConfig& cfg, int phase, int join,
+            std::span<const double> envelope, int k);
+  [[nodiscard]] bool randomized() const { return randomized(scenario_); }
+  /// One raw value of a randomized shape, drawn from `rng`.
+  int draw(Rng& rng) const;
+
+  Scenario scenario_ = Scenario::kLowConstant;
+  int n_ = 0;
+  int k_ = 0;
+  int pos_ = 0;     ///< (phase + k) mod n: the trace index of arrival k
+  int low_ = 0;
+  int high_ = 0;
+  /// The periodic shapes' repeat (spike period, two pulse widths, burst
+  /// table size) and pos_ modulo it, stepped along with pos_ so no value
+  /// costs a division.
+  std::int64_t cycle_ = 1;
+  std::int64_t cyc_ = 0;
+  std::uint64_t seed_ = 0;
+  std::uint64_t bound_ = 1;      ///< kRandom: high - low + 1
+  std::uint64_t threshold_ = 0;  ///< kRandom: Rng::rejection_threshold(bound_)
+  double span_ = 0.0;            ///< kRamp: high - low
+  double steps_ = 1.0;           ///< kRamp: slices - 1 (1 for one slice)
+  double limit_ = 0.0;           ///< kPoisson: exp(-mean)
+  std::vector<int> burst_;       ///< kBurstDecay: the load at each burst phase
+  /// Randomized shapes built at arrival 0: the trace's first values, drawn
+  /// to reach the first arrival and replayed after the wrap. A resumed
+  /// cursor has none and reseeds instead.
+  std::vector<int> head_;
+  Rng rng_{State{}};
+  std::span<const double> env_;
+  std::size_t env_at_ = 0;       ///< (join + k) mod env_.size()
+};
 
 /// Writes a load trace to `path` (one count per line, '#' comments allowed on
 /// read). Throws std::runtime_error on I/O failure.

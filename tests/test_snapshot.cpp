@@ -108,6 +108,10 @@ FleetSnapshot initial_snapshot(const FleetSpec& spec) {
   return snap;
 }
 
+/// A battery (mJ) that dies mid-trace for small_fleet-sized devices over 12
+/// slices: late enough that some exhaust after their rotated trace wrapped.
+constexpr double kWrapCapacityMj = 40.0;
+
 // --- round-trip equality: split sweep × threads × memo -----------------------
 
 TEST(Snapshot, SplitSweepMatchesUninterrupted) {
@@ -465,8 +469,9 @@ TEST(Snapshot, FailsLoudlyOnDamagedBlobs) {
   // index in every processor blob; version 2 interleaved the samples and
   // was checksummed with FNV-1a; version 3 stored each live device's
   // processor blob inline, with no digest; version 4 processor blobs
-  // carried a per-cluster controller).
-  for (const char old_version : {0, 1, 2, 3, 4}) {
+  // carried a per-cluster controller; version 5 live devices carried no
+  // load cursor words).
+  for (const char old_version : {0, 1, 2, 3, 4, 5}) {
     std::string old = bytes;
     old[8] = old_version;
     try {
@@ -733,6 +738,138 @@ TEST(Snapshot, ResumeRejectsDevicesThatDoNotMatchTheSpec) {
         << "tamper " << t;
   }
   EXPECT_NO_THROW((void)sim.resume(spec, good));
+
+  // A forged step: a live device must stand at the snapshot's slice (its
+  // load cursor is rebuilt there), and no device's step may leave
+  // [0, slices_total] — a negative one used to index the load trace out of
+  // bounds. A live randomized device must also carry its cursor's words.
+  // Each is refused naming the device.
+  std::size_t live = good.devices.size();
+  std::size_t done = good.devices.size();
+  for (std::size_t d = 0; d < good.devices.size(); ++d) {
+    const DeviceProgress& p = good.devices[d];
+    if (p.started && !p.done && live == good.devices.size() &&
+        workload::LoadStream::randomized(p.result.scenario)) {
+      live = d;
+    }
+    if (p.done && done == good.devices.size()) done = d;
+  }
+  ASSERT_LT(live, good.devices.size());
+  ASSERT_LT(done, good.devices.size());
+  const std::vector<std::pair<std::size_t, void (*)(DeviceProgress&)>> steps = {
+      {live, [](DeviceProgress& p) { p.next_k += 1; }},
+      {live, [](DeviceProgress& p) { p.next_k -= 1; }},
+      {live, [](DeviceProgress& p) { p.next_k = -3; }},
+      {live, [](DeviceProgress& p) { p.next_k = p.result.slices_total; }},
+      {live, [](DeviceProgress& p) { p.loads = workload::LoadStream{}; }},
+      {done, [](DeviceProgress& p) { p.next_k = -1; }},
+      {done, [](DeviceProgress& p) { p.next_k = p.result.slices_total + 1; }},
+  };
+  for (std::size_t t = 0; t < steps.size(); ++t) {
+    const auto& [device, tamper] = steps[t];
+    FleetSnapshot snap = good;
+    tamper(snap.devices[device]);
+    snap = FleetSnapshot::from_bytes(snap.to_bytes());
+    for (const bool final_segment : {true, false}) {
+      try {
+        if (final_segment) {
+          (void)sim.resume(spec, snap);
+        } else {
+          (void)sim.run_to(spec, 4, &snap);
+        }
+        ADD_FAILURE() << "step tamper " << t << " was accepted";
+      } catch (const std::runtime_error& e) {
+        EXPECT_NE(std::string(e.what()).find("device " + std::to_string(device)),
+                  std::string::npos)
+            << e.what();
+      }
+    }
+  }
+}
+
+// --- load cursors -------------------------------------------------------------
+
+TEST(LoadCursor, ExhaustionAcrossThePhaseWrapMatchesEverywhere) {
+  // Every generator shape, churn and an envelope, and a battery that dies
+  // mid-trace: some devices exhaust after their rotated trace wrapped (the
+  // cursor reseeded, and a checkpoint after the wrap stored its words), and
+  // some before it with a dropped tail that crosses the wrap (the tail sum
+  // drains a copy of the cursor through the reseed). Device::run, one-shot
+  // runs and runs checkpointed at every slice through to_bytes/from_bytes
+  // must agree on every byte, at 1 and 4 threads, memo on and off.
+  FleetSpec spec = small_fleet(48, 12);
+  spec.mix.clear();
+  for (const workload::Scenario s : workload::all_scenarios()) spec.mix.push_back(s);
+  for (const workload::Scenario s : workload::extended_scenarios()) {
+    if (s != workload::Scenario::kTrace) spec.mix.push_back(s);
+  }
+  spec.battery.capacity = Energy::mj(kWrapCapacityMj);
+  spec.envelope.enabled = true;
+  spec.envelope.shape = workload::Scenario::kRandom;
+  spec.envelope.min_multiplier = 0.5;
+  spec.envelope.max_multiplier = 1.5;
+  spec.lifecycle.join_fraction = 0.25;
+  spec.lifecycle.leave_fraction = 0.25;
+
+  // The reference: every device alone on its own processor. Its dropped
+  // arrivals are the materialized trace's tail from the exhaustion step on
+  // (an early leaver that never exhausts drops its final buffer).
+  const std::vector<DeviceSpec> devices = spec.expand();
+  const std::vector<double> env = spec.envelope_multipliers();
+  placement::LutCache lut;
+  FleetResult alone;
+  alone.shard_size = 7;
+  for (const nn::Model& m : spec.models) alone.model_names.push_back(m.name());
+  int after_wrap = 0;
+  int tail_across_wrap = 0;
+  std::uint64_t dropped = 0;
+  std::vector<int> loads;
+  for (const DeviceSpec& ds : devices) {
+    Device dev{spec, ds, spec.models[ds.model_index], &lut};
+    alone.devices.push_back(dev.run(nullptr));
+    const DeviceResult& r = alone.devices.back();
+    device_loads_into(ds, env, loads);
+    std::uint64_t tail = 0;
+    if (r.exhausted_at_slice >= 0) {
+      for (std::size_t k = static_cast<std::size_t>(r.exhausted_at_slice); k < loads.size(); ++k) {
+        tail += static_cast<std::uint64_t>(loads[k]);
+      }
+    } else if (ds.leave_slice < spec.slices) {
+      tail = static_cast<std::uint64_t>(loads.back());
+    }
+    EXPECT_EQ(r.tasks_dropped, tail) << "device " << ds.id;
+    dropped += r.tasks_dropped;
+    const int n = ds.cfg.slices;
+    const int wrap = n - ds.phase % n;  // the step whose arrival is trace index 0
+    if (r.exhausted_at_slice < 0 || wrap == n) continue;
+    if (r.exhausted_at_slice >= wrap) ++after_wrap;
+    if (r.exhausted_at_slice < wrap - 1) ++tail_across_wrap;
+  }
+  EXPECT_GE(after_wrap, 3);
+  EXPECT_GE(tail_across_wrap, 3);
+  EXPECT_GT(dropped, 0u);
+  const std::string want = alone.to_jsonl();
+
+  std::vector<int> every_slice;
+  for (int cut = 1; cut < spec.slices; ++cut) every_slice.push_back(cut);
+  std::string summary;
+  for (const unsigned threads : {1u, 4u}) {
+    for (const bool memo : {false, true}) {
+      const std::string where =
+          "threads=" + std::to_string(threads) + " memo=" + std::to_string(memo);
+      placement::LutCache fresh;
+      OutcomeCache outcome;
+      const FleetResult whole =
+          FleetSimulator{base_options(threads, memo, &fresh, &outcome)}.run(spec);
+      EXPECT_EQ(whole.aggregate.tasks_dropped, dropped) << where;
+      EXPECT_EQ(whole.to_jsonl(), want) << where;
+      if (summary.empty()) summary = whole.summary_to_json();
+      EXPECT_EQ(whole.summary_to_json(), summary) << where;
+      const RunOutput seg = run_segmented(spec, every_slice, threads, memo);
+      EXPECT_EQ(seg.jsonl, want) << where << " segmented";
+      EXPECT_EQ(seg.summary, summary) << where << " segmented";
+    }
+  }
 }
 
 // --- lifecycle / envelope / charging semantics -------------------------------

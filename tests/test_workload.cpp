@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
+#include <span>
 #include <vector>
+
+#include "common/rng.hpp"
 
 namespace hhpim::workload {
 namespace {
@@ -197,6 +202,232 @@ TEST(Scenario, TraceReplayInlineAndValidation) {
   ScenarioConfig missing;
   missing.trace_path = "does-not-exist.trace";
   EXPECT_THROW((void)generate(Scenario::kTrace, missing), std::runtime_error);
+}
+
+TEST(Scenario, PeriodsMustBePositive) {
+  for (const Scenario s : {Scenario::kPeriodicSpike, Scenario::kPeriodicSpikeFrequent,
+                           Scenario::kPulsing}) {
+    ScenarioConfig bad;
+    bad.spike_period = 0;
+    bad.spike_period_frequent = -1;
+    bad.pulse_width = 0;
+    EXPECT_THROW((void)generate(s, bad), std::invalid_argument) << to_string(s);
+  }
+}
+
+// --- LoadStream vs the literal materialize-rotate-scale reference ------------
+
+namespace literal {
+
+// The trace generator, rotation and envelope exactly as they were written
+// before LoadStream: every value materialized, the Poisson limit recomputed
+// per draw, the rotation a std::rotate, the envelope a second pass.
+
+int poisson_draw(Rng& rng, double mean) {
+  const double limit = std::exp(-mean);
+  double p = 1.0;
+  int k = 0;
+  do {
+    ++k;
+    p *= rng.next_double();
+  } while (p > limit);
+  return k - 1;
+}
+
+std::vector<int> generate(Scenario s, const ScenarioConfig& cfg) {
+  std::vector<int> loads(static_cast<std::size_t>(cfg.slices), cfg.low);
+  switch (s) {
+    case Scenario::kLowConstant:
+      break;
+    case Scenario::kHighConstant:
+      std::fill(loads.begin(), loads.end(), cfg.high);
+      break;
+    case Scenario::kPeriodicSpike:
+      for (int i = 0; i < cfg.slices; i += cfg.spike_period) {
+        loads[static_cast<std::size_t>(i)] = cfg.high;
+      }
+      break;
+    case Scenario::kPeriodicSpikeFrequent:
+      for (int i = 0; i < cfg.slices; i += cfg.spike_period_frequent) {
+        loads[static_cast<std::size_t>(i)] = cfg.high;
+      }
+      break;
+    case Scenario::kPulsing:
+      for (int i = 0; i < cfg.slices; ++i) {
+        const bool high_phase = (i / cfg.pulse_width) % 2 == 0;
+        loads[static_cast<std::size_t>(i)] = high_phase ? cfg.high : cfg.low;
+      }
+      break;
+    case Scenario::kRandom: {
+      Rng rng{cfg.seed};
+      for (auto& l : loads) l = static_cast<int>(rng.next_in(cfg.low, cfg.high));
+      break;
+    }
+    case Scenario::kRamp: {
+      const double span = static_cast<double>(cfg.high - cfg.low);
+      const double steps = cfg.slices > 1 ? static_cast<double>(cfg.slices - 1) : 1.0;
+      for (int i = 0; i < cfg.slices; ++i) {
+        loads[static_cast<std::size_t>(i)] =
+            cfg.low + static_cast<int>(std::llround(span * static_cast<double>(i) / steps));
+      }
+      break;
+    }
+    case Scenario::kBurstDecay: {
+      const double span = static_cast<double>(cfg.high - cfg.low);
+      for (int i = 0; i < cfg.slices; ++i) {
+        const int phase = i % cfg.burst_period;
+        const double amplitude = span * std::pow(cfg.burst_decay, static_cast<double>(phase));
+        loads[static_cast<std::size_t>(i)] = cfg.low + static_cast<int>(std::llround(amplitude));
+      }
+      break;
+    }
+    case Scenario::kPoisson: {
+      Rng rng{cfg.seed};
+      for (auto& l : loads) l = std::min(cfg.high, poisson_draw(rng, cfg.poisson_mean));
+      break;
+    }
+    case Scenario::kTrace:
+      ADD_FAILURE() << "no literal trace generator";
+      break;
+  }
+  return loads;
+}
+
+std::vector<int> device_loads(Scenario s, const ScenarioConfig& cfg, int phase, int join,
+                              const std::vector<double>& env) {
+  std::vector<int> out = literal::generate(s, cfg);
+  const auto rot = static_cast<std::size_t>(phase) % out.size();
+  std::rotate(out.begin(), out.begin() + static_cast<std::ptrdiff_t>(rot), out.end());
+  if (env.empty()) return out;
+  const auto j = static_cast<std::size_t>(join < 0 ? 0 : join);
+  for (std::size_t k = 0; k < out.size(); ++k) {
+    const double m = env[(j + k) % env.size()];
+    out[k] = static_cast<int>(static_cast<double>(out[k]) * m + 0.5);
+  }
+  return out;
+}
+
+}  // namespace literal
+
+constexpr Scenario kGeneratorShapes[] = {
+    Scenario::kLowConstant, Scenario::kHighConstant, Scenario::kPeriodicSpike,
+    Scenario::kPeriodicSpikeFrequent, Scenario::kPulsing, Scenario::kRandom,
+    Scenario::kRamp, Scenario::kBurstDecay, Scenario::kPoisson};
+
+TEST(LoadStream, MatchesTheLiteralRotatedScaledTraceBitForBit) {
+  // Every generator shape x 200 seeded configs x phases {0, 1, n-1, random}
+  // x join/leave windows of a 40-slice horizon x envelope on/off. Each
+  // cursor is checked three ways against the literal trace: drained
+  // straight, rebuilt from (k, state()) before every arrival (a
+  // save/restore at every position), and restored at one random position
+  // and drained from there.
+  constexpr int kHorizon = 40;
+  const std::pair<int, int> windows[] = {{0, 40}, {5, 40}, {0, 17}, {13, 24}, {39, 40}, {0, 1}};
+  int checked = 0;
+  for (const Scenario s : kGeneratorShapes) {
+    for (std::uint64_t seed = 0; seed < 200; ++seed) {
+      SplitMix64 sm{seed * 0x9e3779b97f4a7c15ULL + static_cast<std::uint64_t>(s)};
+      ScenarioConfig cfg;
+      cfg.seed = sm.next();
+      cfg.low = static_cast<int>(sm.next() % 4);
+      cfg.high = cfg.low + static_cast<int>(sm.next() % 12);
+      cfg.spike_period = 1 + static_cast<int>(sm.next() % 9);
+      cfg.spike_period_frequent = 1 + static_cast<int>(sm.next() % 5);
+      cfg.pulse_width = 1 + static_cast<int>(sm.next() % 7);
+      cfg.burst_period = 1 + static_cast<int>(sm.next() % 50);
+      cfg.burst_decay = 0.05 + 0.95 * static_cast<double>(sm.next() % 1000) / 999.0;
+      cfg.poisson_mean = 0.5 + static_cast<double>(sm.next() % 160) / 10.0;
+      std::vector<double> env(kHorizon);
+      for (double& m : env) m = static_cast<double>(sm.next() % 2001) / 1000.0;
+      for (const auto& [join, leave] : windows) {
+        cfg.slices = leave - join;
+        const int n = cfg.slices;
+        const int random_phase = static_cast<int>(sm.next() % 1000);
+        for (const int phase : {0, 1, n - 1, random_phase}) {
+          for (const bool enveloped : {false, true}) {
+            const std::span<const double> e =
+                enveloped ? std::span<const double>{env} : std::span<const double>{};
+            const std::vector<int> want = literal::device_loads(
+                s, cfg, phase, join, enveloped ? env : std::vector<double>{});
+            const std::string where = std::string(to_string(s)) + " seed " +
+                                      std::to_string(seed) + " window [" +
+                                      std::to_string(join) + "," + std::to_string(leave) +
+                                      ") phase " + std::to_string(phase) +
+                                      (enveloped ? " enveloped" : "");
+
+            LoadStream straight{s, cfg, phase, join, e};
+            ASSERT_EQ(straight.size(), n) << where;
+            std::vector<int> got;
+            while (!straight.done()) got.push_back(straight.next());
+            ASSERT_EQ(got, want) << where;
+
+            LoadStream hop{s, cfg, phase, join, e};
+            got.clear();
+            for (int k = 0; k < n; ++k) {
+              hop = LoadStream{s, cfg, phase, join, e, k, hop.state()};
+              ASSERT_EQ(hop.position(), k);
+              got.push_back(hop.next());
+            }
+            ASSERT_EQ(got, want) << where << " (restored at every position)";
+
+            const int cut = static_cast<int>(sm.next() % static_cast<std::uint64_t>(n + 1));
+            LoadStream head{s, cfg, phase, join, e};
+            for (int k = 0; k < cut; ++k) (void)head.next();
+            LoadStream tail{s, cfg, phase, join, e, cut, head.state()};
+            for (int k = cut; k < n; ++k) {
+              ASSERT_EQ(tail.next(), want[static_cast<std::size_t>(k)]) << where << " cut " << cut;
+            }
+            ASSERT_TRUE(tail.done());
+            ++checked;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(checked, 9 * 200 * 6 * 4 * 2);
+}
+
+TEST(LoadStream, StateIsTheGeneratorWordsOfRandomizedShapesOnly) {
+  ScenarioConfig cfg;
+  cfg.slices = 12;
+  for (const Scenario s : kGeneratorShapes) {
+    LoadStream stream{s, cfg, 5};
+    EXPECT_EQ(stream.state() != LoadStream::State{}, LoadStream::randomized(s))
+        << to_string(s);
+    (void)stream.next();
+    const bool words = stream.state() != LoadStream::State{};
+    EXPECT_EQ(words, LoadStream::randomized(s)) << to_string(s);
+    // An unbound cursor carries its words and nothing else.
+    const LoadStream saved{stream.state()};
+    EXPECT_EQ(saved.state(), stream.state());
+    EXPECT_EQ(saved.size(), 0);
+    EXPECT_TRUE(saved.done());
+  }
+}
+
+TEST(LoadStream, RejectsTracesAndBadPositions) {
+  ScenarioConfig cfg;
+  cfg.trace = {1, 2, 3};
+  EXPECT_THROW((LoadStream{Scenario::kTrace, cfg}), std::invalid_argument);
+  EXPECT_THROW((LoadStream{Scenario::kTrace, cfg, 0, 0, {}, 1, LoadStream::State{}}),
+               std::invalid_argument);
+  ScenarioConfig ok;
+  ok.slices = 6;
+  const LoadStream::State words = LoadStream{Scenario::kRandom, ok}.state();
+  EXPECT_NO_THROW((LoadStream{Scenario::kRandom, ok, 0, 0, {}, 6, words}));
+  for (const int k : {-1, 7}) {
+    EXPECT_THROW((LoadStream{Scenario::kRandom, ok, 0, 0, {}, k, words}), std::invalid_argument)
+        << k;
+  }
+  // All-zero words would spin the uniform draw's rejection loop forever.
+  for (const Scenario s : {Scenario::kRandom, Scenario::kPoisson}) {
+    EXPECT_THROW((LoadStream{s, ok, 0, 0, {}, 3, LoadStream::State{}}), std::invalid_argument)
+        << to_string(s);
+  }
+  EXPECT_NO_THROW((LoadStream{Scenario::kPulsing, ok, 0, 0, {}, 3, LoadStream::State{}}));
+  ScenarioConfig bad;
+  bad.slices = 0;
+  EXPECT_THROW((LoadStream{Scenario::kLowConstant, bad}), std::invalid_argument);
 }
 
 TEST(Scenario, SparklineLengthMatches) {
