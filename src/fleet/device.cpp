@@ -82,7 +82,7 @@ void Device::init_slo_tiers() {
 
 void DeviceProgress::start(const FleetSpec& fleet, const DeviceSpec& spec,
                            std::int64_t slice_ps, std::span<const double> env) {
-  loads = device_load_stream(spec, env);
+  start_load_stream(spec, env, loads);
   const energy::Battery battery{fleet.battery};
   // Lifecycle window: a device staying to the horizon runs its arrivals plus
   // the trailing drain slice; an early leaver runs its arrivals only.
@@ -173,9 +173,7 @@ void DeviceProgress::end_slice(const SliceOutcome& out) {
     // after it runs. Arrivals still in flight are dropped.
     r.exhausted_at_slice = next_k;
     std::uint64_t dropped = static_cast<std::uint64_t>(arriving);
-    for (workload::LoadStream rest = loads; !rest.done();) {
-      dropped += static_cast<std::uint64_t>(rest.next());
-    }
+    while (!loads.done()) dropped += static_cast<std::uint64_t>(loads.next());
     r.tasks_dropped = dropped;
     done = true;
   }

@@ -122,9 +122,9 @@ struct DeviceProgress {
 
   /// Resets to step 0 of `spec`'s arrival stream, scaled by the fleet
   /// envelope `env` (empty = none; must outlive the device's run): the
-  /// result header, the initial battery charge, a fresh lane and load
-  /// cursor, with no processor checkpoint. Sample buffers keep their
-  /// capacity. `slice_ps` is the processor's slice length T.
+  /// result header, the initial battery charge, a fresh lane and the load
+  /// cursor restarted, with no processor checkpoint. Sample buffers and the
+  /// cursor keep their capacity. `slice_ps` is the processor's slice length T.
   void start(const FleetSpec& fleet, const DeviceSpec& spec,
              std::int64_t slice_ps, std::span<const double> env);
 

@@ -686,7 +686,7 @@ FleetSnapshot FleetSimulator::drive(const FleetSpec& spec, int end_slice,
       DeviceProgress& p = final_segment ? w.progress : snap.devices[i];
       if (src != nullptr && src->started) {
         p = *src;
-        p.loads = device_load_stream(ds, env, p.next_k, p.loads.state());
+        p.loads = resume_load_stream(ds, env, p.next_k, p.loads.state());
       } else {
         p.start(spec, ds, pairs[pair_of(ds)].slice_ps, env);
       }

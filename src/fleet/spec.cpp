@@ -300,17 +300,18 @@ std::vector<int> device_loads(const DeviceSpec& spec) {
 
 void device_loads_into(const DeviceSpec& spec, const std::vector<double>& env,
                        std::vector<int>& out) {
-  workload::LoadStream stream = device_load_stream(spec, env);
+  workload::LoadStream stream;
+  start_load_stream(spec, env, stream);
   out.resize(static_cast<std::size_t>(stream.size()));
   for (int& l : out) l = stream.next();
 }
 
-workload::LoadStream device_load_stream(const DeviceSpec& spec,
-                                        std::span<const double> env) {
-  return workload::LoadStream{spec.scenario, spec.cfg, spec.phase, spec.join_slice, env};
+void start_load_stream(const DeviceSpec& spec, std::span<const double> env,
+                       workload::LoadStream& cursor) {
+  cursor.start(spec.scenario, spec.cfg, spec.phase, spec.join_slice, env);
 }
 
-workload::LoadStream device_load_stream(const DeviceSpec& spec,
+workload::LoadStream resume_load_stream(const DeviceSpec& spec,
                                         std::span<const double> env, int k,
                                         const workload::LoadStream::State& state) {
   return workload::LoadStream{spec.scenario, spec.cfg, spec.phase,

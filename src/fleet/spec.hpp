@@ -45,7 +45,7 @@ struct AggregateShape {
 /// Everything one worker needs to simulate one device (plus the FleetSpec
 /// it came from). Loads are generated on demand: workload::generate(kind,
 /// cfg) rotated left by `phase` slices — the per-device jitter — streamed
-/// slice by slice (device_load_stream).
+/// slice by slice (start_load_stream).
 struct DeviceSpec {
   std::uint32_t id = 0;
   std::size_t model_index = 0;       ///< into FleetSpec::resolved_models()
@@ -192,7 +192,7 @@ struct FleetSpec {
 };
 
 /// The materialized per-slice load trace of one device: generate + rotate
-/// (a drain of device_load_stream(spec, {})).
+/// (a drain of start_load_stream(spec, {}, ...)).
 [[nodiscard]] std::vector<int> device_loads(const DeviceSpec& spec);
 
 /// device_loads() with the fleet's envelope applied, into a caller-owned
@@ -202,14 +202,15 @@ struct FleetSpec {
 void device_loads_into(const DeviceSpec& spec, const std::vector<double>& env,
                        std::vector<int>& out);
 
-/// The device's arrival cursor at arrival 0: what device_loads_into(spec,
-/// env, ...) materializes, one value per next(). `env` must outlive it.
-/// Throws std::invalid_argument for a trace-replay device.
-[[nodiscard]] workload::LoadStream device_load_stream(const DeviceSpec& spec,
-                                                      std::span<const double> env);
+/// Binds `cursor` to arrival 0 of the device's arrival stream — what
+/// device_loads_into(spec, env, ...) materializes, one value per next() —
+/// reusing the cursor's storage. `env` must outlive it. Throws
+/// std::invalid_argument for a trace-replay device.
+void start_load_stream(const DeviceSpec& spec, std::span<const double> env,
+                       workload::LoadStream& cursor);
 
 /// The same cursor at arrival `k`, resumed from the state() it had there.
-[[nodiscard]] workload::LoadStream device_load_stream(
+[[nodiscard]] workload::LoadStream resume_load_stream(
     const DeviceSpec& spec, std::span<const double> env, int k,
     const workload::LoadStream::State& state);
 

@@ -77,12 +77,6 @@ int poisson_draw(Rng& rng, double limit) {
 }  // namespace
 
 std::vector<int> generate(Scenario s, const ScenarioConfig& cfg) {
-  std::vector<int> loads;
-  generate_into(s, cfg, loads);
-  return loads;
-}
-
-void generate_into(Scenario s, const ScenarioConfig& cfg, std::vector<int>& out) {
   if (s == Scenario::kTrace) {
     // Replay: the trace defines both the counts and the run length.
     std::vector<int> loads = cfg.trace_path.empty() ? cfg.trace : load_trace(cfg.trace_path);
@@ -92,25 +86,22 @@ void generate_into(Scenario s, const ScenarioConfig& cfg, std::vector<int>& out)
     for (const int l : loads) {
       if (l < 0) throw std::invalid_argument("trace replay: negative load");
     }
-    out = std::move(loads);
-    return;
+    return loads;
   }
   LoadStream stream{s, cfg};
-  out.resize(static_cast<std::size_t>(stream.size()));
-  for (int& l : out) l = stream.next();
+  std::vector<int> loads(static_cast<std::size_t>(stream.size()));
+  for (int& l : loads) l = stream.next();
+  return loads;
 }
 
-LoadStream::LoadStream(Scenario s, const ScenarioConfig& cfg, int phase, int join,
+void LoadStream::start(Scenario s, const ScenarioConfig& cfg, int phase, int join,
                        std::span<const double> envelope) {
   init(s, cfg, phase, join, envelope, 0);
   if (!randomized()) return;
-  // Reach the first arrival's trace index. The values drawn on the way are
-  // the trace's head, which the rotation yields last: keep them for after
-  // the wrap instead of reseeding and drawing them again.
-  Rng rng{seed_};
-  head_.resize(static_cast<std::size_t>(pos_));
-  for (int& load : head_) load = draw(rng);
-  rng_ = rng;
+  // Reach the first arrival's trace index; the values drawn on the way come
+  // again after the wrap, where next() reseeds.
+  rng_ = Rng{seed_};
+  for (int i = 0; i < pos_; ++i) (void)draw();
 }
 
 LoadStream::LoadStream(Scenario s, const ScenarioConfig& cfg, int phase, int join,
@@ -136,6 +127,12 @@ void LoadStream::init(Scenario s, const ScenarioConfig& cfg, int phase, int join
   if (k < 0 || k > cfg.slices) {
     throw std::invalid_argument("LoadStream: position outside [0, slices]");
   }
+  // Every field back to its default (a deterministic shape's words are all
+  // zero), keeping only the burst table's storage.
+  std::vector<int> table = std::move(burst_);
+  *this = LoadStream{};
+  table.clear();
+  burst_ = std::move(table);
   scenario_ = s;
   n_ = cfg.slices;
   k_ = k;
@@ -205,23 +202,14 @@ void LoadStream::init(Scenario s, const ScenarioConfig& cfg, int phase, int join
   cyc_ = pos_ % cycle_;
 }
 
-inline int LoadStream::draw(Rng& rng) const {
+inline int LoadStream::draw() {
   if (scenario_ == Scenario::kRandom) {
-    return low_ + static_cast<int>(rng.next_below(bound_, threshold_));
+    return low_ + static_cast<int>(rng_.next_below(bound_, threshold_));
   }
-  Rng local = rng;  // the draw loop keeps the words in registers
+  Rng local = rng_;  // the draw loop keeps the words in registers
   const int k = poisson_draw(local, limit_);
-  rng = local;
+  rng_ = local;
   return std::min(high_, k);
-}
-
-LoadStream::State LoadStream::state() const {
-  if (static_cast<std::size_t>(pos_) >= head_.size()) return rng_.state();
-  // Past the wrap, inside the kept head: the words are those after the
-  // head's first pos_ draws, which a cursor without the head resumes from.
-  Rng rng{seed_};
-  for (int i = 0; i < pos_; ++i) (void)draw(rng);
-  return rng.state();
 }
 
 int LoadStream::next() {
@@ -233,16 +221,11 @@ int LoadStream::next() {
     case Scenario::kPeriodicSpikeFrequent: load = cyc_ == 0 ? high_ : low_; break;
     case Scenario::kPulsing: load = 2 * cyc_ < cycle_ ? high_ : low_; break;
     case Scenario::kRandom:
-    case Scenario::kPoisson: {
-      if (static_cast<std::size_t>(pos_) < head_.size()) {
-        load = head_[static_cast<std::size_t>(pos_)];
-        break;
-      }
+    case Scenario::kPoisson:
       // Trace index 0 is the generator's first draw: reseed there.
       if (pos_ == 0) rng_ = Rng{seed_};
-      load = draw(rng_);
+      load = draw();
       break;
-    }
     case Scenario::kRamp:
       load = low_ + static_cast<int>(std::llround(span_ * static_cast<double>(pos_) / steps_));
       break;

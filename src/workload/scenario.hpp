@@ -8,8 +8,8 @@
 // reason a load trace never needs to be stored: regenerating it from the
 // config is exact. A LoadStream yields one trace slice by slice, so a
 // consumer that runs a trace in pieces (the fleet's checkpointed segments)
-// generates each value once; generate() drains one. generate() is
-// O(slices); file I/O helpers are O(lines).
+// generates it once, not once per piece; generate() drains one. generate()
+// is O(slices); file I/O helpers are O(lines).
 #pragma once
 
 #include <array>
@@ -71,12 +71,8 @@ struct ScenarioConfig {
 /// poisson_mean in (0, 500]; kTrace needs trace_path or a non-empty trace
 /// of non-negative counts (the trace also defines the run length —
 /// cfg.slices is ignored for it).
+/// kTrace replays its trace; every other shape drains a LoadStream{s, cfg}.
 [[nodiscard]] std::vector<int> generate(Scenario s, const ScenarioConfig& cfg = {});
-
-/// generate() into a caller-owned buffer (resized to the trace length,
-/// capacity reused). Identical output to generate(): kTrace replays its
-/// trace, every other shape drains a LoadStream{s, cfg}.
-void generate_into(Scenario s, const ScenarioConfig& cfg, std::vector<int>& out);
 
 /// A cursor over one generated load trace: next() yields the loads of
 /// generate(s, cfg) rotated left by `phase` slices, arrival k multiplied by
@@ -92,10 +88,9 @@ void generate_into(Scenario s, const ScenarioConfig& cfg, std::vector<int>& out)
 /// kBurstDecay, whose per-phase loads are tabled. Per-shape constants (the
 /// Poisson limit exp(-mean), the uniform draw's rejection threshold, the
 /// burst table) are computed once per stream, not once per value. A
-/// randomized stream built at k = 0 draws the trace's first `phase` values
-/// to reach its first arrival and keeps them for after the wrap, so a
-/// stream drained in one piece draws each value once; a resumed one
-/// reseeds when the rotation wraps to the trace's first slice.
+/// randomized stream started at k = 0 draws and discards the trace's first
+/// `phase` values to reach its first arrival, and reseeds when the rotation
+/// wraps to the trace's first slice.
 ///
 /// The envelope is not copied: it must outlive the stream. Throws
 /// std::invalid_argument on the configs generate() rejects, on kTrace (a
@@ -115,7 +110,9 @@ class LoadStream {
 
   /// The stream at arrival 0.
   LoadStream(Scenario s, const ScenarioConfig& cfg, int phase = 0, int join = 0,
-             std::span<const double> envelope = {});
+             std::span<const double> envelope = {}) {
+    start(s, cfg, phase, join, envelope);
+  }
 
   /// The same stream at arrival `k` (0 <= k <= size(), else
   /// std::invalid_argument), resumed from the state() it had there (never
@@ -123,16 +120,20 @@ class LoadStream {
   LoadStream(Scenario s, const ScenarioConfig& cfg, int phase, int join,
              std::span<const double> envelope, int k, const State& state);
 
+  /// Rebinds this cursor to arrival 0 of the stream the constructor above
+  /// builds, reusing the burst table's storage: a fleet device restarts the
+  /// cursor it carries without a heap allocation.
+  void start(Scenario s, const ScenarioConfig& cfg, int phase, int join,
+             std::span<const double> envelope);
+
   /// Arrivals in the whole stream (cfg.slices).
   [[nodiscard]] int size() const { return n_; }
-  /// Arrivals yielded so far: the index of the next one.
-  [[nodiscard]] int position() const { return k_; }
   [[nodiscard]] bool done() const { return k_ >= n_; }
-  /// The generator words at position(); all zero exactly for the
+  /// The generator words at the next arrival; all zero exactly for the
   /// deterministic shapes.
-  [[nodiscard]] State state() const;
+  [[nodiscard]] State state() const { return rng_.state(); }
 
-  /// Arrival position(), then advances. Precondition: !done().
+  /// The next arrival, then advances. Precondition: !done().
   int next();
 
   /// Whether streams of shape `s` carry generator words (kRandom, kPoisson).
@@ -145,8 +146,8 @@ class LoadStream {
   void init(Scenario s, const ScenarioConfig& cfg, int phase, int join,
             std::span<const double> envelope, int k);
   [[nodiscard]] bool randomized() const { return randomized(scenario_); }
-  /// One raw value of a randomized shape, drawn from `rng`.
-  int draw(Rng& rng) const;
+  /// One raw value of a randomized shape, drawn from rng_.
+  int draw();
 
   Scenario scenario_ = Scenario::kLowConstant;
   int n_ = 0;
@@ -166,10 +167,6 @@ class LoadStream {
   double steps_ = 1.0;           ///< kRamp: slices - 1 (1 for one slice)
   double limit_ = 0.0;           ///< kPoisson: exp(-mean)
   std::vector<int> burst_;       ///< kBurstDecay: the load at each burst phase
-  /// Randomized shapes built at arrival 0: the trace's first values, drawn
-  /// to reach the first arrival and replayed after the wrap. A resumed
-  /// cursor has none and reseeds instead.
-  std::vector<int> head_;
   Rng rng_{State{}};
   std::span<const double> env_;
   std::size_t env_at_ = 0;       ///< (join + k) mod env_.size()
