@@ -4,16 +4,16 @@
 
 namespace hhpim::fleet {
 
-FleetAggregate::FleetAggregate(const AggregateShape& shape)
-    : busy_frac_(0.0, shape.busy_frac_max, shape.busy_frac_bins),
-      energy_(0.0, shape.slice_energy_mj_max, shape.slice_energy_bins) {}
+SliceHistograms::SliceHistograms(const AggregateShape& shape)
+    : busy_frac(0.0, shape.busy_frac_max, shape.busy_frac_bins),
+      slice_energy(0.0, shape.slice_energy_mj_max, shape.slice_energy_bins) {}
 
-void FleetAggregate::add_slice(double busy_frac, double busy_time_us,
-                               double energy_mj) {
-  busy_frac_.add(busy_frac);
-  busy_us.add(busy_time_us);
-  energy_.add(energy_mj);
+void SliceHistograms::merge(const SliceHistograms& o) {
+  busy_frac.merge(o.busy_frac);
+  slice_energy.merge(o.slice_energy);
 }
+
+FleetAggregate::FleetAggregate(const AggregateShape& shape) : slice_bins(shape) {}
 
 void FleetAggregate::add_device(const DeviceResult& r) {
   ++devices;
@@ -30,10 +30,8 @@ void FleetAggregate::add_device(const DeviceResult& r) {
 }
 
 void FleetAggregate::add_finished_device(const DeviceProgress& p) {
-  const Time slice = Time::ps(p.result.slice_ps);
-  for (std::size_t k = 0; k < p.sample_busy_ps.size(); ++k) {
-    const Time busy = Time::ps(p.sample_busy_ps[k]);
-    add_slice(busy / slice, busy.as_us(), Energy::pj(p.sample_energy_pj[k]).as_mj());
+  for (const std::int64_t busy_ps : p.sample_busy_ps) {
+    busy_us.add(Time::ps(busy_ps).as_us());
   }
   add_device(p.result);
 }
@@ -51,8 +49,7 @@ void FleetAggregate::merge(const FleetAggregate& o) {
   device_energy_mj.merge(o.device_energy_mj);
   final_soc.merge(o.final_soc);
   busy_us.merge(o.busy_us);
-  busy_frac_.merge(o.busy_frac_);
-  energy_.merge(o.energy_);
+  slice_bins.merge(o.slice_bins);
 }
 
 }  // namespace hhpim::fleet

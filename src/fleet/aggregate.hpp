@@ -16,6 +16,7 @@
 
 #include <cstdint>
 
+#include "common/units.hpp"
 #include "fleet/spec.hpp"
 #include "sim/stats.hpp"
 
@@ -24,21 +25,41 @@ namespace hhpim::fleet {
 struct DeviceResult;    // fleet/device.hpp
 struct DeviceProgress;  // fleet/device.hpp
 
+/// The two per-slice histograms, binned in the slice that executes: busy
+/// time as a fraction of the slice length T, and everything the slice
+/// charged (requested, pre-clamp) in millijoules. Integer bins, so adds and
+/// merges give the same counts in any order — a slice is binned wherever it
+/// is counted, and a FleetSnapshot carries the bins of the slices before
+/// its cut.
+struct SliceHistograms {
+  /// The default shape; implicit, so `FleetSnapshot{}` value-initializes.
+  SliceHistograms() : SliceHistograms(AggregateShape{}) {}
+  explicit SliceHistograms(const AggregateShape& shape);
+
+  void add(std::int64_t busy_ps, std::int64_t slice_ps, double energy_pj) {
+    busy_frac.add(Time::ps(busy_ps) / Time::ps(slice_ps));
+    slice_energy.add(Energy::pj(energy_pj).as_mj());
+  }
+
+  /// Adds `other`'s counts. Shapes must match (throws std::invalid_argument
+  /// via Histogram::merge otherwise).
+  void merge(const SliceHistograms& other);
+
+  sim::Histogram busy_frac;
+  sim::Histogram slice_energy;
+};
+
 class FleetAggregate {
  public:
   explicit FleetAggregate(const AggregateShape& shape = {});
 
-  /// Accounts one executed slice. `busy_frac` = busy time / T;
-  /// `busy_time_us` = the same busy time in microseconds (absolute);
-  /// `energy_mj` = everything the slice charged, in millijoules.
-  void add_slice(double busy_frac, double busy_time_us, double energy_mj);
-
   /// Accounts one finished device (its counters and totals).
   void add_device(const DeviceResult& r);
 
-  /// Accounts a finished device's buffered per-slice samples in slice order,
-  /// then its totals — the device-major order every run path feeds, which
-  /// keeps order-sensitive Summary adds byte-identical.
+  /// Accounts a finished device's buffered busy times into `busy_us` in
+  /// slice order, then its totals. Welford adds depend on order, so every
+  /// run path feeds them device-major; the slice histograms were binned as
+  /// the slices ran.
   void add_finished_device(const DeviceProgress& p);
 
   /// Adds `other` into this aggregate. Shapes must match (throws
@@ -62,23 +83,17 @@ class FleetAggregate {
   sim::Summary device_energy_mj;  ///< per-device total energy, millijoules
   sim::Summary final_soc;         ///< per-device battery SoC at run end
   sim::Summary busy_us;           ///< per-slice busy time, microseconds
-
-  [[nodiscard]] const sim::Histogram& busy_frac_hist() const { return busy_frac_; }
-  [[nodiscard]] const sim::Histogram& slice_energy_hist() const { return energy_; }
+  SliceHistograms slice_bins;     ///< one sample per executed slice
 
   /// Fleet-wide slice-latency quantile, in fractions of the slice length T
   /// (q in [0, 1]; e.g. 0.99 -> p99).
   [[nodiscard]] double busy_frac_quantile(double q) const {
-    return busy_frac_.quantile(q);
+    return slice_bins.busy_frac.quantile(q);
   }
   /// Fleet-wide per-slice energy quantile, millijoules.
   [[nodiscard]] double slice_energy_mj_quantile(double q) const {
-    return energy_.quantile(q);
+    return slice_bins.slice_energy.quantile(q);
   }
-
- private:
-  sim::Histogram busy_frac_;
-  sim::Histogram energy_;
 };
 
 }  // namespace hhpim::fleet

@@ -106,7 +106,6 @@ void DeviceProgress::start(const FleetSpec& fleet, const DeviceSpec& spec,
   charge_pj = battery.charge().as_pj();
   result.final_soc = battery.soc();
   sample_busy_ps.clear();
-  sample_energy_pj.clear();
   proc_digest = 0;
   proc_blob.reset();
 }
@@ -148,7 +147,7 @@ SliceOutcomeKey DeviceProgress::slice_key(std::uint64_t reuse_key,
                          slo_ps > 0 ? tier : std::uint8_t{0}};
 }
 
-void DeviceProgress::end_slice(const SliceOutcome& out) {
+void DeviceProgress::end_slice(const SliceOutcome& out, SliceHistograms& bins) {
   const int n_loads = loads.size();
   const int arriving = next_k < n_loads ? loads.next() : 0;
   const double drained = out.energy_pj < charge_pj ? out.energy_pj : charge_pj;
@@ -165,7 +164,7 @@ void DeviceProgress::end_slice(const SliceOutcome& out) {
   r.host_cycles += out.host_cycles;
   if (mode == static_cast<std::uint8_t>(DeviceMode::kLowPower)) ++r.low_power_slices;
   sample_busy_ps.push_back(out.busy_ps);
-  sample_energy_pj.push_back(out.energy_pj);
+  bins.add(out.busy_ps, r.slice_ps, out.energy_pj);
 
   if (drained < out.energy_pj) {
     // The battery died during this slice: the slice's work happened (the
@@ -195,7 +194,10 @@ DeviceResult Device::run(FleetAggregate* agg) {
   const std::vector<double> env = fleet_.envelope_multipliers();
   DeviceProgress p;
   p.start(fleet_, spec_, proc_->slice_length().as_ps(), env);
-  while (!p.done) p.end_slice(step(p, p.begin_slice(fleet_, spec_, slo_ok_)));
+  std::optional<SliceHistograms> discard;
+  SliceHistograms& bins =
+      agg != nullptr ? agg->slice_bins : discard.emplace(fleet_.histograms);
+  while (!p.done) p.end_slice(step(p, p.begin_slice(fleet_, spec_, slo_ok_)), bins);
   if (agg != nullptr) agg->add_finished_device(p);
   return p.result;
 }

@@ -1,7 +1,7 @@
 // One simulated edge device: the per-slice control loop of the fleet.
 //
 // A device's whole mutable state is a DeviceProgress — battery charge,
-// hysteresis mode, frontier tier, counters and buffered aggregate samples —
+// hysteresis mode, frontier tier, counters and buffered busy-time samples —
 // and every slice is one step on it, whoever computes the slice:
 //
 //   begin_slice  1. charging window: recharge, clamped to capacity
@@ -11,8 +11,9 @@
 //                   the mode/tier installed as a placement override) or
 //                   replayed from the fleet's outcome memo
 //   end_slice    4. drain the slice's requested energy, clamped to the
-//                   charge; count; buffer the aggregate sample and the
-//                   slice's arrivals, drawn from the device's load cursor
+//                   charge; count; bin the slice into the slice histograms;
+//                   buffer its busy time and the slice's arrivals, drawn
+//                   from the device's load cursor
 //                5. battery hit zero mid-slice -> record exhaustion, stop;
 //                   arrivals that never executed are counted as dropped
 //
@@ -43,7 +44,8 @@ class LutCache;  // placement/lut_cache.hpp — only a pointer is passed through
 
 namespace hhpim::fleet {
 
-class FleetAggregate;  // fleet/aggregate.hpp
+class FleetAggregate;    // fleet/aggregate.hpp
+struct SliceHistograms;  // fleet/aggregate.hpp
 
 /// Everything one device run produces; one JSONL line each (the schema is
 /// documented in docs/FLEET.md). Times are picoseconds, energies picojoules
@@ -90,8 +92,8 @@ struct DeviceResult {
 /// One device's whole mutable state, and what a FleetSnapshot stores per
 /// device: the partial DeviceResult, the battery/policy lane, the load
 /// cursor, the processor checkpoint (state digest plus shared save_state
-/// blob; live snapshot devices only), and the per-slice aggregate samples,
-/// buffered until the device finishes (histogram insertion order is
+/// blob; live snapshot devices only), and the per-slice busy times,
+/// buffered until the device finishes (the busy_us Summary is fed
 /// device-major and must not interleave with other devices).
 /// begin_slice/end_slice are the only
 /// per-slice step: the exact slice (Device::step) and the memo replay
@@ -107,7 +109,6 @@ struct DeviceProgress {
   int buffered = 0;         ///< arrivals awaiting execution in the next slice
   double charge_pj = 0.0;   ///< exact battery charge bits
   std::vector<std::int64_t> sample_busy_ps;  ///< per executed slice
-  std::vector<double> sample_energy_pj;      ///< requested (pre-clamp) energy
   /// Processor::state_digest() of the state the device stopped at, and that
   /// state's save_state blob — shared with every device (and memo outcome)
   /// at the same state. Set at a checkpoint for live devices only.
@@ -123,8 +124,8 @@ struct DeviceProgress {
   /// Resets to step 0 of `spec`'s arrival stream, scaled by the fleet
   /// envelope `env` (empty = none; must outlive the device's run): the
   /// result header, the initial battery charge, a fresh lane and the load
-  /// cursor restarted, with no processor checkpoint. Sample buffers and the
-  /// cursor keep their capacity. `slice_ps` is the processor's slice length T.
+  /// cursor restarted, with no processor checkpoint. The sample buffer and
+  /// the cursor keep their capacity. `slice_ps` is the processor's slice length T.
   void start(const FleetSpec& fleet, const DeviceSpec& spec,
              std::int64_t slice_ps, std::span<const double> env);
 
@@ -142,11 +143,11 @@ struct DeviceProgress {
                                           std::int64_t slo_ps) const;
 
   /// Second half: drains `out.energy_pj` (clamped to the charge), counts the
-  /// slice, buffers its aggregate sample and the slice's arrivals (from
-  /// `loads`), and ends the stream on exhaustion — the arrivals left in the
-  /// cursor are dropped — or after the last step (an early leaver drops its
-  /// final buffer).
-  void end_slice(const SliceOutcome& out);
+  /// slice and bins it into `bins`, buffers its busy time and the slice's
+  /// arrivals (from `loads`), and ends the stream on exhaustion — the
+  /// arrivals left in the cursor are dropped — or after the last step (an
+  /// early leaver drops its final buffer).
+  void end_slice(const SliceOutcome& out, SliceHistograms& bins);
 };
 
 class Device {
@@ -168,8 +169,8 @@ class Device {
          sys::Processor& proc);
 
   /// Executes the device's whole stream (loads streamed from the spec with
-  /// the fleet's envelope applied). The device's samples and totals
-  /// are accounted into `agg` (may be null). Call once.
+  /// the fleet's envelope applied). Its slices and totals are accounted
+  /// into `agg` (may be null). Call once.
   DeviceResult run(FleetAggregate* agg);
 
   /// Runs the slice DeviceProgress::begin_slice just planned on `p` (which

@@ -296,9 +296,9 @@ std::string FleetResult::summary_to_json() const {
   w.key("busy_us");
   write_summary_stats(w, aggregate.busy_us);
   w.key("busy_frac");
-  write_quantiles(w, aggregate.busy_frac_hist());
+  write_quantiles(w, aggregate.slice_bins.busy_frac);
   w.key("slice_energy_mj");
-  write_quantiles(w, aggregate.slice_energy_hist());
+  write_quantiles(w, aggregate.slice_bins.slice_energy);
   w.end_object();
   out += '\n';
   return out;
@@ -389,12 +389,24 @@ FleetSnapshot FleetSimulator::drive(const FleetSpec& spec, int end_slice,
     // values: a device's identity must match its re-expanded spec (the
     // JSONL writer indexes the model table with it), its lane must be in
     // range, and a live device must stand at this snapshot's slice with its
-    // load cursor's words (the cursor is rebuilt at next_k). Devices not yet
-    // started carry no header; start() writes it. A live device's processor
-    // blob is checked against its digest when it is loaded.
+    // load cursor's words (the cursor is rebuilt at next_k). Every device
+    // carries one busy sample per executed slice, and the carried histograms
+    // have the spec's shape and one sample per slice executed fleet-wide.
+    // Devices not yet started carry no header; start() writes it. A live
+    // device's processor blob is checked against its digest when it is
+    // loaded.
+    std::uint64_t executed = 0;
     for (std::size_t i = 0; i < n; ++i) {
       const DeviceProgress& p = from->devices[i];
       const DeviceResult& r = p.result;
+      if (r.slices_executed < 0 ||
+          p.sample_busy_ps.size() != static_cast<std::size_t>(r.slices_executed)) {
+        throw std::runtime_error("snapshot: device " + std::to_string(i) + " carries " +
+                                 std::to_string(p.sample_busy_ps.size()) +
+                                 " busy samples for " +
+                                 std::to_string(r.slices_executed) + " executed slices");
+      }
+      executed += static_cast<std::uint64_t>(r.slices_executed);
       if (p.next_k < 0 || p.next_k > r.slices_total) {
         throw std::runtime_error("snapshot: device " + std::to_string(i) + "'s step " +
                                  std::to_string(p.next_k) + " lies outside [0, " +
@@ -429,6 +441,22 @@ FleetSnapshot FleetSimulator::drive(const FleetSpec& spec, int end_slice,
       // Range-checked like a battery restore (std::invalid_argument).
       energy::Battery{spec.battery}.restore_charge(Energy::pj(p.charge_pj));
     }
+    const auto check_bins = [executed](const sim::Histogram& carried,
+                                       const sim::Histogram& shape, const char* name) {
+      if (!carried.same_shape(shape)) {
+        throw std::runtime_error(std::string{"snapshot: the carried "} + name +
+                                 " histogram's shape differs from the spec's");
+      }
+      if (carried.total() != executed) {
+        throw std::runtime_error(std::string{"snapshot: the carried "} + name +
+                                 " histogram holds " + std::to_string(carried.total()) +
+                                 " samples for " + std::to_string(executed) +
+                                 " executed slices");
+      }
+    };
+    const SliceHistograms shape{spec.histograms};
+    check_bins(from->slice_bins.busy_frac, shape.busy_frac, "busy_frac");
+    check_bins(from->slice_bins.slice_energy, shape.slice_energy, "slice_energy");
   }
 
   FleetSnapshot snap;
@@ -437,6 +465,9 @@ FleetSnapshot FleetSimulator::drive(const FleetSpec& spec, int end_slice,
   if (from != nullptr) {
     snap.lut_builds = from->lut_builds;
     snap.lut_counted = from->lut_counted;
+    snap.slice_bins = from->slice_bins;  // shape checked above
+  } else {
+    snap.slice_bins = SliceHistograms{spec.histograms};
   }
   // A bounded segment's devices, filled by the shard workers: each copies
   // its devices' progress from `from` (or starts them) itself.
@@ -522,14 +553,14 @@ FleetSnapshot FleetSimulator::drive(const FleetSpec& spec, int end_slice,
     if (options_.keep_results) final_out->devices.resize(n);
   }
 
-  // One slot per shard, each on its own cache line: a worker finishing
-  // shard s move-assigns into slot s while a sibling fills s±1 — without
-  // the alignment those writes would false-share a line.
+  // One slot per shard in every segment (a bounded one keeps only the slice
+  // histograms), each on its own cache line: a worker finishing shard s
+  // move-assigns into slot s while a sibling fills s±1 — without the
+  // alignment those writes would false-share a line.
   struct alignas(kCacheLine) ShardSlot {
     FleetAggregate agg;
   };
-  std::vector<ShardSlot> shard_aggs(final_segment ? shards : 0,
-                                    ShardSlot{FleetAggregate{spec.histograms}});
+  std::vector<ShardSlot> shard_aggs(shards, ShardSlot{FleetAggregate{spec.histograms}});
 
   // Per-worker buffers, reused across the worker's shards and devices.
   struct Scratch {
@@ -602,7 +633,7 @@ FleetSnapshot FleetSimulator::drive(const FleetSpec& spec, int end_slice,
         const SliceOutcomeKey key = p.slice_key(info.reuse_key, state, slo_ps);
         if (const SliceOutcome* out = memo != nullptr ? memo->lookup(key) : nullptr) {
           ++hits;
-          p.end_slice(*out);
+          p.end_slice(*out, agg.slice_bins);
           state = out->post_state;
           blob = out->blob;
           live = false;
@@ -641,7 +672,7 @@ FleetSnapshot FleetSimulator::drive(const FleetSpec& spec, int end_slice,
           state = out.post_state;
           blob = out.blob;
         }
-        p.end_slice(out);
+        p.end_slice(out, agg.slice_bins);
         ran_exact = true;
       }
       if (final_segment || p.done) {
@@ -662,7 +693,7 @@ FleetSnapshot FleetSimulator::drive(const FleetSpec& spec, int end_slice,
       return ran_exact;
     };
 
-    // Accounts a finished device at its ordinal position: samples, then
+    // Accounts a finished device at its ordinal position: busy samples, then
     // totals — the device-major order of one uninterrupted run.
     const auto finish = [&](std::size_t i, const DeviceProgress& p) {
       agg.add_finished_device(p);
@@ -717,7 +748,7 @@ FleetSnapshot FleetSimulator::drive(const FleetSpec& spec, int end_slice,
       out.close();
       if (!out) throw std::runtime_error("fleet: write failed for " + path);
     }
-    if (final_segment) shard_aggs[s].agg = std::move(agg);
+    shard_aggs[s].agg = std::move(agg);
   };
 
   const unsigned workers = resolve_workers(options_.threads, shards);
@@ -753,12 +784,16 @@ FleetSnapshot FleetSimulator::drive(const FleetSpec& spec, int end_slice,
     for (std::thread& t : threads) t.join();
   }
   if (first_error) std::rethrow_exception(first_error);
-  if (!final_segment) return snap;
+  if (!final_segment) {
+    for (const ShardSlot& slot : shard_aggs) snap.slice_bins.merge(slot.agg.slice_bins);
+    return snap;
+  }
 
   // Merge in shard-index order: Summary merges are order-sensitive in the
   // last floating-point bit, so a fixed order keeps output byte-identical
-  // at any thread count.
+  // at any thread count. The earlier segments' slices are binned in `snap`.
   for (const ShardSlot& slot : shard_aggs) final_out->aggregate.merge(slot.agg);
+  final_out->aggregate.slice_bins.merge(snap.slice_bins);
   // Shared: the devices that ran on a LUT they didn't build. Only HH-PIM
   // devices resolve through the LUT cache; static archs in a mixed-firmware
   // fleet never share a build.

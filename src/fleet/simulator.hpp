@@ -168,13 +168,16 @@ class FleetSimulator {
   /// at that boundary. `end_slice` must lie in (start, spec.slices]; the
   /// trailing drain slices belong to the final segment (resume). Segments
   /// replay from the memo like run() — a live device stops at a checkpoint
-  /// holding its state digest and shared processor blob — and buffer
-  /// per-slice aggregate samples in the snapshot; no JSONL or aggregates
-  /// are produced until resume().
+  /// holding its state digest and shared processor blob — bin their slices
+  /// into the snapshot's slice histograms and buffer each device's busy
+  /// times in its record; no JSONL or other aggregates are produced until
+  /// resume().
   /// The snapshot is pinned to FleetSpec::content_digest() — run_to/resume
-  /// throw std::runtime_error on a digest mismatch or a device that does not
-  /// match its spec or stand at the snapshot's slice, std::invalid_argument
-  /// on a bad window.
+  /// throw std::runtime_error on a digest mismatch, a device that does not
+  /// match its spec or stand at the snapshot's slice, a device whose busy
+  /// samples differ in number from its executed slices, or carried
+  /// histograms whose shape differs from the spec's or whose totals differ
+  /// from the slices executed; std::invalid_argument on a bad window.
   [[nodiscard]] FleetSnapshot run_to(const FleetSpec& spec, int end_slice,
                                      const FleetSnapshot* from = nullptr) const;
 

@@ -4,6 +4,7 @@
 #include <memory>
 #include <stdexcept>
 #include <unordered_map>
+#include <utility>
 
 #include "common/hash.hpp"
 #include "common/serialize.hpp"
@@ -20,9 +21,11 @@ namespace {
 // live device stores an index into it plus its state digest. Version 5: the
 // processor blob no longer carries a per-cluster controller (FSM state and
 // MEM-interface horizon). Version 6: a live device of a randomized load
-// shape stores its load cursor's generator words.
+// shape stores its load cursor's generator words. Version 7: the slice
+// histograms are carried once, after the LUT keys, and a device's samples
+// are its busy column only.
 constexpr std::uint64_t kMagic = 0x706e736d69706868ULL;
-constexpr std::uint32_t kVersion = 6;
+constexpr std::uint32_t kVersion = 7;
 /// Magic + version; the checksummed payload follows.
 constexpr std::size_t kHeaderBytes = 12;
 
@@ -33,7 +36,7 @@ enum : std::uint16_t {
   kTagFlags = 1,    ///< u8: bit0 started, bit1 done
   kTagResult = 2,   ///< the DeviceResult fixed block
   kTagLane = 3,     ///< next_k, mode, switches, buffered, charge
-  kTagSamples = 4,  ///< u64 n, n busy i64s, then n energy f64s
+  kTagSamples = 4,  ///< u64 n, then n busy i64s
   kTagProc = 5,     ///< u32 blob-table index, u64 state digest (live only)
   kTagDeviceEnd = 6,
   /// SLO lane (latency_slo_ps, tier_switches, applied tier) — written only
@@ -57,7 +60,8 @@ constexpr unsigned kRequiredTags =
 
 /// Bytes per record, which bound a declared count by the bytes left.
 constexpr std::size_t kLutKeyBytes = 48;
-constexpr std::size_t kSampleBytes = 16;
+constexpr std::size_t kSampleBytes = 8;
+constexpr std::size_t kBinBytes = 8;
 constexpr std::size_t kBlobBytes = 8;  ///< the length prefix of an empty blob
 
 /// No blob: a device record without kTagProc.
@@ -142,13 +146,9 @@ void write_device(W& w, const DeviceProgress& p, std::uint32_t blob) {
   w.i32(p.buffered);
   w.f64(p.charge_pj);
 
-  if (p.sample_energy_pj.size() != p.sample_busy_ps.size()) {
-    throw std::logic_error("snapshot: sample columns differ in length");
-  }
   w.u16(kTagSamples);
   w.u64(static_cast<std::uint64_t>(p.sample_busy_ps.size()));
   w.i64s(p.sample_busy_ps);
-  w.f64s(p.sample_energy_pj);
 
   if (blob != kNoBlob) {
     w.u16(kTagProc);
@@ -227,9 +227,7 @@ DeviceProgress read_device(ByteReader& r, const std::vector<StateBlob>& blobs) {
       case kTagSamples: {
         const std::size_t n = read_count(r, kSampleBytes, "samples");
         p.sample_busy_ps.resize(n);
-        p.sample_energy_pj.resize(n);
         r.i64s(p.sample_busy_ps);
-        r.f64s(p.sample_energy_pj);
         break;
       }
       case kTagProc: {
@@ -274,6 +272,35 @@ DeviceProgress read_device(ByteReader& r, const std::vector<StateBlob>& blobs) {
   }
 }
 
+/// A carried histogram: f64 lo, f64 hi, u64 bin count, the bins, then
+/// u64 underflow and u64 overflow (the total is their sum).
+template <class W>
+void write_histogram(W& w, const sim::Histogram& h) {
+  w.f64(h.lo());
+  w.f64(h.hi());
+  w.u64(static_cast<std::uint64_t>(h.bins().size()));
+  for (const std::uint64_t b : h.bins()) w.u64(b);
+  w.u64(h.underflow());
+  w.u64(h.overflow());
+}
+
+sim::Histogram read_histogram(ByteReader& r, const char* name) {
+  const std::size_t at = r.position();
+  const double lo = r.f64();
+  const double hi = r.f64();
+  std::vector<std::uint64_t> bins(read_count(r, kBinBytes, "histogram bins"));
+  for (std::uint64_t& b : bins) b = r.u64();
+  const std::uint64_t underflow = r.u64();
+  const std::uint64_t overflow = r.u64();
+  try {
+    return sim::Histogram::from_counts(lo, hi, std::move(bins), underflow, overflow);
+  } catch (const std::invalid_argument& e) {
+    throw std::runtime_error("snapshot: the " + std::string{name} +
+                             " histogram at offset " + std::to_string(at) +
+                             " is malformed (" + e.what() + ")");
+  }
+}
+
 template <class W>
 void write_snapshot(W& w, const FleetSnapshot& s, const BlobTable& t) {
   w.u64(kMagic);
@@ -291,6 +318,8 @@ void write_snapshot(W& w, const FleetSnapshot& s, const BlobTable& t) {
     w.i32(k.t_entries);
     w.i32(k.k_blocks);
   }
+  write_histogram(w, s.slice_bins.busy_frac);
+  write_histogram(w, s.slice_bins.slice_energy);
   w.u64(static_cast<std::uint64_t>(t.blobs.size()));
   for (const std::string_view b : t.blobs) w.blob(b);
   w.u64(static_cast<std::uint64_t>(s.devices.size()));
@@ -358,6 +387,8 @@ FleetSnapshot FleetSnapshot::from_bytes(std::string_view bytes) {
     k.k_blocks = r.i32();
     snap.lut_counted.push_back(k);
   }
+  snap.slice_bins.busy_frac = read_histogram(r, "busy_frac");
+  snap.slice_bins.slice_energy = read_histogram(r, "slice_energy");
   const std::size_t n_blobs = read_count(r, kBlobBytes, "processor blobs");
   std::vector<StateBlob> blobs;
   blobs.reserve(n_blobs);

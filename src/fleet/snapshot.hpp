@@ -30,6 +30,7 @@
 #include <string_view>
 #include <vector>
 
+#include "fleet/aggregate.hpp"
 #include "fleet/device.hpp"
 #include "placement/lut_cache.hpp"
 
@@ -50,6 +51,10 @@ struct FleetSnapshot {
   /// run would have measured).
   std::uint64_t lut_builds = 0;
   std::vector<placement::LutCacheKey> lut_counted;
+  /// The slice histograms of every slice executed before next_slice: each
+  /// slice is binned where it runs, so a device's earlier slices live here,
+  /// not in its record. Shaped by the originating spec's histograms.
+  SliceHistograms slice_bins;
   /// One entry per device, in id order (devices not yet joined included,
   /// with started == false).
   std::vector<DeviceProgress> devices;
@@ -61,11 +66,13 @@ struct FleetSnapshot {
 
   /// Parses to_bytes() output. Throws std::runtime_error (and only that) on
   /// a bad magic, a version other than this build's, a checksum mismatch, a
-  /// truncated stream, a record count larger than the bytes left, a device
+  /// truncated stream, a record count larger than the bytes left, a carried
+  /// histogram with a bad shape or counts summing past 2^64 - 1, a device
   /// record without its flags/result/lane/samples fields, a blob index past
-  /// the blob table, or an unknown field tag. Device identity is checked
-  /// later, against the spec, by FleetSimulator::run_to/resume; equal blobs
-  /// decode to one shared StateBlob.
+  /// the blob table, or an unknown field tag. Device identity and the
+  /// histograms' shape and totals are checked later, against the spec, by
+  /// FleetSimulator::run_to/resume; equal blobs decode to one shared
+  /// StateBlob.
   [[nodiscard]] static FleetSnapshot from_bytes(std::string_view bytes);
 
   /// to_bytes()/from_bytes() through a file. Throw std::runtime_error on

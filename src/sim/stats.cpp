@@ -4,6 +4,7 @@
 #include <cmath>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 namespace hhpim::sim {
 
@@ -50,6 +51,26 @@ Histogram::Histogram(double lo, double hi, std::size_t bins)
   }
 }
 
+Histogram Histogram::from_counts(double lo, double hi, std::vector<std::uint64_t> bins,
+                                 std::uint64_t underflow, std::uint64_t overflow) {
+  Histogram h{lo, hi, bins.size()};
+  std::uint64_t total = 0;
+  const auto count = [&total](std::uint64_t c) {
+    if (c > std::numeric_limits<std::uint64_t>::max() - total) {
+      throw std::invalid_argument("Histogram: counts sum past 2^64 - 1");
+    }
+    total += c;
+  };
+  count(underflow);
+  count(overflow);
+  for (const std::uint64_t b : bins) count(b);
+  h.bins_ = std::move(bins);
+  h.underflow_ = underflow;
+  h.overflow_ = overflow;
+  h.total_ = total;
+  return h;
+}
+
 void Histogram::add(double v, std::uint64_t weight) {
   total_ += weight;
   if (v < lo_) {
@@ -65,8 +86,12 @@ void Histogram::add(double v, std::uint64_t weight) {
   bins_[std::min(idx, bins_.size() - 1)] += weight;
 }
 
+bool Histogram::same_shape(const Histogram& o) const {
+  return lo_ == o.lo_ && hi_ == o.hi_ && bins_.size() == o.bins_.size();
+}
+
 void Histogram::merge(const Histogram& o) {
-  if (lo_ != o.lo_ || hi_ != o.hi_ || bins_.size() != o.bins_.size()) {
+  if (!same_shape(o)) {
     throw std::invalid_argument("Histogram::merge: shape mismatch");
   }
   for (std::size_t i = 0; i < bins_.size(); ++i) bins_[i] += o.bins_[i];

@@ -44,6 +44,12 @@ class Histogram {
  public:
   Histogram(double lo, double hi, std::size_t bins);
 
+  /// A histogram of shape (lo, hi, bins.size()) holding the given counts;
+  /// total() is their sum. Throws std::invalid_argument on a bad shape (as
+  /// the constructor) or when the counts sum past 2^64 - 1.
+  static Histogram from_counts(double lo, double hi, std::vector<std::uint64_t> bins,
+                               std::uint64_t underflow, std::uint64_t overflow);
+
   void add(double v, std::uint64_t weight = 1);
 
   /// Adds `other`'s counts bin-wise (including under/overflow). Throws
@@ -53,6 +59,11 @@ class Histogram {
 
   void reset();
 
+  /// Same lo, hi and bin count: what merge() requires.
+  [[nodiscard]] bool same_shape(const Histogram& other) const;
+
+  [[nodiscard]] double lo() const { return lo_; }
+  [[nodiscard]] double hi() const { return hi_; }
   [[nodiscard]] std::uint64_t total() const { return total_; }
   [[nodiscard]] std::uint64_t underflow() const { return underflow_; }
   [[nodiscard]] std::uint64_t overflow() const { return overflow_; }

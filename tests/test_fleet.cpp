@@ -548,8 +548,8 @@ TEST(FleetSimulator, AggregateCountsAreConsistent) {
   EXPECT_EQ(r.aggregate.tasks, tasks);
   EXPECT_EQ(r.aggregate.executed_slices, executed);
   // Every executed slice contributed one sample to each slice histogram.
-  EXPECT_EQ(r.aggregate.busy_frac_hist().total(), executed);
-  EXPECT_EQ(r.aggregate.slice_energy_hist().total(), executed);
+  EXPECT_EQ(r.aggregate.slice_bins.busy_frac.total(), executed);
+  EXPECT_EQ(r.aggregate.slice_bins.slice_energy.total(), executed);
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <limits>
 #include <map>
 #include <memory>
@@ -104,6 +105,7 @@ FleetSnapshot initial_snapshot(const FleetSpec& spec) {
   FleetSnapshot snap;
   snap.spec_digest = spec.content_digest();
   snap.next_slice = 0;
+  snap.slice_bins = SliceHistograms{spec.histograms};
   snap.devices.resize(static_cast<std::size_t>(spec.devices));
   return snap;
 }
@@ -470,8 +472,9 @@ TEST(Snapshot, FailsLoudlyOnDamagedBlobs) {
   // was checksummed with FNV-1a; version 3 stored each live device's
   // processor blob inline, with no digest; version 4 processor blobs
   // carried a per-cluster controller; version 5 live devices carried no
-  // load cursor words).
-  for (const char old_version : {0, 1, 2, 3, 4, 5}) {
+  // load cursor words; version 6 devices carried an energy column and no
+  // histograms were carried).
+  for (const char old_version : {0, 1, 2, 3, 4, 5, 6}) {
     std::string old = bytes;
     old[8] = old_version;
     try {
@@ -512,8 +515,8 @@ std::uint64_t u64_at(const std::string& blob, std::size_t at) {
 }
 
 TEST(Snapshot, HugeDeclaredCountsThrowRuntimeError) {
-  // A re-checksummed blob that declares more LUT keys, processor blobs,
-  // devices or samples than its bytes can hold must throw
+  // A re-checksummed blob that declares more LUT keys, histogram bins,
+  // processor blobs, devices or samples than its bytes can hold must throw
   // std::runtime_error — not reserve the memory it names (std::bad_alloc)
   // or past max_size() (std::length_error).
   FleetSnapshot snap;
@@ -524,28 +527,50 @@ TEST(Snapshot, HugeDeclaredCountsThrowRuntimeError) {
   snap.devices.resize(2);
   snap.devices[0].started = true;
   snap.devices[0].sample_busy_ps = {10, 20, 30};
-  snap.devices[0].sample_energy_pj = {1.0, 2.0, 3.0};
   snap.devices[0].proc_blob = std::make_shared<const std::string>("blob");
   const std::string bytes = snap.to_bytes();
 
   // Offsets of the counts: the LUT-key count follows spec digest, next
-  // slice and build count; each key is 48 bytes; the blob table's one blob
-  // is a u64 length and 4 bytes; device 0's sample count follows its flags
-  // (3 bytes), result (2 + 117) and lane (2 + 21) fields and the samples
-  // tag (2).
+  // slice and build count; each key is 48 bytes; each carried histogram is
+  // lo and hi (16 bytes), its bin count, 8 bytes per bin, then underflow
+  // and overflow (16); the blob table's one blob is a u64 length and 4
+  // bytes; device 0's sample count follows its flags (3 bytes), result
+  // (2 + 117) and lane (2 + 21) fields and the samples tag (2).
+  const AggregateShape shape;
   const std::size_t key_count = kHeaderBytes + 8 + 4 + 8;
-  const std::size_t blob_count = key_count + 8 + 48;
+  const std::size_t busy_bins = key_count + 8 + 48 + 16;
+  const std::size_t energy_bins = busy_bins + 8 + 8 * shape.busy_frac_bins + 16 + 16;
+  const std::size_t blob_count = energy_bins + 8 + 8 * shape.slice_energy_bins + 16;
   const std::size_t blob_length = blob_count + 8;
   const std::size_t device_count = blob_length + 8 + 4;
   const std::size_t sample_count = device_count + 8 + 3 + 119 + 23 + 2;
   ASSERT_EQ(u64_at(bytes, key_count), 1u);
+  ASSERT_EQ(u64_at(bytes, busy_bins), shape.busy_frac_bins);
+  ASSERT_EQ(u64_at(bytes, energy_bins), shape.slice_energy_bins);
   ASSERT_EQ(u64_at(bytes, blob_count), 1u);
   ASSERT_EQ(u64_at(bytes, blob_length), 4u);
   ASSERT_EQ(u64_at(bytes, device_count), 2u);
   ASSERT_EQ(u64_at(bytes, sample_count), 3u);
   EXPECT_EQ(FleetSnapshot::from_bytes(patched(bytes, sample_count, 3)).to_bytes(), bytes);
 
-  for (const std::size_t at : {key_count, blob_count, device_count, sample_count}) {
+  // A histogram without bins, or whose counts sum past 2^64 - 1, is
+  // malformed: std::runtime_error, not the Histogram's std::invalid_argument.
+  const std::uint64_t max = std::numeric_limits<std::uint64_t>::max();
+  for (const std::string& forged :
+       {patched(bytes, busy_bins, 0),
+        patched(patched(bytes, busy_bins + 8, max), busy_bins + 16, 1)}) {
+    try {
+      (void)FleetSnapshot::from_bytes(forged);
+      ADD_FAILURE() << "a malformed histogram was accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("busy_frac"), std::string::npos) << e.what();
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "a malformed histogram threw a non-runtime_error: " << e.what();
+    }
+  }
+
+  for (const std::size_t at :
+       {key_count, busy_bins, energy_bins, blob_count, device_count, sample_count}) {
     for (const std::uint64_t n :
          {std::uint64_t{1} << 40, std::numeric_limits<std::uint64_t>::max()}) {
       try {
@@ -571,6 +596,14 @@ TEST(Snapshot, DeviceRecordsNeedTheirRequiredFields) {
   w.u32(0);  // next slice
   w.u64(0);  // LUT builds
   w.u64(0);  // LUT keys
+  for (int h = 0; h < 2; ++h) {  // the carried histograms: one empty bin each
+    w.f64(0.0);  // lo
+    w.f64(1.0);  // hi
+    w.u64(1);    // bin count
+    w.u64(0);    // the bin
+    w.u64(0);    // underflow
+    w.u64(0);    // overflow
+  }
   w.u64(0);  // processor blobs
   w.u64(1);  // devices
   w.u16(6);  // end of device record
@@ -782,6 +815,116 @@ TEST(Snapshot, ResumeRejectsDevicesThatDoNotMatchTheSpec) {
         EXPECT_NE(std::string(e.what()).find("device " + std::to_string(device)),
                   std::string::npos)
             << e.what();
+      }
+    }
+  }
+
+  // Busy samples and carried histograms: a device's busy column holds one
+  // sample per executed slice (a longer or shorter one used to resume and
+  // shift busy_us), and each carried histogram has the spec's shape and one
+  // sample per slice executed fleet-wide. Each is refused naming the device
+  // or the histogram.
+  const std::string live_name = "device " + std::to_string(live);
+  const std::string done_name = "device " + std::to_string(done);
+  const std::vector<std::pair<std::string, std::function<void(FleetSnapshot&)>>>
+      counts = {
+          {live_name, [live](FleetSnapshot& s) { s.devices[live].sample_busy_ps.push_back(1); }},
+          {live_name, [live](FleetSnapshot& s) { s.devices[live].sample_busy_ps.pop_back(); }},
+          {done_name, [done](FleetSnapshot& s) { s.devices[done].sample_busy_ps.push_back(1); }},
+          {done_name, [done](FleetSnapshot& s) { s.devices[done].sample_busy_ps.clear(); }},
+          {"busy_frac", [](FleetSnapshot& s) { s.slice_bins.busy_frac.add(0.5); }},
+          {"busy_frac", [](FleetSnapshot& s) { s.slice_bins.busy_frac.reset(); }},
+          {"slice_energy", [](FleetSnapshot& s) { s.slice_bins.slice_energy.add(1.0); }},
+          {"busy_frac",
+           [](FleetSnapshot& s) { s.slice_bins.busy_frac = sim::Histogram{0.0, 2.0, 100}; }},
+          {"slice_energy",
+           [](FleetSnapshot& s) {
+             const sim::Histogram& h = s.slice_bins.slice_energy;
+             s.slice_bins.slice_energy = sim::Histogram::from_counts(
+                 h.lo(), h.hi() + 1.0, h.bins(), h.underflow(), h.overflow());
+           }},
+      };
+  for (std::size_t t = 0; t < counts.size(); ++t) {
+    const auto& [name, tamper] = counts[t];
+    FleetSnapshot snap = good;
+    tamper(snap);
+    snap = FleetSnapshot::from_bytes(snap.to_bytes());
+    for (const bool final_segment : {true, false}) {
+      try {
+        if (final_segment) {
+          (void)sim.resume(spec, snap);
+        } else {
+          (void)sim.run_to(spec, 4, &snap);
+        }
+        ADD_FAILURE() << "count tamper " << t << " was accepted";
+      } catch (const std::runtime_error& e) {
+        EXPECT_NE(std::string(e.what()).find(name), std::string::npos) << e.what();
+      }
+    }
+  }
+}
+
+// --- slice histograms ---------------------------------------------------------
+
+TEST(SliceBins, EveryExecutedSliceIsBinnedOnce) {
+  // Each slice is binned where it runs — on the memo-hit path, the exact
+  // path and in Device::run — and a snapshot carries the bins of the slices
+  // before its cut. Whatever the path, the summary's busy_frac.samples,
+  // slice_energy_mj.samples and busy_us.count each equal executed_slices
+  // (counted from the device results, not from the bins): a slice binned
+  // twice or never would show. Churn, charging and a battery that most
+  // devices exhaust; one-shot, every-slice and 7-cut runs at 1 and 4
+  // threads, memo on and off.
+  FleetSpec spec = small_fleet(40, 14);
+  spec.lifecycle.join_fraction = 0.3;
+  spec.lifecycle.leave_fraction = 0.3;
+  spec.charging = {.period = 5, .window = 1, .energy_per_slice = Energy::mj(1.0)};
+
+  const auto expect_binned_once = [](const FleetAggregate& a, const std::string& where) {
+    EXPECT_GT(a.executed_slices, 0u) << where;
+    EXPECT_EQ(a.slice_bins.busy_frac.total(), a.executed_slices) << where;
+    EXPECT_EQ(a.slice_bins.slice_energy.total(), a.executed_slices) << where;
+    EXPECT_EQ(a.busy_us.count(), a.executed_slices) << where;
+  };
+
+  placement::LutCache lut;
+  FleetAggregate alone{spec.histograms};
+  for (const DeviceSpec& ds : spec.expand()) {
+    Device dev{spec, ds, spec.models[ds.model_index], &lut};
+    (void)dev.run(&alone);
+  }
+  expect_binned_once(alone, "Device::run");
+  EXPECT_GT(alone.exhausted_devices, 0u);
+  EXPECT_LT(alone.executed_slices,
+            static_cast<std::uint64_t>(spec.devices) * static_cast<std::uint64_t>(spec.slices));
+
+  std::vector<int> every_slice;
+  for (int cut = 1; cut < spec.slices; ++cut) every_slice.push_back(cut);
+  const std::vector<std::vector<int>> splits = {
+      {}, every_slice, {1, 3, 5, 7, 9, 11, 13}};
+  for (const unsigned threads : {1u, 4u}) {
+    for (const bool memo : {false, true}) {
+      for (const std::vector<int>& cuts : splits) {
+        const std::string where = "threads=" + std::to_string(threads) +
+                                  " memo=" + std::to_string(memo) +
+                                  " cuts=" + std::to_string(cuts.size());
+        placement::LutCache fresh;
+        OutcomeCache outcome;
+        const FleetSimulator sim{base_options(threads, memo, &fresh, &outcome)};
+        FleetSnapshot snap;
+        for (std::size_t c = 0; c < cuts.size(); ++c) {
+          snap = FleetSnapshot::from_bytes(
+              sim.run_to(spec, cuts[c], c == 0 ? nullptr : &snap).to_bytes());
+          std::uint64_t executed = 0;
+          for (const DeviceProgress& p : snap.devices) {
+            executed += static_cast<std::uint64_t>(p.result.slices_executed);
+          }
+          EXPECT_EQ(snap.slice_bins.busy_frac.total(), executed) << where;
+          EXPECT_EQ(snap.slice_bins.slice_energy.total(), executed) << where;
+        }
+        const FleetResult r = cuts.empty() ? sim.run(spec) : sim.resume(spec, snap);
+        expect_binned_once(r.aggregate, where);
+        EXPECT_EQ(r.aggregate.executed_slices, alone.executed_slices) << where;
       }
     }
   }

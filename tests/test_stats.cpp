@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <string>
 
 namespace hhpim::sim {
@@ -84,6 +86,28 @@ TEST(Histogram, QuantileLinearInterpolation) {
 TEST(Histogram, InvalidConstruction) {
   EXPECT_THROW(Histogram(1.0, 1.0, 4), std::invalid_argument);
   EXPECT_THROW(Histogram(0.0, 1.0, 0), std::invalid_argument);
+}
+
+TEST(Histogram, FromCountsRestoresWhatAddsBuilt) {
+  Histogram h{0.0, 4.0, 4};
+  for (const double v : {-1.0, 0.5, 1.5, 1.7, 3.9, 4.0, 9.0}) h.add(v);
+  const Histogram back =
+      Histogram::from_counts(h.lo(), h.hi(), h.bins(), h.underflow(), h.overflow());
+  EXPECT_TRUE(back.same_shape(h));
+  EXPECT_EQ(back.bins(), h.bins());
+  EXPECT_EQ(back.underflow(), 1u);
+  EXPECT_EQ(back.overflow(), 2u);
+  EXPECT_EQ(back.total(), h.total());
+  EXPECT_EQ(back.quantile(0.5), h.quantile(0.5));
+
+  EXPECT_FALSE(Histogram(0.0, 4.0, 5).same_shape(h));
+  EXPECT_FALSE(Histogram(0.0, 5.0, 4).same_shape(h));
+  EXPECT_THROW((void)Histogram::from_counts(0.0, 1.0, {}, 0, 0), std::invalid_argument);
+  EXPECT_THROW((void)Histogram::from_counts(1.0, 1.0, {1}, 0, 0), std::invalid_argument);
+  const std::uint64_t max = std::numeric_limits<std::uint64_t>::max();
+  EXPECT_THROW((void)Histogram::from_counts(0.0, 1.0, {max, 0}, 0, 1),
+               std::invalid_argument);
+  EXPECT_EQ(Histogram::from_counts(0.0, 1.0, {max, 0}, 0, 0).total(), max);
 }
 
 TEST(Histogram, RenderProducesOneLinePerBin) {
