@@ -121,8 +121,9 @@ void BM_LutCacheMiss(benchmark::State& state) {
   }
 }
 
-// One cache hit: lock + lookup + shared_future get. Should be ~microseconds,
-// i.e. orders of magnitude under the miss above.
+// One cache hit: the lock, a hash probe and a shared_future copy, then the
+// future's get() outside the lock. Should be well under a microsecond, i.e.
+// orders of magnitude under the miss above; a run makes a few dozen calls.
 void BM_LutCacheHit(benchmark::State& state) {
   const CostModel model = paper_model();
   const LutParams params = paper_lut_params();

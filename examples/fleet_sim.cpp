@@ -5,7 +5,6 @@
 // guarantees.
 //
 //   ./fleet_sim [--devices=1000] [--threads=N] [--slices=20] [--shard-size=256]
-//               [--claim-batch=K]  (shards claimed per counter fetch; 0 = auto)
 //               [--models=all|EfficientNet-B0,ResNet-18,...]
 //               [--scenarios=mix|paper|name1,name2,...]
 //               [--seed=S] [--lut=R]
@@ -115,7 +114,6 @@ int run_cli(const Cli& cli) {
   fleet::FleetOptions opts;
   opts.threads = static_cast<unsigned>(cli.get_count("threads", 0));
   opts.shard_size = static_cast<std::size_t>(cli.get_count("shard-size", 256));
-  opts.claim_batch = static_cast<std::size_t>(cli.get_count("claim-batch", 0));
   opts.shard_dir = cli.get("shard-dir", "");
   opts.keep_results = !cli.get_bool("no-results", false);
   opts.memoize_devices = !cli.get_bool("no-device-memo", false);

@@ -1,6 +1,11 @@
 #include "common/threads.hpp"
 
+#include <algorithm>
+#include <atomic>
+#include <exception>
+#include <mutex>
 #include <thread>
+#include <vector>
 
 #if defined(__linux__)
 #include <sched.h>
@@ -22,6 +27,37 @@ unsigned resolve_threads(unsigned requested) {
 #endif
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : hw;
+}
+
+unsigned resolve_workers(unsigned requested, std::size_t items) {
+  return std::min<unsigned>(resolve_threads(requested),
+                            static_cast<unsigned>(std::max<std::size_t>(items, 1)));
+}
+
+void claim_each(std::size_t n, unsigned workers,
+                const std::function<void(unsigned worker, std::size_t i)>& body) {
+  std::atomic<std::size_t> next{0};
+  std::mutex error_mutex;
+  std::exception_ptr first_error;
+  const auto work = [&](unsigned worker) {
+    for (std::size_t i; (i = next.fetch_add(1, std::memory_order_relaxed)) < n;) {
+      try {
+        body(worker, i);
+      } catch (...) {
+        const std::lock_guard<std::mutex> lock{error_mutex};
+        if (!first_error) first_error = std::current_exception();
+      }
+    }
+  };
+  if (workers <= 1) {
+    work(0);
+  } else {
+    std::vector<std::thread> threads;
+    threads.reserve(workers);
+    for (unsigned w = 0; w < workers; ++w) threads.emplace_back(work, w);
+    for (std::thread& t : threads) t.join();
+  }
+  if (first_error) std::rethrow_exception(first_error);
 }
 
 }  // namespace hhpim

@@ -1,11 +1,7 @@
 #include "exp/runner.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <exception>
-#include <mutex>
 #include <optional>
-#include <thread>
 #include <utility>
 
 #include "common/threads.hpp"
@@ -13,11 +9,6 @@
 #include "placement/lut_cache.hpp"
 
 namespace hhpim::exp {
-
-unsigned Runner::resolve_workers(unsigned requested, std::size_t runs) {
-  return std::min<unsigned>(resolve_threads(requested),
-                            static_cast<unsigned>(std::max<std::size_t>(runs, 1)));
-}
 
 placement::LutCache* Runner::resolve_lut_cache() const {
   return options_.lut_cache != nullptr ? options_.lut_cache
@@ -73,45 +64,16 @@ RunResult Runner::execute(const RunSpec& spec, bool keep_slices,
 
 ResultSet Runner::run_all(std::vector<RunSpec> runs) const {
   std::vector<RunResult> results(runs.size());
-  const unsigned workers = resolve_workers(options_.threads, runs.size());
-
   placement::LutCache* const lut_cache = resolve_lut_cache();
   sys::ProcessorPool pool;  // shared by all workers (checkout/return is thread-safe)
-  const bool keep_slices = options_.keep_slices;
-  std::exception_ptr first_error;
-  std::mutex error_mutex;
-  std::atomic<std::size_t> next{0};
-  auto worker = [&] {
-    // Results are buffered per worker and placed after the claiming loop
-    // drains: while runs execute, no two workers write anywhere near each
-    // other. Each result lands at the run's *position* (not RunSpec::index,
-    // which echoes the original grid coordinate and may be sparse when the
-    // caller passes a filtered subset), so output order always matches
-    // input order regardless of completion order.
-    std::vector<std::pair<std::size_t, RunResult>> local;
-    for (;;) {
-      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= runs.size()) break;
-      try {
-        local.emplace_back(i, execute(runs[i], keep_slices, lut_cache, &pool));
-      } catch (...) {
-        const std::lock_guard<std::mutex> lock{error_mutex};
-        if (!first_error) first_error = std::current_exception();
-      }
-    }
-    // Disjoint indices: placement needs no lock, and it happens once per
-    // worker, after all simulation work.
-    for (auto& [i, r] : local) results[i] = std::move(r);
-  };
-  if (workers <= 1) {
-    worker();  // inline on the calling thread: no pool
-  } else {
-    std::vector<std::thread> threads;
-    threads.reserve(workers);
-    for (unsigned t = 0; t < workers; ++t) threads.emplace_back(worker);
-    for (std::thread& t : threads) t.join();
-  }
-  if (first_error) std::rethrow_exception(first_error);
+  // Each result lands at the run's *position* (not RunSpec::index, which
+  // echoes the original grid coordinate and may be sparse when the caller
+  // passes a filtered subset), so output order always matches input order
+  // regardless of completion order.
+  claim_each(runs.size(), resolve_workers(options_.threads, runs.size()),
+             [&](unsigned, std::size_t i) {
+               results[i] = execute(runs[i], options_.keep_slices, lut_cache, &pool);
+             });
   return ResultSet{std::move(results)};
 }
 

@@ -1,16 +1,14 @@
 // Parallel experiment runner.
 //
 // Executes the independent RunSpecs of an expanded ExperimentSpec on a fixed
-// pool of N worker threads (no work stealing: workers claim the next grid
+// pool of N worker threads (hhpim::claim_each: workers claim the next grid
 // index from a shared atomic counter; never more workers than runs). Each
 // run executes on a sys::Processor checked out of a pool shared by every
 // worker (sys::ProcessorPool: a reset() Processor is bit-exchangeable for a
 // fresh one, so repeated grid cells skip CostModel::build and cluster
 // construction), and HH-PIM runs agreeing on (model topology, arch, cost
-// model, slice, resolution) share one LUT build. Workers buffer their
-// RunResults locally and place them at the runs' grid indices after the
-// claiming loop drains, so no two workers write near each other mid-run.
-// Results are bit-identical regardless of thread count or completion order,
+// model, slice, resolution) share one LUT build. Each RunResult lands at
+// its run's position. Results are bit-identical regardless of thread count or completion order,
 // and to execute() on a freshly constructed, uncached Processor per run
 // (pinned by tests/test_batched.cpp and tests/test_lut_cache.cpp); only
 // wall-clock changes.
@@ -77,11 +75,6 @@ class Runner {
   [[nodiscard]] const RunnerOptions& options() const { return options_; }
   /// The cache this runner's options resolve to (never null).
   [[nodiscard]] placement::LutCache* resolve_lut_cache() const;
-  /// Workers actually spawned for `requested` threads over `runs` runs:
-  /// min(hhpim::resolve_threads(requested), runs), at least 1. Surplus
-  /// workers would only contend on the claim counter.
-  [[nodiscard]] static unsigned resolve_workers(unsigned requested,
-                                                std::size_t runs);
 
  private:
   RunnerOptions options_;

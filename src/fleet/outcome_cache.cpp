@@ -54,15 +54,6 @@ void OutcomeCache::publish_locked(std::unique_ptr<const ReadyMap> next) {
   retired_.push_back(std::move(next));
 }
 
-void OutcomeCache::clear() {
-  const std::lock_guard<std::mutex> lock{mu_};
-  // The superseded snapshot already lives in retired_, and blobs_ keeps the
-  // blobs its outcomes point at; publishing null is enough (readers treat it
-  // as empty).
-  ready_.store(nullptr, std::memory_order_release);
-  insertions_ = 0;
-}
-
 OutcomeCache::Stats OutcomeCache::stats() const {
   const std::lock_guard<std::mutex> lock{mu_};
   const ReadyMap* snap = ready_.load(std::memory_order_relaxed);

@@ -31,23 +31,21 @@
 // exact path mid-stream, without rerunning from step 0 (docs/PERF.md "Memo
 // replay inside segments").
 //
-// Concurrency mirrors placement::LutCache (docs/PERF.md "Parallel
-// scaling"): completed outcomes live in an immutable snapshot map published
-// through an atomic pointer. A hit is one acquire load plus a hash probe —
-// no lock and no shared write: lookup() is const and counts nothing (the
-// fleet tallies its hits per shard), and the published pointer sits on its
-// own cache line, so neither a sibling's hit nor a recorder's blob intern
-// invalidates the line every reader loads (docs/PERF.md "Contention-free
-// memo hits"). Inserts arrive in per-shard batches (one copy-on-write
-// republish per batch, not per slice), first writer wins per key; racing
-// inserts of the same key are benign because honest writers compute
-// identical values. A recorder interns a slice's blob (intern_blob, under
-// the lock) before the slice's outcome is published, so every outcome a
-// lookup returns already points at an interned blob. Superseded snapshots
+// Concurrency: completed outcomes live in an immutable snapshot map
+// published through an atomic pointer. A hit is one acquire load plus a hash
+// probe — no lock and no shared write: lookup() is const and counts nothing
+// (the fleet tallies its hits per shard), and the published pointer sits on
+// its own cache line, so neither a sibling's hit nor a recorder's blob
+// intern invalidates the line every reader loads (docs/PERF.md
+// "Contention-free memo hits"). Inserts arrive in per-shard batches (one
+// copy-on-write republish per batch, not per slice), first writer wins per
+// key; racing inserts of the same key are benign because honest writers
+// compute identical values. A recorder interns a slice's blob (intern_blob,
+// under the lock) before the slice's outcome is published, so every outcome
+// a lookup returns already points at an interned blob. Superseded snapshots
 // are retired, not freed, and interned blobs are never dropped until the
 // cache is destroyed, so a pointer returned by lookup() or intern_blob() —
-// and the blob it points at — stays valid for the cache's lifetime, even
-// across clear().
+// and the blob it points at — stays valid for the cache's lifetime.
 #pragma once
 
 #include <atomic>
@@ -162,11 +160,6 @@ class OutcomeCache {
   /// absent. Exact: keyed by the bytes themselves, not by a digest. Called
   /// once per exact slice a recorder runs; safe to call concurrently.
   [[nodiscard]] const StateBlob* intern_blob(std::string_view bytes);
-
-  /// Forgets all entries and zeroes the insertion count. Outcomes already
-  /// handed out by lookup() stay valid (retired snapshots and interned blobs
-  /// are kept).
-  void clear();
 
   [[nodiscard]] Stats stats() const;
 

@@ -30,18 +30,6 @@ FleetSimulator::FleetSimulator(FleetOptions options) : options_(options) {
   if (options_.shard_size == 0) options_.shard_size = 1;
 }
 
-unsigned FleetSimulator::resolve_workers(unsigned requested, std::size_t shards) {
-  return std::min<unsigned>(resolve_threads(requested),
-                            static_cast<unsigned>(std::max<std::size_t>(shards, 1)));
-}
-
-std::size_t FleetSimulator::resolve_claim_batch(std::size_t requested,
-                                                std::size_t shards,
-                                                unsigned workers) {
-  if (requested != 0) return requested;
-  return std::max<std::size_t>(1, shards / (static_cast<std::size_t>(workers) * 8));
-}
-
 placement::LutCache* FleetSimulator::resolve_lut_cache() const {
   return options_.lut_cache != nullptr ? options_.lut_cache
                                        : &placement::LutCache::process_cache();
@@ -313,23 +301,6 @@ std::string shard_path(const std::string& dir, std::size_t shard) {
   return dir + "/" + name;
 }
 
-/// The LUT-cache key a Processor built from (cfg, model) resolves through —
-/// mirrors the kHhpim branch of the Processor constructor, without
-/// constructing one. Only meaningful for an HH-PIM arch.
-placement::LutCacheKey device_lut_key(const sys::SystemConfig& cfg,
-                                      const nn::Model& model) {
-  const placement::CostModel cost = placement::CostModel::build(
-      sys::resolved_power_spec(cfg), cfg.arch.hp_shape(), cfg.arch.lp_shape(),
-      model.uses_per_weight());
-  placement::LutParams lp;
-  lp.slice = sys::derived_slice_length(cfg, model);
-  lp.total_weights = model.effective_params();
-  lp.t_entries = cfg.lut_t_entries;
-  lp.k_blocks = cfg.lut_k_blocks;
-  return placement::LutCacheKey::make(model.topology_hash(),
-                                      cfg.arch.config_hash(), cost, lp);
-}
-
 }  // namespace
 
 FleetResult FleetSimulator::run(const FleetSpec& spec) const {
@@ -382,8 +353,12 @@ FleetSnapshot FleetSimulator::drive(const FleetSpec& spec, int end_slice,
     if (from->devices.size() != n) {
       throw std::runtime_error("snapshot: device count mismatch");
     }
-    if (from->next_slice > spec.slices) {
-      throw std::runtime_error("snapshot: next_slice beyond the fleet horizon");
+    // A snapshot stands at a slice in [0, slices] (0: nothing run yet); the
+    // field is decoded from a u32, so a forged value of 2^31 or more reads
+    // as negative.
+    if (from->next_slice < 0 || from->next_slice > spec.slices) {
+      throw std::runtime_error("snapshot: next_slice " + std::to_string(from->next_slice) +
+                               " lies outside [0, " + std::to_string(spec.slices) + "]");
     }
     // The checksum is recomputable, so it does not vouch for decoded
     // values: a device's identity must match its re-expanded spec (the
@@ -499,7 +474,7 @@ FleetSnapshot FleetSimulator::drive(const FleetSpec& spec, int end_slice,
     pair_used[pair] = 1;
     const sys::SystemConfig& fw = firmwares[ds.firmware_index];
     if (fw.arch.kind != sys::ArchKind::kHhpim) continue;
-    const placement::LutCacheKey key = device_lut_key(fw, models[ds.model_index]);
+    const placement::LutCacheKey key = sys::lut_cache_key(fw, models[ds.model_index]);
     if (std::find(snap.lut_counted.begin(), snap.lut_counted.end(), key) !=
         snap.lut_counted.end()) {
       continue;
@@ -562,8 +537,9 @@ FleetSnapshot FleetSimulator::drive(const FleetSpec& spec, int end_slice,
   };
   std::vector<ShardSlot> shard_aggs(shards, ShardSlot{FleetAggregate{spec.histograms}});
 
-  // Per-worker buffers, reused across the worker's shards and devices.
-  struct Scratch {
+  // Per-worker buffers, reused across the worker's shards and devices, on
+  // their own cache lines: the device in flight is written every slice.
+  struct alignas(kCacheLine) Scratch {
     /// run() and resume(): the device in flight (run_to advances devices in
     /// their snapshot slots).
     DeviceProgress progress;
@@ -752,38 +728,9 @@ FleetSnapshot FleetSimulator::drive(const FleetSpec& spec, int end_slice,
   };
 
   const unsigned workers = resolve_workers(options_.threads, shards);
-  const std::size_t batch =
-      resolve_claim_batch(options_.claim_batch, shards, workers);
-  std::exception_ptr first_error;
-  std::mutex error_mutex;
-  std::atomic<std::size_t> next{0};
-
-  auto worker = [&] {
-    Scratch scratch;
-    for (;;) {
-      const std::size_t base = next.fetch_add(batch, std::memory_order_relaxed);
-      if (base >= shards) return;
-      const std::size_t limit = std::min(shards, base + batch);
-      for (std::size_t s = base; s < limit; ++s) {
-        try {
-          run_shard(s, scratch);
-        } catch (...) {
-          const std::lock_guard<std::mutex> lock{error_mutex};
-          if (!first_error) first_error = std::current_exception();
-        }
-      }
-    }
-  };
-
-  if (workers <= 1) {
-    worker();
-  } else {
-    std::vector<std::thread> threads;
-    threads.reserve(workers);
-    for (unsigned t = 0; t < workers; ++t) threads.emplace_back(worker);
-    for (std::thread& t : threads) t.join();
-  }
-  if (first_error) std::rethrow_exception(first_error);
+  std::vector<Scratch> scratch(workers);
+  claim_each(shards, workers,
+             [&](unsigned worker, std::size_t s) { run_shard(s, scratch[worker]); });
   if (!final_segment) {
     for (const ShardSlot& slot : shard_aggs) snap.slice_bins.merge(slot.agg.slice_bins);
     return snap;

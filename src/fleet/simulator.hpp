@@ -6,11 +6,11 @@
 //   * expand() derives DeviceSpecs single-threaded; devices are grouped
 //     into fixed-size shards (FleetOptions::shard_size). Shard boundaries
 //     depend only on the spec and options — never on the thread count.
-//   * Workers claim batches of consecutive shard indices from a shared
-//     atomic counter (FleetOptions::claim_batch), run each device of each
-//     shard in device order, and accumulate one FleetAggregate per shard. Shard aggregate slots are cache-line
-//     aligned so sibling workers never false-share a line, and never more
-//     workers than shards are spawned (resolve_workers).
+//   * Workers claim one shard index at a time from a shared atomic counter
+//     (hhpim::claim_each), run each device of the shard in device order,
+//     and accumulate one FleetAggregate per shard. Shard aggregate slots are
+//     cache-line aligned so sibling workers never false-share a line, and
+//     never more workers than shards are spawned (hhpim::resolve_workers).
 //   * run(), run_to() and resume() are one engine: run() is a single
 //     segment run to completion. Every device advances through the same
 //     per-slice step on its fleet::DeviceProgress (fleet/device.hpp) —
@@ -76,11 +76,6 @@ struct FleetOptions {
   /// formats its shard into a private memory buffer and writes the file in
   /// one call — stream handoff never blocks a sibling worker.
   std::string shard_dir{};
-  /// Shards claimed per atomic fetch_add (the work-claiming granularity).
-  /// Larger batches cut claim traffic on the shared counter; smaller
-  /// batches balance the tail. 0 = auto: ~8 claims per worker
-  /// (resolve_claim_batch). Output is byte-identical at any value.
-  std::size_t claim_batch = 0;
   /// Retain per-device results in FleetResult::devices. Turn off for very
   /// large fleets streamed to shard files — aggregates are kept either way.
   bool keep_results = true;
@@ -199,18 +194,6 @@ class FleetSimulator {
   /// The device-outcome memo this run will use (nullptr when memoization
   /// is off).
   [[nodiscard]] OutcomeCache* resolve_outcome_cache() const;
-  /// Workers actually spawned for a `requested` thread count over `shards`
-  /// shards: min(hhpim::resolve_threads(requested), shards), at least 1.
-  /// Surplus workers would only contend on the claim counter and error
-  /// mutex.
-  [[nodiscard]] static unsigned resolve_workers(unsigned requested,
-                                                std::size_t shards);
-  /// The shard-claim batch a `requested` FleetOptions::claim_batch value
-  /// resolves to: the request itself, or for 0 (auto) the largest batch
-  /// that still gives every worker ~8 claims (min 1).
-  [[nodiscard]] static std::size_t resolve_claim_batch(std::size_t requested,
-                                                       std::size_t shards,
-                                                       unsigned workers);
 
  private:
   /// The one engine of run/run_to/resume: a segment over global slices

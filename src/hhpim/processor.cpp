@@ -8,7 +8,6 @@
 #include "common/hash.hpp"
 #include "common/serialize.hpp"
 #include "common/state_visitor.hpp"
-#include "placement/lut_cache.hpp"
 #include "riscv/rv_asm.hpp"
 
 namespace hhpim::sys {
@@ -40,6 +39,17 @@ Time slice_from_cost(const placement::CostModel& cost, std::uint64_t weights,
                      int max_inferences_per_slice) {
   const Time peak = placement::task_time(cost, balanced_sram_split(cost, weights));
   return peak * static_cast<std::int64_t>(max_inferences_per_slice) * 1.01;
+}
+
+// The LUT build inputs of an HH-PIM Processor over `weights` with slice T.
+placement::LutParams lut_params(const SystemConfig& config, std::uint64_t weights,
+                                Time slice) {
+  placement::LutParams lp;
+  lp.slice = slice;
+  lp.total_weights = weights;
+  lp.t_entries = config.lut_t_entries;
+  lp.k_blocks = config.lut_k_blocks;
+  return lp;
 }
 
 }  // namespace
@@ -95,6 +105,15 @@ Time derived_slice_length(const SystemConfig& config, const nn::Model& model) {
       placement::CostModel::build(resolved_power_spec(config), config.arch.hp_shape(),
                                   config.arch.lp_shape(), model.uses_per_weight());
   return slice_from_cost(cost, model.effective_params(), config.max_inferences_per_slice);
+}
+
+placement::LutCacheKey lut_cache_key(const SystemConfig& config, const nn::Model& model) {
+  const auto cost =
+      placement::CostModel::build(resolved_power_spec(config), config.arch.hp_shape(),
+                                  config.arch.lp_shape(), model.uses_per_weight());
+  return placement::LutCacheKey::make(
+      model.topology_hash(), config.arch.config_hash(), cost,
+      lut_params(config, model.effective_params(), derived_slice_length(config, model)));
 }
 
 Processor::Processor(const SystemConfig& config, const nn::Model& model)
@@ -165,18 +184,12 @@ Processor::Processor(const SystemConfig& config, const nn::Model& model)
       break;
     }
     case ArchKind::kHhpim: {
-      placement::LutParams lp;
-      lp.slice = slice_;
-      lp.total_weights = weights_;
-      lp.t_entries = config_.lut_t_entries;
-      lp.k_blocks = config_.lut_k_blocks;
+      const placement::LutParams lp = lut_params(config_, weights_, slice_);
       std::shared_ptr<const placement::AllocationLut> lut;
       if (config_.lut_cache != nullptr) {
         // Shared path: identical (model topology, arch, cost model, slice,
         // resolution) keys resolve to one LUT built once per process.
-        const auto key = placement::LutCacheKey::make(
-            model.topology_hash(), arch.config_hash(), cost_, lp);
-        lut = config_.lut_cache->get_or_build(key, cost_, lp);
+        lut = config_.lut_cache->get_or_build(lut_cache_key(config_, model), cost_, lp);
       } else {
         lut = std::make_shared<const placement::AllocationLut>(
             placement::AllocationLut::build(cost_, lp));

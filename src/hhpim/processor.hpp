@@ -27,6 +27,7 @@
 #include "pim/data_allocator.hpp"
 #include "placement/cost_model.hpp"
 #include "placement/lut.hpp"
+#include "placement/lut_cache.hpp"
 #include "riscv/engine.hpp"
 
 namespace hhpim {
@@ -149,6 +150,14 @@ struct RunStats {
 /// The experiment runner uses this to pin every architecture in a grid cell
 /// to the HH-PIM slice before any run starts.
 [[nodiscard]] Time derived_slice_length(const SystemConfig& config, const nn::Model& model);
+
+/// The placement::LutCache key an HH-PIM Processor built from (config,
+/// model) resolves its LUT through, computed without constructing the
+/// Processor. The Processor constructor derives its key here too, so a
+/// caller that accounts LUT builds ahead of construction (the fleet
+/// simulator) probes exactly the key the construction will.
+[[nodiscard]] placement::LutCacheKey lut_cache_key(const SystemConfig& config,
+                                                   const nn::Model& model);
 
 /// Component inventory — our substitute for the paper's Table II (FPGA
 /// resource usage has no simulator equivalent; see DESIGN.md).

@@ -68,8 +68,8 @@ class StaticPolicy final : public PlacementPolicy {
 ///
 /// The LUT is held by shared_ptr<const …>: it is immutable after build and
 /// may be shared with other Processors through placement::LutCache (see
-/// docs/ARCHITECTURE.md). The policy co-owns it, so a cache clear() never
-/// invalidates a live policy.
+/// docs/ARCHITECTURE.md). The policy co-owns it, so its LUT outlives the
+/// cache it came from.
 class DynamicLutPolicy final : public PlacementPolicy {
  public:
   /// `lut` must be non-null (throws std::invalid_argument otherwise).

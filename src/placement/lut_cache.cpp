@@ -1,7 +1,7 @@
 #include "placement/lut_cache.hpp"
 
+#include <chrono>
 #include <exception>
-#include <utility>
 
 namespace hhpim::placement {
 
@@ -47,131 +47,69 @@ std::size_t LutCacheKey::Hash::operator()(const LutCacheKey& k) const {
   return static_cast<std::size_t>(h.digest());
 }
 
-LutCache::~LutCache() = default;
-
-void LutCache::publish_locked(std::unique_ptr<const ReadyMap> next) {
-  ready_.store(next.get(), std::memory_order_release);
-  retired_.push_back(std::move(next));
-}
-
 std::shared_ptr<const AllocationLut> LutCache::get_or_build(const LutCacheKey& key,
                                                             const CostModel& model,
                                                             const LutParams& params) {
-  // Fast path: the steady state — every warm key resolves here with one
-  // acquire load and a lookup in an immutable map. No lock, no shared
-  // writes beyond one relaxed counter.
-  if (const ReadyMap* ready = ready_.load(std::memory_order_acquire);
-      ready != nullptr) {
-    if (const auto it = ready->find(key); it != ready->end()) {
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      return it->second;
-    }
-  }
-
-  // Miss path: dedup through pending_ under the mutex, exactly as before.
   std::promise<std::shared_ptr<const AllocationLut>> promise;
   Future future;
-  std::uint64_t my_gen = 0;
-  bool builder = false;
   {
     const std::lock_guard<std::mutex> lock{mu_};
-    // Re-check the snapshot: a builder may have published between our
-    // lock-free probe and acquiring mu_.
-    if (const ReadyMap* ready = ready_.load(std::memory_order_relaxed);
-        ready != nullptr) {
-      if (const auto it = ready->find(key); it != ready->end()) {
-        hits_.fetch_add(1, std::memory_order_relaxed);
-        return it->second;
-      }
-    }
-    const auto it = pending_.find(key);
-    if (it != pending_.end()) {
-      future = it->second.future;  // join the in-flight build; counted below
+    const auto [it, inserted] = slots_.try_emplace(key);
+    if (inserted) {
+      ++misses_;
+      it->second = promise.get_future().share();
     } else {
-      misses_.fetch_add(1, std::memory_order_relaxed);
-      builder = true;
-      my_gen = ++next_gen_;
-      future = promise.get_future().share();
-      pending_.emplace(key, Slot{future, my_gen});
+      future = it->second;  // built or in flight; counted once it resolves
     }
   }
 
-  if (builder) {
+  if (!future.valid()) {
     std::shared_ptr<const AllocationLut> lut;
     try {
       lut = std::make_shared<const AllocationLut>(AllocationLut::build(model, params));
     } catch (...) {
       {
-        // Evict only our own slot: a concurrent clear() may already have
-        // dropped it and a successor may have inserted a healthy build
-        // under the same key.
+        // Only the builder removes a slot, so the one under `key` is ours.
         const std::lock_guard<std::mutex> lock{mu_};
-        const auto it = pending_.find(key);
-        if (it != pending_.end() && it->second.gen == my_gen) pending_.erase(it);
+        slots_.erase(key);
       }
       promise.set_exception(std::current_exception());
       throw;  // the builder's own call failed; its miss stays a miss
-    }
-    {
-      const std::lock_guard<std::mutex> lock{mu_};
-      const auto it = pending_.find(key);
-      if (it != pending_.end() && it->second.gen == my_gen) {
-        pending_.erase(it);
-        // Copy-on-write publish: successors hit the new snapshot lock-free.
-        const ReadyMap* cur = ready_.load(std::memory_order_relaxed);
-        auto next = cur != nullptr ? std::make_unique<ReadyMap>(*cur)
-                                   : std::make_unique<ReadyMap>();
-        (*next)[key] = lut;
-        publish_locked(std::move(next));
-      }
-      // gen mismatch: clear() ran mid-build — waiters still get the value,
-      // but the slot was dropped, so the build is not published.
     }
     promise.set_value(lut);
     return lut;
   }
 
-  // Waiter: the join is classified by the build's outcome, not counted as a
-  // hit up front — a failed build must not inflate hits_.
+  // Classified by the build's outcome, so a failed build never counts a hit.
   try {
     std::shared_ptr<const AllocationLut> lut = future.get();
-    hits_.fetch_add(1, std::memory_order_relaxed);
+    const std::lock_guard<std::mutex> lock{mu_};
+    ++hits_;
     return lut;
   } catch (...) {
-    failed_joins_.fetch_add(1, std::memory_order_relaxed);
+    const std::lock_guard<std::mutex> lock{mu_};
+    ++failed_joins_;
     throw;
   }
 }
 
 bool LutCache::contains(const LutCacheKey& key) const {
-  if (const ReadyMap* ready = ready_.load(std::memory_order_acquire);
-      ready != nullptr && ready->contains(key)) {
-    return true;
-  }
   const std::lock_guard<std::mutex> lock{mu_};
-  return pending_.contains(key);
-}
-
-void LutCache::clear() {
-  const std::lock_guard<std::mutex> lock{mu_};
-  if (ready_.load(std::memory_order_relaxed) != nullptr) {
-    publish_locked(std::make_unique<ReadyMap>());
-  }
-  pending_.clear();
-  hits_.store(0, std::memory_order_relaxed);
-  misses_.store(0, std::memory_order_relaxed);
-  failed_joins_.store(0, std::memory_order_relaxed);
+  return slots_.contains(key);
 }
 
 LutCache::Stats LutCache::stats() const {
   const std::lock_guard<std::mutex> lock{mu_};
-  const ReadyMap* ready = ready_.load(std::memory_order_relaxed);
   Stats s;
-  s.hits = hits_.load(std::memory_order_relaxed);
-  s.misses = misses_.load(std::memory_order_relaxed);
-  s.failed_joins = failed_joins_.load(std::memory_order_relaxed);
-  s.in_flight = pending_.size();
-  s.entries = (ready != nullptr ? ready->size() : 0) + pending_.size();
+  s.hits = hits_;
+  s.misses = misses_;
+  s.failed_joins = failed_joins_;
+  s.entries = slots_.size();
+  for (const auto& [key, future] : slots_) {
+    if (future.wait_for(std::chrono::seconds(0)) != std::future_status::ready) {
+      ++s.in_flight;
+    }
+  }
   return s;
 }
 

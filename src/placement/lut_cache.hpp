@@ -2,11 +2,13 @@
 //
 // Building an AllocationLut is the expensive part of constructing an HH-PIM
 // sys::Processor (Algorithms 1 & 2 per entry; tens of millions of DP cells
-// at the default 128x128 resolution). Experiment grids construct one
-// Processor per run, so a grid of N cells over M distinct (model, arch,
-// cost, resolution) combinations would build the same LUT N/M times. The
-// LutCache deduplicates that: LUTs are immutable after build, so all runs
-// that agree on every build input share one instance by shared_ptr.
+// at the default 128x128 resolution). A grid or fleet constructs several
+// Processors per distinct (model, arch, cost, resolution) combination —
+// one per concurrently leased pool slot, and one per run for callers that
+// do not pool — so each combination would be built several times. The
+// LutCache deduplicates that: LUTs are immutable after build, so all
+// Processors that agree on every build input share one instance by
+// shared_ptr.
 //
 // Keying: a LUT is fully determined by (CostModel, LutParams) — the cache
 // key digests every field of both. On top of that, callers fold in a model
@@ -17,34 +19,26 @@
 // even though today's LUT build would coincide — correctness of sharing is
 // keyed on inputs, not on derived quantities.
 //
-// Concurrency (see docs/PERF.md "Parallel scaling"): the cache is
-// read-mostly — a fleet of a million devices resolves to a handful of warm
-// entries — so the hit path must not serialize. Completed builds live in an
-// immutable snapshot map published through an atomic pointer: a hit is one
-// acquire load + a hash lookup, no lock, no reference-count ping-pong on a
-// shared control word. Mutation (first build of a key, clear) copies the
-// snapshot under a mutex and publishes the successor with a release store;
-// superseded snapshots are retired, not freed, until the cache dies, so a
-// reader holding yesterday's snapshot is always safe. The promise/
-// shared_future build dedup survives unchanged on the miss path: the first
-// requester builds outside the lock, concurrent requesters for the same key
-// block on the future instead of duplicating the build. A build failure is
-// rethrown to every waiter and the slot is removed so a later call can
-// retry.
+// Concurrency (see docs/ARCHITECTURE.md "Placement-LUT cache"): the cache
+// is probed only when a sys::Processor is constructed, and the runners pool
+// their processors, so a whole fleet or grid makes a few dozen calls. One
+// mutex guards one map from key to shared_future. The first requester of a
+// key inserts its future and builds outside the lock; later requesters copy
+// the future under the lock and wait on it outside, so concurrent requests
+// for one key build once. A failed builder erases its slot before it
+// publishes the exception: every waiter rethrows it, and a later call
+// retries the build.
 //
-// Lifetime/ownership (see docs/ARCHITECTURE.md "Placement-LUT cache"):
-// entries are shared_ptr<const AllocationLut>; the cache retains them until
-// clear(), and consumers (DynamicLutPolicy) co-own them, so clear() never
-// invalidates a running Processor.
+// Lifetime/ownership: entries are shared_ptr<const AllocationLut>; the
+// cache retains them until it is destroyed, and consumers (DynamicLutPolicy)
+// co-own them, so a Processor's LUT outlives the cache it came from.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <future>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
-#include <vector>
 
 #include "common/hash.hpp"
 #include "placement/lut.hpp"
@@ -86,9 +80,9 @@ struct LutCacheKey {
 class LutCache {
  public:
   struct Stats {
-    /// get_or_build calls served a completed LUT: snapshot fast-path hits
-    /// plus waiters whose joined build succeeded. A waiter is counted only
-    /// once its future resolves — joining an in-flight build that then
+    /// get_or_build calls served a completed LUT: calls that found a built
+    /// slot plus waiters whose joined build succeeded. A waiter is counted
+    /// only once its future resolves — joining an in-flight build that then
     /// fails is a failed_join, never a hit.
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;        ///< get_or_build calls that started a build
@@ -100,27 +94,17 @@ class LutCache {
   LutCache() = default;
   LutCache(const LutCache&) = delete;
   LutCache& operator=(const LutCache&) = delete;
-  ~LutCache();
 
   /// Returns the LUT for `key`, building it from (model, params) on first
-  /// use. Warm keys are served lock-free. Blocks while another thread
-  /// builds the same key. Throws whatever AllocationLut::build throws (all
-  /// waiters see the exception; the failed slot is evicted). Precondition:
-  /// (model, params) must be the inputs the key was made from — the cache
-  /// trusts the key.
+  /// use. Blocks while another thread builds the same key. Throws whatever
+  /// AllocationLut::build throws (all waiters see the exception; the failed
+  /// slot is erased). Precondition: (model, params) must be the inputs the
+  /// key was made from — the cache trusts the key.
   [[nodiscard]] std::shared_ptr<const AllocationLut> get_or_build(
       const LutCacheKey& key, const CostModel& model, const LutParams& params);
 
   /// True if a slot exists for `key` (built or in flight).
   [[nodiscard]] bool contains(const LutCacheKey& key) const;
-
-  /// Drops all slots and resets counters. In-flight builds complete
-  /// normally for their waiters but are not published; consumers keep
-  /// their shared_ptrs alive independently. Note: the superseded snapshot
-  /// is retired, not freed — a lock-free reader may still be inside it —
-  /// so a cleared entry's LUT is released only when the cache itself is
-  /// destroyed (memory stays proportional to builds actually performed).
-  void clear();
 
   [[nodiscard]] Stats stats() const;
 
@@ -128,37 +112,13 @@ class LutCache {
   [[nodiscard]] static LutCache& process_cache();
 
  private:
-  /// Immutable map of completed builds. Never mutated after publication —
-  /// mutation copies it and publishes the copy.
-  using ReadyMap = std::unordered_map<LutCacheKey, std::shared_ptr<const AllocationLut>,
-                                      LutCacheKey::Hash>;
   using Future = std::shared_future<std::shared_ptr<const AllocationLut>>;
-  /// `gen` disambiguates in-flight slots under the same key across
-  /// clear()/eviction: a failed builder evicts only the slot it inserted,
-  /// never a successor's.
-  struct Slot {
-    Future future;
-    std::uint64_t gen = 0;
-  };
 
-  /// Publishes `next` as the current snapshot (mu_ held). The superseded
-  /// snapshot is retired — kept alive until destruction so concurrent
-  /// lock-free readers can finish with it.
-  void publish_locked(std::unique_ptr<const ReadyMap> next);
-
-  /// Current snapshot of completed builds; readers load-acquire and never
-  /// lock. Owned by retired_ (every snapshot ever published lives there).
-  std::atomic<const ReadyMap*> ready_{nullptr};
-  std::vector<std::unique_ptr<const ReadyMap>> retired_;
-
-  mutable std::mutex mu_;  ///< guards pending_, retired_, snapshot swaps
-  std::unordered_map<LutCacheKey, Slot, LutCacheKey::Hash> pending_;
-  std::uint64_t next_gen_ = 0;
-
-  // Counter increments race only with each other; relaxed is enough.
-  std::atomic<std::uint64_t> hits_{0};
-  std::atomic<std::uint64_t> misses_{0};
-  std::atomic<std::uint64_t> failed_joins_{0};
+  mutable std::mutex mu_;  ///< guards slots_ and the counters
+  std::unordered_map<LutCacheKey, Future, LutCacheKey::Hash> slots_;
+  std::uint64_t hits_ = 0;
+  std::uint64_t misses_ = 0;
+  std::uint64_t failed_joins_ = 0;
 };
 
 }  // namespace hhpim::placement

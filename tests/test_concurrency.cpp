@@ -1,9 +1,9 @@
-// Concurrency suite for the contention-free hot paths (see docs/PERF.md
-// "Parallel scaling"): the lock-free LutCache fast path under mixed
-// get_or_build/clear/stats stress, waiter accounting when a joined build
-// fails, in-flight visibility in Stats, worker/claim-batch resolution,
-// the shared processor checkout pools, and fleet byte-identity across
-// thread counts with batched shard claiming on.
+// Concurrency suite for the parallel paths (see docs/PERF.md "Parallel
+// scaling"): LutCache accounting and build dedup under mixed
+// get_or_build/contains/stats churn, waiter accounting when a joined build
+// fails, in-flight visibility in Stats, worker-count resolution and the
+// shared claim loop, the shared processor checkout pools, and fleet
+// byte-identity across thread counts.
 //
 // All assertions run on the main thread after workers join — worker
 // threads only record into their own slots — so the suite is safe under
@@ -16,6 +16,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -24,10 +26,10 @@
 #endif
 
 #include "common/threads.hpp"
-#include "exp/runner.hpp"
 #include "fleet/outcome_cache.hpp"
 #include "fleet/simulator.hpp"
 #include "hhpim/processor.hpp"
+#include "hhpim/processor_pool.hpp"
 #include "nn/zoo.hpp"
 #include "placement/lut_cache.hpp"
 
@@ -50,7 +52,7 @@ placement::LutParams stress_params(int resolution) {
   return p;
 }
 
-// --- LutCache: lock-free fast path + waiter accounting -----------------------
+// --- LutCache: build dedup + waiter accounting -------------------------------
 
 // Every get_or_build call resolves to exactly one of {hit, miss (it built),
 // failed_join (it joined a build that threw)} — regardless of interleaving.
@@ -193,16 +195,14 @@ TEST(LutCacheConcurrency, StatsReflectInFlightBuilds) {
   EXPECT_TRUE(saw_in_flight);
   const auto s = cache.stats();
   EXPECT_EQ(s.misses, 1u);
-  EXPECT_EQ(s.hits, 1u);  // the waiter (or fast-path hit if it arrived late)
+  EXPECT_EQ(s.hits, 1u);  // the waiter, joined or arriving after the build
   EXPECT_EQ(s.entries, 1u);
   EXPECT_EQ(s.in_flight, 0u);
 }
 
-// Mixed get_or_build/clear/stats: clear() retires the published snapshot
-// instead of freeing it, so a reader that raced past the atomic load keeps
-// a valid map; every successful return must be a usable LUT. Counters are
-// not asserted (clear() resets them mid-flight by design).
-TEST(LutCacheConcurrency, MixedGetClearStatsStress) {
+// Mixed get_or_build/contains/stats churn: every call returns a usable LUT,
+// each key builds once, and the accounting identity holds exactly.
+TEST(LutCacheConcurrency, MixedGetContainsStatsStress) {
   placement::LutCache cache;
   const placement::CostModel m = stress_model();
   constexpr int kThreads = 6;
@@ -223,16 +223,18 @@ TEST(LutCacheConcurrency, MixedGetClearStatsStress) {
         const auto key = placement::LutCacheKey::make(1, 2, m, p);
         const auto lut = cache.get_or_build(key, m, p);
         if (lut == nullptr ||
-            lut->entries().size() != static_cast<std::size_t>(res)) {
+            lut->entries().size() != static_cast<std::size_t>(res) ||
+            !cache.contains(key)) {
           ++bad_luts[static_cast<std::size_t>(t)];
         }
       }
     });
   }
+  std::uint64_t torn_stats = 0;
   std::thread churner{[&] {
     while (!stop.load(std::memory_order_acquire)) {
-      cache.clear();
-      (void)cache.stats();
+      const auto s = cache.stats();
+      if (s.in_flight > s.entries || s.entries > 2) ++torn_stats;
       (void)cache.contains(placement::LutCacheKey{});
       std::this_thread::yield();
     }
@@ -245,24 +247,25 @@ TEST(LutCacheConcurrency, MixedGetClearStatsStress) {
   std::uint64_t bad = 0;
   for (int t = 0; t < kThreads; ++t) bad += bad_luts[static_cast<std::size_t>(t)];
   EXPECT_EQ(bad, 0u);
-  // Quiescent now: a final round lands one entry per key again.
-  cache.clear();
-  const placement::LutParams p = stress_params(8);
-  EXPECT_NE(cache.get_or_build(placement::LutCacheKey::make(1, 2, m, p), m, p),
-            nullptr);
-  EXPECT_EQ(cache.stats().entries, 1u);
+  EXPECT_EQ(torn_stats, 0u);
+  EXPECT_FALSE(cache.contains(placement::LutCacheKey{}));
+  const auto s = cache.stats();
+  EXPECT_EQ(s.misses, 2u);
+  EXPECT_EQ(s.hits, static_cast<std::uint64_t>(kThreads) * kIters - 2u);
+  EXPECT_EQ(s.failed_joins, 0u);
+  EXPECT_EQ(s.entries, 2u);
+  EXPECT_EQ(s.in_flight, 0u);
 }
 
-// --- worker / claim-batch resolution -----------------------------------------
+// --- worker resolution and the shared claim loop -----------------------------
 
-TEST(FleetSimulator, WorkerCountClampsToShards) {
-  using fleet::FleetSimulator;
-  EXPECT_EQ(FleetSimulator::resolve_workers(8, 3), 3u);
-  EXPECT_EQ(FleetSimulator::resolve_workers(8, 100), 8u);
-  EXPECT_EQ(FleetSimulator::resolve_workers(2, 2), 2u);
-  EXPECT_EQ(FleetSimulator::resolve_workers(8, 1), 1u);
-  EXPECT_EQ(FleetSimulator::resolve_workers(8, 0), 1u);  // zero-device fleet
-  EXPECT_GE(FleetSimulator::resolve_workers(0, 64), 1u); // 0 = hw concurrency
+TEST(ResolveWorkers, ClampsToItems) {
+  EXPECT_EQ(resolve_workers(8, 3), 3u);
+  EXPECT_EQ(resolve_workers(8, 100), 8u);
+  EXPECT_EQ(resolve_workers(2, 2), 2u);
+  EXPECT_EQ(resolve_workers(8, 1), 1u);
+  EXPECT_EQ(resolve_workers(8, 0), 1u);   // zero-device fleet, empty grid
+  EXPECT_GE(resolve_workers(0, 64), 1u);  // 0 = one per CPU
 }
 
 TEST(ResolveThreads, DefaultCountHonoursTheAffinityMask) {
@@ -280,34 +283,50 @@ TEST(ResolveThreads, DefaultCountHonoursTheAffinityMask) {
   CPU_SET(first, &one);
   ASSERT_EQ(sched_setaffinity(0, sizeof one, &one), 0);
   const unsigned pinned = resolve_threads(0);
-  const unsigned fleet_workers = fleet::FleetSimulator::resolve_workers(0, 64);
-  const unsigned runner_workers = exp::Runner::resolve_workers(0, 64);
+  const unsigned workers = resolve_workers(0, 64);
   ASSERT_EQ(sched_setaffinity(0, sizeof saved, &saved), 0);
   EXPECT_EQ(pinned, 1u);
-  EXPECT_EQ(fleet_workers, 1u);
-  EXPECT_EQ(runner_workers, 1u);
+  EXPECT_EQ(workers, 1u);
   EXPECT_EQ(resolve_threads(0), static_cast<unsigned>(CPU_COUNT(&saved)));
 #else
   GTEST_SKIP() << "no affinity mask on this platform";
 #endif
 }
 
-TEST(FleetSimulator, ClaimBatchResolution) {
-  using fleet::FleetSimulator;
-  // Explicit request wins.
-  EXPECT_EQ(FleetSimulator::resolve_claim_batch(4, 1000, 8), 4u);
-  EXPECT_EQ(FleetSimulator::resolve_claim_batch(1, 1000, 8), 1u);
-  // Auto: ~8 claims per worker, never below 1.
-  EXPECT_EQ(FleetSimulator::resolve_claim_batch(0, 1024, 8), 16u);
-  EXPECT_EQ(FleetSimulator::resolve_claim_batch(0, 10, 8), 1u);
-  EXPECT_EQ(FleetSimulator::resolve_claim_batch(0, 0, 1), 1u);
-}
-
-TEST(Runner, WorkerCountClampsToRuns) {
-  using exp::Runner;
-  EXPECT_EQ(Runner::resolve_workers(8, 3), 3u);
-  EXPECT_EQ(Runner::resolve_workers(8, 100), 8u);
-  EXPECT_EQ(Runner::resolve_workers(8, 0), 1u);
+// Every index runs exactly once at any worker count, a throwing index does
+// not stop the others, and the exception surfaces after the join. One worker
+// runs inline on the calling thread.
+TEST(ClaimEach, RunsEveryIndexOnceAndRethrowsAfterTheJoin) {
+  constexpr std::size_t kItems = 100;
+  for (const unsigned workers : {1u, 3u, 8u}) {
+    std::vector<std::atomic<int>> runs(kItems);
+    std::vector<std::atomic<int>> by_worker(workers);
+    std::atomic<int> off_caller{0};
+    const std::thread::id caller = std::this_thread::get_id();
+    try {
+      claim_each(kItems, workers, [&](unsigned worker, std::size_t i) {
+        runs[i].fetch_add(1);
+        by_worker[worker].fetch_add(1);
+        if (std::this_thread::get_id() != caller) off_caller.fetch_add(1);
+        if (i % 10 == 3) throw std::runtime_error("index " + std::to_string(i));
+      });
+      ADD_FAILURE() << "workers=" << workers << ": no exception surfaced";
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()).rfind("index ", 0), 0u) << e.what();
+    }
+    for (std::size_t i = 0; i < kItems; ++i) {
+      EXPECT_EQ(runs[i].load(), 1) << "workers=" << workers << " index " << i;
+    }
+    int claimed = 0;
+    for (const auto& n : by_worker) claimed += n.load();
+    EXPECT_EQ(claimed, static_cast<int>(kItems));
+    if (workers == 1) {
+      EXPECT_EQ(off_caller.load(), 0);
+    }
+  }
+  int calls = 0;
+  claim_each(0, 4, [&](unsigned, std::size_t) { ++calls; });
+  EXPECT_EQ(calls, 0);
 }
 
 // --- shared processor checkout pool ------------------------------------------
@@ -427,9 +446,9 @@ TEST(FleetConcurrency, OutcomeCacheConcurrentGetOrInsert) {
   EXPECT_GT(total_hits, 0u);
 }
 
-// --- fleet identity across threads and claim batching ------------------------
+// --- fleet identity across threads -------------------------------------------
 
-TEST(FleetConcurrency, ByteIdenticalAcrossThreadsAndClaimBatches) {
+TEST(FleetConcurrency, ByteIdenticalAcrossThreads) {
   fleet::FleetSpec spec;
   spec.name = "concurrency-fleet";
   spec.devices = 30;
@@ -443,25 +462,19 @@ TEST(FleetConcurrency, ByteIdenticalAcrossThreadsAndClaimBatches) {
   ref_opts.threads = 1;
   ref_opts.shard_size = 4;
   ref_opts.lut_cache = &ref_cache;
-  ref_opts.claim_batch = 1;
   const fleet::FleetResult ref = fleet::FleetSimulator{ref_opts}.run(spec);
   ASSERT_FALSE(ref.to_jsonl().empty());
 
   for (const unsigned threads : {1u, 2u, 8u}) {
-    for (const std::size_t batch : {std::size_t{0}, std::size_t{1}, std::size_t{3}}) {
-      placement::LutCache cache;
-      fleet::FleetOptions opts;
-      opts.threads = threads;
-      opts.shard_size = 4;
-      opts.lut_cache = &cache;
-      opts.claim_batch = batch;
-      const fleet::FleetResult r = fleet::FleetSimulator{opts}.run(spec);
-      EXPECT_EQ(r.to_jsonl(), ref.to_jsonl())
-          << "threads=" << threads << " claim_batch=" << batch;
-      EXPECT_EQ(r.summary_to_json(), ref.summary_to_json())
-          << "threads=" << threads << " claim_batch=" << batch;
-      EXPECT_EQ(r.lut_builds, ref.lut_builds);
-    }
+    placement::LutCache cache;
+    fleet::FleetOptions opts;
+    opts.threads = threads;
+    opts.shard_size = 4;
+    opts.lut_cache = &cache;
+    const fleet::FleetResult r = fleet::FleetSimulator{opts}.run(spec);
+    EXPECT_EQ(r.to_jsonl(), ref.to_jsonl()) << "threads=" << threads;
+    EXPECT_EQ(r.summary_to_json(), ref.summary_to_json()) << "threads=" << threads;
+    EXPECT_EQ(r.lut_builds, ref.lut_builds);
   }
 }
 

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -88,18 +89,22 @@ TEST(LutCache, DistinctKeysDistinctLuts) {
   EXPECT_EQ(cache.stats().entries, 2u);
 }
 
-TEST(LutCache, ClearDropsSlotsButConsumersKeepTheirLut) {
-  LutCache cache;
+TEST(LutCache, ConsumersKeepTheirLutPastTheCache) {
   const CostModel m = paper_model();
   const auto key = LutCacheKey::make(1, 2, m, small_params());
-  const auto a = cache.get_or_build(key, m, small_params());
-  cache.clear();
-  EXPECT_EQ(cache.stats().entries, 0u);
-  EXPECT_FALSE(cache.contains(key));
-  // The shared_ptr keeps the LUT alive and usable.
+  std::shared_ptr<const AllocationLut> a;
+  {
+    LutCache cache;
+    a = cache.get_or_build(key, m, small_params());
+    EXPECT_TRUE(cache.contains(key));
+  }
+  // The cache is gone; the shared_ptr keeps the LUT alive and usable.
+  ASSERT_NE(a, nullptr);
   EXPECT_EQ(a->entries().size(), 16u);
-  // Rebuild is a fresh instance.
-  const auto b = cache.get_or_build(key, m, small_params());
+  // A new cache builds a fresh instance.
+  LutCache fresh;
+  EXPECT_FALSE(fresh.contains(key));
+  const auto b = fresh.get_or_build(key, m, small_params());
   EXPECT_NE(a.get(), b.get());
 }
 
@@ -111,9 +116,22 @@ TEST(LutCache, FailedBuildPropagatesAndEvicts) {
   const auto key = LutCacheKey::make(1, 2, m, bad);
   EXPECT_THROW((void)cache.get_or_build(key, m, bad), std::invalid_argument);
   EXPECT_FALSE(cache.contains(key));
-  // A later call with good params under a fresh key still works.
+  EXPECT_EQ(cache.stats().entries, 0u);
+  // The failed builder erased its slot, so the same key builds again — here
+  // from good inputs (the cache trusts the key) — and then serves hits.
+  const auto retried = cache.get_or_build(key, m, small_params());
+  ASSERT_NE(retried, nullptr);
+  EXPECT_TRUE(cache.contains(key));
+  EXPECT_EQ(cache.get_or_build(key, m, small_params()).get(), retried.get());
+  // A fresh key still works alongside it.
   const auto good = LutCacheKey::make(1, 2, m, small_params());
   EXPECT_NE(cache.get_or_build(good, m, small_params()), nullptr);
+  const auto s = cache.stats();
+  EXPECT_EQ(s.misses, 3u);  // the failed build, the retry and the fresh key
+  EXPECT_EQ(s.hits, 1u);
+  EXPECT_EQ(s.failed_joins, 0u);
+  EXPECT_EQ(s.entries, 2u);
+  EXPECT_EQ(s.in_flight, 0u);
 }
 
 TEST(LutCache, ConcurrentRequestsBuildExactlyOnce) {

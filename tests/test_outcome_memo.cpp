@@ -1,6 +1,6 @@
 // Device-level outcome memoization suite: the OutcomeCache key/value
 // semantics (exact buckets, first-writer-wins, pointer stability across
-// clear()), the processor state digest it keys on, and the subsystem's
+// publishes), the processor state digest it keys on, and the subsystem's
 // load-bearing property — fleet output with memoization on is byte-identical
 // to the exact path at any thread count, cold or warm, one-shot or
 // segmented (run_to/resume, in one process or through a fresh cache),
@@ -79,7 +79,7 @@ FleetSnapshot round_trip(const FleetSnapshot& snap) {
 
 // --- cache semantics ---------------------------------------------------------
 
-TEST(OutcomeCache, LookupInsertStatsClear) {
+TEST(OutcomeCache, LookupInsertStats) {
   OutcomeCache cache;
   // lookup() is read-only: it runs on a const cache and counts nothing
   // (callers tally their own hits and misses).
@@ -107,13 +107,17 @@ TEST(OutcomeCache, LookupInsertStatsClear) {
   EXPECT_EQ(cache.stats().insertions, 1u);
   EXPECT_DOUBLE_EQ(cache.lookup(key)->energy_pj, 100.0);
 
-  // clear() forgets entries and the insertion count, but outcomes already
-  // handed out stay valid (snapshots are retired, never freed).
-  cache.clear();
-  EXPECT_EQ(cache.stats().entries, 0u);
-  EXPECT_EQ(cache.stats().insertions, 0u);
+  // A later publish copies the map, but outcomes already handed out stay
+  // valid (snapshots are retired, never freed).
+  batch[0].first.state = 43;
+  cache.insert_batch(batch);
+  EXPECT_EQ(cache.stats().entries, 2u);
   EXPECT_DOUBLE_EQ(hit->energy_pj, 100.0);
-  EXPECT_EQ(reader.lookup(key), nullptr);  // a miss again
+  EXPECT_NE(reader.lookup(key), hit);  // the current snapshot's copy
+  EXPECT_DOUBLE_EQ(reader.lookup(key)->energy_pj, 100.0);
+
+  // A cold memo is a fresh cache.
+  EXPECT_EQ(OutcomeCache{}.lookup(key), nullptr);
 }
 
 TEST(OutcomeCache, InternsPostStateBlobsByBytes) {
@@ -128,14 +132,16 @@ TEST(OutcomeCache, InternsPostStateBlobsByBytes) {
   EXPECT_EQ(**b, "state-b");
   EXPECT_EQ(cache.stats().blobs, 2u);
 
-  // A published outcome carries the interned blob; both outlive clear().
+  // A published outcome carries the interned blob; both outlive a later
+  // publish.
   std::vector<std::pair<SliceOutcomeKey, SliceOutcome>> batch;
   batch.push_back({{7, 1, 0, 1}, SliceOutcome{.post_state = 10, .blob = a1}});
   cache.insert_batch(batch);
   const SliceOutcome* hit = cache.lookup({7, 1, 0, 1});
   ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->blob, a1);
-  cache.clear();
+  batch[0].first.state = 2;
+  cache.insert_batch(batch);
   EXPECT_EQ(**hit->blob, "state-a");
   EXPECT_EQ(cache.intern_blob("state-a"), a1);
 }

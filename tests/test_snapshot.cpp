@@ -862,6 +862,36 @@ TEST(Snapshot, ResumeRejectsDevicesThatDoNotMatchTheSpec) {
       }
     }
   }
+
+  // A forged next_slice: the field is a u32 on disk, so 2^31 and above
+  // decode as negative. With every device not yet started nothing else
+  // vouches for the slice, and run_to used to accept end_slice 0 from a
+  // negative start. A snapshot stands at a slice in [0, slices]; 0 is the
+  // initial snapshot (ResumeFromInitialSnapshotMatchesRun).
+  FleetSnapshot unstarted = good;
+  for (DeviceProgress& p : unstarted.devices) p = DeviceProgress{};
+  unstarted.slice_bins = SliceHistograms{spec.histograms};
+  const std::vector<std::pair<int, int>> forged_starts = {
+      {-1, 0}, {-5, 0}, {std::numeric_limits<int>::min(), 0}};
+  for (const auto& [next_slice, end_slice] : forged_starts) {
+    FleetSnapshot snap = unstarted;
+    snap.next_slice = next_slice;
+    snap = FleetSnapshot::from_bytes(snap.to_bytes());
+    ASSERT_EQ(snap.next_slice, next_slice);
+    const std::string name = "next_slice " + std::to_string(next_slice);
+    for (const bool final_segment : {true, false}) {
+      try {
+        if (final_segment) {
+          (void)sim.resume(spec, snap);
+        } else {
+          (void)sim.run_to(spec, end_slice, &snap);
+        }
+        ADD_FAILURE() << name << " was accepted";
+      } catch (const std::runtime_error& e) {
+        EXPECT_NE(std::string(e.what()).find(name), std::string::npos) << e.what();
+      }
+    }
+  }
 }
 
 // --- slice histograms ---------------------------------------------------------
