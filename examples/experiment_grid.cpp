@@ -147,9 +147,14 @@ int run_cli(const Cli& cli) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Malformed or negative numeric flags (Cli::get_int/get_count) land here.
+  // Unknown flags and malformed or negative numeric flags (Cli::get_int/
+  // get_count) land here.
   try {
-    return run_cli(Cli{argc, argv});
+    const Cli cli{argc, argv};
+    cli.reject_unknown_flags({"threads", "slices", "lut", "seed", "models",
+                              "scenarios", "trace", "json", "csv",
+                              "with-slices", "quiet"});
+    return run_cli(cli);
   } catch (const std::invalid_argument& e) {
     std::fprintf(stderr, "%s\n", e.what());
     return 1;

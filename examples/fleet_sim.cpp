@@ -243,9 +243,19 @@ int run_cli(const Cli& cli) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Malformed or negative numeric flags (Cli::get_int/get_count) land here.
+  // Unknown flags and malformed or negative numeric flags (Cli::get_int/
+  // get_count) land here.
   try {
-    return run_cli(Cli{argc, argv});
+    const Cli cli{argc, argv};
+    cli.reject_unknown_flags(
+        {"devices", "threads", "slices", "shard-size", "models", "scenarios",
+         "seed", "lut", "capacity-mj", "initial-soc", "soc-low", "soc-high",
+         "no-adapt", "join-fraction", "leave-fraction", "charge-period",
+         "charge-window", "charge-mj", "envelope", "envelope-min",
+         "envelope-max", "envelope-seed", "checkpoint-every", "snapshot-dir",
+         "no-device-memo", "no-results", "jsonl", "summary", "shard-dir",
+         "quiet"});
+    return run_cli(cli);
   } catch (const std::invalid_argument& e) {
     std::fprintf(stderr, "%s\n", e.what());
     return 1;

@@ -11,6 +11,7 @@
 // exit status is 0 only when the program halts at its final ecall.
 #include <chrono>
 #include <cstdio>
+#include <stdexcept>
 #include <string>
 
 #include "common/cli.hpp"
@@ -23,8 +24,15 @@ using namespace hhpim;
 
 int main(int argc, char** argv) {
   const Cli cli{argc, argv};
+  long iters = 0;
+  try {  // an unknown flag or a malformed or negative --iters: exit 1
+    cli.reject_unknown_flags({"engine", "iters", "stats"});
+    iters = static_cast<long>(cli.get_count("iters", 200'000));
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 1;
+  }
   const bool use_interp = cli.get("engine", "blocks") == "interp";
-  const long iters = static_cast<long>(cli.get_int("iters", 200'000));
   const bool want_stats = cli.has("stats");
 
   riscv::Ram ram{64 * 1024};

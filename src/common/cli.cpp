@@ -1,5 +1,6 @@
 #include "common/cli.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <charconv>
@@ -36,11 +37,9 @@ Cli::Cli(int argc, const char* const* argv) {
     }
     arg = arg.substr(2);
     const auto eq = arg.find('=');
-    if (eq != std::string::npos) {
-      flags_[arg.substr(0, eq)] = arg.substr(eq + 1);
-    } else {
-      flags_[arg] = "true";
-    }
+    std::string name = arg.substr(0, eq);
+    flags_[name] = eq != std::string::npos ? arg.substr(eq + 1) : "true";
+    flag_order_.push_back(std::move(name));
   }
 }
 
@@ -108,6 +107,14 @@ bool Cli::get_bool(const std::string& name, bool def) const {
   if (it == flags_.end()) return def;
   const auto v = to_lower(it->second);
   return v == "1" || v == "true" || v == "yes" || v == "on";
+}
+
+void Cli::reject_unknown_flags(std::initializer_list<std::string_view> accepted) const {
+  for (const std::string& name : flag_order_) {
+    if (std::find(accepted.begin(), accepted.end(), name) == accepted.end()) {
+      throw std::invalid_argument("--" + name + ": unknown flag");
+    }
+  }
 }
 
 int write_output(const std::string& path, bool quiet, const char* what,

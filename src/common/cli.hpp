@@ -5,9 +5,11 @@
 
 #include <cstdint>
 #include <functional>
+#include <initializer_list>
 #include <iosfwd>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace hhpim {
@@ -28,6 +30,10 @@ class Cli {
   /// the flag on an empty value, trailing characters or overflow.
   [[nodiscard]] double get_double(const std::string& name, double def) const;
   [[nodiscard]] bool get_bool(const std::string& name, bool def) const;
+  /// Opt-in strictness: throws std::invalid_argument naming the first flag,
+  /// in command-line order, whose name is not in `accepted` — a misspelt
+  /// flag is an error, not a silently ignored default.
+  void reject_unknown_flags(std::initializer_list<std::string_view> accepted) const;
 
   [[nodiscard]] const std::vector<std::string>& positionals() const { return positionals_; }
   [[nodiscard]] const std::string& program() const { return program_; }
@@ -35,6 +41,7 @@ class Cli {
  private:
   std::string program_;
   std::map<std::string, std::string> flags_;
+  std::vector<std::string> flag_order_;  ///< flag names as they appeared
   std::vector<std::string> positionals_;
 };
 

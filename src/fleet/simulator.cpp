@@ -331,7 +331,9 @@ FleetSnapshot FleetSimulator::drive(const FleetSpec& spec, int end_slice,
                                     const FleetSnapshot* from,
                                     FleetResult* final_out) const {
   const bool final_segment = final_out != nullptr;
-  const std::vector<DeviceSpec> device_specs = spec.expand();
+  // Devices are expanded where they are used, one at a time into a reused
+  // spec: nothing fleet-sized is built here, on one thread.
+  const DeviceExpander expander{spec};
   const std::vector<nn::Model> models = spec.resolved_models();
   const std::vector<sys::SystemConfig> firmwares = spec.resolved_firmware();
   const std::size_t n_models = models.size();
@@ -341,7 +343,7 @@ FleetSnapshot FleetSimulator::drive(const FleetSpec& spec, int end_slice,
   placement::LutCache* const cache = resolve_lut_cache();
   OutcomeCache* const memo = resolve_outcome_cache();
   const std::uint64_t digest = spec.content_digest();
-  const std::size_t n = device_specs.size();
+  const std::size_t n = expander.size();
 
   if (from != nullptr) {
     if (from->spec_digest != digest) {
@@ -371,6 +373,7 @@ FleetSnapshot FleetSimulator::drive(const FleetSpec& spec, int end_slice,
     // device's processor blob is checked against its digest when it is
     // loaded.
     std::uint64_t executed = 0;
+    DeviceSpec ds;
     for (std::size_t i = 0; i < n; ++i) {
       const DeviceProgress& p = from->devices[i];
       const DeviceResult& r = p.result;
@@ -388,7 +391,7 @@ FleetSnapshot FleetSimulator::drive(const FleetSpec& spec, int end_slice,
                                  std::to_string(r.slices_total) + "]");
       }
       if (!p.started && !p.done) continue;
-      const DeviceSpec& ds = device_specs[i];
+      expander.at(i, ds);
       const bool tier_ok = p.tier == 255 ||
                            p.tier <= static_cast<std::uint8_t>(FrontierTier::kSaver);
       const int slices_total = ds.cfg.slices + (ds.leave_slice >= spec.slices ? 1 : 0);
@@ -450,9 +453,9 @@ FleetSnapshot FleetSimulator::drive(const FleetSpec& spec, int end_slice,
 
   // Active = will construct a processor and execute steps this call: not
   // yet finished, and (for a bounded segment) already joined.
-  const auto active = [&](std::size_t i) {
+  const auto active = [&](std::size_t i, const DeviceSpec& ds) {
     if (from != nullptr && from->devices[i].done) return false;
-    return final_segment || device_specs[i].join_slice < end_slice;
+    return final_segment || ds.join_slice < end_slice;
   };
   const auto pair_of = [n_models](const DeviceSpec& ds) {
     return ds.firmware_index * n_models + ds.model_index;
@@ -464,14 +467,20 @@ FleetSnapshot FleetSimulator::drive(const FleetSpec& spec, int end_slice,
   // later segment in a fresh process with a cold cache — are never
   // re-counted. The count is therefore one per new key at any thread count,
   // and a segmented run's final lut_builds equals the uninterrupted run's.
+  // Devices are visited in id order, so keys are counted in the order their
+  // first active device appears, and the walk stops once every pair is
+  // marked — a few devices into a large fleet.
   const std::size_t n_pairs = firmwares.size() * n_models;
   std::vector<char> pair_used(n_pairs, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!active(i)) continue;
-    const DeviceSpec& ds = device_specs[i];
+  std::size_t pairs_marked = 0;
+  DeviceSpec ds;
+  for (std::size_t i = 0; i < n && pairs_marked < n_pairs; ++i) {
+    expander.at(i, ds);
+    if (!active(i, ds)) continue;
     const std::size_t pair = pair_of(ds);
     if (pair_used[pair] != 0) continue;
     pair_used[pair] = 1;
+    ++pairs_marked;
     const sys::SystemConfig& fw = firmwares[ds.firmware_index];
     if (fw.arch.kind != sys::ArchKind::kHhpim) continue;
     const placement::LutCacheKey key = sys::lut_cache_key(fw, models[ds.model_index]);
@@ -540,6 +549,8 @@ FleetSnapshot FleetSimulator::drive(const FleetSpec& spec, int end_slice,
   // Per-worker buffers, reused across the worker's shards and devices, on
   // their own cache lines: the device in flight is written every slice.
   struct alignas(kCacheLine) Scratch {
+    /// The spec of the device in flight, expanded by this worker.
+    DeviceSpec device;
     /// run() and resume(): the device in flight (run_to advances devices in
     /// their snapshot slots).
     DeviceProgress progress;
@@ -554,7 +565,10 @@ FleetSnapshot FleetSimulator::drive(const FleetSpec& spec, int end_slice,
     std::string jsonl;
   };
   // This call's memo economy, summed once per shard from run_shard locals
-  // (a lookup itself writes nothing shared).
+  // (a lookup itself writes nothing shared), and its HH-PIM devices (every
+  // device of the fleet, finished in an earlier segment or not), the base
+  // of lut_shared.
+  std::atomic<std::uint64_t> hhpim_devices{0};
   std::atomic<std::uint64_t> memo_replayed{0};
   std::atomic<std::uint64_t> memo_exact{0};
   std::atomic<std::uint64_t> memo_hits{0};
@@ -568,6 +582,7 @@ FleetSnapshot FleetSimulator::drive(const FleetSpec& spec, int end_slice,
     // Held across consecutive devices of one reuse key; returned to the
     // pool on a key switch or at shard end.
     sys::ProcessorPool::Lease lease;
+    std::uint64_t hhpim = 0;
     std::uint64_t replayed = 0;
     std::uint64_t exact = 0;
     std::uint64_t hits = 0;
@@ -678,9 +693,11 @@ FleetSnapshot FleetSimulator::drive(const FleetSpec& spec, int end_slice,
     };
 
     for (std::size_t i = begin; i < end; ++i) {
-      const DeviceSpec& ds = device_specs[i];
+      expander.at(i, w.device);
+      const DeviceSpec& ds = w.device;
+      if (firmwares[ds.firmware_index].arch.kind == sys::ArchKind::kHhpim) ++hhpim;
       const DeviceProgress* src = from != nullptr ? &from->devices[i] : nullptr;
-      if (!active(i)) {
+      if (!active(i, ds)) {
         // Finished in an earlier segment (the final one accounts its stored
         // result) or not joined yet (carried to the next snapshot as is).
         if (final_segment) {
@@ -706,6 +723,7 @@ FleetSnapshot FleetSimulator::drive(const FleetSpec& spec, int end_slice,
       }
       if (final_segment) finish(i, p);
     }
+    hhpim_devices.fetch_add(hhpim, std::memory_order_relaxed);
     if (memo != nullptr) {
       if (!w.pending.empty()) memo->insert_batch(w.pending);
       memo_replayed.fetch_add(replayed, std::memory_order_relaxed);
@@ -744,15 +762,9 @@ FleetSnapshot FleetSimulator::drive(const FleetSpec& spec, int end_slice,
   // Shared: the devices that ran on a LUT they didn't build. Only HH-PIM
   // devices resolve through the LUT cache; static archs in a mixed-firmware
   // fleet never share a build.
-  std::uint64_t hhpim_devices = 0;
-  for (const DeviceSpec& ds : device_specs) {
-    if (firmwares[ds.firmware_index].arch.kind == sys::ArchKind::kHhpim) {
-      ++hhpim_devices;
-    }
-  }
+  const std::uint64_t hhpim = hhpim_devices.load(std::memory_order_relaxed);
   final_out->lut_builds = snap.lut_builds;
-  final_out->lut_shared =
-      hhpim_devices >= snap.lut_builds ? hhpim_devices - snap.lut_builds : 0;
+  final_out->lut_shared = hhpim >= snap.lut_builds ? hhpim - snap.lut_builds : 0;
   final_out->memo_replayed_devices = memo_replayed.load(std::memory_order_relaxed);
   final_out->memo_exact_devices = memo_exact.load(std::memory_order_relaxed);
   final_out->memo_hits = memo_hits.load(std::memory_order_relaxed);

@@ -3,12 +3,14 @@
 //
 // Execution model (mirrors exp::Runner, at shard granularity):
 //
-//   * expand() derives DeviceSpecs single-threaded; devices are grouped
-//     into fixed-size shards (FleetOptions::shard_size). Shard boundaries
-//     depend only on the spec and options — never on the thread count.
+//   * Devices are grouped into fixed-size shards (FleetOptions::
+//     shard_size). Shard boundaries depend only on the spec and options —
+//     never on the thread count.
 //   * Workers claim one shard index at a time from a shared atomic counter
-//     (hhpim::claim_each), run each device of the shard in device order,
-//     and accumulate one FleetAggregate per shard. Shard aggregate slots are
+//     (hhpim::claim_each), expand each device of the shard into a reused
+//     DeviceSpec (fleet::DeviceExpander — no fleet-sized spec vector is ever
+//     built), run the devices in device order, and accumulate one
+//     FleetAggregate per shard. Shard aggregate slots are
 //     cache-line aligned so sibling workers never false-share a line, and
 //     never more workers than shards are spawned (hhpim::resolve_workers).
 //   * run(), run_to() and resume() are one engine: run() is a single

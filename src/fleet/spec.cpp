@@ -29,6 +29,35 @@ void add_scenario_cfg(Fnv1a& h, const workload::ScenarioConfig& c) {
   for (const int v : c.trace) h.add(v);
 }
 
+/// The overrides with only the last of each id kept, sorted by id.
+template <class Override>
+std::vector<Override> last_per_id(const std::vector<Override>& overrides) {
+  std::vector<Override> sorted = overrides;
+  std::stable_sort(sorted.begin(), sorted.end(),
+                   [](const Override& a, const Override& b) { return a.id < b.id; });
+  std::vector<Override> last;
+  for (std::size_t k = 0; k < sorted.size(); ++k) {
+    if (k + 1 == sorted.size() || sorted[k + 1].id != sorted[k].id) {
+      last.push_back(sorted[k]);
+    }
+  }
+  return last;
+}
+
+/// The override for `id` in a last_per_id list, or null.
+template <class Override>
+const Override* find_override(const std::vector<Override>& index, std::uint32_t id) {
+  const auto it = std::lower_bound(
+      index.begin(), index.end(), id,
+      [](const Override& o, std::uint32_t key) { return o.id < key; });
+  return it != index.end() && it->id == id ? &*it : nullptr;
+}
+
+const FleetSpec& validated(const FleetSpec& spec) {
+  spec.validate();
+  return spec;
+}
+
 }  // namespace
 
 std::vector<nn::Model> FleetSpec::resolved_models() const {
@@ -227,68 +256,73 @@ void FleetSpec::validate() const {
   (void)AdaptivePolicy{thresholds};
 }
 
-std::vector<DeviceSpec> FleetSpec::expand() const {
-  validate();
-  const std::size_t n_models = resolved_models().size();
-  const std::vector<workload::Scenario> shapes = resolved_mix();
-  const std::size_t n_firmware = resolved_firmware().size();
+DeviceExpander::DeviceExpander(const FleetSpec& spec)
+    : spec_(validated(spec)),
+      n_models_(spec.resolved_models().size()),
+      shapes_(spec.resolved_mix()),
+      n_firmware_(spec.resolved_firmware().size()),
+      lifecycle_(last_per_id(spec.lifecycle_overrides)),
+      slo_(last_per_id(spec.slo_overrides)) {}
 
-  std::vector<DeviceSpec> specs;
-  specs.reserve(static_cast<std::size_t>(devices));
-  for (int d = 0; d < devices; ++d) {
-    // One SplitMix64 stream per device, keyed on (fleet seed, device id):
-    // the draws below are independent of every other device's. New draws
-    // only ever append to this sequence, and only when their feature is on
-    // — a spec without firmware/lifecycle expands byte-identically to
-    // pre-lifecycle builds.
-    SplitMix64 sm{seed ^ (0xf1ee7u + static_cast<std::uint64_t>(d) *
-                                         0x9e3779b97f4a7c15ULL)};
-    DeviceSpec s;
-    s.id = static_cast<std::uint32_t>(d);
-    s.model_index = static_cast<std::size_t>(sm.next() % n_models);
-    s.scenario = shapes[sm.next() % shapes.size()];
-    s.cfg = workload;
-    s.cfg.slices = slices;
-    s.cfg.seed = sm.next();
-    s.seed = s.cfg.seed;
-    s.phase = static_cast<int>(sm.next() % static_cast<std::uint64_t>(slices));
-    if (n_firmware > 1) {
-      s.firmware_index = static_cast<std::size_t>(sm.next() % n_firmware);
+std::size_t DeviceExpander::size() const {
+  return static_cast<std::size_t>(spec_.devices);
+}
+
+void DeviceExpander::at(std::size_t i, DeviceSpec& s) const {
+  const int slices = spec_.slices;
+  const LifecycleSpec& lifecycle = spec_.lifecycle;
+  // One SplitMix64 stream per device, keyed on (fleet seed, device id): the
+  // draws below are independent of every other device's. New draws only
+  // ever append to this sequence, and only when their feature is on — a
+  // spec without firmware/lifecycle expands byte-identically to
+  // pre-lifecycle builds.
+  SplitMix64 sm{spec_.seed ^ (0xf1ee7u + static_cast<std::uint64_t>(i) *
+                                             0x9e3779b97f4a7c15ULL)};
+  s.id = static_cast<std::uint32_t>(i);
+  s.model_index = static_cast<std::size_t>(sm.next() % n_models_);
+  s.scenario = shapes_[sm.next() % shapes_.size()];
+  s.cfg = spec_.workload;
+  s.cfg.seed = sm.next();
+  s.seed = s.cfg.seed;
+  s.phase = static_cast<int>(sm.next() % static_cast<std::uint64_t>(slices));
+  s.firmware_index =
+      n_firmware_ > 1 ? static_cast<std::size_t>(sm.next() % n_firmware_) : 0;
+  s.join_slice = 0;
+  if (lifecycle.join_fraction > 0.0) {
+    const bool joins_late = to_unit(sm.next()) < lifecycle.join_fraction;
+    if (joins_late && slices > 1) {
+      s.join_slice = 1 + static_cast<int>(
+          sm.next() % static_cast<std::uint64_t>(slices - 1));
     }
-    if (lifecycle.join_fraction > 0.0) {
-      const bool joins_late = to_unit(sm.next()) < lifecycle.join_fraction;
-      if (joins_late && slices > 1) {
-        s.join_slice = 1 + static_cast<int>(
-            sm.next() % static_cast<std::uint64_t>(slices - 1));
-      }
-    }
-    if (lifecycle.leave_fraction > 0.0) {
-      const bool leaves_early = to_unit(sm.next()) < lifecycle.leave_fraction;
-      const int span = slices - s.join_slice;
-      if (leaves_early && span > 1) {
-        s.leave_slice = s.join_slice + 1 + static_cast<int>(
-            sm.next() % static_cast<std::uint64_t>(span - 1));
-      }
-    }
-    specs.push_back(std::move(s));
   }
-  for (const LifecycleOverride& o : lifecycle_overrides) {
-    specs[o.id].join_slice = o.join_slice;
-    specs[o.id].leave_slice = o.leave_slice;
+  s.leave_slice = slices;
+  if (lifecycle.leave_fraction > 0.0) {
+    const bool leaves_early = to_unit(sm.next()) < lifecycle.leave_fraction;
+    const int span = slices - s.join_slice;
+    if (leaves_early && span > 1) {
+      s.leave_slice = s.join_slice + 1 + static_cast<int>(
+          sm.next() % static_cast<std::uint64_t>(span - 1));
+    }
+  }
+  if (const LifecycleOverride* o = find_override(lifecycle_, s.id)) {
+    s.join_slice = o->join_slice;
+    s.leave_slice = o->leave_slice < 0 ? slices : o->leave_slice;
   }
   // SLO assignment is deterministic (no RNG draws): the fleet-wide default,
-  // then per-device pins. A spec with neither leaves every latency_slo_ps at
-  // 0, so pre-SLO expansions are reproduced byte-identically.
-  if (latency_slo > Time::zero()) {
-    for (DeviceSpec& s : specs) s.latency_slo_ps = latency_slo.as_ps();
+  // then the device's pin. A spec with neither leaves latency_slo_ps at 0,
+  // so pre-SLO expansions are reproduced byte-identically.
+  s.latency_slo_ps =
+      spec_.latency_slo > Time::zero() ? spec_.latency_slo.as_ps() : 0;
+  if (const SloOverride* o = find_override(slo_, s.id)) {
+    s.latency_slo_ps = o->latency_slo.as_ps();
   }
-  for (const SloOverride& o : slo_overrides) {
-    specs[o.id].latency_slo_ps = o.latency_slo.as_ps();
-  }
-  for (DeviceSpec& s : specs) {
-    if (s.leave_slice < 0 || s.leave_slice > slices) s.leave_slice = slices;
-    s.cfg.slices = s.leave_slice - s.join_slice;
-  }
+  s.cfg.slices = s.leave_slice - s.join_slice;
+}
+
+std::vector<DeviceSpec> FleetSpec::expand() const {
+  const DeviceExpander expander{*this};
+  std::vector<DeviceSpec> specs(expander.size());
+  for (std::size_t i = 0; i < specs.size(); ++i) expander.at(i, specs[i]);
   return specs;
 }
 

@@ -3,10 +3,12 @@
 // A FleetSpec describes N independent simulated edge devices in one object:
 // the model population, the scenario mix each device draws its request
 // stream from, the shared SystemConfig, the battery, and the adaptation
-// thresholds. expand() derives one DeviceSpec per device — deterministic,
-// single-threaded, and cheap (loads are *not* materialized here; each device
-// carries a cursor over its trace, built from the DeviceSpec's scenario
-// config, which fully determines it).
+// thresholds. A DeviceExpander derives any one device's DeviceSpec on its
+// own — deterministic, allocation-free for a reused spec, and cheap (loads
+// are *not* materialized here; each device carries a cursor over its trace,
+// built from the DeviceSpec's scenario config, which fully determines it) —
+// so the simulator's workers expand only the shards they claim. expand() is
+// the whole fleet's drain of it.
 //
 // Per-device diversity comes from three seeded draws per device (model
 // index, scenario kind, phase) plus a per-device scenario seed, all derived
@@ -67,7 +69,7 @@ struct DeviceSpec {
   std::int64_t latency_slo_ps = 0;
 };
 
-/// Random lifecycle draws for expand(): each device independently joins
+/// Random lifecycle draws of the expansion: each device independently joins
 /// late / leaves early with these probabilities (uniform slice within the
 /// legal range). Zero fractions draw nothing, so default specs expand
 /// byte-identically to pre-lifecycle builds.
@@ -179,16 +181,43 @@ struct FleetSpec {
   /// with a different digest fails loudly.
   [[nodiscard]] std::uint64_t content_digest() const;
 
-  /// One DeviceSpec per device, in id order, lifecycle windows normalized
-  /// (leave_slice resolved to `slices` for horizon devices; cfg.slices =
-  /// leave - join). Throws std::invalid_argument on a malformed spec
-  /// (negative devices, slices <= 0, a trace scenario in the mix, adapt on
-  /// a non-HH-PIM / MRAM-less arch, or an out-of-range lifecycle override).
+  /// One DeviceSpec per device, in id order: DeviceExpander::at over every
+  /// id (same throws as its constructor). Tests and benchmark setup use it;
+  /// the simulator expands device by device and never holds this vector.
   [[nodiscard]] std::vector<DeviceSpec> expand() const;
 
-  /// Validation only (same throws as expand()); O(mix + firmware * models
-  /// + slices when the envelope is enabled).
+  /// Validation only (the DeviceExpander constructor's throws); O(mix +
+  /// firmware * models + slices when the envelope is enabled).
   void validate() const;
+};
+
+/// Per-device expansion of one FleetSpec: at(i, out) writes device i's
+/// DeviceSpec, lifecycle window normalized (leave_slice resolved to `slices`
+/// for horizon devices; cfg.slices = leave - join). Every field of `out` is
+/// overwritten, so one spec reused across devices in any order equals a
+/// fresh fill. Device i's draws come from its own SplitMix64 stream, and the
+/// overrides are indexed once here (the last override for an id wins), so
+/// at() reads nothing another device wrote: concurrent calls are safe. The
+/// spec must outlive the expander.
+class DeviceExpander {
+ public:
+  /// Throws std::invalid_argument on a malformed spec (negative devices,
+  /// slices <= 0, a trace scenario in the mix, adapt on a non-HH-PIM /
+  /// MRAM-less arch, or an out-of-range lifecycle override) — validate().
+  explicit DeviceExpander(const FleetSpec& spec);
+
+  /// The fleet's device count.
+  [[nodiscard]] std::size_t size() const;
+  /// Fills `out` with device `i`'s spec (i < size()).
+  void at(std::size_t i, DeviceSpec& out) const;
+
+ private:
+  const FleetSpec& spec_;
+  std::size_t n_models_;
+  std::vector<workload::Scenario> shapes_;
+  std::size_t n_firmware_;
+  std::vector<LifecycleOverride> lifecycle_;  ///< last per id, id-sorted
+  std::vector<SloOverride> slo_;              ///< last per id, id-sorted
 };
 
 /// The materialized per-slice load trace of one device: generate + rotate

@@ -9,10 +9,12 @@
 #include <cstdlib>
 #include <fstream>
 #include <limits>
+#include <map>
 #include <set>
 #include <sstream>
 #include <string>
 
+#include "common/rng.hpp"
 #include "energy/battery.hpp"
 #include "fleet/outcome_cache.hpp"
 #include "fleet/simulator.hpp"
@@ -171,6 +173,126 @@ TEST(FleetSpec, ValidationRejectsBadSpecs) {
   placement::LutCache cache;
   preset_cache.config.lut_cache = &cache;
   EXPECT_THROW(preset_cache.validate(), std::invalid_argument);
+}
+
+/// Field-by-field DeviceSpec equality, the scenario config included.
+void expect_same_device(const DeviceSpec& got, const DeviceSpec& want,
+                        const std::string& where) {
+  EXPECT_EQ(got.id, want.id) << where;
+  EXPECT_EQ(got.model_index, want.model_index) << where;
+  EXPECT_EQ(got.scenario, want.scenario) << where;
+  EXPECT_EQ(got.phase, want.phase) << where;
+  EXPECT_EQ(got.seed, want.seed) << where;
+  EXPECT_EQ(got.firmware_index, want.firmware_index) << where;
+  EXPECT_EQ(got.join_slice, want.join_slice) << where;
+  EXPECT_EQ(got.leave_slice, want.leave_slice) << where;
+  EXPECT_EQ(got.latency_slo_ps, want.latency_slo_ps) << where;
+  const workload::ScenarioConfig& g = got.cfg;
+  const workload::ScenarioConfig& w = want.cfg;
+  EXPECT_EQ(g.slices, w.slices) << where;
+  EXPECT_EQ(g.low, w.low) << where;
+  EXPECT_EQ(g.high, w.high) << where;
+  EXPECT_EQ(g.spike_period, w.spike_period) << where;
+  EXPECT_EQ(g.spike_period_frequent, w.spike_period_frequent) << where;
+  EXPECT_EQ(g.pulse_width, w.pulse_width) << where;
+  EXPECT_EQ(g.seed, w.seed) << where;
+  EXPECT_EQ(g.burst_period, w.burst_period) << where;
+  EXPECT_EQ(g.burst_decay, w.burst_decay) << where;
+  EXPECT_EQ(g.poisson_mean, w.poisson_mean) << where;
+  EXPECT_EQ(g.trace_path, w.trace_path) << where;
+  EXPECT_EQ(g.trace, w.trace) << where;
+}
+
+TEST(FleetSpec, ExpanderMatchesExpand) {
+  // Seeded random specs: at(i) into a fresh spec, and into ONE spec reused
+  // across every device in shuffled order, must both equal expand()[i] —
+  // no join, leave, SLO or firmware field of a previous device may leak.
+  SplitMix64 rng{0xe7a2d026ULL};
+  const auto below = [&](int n) { return static_cast<int>(rng.next() % static_cast<std::uint64_t>(n)); };
+  const std::vector<nn::Model> zoo = {nn::zoo::efficientnet_b0(), nn::zoo::mobilenet_v2()};
+  int duplicate_checks = 0;
+  int zero_slo_checks = 0;
+  for (int round = 0; round < 60; ++round) {
+    // Rounds 0 and 1 are the 0- and 1-device fleets.
+    FleetSpec spec = small_fleet(round < 2 ? round : 2 + below(40), 1 + below(12));
+    spec.seed = rng.next();
+    if (below(2) == 0) spec.models.push_back(zoo[1]);
+    spec.mix = {workload::Scenario::kPulsing, workload::Scenario::kRandom,
+                workload::Scenario::kPoisson, workload::Scenario::kBurstDecay,
+                workload::Scenario::kRamp};
+    spec.mix.resize(static_cast<std::size_t>(1 + below(5)));
+    spec.workload.low = below(3);
+    spec.workload.high = spec.workload.low + below(8);
+    spec.workload.trace.assign(static_cast<std::size_t>(below(4)), 3);  // cfg copy
+    if (below(2) == 0) {
+      sys::SystemConfig fw2 = spec.config;
+      fw2.lut_t_entries = 24;
+      sys::SystemConfig fw3 = spec.config;
+      fw3.lut_k_blocks = 24;
+      spec.firmware = {spec.config, fw2, fw3};
+    }
+    spec.lifecycle.join_fraction = 0.25 * below(5);
+    spec.lifecycle.leave_fraction = 0.25 * below(5);
+    if (below(2) == 0) spec.latency_slo = Time::ps(1'000'000 * (1 + below(9)));
+    const auto id = [&] { return static_cast<std::uint32_t>(below(spec.devices)); };
+    std::map<std::uint32_t, std::pair<int, int>> last_window;
+    std::map<std::uint32_t, std::int64_t> last_slo;
+    for (int o = spec.devices > 0 ? below(6) : 0; o > 0; --o) {
+      // Half the time, pin an id twice: the later override must win.
+      const std::uint32_t d = below(2) == 0 && !last_window.empty()
+                                  ? last_window.begin()->first
+                                  : id();
+      const int join = below(spec.slices);
+      const int leave = below(2) == 0 ? -1 : join + 1 + below(spec.slices - join);
+      spec.lifecycle_overrides.push_back({.id = d, .join_slice = join, .leave_slice = leave});
+      duplicate_checks += last_window.count(d) > 0 ? 1 : 0;
+      last_window[d] = {join, leave < 0 ? spec.slices : leave};
+    }
+    for (int o = spec.devices > 0 ? below(6) : 0; o > 0; --o) {
+      const std::uint32_t d = id();
+      const Time slo = below(3) == 0 ? Time::zero() : Time::ps(500'000 * (1 + below(9)));
+      spec.slo_overrides.push_back({.id = d, .latency_slo = slo});
+      last_slo[d] = slo.as_ps();
+    }
+
+    const std::vector<DeviceSpec> all = spec.expand();
+    const DeviceExpander expander{spec};
+    ASSERT_EQ(expander.size(), all.size());
+    ASSERT_EQ(all.size(), static_cast<std::size_t>(spec.devices));
+    std::vector<std::size_t> order(all.size());
+    for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+    for (std::size_t i = order.size(); i > 1; --i) {
+      std::swap(order[i - 1], order[rng.next() % i]);
+    }
+    DeviceSpec reused;
+    for (const std::size_t i : order) {
+      const std::string where = "round " + std::to_string(round) + ", device " +
+                                std::to_string(i);
+      DeviceSpec fresh;
+      expander.at(i, fresh);
+      expect_same_device(fresh, all[i], where + " (fresh)");
+      expander.at(i, reused);
+      expect_same_device(reused, all[i], where + " (reused)");
+
+      const auto d = static_cast<std::uint32_t>(i);
+      if (const auto w = last_window.find(d); w != last_window.end()) {
+        EXPECT_EQ(all[i].join_slice, w->second.first) << where;
+        EXPECT_EQ(all[i].leave_slice, w->second.second) << where;
+      }
+      const auto slo = last_slo.find(d);
+      const std::int64_t want_slo = slo != last_slo.end() ? slo->second
+                                    : spec.latency_slo > Time::zero()
+                                        ? spec.latency_slo.as_ps()
+                                        : 0;
+      EXPECT_EQ(all[i].latency_slo_ps, want_slo) << where;
+      zero_slo_checks += slo != last_slo.end() && slo->second == 0 ? 1 : 0;
+      EXPECT_LT(all[i].firmware_index, spec.firmware.empty() ? 1u : spec.firmware.size());
+      EXPECT_EQ(all[i].cfg.slices, all[i].leave_slice - all[i].join_slice) << where;
+    }
+  }
+  // The last-wins and explicit-zero paths were exercised, not vacuous.
+  EXPECT_GT(duplicate_checks, 0);
+  EXPECT_GT(zero_slo_checks, 0);
 }
 
 TEST(FleetSpec, DeviceLoadsRotateByPhase) {

@@ -12,6 +12,7 @@
 // every cut (load then re-save is the identity; equal digests, equal blobs).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
@@ -1241,50 +1242,116 @@ TEST(Firmware, MixedFleetIsDeterministicAndSegmentable) {
 }
 
 TEST(Firmware, LutAccountingCountsOnlyMissingHhpimKeys) {
-  // One HH-PIM firmware, one static-arch firmware (which never resolves
+  // Two HH-PIM firmwares, one static-arch firmware (which never resolves
   // through the LUT cache), two models, and a cache pre-warmed with one of
-  // the two HH-PIM keys: run() and run_to + resume must both count exactly
-  // the missing key as a build, and agree on lut_shared.
+  // the four HH-PIM keys: run() and run_to + resume, at 1 and 4 threads,
+  // must all count exactly the three missing keys as builds and agree on
+  // lut_shared. Pins three properties of drive():
+  //   * the accounting walk stops only once every pair is marked — the
+  //     seed puts a cold pair's first device last in id order;
+  //   * that pair's devices join after the first cut, so it is first active
+  //     in a later segment and counted there, in first-active order;
+  //   * lut_shared counts every HH-PIM device, including one that finished
+  //     before the final segment.
   FleetSpec spec = small_fleet(24, 8);
+  spec.seed = 12;  // the last first-seen pair is a cold HH-PIM one
   spec.adapt = false;  // static archs cannot adapt
   spec.models = {nn::zoo::efficientnet_b0(), nn::zoo::mobilenet_v2()};
   sys::SystemConfig fw_static = spec.config;
   fw_static.arch = sys::ArchConfig::hybrid();
-  spec.firmware = {spec.config, fw_static};
+  sys::SystemConfig fw_knobs = spec.config;
+  fw_knobs.lut_t_entries = 24;  // a distinct LUT key per model
+  spec.firmware = {spec.config, fw_static, fw_knobs};
+  constexpr std::size_t kStatic = 1;
+  const std::size_t n_models = spec.models.size();
+  const auto pair_of = [&](const DeviceSpec& ds) {
+    return ds.firmware_index * n_models + ds.model_index;
+  };
 
-  std::uint64_t hhpim_devices = 0;
-  std::uint64_t cold_model_devices = 0;
-  for (const DeviceSpec& ds : spec.expand()) {
-    if (ds.firmware_index != 0) continue;
-    ++hhpim_devices;
-    if (ds.model_index == 1) ++cold_model_devices;
+  // The pair whose first device comes last: it becomes the late pair.
+  std::vector<DeviceSpec> devices = spec.expand();
+  std::map<std::size_t, std::uint32_t> first_of_pair;
+  for (const DeviceSpec& ds : devices) first_of_pair.emplace(pair_of(ds), ds.id);
+  ASSERT_EQ(first_of_pair.size(), spec.firmware.size() * n_models);
+  std::size_t late = 0;
+  for (const auto& [pair, id] : first_of_pair) {
+    if (id > first_of_pair[late]) late = pair;
   }
-  ASSERT_GT(cold_model_devices, 0u);
-  ASSERT_GT(hhpim_devices, cold_model_devices);
+  ASSERT_NE(late / n_models, kStatic);
+  ASSERT_NE(late, 0u);  // the pre-warmed pair
+  for (const DeviceSpec& ds : devices) {
+    if (pair_of(ds) == late) {
+      spec.lifecycle_overrides.push_back({.id = ds.id, .join_slice = 5, .leave_slice = -1});
+    }
+  }
+  // An HH-PIM device that is not its pair's first leaves before the cut.
+  for (const DeviceSpec& ds : devices) {
+    if (ds.firmware_index == 0 && first_of_pair[pair_of(ds)] != ds.id) {
+      spec.lifecycle_overrides.push_back({.id = ds.id, .join_slice = 0, .leave_slice = 2});
+      break;
+    }
+  }
+  ASSERT_EQ(spec.lifecycle_overrides.size(),
+            static_cast<std::size_t>(1 + std::count_if(devices.begin(), devices.end(),
+                                                       [&](const DeviceSpec& ds) {
+                                                         return pair_of(ds) == late;
+                                                       })));
+  devices = spec.expand();
+  std::uint64_t hhpim_devices = 0;
+  for (const DeviceSpec& ds : devices) hhpim_devices += ds.firmware_index != kStatic ? 1 : 0;
+  constexpr std::uint64_t kBuilds = 3;
+
+  // The keys a segment ending at `cut` counts, in first-active order.
+  const auto keys_active_before = [&](int cut) {
+    std::vector<placement::LutCacheKey> keys;
+    std::vector<bool> seen(spec.firmware.size() * n_models, false);
+    for (const DeviceSpec& ds : devices) {
+      if (ds.join_slice >= cut || seen[pair_of(ds)]) continue;
+      seen[pair_of(ds)] = true;
+      if (ds.firmware_index == kStatic) continue;
+      keys.push_back(sys::lut_cache_key(spec.firmware[ds.firmware_index],
+                                        spec.models[ds.model_index]));
+    }
+    return keys;
+  };
 
   const auto prewarm = [&](placement::LutCache& cache) {
     sys::SystemConfig cfg = spec.config;
     cfg.lut_cache = &cache;
     (void)sys::Processor{cfg, spec.models[0]};
   };
-  placement::LutCache whole_lut;
-  prewarm(whole_lut);
-  OutcomeCache whole_memo;
-  const FleetResult whole =
-      FleetSimulator{base_options(1, true, &whole_lut, &whole_memo)}.run(spec);
-  EXPECT_EQ(whole.lut_builds, 1u);
-  EXPECT_EQ(whole.lut_shared, hhpim_devices - 1);
+  std::string reference;
+  for (const unsigned threads : {1u, 4u}) {
+    placement::LutCache whole_lut;
+    prewarm(whole_lut);
+    OutcomeCache whole_memo;
+    const FleetResult whole =
+        FleetSimulator{base_options(threads, true, &whole_lut, &whole_memo)}.run(spec);
+    EXPECT_EQ(whole.lut_builds, kBuilds) << threads << " threads";
+    EXPECT_EQ(whole.lut_shared, hhpim_devices - kBuilds) << threads << " threads";
+    if (reference.empty()) reference = whole.summary_to_json();
+    EXPECT_EQ(whole.summary_to_json(), reference) << threads << " threads";
 
-  placement::LutCache seg_lut;
-  prewarm(seg_lut);
-  OutcomeCache seg_memo;
-  const FleetSimulator seg_sim{base_options(8, true, &seg_lut, &seg_memo)};
-  const FleetSnapshot snap =
-      FleetSnapshot::from_bytes(seg_sim.run_to(spec, 3).to_bytes());
-  const FleetResult seg = seg_sim.resume(spec, snap);
-  EXPECT_EQ(seg.lut_builds, whole.lut_builds);
-  EXPECT_EQ(seg.lut_shared, whole.lut_shared);
-  EXPECT_EQ(seg.summary_to_json(), whole.summary_to_json());
+    for (const std::vector<int>& cuts : {std::vector<int>{3}, std::vector<int>{3, 6}}) {
+      placement::LutCache seg_lut;
+      prewarm(seg_lut);
+      OutcomeCache seg_memo;
+      const FleetSimulator seg_sim{base_options(threads, true, &seg_lut, &seg_memo)};
+      FleetSnapshot snap;
+      for (std::size_t c = 0; c < cuts.size(); ++c) {
+        snap = FleetSnapshot::from_bytes(
+            seg_sim.run_to(spec, cuts[c], c == 0 ? nullptr : &snap).to_bytes());
+        EXPECT_EQ(snap.lut_counted, keys_active_before(cuts[c])) << "cut " << cuts[c];
+      }
+      // The late pair joins at slice 5: not counted by the first segment.
+      ASSERT_EQ(snap.lut_builds, cuts.size() == 1 ? kBuilds - 1 : kBuilds);
+      ASSERT_TRUE(snap.devices[spec.lifecycle_overrides.back().id].done);
+      const FleetResult seg = seg_sim.resume(spec, snap);
+      EXPECT_EQ(seg.lut_builds, kBuilds) << threads << " threads";
+      EXPECT_EQ(seg.lut_shared, hhpim_devices - kBuilds) << threads << " threads";
+      EXPECT_EQ(seg.summary_to_json(), reference) << threads << " threads";
+    }
+  }
 }
 
 }  // namespace

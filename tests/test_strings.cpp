@@ -123,5 +123,23 @@ TEST(Cli, RejectsGarbageTrailingJunkOverflowAndNegativeCounts) {
   }
 }
 
+TEST(Cli, RejectUnknownFlagsNamesTheFirstInCommandLineOrder) {
+  const char* argv[] = {"prog", "--threads=2", "--zeta", "pos", "--alpha=1"};
+  const Cli cli{5, argv};
+  EXPECT_NO_THROW(cli.reject_unknown_flags({"alpha", "threads", "zeta"}));
+  // Positionals are not flags; a flag that was never given is fine.
+  EXPECT_NO_THROW(cli.reject_unknown_flags({"alpha", "threads", "zeta", "unused"}));
+  try {
+    cli.reject_unknown_flags({"threads"});  // --zeta precedes --alpha
+    ADD_FAILURE() << "--zeta accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string{e.what()}, "--zeta: unknown flag");
+  }
+  const char* typo[] = {"prog", "--thraeds=2"};
+  EXPECT_THROW(Cli(2, typo).reject_unknown_flags({"threads"}), std::invalid_argument);
+  // Without the opt-in call, unknown flags still parse (and read as unset).
+  EXPECT_EQ(Cli(2, typo).get_count("threads", 7), 7u);
+}
+
 }  // namespace
 }  // namespace hhpim
