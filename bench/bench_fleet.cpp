@@ -18,9 +18,6 @@
 //     `speedup_t8_vs_t1` is the worker-scaling criterion (≥ 2×, on a host
 //     with ≥ 2 cores; `hardware_threads` records what this host offered,
 //     and a 1-core container necessarily reports ~1×).
-//   * fleet/t1-scalar vs fleet/t1 — the same warm fleet with the batched
-//     slice kernel off vs on. `batched_speedup_t1` is the steady-state
-//     fast-path criterion.
 //   * fleet/t1-cold — fresh cache per rep (LUT builds inside the timed
 //     region), the pre-PR-5 measurement convention, kept for trajectory
 //     continuity.
@@ -50,9 +47,8 @@
 // a correctness scenario (tests/test_outcome_memo.cpp), not a throughput
 // one.
 //
-// Fleet outputs are byte-identical across all of these (threads, batching,
-// device memo); tests/test_fleet.cpp, tests/test_batched.cpp
-// and tests/test_outcome_memo.cpp pin that — only wall-clock moves here.
+// Fleet outputs are byte-identical across all of these (threads, device
+// memo); tests/test_oracle.cpp pins that — only wall-clock moves here.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -103,7 +99,7 @@ struct Measurement {
 /// builds are part of the measurement, exactly like a cold CLI invocation);
 /// with a pre-warmed cache the legs measure steady-state throughput.
 /// `device_memo` is the outcome memo to run on (nullptr = memoization off,
-/// the scalar per-device path).
+/// the exact per-device path).
 Measurement run_fleet(const fleet::FleetSpec& spec, unsigned threads,
                       std::size_t shard_size, int reps,
                       placement::LutCache* warm_cache = nullptr,
@@ -176,8 +172,6 @@ int main(int argc, char** argv) {
   const std::string out_path = cli.get("out", "BENCH_fleet.json");
 
   const fleet::FleetSpec spec = bench_spec(devices, slices, lut);
-  fleet::FleetSpec scalar_spec = spec;
-  scalar_spec.config.batched_execution = false;
   const fleet::FleetSpec small = bench_spec(nocache_devices, slices, lut);
 
   std::printf("bench_fleet: %d devices x %d slices (lut %d, shard %zu, "
@@ -205,10 +199,6 @@ int main(int argc, char** argv) {
   const Measurement t8 = run_fleet(spec, 8, shard, reps, &warm);
   std::printf("  fleet/t8        : %8.1f ms  (%.0f devices/s, %.2fx vs t1)\n",
               t8.wall_ms, devices / (t8.wall_ms * 1e-3), t1.wall_ms / t8.wall_ms);
-  const Measurement t1_scalar = run_fleet(scalar_spec, 1, shard, reps, &warm);
-  std::printf("  fleet/t1-scalar : %8.1f ms  (batched kernel off, %.2fx "
-              "slower)\n",
-              t1_scalar.wall_ms, t1_scalar.wall_ms / t1.wall_ms);
   const Measurement t1_cold = run_fleet(spec, 1, shard, reps);
   std::printf("  fleet/t1-cold   : %8.1f ms  (builds in timed region)\n",
               t1_cold.wall_ms);
@@ -279,7 +269,6 @@ int main(int argc, char** argv) {
   w.begin_array();
   write_result(w, "fleet/t1", devices, 1, t1);
   write_result(w, "fleet/t8", devices, 8, t8);
-  write_result(w, "fleet/t1-scalar", devices, 1, t1_scalar);
   write_result(w, "fleet/t1-cold", devices, 1, t1_cold);
   write_result(w, "fleet/t1-memo", devices, 1, t1_memo);
   write_result(w, "fleet/t1-1m", big_devices, 1, t1_big);
@@ -289,7 +278,6 @@ int main(int argc, char** argv) {
   w.field("lut_warm_ms", lut_warm_ms);
   w.field("memo_warm_ms", memo_warm_ms);
   w.field("speedup_t8_vs_t1", t1.wall_ms / t8.wall_ms);
-  w.field("batched_speedup_t1", t1_scalar.wall_ms / t1.wall_ms);
   w.field("cold_vs_warm_t1", t1_cold.wall_ms / t1.wall_ms);
   w.field("memo_speedup_t1", t1.wall_ms / t1_memo.wall_ms);
   w.field("memo_speedup_t4_vs_t1", t1_big.wall_ms / t4_big.wall_ms);

@@ -106,13 +106,16 @@ bool Cli::get_bool(const std::string& name, bool def) const {
   const auto it = flags_.find(name);
   if (it == flags_.end()) return def;
   const auto v = to_lower(it->second);
-  return v == "1" || v == "true" || v == "yes" || v == "on";
+  if (v == "1" || v == "true" || v == "yes" || v == "on") return true;
+  if (v == "0" || v == "false" || v == "no" || v == "off") return false;
+  bad_value(name, it->second, "1/0, true/false, yes/no or on/off");
 }
 
 void Cli::reject_unknown_flags(std::initializer_list<std::string_view> accepted) const {
-  for (const std::string& name : flag_order_) {
-    if (std::find(accepted.begin(), accepted.end(), name) == accepted.end()) {
-      throw std::invalid_argument("--" + name + ": unknown flag");
+  for (auto it = flag_order_.begin(); it != flag_order_.end(); ++it) {
+    const bool known = std::find(accepted.begin(), accepted.end(), *it) != accepted.end();
+    if (!known || std::find(flag_order_.begin(), it, *it) != it) {
+      throw std::invalid_argument("--" + *it + (known ? ": repeated flag" : ": unknown flag"));
     }
   }
 }

@@ -29,10 +29,11 @@ class Cli {
   /// strtod syntax over the whole value; throws std::invalid_argument naming
   /// the flag on an empty value, trailing characters or overflow.
   [[nodiscard]] double get_double(const std::string& name, double def) const;
+  /// 1/0, true/false, yes/no, on/off or a bare `--flag`; else throws as above.
   [[nodiscard]] bool get_bool(const std::string& name, bool def) const;
   /// Opt-in strictness: throws std::invalid_argument naming the first flag,
-  /// in command-line order, whose name is not in `accepted` — a misspelt
-  /// flag is an error, not a silently ignored default.
+  /// in command-line order, that is not in `accepted` or repeats an earlier
+  /// one — a misspelt or repeated flag is an error, not a silent default.
   void reject_unknown_flags(std::initializer_list<std::string_view> accepted) const;
 
   [[nodiscard]] const std::vector<std::string>& positionals() const { return positionals_; }

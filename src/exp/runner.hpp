@@ -10,7 +10,7 @@
 // model, slice, resolution) share one LUT build. Each RunResult lands at
 // its run's position. Results are bit-identical regardless of thread count or completion order,
 // and to execute() on a freshly constructed, uncached Processor per run
-// (pinned by tests/test_batched.cpp and tests/test_lut_cache.cpp); only
+// (pinned by tests/test_lut_cache.cpp); only
 // wall-clock changes.
 //
 // Thread safety: a Runner is immutable after construction — run()/run_all()

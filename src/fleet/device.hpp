@@ -156,7 +156,7 @@ class Device {
   /// resolves once per run, not once per device); `lut_cache` may be null
   /// (private LUT build). The Processor is constructed here: the
   /// fresh-construction reference the simulator's pooled path must match
-  /// byte for byte (tests/test_batched.cpp).
+  /// byte for byte (tests/test_oracle.cpp).
   Device(const FleetSpec& fleet, const DeviceSpec& spec, const nn::Model& model,
          placement::LutCache* lut_cache);
 
@@ -164,7 +164,7 @@ class Device {
   /// the same (fleet config, model) pair, already reset() by the caller.
   /// `proc` must outlive the Device.
   /// Results are bit-identical to the owning constructor (reset ==
-  /// fresh construction; pinned by tests/test_batched.cpp).
+  /// fresh construction; pinned by tests/test_oracle.cpp).
   Device(const FleetSpec& fleet, const DeviceSpec& spec, const nn::Model& model,
          sys::Processor& proc);
 

@@ -11,7 +11,7 @@
 // exact field of the key, and the drain clamp is re-applied at replay time
 // (exhaustion slices included). That is what lets the fleet replay memoized
 // outcomes byte-identically to the scalar Device::run path (pinned by
-// tests/test_outcome_memo.cpp).
+// tests/test_oracle.cpp: cold, warm, shared and segmented memos).
 //
 // Key anatomy (docs/PERF.md "Device-level memoization"):
 //   reuse_key  sys::processor_reuse_key(config, model) — which machine

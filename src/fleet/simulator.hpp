@@ -39,7 +39,7 @@
 // placement::LutCache, whose entries are immutable), shard contents depend
 // only on shard index, and the merge order is fixed — so JSONL shards,
 // to_jsonl() and summary_to_json() are byte-identical at any thread count.
-// tests/test_fleet.cpp pins this at 1 vs 8 threads.
+// tests/test_oracle.cpp pins this against every execution strategy.
 #pragma once
 
 #include <cstdint>
@@ -87,8 +87,8 @@ struct FleetOptions {
   /// Processor; a miss runs that one slice exact and records it for later
   /// devices. Off = the exact reference path (every slice on a Processor).
   /// Output is byte-identical with memoization on or off, segmented or
-  /// not, at any thread count (pinned by tests/test_outcome_memo.cpp and
-  /// tests/test_snapshot.cpp); only wall-clock changes.
+  /// not, at any thread count (pinned by tests/test_oracle.cpp); only
+  /// wall-clock changes.
   bool memoize_devices = true;
   /// Cache used when `memoize_devices` (not owned; must outlive the run).
   /// nullptr = the process-wide fleet::OutcomeCache::process_cache().

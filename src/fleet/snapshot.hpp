@@ -6,7 +6,7 @@
 // simulated week can run as N resumable segments — across process restarts
 // — whose concatenated output (JSONL shards, summary, FleetResult) is
 // byte-identical to one uninterrupted run at any thread count (pinned by
-// tests/test_snapshot.cpp). The format fails loudly: truncated, corrupted,
+// tests/test_oracle.cpp). The format fails loudly: truncated, corrupted,
 // version-skewed or wrong-spec blobs all throw std::runtime_error with a
 // diagnostic — a snapshot is never silently misread.
 //

@@ -383,8 +383,7 @@ Time Processor::run_tasks_batched(Time cursor, int n_tasks) {
   std::array<std::uint64_t, placement::kSpaceCount> macs{};
   if (!task_shares(macs)) return cursor;
 
-  const bool batch = config_.batched_execution && n_tasks >= 3;
-  if (!batch) {
+  if (scalar_tasks_ || n_tasks < 3) {
     for (int i = 0; i < n_tasks; ++i) cursor = run_task(cursor, macs);
     return cursor;
   }
@@ -683,8 +682,7 @@ std::uint64_t processor_reuse_key(const SystemConfig& config,
           reinterpret_cast<std::uintptr_t>(config.lut_cache)))
       .add(config.movement.bytes_per_ns_per_module)
       .add(config.movement.interface_latency.as_ps())
-      .add(config.movement.energy_per_byte.as_pj())
-      .add(static_cast<std::uint64_t>(config.batched_execution ? 1 : 0));
+      .add(config.movement.energy_per_byte.as_pj());
   // Host fields fold in only when the host is enabled, so feature-off keys
   // (and everything derived from them — FleetSpec::content_digest, snapshot
   // compatibility) are unchanged from pre-feature builds.

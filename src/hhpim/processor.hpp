@@ -105,13 +105,6 @@ struct SystemConfig {
   /// are byte-identical either way (pinned by tests/test_lut_cache.cpp).
   placement::LutCache* lut_cache = nullptr;
   placement::MovementParams movement{};
-  /// Execute each slice's identical buffered tasks through the batched
-  /// steady-state kernel (Processor::run_tasks_batched): tasks 1–2 run
-  /// scalar, tasks 3..n are applied by replaying task 2's recorded ledger
-  /// posts and integer state deltas. Results are bit-identical to the
-  /// scalar loop (pinned by tests/test_batched.cpp); only wall-clock
-  /// changes. Off = always run the scalar per-task loop (A/B benches).
-  bool batched_execution = true;
   /// RISC-V host co-simulation (off by default; see HostConfig).
   HostConfig host{};
 };
@@ -158,6 +151,8 @@ struct RunStats {
 /// simulator) probes exactly the key the construction will.
 [[nodiscard]] placement::LutCacheKey lut_cache_key(const SystemConfig& config,
                                                    const nn::Model& model);
+
+namespace testing { struct ScalarTasks; }  // the scalar-task seam of the tests
 
 /// Component inventory — our substitute for the paper's Table II (FPGA
 /// resource usage has no simulator equivalent; see DESIGN.md).
@@ -219,7 +214,7 @@ class Processor {
 
   /// Checkpoint save of the walk. Slice energy is window-based and all
   /// times are stored relative, so a restored processor continues
-  /// bit-identically with its clock rebased to zero (tests/test_snapshot.cpp
+  /// bit-identically with its clock rebased to zero (tests/test_oracle.cpp
   /// pins this). The slice index is a SliceStats label, not state: a
   /// restored processor numbers its slices from 0.
   void save_state(ByteWriter& w) const;
@@ -268,10 +263,9 @@ class Processor {
   Time run_task(Time start,
                 const std::array<std::uint64_t, placement::kSpaceCount>& macs);
   /// Runs the slice's `n_tasks` identical tasks starting at `cursor`:
-  /// scalar for n <= 2 (and when batching is off), otherwise via the
-  /// record/replay steady-state kernel (task 1 absorbs boundary state,
-  /// task 2 is recorded, tasks 3..n replayed). Bit-identical to the scalar
-  /// loop; see docs/PERF.md.
+  /// scalar for n <= 2, otherwise via the record/replay steady-state kernel
+  /// (task 1 absorbs boundary state, task 2 is recorded, tasks 3..n
+  /// replayed). Bit-identical to the scalar loop; see docs/PERF.md.
   Time run_tasks_batched(Time cursor, int n_tasks);
   /// Re-runs the host scheduler program for this slice (host enabled only):
   /// zeroes the register file, sets sp/a0, resumes at pc 0, requires an
@@ -300,6 +294,10 @@ class Processor {
   // Scratch buffers for the batched kernel, reused across slices.
   std::vector<energy::RecordedPost> replay_posts_;
   std::vector<pim::ModuleCounters> probe_;
+  /// Test seam (sys::testing::ScalarTasks sets it; not state): every task on
+  /// the scalar loop, the reference the batched kernel must match bit for bit.
+  bool scalar_tasks_ = false;
+  friend struct testing::ScalarTasks;
 
   /// Host co-simulation state (RAM + bus + block engine + initial image);
   /// null unless config.host.enabled.

@@ -2,8 +2,9 @@
 // scaling"): LutCache accounting and build dedup under mixed
 // get_or_build/contains/stats churn, waiter accounting when a joined build
 // fails, in-flight visibility in Stats, worker-count resolution and the
-// shared claim loop, the shared processor checkout pools, and fleet
-// byte-identity across thread counts.
+// shared claim loop, the shared processor checkout pools, and the outcome
+// cache's get-or-insert races. Fleet byte identity across thread counts is
+// the differential oracle's (test_oracle.cpp).
 //
 // All assertions run on the main thread after workers join — worker
 // threads only record into their own slots — so the suite is safe under
@@ -27,7 +28,6 @@
 
 #include "common/threads.hpp"
 #include "fleet/outcome_cache.hpp"
-#include "fleet/simulator.hpp"
 #include "hhpim/processor.hpp"
 #include "hhpim/processor_pool.hpp"
 #include "nn/zoo.hpp"
@@ -444,38 +444,6 @@ TEST(FleetConcurrency, OutcomeCacheConcurrentGetOrInsert) {
   EXPECT_EQ(s.entries, static_cast<std::size_t>(kKeys));
   EXPECT_EQ(s.insertions, kKeys);
   EXPECT_GT(total_hits, 0u);
-}
-
-// --- fleet identity across threads -------------------------------------------
-
-TEST(FleetConcurrency, ByteIdenticalAcrossThreads) {
-  fleet::FleetSpec spec;
-  spec.name = "concurrency-fleet";
-  spec.devices = 30;
-  spec.slices = 5;
-  spec.models = {nn::zoo::efficientnet_b0()};
-  spec.config.lut_t_entries = 16;
-  spec.config.lut_k_blocks = 16;
-
-  placement::LutCache ref_cache;
-  fleet::FleetOptions ref_opts;
-  ref_opts.threads = 1;
-  ref_opts.shard_size = 4;
-  ref_opts.lut_cache = &ref_cache;
-  const fleet::FleetResult ref = fleet::FleetSimulator{ref_opts}.run(spec);
-  ASSERT_FALSE(ref.to_jsonl().empty());
-
-  for (const unsigned threads : {1u, 2u, 8u}) {
-    placement::LutCache cache;
-    fleet::FleetOptions opts;
-    opts.threads = threads;
-    opts.shard_size = 4;
-    opts.lut_cache = &cache;
-    const fleet::FleetResult r = fleet::FleetSimulator{opts}.run(spec);
-    EXPECT_EQ(r.to_jsonl(), ref.to_jsonl()) << "threads=" << threads;
-    EXPECT_EQ(r.summary_to_json(), ref.summary_to_json()) << "threads=" << threads;
-    EXPECT_EQ(r.lut_builds, ref.lut_builds);
-  }
 }
 
 }  // namespace

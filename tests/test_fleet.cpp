@@ -1,8 +1,9 @@
 // Fleet-simulator suite: the battery model, SoC-threshold adaptation (exact
 // threshold hits, exhaustion mid-run, zero-device fleets), spec expansion
-// jitter, LUT fan-in across devices, and the subsystem's load-bearing
-// property — the same FleetSpec at 1 and 8 worker threads yields
-// byte-identical JSONL, shard files and summary JSON.
+// jitter, LUT fan-in across devices, and the SLO policy's tiers and
+// schema. That a FleetSpec yields the same bytes at any thread
+// count, memo setting or segmentation is the differential oracle's
+// (test_oracle.cpp).
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -18,6 +19,7 @@
 #include "energy/battery.hpp"
 #include "fleet/outcome_cache.hpp"
 #include "fleet/simulator.hpp"
+#include "fleet_cases.hpp"
 #include "hhpim/scheduler.hpp"
 #include "nn/zoo.hpp"
 #include "placement/lut_cache.hpp"
@@ -28,17 +30,7 @@ namespace {
 
 using namespace hhpim::literals;
 
-/// A small fleet that runs in milliseconds: one model, low LUT resolution.
-FleetSpec small_fleet(int devices = 24, int slices = 6) {
-  FleetSpec spec;
-  spec.name = "test-fleet";
-  spec.devices = devices;
-  spec.slices = slices;
-  spec.models = {nn::zoo::efficientnet_b0()};
-  spec.config.lut_t_entries = 16;
-  spec.config.lut_k_blocks = 16;
-  return spec;
-}
+using cases::small_fleet;
 
 // --- battery -----------------------------------------------------------------
 
@@ -385,18 +377,6 @@ TEST(FleetSimulator, ZeroDeviceFleet) {
   EXPECT_NE(r.summary_to_json(), "");  // still a valid summary document
 }
 
-TEST(FleetSimulator, ByteIdenticalAcrossThreadCounts) {
-  const FleetSpec spec = small_fleet(24, 5);
-  placement::LutCache c1, c8;
-  const FleetSimulator s1{{.threads = 1, .shard_size = 4, .lut_cache = &c1}};
-  const FleetSimulator s8{{.threads = 8, .shard_size = 4, .lut_cache = &c8}};
-  const FleetResult r1 = s1.run(spec);
-  const FleetResult r8 = s8.run(spec);
-  EXPECT_EQ(r1.to_jsonl(), r8.to_jsonl());
-  EXPECT_EQ(r1.summary_to_json(), r8.summary_to_json());
-  EXPECT_EQ(r1.shard_count, r8.shard_count);
-}
-
 TEST(FleetSimulator, DevicesShareLutBuilds) {
   const FleetSpec spec = small_fleet(24, 4);  // one model -> one LUT key
   placement::LutCache cache;
@@ -404,32 +384,6 @@ TEST(FleetSimulator, DevicesShareLutBuilds) {
   const FleetResult r = sim.run(spec);
   EXPECT_EQ(r.lut_builds, 1u);
   EXPECT_EQ(r.lut_shared, 23u);
-}
-
-TEST(FleetSimulator, ShardFilesMatchInMemoryJsonl) {
-  const FleetSpec spec = small_fleet(10, 4);
-  const char* tmp = std::getenv("TMPDIR");
-  const std::string dir = tmp != nullptr ? tmp : "/tmp";
-  placement::LutCache cache;
-  FleetOptions opts;
-  opts.threads = 1;
-  opts.shard_size = 4;
-  opts.lut_cache = &cache;
-  opts.shard_dir = dir;
-  const FleetResult r = FleetSimulator{opts}.run(spec);
-  EXPECT_EQ(r.shard_count, 3u);
-  std::string concatenated;
-  for (std::size_t s = 0; s < r.shard_count; ++s) {
-    char name[sizeof "shard-.jsonl" + std::numeric_limits<std::size_t>::digits10 + 1];
-    std::snprintf(name, sizeof name, "shard-%05zu.jsonl", s);
-    std::ifstream in(dir + "/" + name);
-    ASSERT_TRUE(in.good()) << name;
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    concatenated += ss.str();
-    std::remove((dir + "/" + name).c_str());
-  }
-  EXPECT_EQ(concatenated, r.to_jsonl());
 }
 
 // --- SLO-aware frontier policy (docs/PARETO.md) ------------------------------
@@ -560,40 +514,6 @@ TEST(Device, SloTierSwitchesAsTheBatteryDrains) {
   EXPECT_GT(r.latency_slo_ps, 0);
 }
 
-TEST(FleetSimulator, SloByteIdenticalAcrossThreadsAndMemo) {
-  // Mixed population: fleet-wide SLO with a few opted-out devices, so memo
-  // keys for SLO and no-SLO lanes coexist in one cache.
-  FleetSpec spec = slo_fleet(24, 6);
-  spec.slo_overrides.push_back({.id = 2, .latency_slo = Time::zero()});
-  spec.slo_overrides.push_back({.id = 7, .latency_slo = Time::zero()});
-
-  placement::LutCache c1, c8, cm1, cm8;
-  OutcomeCache m1, m8;
-  const FleetResult r1 =
-      FleetSimulator{{.threads = 1, .shard_size = 4, .lut_cache = &c1}}.run(spec);
-  const FleetResult r8 =
-      FleetSimulator{{.threads = 8, .shard_size = 4, .lut_cache = &c8}}.run(spec);
-  FleetOptions memo1;
-  memo1.threads = 1;
-  memo1.shard_size = 4;
-  memo1.lut_cache = &cm1;
-  memo1.memoize_devices = true;
-  memo1.outcome_cache = &m1;
-  FleetOptions memo8 = memo1;
-  memo8.threads = 8;
-  memo8.lut_cache = &cm8;
-  memo8.outcome_cache = &m8;
-  const FleetResult rm1 = FleetSimulator{memo1}.run(spec);
-  const FleetResult rm8 = FleetSimulator{memo8}.run(spec);
-
-  EXPECT_EQ(r1.to_jsonl(), r8.to_jsonl());
-  EXPECT_EQ(r1.to_jsonl(), rm1.to_jsonl());
-  EXPECT_EQ(r1.to_jsonl(), rm8.to_jsonl());
-  EXPECT_EQ(r1.summary_to_json(), r8.summary_to_json());
-  EXPECT_EQ(r1.summary_to_json(), rm1.summary_to_json());
-  EXPECT_EQ(r1.summary_to_json(), rm8.summary_to_json());
-}
-
 TEST(FleetSimulator, SloFieldsAppearOnlyWhenSet) {
   placement::LutCache plain_cache, slo_cache;
   const FleetResult plain = FleetSimulator{{.threads = 1, .lut_cache = &plain_cache}}
@@ -606,21 +526,6 @@ TEST(FleetSimulator, SloFieldsAppearOnlyWhenSet) {
   EXPECT_EQ(plain.to_jsonl().find("tier_switches"), std::string::npos);
   EXPECT_NE(slo.to_jsonl().find("latency_slo_ps"), std::string::npos);
   EXPECT_NE(slo.to_jsonl().find("tier_switches"), std::string::npos);
-}
-
-TEST(FleetSimulator, SloSnapshotRoundTripsByteIdentically) {
-  const FleetSpec spec = slo_fleet(12, 8);
-  placement::LutCache whole_cache, seg_cache;
-  const FleetResult whole =
-      FleetSimulator{{.threads = 1, .shard_size = 5, .lut_cache = &whole_cache}}
-          .run(spec);
-  const FleetSimulator seg{{.threads = 1, .shard_size = 5, .lut_cache = &seg_cache}};
-  FleetSnapshot snap = seg.run_to(spec, 3);
-  // Round-trip through the binary format: the kTagSlo lane must survive.
-  snap = FleetSnapshot::from_bytes(snap.to_bytes());
-  const FleetResult resumed = seg.resume(spec, snap);
-  EXPECT_EQ(whole.to_jsonl(), resumed.to_jsonl());
-  EXPECT_EQ(whole.summary_to_json(), resumed.summary_to_json());
 }
 
 TEST(OutcomeCacheSlo, DifferentSlosNeverShareAMemoBucket) {

@@ -1,10 +1,10 @@
 // Host-in-the-loop suite: the per-slice RISC-V scheduler co-simulation
 // (sys::HostConfig) and its byte-contracts — deterministic cycles and
 // energy, host state folded into state_digest()/save_state(), the reuse
-// key gated on the feature flag, and fleet JSONL/summary output that is
-// byte-identical at any thread count with the memo on or off. The inverse
-// contract matters just as much: with the host disabled, no output byte
-// anywhere mentions the feature.
+// key gated on the feature flag, and memo replay of host devices (fleet
+// byte identity with the host on is the differential oracle's,
+// test_oracle.cpp). The inverse contract matters just as much: with the
+// host disabled, no output byte anywhere mentions the feature.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -15,6 +15,7 @@
 #include "common/serialize.hpp"
 #include "fleet/outcome_cache.hpp"
 #include "fleet/simulator.hpp"
+#include "fleet_cases.hpp"
 #include "hhpim/processor.hpp"
 #include "nn/zoo.hpp"
 #include "placement/lut_cache.hpp"
@@ -179,52 +180,13 @@ TEST(HostLoop, BadProgramsFailLoudly) {
 
 // --- fleet-level contracts ---------------------------------------------------
 
-fleet::FleetSpec host_fleet(int devices = 24, int slices = 6) {
-  fleet::FleetSpec spec;
-  spec.name = "host-fleet";
-  spec.devices = devices;
-  spec.slices = slices;
-  spec.models = {nn::zoo::efficientnet_b0()};
-  spec.config.lut_t_entries = 16;
-  spec.config.lut_k_blocks = 16;
+fleet::FleetSpec host_fleet() {
+  fleet::FleetSpec spec = fleet::cases::small_fleet();
   spec.config.host.enabled = true;
   return spec;
 }
 
-fleet::FleetResult run_with(const fleet::FleetSpec& spec, unsigned threads,
-                            placement::LutCache* luts,
-                            fleet::OutcomeCache* memo) {
-  fleet::FleetOptions opts;
-  opts.threads = threads;
-  opts.shard_size = 4;
-  opts.lut_cache = luts;
-  opts.memoize_devices = memo != nullptr;
-  opts.outcome_cache = memo;
-  return fleet::FleetSimulator{opts}.run(spec);
-}
-
-TEST(FleetHostLoop, ByteIdenticalAcrossThreadsAndMemo) {
-  const fleet::FleetSpec spec = host_fleet();
-  placement::LutCache ref_luts;
-  const fleet::FleetResult ref = run_with(spec, 1, &ref_luts, nullptr);
-  const std::string ref_jsonl = ref.to_jsonl();
-  const std::string ref_summary = ref.summary_to_json();
-  ASSERT_NE(ref_jsonl.find("\"host_cycles\":"), std::string::npos);
-  ASSERT_NE(ref_summary.find("\"host_cycles\":"), std::string::npos);
-
-  for (const unsigned threads : {1u, 8u}) {
-    for (const bool memoize : {false, true}) {
-      placement::LutCache luts;
-      fleet::OutcomeCache memo;
-      const fleet::FleetResult r =
-          run_with(spec, threads, &luts, memoize ? &memo : nullptr);
-      EXPECT_EQ(r.to_jsonl(), ref_jsonl)
-          << "threads=" << threads << " memo=" << memoize;
-      EXPECT_EQ(r.summary_to_json(), ref_summary)
-          << "threads=" << threads << " memo=" << memoize;
-    }
-  }
-}
+using fleet::cases::run_with;
 
 TEST(FleetHostLoop, MemoReplaysHostDevices) {
   // The default scheduler's RAM state is a pure function of (state, load),
@@ -237,6 +199,8 @@ TEST(FleetHostLoop, MemoReplaysHostDevices) {
   EXPECT_GT(warm.memo_replayed_devices, 0u);
   EXPECT_EQ(warm.memo_exact_devices, 0u)
       << "every device of a warm homogeneous host fleet must replay";
+  EXPECT_NE(warm.to_jsonl().find("\"host_cycles\":"), std::string::npos);
+  EXPECT_NE(warm.summary_to_json().find("\"host_cycles\":"), std::string::npos);
 }
 
 TEST(FleetHostLoop, FeatureOffEmitsNoHostBytes) {
@@ -263,31 +227,6 @@ TEST(FleetHostLoop, ContentDigestTracksHostConfig) {
   fleet::FleetSpec other_clock = host_fleet();
   other_clock.config.host.clock_ghz = 2.0;
   EXPECT_NE(on.content_digest(), other_clock.content_digest());
-}
-
-TEST(FleetHostLoop, SnapshotRoundtripWithHost) {
-  // Checkpoint mid-run and resume: exercises the host RAM blob in
-  // Processor::save_state and the kTagHost field in fleet snapshots.
-  const fleet::FleetSpec spec = host_fleet(12, 6);
-  placement::LutCache luts;
-  {
-    // Pre-warm the LUT so both runs see the same builds/shared split (the
-    // summary includes the per-run cache-stats delta).
-    const sys::SystemConfig cfg = fleet::Device::device_config(spec, &luts);
-    const sys::Processor warm{cfg, spec.models[0]};
-  }
-  fleet::FleetOptions opts;
-  opts.threads = 1;
-  opts.shard_size = 4;
-  opts.lut_cache = &luts;
-  opts.memoize_devices = false;
-  const fleet::FleetSimulator sim{opts};
-
-  const fleet::FleetResult whole = sim.run(spec);
-  const fleet::FleetSnapshot mid = sim.run_to(spec, 3);
-  const fleet::FleetResult resumed = sim.resume(spec, mid);
-  EXPECT_EQ(resumed.to_jsonl(), whole.to_jsonl());
-  EXPECT_EQ(resumed.summary_to_json(), whole.summary_to_json());
 }
 
 }  // namespace

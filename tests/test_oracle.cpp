@@ -1,0 +1,361 @@
+// The differential fleet oracle: output bytes must not depend on how the
+// simulator runs. For each random case (fleet_cases.hpp) the reference is
+// one thread, memo off, one shot, and every strategy must reproduce its
+// JSONL and summary bytes: 2 and 4 threads (with a cold memo and shard
+// files), a warm memo, one memo shared by two concurrent runs, the case's
+// checkpoint cuts (through bytes with warm caches, through files with fresh
+// caches per segment), and per-device Device::run on fresh processors
+// running the scalar task loop, merged in shard order. Every memo run must
+// count exactly its own work, and every live processor blob of every cut
+// must pass the state-walk check. A failing case is shrunk (one feature
+// dropped at a time, then devices and slices halved) and printed as C++.
+// HHPIM_ORACLE_CASES and HHPIM_ORACLE_SEED set the case count and seed.
+#include <gtest/gtest.h>
+
+#include <unistd.h>
+
+#include <algorithm>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <future>
+#include <iterator>
+#include <map>
+#include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "common/serialize.hpp"
+#include "fleet/outcome_cache.hpp"
+#include "fleet/simulator.hpp"
+#include "fleet_cases.hpp"
+#include "placement/lut_cache.hpp"
+
+namespace hhpim::fleet {
+namespace {
+
+namespace fs = std::filesystem;
+using cases::FleetCase;
+using Mismatch = std::runtime_error;
+
+constexpr std::uint64_t kDefaultCases = 100;
+constexpr std::uint64_t kDefaultSeed = 0x0ac1e2026ULL;
+
+/// The bytes around the first one where the texts differ.
+std::string first_difference(const std::string& got, const std::string& want) {
+  const auto at = static_cast<std::size_t>(
+      std::mismatch(got.begin(), got.end(), want.begin(), want.end()).first - got.begin());
+  const std::size_t from = at < 60 ? 0 : at - 60;
+  return "at byte " + std::to_string(at) + ": got '" + got.substr(from, 120) + "' want '" +
+         want.substr(from, 120) + "'";
+}
+
+/// The processor state walk on every live blob of a snapshot: loading and
+/// re-saving is the identity, the blob restores its digest, and one machine
+/// state (reuse key, digest) always saves to the same blob.
+struct StateWalk {
+  placement::LutCache luts;
+  std::map<std::pair<std::uint64_t, std::uint64_t>, std::string> blob_of_state;
+  int blobs = 0;
+  int shared_digests = 0;
+
+  void check(const FleetSpec& spec, const FleetSnapshot& snap) {
+    const std::vector<nn::Model> models = spec.resolved_models();
+    const DeviceExpander expander{spec};
+    DeviceSpec ds;
+    for (std::size_t d = 0; d < snap.devices.size(); ++d) {
+      const DeviceProgress& p = snap.devices[d];
+      if (p.proc_blob == nullptr) continue;
+      expander.at(d, ds);
+      const sys::SystemConfig cfg = Device::device_config(spec, ds, &luts);
+      sys::Processor fresh{cfg, models[ds.model_index]};
+      ByteReader r{*p.proc_blob};
+      fresh.load_state(r);
+      ByteWriter w;
+      fresh.save_state(w);
+      ++blobs;
+      const auto [it, inserted] = blob_of_state.emplace(
+          std::pair{sys::processor_reuse_key(cfg, models[ds.model_index]), fresh.state_digest()},
+          *p.proc_blob);
+      shared_digests += inserted ? 0 : 1;
+      if (!r.at_end() || w.bytes() != *p.proc_blob || it->second != *p.proc_blob ||
+          fresh.state_digest() != p.proc_digest) {
+        throw Mismatch("state walk at device " + std::to_string(d) + ": load, re-save or digest");
+      }
+    }
+  }
+};
+
+/// Runs every strategy on `c`: "" when all reproduce the reference, else
+/// "<strategy>: <what differed>".
+std::string run_oracle(const FleetCase& c, StateWalk& walk, const fs::path& tmp) {
+  const FleetSpec& spec = c.spec;
+  std::string strategy = "reference (1 thread, memo off, one shot)";
+  try {
+    placement::LutCache ref_luts;
+    const FleetResult ref =
+        FleetSimulator{cases::options(1, c.shard_size, &ref_luts, nullptr)}.run(spec);
+    const std::string want_jsonl = ref.to_jsonl();
+    const std::string want_summary = ref.summary_to_json();
+    const auto same = [&](const FleetResult& got) {
+      if (const std::string j = got.to_jsonl(); j != want_jsonl) {
+        throw Mismatch("JSONL " + first_difference(j, want_jsonl));
+      }
+      if (const std::string s = got.summary_to_json(); s != want_summary) {
+        throw Mismatch("summary " + first_difference(s, want_summary));
+      }
+    };
+    // One call's memo counters: its lookups are the slices it ran, its
+    // replayed + exact devices the ones it advanced; all zero, memo off.
+    const auto counters = [](const FleetResult& r, bool memo, std::uint64_t slices,
+                             std::uint64_t devices) {
+      if (r.memo_hits + r.memo_misses != (memo ? slices : 0) ||
+          r.memo_replayed_devices + r.memo_exact_devices != (memo ? devices : 0)) {
+        throw Mismatch("memo counters disagree with the " + std::to_string(slices) +
+                       " slices and " + std::to_string(devices) + " devices the call ran");
+      }
+    };
+    const auto run = [&](unsigned threads, placement::LutCache* luts, OutcomeCache* memo,
+                         const std::string& shard_dir = {}) {
+      FleetOptions o = cases::options(threads, c.shard_size, luts, memo);
+      o.shard_dir = shard_dir;
+      FleetResult r = FleetSimulator{o}.run(spec);
+      counters(r, memo != nullptr, r.aggregate.executed_slices,
+               static_cast<std::uint64_t>(spec.devices));
+      return r;
+    };
+    // A run on a LUT cache another run warmed counts fewer builds; every
+    // other byte must match.
+    const auto with_ref_luts = [&](FleetResult r) {
+      r.lut_builds = ref.lut_builds;
+      r.lut_shared = ref.lut_shared;
+      return r;
+    };
+    counters(ref, false, 0, 0);
+
+    strategy = "2 threads";
+    placement::LutCache t2_luts;
+    same(run(2, &t2_luts, nullptr));
+
+    strategy = "4 threads, cold memo, shard files";
+    {
+      placement::LutCache luts;
+      OutcomeCache memo;
+      const fs::path dir = tmp / "shards";
+      fs::create_directories(dir);
+      const FleetResult r = run(4, &luts, &memo, dir.string());
+      same(r);
+      std::string files;
+      for (std::size_t s = 0; s < r.shard_count; ++s) {
+        char name[64];
+        std::snprintf(name, sizeof name, "shard-%05zu.jsonl", s);
+        std::ifstream in(dir / name, std::ios::binary);
+        files.append(std::istreambuf_iterator<char>{in}, {});
+      }
+      fs::remove_all(dir);
+      if (files != want_jsonl) throw Mismatch("shard files " + first_difference(files, want_jsonl));
+    }
+
+    strategy = "warm memo (one OutcomeCache, run twice)";
+    {
+      placement::LutCache luts;
+      OutcomeCache memo;
+      same(run(1, &luts, &memo));
+      const FleetResult warm = run(1, &luts, &memo);
+      if (warm.lut_builds != 0 || warm.memo_misses != 0) {
+        throw Mismatch("the warm run built LUTs or missed the memo");
+      }
+      same(with_ref_luts(warm));
+    }
+
+    strategy = "one memo shared by two concurrent runs";
+    {
+      placement::LutCache luts;
+      OutcomeCache memo;
+      // The future joins its thread even when this thread's run throws.
+      std::future<FleetResult> other =
+          std::async(std::launch::async, [&] { return run(2, &luts, &memo); });
+      const FleetResult mine = run(2, &luts, &memo);
+      same(with_ref_luts(other.get()));
+      same(with_ref_luts(mine));
+    }
+
+    // The cuts as segments, with caches kept across segments or fresh per
+    // segment as a new process would have them.
+    const auto segmented = [&](bool fresh, bool memo, bool files) {
+      placement::LutCache warm_luts;
+      OutcomeCache warm_memo;
+      const auto simulator = [&](placement::LutCache& luts, OutcomeCache& outcomes) {
+        OutcomeCache* const m = memo ? (fresh ? &outcomes : &warm_memo) : nullptr;
+        return FleetSimulator{
+            cases::options(c.seg_threads, c.shard_size, fresh ? &luts : &warm_luts, m)};
+      };
+      FleetSnapshot snap;
+      bool started = false;
+      for (const int cut : c.cuts) {
+        placement::LutCache luts;
+        OutcomeCache outcomes;
+        if (cut > 0) {
+          snap = simulator(luts, outcomes).run_to(spec, cut, started ? &snap : nullptr);
+        } else {  // an initial snapshot: nothing executed yet
+          snap.spec_digest = spec.content_digest();
+          snap.slice_bins = SliceHistograms{spec.histograms};
+          snap.devices.resize(static_cast<std::size_t>(spec.devices));
+        }
+        started = true;
+        if (files) {
+          const std::string path = (tmp / "segment.snap").string();
+          snap.save(path);
+          snap = FleetSnapshot::load(path);
+        } else {
+          snap = FleetSnapshot::from_bytes(snap.to_bytes());
+        }
+        walk.check(spec, snap);
+      }
+      placement::LutCache luts;
+      OutcomeCache outcomes;
+      const FleetResult r = simulator(luts, outcomes).resume(spec, snap);
+      std::uint64_t before = 0;
+      std::uint64_t live = 0;
+      for (const DeviceProgress& p : snap.devices) {
+        before += static_cast<std::uint64_t>(p.result.slices_executed);
+        live += p.done ? 0 : 1;
+      }
+      counters(r, memo, r.aggregate.executed_slices - before, live);
+      return r;
+    };
+    std::string cuts;
+    for (const int cut : c.cuts) cuts += " " + std::to_string(cut);
+    strategy = "cuts {" + cuts + " } through bytes, warm caches";
+    same(segmented(false, true, false));
+    strategy = "cuts {" + cuts + " } through files, fresh caches per segment";
+    same(segmented(true, c.fresh_memo, true));
+
+    strategy = "per-device Device::run on fresh scalar processors";
+    FleetResult per = ref;
+    per.devices.clear();
+    per.aggregate = FleetAggregate{spec.histograms};
+    const std::vector<nn::Model> models = spec.resolved_models();
+    const std::vector<double> env = spec.envelope_multipliers();
+    const DeviceExpander expander{spec};
+    DeviceSpec ds;
+    std::vector<int> arrivals;
+    for (std::size_t begin = 0; begin < expander.size(); begin += c.shard_size) {
+      FleetAggregate shard{spec.histograms};
+      for (std::size_t i = begin; i < std::min(expander.size(), begin + c.shard_size); ++i) {
+        expander.at(i, ds);
+        // The arrival cursor against the materialized trace: generate,
+        // rotate left by the phase, scale by the envelope's global slice.
+        device_loads_into(ds, env, arrivals);
+        const std::vector<int> trace = workload::generate(ds.scenario, ds.cfg);
+        for (std::size_t k = 0; k < trace.size(); ++k) {
+          const double raw = trace[(static_cast<std::size_t>(ds.phase) + k) % trace.size()];
+          const double m = env.empty() ? 1.0 : env[static_cast<std::size_t>(ds.join_slice) + k];
+          if (arrivals.size() != trace.size() || arrivals[k] != static_cast<int>(raw * m + 0.5)) {
+            throw Mismatch("device " + std::to_string(i) + "'s arrival " + std::to_string(k) +
+                           " differs from its materialized trace");
+          }
+        }
+        sys::Processor proc{Device::device_config(spec, ds, &ref_luts), models[ds.model_index]};
+        sys::testing::ScalarTasks::enable(proc);
+        per.devices.push_back(Device{spec, ds, models[ds.model_index], proc}.run(&shard));
+      }
+      per.aggregate.merge(shard);
+    }
+    same(per);
+  } catch (const std::exception& e) {
+    return strategy + ": " + e.what();
+  }
+  return "";
+}
+
+/// Each drops one feature of a spec and says whether the spec had it: SLO,
+/// host, envelope, charging, churn, extra firmwares, second model.
+using Drop = bool (*)(FleetSpec&);
+constexpr Drop kDrops[] = {
+    [](FleetSpec& s) {
+      const bool overrides = !std::exchange(s.slo_overrides, {}).empty();
+      return std::exchange(s.latency_slo, Time::zero()) > Time::zero() || overrides;
+    },
+    [](FleetSpec& s) {
+      bool had = std::exchange(s.config.host.enabled, false);
+      for (sys::SystemConfig& fw : s.firmware) had = std::exchange(fw.host.enabled, false) || had;
+      return had;
+    },
+    [](FleetSpec& s) { return std::exchange(s.envelope, LoadEnvelope{}).enabled; },
+    [](FleetSpec& s) { return std::exchange(s.charging, ChargingSpec{}).period > 0; },
+    [](FleetSpec& s) {
+      const LifecycleSpec had = std::exchange(s.lifecycle, LifecycleSpec{});
+      const bool overrides = !std::exchange(s.lifecycle_overrides, {}).empty();
+      return had.join_fraction > 0.0 || had.leave_fraction > 0.0 || overrides;
+    },
+    [](FleetSpec& s) { return std::exchange(s.firmware, {}).size() > 1; },  // [0] is the config
+    [](FleetSpec& s) {
+      const bool had = s.models.size() > 1;
+      if (had) s.models.pop_back();
+      return had;
+    },
+};
+
+/// Shrinks failing `c` in place while it still fails; returns its failure.
+std::string shrink(FleetCase& c, std::string failure, const fs::path& tmp) {
+  const auto still_fails = [&](FleetCase candidate) {
+    cases::normalize(candidate);
+    StateWalk walk;
+    std::string f = run_oracle(candidate, walk, tmp);
+    if (f.empty()) return false;
+    c = std::move(candidate);
+    failure = std::move(f);
+    return true;
+  };
+  for (const Drop drop : kDrops) {
+    FleetCase candidate = c;
+    if (drop(candidate.spec)) (void)still_fails(std::move(candidate));
+  }
+  for (bool halved = true; halved;) {
+    FleetCase fewer_devices = c;
+    fewer_devices.spec.devices /= 2;
+    halved = c.spec.devices > 0 && still_fails(std::move(fewer_devices));
+    FleetCase fewer_slices = c;
+    fewer_slices.spec.slices /= 2;
+    halved = (c.spec.slices > 1 && still_fails(std::move(fewer_slices))) || halved;
+  }
+  return failure;
+}
+
+std::uint64_t env_or(const char* name, std::uint64_t def) {
+  const char* v = std::getenv(name);
+  return v != nullptr && *v != '\0' ? std::strtoull(v, nullptr, 0) : def;
+}
+
+TEST(Oracle, EveryExecutionStrategyReproducesTheReference) {
+  const std::uint64_t n_cases = env_or("HHPIM_ORACLE_CASES", kDefaultCases);
+  const std::uint64_t seed = env_or("HHPIM_ORACLE_SEED", kDefaultSeed);
+  const fs::path tmp = fs::temp_directory_path() / ("hhpim-oracle-" + std::to_string(::getpid()));
+  fs::create_directories(tmp);
+  SplitMix64 rng{seed};
+  StateWalk walk;
+  bool failed = false;
+  for (std::uint64_t i = 0; i < n_cases && !failed; ++i) {
+    FleetCase c = cases::random_fleet_case(rng);
+    const std::string failure = run_oracle(c, walk, tmp);
+    failed = !failure.empty();
+    if (!failed) continue;
+    const std::string original = cases::print_case(c);
+    const std::string shrunk = shrink(c, failure, tmp);
+    ADD_FAILURE() << "case " << i << " of HHPIM_ORACLE_SEED=" << seed << " fails: " << failure
+                  << "\n" << original << "shrunk, it fails: " << shrunk << "\n"
+                  << cases::print_case(c);
+  }
+  fs::remove_all(tmp);
+  if (!failed && n_cases >= kDefaultCases) {  // the walk's properties were exercised
+    EXPECT_GT(walk.blobs, 0);
+    EXPECT_GT(walk.shared_digests, 0);
+  }
+}
+
+}  // namespace
+}  // namespace hhpim::fleet

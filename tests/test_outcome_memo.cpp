@@ -1,10 +1,9 @@
 // Device-level outcome memoization suite: the OutcomeCache key/value
 // semantics (exact buckets, first-writer-wins, pointer stability across
-// publishes), the processor state digest it keys on, and the subsystem's
-// load-bearing property — fleet output with memoization on is byte-identical
-// to the exact path at any thread count, cold or warm, one-shot or
-// segmented (run_to/resume, in one process or through a fresh cache),
-// exhaustion slices included.
+// publishes), the processor state digest it keys on, and what a warm memo
+// must do on top of the differential oracle's byte identity
+// (test_oracle.cpp): count exactly its own lookups, and replay every
+// device of a warm fleet, exhaustion slices included.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,6 +17,7 @@
 
 #include "fleet/outcome_cache.hpp"
 #include "fleet/simulator.hpp"
+#include "fleet_cases.hpp"
 #include "hhpim/processor.hpp"
 #include "nn/zoo.hpp"
 #include "placement/lut_cache.hpp"
@@ -25,17 +25,8 @@
 namespace hhpim::fleet {
 namespace {
 
-/// A small fleet that runs in milliseconds: one model, low LUT resolution.
-FleetSpec small_fleet(int devices = 24, int slices = 6) {
-  FleetSpec spec;
-  spec.name = "memo-fleet";
-  spec.devices = devices;
-  spec.slices = slices;
-  spec.models = {nn::zoo::efficientnet_b0()};
-  spec.config.lut_t_entries = 16;
-  spec.config.lut_k_blocks = 16;
-  return spec;
-}
+using cases::run_with;
+using cases::small_fleet;
 
 /// The CI churn smoke's fleet (fleet_sim --capacity-mj=300
 /// --join-fraction=0.3 --leave-fraction=0.3 --charge-period=12
@@ -47,34 +38,12 @@ FleetSpec churn_fleet(int devices, int slices) {
   spec.name = "memo-churn";
   spec.devices = devices;
   spec.slices = slices;
-  spec.config.lut_t_entries = 16;
-  spec.config.lut_k_blocks = 16;
+  spec.config = cases::base_config();
   spec.battery.capacity = Energy::mj(300.0);
   spec.lifecycle.join_fraction = 0.3;
   spec.lifecycle.leave_fraction = 0.3;
   spec.charging = {.period = 12, .window = 4, .energy_per_slice = Energy::mj(2.0)};
   return spec;
-}
-
-FleetOptions options_for(unsigned threads, placement::LutCache* luts,
-                         OutcomeCache* memo) {
-  FleetOptions opts;
-  opts.threads = threads;
-  opts.shard_size = 4;
-  opts.lut_cache = luts;
-  opts.memoize_devices = memo != nullptr;
-  opts.outcome_cache = memo;
-  return opts;
-}
-
-FleetResult run_with(const FleetSpec& spec, unsigned threads,
-                     placement::LutCache* luts, OutcomeCache* memo) {
-  return FleetSimulator{options_for(threads, luts, memo)}.run(spec);
-}
-
-/// `snap` through the binary format, as between two processes.
-FleetSnapshot round_trip(const FleetSnapshot& snap) {
-  return FleetSnapshot::from_bytes(snap.to_bytes());
 }
 
 // --- cache semantics ---------------------------------------------------------
@@ -284,45 +253,7 @@ TEST(ProcessorDigest, EqualWhenFreshOrReset_DivergesUnderLoad) {
   EXPECT_EQ(a.state_digest(), fresh);  // reset() == fresh construction
 }
 
-// --- fleet byte-identity -----------------------------------------------------
-
-TEST(OutcomeMemo, ByteIdenticalToScalarPathAcrossThreads) {
-  const FleetSpec spec = small_fleet(24, 5);
-  placement::LutCache ref_luts;
-  const FleetResult ref = run_with(spec, 1, &ref_luts, nullptr);
-  ASSERT_FALSE(ref.to_jsonl().empty());
-
-  for (const unsigned threads : {1u, 2u, 8u}) {
-    placement::LutCache luts;
-    OutcomeCache memo;
-    const FleetResult r = run_with(spec, threads, &luts, &memo);
-    EXPECT_EQ(r.to_jsonl(), ref.to_jsonl()) << "threads=" << threads;
-    EXPECT_EQ(r.summary_to_json(), ref.summary_to_json())
-        << "threads=" << threads;
-    EXPECT_EQ(r.lut_builds, ref.lut_builds) << "threads=" << threads;
-    // Every device went one way or the other.
-    EXPECT_EQ(r.memo_replayed_devices + r.memo_exact_devices,
-              static_cast<std::uint64_t>(spec.devices));
-  }
-}
-
-TEST(OutcomeMemo, LookupsCountExactlyThisCallsSlices) {
-  // One lookup per executed slice, counted by the run itself: the identity
-  // holds cold and warm, at any thread count.
-  const FleetSpec spec = small_fleet(24, 5);
-  for (const unsigned threads : {1u, 2u, 4u, 8u}) {
-    placement::LutCache luts;
-    OutcomeCache memo;
-    for (const char* pass : {"cold", "warm"}) {
-      const FleetResult r = run_with(spec, threads, &luts, &memo);
-      EXPECT_EQ(r.memo_hits + r.memo_misses, r.aggregate.executed_slices)
-          << "threads=" << threads << " " << pass;
-      EXPECT_EQ(r.memo_replayed_devices + r.memo_exact_devices,
-                static_cast<std::uint64_t>(spec.devices))
-          << "threads=" << threads << " " << pass;
-    }
-  }
-}
+// --- fleet memo counters and warm replay --------------------------------------
 
 TEST(OutcomeMemo, ConcurrentRunsOnOneCacheCountOnlyTheirOwnLookups) {
   // Two fleets of different sizes share one memo from two threads: each
@@ -369,6 +300,12 @@ TEST(OutcomeMemo, WarmCacheReplaysEveryDeviceByteIdentically) {
             static_cast<std::uint64_t>(spec.devices));
   EXPECT_EQ(warm.memo_exact_devices, 0u);
   EXPECT_EQ(warm.memo_misses, 0u);
+
+  // Checkpointed segments replay from the same warm memo.
+  const FleetSimulator sim{cases::options(1, 4, &luts, &memo)};
+  const FleetResult resumed = sim.resume(spec, sim.run_to(spec, 2));
+  EXPECT_EQ(resumed.to_jsonl(), ref.to_jsonl());
+  EXPECT_EQ(resumed.memo_misses, 0u);
 }
 
 TEST(OutcomeMemo, ExhaustedDevicesReplayFromTheMemo) {
@@ -399,60 +336,6 @@ TEST(OutcomeMemo, ExhaustedDevicesReplayFromTheMemo) {
     EXPECT_EQ(warm.memo_misses, 0u) << "threads=" << threads;
     EXPECT_EQ(warm.memo_replayed_devices, static_cast<std::uint64_t>(spec.devices))
         << "threads=" << threads;
-  }
-}
-
-// --- memo replay inside checkpointed segments --------------------------------
-
-/// Cut points of the segmented runs below: mid-charging-window, across
-/// joins, leaves and exhaustion.
-const std::vector<int> kCuts = {5, 11, 17};
-
-TEST(OutcomeMemo, SegmentedRunsMatchExactOneShot) {
-  // run_to/resume replay from the memo and still equal the exact one-shot
-  // run: warm (one memo across segments) and cold (the "new process" case:
-  // every segment on fresh, empty LUT and outcome caches, so live devices
-  // restore from their snapshot blobs at their first miss and their exact
-  // slices re-seed the memo).
-  const FleetSpec spec = churn_fleet(40, 24);
-  placement::LutCache ref_luts;
-  const FleetResult ref = run_with(spec, 1, &ref_luts, nullptr);
-  for (const unsigned threads : {1u, 4u}) {
-    for (const bool cold : {false, true}) {
-      placement::LutCache warm_luts;
-      OutcomeCache warm_memo;
-      FleetSnapshot snap;
-      FleetResult r;
-      for (std::size_t c = 0; c <= kCuts.size(); ++c) {
-        placement::LutCache fresh_luts;
-        OutcomeCache fresh_memo;
-        const FleetSimulator sim{options_for(threads, cold ? &fresh_luts : &warm_luts,
-                                             cold ? &fresh_memo : &warm_memo)};
-        if (c == kCuts.size()) {
-          r = sim.resume(spec, snap);
-          // resume() reports the final segment's lookups: one per slice it
-          // executed, i.e. the run's total less the slices before the cut.
-          std::uint64_t before = 0;
-          for (const DeviceProgress& p : snap.devices) {
-            before += static_cast<std::uint64_t>(p.result.slices_executed);
-          }
-          EXPECT_EQ(r.memo_hits + r.memo_misses, r.aggregate.executed_slices - before)
-              << "threads=" << threads << " cold=" << cold;
-          if (cold) {
-            EXPECT_GT(fresh_memo.stats().entries, 0u) << "threads=" << threads;
-          }
-        } else {
-          snap = round_trip(sim.run_to(spec, kCuts[c], c == 0 ? nullptr : &snap));
-        }
-      }
-      EXPECT_EQ(r.to_jsonl(), ref.to_jsonl()) << "threads=" << threads << " cold=" << cold;
-      EXPECT_EQ(r.summary_to_json(), ref.summary_to_json())
-          << "threads=" << threads << " cold=" << cold;
-      if (!cold) {
-        EXPECT_GT(r.memo_hits, 0u) << "threads=" << threads;
-        EXPECT_GT(r.memo_replayed_devices, 0u) << "threads=" << threads;
-      }
-    }
   }
 }
 

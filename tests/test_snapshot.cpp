@@ -1,15 +1,12 @@
-// Checkpoint/restore suite: the headline invariant is "restore changes
-// nothing, ever" — a fleet run cut into resumable segments (FleetSimulator::
-// run_to + resume, snapshots round-tripped through the binary format between
-// segments) produces byte-identical JSONL and summary JSON to the
-// uninterrupted run, at any thread count, with device memoization on or off,
-// across lifecycle events, charging windows, firmware mixes and load
-// envelopes. Plus: the format's loud-failure guarantees (truncated,
-// corrupted, other-version, wrong-spec blobs and devices that do not match
-// the spec all throw with a diagnostic), lifecycle/envelope/charging
-// semantics, and a ~200-spec seeded fuzz sweep that dumps the offending
-// seed + spec on any divergence and checks the processor state walk on
-// every cut (load then re-save is the identity; equal digests, equal blobs).
+// Checkpoint/restore suite: the format's loud-failure guarantees
+// (truncated, corrupted, other-version, wrong-spec blobs and devices that do
+// not match the spec all throw with a diagnostic), lifecycle/envelope/
+// charging semantics, the load cursors' literal references, slice binning,
+// LUT-build accounting across segments, and a week-scale segmented run. That
+// a run cut into resumable segments (FleetSimulator::run_to + resume)
+// reproduces the uninterrupted run's bytes on any spec is the differential
+// oracle's (test_oracle.cpp), as is the processor state-walk check on every
+// cut.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,16 +16,15 @@
 #include <limits>
 #include <map>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/hash.hpp"
-#include "common/rng.hpp"
 #include "common/serialize.hpp"
 #include "fleet/outcome_cache.hpp"
 #include "fleet/simulator.hpp"
+#include "fleet_cases.hpp"
 #include "hhpim/processor.hpp"
 #include "nn/zoo.hpp"
 #include "placement/lut_cache.hpp"
@@ -39,17 +35,10 @@ namespace {
 /// Magic and version precede the checksummed payload.
 constexpr std::size_t kHeaderBytes = 12;
 
-/// A small fleet that runs in milliseconds: one model, low LUT resolution.
-FleetSpec small_fleet(int devices = 24, int slices = 10) {
-  FleetSpec spec;
-  spec.name = "snapshot-fleet";
-  spec.devices = devices;
-  spec.slices = slices;
-  spec.models = {nn::zoo::efficientnet_b0()};
-  spec.config.lut_t_entries = 16;
-  spec.config.lut_k_blocks = 16;
-  // Small enough that some devices exhaust mid-run — the sweep below cuts
-  // on both sides of the exhaustion boundary.
+/// cases::small_fleet with a battery small enough that some devices exhaust
+/// mid-run.
+FleetSpec small_fleet(int devices, int slices) {
+  FleetSpec spec = cases::small_fleet(devices, slices);
   spec.battery.capacity = Energy::mj(10.0);
   return spec;
 }
@@ -59,15 +48,10 @@ struct RunOutput {
   std::string summary;
 };
 
+/// Shard size 7 is deliberately not a divisor of the device counts.
 FleetOptions base_options(unsigned threads, bool memo, placement::LutCache* lut,
                           OutcomeCache* outcome) {
-  FleetOptions opt;
-  opt.threads = threads;
-  opt.shard_size = 7;  // deliberately not a divisor of the device counts
-  opt.lut_cache = lut;
-  opt.memoize_devices = memo;
-  opt.outcome_cache = outcome;
-  return opt;
+  return cases::options(threads, 7, lut, memo ? outcome : nullptr);
 }
 
 /// One uninterrupted run on fresh caches (fresh so lut_builds in the summary
@@ -81,10 +65,9 @@ RunOutput run_whole(const FleetSpec& spec, unsigned threads, bool memo) {
 }
 
 /// The same run cut at the given global slice boundaries, each snapshot
-/// round-tripped through the binary format between segments. `last`, when
-/// given, receives the final cut's decoded snapshot.
+/// round-tripped through the binary format between segments.
 RunOutput run_segmented(const FleetSpec& spec, const std::vector<int>& cuts,
-                        unsigned threads, bool memo, FleetSnapshot* last = nullptr) {
+                        unsigned threads, bool memo) {
   placement::LutCache lut;
   OutcomeCache outcome;
   const FleetSimulator sim{base_options(threads, memo, &lut, &outcome)};
@@ -95,81 +78,15 @@ RunOutput run_segmented(const FleetSpec& spec, const std::vector<int>& cuts,
     snap = FleetSnapshot::from_bytes(snap.to_bytes());
     have = true;
   }
-  if (last != nullptr) *last = snap;
   const FleetResult r = have ? sim.resume(spec, snap) : sim.run(spec);
   return {r.to_jsonl(), r.summary_to_json()};
-}
-
-/// An "at slice 0" snapshot: nothing executed yet. resume() on it must run
-/// the whole fleet — the degenerate split point of the sweep.
-FleetSnapshot initial_snapshot(const FleetSpec& spec) {
-  FleetSnapshot snap;
-  snap.spec_digest = spec.content_digest();
-  snap.next_slice = 0;
-  snap.slice_bins = SliceHistograms{spec.histograms};
-  snap.devices.resize(static_cast<std::size_t>(spec.devices));
-  return snap;
 }
 
 /// A battery (mJ) that dies mid-trace for small_fleet-sized devices over 12
 /// slices: late enough that some exhaust after their rotated trace wrapped.
 constexpr double kWrapCapacityMj = 40.0;
 
-// --- round-trip equality: split sweep × threads × memo -----------------------
-
-TEST(Snapshot, SplitSweepMatchesUninterrupted) {
-  // 24 devices at shard_size 7: cut-independent, but the sweep's split
-  // points land mid-shard and on shard boundaries in *device* space via the
-  // exhaustion staggering, and before/at/after exhaustion in slice space.
-  // With capacity 10 mJ devices exhaust around slices 3-6.
-  const FleetSpec spec = small_fleet(24, 10);
-  for (const unsigned threads : {1u, 8u}) {
-    for (const bool memo : {true, false}) {
-      const RunOutput whole = run_whole(spec, threads, memo);
-      for (const int cut : {1, 3, 5, 7, 9, 10}) {
-        const RunOutput seg = run_segmented(spec, {cut}, threads, memo);
-        EXPECT_EQ(seg.jsonl, whole.jsonl)
-            << "cut=" << cut << " threads=" << threads << " memo=" << memo;
-        EXPECT_EQ(seg.summary, whole.summary)
-            << "cut=" << cut << " threads=" << threads << " memo=" << memo;
-      }
-    }
-  }
-}
-
-TEST(Snapshot, ResumeFromInitialSnapshotMatchesRun) {
-  const FleetSpec spec = small_fleet(12, 6);
-  const RunOutput whole = run_whole(spec, 1, true);
-
-  placement::LutCache lut;
-  OutcomeCache outcome;
-  const FleetSimulator sim{base_options(1, true, &lut, &outcome)};
-  const FleetSnapshot snap =
-      FleetSnapshot::from_bytes(initial_snapshot(spec).to_bytes());
-  const FleetResult r = sim.resume(spec, snap);
-  EXPECT_EQ(r.to_jsonl(), whole.jsonl);
-  EXPECT_EQ(r.summary_to_json(), whole.summary);
-}
-
-TEST(Snapshot, ManySegmentsMatchUninterrupted) {
-  FleetSpec spec = small_fleet(24, 12);
-  spec.lifecycle.join_fraction = 0.4;
-  spec.lifecycle.leave_fraction = 0.4;
-  spec.charging = {.period = 4, .window = 1, .energy_per_slice = Energy::mj(2.0)};
-  spec.envelope.enabled = true;
-  spec.envelope.min_multiplier = 0.5;
-  spec.envelope.max_multiplier = 1.5;
-  for (const unsigned threads : {1u, 8u}) {
-    const RunOutput whole = run_whole(spec, threads, true);
-    // Every-slice cuts: each device crosses several segment boundaries
-    // (including its join/leave slices) and round-trips through bytes at
-    // every one of them.
-    const RunOutput seg = run_segmented(
-        spec, {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}, threads, true);
-    EXPECT_EQ(seg.jsonl, whole.jsonl) << "threads=" << threads;
-    EXPECT_EQ(seg.summary, whole.summary) << "threads=" << threads;
-  }
-}
+// --- long-horizon segments --------------------------------------------------
 
 TEST(Snapshot, WeekScaleSegmentsMatchUninterrupted) {
   // Scaled-down week: 672 slices (7 days x 24 h x 4) as 7 one-day segments.
@@ -190,152 +107,6 @@ TEST(Snapshot, WeekScaleSegmentsMatchUninterrupted) {
       run_segmented(spec, {96, 192, 288, 384, 480, 576}, 8, true);
   EXPECT_EQ(seg.jsonl, whole.jsonl);
   EXPECT_EQ(seg.summary, whole.summary);
-}
-
-// --- seeded snapshot fuzz ----------------------------------------------------
-
-/// Compact spec dump for one-line repro of a fuzz failure.
-std::string describe(const FleetSpec& spec, std::uint64_t fuzz_seed, int cut,
-                     unsigned threads, bool memo) {
-  std::ostringstream os;
-  os << "{\"fuzz_seed\":" << fuzz_seed << ",\"cut\":" << cut
-     << ",\"threads\":" << threads << ",\"memo\":" << (memo ? 1 : 0)
-     << ",\"devices\":" << spec.devices << ",\"slices\":" << spec.slices
-     << ",\"seed\":" << spec.seed << ",\"models\":" << spec.models.size()
-     << ",\"firmware\":" << spec.firmware.size()
-     << ",\"join_fraction\":" << spec.lifecycle.join_fraction
-     << ",\"leave_fraction\":" << spec.lifecycle.leave_fraction
-     << ",\"charging\":[" << spec.charging.period << "," << spec.charging.window
-     << "," << spec.charging.energy_per_slice.as_pj() << "]"
-     << ",\"envelope\":[" << (spec.envelope.enabled ? 1 : 0) << ","
-     << static_cast<int>(spec.envelope.shape) << ","
-     << spec.envelope.min_multiplier << "," << spec.envelope.max_multiplier
-     << "]"
-     << ",\"battery_pj\":" << spec.battery.capacity.as_pj()
-     << ",\"adapt\":" << (spec.adapt ? 1 : 0) << "}";
-  return os.str();
-}
-
-TEST(SnapshotFuzz, RandomSpecsRandomCuts) {
-  constexpr std::uint64_t kFuzzSeed = 0x5eedf00d2026ULL;
-  constexpr int kSpecs = 200;
-  SplitMix64 rng{kFuzzSeed};
-  const std::vector<nn::Model> zoo = {nn::zoo::efficientnet_b0(),
-                                      nn::zoo::mobilenet_v2()};
-  // The one state walk, checked on every live processor blob of every cut:
-  // (machine, state_digest) -> the blob that state saves to.
-  placement::LutCache walk_lut;
-  std::map<std::pair<std::uint64_t, std::uint64_t>, std::string> blob_of_state;
-  int blobs = 0;
-  int shared_digests = 0;
-  for (int i = 0; i < kSpecs; ++i) {
-    FleetSpec spec;
-    spec.name = "fuzz";
-    spec.devices = static_cast<int>(rng.next() % 13);        // 0..12
-    spec.slices = 1 + static_cast<int>(rng.next() % 16);     // 1..16
-    spec.seed = rng.next();
-    spec.models = {zoo[0]};
-    if (rng.next() % 2 == 0) spec.models.push_back(zoo[1]);
-    spec.config.lut_t_entries = 16;
-    spec.config.lut_k_blocks = 16;
-    if (rng.next() % 3 == 0) {
-      // Firmware heterogeneity: a second knob generation whose LUT key
-      // differs from firmware 0's.
-      sys::SystemConfig fw2 = spec.config;
-      fw2.lut_t_entries = 24;
-      spec.firmware = {spec.config, fw2};
-    }
-    spec.battery.capacity =
-        Energy::mj(5.0 + static_cast<double>(rng.next() % 40));
-    spec.lifecycle.join_fraction =
-        static_cast<double>(rng.next() % 4) * 0.25;          // 0, .25, .5, .75
-    spec.lifecycle.leave_fraction = static_cast<double>(rng.next() % 4) * 0.25;
-    if (rng.next() % 3 == 0 && spec.devices > 0) {
-      spec.lifecycle_overrides.push_back(
-          {.id = 0,
-           .join_slice = static_cast<int>(rng.next() %
-                                          static_cast<std::uint64_t>(
-                                              spec.slices)),
-           .leave_slice = -1});
-    }
-    if (rng.next() % 2 == 0) {
-      spec.charging = {
-          .period = 1 + static_cast<int>(rng.next() % 6),
-          .window = 0,
-          .energy_per_slice = Energy::mj(static_cast<double>(rng.next() % 8))};
-      spec.charging.window =
-          static_cast<int>(rng.next() %
-                           static_cast<std::uint64_t>(spec.charging.period + 1));
-    }
-    if (rng.next() % 2 == 0) {
-      spec.envelope.enabled = true;
-      const workload::Scenario shapes[] = {workload::Scenario::kPulsing,
-                                           workload::Scenario::kRandom,
-                                           workload::Scenario::kBurstDecay};
-      spec.envelope.shape = shapes[rng.next() % 3];
-      spec.envelope.seed = rng.next();
-      spec.envelope.min_multiplier = 0.25 * static_cast<double>(rng.next() % 5);
-      spec.envelope.max_multiplier =
-          spec.envelope.min_multiplier +
-          0.25 * static_cast<double>(rng.next() % 5);
-    }
-    const int cut = 1 + static_cast<int>(
-                            rng.next() % static_cast<std::uint64_t>(spec.slices));
-    const unsigned threads = rng.next() % 2 == 0 ? 1u : 8u;
-    const bool memo = rng.next() % 2 == 0;
-
-    const RunOutput whole = run_whole(spec, threads, memo);
-    FleetSnapshot at_cut;
-    const RunOutput seg =
-        cut == spec.slices
-            ? run_segmented(spec, {}, threads, memo)  // degenerate: no cut fits
-            : run_segmented(spec, {cut}, threads, memo, &at_cut);
-    if (seg.jsonl != whole.jsonl || seg.summary != whole.summary) {
-      ADD_FAILURE() << "snapshot fuzz divergence; repro spec #" << i << ": "
-                    << describe(spec, kFuzzSeed, cut, threads, memo);
-      return;  // one dump is actionable; 199 more are noise
-    }
-
-    // Load every live blob into a fresh processor of the same config and
-    // model: re-saving must give the same bytes, and equal digests on one
-    // machine must mean equal blobs.
-    const std::vector<DeviceSpec> device_specs = spec.expand();
-    const std::vector<nn::Model> models = spec.resolved_models();
-    for (std::size_t d = 0; d < at_cut.devices.size(); ++d) {
-      if (at_cut.devices[d].proc_blob == nullptr) continue;
-      const std::string& blob = *at_cut.devices[d].proc_blob;
-      const DeviceSpec& ds = device_specs[d];
-      const sys::SystemConfig cfg = Device::device_config(spec, ds, &walk_lut);
-      const nn::Model& model = models[ds.model_index];
-      sys::Processor fresh{cfg, model};
-      ByteReader r{blob};
-      fresh.load_state(r);
-      ByteWriter w;
-      fresh.save_state(w);
-      ++blobs;
-      const auto [it, inserted] = blob_of_state.emplace(
-          std::pair{sys::processor_reuse_key(cfg, model), fresh.state_digest()}, blob);
-      shared_digests += inserted ? 0 : 1;
-      if (!r.at_end() || w.bytes() != blob || it->second != blob ||
-          fresh.state_digest() != at_cut.devices[d].proc_digest) {
-        ADD_FAILURE() << "state walk disagreement at device " << d
-                      << " (load leftover " << r.remaining() << " B, resave "
-                      << (w.bytes() == blob ? "same" : "differs")
-                      << ", digest "
-                      << (fresh.state_digest() == at_cut.devices[d].proc_digest
-                              ? "same"
-                              : "differs")
-                      << ", equal-digest blob "
-                      << (it->second == blob ? "same" : "differs")
-                      << "); repro spec #" << i << ": "
-                      << describe(spec, kFuzzSeed, cut, threads, memo);
-        return;
-      }
-    }
-  }
-  // Both properties were exercised, not vacuously true.
-  EXPECT_GT(blobs, 0);
-  EXPECT_GT(shared_digests, 0);
 }
 
 // --- loud failure: window, digest, blob --------------------------------------
@@ -868,7 +639,7 @@ TEST(Snapshot, ResumeRejectsDevicesThatDoNotMatchTheSpec) {
   // decode as negative. With every device not yet started nothing else
   // vouches for the slice, and run_to used to accept end_slice 0 from a
   // negative start. A snapshot stands at a slice in [0, slices]; 0 is the
-  // initial snapshot (ResumeFromInitialSnapshotMatchesRun).
+  // initial snapshot (the differential oracle resumes one at cut 0).
   FleetSnapshot unstarted = good;
   for (DeviceProgress& p : unstarted.devices) p = DeviceProgress{};
   unstarted.slice_bins = SliceHistograms{spec.histograms};
@@ -1161,31 +932,6 @@ TEST(Envelope, UnityMultiplierIsByteIdenticalRegressionPin) {
   EXPECT_EQ(b.summary, a.summary);
 }
 
-TEST(Envelope, ScalesArrivalsAtGlobalSliceIndex) {
-  FleetSpec spec = small_fleet(1, 8);
-  const std::vector<DeviceSpec> devices = spec.expand();
-  DeviceSpec late = devices[0];
-  late.join_slice = 3;
-  late.leave_slice = 8;
-  late.cfg.slices = 5;
-
-  std::vector<int> raw;
-  device_loads_into(late, {}, raw);
-  ASSERT_EQ(raw.size(), 5u);
-
-  // env doubles global slices >= 4: the device's local step k maps to
-  // global slice join + k, so local steps 1.. double, local step 0 does not.
-  std::vector<double> env(8, 1.0);
-  for (int g = 4; g < 8; ++g) env[static_cast<std::size_t>(g)] = 2.0;
-  std::vector<int> scaled;
-  device_loads_into(late, env, scaled);
-  ASSERT_EQ(scaled.size(), raw.size());
-  EXPECT_EQ(scaled[0], raw[0]);
-  for (std::size_t k = 1; k < raw.size(); ++k) {
-    EXPECT_EQ(scaled[k], raw[k] * 2) << "k=" << k;
-  }
-}
-
 TEST(Envelope, DefaultExpansionUnchangedByFeatureGates) {
   // A spec using none of the new features must expand exactly as before the
   // lifecycle/firmware draws existed: all devices full-term on firmware 0.
@@ -1223,22 +969,6 @@ TEST(Envelope, RejectsMalformedSpecs) {
   charge.charging = {.period = 2, .window = 3,
                      .energy_per_slice = Energy::zero()};  // window > period
   EXPECT_THROW(charge.validate(), std::invalid_argument);
-}
-
-TEST(Firmware, MixedFleetIsDeterministicAndSegmentable) {
-  FleetSpec spec = small_fleet(24, 8);
-  sys::SystemConfig fw2 = spec.config;
-  fw2.lut_t_entries = 24;  // a distinct LUT key -> a second logical build
-  spec.firmware = {spec.config, fw2};
-
-  const RunOutput t1 = run_whole(spec, 1, true);
-  const RunOutput t8 = run_whole(spec, 8, false);
-  EXPECT_EQ(t1.jsonl, t8.jsonl);
-  EXPECT_EQ(t1.summary, t8.summary);
-
-  const RunOutput seg = run_segmented(spec, {3, 6}, 8, true);
-  EXPECT_EQ(seg.jsonl, t1.jsonl);
-  EXPECT_EQ(seg.summary, t1.summary);
 }
 
 TEST(Firmware, LutAccountingCountsOnlyMissingHhpimKeys) {

@@ -114,6 +114,10 @@ TEST(Cli, RejectsGarbageTrailingJunkOverflowAndNegativeCounts) {
     const char* argv[] = {"prog", arg};
     EXPECT_THROW((void)Cli(2, argv).get_double("v", 0.0), std::invalid_argument) << arg;
   }
+  for (const char* arg : {"--v=", "--v=ture", "--v=2"}) {  // "ture" used to read as false
+    const char* argv[] = {"prog", arg};
+    EXPECT_THROW((void)Cli(2, argv).get_bool("v", true), std::invalid_argument) << arg;
+  }
   const char* argv[] = {"prog", "--threads=-1"};  // used to wrap to 4294967295
   try {
     (void)Cli(2, argv).get_count("threads", 0);
@@ -139,6 +143,19 @@ TEST(Cli, RejectUnknownFlagsNamesTheFirstInCommandLineOrder) {
   EXPECT_THROW(Cli(2, typo).reject_unknown_flags({"threads"}), std::invalid_argument);
   // Without the opt-in call, unknown flags still parse (and read as unset).
   EXPECT_EQ(Cli(2, typo).get_count("threads", 7), 7u);
+}
+
+TEST(Cli, RejectUnknownFlagsRefusesTheFirstRepeatedFlag) {
+  const char* argv[] = {"prog", "--devices=8", "--threads=1", "--quiet", "--threads=2",
+                        "--devices=9"};
+  try {
+    Cli(6, argv).reject_unknown_flags({"devices", "threads", "quiet"});
+    ADD_FAILURE() << "repeated --threads accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string{e.what()}, "--threads: repeated flag");
+  }
+  // Without the opt-in call, the last value still wins.
+  EXPECT_EQ(Cli(6, argv).get_count("threads", 0), 2u);
 }
 
 }  // namespace
