@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
+#include <cstdint>
 #include <memory>
 #include <stdexcept>
 #include <utility>
@@ -9,7 +11,106 @@
 
 namespace hhpim::placement {
 
+namespace detail {
+
+/// A count of SRAM blocks in the kernel's scratch rows: 32-bit, so that a
+/// vector lane compares and selects it beside the energies. Stored rows
+/// narrow it to uint16.
+using DpCount = std::int32_t;
+
+/// One row of the DP walk: cells 0..len of row t, from row t - dt_sram
+/// (`prev`, computed through `prev_len`, or prev_len = -1 at the start of a
+/// walk).
+struct DpRow {
+  const double* prev = nullptr;
+  const DpCount* prev_cnt = nullptr;
+  int prev_len = -1;
+  double* row = nullptr;
+  DpCount* cnt = nullptr;
+  int len = 0;
+  /// Option A, all blocks in MRAM: k·e_mram up to row t's MRAM budget,
+  /// infinity past it.
+  const double* mram_only = nullptr;
+  double e_sram = 0.0;
+  DpCount cap_sram = 0;
+};
+
+}  // namespace detail
+
 namespace {
+
+using detail::DpCount;
+using detail::DpRow;
+
+/// The cell loop runs in whole chunks, a multiple of every variant's vector
+/// width, so no scalar remainder loop runs. Scratch rows and the option-A
+/// row hold kChunk cells past k_cap.
+constexpr int kChunk = 8;
+
+/// The row kernel. A cell k <= k_b (option B reads cell k - 1 of the
+/// previous row, so k_b = min(len, prev_len + 1)) takes the better of
+/// option A and option B, one more block into SRAM on top of cell k - 1.
+/// Branch-free so that it vectorizes: both options are computed and
+/// `take`, the paper's test, selects one. No feasibility test on the source
+/// cell: inf + e_sram is inf (or NaN), which never compares below option A,
+/// exactly as if it were skipped. Past k_b only option A is left: the
+/// second loop overwrites the cells the last chunk computed there from
+/// stale scratch. Past len such cells feed only other cells past a later
+/// row's k_b, and a requested row is copied out only up to len.
+[[gnu::always_inline]] inline void fill_cells(const double* __restrict prev,
+                                              const DpCount* __restrict prev_cnt,
+                                              const double* __restrict mram_only,
+                                              double* __restrict row, DpCount* __restrict cnt,
+                                              int len, int k_b, double e_sram,
+                                              DpCount cap_sram) {
+  row[0] = 0.0;
+  cnt[0] = 0;
+  const int n = (k_b + kChunk - 1) / kChunk * kChunk;
+  for (int k = 1; k <= n; ++k) {
+    const DpCount used = prev_cnt[k - 1];
+    const double e = prev[k - 1] + e_sram;
+    const bool take = (used < cap_sram) & (e < mram_only[k]);
+    row[k] = take ? e : mram_only[k];
+    cnt[k] = take ? used + 1 : 0;
+  }
+  for (int k = k_b + 1; k <= len; ++k) {
+    row[k] = mram_only[k];
+    cnt[k] = 0;
+  }
+}
+
+[[gnu::always_inline]] inline void fill_row(const DpRow& r) {
+  fill_cells(r.prev, r.prev_cnt, r.mram_only, r.row, r.cnt, r.len,
+             std::min(r.len, r.prev_len + 1), r.e_sram, r.cap_sram);
+}
+
+void fill_row_generic(const DpRow& r) { fill_row(r); }
+
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#define HHPIM_DP_AVX2 1
+/// The same kernel compiled for AVX2, four doubles per vector.
+__attribute__((target("avx2"))) void fill_row_avx2(const DpRow& r) { fill_row(r); }
+#endif
+
+std::span<const detail::DpKernel> compiled_kernels() {
+  static const detail::DpKernel all[] = {
+      {"generic", true, fill_row_generic},
+#ifdef HHPIM_DP_AVX2
+      {"avx2", __builtin_cpu_supports("avx2") != 0, fill_row_avx2},
+#endif
+  };
+  return all;
+}
+
+/// The kernel build() runs: the last variant this CPU supports, unless a
+/// test swapped it (ClusterDpTable::use_kernel).
+std::atomic<const detail::DpKernel*>& active_kernel() {
+  static std::atomic<const detail::DpKernel*> kernel{[] {
+    const std::span<const detail::DpKernel> all = compiled_kernels();
+    return &*std::find_if(all.rbegin(), all.rend(), [](const auto& k) { return k.supported; });
+  }()};
+  return kernel;
+}
 
 void validate_items(const ClusterItems& items, int t_steps, int k_blocks) {
   if (t_steps < 0 || k_blocks < 0) {
@@ -19,6 +120,13 @@ void validate_items(const ClusterItems& items, int t_steps, int k_blocks) {
     if (it.time_steps <= 0) {
       throw std::invalid_argument("ClusterDpTable: block time must be >= 1 step");
     }
+  }
+}
+
+void validate_table(const ClusterItems& items, int t_steps, int k_blocks) {
+  validate_items(items, t_steps, k_blocks);
+  if (k_blocks > kMaxDpBlocks) {
+    throw std::invalid_argument("ClusterDpTable: k_blocks above 65535 (uint16 count trace)");
   }
 }
 
@@ -63,8 +171,14 @@ int max_feasible_blocks(const ClusterItems& items, int t_steps, int k_max) {
   return blocks_within(items, t_steps, k_max);
 }
 
+std::span<const detail::DpKernel> ClusterDpTable::kernels() { return compiled_kernels(); }
+
+const detail::DpKernel& ClusterDpTable::use_kernel(const detail::DpKernel& kernel) {
+  return *active_kernel().exchange(&kernel);
+}
+
 ClusterDpTable ClusterDpTable::build(const ClusterItems& items, int t_steps, int k_blocks) {
-  validate_items(items, t_steps, k_blocks);
+  validate_table(items, t_steps, k_blocks);
   // Rows past the saturation row read it, so requesting 0..t_steps is
   // requesting 0..R. Listed in walk order, which the row-set build keeps.
   const int last_row = extent(items, t_steps, k_blocks).last_row;
@@ -79,7 +193,7 @@ ClusterDpTable ClusterDpTable::build(const ClusterItems& items, int t_steps, int
 
 ClusterDpTable ClusterDpTable::build(const ClusterItems& items, int t_steps, int k_blocks,
                                      std::span<const int> rows) {
-  validate_items(items, t_steps, k_blocks);
+  validate_table(items, t_steps, k_blocks);
 
   const DpItem& mram = items[0];
   const DpItem& sram = items[1];
@@ -117,13 +231,6 @@ ClusterDpTable ClusterDpTable::build(const ClusterItems& items, int t_steps, int
   const std::size_t stride = static_cast<std::size_t>(k_blocks + 1);
   table.dp_ = std::make_unique_for_overwrite<double[]>(wanted.size() * stride);
   table.cnt_ = std::make_unique_for_overwrite<std::uint16_t[]>(wanted.size() * stride);
-  // Two scratch rows for the walked rows between requested ones.
-  std::array<std::unique_ptr<double[]>, 2> scratch_dp = {
-      std::make_unique_for_overwrite<double[]>(stride),
-      std::make_unique_for_overwrite<double[]>(stride)};
-  std::array<std::unique_ptr<std::uint16_t[]>, 2> scratch_cnt = {
-      std::make_unique_for_overwrite<std::uint16_t[]>(stride),
-      std::make_unique_for_overwrite<std::uint16_t[]>(stride)};
 
   // Algorithm 1 over the two spaces of one cluster, with the MRAM level
   // (space 0) collapsed to its closed form: placing k blocks using MRAM only
@@ -137,61 +244,45 @@ ClusterDpTable ClusterDpTable::build(const ClusterItems& items, int t_steps, int
   // SRAM; it traces the allocation and enforces the SRAM capacity. The MRAM
   // prefix energies are accumulated iteratively (e0sum[k] = e0sum[k-1] + e)
   // so results stay bit-identical to a literal per-level DP.
-  std::vector<double> mram_energy(static_cast<std::size_t>(std::min(k_cap, mram.cap_blocks)) + 1,
-                                  0.0);
+  const int m_cap = std::min(k_cap, mram.cap_blocks);
+  const std::size_t width = static_cast<std::size_t>(k_cap) + 1 + kChunk;  // scratch row
+  std::vector<double> mram_energy(static_cast<std::size_t>(m_cap) + 1, 0.0);
   for (std::size_t k = 1; k < mram_energy.size(); ++k) {
     mram_energy[k] = mram_energy[k - 1] + mram.energy_pj;
   }
-
-  // Copied out of `items` so stores into the table cannot alias them.
-  const int dt_mram = mram.time_steps;
-  const int cap_mram = mram.cap_blocks;
-  const double e_sram = sram.energy_pj;
-  const int cap_sram = sram.cap_blocks;
-
-  // One row of the walk: cells 0..len, len <= k_ub(t). The cells a later
-  // row reads past len are infinity in the full table: len is min(k_ub,
-  // cone bound), and the cone bound grows by one block per step up the
-  // chain while a row reads one block down. `prev` is row t - dt with its
-  // own `prev_len`, or prev_len = -1 at the start of a walk.
-  auto fill_row = [&](int t, int len, double* row, std::uint16_t* crow,
-                      const double* prev_row, const std::uint16_t* prev_crow, int prev_len) {
-    // Option A (all blocks stayed in MRAM) is available exactly for k <= k_a.
-    const int k_a = std::min({len, cap_mram, t / dt_mram});
-    // Option B (one more block into SRAM) reads cell k - 1 of the previous
-    // row; past its computed cells that source is infinity, and so never
-    // taken. No feasibility test on the source cell: inf + e_sram is inf (or
-    // NaN), which never compares below `best`, exactly as if it were skipped.
-    const int k_b = std::min(len, prev_len + 1);
-    auto cell = [&](int k, double best) {
-      const std::uint16_t used = prev_crow[k - 1];
-      const double e = prev_row[k - 1] + e_sram;
-      const bool take = static_cast<int>(used) < cap_sram && e < best;
-      row[k] = take ? e : best;
-      crow[k] = take ? static_cast<std::uint16_t>(used + 1) : std::uint16_t{0};
-    };
-    row[0] = 0.0;
-    crow[0] = 0;
-    const int both = std::min(k_a, k_b);
-    for (int k = 1; k <= both; ++k) cell(k, mram_energy[static_cast<std::size_t>(k)]);
-    for (int k = both + 1; k <= k_b; ++k) cell(k, kInfEnergy);
-    for (int k = both + 1; k <= k_a; ++k) {
-      row[k] = mram_energy[static_cast<std::size_t>(k)];
-      crow[k] = 0;
+  // Option A at the walked row: mram_energy up to the row's MRAM budget
+  // min(m_cap, t / dt_mram), then infinity; a_len is that budget.
+  std::vector<double> mram_only(width, kInfEnergy);
+  mram_only[0] = 0.0;
+  int a_len = 0;
+  // The time-minimal schedule of k blocks (see blocks_within): k_ub(t) is
+  // the largest k <= k_cap with min_steps[k] <= t.
+  std::vector<std::int64_t> min_steps(static_cast<std::size_t>(k_cap) + 1, 0);
+  {
+    const int fast = items[0].time_steps <= items[1].time_steps ? 0 : 1;
+    const DpItem& f = items[static_cast<std::size_t>(fast)];
+    const DpItem& s = items[static_cast<std::size_t>(1 - fast)];
+    for (int k = 1; k <= k_cap; ++k) {
+      const int in_fast = std::min(k, f.cap_blocks);
+      min_steps[static_cast<std::size_t>(k)] =
+          static_cast<std::int64_t>(in_fast) * f.time_steps +
+          static_cast<std::int64_t>(k - in_fast) * s.time_steps;
     }
-    for (int k = std::max(k_a, k_b) + 1; k <= len; ++k) {
-      row[k] = kInfEnergy;
-      crow[k] = 0;
-    }
-  };
+  }
+  // Two scratch rows the walk alternates between; a requested row is copied
+  // into the table, its counts narrowed to uint16.
+  std::vector<double> scratch_dp(2 * width);
+  std::vector<detail::DpCount> scratch_cnt(2 * width);
 
-  double* dp = table.dp_.get();
-  std::uint16_t* cnt = table.cnt_.get();
-  const double* prev_row = nullptr;
-  const std::uint16_t* prev_crow = nullptr;
-  int prev_len = -1;
+  detail::DpRow r;
+  r.mram_only = mram_only.data();
+  r.e_sram = sram.energy_pj;
+  r.cap_sram = sram.cap_blocks;
+  r.prev_len = -1;
+  const std::int64_t dt_mram = mram.time_steps;
+  const detail::DpKernel& kernel = *active_kernel().load(std::memory_order_relaxed);
   int prev_t = -1;  // the last row walked, in the current residue class
-  int next_scratch = 0;
+  std::size_t next_scratch = 0;
   for (const int q : wanted) {
     // Walk up to requested row q from the lowest row of its class whose
     // cone is nonempty, or from where the walk below q stopped.
@@ -201,31 +292,51 @@ ClusterDpTable ClusterDpTable::build(const ClusterItems& items, int t_steps, int
     if (prev_t >= 0 && prev_t % dt == q % dt && prev_t + dt >= t) {
       t = prev_t + dt;
     } else {
-      prev_len = -1;  // a new walk: row t - dt has an empty cone or does not exist
+      r.prev_len = -1;  // a new walk: row t - dt has an empty cone or does not exist
     }
-    for (; t < q; t += dt) {
-      const int len = std::min(blocks_within(items, t, k_cap), k_cap - (q - t) / dt);
-      double* row = scratch_dp[static_cast<std::size_t>(next_scratch)].get();
-      std::uint16_t* crow = scratch_cnt[static_cast<std::size_t>(next_scratch)].get();
+    // Along the walk, the feasibility bound k_ub(t), the MRAM budget
+    // min(m_cap, t / dt_mram) and the cone bound k_cap - (q - t)/dt advance
+    // with t; only the walk's first row divides.
+    int k_ub = blocks_within(items, t, k_cap);
+    const int budget = static_cast<int>(std::min<std::int64_t>(m_cap, t / dt_mram));
+    if (budget < a_len) {
+      std::fill(mram_only.begin() + budget + 1, mram_only.begin() + a_len + 1, kInfEnergy);
+    } else {
+      std::copy(mram_energy.begin() + a_len + 1, mram_energy.begin() + budget + 1,
+                mram_only.begin() + a_len + 1);
+    }
+    a_len = budget;
+    int cone = k_cap - (q - t) / dt;  // q - t is a multiple of dt
+    for (;;) {
+      // A walked row t < q gets the cells of q's dependency cone below
+      // k_ub(t); the cells a later row reads past them are infinity in the
+      // full table, since the cone bound grows by one block per step up the
+      // chain while a row reads one block down. Row q has cone = k_cap.
+      r.len = std::min(k_ub, cone);
+      r.row = scratch_dp.data() + next_scratch * width;
+      r.cnt = scratch_cnt.data() + next_scratch * width;
       next_scratch ^= 1;
-      fill_row(t, len, row, crow, prev_row, prev_crow, prev_len);
-      prev_row = row;
-      prev_crow = crow;
-      prev_len = len;
+      kernel.fill_row(r);
+      r.prev = r.row;
+      r.prev_cnt = r.cnt;
+      r.prev_len = r.len;
+      if (t == q) break;
+      t += dt;
+      ++cone;
+      while (k_ub < k_cap && min_steps[static_cast<std::size_t>(k_ub) + 1] <= t) ++k_ub;
+      for (; a_len < m_cap && (a_len + 1) * dt_mram <= t; ++a_len) {
+        mram_only[static_cast<std::size_t>(a_len) + 1] =
+            mram_energy[static_cast<std::size_t>(a_len) + 1];
+      }
     }
     const std::size_t at =
         static_cast<std::size_t>(table.row_of_[static_cast<std::size_t>(q)]) * stride;
-    double* row = dp + at;
-    std::uint16_t* crow = cnt + at;
-    const int len = blocks_within(items, q, k_cap);
-    fill_row(q, len, row, crow, prev_row, prev_crow, prev_len);
-    for (int k = len + 1; k <= k_blocks; ++k) {
-      row[k] = kInfEnergy;
-      crow[k] = 0;
-    }
-    prev_row = row;
-    prev_crow = crow;
-    prev_len = len;
+    double* row = table.dp_.get() + at;
+    std::uint16_t* crow = table.cnt_.get() + at;
+    std::copy_n(r.row, r.len + 1, row);
+    std::copy_n(r.cnt, r.len + 1, crow);  // counts <= k_blocks < 65536
+    std::fill(row + r.len + 1, row + stride, kInfEnergy);
+    std::fill(crow + r.len + 1, crow + stride, std::uint16_t{0});
     prev_t = q;
   }
   return table;
@@ -238,21 +349,58 @@ std::pair<int, int> ClusterDpTable::split(int t, int k) const {
 
 CombineResult combine_clusters(const ClusterDpTable& hp, const ClusterDpTable& lp,
                                int k_total, int t) {
+  // k_hp runs over the splits both tables hold.
+  const int lo = std::max(0, k_total - lp.k_blocks());
+  const int hi = std::min(k_total, hp.k_blocks());
   CombineResult best;
-  for (int k_hp = 0; k_hp <= k_total; ++k_hp) {
-    const int k_lp = k_total - k_hp;
-    if (k_hp > hp.k_blocks() || k_lp > lp.k_blocks()) continue;
-    const double e_hp = hp.energy(t, k_hp);
-    const double e_lp = lp.energy(t, k_lp);
-    if (e_hp >= kInfEnergy || e_lp >= kInfEnergy) continue;  // paper line 6
-    const double e = e_hp + e_lp;
-    if (e < best.energy_pj) {  // paper lines 7-10
-      best.feasible = true;
-      best.energy_pj = e;
-      best.k_hp = k_hp;
-      best.k_lp = k_lp;
+  if (lo > hi) return best;
+  const double* e_hp = hp.energies(t).data();
+  const double* e_lp = lp.energies(t).data();
+  // Paper lines 6-10: the lowest k_hp whose sum is strictly below every
+  // earlier one. A split with an infeasible (inf) or NaN operand sums to inf
+  // or NaN, which never compares below the running best (inf at first), so
+  // it is skipped without a test. Lane j of a kLanes-wide scan keeps that
+  // argmin over the k_hp = lo + j (mod kLanes), branch-free, so the lanes'
+  // compare-and-select chains run side by side; the lowest k_hp among the
+  // lanes whose best equals the minimum (ties and signed zeros compare
+  // equal) is the scan's answer, and the tail past the last full stride
+  // continues it.
+  constexpr int kLanes = 4;
+  std::array<double, kLanes> lane_e;
+  std::array<int, kLanes> lane_k;
+  lane_e.fill(kInfEnergy);
+  lane_k.fill(-1);
+  int k = lo;
+  for (; k + kLanes - 1 <= hi; k += kLanes) {
+    for (int j = 0; j < kLanes; ++j) {
+      const double e = e_hp[k + j] + e_lp[k_total - k - j];
+      const bool take = e < lane_e[static_cast<std::size_t>(j)];
+      lane_e[static_cast<std::size_t>(j)] = take ? e : lane_e[static_cast<std::size_t>(j)];
+      lane_k[static_cast<std::size_t>(j)] = take ? k + j : lane_k[static_cast<std::size_t>(j)];
     }
   }
+  int k_hp = -1;
+  double energy = kInfEnergy;
+  for (int j = 0; j < kLanes; ++j) {
+    const double e = lane_e[static_cast<std::size_t>(j)];
+    const int at = lane_k[static_cast<std::size_t>(j)];
+    if (e < energy || (e == energy && at >= 0 && at < k_hp)) {
+      energy = e;
+      k_hp = at;
+    }
+  }
+  for (; k <= hi; ++k) {
+    const double e = e_hp[k] + e_lp[k_total - k];
+    if (e < energy) {
+      energy = e;
+      k_hp = k;
+    }
+  }
+  if (k_hp < 0) return best;
+  best.feasible = true;
+  best.energy_pj = energy;
+  best.k_hp = k_hp;
+  best.k_lp = k_total - k_hp;
   return best;
 }
 

@@ -41,6 +41,22 @@ using ClusterItems = std::array<DpItem, 2>;
 
 inline constexpr double kInfEnergy = std::numeric_limits<double>::infinity();
 
+/// The largest k_blocks a ClusterDpTable takes: block counts trace through
+/// uint16 counters.
+inline constexpr int kMaxDpBlocks = 65535;
+
+namespace detail {
+struct DpRow;  // one row of the DP walk (knapsack.cpp)
+/// A compiled variant of Algorithm 1's row kernel.
+struct DpKernel {
+  const char* name;  ///< "generic", or the instruction set it targets
+  bool supported;    ///< whether this CPU runs it
+  void (*fill_row)(const DpRow&);
+};
+}  // namespace detail
+
+namespace testing { struct DpKernels; }  // the kernel-variant seam of the tests
+
 /// The largest block count k <= `k_max` this cluster can process within
 /// `t_steps`: its time-minimal schedule fills the faster space first, capped
 /// by capacity. O(1). This bounds the DP's feasibility frontier from above,
@@ -74,6 +90,15 @@ inline constexpr double kInfEnergy = std::numeric_limits<double>::infinity();
 /// skipped. Every requested row is bit-identical to the same row of the full
 /// table. The all-rows build() is the same kernel with every row requested.
 ///
+/// The row kernel is branch-free over `__restrict` rows, so the compiler
+/// vectorizes it: every cell of a row lies on its own SRAM chain, the row is
+/// the vector axis, and a cell computes both options and selects one with
+/// the paper's test, so NaN, inf and ties resolve as in the literal loop.
+/// Along a walk, k_ub(t), the MRAM budget and the cone bound advance with t
+/// instead of being divided out per row. On x86-64 the same kernel is also
+/// compiled for AVX2 and picked once per process where the CPU has it;
+/// every variant yields the same bits.
+///
 /// Rows stop at the saturation row R = min(t_steps, k_cap · max(dt_mram,
 /// dt_sram)), k_cap = min(k_blocks, cap_mram + cap_sram): every condition
 /// the recurrence tests at (t, k) — the feasibility bound, the MRAM budget
@@ -82,9 +107,9 @@ inline constexpr double kInfEnergy = std::numeric_limits<double>::infinity();
 /// (energies and traced splits alike); requests and lookups past R read
 /// row R. Move-only.
 /// Preconditions: t_steps, k_blocks >= 0; every item's time_steps >= 1 and
-/// every requested row in [0, t_steps] (throws std::invalid_argument
-/// otherwise); k_blocks < 65536 (block counts trace through uint16
-/// counters).
+/// every requested row in [0, t_steps]; k_blocks <= kMaxDpBlocks (block
+/// counts trace through uint16 counters). build() throws
+/// std::invalid_argument when one fails.
 class ClusterDpTable {
  public:
   /// Algorithm 1, every row. O(min(t_steps, k_cap·max dt) * k_blocks) cells.
@@ -103,6 +128,10 @@ class ClusterDpTable {
   /// 0 <= k <= k_blocks().
   [[nodiscard]] double energy(int t, int k) const { return dp_[index(t, k)]; }
   [[nodiscard]] bool feasible(int t, int k) const { return energy(t, k) < kInfEnergy; }
+  /// Row t's energies, k = 0..k_blocks(). Precondition: has_row(t).
+  [[nodiscard]] std::span<const double> energies(int t) const {
+    return {dp_.get() + index(t, 0), static_cast<std::size_t>(k_blocks_) + 1};
+  }
 
   /// Blocks placed in (MRAM, SRAM) on the optimal path for (t, k).
   /// Meaningful only when feasible(t, k); returns (k, 0) otherwise.
@@ -113,6 +142,13 @@ class ClusterDpTable {
   [[nodiscard]] int k_blocks() const { return k_blocks_; }
 
  private:
+  friend struct testing::DpKernels;
+  /// The row kernels compiled into this binary, generic first. build()
+  /// runs the last one this CPU supports, picked once per process.
+  static std::span<const detail::DpKernel> kernels();
+  /// Makes `kernel` the one build() runs; returns the previous one.
+  static const detail::DpKernel& use_kernel(const detail::DpKernel& kernel);
+
   [[nodiscard]] std::size_t saturated(int t) const {
     return static_cast<std::size_t>(std::min(t, last_row_));
   }
@@ -138,8 +174,11 @@ struct CombineResult {
 };
 
 /// Algorithm 2 inner loop: optimal (k_hp, k_lp) for `k_total` blocks within
-/// `t` steps. O(k_total). Preconditions: `t` within both tables' t_steps();
-/// `k_total` >= 0 (splits beyond a table's k_blocks() are skipped).
+/// `t` steps: the lowest k_hp whose energy sum is strictly below every
+/// earlier one, skipping splits with an infinite or NaN operand. O(k_total),
+/// as a branch-free four-lane argmin over the two rows' energies.
+/// Preconditions: both tables have row `t`; `k_total` >= 0 (splits beyond a
+/// table's k_blocks() are skipped).
 [[nodiscard]] CombineResult combine_clusters(const ClusterDpTable& hp,
                                              const ClusterDpTable& lp,
                                              int k_total, int t);

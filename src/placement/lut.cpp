@@ -237,7 +237,7 @@ EntrySolve solve_entry(const CostModel& model, const ClusterItems& hp_items,
 std::vector<LutEntry> build_entries(const CostModel& model, const LutParams& params,
                                     RowPlan plan) {
   if (params.slice <= Time::zero() || params.total_weights == 0 ||
-      params.t_entries <= 0 || params.k_blocks <= 0) {
+      params.t_entries <= 0 || params.k_blocks <= 0 || params.k_blocks > kMaxDpBlocks) {
     throw std::invalid_argument("AllocationLut: bad parameters");
   }
 

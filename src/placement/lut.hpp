@@ -28,8 +28,9 @@
 namespace hhpim::placement {
 
 /// Build parameters. Preconditions (build() throws std::invalid_argument
-/// otherwise): slice > 0, total_weights > 0, t_entries > 0, k_blocks > 0,
-/// and slice must span at least t_entries picoseconds.
+/// otherwise): slice > 0, total_weights > 0, t_entries > 0,
+/// 0 < k_blocks <= kMaxDpBlocks, and slice must span at least t_entries
+/// picoseconds.
 struct LutParams {
   Time slice;                  ///< T: the time-slice length
   std::uint64_t total_weights = 0;  ///< K, in weights (= bytes for INT8)

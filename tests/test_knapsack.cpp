@@ -8,7 +8,11 @@
 #include <cstdint>
 #include <limits>
 #include <random>
+#include <sstream>
+#include <string>
 #include <vector>
+
+#include "dp_kernels.hpp"
 
 namespace hhpim::placement {
 namespace {
@@ -201,91 +205,158 @@ LiteralDp literal_dp(const ClusterItems& items, int t_steps, int k_blocks) {
   return table;
 }
 
-// Differential fuzz: build() (saturation-row clamp, write-once rows,
-// branchless cell, row-set walk) against the literal kernel, bit for bit on
-// every (t, k) — for the full table and for random row subsets.
-TEST(ClusterDp, SaturatedKernelMatchesLiteralDp) {
-  std::mt19937 rng(0x5eed2025u);
-  auto pick = [&rng](int n) { return static_cast<int>(rng() % static_cast<unsigned>(n)); };
-  auto energy = [&](void) -> double {
-    switch (pick(16)) {
-      case 0: return 0.0;
-      case 1: return 2.0;  // ties with the other space's integer energies
-      case 2: return std::numeric_limits<double>::quiet_NaN();
-      case 3: return kInfEnergy;
-      default: return 0.1 + pick(1000) / 7.0;  // inexact sums: order matters
-    }
-  };
-  int saturated = 0;  // cases where some looked-up row lies past R
-  int sparse = 0;     // subset builds that left some row out
-  for (int c = 0; c < 600; ++c) {
-    const int k_blocks = pick(13);
-    auto capacity = [&]() {
-      switch (pick(4)) {
-        case 0: return 0;                              // space absent
-        case 1: return pick(k_blocks + 1);             // may bind
-        default: return k_blocks + pick(4);            // slack
+// The first difference between `got` and `want` on the requested rows, or
+// "" when there is none: `got` must store exactly the requested rows (a row
+// past R is stored when some requested row is past R, since both saturate
+// into row R) and match `want` on every cell of them, energies as bits.
+std::string literal_diff(const ClusterDpTable& got, const LiteralDp& want, int t_steps,
+                         int k_blocks, int r, const std::vector<int>& rows) {
+  if (got.t_steps() != t_steps || got.k_blocks() != k_blocks) return "dimensions";
+  for (int t = 0; t <= t_steps; ++t) {
+    const bool requested = std::any_of(rows.begin(), rows.end(), [&](int q) {
+      return q == t || (t >= r && q >= r);
+    });
+    if (got.has_row(t) != requested) return "has_row(" + std::to_string(t) + ")";
+    if (!requested) continue;
+    for (int k = 0; k <= k_blocks; ++k) {
+      if (std::bit_cast<std::uint64_t>(got.energy(t, k)) !=
+              std::bit_cast<std::uint64_t>(want.energy(t, k)) ||
+          got.split(t, k) != want.split(t, k)) {
+        std::ostringstream out;
+        out << "t=" << t << " k=" << k << ": energy " << got.energy(t, k) << " vs "
+            << want.energy(t, k) << ", SRAM blocks " << got.split(t, k).second << " vs "
+            << want.split(t, k).second << " (T=" << t_steps << " K=" << k_blocks << " R=" << r
+            << " rows=" << rows.size() << ")";
+        return out.str();
       }
-    };
-    ClusterItems items;
-    for (auto& it : items) {
-      it.time_steps = 1 + pick(6);  // dt_sram <, = and > dt_mram
-      it.energy_pj = energy();
-      it.cap_blocks = capacity();
-    }
-    const int k_cap = std::min(k_blocks, items[0].cap_blocks + items[1].cap_blocks);
-    const int r = k_cap * std::max(items[0].time_steps, items[1].time_steps);
-    int t_steps = 0;
-    switch (pick(5)) {
-      case 0: t_steps = pick(r + 1); break;             // below (or at) R
-      case 1: t_steps = r; break;                       // at R
-      case 2: t_steps = r + 1; break;                   // just above
-      case 3: t_steps = r + 1 + pick(3 * r + 8); break; // far above
-      default: t_steps = std::max(0, r - 1); break;
-    }
-    if (t_steps > r) ++saturated;
-
-    const auto want = literal_dp(items, t_steps, k_blocks);
-    auto check = [&](const ClusterDpTable& got, const std::vector<int>& rows) {
-      ASSERT_EQ(got.t_steps(), t_steps);
-      ASSERT_EQ(got.k_blocks(), k_blocks);
-      for (int t = 0; t <= t_steps; ++t) {
-        // A row is stored iff requested, or saturating into a requested row.
-        const bool requested = std::any_of(rows.begin(), rows.end(), [&](int q) {
-          return q == t || (t >= r && q >= r);
-        });
-        ASSERT_EQ(got.has_row(t), requested) << "case=" << c << " t=" << t;
-        if (!requested) continue;
-        for (int k = 0; k <= k_blocks; ++k) {
-          ASSERT_EQ(std::bit_cast<std::uint64_t>(got.energy(t, k)),
-                    std::bit_cast<std::uint64_t>(want.energy(t, k)))
-              << "case=" << c << " t=" << t << " k=" << k << " T=" << t_steps
-              << " K=" << k_blocks << " R=" << r << " rows=" << rows.size();
-          ASSERT_EQ(got.split(t, k), want.split(t, k))
-              << "case=" << c << " t=" << t << " k=" << k << " T=" << t_steps
-              << " K=" << k_blocks << " R=" << r << " rows=" << rows.size();
-        }
-      }
-    };
-
-    std::vector<int> all(static_cast<std::size_t>(t_steps) + 1);
-    for (int t = 0; t <= t_steps; ++t) all[static_cast<std::size_t>(t)] = t;
-    check(ClusterDpTable::build(items, t_steps, k_blocks), all);
-
-    for (int subset = 0; subset < 4; ++subset) {
-      std::vector<int> rows;
-      const int n = pick(6);
-      for (int i = 0; i < n; ++i) rows.push_back(pick(t_steps + 1));
-      if (pick(2) == 0) rows.push_back(t_steps);
-      if (pick(3) == 0) rows.push_back(0);
-      if (!rows.empty() && pick(3) == 0) rows.push_back(rows.front());   // duplicate
-      if (t_steps > r && pick(2) == 0) rows.push_back(r + 1 + pick(t_steps - r));  // past R
-      if (static_cast<int>(rows.size()) < std::min(t_steps, r) + 1) ++sparse;
-      check(ClusterDpTable::build(items, t_steps, k_blocks, rows), rows);
     }
   }
-  EXPECT_GT(saturated, 100);  // the clamp itself is exercised
-  EXPECT_GT(sparse, 1000);    // and the row-set walk
+  return "";
+}
+
+// Per-block energies that exercise the cell's select: NaN, inf, ties with
+// the other space's integer energies, and inexact sums whose order matters.
+double fuzz_energy(std::mt19937& rng) {
+  switch (rng() % 16) {
+    case 0: return 0.0;
+    case 1: return 2.0;
+    case 2: return std::numeric_limits<double>::quiet_NaN();
+    case 3: return kInfEnergy;
+    default: return 0.1 + static_cast<double>(rng() % 1000) / 7.0;
+  }
+}
+
+// Differential fuzz: build() (saturation-row clamp, write-once rows,
+// branchless cell, row-set walk) against the literal kernel, bit for bit on
+// every (t, k) — for the full table and for random row subsets — on every
+// row kernel variant.
+TEST(ClusterDp, SaturatedKernelMatchesLiteralDp) {
+  testing::DpKernels::for_each([](const detail::DpKernel& kernel) {
+    std::mt19937 rng(0x5eed2025u);
+    auto pick = [&rng](int n) { return static_cast<int>(rng() % static_cast<unsigned>(n)); };
+    int saturated = 0;  // cases where some looked-up row lies past R
+    int sparse = 0;     // subset builds that left some row out
+    for (int c = 0; c < 600; ++c) {
+      const int k_blocks = pick(13);
+      auto capacity = [&]() {
+        switch (pick(4)) {
+          case 0: return 0;                              // space absent
+          case 1: return pick(k_blocks + 1);             // may bind
+          default: return k_blocks + pick(4);            // slack
+        }
+      };
+      ClusterItems items;
+      for (auto& it : items) {
+        it.time_steps = 1 + pick(6);  // dt_sram <, = and > dt_mram
+        it.energy_pj = fuzz_energy(rng);
+        it.cap_blocks = capacity();
+      }
+      const int k_cap = std::min(k_blocks, items[0].cap_blocks + items[1].cap_blocks);
+      const int r = k_cap * std::max(items[0].time_steps, items[1].time_steps);
+      int t_steps = 0;
+      switch (pick(5)) {
+        case 0: t_steps = pick(r + 1); break;             // below (or at) R
+        case 1: t_steps = r; break;                       // at R
+        case 2: t_steps = r + 1; break;                   // just above
+        case 3: t_steps = r + 1 + pick(3 * r + 8); break; // far above
+        default: t_steps = std::max(0, r - 1); break;
+      }
+      if (t_steps > r) ++saturated;
+
+      const auto want = literal_dp(items, t_steps, k_blocks);
+      std::vector<int> all(static_cast<std::size_t>(t_steps) + 1);
+      for (int t = 0; t <= t_steps; ++t) all[static_cast<std::size_t>(t)] = t;
+      ASSERT_EQ(literal_diff(ClusterDpTable::build(items, t_steps, k_blocks), want, t_steps,
+                             k_blocks, r, all),
+                "")
+          << "kernel=" << kernel.name << " case=" << c;
+
+      for (int subset = 0; subset < 4; ++subset) {
+        std::vector<int> rows;
+        const int n = pick(6);
+        for (int i = 0; i < n; ++i) rows.push_back(pick(t_steps + 1));
+        if (pick(2) == 0) rows.push_back(t_steps);
+        if (pick(3) == 0) rows.push_back(0);
+        if (!rows.empty() && pick(3) == 0) rows.push_back(rows.front());   // duplicate
+        if (t_steps > r && pick(2) == 0) rows.push_back(r + 1 + pick(t_steps - r));  // past R
+        if (static_cast<int>(rows.size()) < std::min(t_steps, r) + 1) ++sparse;
+        ASSERT_EQ(literal_diff(ClusterDpTable::build(items, t_steps, k_blocks, rows), want,
+                               t_steps, k_blocks, r, rows),
+                  "")
+            << "kernel=" << kernel.name << " case=" << c << " subset=" << subset;
+      }
+    }
+    EXPECT_GT(saturated, 100) << kernel.name;  // the clamp itself is exercised
+    EXPECT_GT(sparse, 1000) << kernel.name;    // and the row-set walk
+  });
+}
+
+// The same differential check at LUT widths (k_blocks 60-130, as r128
+// LUTs build), where rows are long enough that each variant's vector body
+// runs many chunks and ends on every remainder. Capacities mostly hold the
+// whole row; one in four cases lets the SRAM capacity bind.
+TEST(ClusterDp, EveryKernelMatchesLiteralDpAtRealWidths) {
+  testing::DpKernels::for_each([](const detail::DpKernel& kernel) {
+    std::mt19937 rng(0x51dec0deu);
+    auto pick = [&rng](int n) { return static_cast<int>(rng() % static_cast<unsigned>(n)); };
+    int long_rows = 0;  // cases whose rows reach 60 cells
+    int binding = 0;    // cases whose SRAM capacity binds below k_cap
+    for (int c = 0; c < 48; ++c) {
+      const int k_blocks = 60 + pick(71);
+      ClusterItems items;
+      for (auto& it : items) {
+        it.time_steps = 1 + pick(5);
+        it.energy_pj = fuzz_energy(rng);
+        it.cap_blocks = k_blocks + pick(8);
+      }
+      if (pick(4) == 0) items[1].cap_blocks = 1 + pick(k_blocks / 2);
+      if (pick(8) == 0) items[0].cap_blocks = pick(k_blocks);
+      const int k_cap = std::min(k_blocks, items[0].cap_blocks + items[1].cap_blocks);
+      const int r = k_cap * std::max(items[0].time_steps, items[1].time_steps);
+      // Up to 16·K steps, the LUT's time axis, and never past R by much.
+      const int t_steps = std::min(16 * k_blocks, r / 2 + pick(r / 2 + 8));
+      long_rows += max_feasible_blocks(items, t_steps, k_blocks) >= 60 ? 1 : 0;
+      binding += items[1].cap_blocks < k_cap ? 1 : 0;
+
+      const auto want = literal_dp(items, t_steps, k_blocks);
+      std::vector<int> all(static_cast<std::size_t>(t_steps) + 1);
+      for (int t = 0; t <= t_steps; ++t) all[static_cast<std::size_t>(t)] = t;
+      ASSERT_EQ(literal_diff(ClusterDpTable::build(items, t_steps, k_blocks), want, t_steps,
+                             k_blocks, r, all),
+                "")
+          << "kernel=" << kernel.name << " case=" << c;
+      // A LUT entry's plan: its anchor row, a bisection's probes and a
+      // handful of budgets below it.
+      std::vector<int> rows = {t_steps};
+      for (int i = 0; i < 12; ++i) rows.push_back(pick(t_steps + 1));
+      ASSERT_EQ(literal_diff(ClusterDpTable::build(items, t_steps, k_blocks, rows), want,
+                             t_steps, k_blocks, r, rows),
+                "")
+          << "kernel=" << kernel.name << " case=" << c << " (row set)";
+    }
+    EXPECT_GT(long_rows, 24) << kernel.name;
+    EXPECT_GT(binding, 6) << kernel.name;
+  });
 }
 
 TEST(ClusterDp, RowsOutOfRangeThrow) {
@@ -363,6 +434,13 @@ TEST(ClusterDp, InvalidArgumentsThrow) {
   EXPECT_THROW(ClusterDpTable::build(items, 10, 5), std::invalid_argument);
   const ClusterItems ok = {DpItem{1, 1.0, 1}, DpItem{1, 1.0, 1}};
   EXPECT_THROW(ClusterDpTable::build(ok, -1, 5), std::invalid_argument);
+  // Block counts trace through uint16 counters: k_blocks <= 65535.
+  const std::vector<int> row0 = {0};
+  EXPECT_THROW(ClusterDpTable::build(ok, 10, kMaxDpBlocks + 1), std::invalid_argument);
+  EXPECT_THROW(ClusterDpTable::build(ok, 10, kMaxDpBlocks + 1, row0), std::invalid_argument);
+  const auto widest = ClusterDpTable::build(ok, 2, kMaxDpBlocks, row0);
+  EXPECT_EQ(widest.split(0, 0), std::make_pair(0, 0));
+  EXPECT_FALSE(widest.feasible(0, kMaxDpBlocks));
 }
 
 TEST(Combine, PicksBestSplitAcrossClusters) {
@@ -413,6 +491,89 @@ TEST(Combine, ExhaustiveCrossCheck) {
       EXPECT_DOUBLE_EQ(got.energy_pj, best) << t;
     }
   }
+}
+
+// The combine scan as the paper's Algorithm 2 writes it (lines 6-10): skip
+// a split with an infeasible operand, keep the first strictly lower sum.
+CombineResult literal_combine(const ClusterDpTable& hp, const ClusterDpTable& lp, int k_total,
+                              int t) {
+  CombineResult best;
+  for (int k_hp = 0; k_hp <= k_total; ++k_hp) {
+    const int k_lp = k_total - k_hp;
+    if (k_hp > hp.k_blocks() || k_lp > lp.k_blocks()) continue;
+    const double e_hp = hp.energy(t, k_hp);
+    const double e_lp = lp.energy(t, k_lp);
+    if (e_hp >= kInfEnergy || e_lp >= kInfEnergy) continue;
+    const double e = e_hp + e_lp;
+    if (e < best.energy_pj) {
+      best.feasible = true;
+      best.energy_pj = e;
+      best.k_hp = k_hp;
+      best.k_lp = k_lp;
+    }
+  }
+  return best;
+}
+
+// combine_clusters against the literal scan on random tables, with NaN and
+// inf cells, ties (integer and signed-zero energies), finite sums that
+// overflow to inf, negative energies, and k_total past either table's
+// k_blocks: feasibility, the split and the energy bits must all agree.
+TEST(Combine, MatchesLiteralScanBitForBit) {
+  std::mt19937 rng(0xc0b1e5u);
+  auto pick = [&rng](int n) { return static_cast<int>(rng() % static_cast<unsigned>(n)); };
+  auto energy = [&]() -> double {
+    switch (pick(10)) {
+      case 0: return std::numeric_limits<double>::quiet_NaN();
+      case 1: return kInfEnergy;
+      case 2: return -0.0;
+      case 3: return -1.5;
+      case 4: return 2.0;
+      default: return 0.5 * pick(8);
+    }
+  };
+  int feasible = 0;
+  int overflowed = 0;  // scans that met a finite-operand sum of inf
+  for (int c = 0; c < 3000; ++c) {
+    // One case in four is huge: three blocks of 6e307 pJ overflow to inf,
+    // so sums of finite cells from both tables do.
+    const bool huge = pick(4) == 0;
+    auto table = [&]() {
+      const int k_blocks = pick(40);
+      ClusterItems items;
+      for (auto& it : items) {
+        it.time_steps = 1 + pick(4);
+        it.energy_pj = huge ? 6e307 : energy();
+        it.cap_blocks = pick(k_blocks + 2);
+      }
+      return ClusterDpTable::build(items, pick(90), k_blocks);
+    };
+    const ClusterDpTable hp = table();
+    const ClusterDpTable lp = table();
+    const int t = pick(std::min(hp.t_steps(), lp.t_steps()) + 1);
+    const int k_total = huge ? 3 + pick(2) : pick(hp.k_blocks() + lp.k_blocks() + 4);
+    const CombineResult want = literal_combine(hp, lp, k_total, t);
+    const CombineResult got = combine_clusters(hp, lp, k_total, t);
+    ASSERT_EQ(got.feasible, want.feasible) << "case=" << c;
+    ASSERT_EQ(got.k_hp, want.k_hp) << "case=" << c;
+    ASSERT_EQ(got.k_lp, want.k_lp) << "case=" << c;
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(got.energy_pj),
+              std::bit_cast<std::uint64_t>(want.energy_pj))
+        << "case=" << c;
+    feasible += want.feasible ? 1 : 0;
+    for (int k_hp = 0; k_hp <= std::min(k_total, hp.k_blocks()); ++k_hp) {
+      const int k_lp = k_total - k_hp;
+      if (k_lp > lp.k_blocks()) continue;
+      const double a = hp.energy(t, k_hp);
+      const double b = lp.energy(t, k_lp);
+      if (std::isfinite(a) && std::isfinite(b) && std::isinf(a + b)) {
+        ++overflowed;
+        break;
+      }
+    }
+  }
+  EXPECT_GT(feasible, 400);
+  EXPECT_GT(overflowed, 200);
 }
 
 /// Property sweep: the DP result is optimal and feasible for randomized item
