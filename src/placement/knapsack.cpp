@@ -1,8 +1,6 @@
 #include "placement/knapsack.hpp"
 
 #include <algorithm>
-#include <array>
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <stdexcept>
@@ -11,58 +9,34 @@
 
 namespace hhpim::placement {
 
-namespace detail {
+namespace {
 
 /// A count of SRAM blocks in the kernel's scratch rows: 32-bit, so that a
 /// vector lane compares and selects it beside the energies. Stored rows
 /// narrow it to uint16.
 using DpCount = std::int32_t;
 
-/// One row of the DP walk: cells 0..len of row t, from row t - dt_sram
-/// (`prev`, computed through `prev_len`, or prev_len = -1 at the start of a
-/// walk).
-struct DpRow {
-  const double* prev = nullptr;
-  const DpCount* prev_cnt = nullptr;
-  int prev_len = -1;
-  double* row = nullptr;
-  DpCount* cnt = nullptr;
-  int len = 0;
-  /// Option A, all blocks in MRAM: k·e_mram up to row t's MRAM budget,
-  /// infinity past it.
-  const double* mram_only = nullptr;
-  double e_sram = 0.0;
-  DpCount cap_sram = 0;
-};
-
-}  // namespace detail
-
-namespace {
-
-using detail::DpCount;
-using detail::DpRow;
-
-/// The cell loop runs in whole chunks, a multiple of every variant's vector
-/// width, so no scalar remainder loop runs. Scratch rows and the option-A
-/// row hold kChunk cells past k_cap.
+/// The cell loop runs in whole chunks, a multiple of the vector width, so
+/// no scalar remainder loop runs. Scratch rows and the option-A row hold
+/// kChunk cells past k_cap.
 constexpr int kChunk = 8;
 
-/// The row kernel. A cell k <= k_b (option B reads cell k - 1 of the
-/// previous row, so k_b = min(len, prev_len + 1)) takes the better of
-/// option A and option B, one more block into SRAM on top of cell k - 1.
-/// Branch-free so that it vectorizes: both options are computed and
-/// `take`, the paper's test, selects one. No feasibility test on the source
-/// cell: inf + e_sram is inf (or NaN), which never compares below option A,
-/// exactly as if it were skipped. Past k_b only option A is left: the
-/// second loop overwrites the cells the last chunk computed there from
-/// stale scratch. Past len such cells feed only other cells past a later
-/// row's k_b, and a requested row is copied out only up to len.
-[[gnu::always_inline]] inline void fill_cells(const double* __restrict prev,
-                                              const DpCount* __restrict prev_cnt,
-                                              const double* __restrict mram_only,
-                                              double* __restrict row, DpCount* __restrict cnt,
-                                              int len, int k_b, double e_sram,
-                                              DpCount cap_sram) {
+/// The row kernel: cells 0..len of row t from row t - dt_sram (`prev`,
+/// computed through prev_len). A cell k <= k_b (option B reads cell k - 1
+/// of the previous row, so k_b = min(len, prev_len + 1)) takes the better
+/// of option A, all blocks in MRAM (`mram_only`: k·e_mram up to row t's
+/// MRAM budget, infinity past it), and option B, one more block into SRAM
+/// on top of cell k - 1. Branch-free so that it vectorizes: both options
+/// are computed and `take`, the paper's test, selects one. No feasibility
+/// test on the source cell: inf + e_sram is inf (or NaN), which never
+/// compares below option A, exactly as if it were skipped. Past k_b only
+/// option A is left: the second loop overwrites the cells the last chunk
+/// computed there from stale scratch. Past len such cells feed only other
+/// cells past a later row's k_b, and a requested row is copied out only up
+/// to len.
+void fill_row(const double* __restrict prev, const DpCount* __restrict prev_cnt,
+              const double* __restrict mram_only, double* __restrict row,
+              DpCount* __restrict cnt, int len, int k_b, double e_sram, DpCount cap_sram) {
   row[0] = 0.0;
   cnt[0] = 0;
   const int n = (k_b + kChunk - 1) / kChunk * kChunk;
@@ -77,39 +51,6 @@ constexpr int kChunk = 8;
     row[k] = mram_only[k];
     cnt[k] = 0;
   }
-}
-
-[[gnu::always_inline]] inline void fill_row(const DpRow& r) {
-  fill_cells(r.prev, r.prev_cnt, r.mram_only, r.row, r.cnt, r.len,
-             std::min(r.len, r.prev_len + 1), r.e_sram, r.cap_sram);
-}
-
-void fill_row_generic(const DpRow& r) { fill_row(r); }
-
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-#define HHPIM_DP_AVX2 1
-/// The same kernel compiled for AVX2, four doubles per vector.
-__attribute__((target("avx2"))) void fill_row_avx2(const DpRow& r) { fill_row(r); }
-#endif
-
-std::span<const detail::DpKernel> compiled_kernels() {
-  static const detail::DpKernel all[] = {
-      {"generic", true, fill_row_generic},
-#ifdef HHPIM_DP_AVX2
-      {"avx2", __builtin_cpu_supports("avx2") != 0, fill_row_avx2},
-#endif
-  };
-  return all;
-}
-
-/// The kernel build() runs: the last variant this CPU supports, unless a
-/// test swapped it (ClusterDpTable::use_kernel).
-std::atomic<const detail::DpKernel*>& active_kernel() {
-  static std::atomic<const detail::DpKernel*> kernel{[] {
-    const std::span<const detail::DpKernel> all = compiled_kernels();
-    return &*std::find_if(all.rbegin(), all.rend(), [](const auto& k) { return k.supported; });
-  }()};
-  return kernel;
 }
 
 void validate_items(const ClusterItems& items, int t_steps, int k_blocks) {
@@ -169,12 +110,6 @@ Extent extent(const ClusterItems& items, int t_steps, int k_blocks) {
 int max_feasible_blocks(const ClusterItems& items, int t_steps, int k_max) {
   validate_items(items, t_steps, k_max);
   return blocks_within(items, t_steps, k_max);
-}
-
-std::span<const detail::DpKernel> ClusterDpTable::kernels() { return compiled_kernels(); }
-
-const detail::DpKernel& ClusterDpTable::use_kernel(const detail::DpKernel& kernel) {
-  return *active_kernel().exchange(&kernel);
 }
 
 ClusterDpTable ClusterDpTable::build(const ClusterItems& items, int t_steps, int k_blocks) {
@@ -272,15 +207,16 @@ ClusterDpTable ClusterDpTable::build(const ClusterItems& items, int t_steps, int
   // Two scratch rows the walk alternates between; a requested row is copied
   // into the table, its counts narrowed to uint16.
   std::vector<double> scratch_dp(2 * width);
-  std::vector<detail::DpCount> scratch_cnt(2 * width);
+  std::vector<DpCount> scratch_cnt(2 * width);
 
-  detail::DpRow r;
-  r.mram_only = mram_only.data();
-  r.e_sram = sram.energy_pj;
-  r.cap_sram = sram.cap_blocks;
-  r.prev_len = -1;
+  // The walk's last row: prev_len = -1 at the start of a walk.
+  const double* prev = nullptr;
+  const DpCount* prev_cnt = nullptr;
+  int prev_len = -1;
+  double* row = nullptr;
+  DpCount* cnt = nullptr;
+  int len = 0;
   const std::int64_t dt_mram = mram.time_steps;
-  const detail::DpKernel& kernel = *active_kernel().load(std::memory_order_relaxed);
   int prev_t = -1;  // the last row walked, in the current residue class
   std::size_t next_scratch = 0;
   for (const int q : wanted) {
@@ -292,7 +228,7 @@ ClusterDpTable ClusterDpTable::build(const ClusterItems& items, int t_steps, int
     if (prev_t >= 0 && prev_t % dt == q % dt && prev_t + dt >= t) {
       t = prev_t + dt;
     } else {
-      r.prev_len = -1;  // a new walk: row t - dt has an empty cone or does not exist
+      prev_len = -1;  // a new walk: row t - dt has an empty cone or does not exist
     }
     // Along the walk, the feasibility bound k_ub(t), the MRAM budget
     // min(m_cap, t / dt_mram) and the cone bound k_cap - (q - t)/dt advance
@@ -312,14 +248,15 @@ ClusterDpTable ClusterDpTable::build(const ClusterItems& items, int t_steps, int
       // k_ub(t); the cells a later row reads past them are infinity in the
       // full table, since the cone bound grows by one block per step up the
       // chain while a row reads one block down. Row q has cone = k_cap.
-      r.len = std::min(k_ub, cone);
-      r.row = scratch_dp.data() + next_scratch * width;
-      r.cnt = scratch_cnt.data() + next_scratch * width;
+      len = std::min(k_ub, cone);
+      row = scratch_dp.data() + next_scratch * width;
+      cnt = scratch_cnt.data() + next_scratch * width;
       next_scratch ^= 1;
-      kernel.fill_row(r);
-      r.prev = r.row;
-      r.prev_cnt = r.cnt;
-      r.prev_len = r.len;
+      fill_row(prev, prev_cnt, mram_only.data(), row, cnt, len, std::min(len, prev_len + 1),
+               sram.energy_pj, sram.cap_blocks);
+      prev = row;
+      prev_cnt = cnt;
+      prev_len = len;
       if (t == q) break;
       t += dt;
       ++cone;
@@ -331,12 +268,12 @@ ClusterDpTable ClusterDpTable::build(const ClusterItems& items, int t_steps, int
     }
     const std::size_t at =
         static_cast<std::size_t>(table.row_of_[static_cast<std::size_t>(q)]) * stride;
-    double* row = table.dp_.get() + at;
-    std::uint16_t* crow = table.cnt_.get() + at;
-    std::copy_n(r.row, r.len + 1, row);
-    std::copy_n(r.cnt, r.len + 1, crow);  // counts <= k_blocks < 65536
-    std::fill(row + r.len + 1, row + stride, kInfEnergy);
-    std::fill(crow + r.len + 1, crow + stride, std::uint16_t{0});
+    double* out = table.dp_.get() + at;
+    std::uint16_t* out_cnt = table.cnt_.get() + at;
+    std::copy_n(row, len + 1, out);
+    std::copy_n(cnt, len + 1, out_cnt);  // counts <= k_blocks < 65536
+    std::fill(out + len + 1, out + stride, kInfEnergy);
+    std::fill(out_cnt + len + 1, out_cnt + stride, std::uint16_t{0});
     prev_t = q;
   }
   return table;
@@ -352,55 +289,22 @@ CombineResult combine_clusters(const ClusterDpTable& hp, const ClusterDpTable& l
   // k_hp runs over the splits both tables hold.
   const int lo = std::max(0, k_total - lp.k_blocks());
   const int hi = std::min(k_total, hp.k_blocks());
-  CombineResult best;
-  if (lo > hi) return best;
   const double* e_hp = hp.energies(t).data();
   const double* e_lp = lp.energies(t).data();
   // Paper lines 6-10: the lowest k_hp whose sum is strictly below every
   // earlier one. A split with an infeasible (inf) or NaN operand sums to inf
   // or NaN, which never compares below the running best (inf at first), so
-  // it is skipped without a test. Lane j of a kLanes-wide scan keeps that
-  // argmin over the k_hp = lo + j (mod kLanes), branch-free, so the lanes'
-  // compare-and-select chains run side by side; the lowest k_hp among the
-  // lanes whose best equals the minimum (ties and signed zeros compare
-  // equal) is the scan's answer, and the tail past the last full stride
-  // continues it.
-  constexpr int kLanes = 4;
-  std::array<double, kLanes> lane_e;
-  std::array<int, kLanes> lane_k;
-  lane_e.fill(kInfEnergy);
-  lane_k.fill(-1);
-  int k = lo;
-  for (; k + kLanes - 1 <= hi; k += kLanes) {
-    for (int j = 0; j < kLanes; ++j) {
-      const double e = e_hp[k + j] + e_lp[k_total - k - j];
-      const bool take = e < lane_e[static_cast<std::size_t>(j)];
-      lane_e[static_cast<std::size_t>(j)] = take ? e : lane_e[static_cast<std::size_t>(j)];
-      lane_k[static_cast<std::size_t>(j)] = take ? k + j : lane_k[static_cast<std::size_t>(j)];
+  // it is skipped without a test.
+  CombineResult best;
+  for (int k_hp = lo; k_hp <= hi; ++k_hp) {
+    const double e = e_hp[k_hp] + e_lp[k_total - k_hp];
+    if (e < best.energy_pj) {
+      best.feasible = true;
+      best.energy_pj = e;
+      best.k_hp = k_hp;
+      best.k_lp = k_total - k_hp;
     }
   }
-  int k_hp = -1;
-  double energy = kInfEnergy;
-  for (int j = 0; j < kLanes; ++j) {
-    const double e = lane_e[static_cast<std::size_t>(j)];
-    const int at = lane_k[static_cast<std::size_t>(j)];
-    if (e < energy || (e == energy && at >= 0 && at < k_hp)) {
-      energy = e;
-      k_hp = at;
-    }
-  }
-  for (; k <= hi; ++k) {
-    const double e = e_hp[k] + e_lp[k_total - k];
-    if (e < energy) {
-      energy = e;
-      k_hp = k;
-    }
-  }
-  if (k_hp < 0) return best;
-  best.feasible = true;
-  best.energy_pj = energy;
-  best.k_hp = k_hp;
-  best.k_lp = k_total - k_hp;
   return best;
 }
 

@@ -45,18 +45,6 @@ inline constexpr double kInfEnergy = std::numeric_limits<double>::infinity();
 /// uint16 counters.
 inline constexpr int kMaxDpBlocks = 65535;
 
-namespace detail {
-struct DpRow;  // one row of the DP walk (knapsack.cpp)
-/// A compiled variant of Algorithm 1's row kernel.
-struct DpKernel {
-  const char* name;  ///< "generic", or the instruction set it targets
-  bool supported;    ///< whether this CPU runs it
-  void (*fill_row)(const DpRow&);
-};
-}  // namespace detail
-
-namespace testing { struct DpKernels; }  // the kernel-variant seam of the tests
-
 /// The largest block count k <= `k_max` this cluster can process within
 /// `t_steps`: its time-minimal schedule fills the faster space first, capped
 /// by capacity. O(1). This bounds the DP's feasibility frontier from above,
@@ -95,9 +83,8 @@ namespace testing { struct DpKernels; }  // the kernel-variant seam of the tests
 /// the vector axis, and a cell computes both options and selects one with
 /// the paper's test, so NaN, inf and ties resolve as in the literal loop.
 /// Along a walk, k_ub(t), the MRAM budget and the cone bound advance with t
-/// instead of being divided out per row. On x86-64 the same kernel is also
-/// compiled for AVX2 and picked once per process where the CPU has it;
-/// every variant yields the same bits.
+/// instead of being divided out per row. One portable kernel serves every
+/// CPU; no instruction-set flag is needed.
 ///
 /// Rows stop at the saturation row R = min(t_steps, k_cap · max(dt_mram,
 /// dt_sram)), k_cap = min(k_blocks, cap_mram + cap_sram): every condition
@@ -142,13 +129,6 @@ class ClusterDpTable {
   [[nodiscard]] int k_blocks() const { return k_blocks_; }
 
  private:
-  friend struct testing::DpKernels;
-  /// The row kernels compiled into this binary, generic first. build()
-  /// runs the last one this CPU supports, picked once per process.
-  static std::span<const detail::DpKernel> kernels();
-  /// Makes `kernel` the one build() runs; returns the previous one.
-  static const detail::DpKernel& use_kernel(const detail::DpKernel& kernel);
-
   [[nodiscard]] std::size_t saturated(int t) const {
     return static_cast<std::size_t>(std::min(t, last_row_));
   }
@@ -175,8 +155,8 @@ struct CombineResult {
 
 /// Algorithm 2 inner loop: optimal (k_hp, k_lp) for `k_total` blocks within
 /// `t` steps: the lowest k_hp whose energy sum is strictly below every
-/// earlier one, skipping splits with an infinite or NaN operand. O(k_total),
-/// as a branch-free four-lane argmin over the two rows' energies.
+/// earlier one, skipping splits with an infinite or NaN operand.
+/// O(k_total), over the k_hp range both tables hold.
 /// Preconditions: both tables have row `t`; `k_total` >= 0 (splits beyond a
 /// table's k_blocks() are skipped).
 [[nodiscard]] CombineResult combine_clusters(const ClusterDpTable& hp,

@@ -12,8 +12,6 @@
 #include <string>
 #include <vector>
 
-#include "dp_kernels.hpp"
-
 namespace hhpim::placement {
 namespace {
 
@@ -248,115 +246,110 @@ double fuzz_energy(std::mt19937& rng) {
 
 // Differential fuzz: build() (saturation-row clamp, write-once rows,
 // branchless cell, row-set walk) against the literal kernel, bit for bit on
-// every (t, k) — for the full table and for random row subsets — on every
-// row kernel variant.
+// every (t, k) — for the full table and for random row subsets.
 TEST(ClusterDp, SaturatedKernelMatchesLiteralDp) {
-  testing::DpKernels::for_each([](const detail::DpKernel& kernel) {
-    std::mt19937 rng(0x5eed2025u);
-    auto pick = [&rng](int n) { return static_cast<int>(rng() % static_cast<unsigned>(n)); };
-    int saturated = 0;  // cases where some looked-up row lies past R
-    int sparse = 0;     // subset builds that left some row out
-    for (int c = 0; c < 600; ++c) {
-      const int k_blocks = pick(13);
-      auto capacity = [&]() {
-        switch (pick(4)) {
-          case 0: return 0;                              // space absent
-          case 1: return pick(k_blocks + 1);             // may bind
-          default: return k_blocks + pick(4);            // slack
-        }
-      };
-      ClusterItems items;
-      for (auto& it : items) {
-        it.time_steps = 1 + pick(6);  // dt_sram <, = and > dt_mram
-        it.energy_pj = fuzz_energy(rng);
-        it.cap_blocks = capacity();
+  std::mt19937 rng(0x5eed2025u);
+  auto pick = [&rng](int n) { return static_cast<int>(rng() % static_cast<unsigned>(n)); };
+  int saturated = 0;  // cases where some looked-up row lies past R
+  int sparse = 0;     // subset builds that left some row out
+  for (int c = 0; c < 600; ++c) {
+    const int k_blocks = pick(13);
+    auto capacity = [&]() {
+      switch (pick(4)) {
+        case 0: return 0;                              // space absent
+        case 1: return pick(k_blocks + 1);             // may bind
+        default: return k_blocks + pick(4);            // slack
       }
-      const int k_cap = std::min(k_blocks, items[0].cap_blocks + items[1].cap_blocks);
-      const int r = k_cap * std::max(items[0].time_steps, items[1].time_steps);
-      int t_steps = 0;
-      switch (pick(5)) {
-        case 0: t_steps = pick(r + 1); break;             // below (or at) R
-        case 1: t_steps = r; break;                       // at R
-        case 2: t_steps = r + 1; break;                   // just above
-        case 3: t_steps = r + 1 + pick(3 * r + 8); break; // far above
-        default: t_steps = std::max(0, r - 1); break;
-      }
-      if (t_steps > r) ++saturated;
-
-      const auto want = literal_dp(items, t_steps, k_blocks);
-      std::vector<int> all(static_cast<std::size_t>(t_steps) + 1);
-      for (int t = 0; t <= t_steps; ++t) all[static_cast<std::size_t>(t)] = t;
-      ASSERT_EQ(literal_diff(ClusterDpTable::build(items, t_steps, k_blocks), want, t_steps,
-                             k_blocks, r, all),
-                "")
-          << "kernel=" << kernel.name << " case=" << c;
-
-      for (int subset = 0; subset < 4; ++subset) {
-        std::vector<int> rows;
-        const int n = pick(6);
-        for (int i = 0; i < n; ++i) rows.push_back(pick(t_steps + 1));
-        if (pick(2) == 0) rows.push_back(t_steps);
-        if (pick(3) == 0) rows.push_back(0);
-        if (!rows.empty() && pick(3) == 0) rows.push_back(rows.front());   // duplicate
-        if (t_steps > r && pick(2) == 0) rows.push_back(r + 1 + pick(t_steps - r));  // past R
-        if (static_cast<int>(rows.size()) < std::min(t_steps, r) + 1) ++sparse;
-        ASSERT_EQ(literal_diff(ClusterDpTable::build(items, t_steps, k_blocks, rows), want,
-                               t_steps, k_blocks, r, rows),
-                  "")
-            << "kernel=" << kernel.name << " case=" << c << " subset=" << subset;
-      }
+    };
+    ClusterItems items;
+    for (auto& it : items) {
+      it.time_steps = 1 + pick(6);  // dt_sram <, = and > dt_mram
+      it.energy_pj = fuzz_energy(rng);
+      it.cap_blocks = capacity();
     }
-    EXPECT_GT(saturated, 100) << kernel.name;  // the clamp itself is exercised
-    EXPECT_GT(sparse, 1000) << kernel.name;    // and the row-set walk
-  });
-}
+    const int k_cap = std::min(k_blocks, items[0].cap_blocks + items[1].cap_blocks);
+    const int r = k_cap * std::max(items[0].time_steps, items[1].time_steps);
+    int t_steps = 0;
+    switch (pick(5)) {
+      case 0: t_steps = pick(r + 1); break;             // below (or at) R
+      case 1: t_steps = r; break;                       // at R
+      case 2: t_steps = r + 1; break;                   // just above
+      case 3: t_steps = r + 1 + pick(3 * r + 8); break; // far above
+      default: t_steps = std::max(0, r - 1); break;
+    }
+    if (t_steps > r) ++saturated;
 
-// The same differential check at LUT widths (k_blocks 60-130, as r128
-// LUTs build), where rows are long enough that each variant's vector body
-// runs many chunks and ends on every remainder. Capacities mostly hold the
-// whole row; one in four cases lets the SRAM capacity bind.
-TEST(ClusterDp, EveryKernelMatchesLiteralDpAtRealWidths) {
-  testing::DpKernels::for_each([](const detail::DpKernel& kernel) {
-    std::mt19937 rng(0x51dec0deu);
-    auto pick = [&rng](int n) { return static_cast<int>(rng() % static_cast<unsigned>(n)); };
-    int long_rows = 0;  // cases whose rows reach 60 cells
-    int binding = 0;    // cases whose SRAM capacity binds below k_cap
-    for (int c = 0; c < 48; ++c) {
-      const int k_blocks = 60 + pick(71);
-      ClusterItems items;
-      for (auto& it : items) {
-        it.time_steps = 1 + pick(5);
-        it.energy_pj = fuzz_energy(rng);
-        it.cap_blocks = k_blocks + pick(8);
-      }
-      if (pick(4) == 0) items[1].cap_blocks = 1 + pick(k_blocks / 2);
-      if (pick(8) == 0) items[0].cap_blocks = pick(k_blocks);
-      const int k_cap = std::min(k_blocks, items[0].cap_blocks + items[1].cap_blocks);
-      const int r = k_cap * std::max(items[0].time_steps, items[1].time_steps);
-      // Up to 16·K steps, the LUT's time axis, and never past R by much.
-      const int t_steps = std::min(16 * k_blocks, r / 2 + pick(r / 2 + 8));
-      long_rows += max_feasible_blocks(items, t_steps, k_blocks) >= 60 ? 1 : 0;
-      binding += items[1].cap_blocks < k_cap ? 1 : 0;
+    const auto want = literal_dp(items, t_steps, k_blocks);
+    std::vector<int> all(static_cast<std::size_t>(t_steps) + 1);
+    for (int t = 0; t <= t_steps; ++t) all[static_cast<std::size_t>(t)] = t;
+    ASSERT_EQ(literal_diff(ClusterDpTable::build(items, t_steps, k_blocks), want, t_steps,
+                           k_blocks, r, all),
+              "")
+        << "case=" << c;
 
-      const auto want = literal_dp(items, t_steps, k_blocks);
-      std::vector<int> all(static_cast<std::size_t>(t_steps) + 1);
-      for (int t = 0; t <= t_steps; ++t) all[static_cast<std::size_t>(t)] = t;
-      ASSERT_EQ(literal_diff(ClusterDpTable::build(items, t_steps, k_blocks), want, t_steps,
-                             k_blocks, r, all),
-                "")
-          << "kernel=" << kernel.name << " case=" << c;
-      // A LUT entry's plan: its anchor row, a bisection's probes and a
-      // handful of budgets below it.
-      std::vector<int> rows = {t_steps};
-      for (int i = 0; i < 12; ++i) rows.push_back(pick(t_steps + 1));
+    for (int subset = 0; subset < 4; ++subset) {
+      std::vector<int> rows;
+      const int n = pick(6);
+      for (int i = 0; i < n; ++i) rows.push_back(pick(t_steps + 1));
+      if (pick(2) == 0) rows.push_back(t_steps);
+      if (pick(3) == 0) rows.push_back(0);
+      if (!rows.empty() && pick(3) == 0) rows.push_back(rows.front());   // duplicate
+      if (t_steps > r && pick(2) == 0) rows.push_back(r + 1 + pick(t_steps - r));  // past R
+      if (static_cast<int>(rows.size()) < std::min(t_steps, r) + 1) ++sparse;
       ASSERT_EQ(literal_diff(ClusterDpTable::build(items, t_steps, k_blocks, rows), want,
                              t_steps, k_blocks, r, rows),
                 "")
-          << "kernel=" << kernel.name << " case=" << c << " (row set)";
+          << "case=" << c << " subset=" << subset;
     }
-    EXPECT_GT(long_rows, 24) << kernel.name;
-    EXPECT_GT(binding, 6) << kernel.name;
-  });
+  }
+  EXPECT_GT(saturated, 100);  // the clamp itself is exercised
+  EXPECT_GT(sparse, 1000);    // and the row-set walk
+}
+
+// The same differential check at LUT widths (k_blocks 60-130, as r128
+// LUTs build), where rows are long enough that the vectorized cell loop
+// runs many chunks and ends on every remainder. Capacities mostly hold the
+// whole row; one in four cases lets the SRAM capacity bind.
+TEST(ClusterDp, MatchesLiteralDpAtRealWidths) {
+  std::mt19937 rng(0x51dec0deu);
+  auto pick = [&rng](int n) { return static_cast<int>(rng() % static_cast<unsigned>(n)); };
+  int long_rows = 0;  // cases whose rows reach 60 cells
+  int binding = 0;    // cases whose SRAM capacity binds below k_cap
+  for (int c = 0; c < 48; ++c) {
+    const int k_blocks = 60 + pick(71);
+    ClusterItems items;
+    for (auto& it : items) {
+      it.time_steps = 1 + pick(5);
+      it.energy_pj = fuzz_energy(rng);
+      it.cap_blocks = k_blocks + pick(8);
+    }
+    if (pick(4) == 0) items[1].cap_blocks = 1 + pick(k_blocks / 2);
+    if (pick(8) == 0) items[0].cap_blocks = pick(k_blocks);
+    const int k_cap = std::min(k_blocks, items[0].cap_blocks + items[1].cap_blocks);
+    const int r = k_cap * std::max(items[0].time_steps, items[1].time_steps);
+    // Up to 16·K steps, the LUT's time axis, and never past R by much.
+    const int t_steps = std::min(16 * k_blocks, r / 2 + pick(r / 2 + 8));
+    long_rows += max_feasible_blocks(items, t_steps, k_blocks) >= 60 ? 1 : 0;
+    binding += items[1].cap_blocks < k_cap ? 1 : 0;
+
+    const auto want = literal_dp(items, t_steps, k_blocks);
+    std::vector<int> all(static_cast<std::size_t>(t_steps) + 1);
+    for (int t = 0; t <= t_steps; ++t) all[static_cast<std::size_t>(t)] = t;
+    ASSERT_EQ(literal_diff(ClusterDpTable::build(items, t_steps, k_blocks), want, t_steps,
+                           k_blocks, r, all),
+              "")
+        << "case=" << c;
+    // A LUT entry's plan: its anchor row, a bisection's probes and a
+    // handful of budgets below it.
+    std::vector<int> rows = {t_steps};
+    for (int i = 0; i < 12; ++i) rows.push_back(pick(t_steps + 1));
+    ASSERT_EQ(literal_diff(ClusterDpTable::build(items, t_steps, k_blocks, rows), want,
+                           t_steps, k_blocks, r, rows),
+              "")
+        << "case=" << c << " (row set)";
+  }
+  EXPECT_GT(long_rows, 24);
+  EXPECT_GT(binding, 6);
 }
 
 TEST(ClusterDp, RowsOutOfRangeThrow) {

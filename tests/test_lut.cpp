@@ -14,8 +14,6 @@
 #include "nn/zoo.hpp"
 #include "placement/brute_force.hpp"
 
-#include "dp_kernels.hpp"
-
 namespace hhpim::placement {
 namespace {
 
@@ -262,126 +260,107 @@ std::string entries_diff(const std::vector<LutEntry>& got, const std::vector<Lut
 }
 
 // The grid-dse LUTs: HH-PIM x the three paper models x the NVSim-lite
-// Vdd_LP sweep, at the default r128 resolution. The first row kernel's LUTs
-// match the all-rows build, and every other kernel's match the first's.
+// Vdd_LP sweep, at the default r128 resolution.
 TEST(LutRowPlan, GridDseLutsMatchTheAllRowsBuild) {
   const mem::NvsimLite nvsim;
-  std::vector<std::vector<LutEntry>> first;  // the first kernel's LUTs
-  testing::DpKernels::for_each([&](const detail::DpKernel& kernel) {
-    std::size_t i = 0;
-    for (const double vdd : {1.1, 1.0, 0.9, 0.8, 0.7, 0.6}) {
-      for (const nn::Model& model : nn::zoo::paper_models()) {
-        sys::SystemConfig c;
-        c.arch = sys::ArchConfig::hhpim();
-        c.power = nvsim.make_spec(1.2, vdd);
-        const sys::Processor p{c, model};
-        const AllocationLut* lut = p.lut();
-        ASSERT_NE(lut, nullptr);
-        ASSERT_EQ(lut->params().k_blocks, 128);
-        if (first.size() <= i) {
-          ASSERT_EQ(entries_diff(lut->entries(),
-                                 detail::build_entries(p.cost_model(), lut->params(),
-                                                       detail::RowPlan::kAllRows)),
-                    "")
-              << kernel.name << ": " << model.name() << " @ Vdd_LP " << vdd;
-          first.push_back(lut->entries());
-        } else {
-          // Every later kernel: the same bits as the first.
-          ASSERT_EQ(entries_diff(lut->entries(), first[i]), "")
-              << kernel.name << ": " << model.name() << " @ Vdd_LP " << vdd;
-        }
-        ++i;
-      }
+  for (const double vdd : {1.1, 1.0, 0.9, 0.8, 0.7, 0.6}) {
+    for (const nn::Model& model : nn::zoo::paper_models()) {
+      sys::SystemConfig c;
+      c.arch = sys::ArchConfig::hhpim();
+      c.power = nvsim.make_spec(1.2, vdd);
+      const sys::Processor p{c, model};
+      const AllocationLut* lut = p.lut();
+      ASSERT_NE(lut, nullptr);
+      ASSERT_EQ(lut->params().k_blocks, 128);
+      ASSERT_EQ(entries_diff(lut->entries(),
+                             detail::build_entries(p.cost_model(), lut->params(),
+                                                   detail::RowPlan::kAllRows)),
+                "")
+          << model.name() << " @ Vdd_LP " << vdd;
     }
-  });
+  }
 }
 
 TEST(LutRowPlan, FuzzedCostModelsMatchTheAllRowsBuild) {
-  testing::DpKernels::for_each([](const detail::DpKernel& kernel) {
-    std::mt19937 rng(0x10ca1u);
-    auto pick = [&rng](int n) { return static_cast<int>(rng() % static_cast<unsigned>(n)); };
-    const mem::NvsimLite nvsim;
-    int feasible = 0;
-    for (int c = 0; c < 60; ++c) {
-      auto shape = [&]() {
-        return ClusterShape{static_cast<std::size_t>(1 + pick(4)),
-                            static_cast<std::uint64_t>(pick(3) == 0 ? 0 : 1024 * (1 + pick(64))),
-                            static_cast<std::uint64_t>(pick(4) == 0 ? 0 : 1024 * (1 + pick(64)))};
-      };
-      const CostModel m = CostModel::build(nvsim.make_spec(1.2, 0.6 + 0.1 * pick(6)), shape(),
-                                           shape(), 1.0 + pick(60));
-      LutParams params;
-      params.slice = Time::us(200.0 + pick(50000));
-      params.total_weights = 1 + static_cast<std::uint64_t>(pick(400000));
-      params.t_entries = 8 + pick(40);
-      params.k_blocks = 4 + pick(60);
-      const auto planned = detail::build_entries(m, params, detail::RowPlan::kPlanned);
-      ASSERT_EQ(entries_diff(planned, detail::build_entries(m, params, detail::RowPlan::kAllRows)),
-                "")
-          << kernel.name << " case " << c;
-      for (const LutEntry& e : planned) feasible += e.feasible ? 1 : 0;
-    }
-    EXPECT_GT(feasible, 300) << kernel.name;
-  });
+  std::mt19937 rng(0x10ca1u);
+  auto pick = [&rng](int n) { return static_cast<int>(rng() % static_cast<unsigned>(n)); };
+  const mem::NvsimLite nvsim;
+  int feasible = 0;
+  for (int c = 0; c < 60; ++c) {
+    auto shape = [&]() {
+      return ClusterShape{static_cast<std::size_t>(1 + pick(4)),
+                          static_cast<std::uint64_t>(pick(3) == 0 ? 0 : 1024 * (1 + pick(64))),
+                          static_cast<std::uint64_t>(pick(4) == 0 ? 0 : 1024 * (1 + pick(64)))};
+    };
+    const CostModel m = CostModel::build(nvsim.make_spec(1.2, 0.6 + 0.1 * pick(6)), shape(),
+                                         shape(), 1.0 + pick(60));
+    LutParams params;
+    params.slice = Time::us(200.0 + pick(50000));
+    params.total_weights = 1 + static_cast<std::uint64_t>(pick(400000));
+    params.t_entries = 8 + pick(40);
+    params.k_blocks = 4 + pick(60);
+    const auto planned = detail::build_entries(m, params, detail::RowPlan::kPlanned);
+    ASSERT_EQ(entries_diff(planned, detail::build_entries(m, params, detail::RowPlan::kAllRows)),
+              "")
+        << "case " << c;
+    for (const LutEntry& e : planned) feasible += e.feasible ? 1 : 0;
+  }
+  EXPECT_GT(feasible, 300);
 }
 
 // Random cluster pairs straight into the per-entry solve, where the count[]
 // trace often makes a budget the closed-form bound admits DP-infeasible:
 // those entries leave their plan, rebuild with all rows and still match.
 TEST(LutRowPlan, FuzzedClusterPairsMatchAndSomeFallBack) {
-  testing::DpKernels::for_each([](const detail::DpKernel& kernel) {
-    std::mt19937 rng(0xfa11bacu);
-    auto pick = [&rng](int n) { return static_cast<int>(rng() % static_cast<unsigned>(n)); };
-    const CostModel m = CostModel::build(PowerSpec::paper_45nm(), ClusterShape{},
-                                         ClusterShape{}, 29.0);
-    int fell_back = 0;
-    int feasible = 0;
-    for (int c = 0; c < 3000; ++c) {
-      const int k_total = 1 + pick(12);
-      auto items = [&]() {
-        ClusterItems it;
-        for (DpItem& d : it) {
-          d.time_steps = 1 + pick(8);
-          d.energy_pj = 1.0 + pick(40);
-          d.cap_blocks = pick(k_total + 1);
-        }
-        return it;
-      };
-      const ClusterItems hp = items();
-      const ClusterItems lp = items();
-      const detail::EntryGrid grid{k_total, 16 * k_total, 1, static_cast<std::uint64_t>(k_total)};
-      const Time tc = Time::us(1.0);
-      const auto planned = detail::solve_entry(m, hp, lp, grid, tc, detail::RowPlan::kPlanned);
-      const auto all = detail::solve_entry(m, hp, lp, grid, tc, detail::RowPlan::kAllRows);
-      ASSERT_FALSE(all.fell_back) << kernel.name << " case " << c;
-      ASSERT_EQ(entry_diff(planned.entry, all.entry), "") << kernel.name << " case " << c;
-      fell_back += planned.fell_back ? 1 : 0;
-      feasible += planned.entry.feasible ? 1 : 0;
-    }
-    EXPECT_GT(feasible, 1000) << kernel.name;
-    EXPECT_GT(fell_back, 10) << kernel.name;
-  });
+  std::mt19937 rng(0xfa11bacu);
+  auto pick = [&rng](int n) { return static_cast<int>(rng() % static_cast<unsigned>(n)); };
+  const CostModel m = CostModel::build(PowerSpec::paper_45nm(), ClusterShape{},
+                                       ClusterShape{}, 29.0);
+  int fell_back = 0;
+  int feasible = 0;
+  for (int c = 0; c < 3000; ++c) {
+    const int k_total = 1 + pick(12);
+    auto items = [&]() {
+      ClusterItems it;
+      for (DpItem& d : it) {
+        d.time_steps = 1 + pick(8);
+        d.energy_pj = 1.0 + pick(40);
+        d.cap_blocks = pick(k_total + 1);
+      }
+      return it;
+    };
+    const ClusterItems hp = items();
+    const ClusterItems lp = items();
+    const detail::EntryGrid grid{k_total, 16 * k_total, 1, static_cast<std::uint64_t>(k_total)};
+    const Time tc = Time::us(1.0);
+    const auto planned = detail::solve_entry(m, hp, lp, grid, tc, detail::RowPlan::kPlanned);
+    const auto all = detail::solve_entry(m, hp, lp, grid, tc, detail::RowPlan::kAllRows);
+    ASSERT_FALSE(all.fell_back) << "case " << c;
+    ASSERT_EQ(entry_diff(planned.entry, all.entry), "") << "case " << c;
+    fell_back += planned.fell_back ? 1 : 0;
+    feasible += planned.entry.feasible ? 1 : 0;
+  }
+  EXPECT_GT(feasible, 1000);
+  EXPECT_GT(fell_back, 10);
 }
 
 // The count[] counterexample (tests/test_knapsack.cpp) as the HP cluster,
 // with no LP cluster: the bound admits budget 9, the DP rejects it, so the
 // budget search leaves the plan and the entry takes the fallback.
 TEST(LutRowPlan, CountTraceCounterexampleTakesTheFallback) {
-  testing::DpKernels::for_each([](const detail::DpKernel& kernel) {
-    const CostModel m = CostModel::build(PowerSpec::paper_45nm(), ClusterShape{},
-                                         ClusterShape{}, 29.0);
-    const ClusterItems hp = {DpItem{1, 50.0, 4}, DpItem{3, 49.0, 1}};
-    const ClusterItems lp = {DpItem{1, 0.0, 0}, DpItem{1, 0.0, 0}};
-    const detail::EntryGrid grid{5, 80, 1, 5};
-    const auto planned = detail::solve_entry(m, hp, lp, grid, Time::us(1.0),
-                                             detail::RowPlan::kPlanned);
-    const auto all = detail::solve_entry(m, hp, lp, grid, Time::us(1.0),
-                                         detail::RowPlan::kAllRows);
-    EXPECT_TRUE(planned.fell_back) << kernel.name;
-    EXPECT_FALSE(all.fell_back);
-    EXPECT_TRUE(planned.entry.feasible);
-    EXPECT_EQ(entry_diff(planned.entry, all.entry), "") << kernel.name;
-  });
+  const CostModel m = CostModel::build(PowerSpec::paper_45nm(), ClusterShape{},
+                                       ClusterShape{}, 29.0);
+  const ClusterItems hp = {DpItem{1, 50.0, 4}, DpItem{3, 49.0, 1}};
+  const ClusterItems lp = {DpItem{1, 0.0, 0}, DpItem{1, 0.0, 0}};
+  const detail::EntryGrid grid{5, 80, 1, 5};
+  const auto planned = detail::solve_entry(m, hp, lp, grid, Time::us(1.0),
+                                           detail::RowPlan::kPlanned);
+  const auto all = detail::solve_entry(m, hp, lp, grid, Time::us(1.0),
+                                       detail::RowPlan::kAllRows);
+  EXPECT_TRUE(planned.fell_back);
+  EXPECT_FALSE(all.fell_back);
+  EXPECT_TRUE(planned.entry.feasible);
+  EXPECT_EQ(entry_diff(planned.entry, all.entry), "");
 }
 
 }  // namespace
