@@ -73,21 +73,21 @@ FrontierMetrics frontier_metrics(const sys::SystemConfig& cfg, const nn::Model& 
   const placement::AllocationLut* lut = proc.lut();
   if (lut == nullptr) return fm;
   const placement::LutEntry* entry = lut->lookup_or_peak(slo);
-  if (entry == nullptr || entry->frontier.empty()) return fm;
+  if (entry == nullptr) return fm;
+  const std::vector<placement::ParetoPoint>& frontier = lut->frontier(*entry);
 
-  fm.frontier_points = entry->frontier.size();
-  const placement::ParetoPoint anchor =
-      placement::min_energy_point(entry->frontier);
+  fm.frontier_points = frontier.size();
+  const placement::ParetoPoint anchor = placement::min_energy_point(frontier);
   fm.anchor_energy_pj = anchor.energy.as_pj();
   fm.anchor_latency_ps = anchor.latency.as_ps();
-  const placement::ParetoPoint& perf = placement::min_latency_point(entry->frontier);
+  const placement::ParetoPoint& perf = placement::min_latency_point(frontier);
   fm.perf_energy_pj = perf.energy.as_pj();
   fm.perf_latency_ps = perf.latency.as_ps();
-  fm.min_sram_weights = entry->frontier.front().sram_weights;
-  for (const placement::ParetoPoint& p : entry->frontier) {
+  fm.min_sram_weights = frontier.front().sram_weights;
+  for (const placement::ParetoPoint& p : frontier) {
     if (p.sram_weights < fm.min_sram_weights) fm.min_sram_weights = p.sram_weights;
   }
-  fm.slo_met = placement::best_within_slo(entry->frontier, slo) != nullptr;
+  fm.slo_met = placement::best_within_slo(frontier, slo) != nullptr;
   return fm;
 }
 

@@ -57,8 +57,8 @@ Device::Device(const FleetSpec& fleet, const DeviceSpec& spec,
 bool Device::slo_active(const placement::AllocationLut* lut, std::int64_t slo_ps) {
   // validate() rejects non-HH-PIM SLO fleets; a null LUT only means no SLO.
   if (slo_ps <= 0 || lut == nullptr) return false;
-  const placement::LutEntry* entry = lut->lookup_or_peak(Time::ps(slo_ps));
-  return entry != nullptr && !entry->frontier.empty();  // something feasible
+  // lookup_or_peak returns only feasible entries, so no frontier is read.
+  return lut->lookup_or_peak(Time::ps(slo_ps)) != nullptr;
 }
 
 void Device::init_slo_tiers() {
@@ -69,9 +69,10 @@ void Device::init_slo_tiers() {
   // kBalanced: the entry's anchor — min energy subject to the SLO (the
   // legacy knapsack answer for this constraint, bit-exact).
   slo_allocs_[static_cast<std::size_t>(FrontierTier::kBalanced)] = entry->alloc;
-  // kPerformance: the fastest point on the same frontier.
+  // kPerformance: the fastest point on the same frontier (the only tier
+  // that reads one; the LUT builds it on the entry's first read).
   slo_allocs_[static_cast<std::size_t>(FrontierTier::kPerformance)] =
-      placement::min_latency_point(entry->frontier).alloc;
+      placement::min_latency_point(lut->frontier(*entry)).alloc;
   // kSaver: min energy outright — the most relaxed entry's anchor (feasibility
   // is monotone in t_constraint, so the last entry is feasible whenever any
   // is). Deliberately waives the SLO: the battery is dying.

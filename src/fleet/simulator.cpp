@@ -708,14 +708,24 @@ FleetSnapshot FleetSimulator::drive(const FleetSpec& spec, int end_slice,
         continue;
       }
       DeviceProgress& p = final_segment ? w.progress : snap.devices[i];
+      const int k_end = final_segment ? std::numeric_limits<int>::max()
+                                      : end_slice - ds.join_slice;
+      // A bounded segment's fresh progress gets its busy column sized for
+      // every slice the device can still run here, before the copy or start,
+      // so end_slice never regrows it by doubling.
+      const auto reserve_busy = [&](std::size_t executed, int next_k, int slices_total) {
+        if (final_segment) return;
+        const int to_run = std::max(0, std::min(k_end, slices_total) - next_k);
+        p.sample_busy_ps.reserve(executed + static_cast<std::size_t>(to_run));
+      };
       if (src != nullptr && src->started) {
+        reserve_busy(src->sample_busy_ps.size(), src->next_k, src->result.slices_total);
         p = *src;
         p.loads = resume_load_stream(ds, env, p.next_k, p.loads.state());
       } else {
         p.start(spec, ds, pairs[pair_of(ds)].slice_ps, env);
+        reserve_busy(0, 0, p.result.slices_total);
       }
-      const int k_end = final_segment ? std::numeric_limits<int>::max()
-                                      : end_slice - ds.join_slice;
       if (advance(ds, p, k_end)) {
         ++exact;
       } else {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <optional>
 #include <stdexcept>
 #include <utility>
@@ -170,108 +171,145 @@ std::optional<std::vector<ParetoPoint>> build_frontier(
   return candidates;
 }
 
-/// An entry from its two cluster tables (Algorithm 2 at the anchor budget,
-/// then the frontier), or nullopt when a row it reads is missing.
-std::optional<LutEntry> read_entry(const CostModel& model, const ClusterDpTable& hp,
-                                   const ClusterDpTable& lp, const FeasibilityBound& bound,
-                                   const detail::EntryGrid& grid, Time tc) {
-  const std::optional<CombineResult> comb =
-      combine_at(hp, lp, grid.k_total, grid.internal_steps);
-  if (!comb) return std::nullopt;
+/// The entry of an infeasible t_constraint.
+LutEntry infeasible_entry(Time tc) {
   LutEntry entry;
   entry.t_constraint = tc;
-  entry.feasible = comb->feasible;
-  if (!comb->feasible) return entry;
-  entry.alloc = reconstruct_alloc(hp, lp, *comb, grid.internal_steps, grid.block,
+  return entry;
+}
+
+/// Algorithm 2 at the entry's own budget on tables that hold row
+/// internal_steps: feasibility, the allocation and its predicted energy.
+LutEntry read_anchor(const CostModel& model, const ClusterDpTable& hp,
+                     const ClusterDpTable& lp, const detail::EntryGrid& grid, Time tc) {
+  const CombineResult comb = combine_clusters(hp, lp, grid.k_total, grid.internal_steps);
+  if (!comb.feasible) return infeasible_entry(tc);
+  LutEntry entry;
+  entry.t_constraint = tc;
+  entry.feasible = true;
+  entry.alloc = reconstruct_alloc(hp, lp, comb, grid.internal_steps, grid.block,
                                   grid.total_weights);
   // Prediction uses the gating-quantized retention (what the hardware
   // pays); the DP itself optimizes the linearized form per Algorithm 1.
-  const ParetoPoint anchor = evaluate_point(model, entry.alloc, tc);
-  entry.predicted_task_energy = anchor.energy;
-  // The trade-off surface rides along on the already-built DP tables
-  // (~the cost of a few extra O(K) combines per entry).
-  std::optional<std::vector<ParetoPoint>> frontier =
-      build_frontier(model, hp, lp, bound, grid, tc, anchor);
-  if (!frontier) return std::nullopt;
-  entry.frontier = std::move(*frontier);
+  entry.predicted_task_energy = evaluate_point(model, entry.alloc, tc).energy;
   return entry;
+}
+
+/// The block/step grid of `params`, which it validates.
+detail::EntryGrid entry_grid(const LutParams& params) {
+  if (params.slice <= Time::zero() || params.total_weights == 0 ||
+      params.t_entries <= 0 || params.k_blocks <= 0 || params.k_blocks > kMaxDpBlocks) {
+    throw std::invalid_argument("AllocationLut: bad parameters");
+  }
+  if (params.slice.as_ps() / params.t_entries <= 0) {
+    throw std::invalid_argument("AllocationLut: slice too short for t_entries");
+  }
+  detail::EntryGrid grid;
+  grid.total_weights = params.total_weights;
+  grid.block = (params.total_weights + static_cast<std::uint64_t>(params.k_blocks) - 1) /
+               static_cast<std::uint64_t>(params.k_blocks);
+  grid.k_total = static_cast<int>((params.total_weights + grid.block - 1) / grid.block);
+  // Internal DP time resolution: fine enough that per-block ceil rounding
+  // stays below ~1/kStepsPerBlock of the constraint even if every block
+  // lands in one cluster.
+  constexpr int kStepsPerBlock = 16;
+  grid.internal_steps = grid.k_total * kStepsPerBlock;
+  return grid;
+}
+
+/// The t_constraint of entry `i` (0-based): (i + 1) quantization steps.
+Time entry_tc(const LutParams& params, std::size_t i) {
+  return Time::ps(params.slice.as_ps() / params.t_entries *
+                  static_cast<std::int64_t>(i + 1));
+}
+
+/// One entry's quantized per-block DP items, HP cluster then LP cluster.
+std::pair<ClusterItems, ClusterItems> entry_items(const CostModel& model,
+                                                  const detail::EntryGrid& grid, Time tc) {
+  const Time t_int = Time::ps(std::max<std::int64_t>(1, tc.as_ps() / grid.internal_steps));
+  return {
+      {make_item(model.at(Space::kHpMram), grid.block, t_int, tc),
+       make_item(model.at(Space::kHpSram), grid.block, t_int, tc)},
+      {make_item(model.at(Space::kLpMram), grid.block, t_int, tc),
+       make_item(model.at(Space::kLpSram), grid.block, t_int, tc)},
+  };
 }
 
 }  // namespace
 
 namespace detail {
 
-EntrySolve solve_entry(const CostModel& model, const ClusterItems& hp_items,
-                       const ClusterItems& lp_items, const EntryGrid& grid, Time tc,
-                       RowPlan plan) {
+LutEntry solve_anchor(const CostModel& model, const ClusterItems& hp_items,
+                      const ClusterItems& lp_items, const EntryGrid& grid, Time tc) {
   const int k_total = grid.k_total;
   const int steps = grid.internal_steps;
-  const FeasibilityBound bound{hp_items, lp_items, k_total};
   // Early infeasibility cutoff: entries left of the peak boundary — the
   // paper's grey "Not Possible" region — are rejected without building a
   // table. Exact as a rejection: a DP-feasible split has each half within
   // its cluster's max_feasible_blocks.
-  if (!bound(steps)) {
-    LutEntry entry;
-    entry.t_constraint = tc;
-    return {entry, false};
-  }
-
+  if (!FeasibilityBound{hp_items, lp_items, k_total}(steps)) return infeasible_entry(tc);
   // Algorithm 1, once per cluster, with this entry's time constraint as
-  // the end of the quantized time axis; then Algorithm 2 and the frontier.
-  if (plan == RowPlan::kPlanned) {
+  // the end of the quantized time axis; then Algorithm 2 at that budget.
+  const int row[] = {steps};
+  return read_anchor(model, ClusterDpTable::build(hp_items, steps, k_total, row),
+                     ClusterDpTable::build(lp_items, steps, k_total, row), grid, tc);
+}
+
+FrontierSolve solve_frontier(const CostModel& model, const ClusterItems& hp_items,
+                             const ClusterItems& lp_items, const EntryGrid& grid,
+                             const LutEntry& entry) {
+  if (!entry.feasible) return {};
+  const int k_total = grid.k_total;
+  const int steps = grid.internal_steps;
+  const FeasibilityBound bound{hp_items, lp_items, k_total};
+  const ParetoPoint anchor = evaluate_point(model, entry.alloc, entry.t_constraint);
+  {
     const std::vector<int> rows = plan_rows(bound, steps);
     const auto hp = ClusterDpTable::build(hp_items, steps, k_total, rows);
     const auto lp = ClusterDpTable::build(lp_items, steps, k_total, rows);
-    if (std::optional<LutEntry> entry = read_entry(model, hp, lp, bound, grid, tc)) {
-      return {std::move(*entry), false};
+    if (std::optional<std::vector<ParetoPoint>> frontier =
+            build_frontier(model, hp, lp, bound, grid, entry.t_constraint, anchor)) {
+      return {std::move(*frontier), false};
     }
   }
-  // All rows: the reference, and the fallback when the count[] trace made a
-  // budget the bound admits DP-infeasible and the search left the plan.
+  // The count[] trace made a budget the bound admits DP-infeasible and the
+  // search left the plan: rebuild with all rows.
   const auto hp = ClusterDpTable::build(hp_items, steps, k_total);
   const auto lp = ClusterDpTable::build(lp_items, steps, k_total);
-  return {*read_entry(model, hp, lp, bound, grid, tc), plan == RowPlan::kPlanned};
+  return {*build_frontier(model, hp, lp, bound, grid, entry.t_constraint, anchor), true};
 }
 
-std::vector<LutEntry> build_entries(const CostModel& model, const LutParams& params,
-                                    RowPlan plan) {
-  if (params.slice <= Time::zero() || params.total_weights == 0 ||
-      params.t_entries <= 0 || params.k_blocks <= 0 || params.k_blocks > kMaxDpBlocks) {
-    throw std::invalid_argument("AllocationLut: bad parameters");
+EntrySolve solve_all_rows(const CostModel& model, const ClusterItems& hp_items,
+                          const ClusterItems& lp_items, const EntryGrid& grid, Time tc) {
+  const int k_total = grid.k_total;
+  const int steps = grid.internal_steps;
+  const FeasibilityBound bound{hp_items, lp_items, k_total};
+  if (!bound(steps)) return {infeasible_entry(tc), {}, false};
+  const auto hp = ClusterDpTable::build(hp_items, steps, k_total);
+  const auto lp = ClusterDpTable::build(lp_items, steps, k_total);
+  EntrySolve solve{read_anchor(model, hp, lp, grid, tc), {}, false};
+  if (solve.entry.feasible) {
+    const ParetoPoint anchor = evaluate_point(model, solve.entry.alloc, tc);
+    solve.frontier = *build_frontier(model, hp, lp, bound, grid, tc, anchor);
   }
+  return solve;
+}
 
-  EntryGrid grid;
-  grid.total_weights = params.total_weights;
-  grid.block = (params.total_weights + static_cast<std::uint64_t>(params.k_blocks) - 1) /
-               static_cast<std::uint64_t>(params.k_blocks);
-  grid.k_total = static_cast<int>((params.total_weights + grid.block - 1) / grid.block);
-  const Time t_step = Time::ps(params.slice.as_ps() / params.t_entries);
-  if (t_step <= Time::zero()) {
-    throw std::invalid_argument("AllocationLut: slice too short for t_entries");
-  }
-
-  // Internal DP time resolution: fine enough that per-block ceil rounding
-  // stays below ~1/kStepsPerBlock of the constraint even if every block
-  // lands in one cluster.
-  constexpr int kStepsPerBlock = 16;
-  grid.internal_steps = grid.k_total * kStepsPerBlock;
-
-  std::vector<LutEntry> entries;
+std::vector<EntrySolve> build_entries(const CostModel& model, const LutParams& params,
+                                      RowPlan plan) {
+  const EntryGrid grid = entry_grid(params);
+  std::vector<EntrySolve> entries;
   entries.reserve(static_cast<std::size_t>(params.t_entries));
-  for (int s = 1; s <= params.t_entries; ++s) {
-    const Time tc = Time::ps(t_step.as_ps() * s);
-    const Time t_int = Time::ps(std::max<std::int64_t>(1, tc.as_ps() / grid.internal_steps));
-
-    const ClusterItems hp_items = {
-        make_item(model.at(Space::kHpMram), grid.block, t_int, tc),
-        make_item(model.at(Space::kHpSram), grid.block, t_int, tc),
-    };
-    const ClusterItems lp_items = {
-        make_item(model.at(Space::kLpMram), grid.block, t_int, tc),
-        make_item(model.at(Space::kLpSram), grid.block, t_int, tc),
-    };
-    entries.push_back(solve_entry(model, hp_items, lp_items, grid, tc, plan).entry);
+  for (std::size_t i = 0; i < static_cast<std::size_t>(params.t_entries); ++i) {
+    const Time tc = entry_tc(params, i);
+    const auto [hp, lp] = entry_items(model, grid, tc);
+    if (plan == RowPlan::kAllRows) {
+      entries.push_back(solve_all_rows(model, hp, lp, grid, tc));
+      continue;
+    }
+    const LutEntry entry = solve_anchor(model, hp, lp, grid, tc);
+    FrontierSolve f = solve_frontier(model, hp, lp, grid, entry);
+    entries.push_back({entry, std::move(f.frontier), f.fell_back});
   }
   return entries;
 }
@@ -280,9 +318,34 @@ std::vector<LutEntry> build_entries(const CostModel& model, const LutParams& par
 
 AllocationLut AllocationLut::build(const CostModel& model, const LutParams& params) {
   AllocationLut lut;
-  lut.entries_ = detail::build_entries(model, params, detail::RowPlan::kPlanned);
   lut.params_ = params;
+  lut.model_ = model;
+  lut.grid_ = entry_grid(params);
+  lut.entries_.reserve(static_cast<std::size_t>(params.t_entries));
+  for (std::size_t i = 0; i < static_cast<std::size_t>(params.t_entries); ++i) {
+    const Time tc = entry_tc(params, i);
+    const auto [hp, lp] = entry_items(model, lut.grid_, tc);
+    lut.entries_.push_back(
+        detail::solve_anchor(model, hp, lp, lut.grid_, tc));
+  }
+  lut.frontiers_ = std::make_unique<Frontiers>(lut.entries_.size());
   return lut;
+}
+
+const std::vector<ParetoPoint>& AllocationLut::frontier(const LutEntry& entry) const {
+  static const std::vector<ParetoPoint> kNone;
+  const LutEntry* const first = entries_.data();
+  if (std::less<>{}(&entry, first) || !std::less<>{}(&entry, first + entries_.size())) {
+    throw std::invalid_argument("AllocationLut::frontier: not an entry of this LUT");
+  }
+  if (!entry.feasible) return kNone;
+  FrontierSlot& slot = frontiers_->slots[static_cast<std::size_t>(&entry - first)];
+  std::call_once(slot.once, [&] {
+    const auto [hp, lp] = entry_items(model_, grid_, entry.t_constraint);
+    slot.points = detail::solve_frontier(model_, hp, lp, grid_, entry).frontier;
+    frontiers_->built.fetch_add(1, std::memory_order_relaxed);
+  });
+  return slot.points;
 }
 
 const LutEntry& AllocationLut::lookup(Time tc) const {

@@ -17,7 +17,10 @@
 // construction cost on the edge device stays under budget.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
+#include <memory>
+#include <mutex>
 #include <vector>
 
 #include "common/units.hpp"
@@ -43,30 +46,36 @@ struct LutEntry {
   bool feasible = false;
   Allocation alloc;            ///< weights per space (sums to K when feasible)
   Energy predicted_task_energy;
-  /// Non-dominated (energy, latency, SRAM-pressure) trade-off points for this
-  /// t_constraint (pareto.hpp), built by re-combining the entry's cluster DP
-  /// tables at tighter time budgets. Empty iff infeasible; its strict
-  /// min-energy point is (`alloc`, `predicted_task_energy`) bit-exactly.
-  std::vector<ParetoPoint> frontier;
 };
 
-/// Immutable after build(); lookups are const and safe to share across
-/// threads without synchronization. Grid runs share one instance per
+namespace detail {
+
+/// How build_entries builds cluster tables: only the rows each solve reads
+/// (with the frontier's all-rows fallback), or every row (the reference).
+enum class RowPlan { kPlanned, kAllRows };
+
+/// The block/step grid shared by all entries of one LUT.
+struct EntryGrid {
+  int k_total = 0;                  ///< blocks in the model
+  int internal_steps = 0;           ///< DP steps over each t_constraint
+  std::uint64_t block = 0;          ///< weights per block
+  std::uint64_t total_weights = 0;  ///< K, in weights
+};
+
+}  // namespace detail
+
+/// Entries are immutable after build(); lookups are const and safe to share
+/// across threads without synchronization. Grid runs share one instance per
 /// (model, arch, cost, resolution) via LutCache (lut_cache.hpp).
 class AllocationLut {
  public:
-  /// Builds the LUT: per entry, an O(1) feasibility precheck (the peak
-  /// boundary), then Algorithms 1 & 2 for feasible entries only. An entry
-  /// reads about 28 rows of each of its two cluster tables: the anchor row
-  /// internal_steps = 16 * k_blocks, the frontier's budget-search probes and
-  /// its 16 budgets. The rows are planned before the tables exist, from the
-  /// closed-form bound max_feasible_blocks, and each table is built with
-  /// only those rows' dependency cones (ClusterDpTable's row-set kernel) —
-  /// about a quarter of the (internal_steps + 1) * (k_blocks + 1) cells of
-  /// a full table, fewer past its saturation row. An entry whose search
-  /// leaves the plan (the paper's count[] trace made a budget the bound
-  /// admits DP-infeasible) is rebuilt from full tables, so every entry is
-  /// bit-identical to an all-rows build. Energies in pJ, times in integer ps.
+  /// Builds the LUT's anchors: per entry, an O(1) feasibility precheck (the
+  /// peak boundary), then Algorithms 1 & 2 for feasible entries only, at the
+  /// entry's own budget. Each cluster table is built with the single row
+  /// internal_steps = 16 * k_blocks (ClusterDpTable's row-set kernel), which
+  /// is bit-identical to the same row of a full table. No frontier is built
+  /// here; frontier() builds one the first time it is read. Energies in pJ,
+  /// times in integer ps.
   static AllocationLut build(const CostModel& model, const LutParams& params);
 
   /// The entry for the largest tabulated t_constraint <= `tc` (so the
@@ -80,6 +89,26 @@ class AllocationLut {
   /// infeasible. The caller re-checks the real task time against tc.
   [[nodiscard]] const LutEntry* lookup_or_peak(Time tc) const;
 
+  /// Non-dominated (energy, latency, SRAM-pressure) trade-off points for
+  /// `entry`, which must be one of entries() (std::invalid_argument
+  /// otherwise). Built by re-combining the entry's cluster DP tables at
+  /// tighter time budgets (pareto.hpp) on the entry's first read: about 28
+  /// rows of each table — the anchor row, the budget search's probes and
+  /// the 16 budgets — planned before the tables exist from the closed-form
+  /// bound max_feasible_blocks. A frontier whose search leaves the plan (the
+  /// paper's count[] trace made a budget the bound admits DP-infeasible) is
+  /// rebuilt from full tables, so every frontier is bit-identical to an
+  /// all-rows build. Empty iff the entry is infeasible; its strict
+  /// min-energy point is (`alloc`, `predicted_task_energy`) bit-exactly.
+  /// Thread-safe: concurrent first readers wait for one build, and later
+  /// reads take no lock.
+  [[nodiscard]] const std::vector<ParetoPoint>& frontier(const LutEntry& entry) const;
+
+  /// Frontiers frontier() has built so far (infeasible entries build none).
+  [[nodiscard]] std::size_t frontiers_built() const {
+    return frontiers_->built.load(std::memory_order_relaxed);
+  }
+
   [[nodiscard]] const std::vector<LutEntry>& entries() const { return entries_; }
   [[nodiscard]] Time slice() const { return params_.slice; }
   [[nodiscard]] const LutParams& params() const { return params_; }
@@ -88,38 +117,62 @@ class AllocationLut {
   [[nodiscard]] Time peak_t_constraint() const;
 
  private:
+  /// One entry's frontier, built at most once.
+  struct FrontierSlot {
+    std::once_flag once;
+    std::vector<ParetoPoint> points;
+  };
+  struct Frontiers {
+    explicit Frontiers(std::size_t n) : slots(n) {}
+    std::vector<FrontierSlot> slots;  ///< one per entry
+    std::atomic<std::size_t> built{0};
+  };
+
   LutParams params_;
+  CostModel model_;         ///< what frontier() re-solves an entry with
+  detail::EntryGrid grid_;
   std::vector<LutEntry> entries_;
+  std::unique_ptr<Frontiers> frontiers_;
 };
 
 namespace detail {
 
-/// How solve_entry builds an entry's cluster tables: only the rows the
-/// entry is planned to read (with the all-rows fallback), or every row.
-enum class RowPlan { kPlanned, kAllRows };
+/// One entry's anchor from its quantized cluster items: Algorithm 2 at the
+/// entry's own budget, on cluster tables built with only that row
+/// (internal_steps).
+[[nodiscard]] LutEntry solve_anchor(const CostModel& model, const ClusterItems& hp_items,
+                                    const ClusterItems& lp_items, const EntryGrid& grid,
+                                    Time tc);
 
-/// The block/step grid shared by all entries of one LUT.
-struct EntryGrid {
-  int k_total = 0;                  ///< blocks in the model
-  int internal_steps = 0;           ///< DP steps over each t_constraint
-  std::uint64_t block = 0;          ///< weights per block
-  std::uint64_t total_weights = 0;  ///< K, in weights
+struct FrontierSolve {
+  std::vector<ParetoPoint> frontier;
+  bool fell_back = false;  ///< the search left its planned rows (all rows rebuilt)
 };
+
+/// The frontier of `entry`, which solve_anchor returned for the same inputs:
+/// the rows the frontier is planned to read, with the all-rows fallback.
+[[nodiscard]] FrontierSolve solve_frontier(const CostModel& model,
+                                           const ClusterItems& hp_items,
+                                           const ClusterItems& lp_items,
+                                           const EntryGrid& grid, const LutEntry& entry);
 
 struct EntrySolve {
   LutEntry entry;
-  bool fell_back = false;  ///< a planned build left its plan and was rebuilt
+  std::vector<ParetoPoint> frontier;
+  bool fell_back = false;  ///< the frontier's planned build left its plan
 };
 
-/// One LUT entry from its quantized cluster items. AllocationLut::build
-/// runs it with RowPlan::kPlanned; kAllRows is the reference for tests.
-[[nodiscard]] EntrySolve solve_entry(const CostModel& model, const ClusterItems& hp_items,
-                                     const ClusterItems& lp_items, const EntryGrid& grid,
-                                     Time tc, RowPlan plan);
+/// The reference for tests: one entry's anchor and frontier, both read from
+/// full cluster tables.
+[[nodiscard]] EntrySolve solve_all_rows(const CostModel& model, const ClusterItems& hp_items,
+                                        const ClusterItems& lp_items, const EntryGrid& grid,
+                                        Time tc);
 
-/// The entries AllocationLut::build(model, params) holds, built with `plan`.
-[[nodiscard]] std::vector<LutEntry> build_entries(const CostModel& model,
-                                                  const LutParams& params, RowPlan plan);
+/// Every entry of AllocationLut::build(model, params) with its frontier:
+/// kPlanned as the LUT solves them (solve_anchor, solve_frontier), kAllRows
+/// from full tables (solve_all_rows).
+[[nodiscard]] std::vector<EntrySolve> build_entries(const CostModel& model,
+                                                    const LutParams& params, RowPlan plan);
 
 }  // namespace detail
 

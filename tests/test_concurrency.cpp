@@ -172,9 +172,10 @@ TEST(LutCacheConcurrency, StatsReflectInFlightBuilds) {
   placement::LutCache cache;
   const placement::CostModel m = stress_model();
   // Big enough that the builder is still inside AllocationLut::build when
-  // the main thread polls (a 128x128 DP takes ~100ms; the poll loop below
-  // runs within microseconds of the spawn).
-  const placement::LutParams slow = stress_params(128);
+  // the main thread polls (an r256 build of its anchors takes ~15 ms on a
+  // 4-thread x86 VM, an r128 one under 2 ms; the poll loop below runs
+  // within microseconds of the spawn).
+  const placement::LutParams slow = stress_params(256);
   const auto key = placement::LutCacheKey::make(3, 4, m, slow);
 
   std::thread builder{[&] { (void)cache.get_or_build(key, m, slow); }};

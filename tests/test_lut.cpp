@@ -2,17 +2,28 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <latch>
 #include <random>
+#include <set>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
+#include "exp/runner.hpp"
+#include "exp/spec.hpp"
+#include "fleet/device.hpp"
+#include "fleet/simulator.hpp"
+#include "fleet_cases.hpp"
 #include "hhpim/processor.hpp"
 #include "mem/nvsim_lite.hpp"
 #include "nn/model.hpp"
 #include "nn/zoo.hpp"
 #include "placement/brute_force.hpp"
+#include "placement/lut_cache.hpp"
 
 namespace hhpim::placement {
 namespace {
@@ -228,19 +239,26 @@ TEST(PickResolution, CapsAtMaxResolution) {
 
 std::uint64_t bits(Energy e) { return std::bit_cast<std::uint64_t>(e.as_pj()); }
 
-/// The first field where two entries differ (energies compared as bits), or
+/// The first field where two anchors differ (energies compared as bits), or
 /// "" when they are identical.
-std::string entry_diff(const LutEntry& got, const LutEntry& want) {
+std::string anchor_diff(const LutEntry& got, const LutEntry& want) {
   if (got.t_constraint != want.t_constraint) return "t_constraint";
   if (got.feasible != want.feasible) return "feasible";
   if (!(got.alloc == want.alloc)) return "alloc";
   if (bits(got.predicted_task_energy) != bits(want.predicted_task_energy)) {
     return "predicted_task_energy";
   }
-  if (got.frontier.size() != want.frontier.size()) return "frontier size";
-  for (std::size_t i = 0; i < got.frontier.size(); ++i) {
-    const ParetoPoint& g = got.frontier[i];
-    const ParetoPoint& w = want.frontier[i];
+  return "";
+}
+
+/// The first point where two frontiers differ (energies as bits, order
+/// included), or "".
+std::string frontier_diff(const std::vector<ParetoPoint>& got,
+                          const std::vector<ParetoPoint>& want) {
+  if (got.size() != want.size()) return "frontier size";
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    const ParetoPoint& g = got[i];
+    const ParetoPoint& w = want[i];
     if (!(g.alloc == w.alloc) || bits(g.energy) != bits(w.energy) || g.latency != w.latency ||
         g.sram_weights != w.sram_weights) {
       return "frontier point " + std::to_string(i);
@@ -249,12 +267,15 @@ std::string entry_diff(const LutEntry& got, const LutEntry& want) {
   return "";
 }
 
-std::string entries_diff(const std::vector<LutEntry>& got, const std::vector<LutEntry>& want) {
-  if (got.size() != want.size()) return "entry count";
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    if (std::string d = entry_diff(got[i], want[i]); !d.empty()) {
-      return "entry " + std::to_string(i) + ": " + d;
-    }
+/// The first difference between a LUT's anchors and frontiers (read through
+/// frontier()) and the reference entries `want`, or "".
+std::string lut_diff(const AllocationLut& lut, const std::vector<detail::EntrySolve>& want) {
+  if (lut.entries().size() != want.size()) return "entry count";
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    const LutEntry& e = lut.entries()[i];
+    std::string d = anchor_diff(e, want[i].entry);
+    if (d.empty()) d = frontier_diff(lut.frontier(e), want[i].frontier);
+    if (!d.empty()) return "entry " + std::to_string(i) + ": " + d;
   }
   return "";
 }
@@ -272,9 +293,8 @@ TEST(LutRowPlan, GridDseLutsMatchTheAllRowsBuild) {
       const AllocationLut* lut = p.lut();
       ASSERT_NE(lut, nullptr);
       ASSERT_EQ(lut->params().k_blocks, 128);
-      ASSERT_EQ(entries_diff(lut->entries(),
-                             detail::build_entries(p.cost_model(), lut->params(),
-                                                   detail::RowPlan::kAllRows)),
+      ASSERT_EQ(lut_diff(*lut, detail::build_entries(p.cost_model(), lut->params(),
+                                                     detail::RowPlan::kAllRows)),
                 "")
           << model.name() << " @ Vdd_LP " << vdd;
     }
@@ -299,11 +319,10 @@ TEST(LutRowPlan, FuzzedCostModelsMatchTheAllRowsBuild) {
     params.total_weights = 1 + static_cast<std::uint64_t>(pick(400000));
     params.t_entries = 8 + pick(40);
     params.k_blocks = 4 + pick(60);
-    const auto planned = detail::build_entries(m, params, detail::RowPlan::kPlanned);
-    ASSERT_EQ(entries_diff(planned, detail::build_entries(m, params, detail::RowPlan::kAllRows)),
-              "")
+    const AllocationLut lut = AllocationLut::build(m, params);
+    ASSERT_EQ(lut_diff(lut, detail::build_entries(m, params, detail::RowPlan::kAllRows)), "")
         << "case " << c;
-    for (const LutEntry& e : planned) feasible += e.feasible ? 1 : 0;
+    for (const LutEntry& e : lut.entries()) feasible += e.feasible ? 1 : 0;
   }
   EXPECT_GT(feasible, 300);
 }
@@ -333,12 +352,13 @@ TEST(LutRowPlan, FuzzedClusterPairsMatchAndSomeFallBack) {
     const ClusterItems lp = items();
     const detail::EntryGrid grid{k_total, 16 * k_total, 1, static_cast<std::uint64_t>(k_total)};
     const Time tc = Time::us(1.0);
-    const auto planned = detail::solve_entry(m, hp, lp, grid, tc, detail::RowPlan::kPlanned);
-    const auto all = detail::solve_entry(m, hp, lp, grid, tc, detail::RowPlan::kAllRows);
-    ASSERT_FALSE(all.fell_back) << "case " << c;
-    ASSERT_EQ(entry_diff(planned.entry, all.entry), "") << "case " << c;
+    const LutEntry anchor = detail::solve_anchor(m, hp, lp, grid, tc);
+    const detail::EntrySolve want = detail::solve_all_rows(m, hp, lp, grid, tc);
+    ASSERT_EQ(anchor_diff(anchor, want.entry), "") << "case " << c;
+    const auto planned = detail::solve_frontier(m, hp, lp, grid, anchor);
+    ASSERT_EQ(frontier_diff(planned.frontier, want.frontier), "") << "case " << c;
     fell_back += planned.fell_back ? 1 : 0;
-    feasible += planned.entry.feasible ? 1 : 0;
+    feasible += anchor.feasible ? 1 : 0;
   }
   EXPECT_GT(feasible, 1000);
   EXPECT_GT(fell_back, 10);
@@ -353,14 +373,171 @@ TEST(LutRowPlan, CountTraceCounterexampleTakesTheFallback) {
   const ClusterItems hp = {DpItem{1, 50.0, 4}, DpItem{3, 49.0, 1}};
   const ClusterItems lp = {DpItem{1, 0.0, 0}, DpItem{1, 0.0, 0}};
   const detail::EntryGrid grid{5, 80, 1, 5};
-  const auto planned = detail::solve_entry(m, hp, lp, grid, Time::us(1.0),
-                                           detail::RowPlan::kPlanned);
-  const auto all = detail::solve_entry(m, hp, lp, grid, Time::us(1.0),
-                                       detail::RowPlan::kAllRows);
+  const Time tc = Time::us(1.0);
+  const LutEntry anchor = detail::solve_anchor(m, hp, lp, grid, tc);
+  const detail::EntrySolve want = detail::solve_all_rows(m, hp, lp, grid, tc);
+  EXPECT_TRUE(anchor.feasible);
+  EXPECT_EQ(anchor_diff(anchor, want.entry), "");
+  const auto planned = detail::solve_frontier(m, hp, lp, grid, anchor);
   EXPECT_TRUE(planned.fell_back);
-  EXPECT_FALSE(all.fell_back);
-  EXPECT_TRUE(planned.entry.feasible);
-  EXPECT_EQ(entry_diff(planned.entry, all.entry), "");
+  EXPECT_EQ(frontier_diff(planned.frontier, want.frontier), "");
+}
+
+// --- Anchors at build time, frontiers on first read ------------------------
+
+/// A random cost model and LUT parameters at real LUT widths (k_blocks
+/// 60-129), where the count[] trace sometimes sends a frontier to the
+/// all-rows fallback.
+std::pair<CostModel, LutParams> wide_lut_case(std::mt19937& rng) {
+  auto pick = [&rng](int n) { return static_cast<int>(rng() % static_cast<unsigned>(n)); };
+  auto shape = [&]() {
+    return ClusterShape{static_cast<std::size_t>(1 + pick(4)),
+                        static_cast<std::uint64_t>(pick(3) == 0 ? 0 : 1024 * (1 + pick(64))),
+                        static_cast<std::uint64_t>(pick(4) == 0 ? 0 : 1024 * (1 + pick(64)))};
+  };
+  const mem::NvsimLite nvsim;
+  const ClusterShape hp = shape();
+  const ClusterShape lp = shape();
+  const CostModel m = CostModel::build(nvsim.make_spec(1.2, 0.6 + 0.1 * pick(6)), hp, lp,
+                                       1.0 + pick(60));
+  LutParams params;
+  params.slice = Time::us(200.0 + pick(50000));
+  params.total_weights = 1 + static_cast<std::uint64_t>(pick(400000));
+  params.t_entries = 8 + pick(24);
+  params.k_blocks = 60 + pick(70);
+  return {m, params};
+}
+
+// Single-row anchors equal the anchors of full tables, also for entries
+// whose frontier leaves its plan and falls back to all rows.
+TEST(LutAnchor, SingleRowAnchorsMatchTheAllRowsBuildAtLutWidths) {
+  std::mt19937 rng(0xa1c40u);
+  int feasible = 0;
+  int fell_back = 0;
+  for (int c = 0; c < 40; ++c) {
+    const auto [m, params] = wide_lut_case(rng);
+    const AllocationLut lut = AllocationLut::build(m, params);
+    const auto planned = detail::build_entries(m, params, detail::RowPlan::kPlanned);
+    const auto all = detail::build_entries(m, params, detail::RowPlan::kAllRows);
+    ASSERT_EQ(lut.entries().size(), all.size());
+    for (std::size_t i = 0; i < all.size(); ++i) {
+      ASSERT_EQ(anchor_diff(lut.entries()[i], all[i].entry), "")
+          << "case " << c << " entry " << i;
+      feasible += all[i].entry.feasible ? 1 : 0;
+      fell_back += planned[i].fell_back ? 1 : 0;
+    }
+    EXPECT_EQ(lut.frontiers_built(), 0u) << "case " << c;
+  }
+  EXPECT_GT(feasible, 100);
+  EXPECT_GT(fell_back, 0);
+}
+
+// Concurrent first reads: threads read every entry's frontier in their own
+// shuffled order on a fresh LUT. Each entry is built once, every reader gets
+// the same vector, and it equals the all-rows build bit for bit. The LUTs
+// are the first three drawn that hold a frontier which falls back.
+TEST(LutFrontier, ConcurrentFirstReadsMatchTheAllRowsBuild) {
+  constexpr int kThreads = 6;
+  std::mt19937 rng(0xf2047u);
+  int luts = 0;
+  for (int draw = 0; luts < 3; ++draw) {
+    ASSERT_LT(draw, 400) << "too few LUTs with a fallback frontier";
+    const auto [m, params] = wide_lut_case(rng);
+    const auto planned = detail::build_entries(m, params, detail::RowPlan::kPlanned);
+    if (std::none_of(planned.begin(), planned.end(),
+                     [](const detail::EntrySolve& e) { return e.fell_back; })) {
+      continue;
+    }
+    ++luts;
+    const auto want = detail::build_entries(m, params, detail::RowPlan::kAllRows);
+    const AllocationLut lut = AllocationLut::build(m, params);
+    const std::size_t n = lut.entries().size();
+    std::vector<std::vector<const std::vector<ParetoPoint>*>> seen(
+        kThreads, std::vector<const std::vector<ParetoPoint>*>(n));
+    std::latch start{kThreads};
+    std::vector<std::thread> readers;
+    for (int t = 0; t < kThreads; ++t) {
+      readers.emplace_back([&, t] {
+        std::vector<std::size_t> order(n);
+        for (std::size_t i = 0; i < n; ++i) order[i] = i;
+        std::shuffle(order.begin(), order.end(), std::mt19937(static_cast<unsigned>(t)));
+        start.arrive_and_wait();
+        for (const std::size_t i : order) seen[t][i] = &lut.frontier(lut.entries()[i]);
+      });
+    }
+    for (std::thread& r : readers) r.join();
+
+    std::size_t feasible = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      feasible += lut.entries()[i].feasible ? 1 : 0;
+      ASSERT_EQ(frontier_diff(*seen[0][i], want[i].frontier), "")
+          << "draw " << draw << " entry " << i;
+      for (int t = 1; t < kThreads; ++t) EXPECT_EQ(seen[t][i], seen[0][i]);
+    }
+    EXPECT_EQ(lut.frontiers_built(), feasible) << "draw " << draw;
+  }
+}
+
+TEST(LutFrontier, RejectsAnEntryOfAnotherLut) {
+  const CostModel m = CostModel::build(PowerSpec::paper_45nm(),
+                                       ClusterShape{4, 64 * 1024, 64 * 1024},
+                                       ClusterShape{4, 64 * 1024, 64 * 1024}, 29.0);
+  const LutParams params{Time::ms(10.0), 10000, 8, 8};
+  const AllocationLut a = AllocationLut::build(m, params);
+  const AllocationLut b = AllocationLut::build(m, params);
+  EXPECT_THROW((void)a.frontier(b.entries().back()), std::invalid_argument);
+  const LutEntry copy = a.entries().back();
+  EXPECT_THROW((void)a.frontier(copy), std::invalid_argument);
+  EXPECT_FALSE(a.frontier(a.entries().back()).empty());
+  EXPECT_EQ(a.frontiers_built(), 1u);
+  EXPECT_EQ(b.frontiers_built(), 0u);
+}
+
+// Who reads a frontier: no run without an SLO does, and an SLO fleet builds
+// one per distinct entry its SLOs resolve to.
+TEST(LutFrontier, BuiltOnlyForTheEntriesAnSloFleetReads) {
+  using fleet::cases::small_fleet;
+  const fleet::FleetSpec plain = small_fleet(12, 4);
+  const nn::Model& model = plain.models[0];
+  // The LUT a run left in `cache` (a cache hit, not a rebuild; the cache
+  // keeps it alive).
+  const auto lut_in = [&](LutCache& cache) {
+    const sys::Processor probe{fleet::Device::device_config(plain, &cache), model};
+    EXPECT_EQ(cache.stats().misses, 1u);
+    return probe.lut();
+  };
+
+  LutCache plain_cache;
+  (void)fleet::FleetSimulator{{.threads = 2, .lut_cache = &plain_cache}}.run(plain);
+  EXPECT_EQ(lut_in(plain_cache)->frontiers_built(), 0u);
+
+  LutCache grid_cache;
+  exp::ExperimentSpec grid;
+  grid.archs = {sys::ArchConfig::hhpim()};
+  grid.models = {model};
+  workload::ScenarioConfig wc;
+  wc.slices = 4;
+  grid.scenarios = {exp::ScenarioSpec::of(workload::Scenario::kPulsing, wc),
+                    exp::ScenarioSpec::of(workload::Scenario::kRandom, wc)};
+  grid.variants.push_back({"", plain.config});
+  (void)exp::Runner{{.threads = 2, .lut_cache = &grid_cache}}.run(grid);
+  EXPECT_EQ(lut_in(grid_cache)->frontiers_built(), 0u);
+
+  // Three SLO values, two of which resolve to one entry.
+  fleet::FleetSpec slo = plain;
+  const std::int64_t slice_ps = lut_in(plain_cache)->slice().as_ps();
+  slo.latency_slo = Time::ps(slice_ps * 3 / 5);
+  slo.slo_overrides = {{.id = 1, .latency_slo = Time::ps(slice_ps * 3 / 5 + 1)},
+                       {.id = 2, .latency_slo = Time::ps(slice_ps * 9 / 10)}};
+  LutCache slo_cache;
+  (void)fleet::FleetSimulator{{.threads = 2, .lut_cache = &slo_cache}}.run(slo);
+  const auto lut = lut_in(slo_cache);
+  std::set<const LutEntry*> read;
+  for (const std::int64_t ps : {slice_ps * 3 / 5, slice_ps * 3 / 5 + 1, slice_ps * 9 / 10}) {
+    read.insert(lut->lookup_or_peak(Time::ps(ps)));
+  }
+  ASSERT_EQ(read.size(), 2u);
+  EXPECT_EQ(lut->frontiers_built(), read.size());
 }
 
 }  // namespace

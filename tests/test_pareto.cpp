@@ -1,5 +1,5 @@
 // Property tests for the placement Pareto-frontier layer (placement/pareto.hpp
-// + the frontier built per LUT entry in placement/lut.cpp).
+// + the frontier AllocationLut builds per entry on first read, placement/lut.cpp).
 //
 // The load-bearing invariants, fuzzed over ~200 random (cost model, weight
 // count, slice, resolution) specs:
@@ -58,16 +58,17 @@ TEST_P(ParetoFrontierProperty, FrontiersAreSoundAndAnchorTheLegacyAnswer) {
   bool seen_feasible = false;
   std::vector<const LutEntry*> feasible;
   for (const LutEntry& e : lut.entries()) {
+    const std::vector<ParetoPoint>& frontier = lut.frontier(e);
     if (!e.feasible) {
       EXPECT_FALSE(seen_feasible) << "feasibility must be monotone in tc";
-      EXPECT_TRUE(e.frontier.empty());
+      EXPECT_TRUE(frontier.empty());
       continue;
     }
     seen_feasible = true;
-    ASSERT_FALSE(e.frontier.empty()) << e.t_constraint.to_string();
+    ASSERT_FALSE(frontier.empty()) << e.t_constraint.to_string();
 
-    for (std::size_t i = 0; i < e.frontier.size(); ++i) {
-      const ParetoPoint& pt = e.frontier[i];
+    for (std::size_t i = 0; i < frontier.size(); ++i) {
+      const ParetoPoint& pt = frontier[i];
       // Structural soundness: real placements of all K weights.
       EXPECT_EQ(pt.alloc.total(), p.total_weights);
       EXPECT_TRUE(fits(m, pt.alloc));
@@ -75,22 +76,22 @@ TEST_P(ParetoFrontierProperty, FrontiersAreSoundAndAnchorTheLegacyAnswer) {
       EXPECT_EQ(pt, evaluate_point(m, pt.alloc, e.t_constraint));
       // Deterministic sort: latency ascending.
       if (i > 0) {
-        EXPECT_GE(pt.latency, e.frontier[i - 1].latency);
+        EXPECT_GE(pt.latency, frontier[i - 1].latency);
       }
       // Mutual non-dominance.
-      for (std::size_t j = 0; j < e.frontier.size(); ++j) {
+      for (std::size_t j = 0; j < frontier.size(); ++j) {
         if (i == j) continue;
-        EXPECT_FALSE(dominates(e.frontier[j], pt))
+        EXPECT_FALSE(dominates(frontier[j], pt))
             << "point " << j << " dominates point " << i << " at tc="
             << e.t_constraint.to_string();
       }
     }
 
     // The strict min-energy point is the legacy knapsack answer, bit-exact.
-    const ParetoPoint& anchor = min_energy_point(e.frontier);
+    const ParetoPoint& anchor = min_energy_point(frontier);
     EXPECT_EQ(anchor.alloc, e.alloc);
     EXPECT_EQ(anchor.energy, e.predicted_task_energy);
-    for (const ParetoPoint& pt : e.frontier) {
+    for (const ParetoPoint& pt : frontier) {
       if (pt.alloc == anchor.alloc) continue;
       EXPECT_GT(pt.energy, anchor.energy)
           << "anchor must be the STRICT energy minimum";
@@ -160,7 +161,7 @@ TEST_P(ParetoBruteForceProperty, FrontierPointsSurviveEnumeration) {
     EXPECT_GE(dp, bf.energy.as_pj() - 1.0);
     EXPECT_LE(dp, bf.energy.as_pj() + block_margin);
 
-    for (const ParetoPoint& pt : e.frontier) {
+    for (const ParetoPoint& pt : lut.frontier(e)) {
       // Achievability: enumerating at the point's own latency must find a
       // placement (the point's allocation qualifies), and since brute force
       // charges retention over the tighter window pt.latency <= tc, its
