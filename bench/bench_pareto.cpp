@@ -23,7 +23,7 @@
 //     steady-state cost ratio (expected ~1.0: tier selection is O(1) and the
 //     tier allocations are resolved once per device).
 //   * fleet/slo-memo — the SLO fleet through a pre-warmed device-level
-//     outcome memo: tiers ride in the SliceOutcomeKey, so replays must stay
+//     outcome memo: tiers ride in the memo's SliceKey, so replays must stay
 //     as hot as the no-SLO memo path (`slo_memo_speedup`).
 #include <algorithm>
 #include <chrono>

@@ -3,8 +3,8 @@
 //
 // Fnv1a is the one hashing utility shared by the digest-producing layers:
 // nn::Model::topology_hash(), sys::ArchConfig::config_hash(), the
-// placement-LUT cache key (placement/lut_cache.hpp), the component state
-// digest (common/state_visitor.hpp) and the fleet spec digest. checksum64
+// placement-LUT cache key (placement/lut_cache.hpp), the processor reuse
+// key (hhpim/processor.hpp) and the fleet spec digest. checksum64
 // guards serialized blobs (the fleet snapshot, fleet/snapshot.cpp) against
 // corruption. Header-only so dependency-light subsystems (nn) can use it
 // without pulling anything else out of common.

@@ -1,5 +1,5 @@
-// One state walk, three visitors: the digest/checkpoint contract of every
-// stateful hardware component.
+// One state walk, two visitors: the checkpoint contract of every stateful
+// hardware component.
 //
 // Each component — energy::LeakageTracker, mem::Bank, pe::ProcessingElement,
 // noc::Link, pim::DataAllocator, pim::PimModule, pim::Cluster and
@@ -7,15 +7,14 @@
 //
 //   template <class V> void visit_state(V& v, Time now);
 //
-// and that one walk is run by three visitors:
+// and that one walk is run by two visitors:
 //
-//   StateDigest  folds the fields into an Fnv1a: Processor::state_digest(),
-//                the key of the fleet's outcome memo (fleet::OutcomeCache);
 //   StateSaver   appends them to a ByteWriter: Processor::save_state(), the
-//                per-device blob of a fleet::FleetSnapshot;
+//                per-device blob of a fleet::FleetSnapshot and the name of
+//                a state in the fleet's outcome memo (fleet::OutcomeCache);
 //   StateLoader  reads them back from a ByteReader: Processor::load_state().
 //
-// So the saved state is exactly the digested state, by construction, and a
+// So the loaded state is exactly the saved state, by construction, and a
 // new state field is written once.
 //
 // What a walk contains:
@@ -26,14 +25,14 @@
 //   * Times relative to `now`. A leakage anchor is a signed offset
 //     (relative). An occupancy horizon is clamped at 0 (horizon): every
 //     operation starts at max(now, busy_until), so a horizon in the past
-//     means "free now", and clamping keeps stale history out of the digest
-//     — without it the outcome memo would never converge.
+//     means "free now", and clamping keeps stale history out of the saved
+//     bytes — without it the outcome memo would never converge.
 //   * No derived values. A bank's leakage power follows from (on, active
 //     bytes) and is recomputed on load; PE leakage is a config constant
 //     that reset() already sets.
 //   * Storage contents only as byte runs, and only when they can differ
 //     from zero (a dirty bank, host RAM). The accounting-only burst path
-//     never writes data, so fleet and grid runs never digest a bank's bytes.
+//     never writes data, so fleet and grid runs never save a bank's bytes.
 //   * Shape is checked, never restored. Module counts, MRAM and cluster
 //     presence and byte-run sizes are fixed at construction; on load a
 //     mismatch (a blob from another arch or model) throws
@@ -42,9 +41,8 @@
 // Loading runs on a freshly constructed or reset() component; loaded times
 // are `now` plus the stored offset (the processor rebases its clock to zero
 // first). Only StateLoader writes through the references it is handed: the
-// walk is a non-const member so one body serves all three visitors, and the
-// const entry points (state_digest, save_state) cast const away for the two
-// read-only ones.
+// walk is a non-const member so one body serves both visitors, and the
+// const entry point (save_state) casts const away for the read-only one.
 #pragma once
 
 #include <algorithm>
@@ -54,7 +52,6 @@
 #include <string>
 #include <string_view>
 
-#include "common/hash.hpp"
 #include "common/serialize.hpp"
 #include "common/units.hpp"
 
@@ -72,29 +69,6 @@ inline std::int64_t clamped_horizon(Time t, Time now) {
 }
 
 }  // namespace state_detail
-
-/// Folds a walk into a 64-bit FNV-1a digest.
-class StateDigest {
- public:
-  static constexpr bool kLoad = false;
-
-  void flag(bool& b) { h_.add(std::uint64_t{b ? 1u : 0u}); }
-  template <class T>
-  void count(T& n) {
-    h_.add(static_cast<std::uint64_t>(n));
-  }
-  void relative(Time& t, Time now) { h_.add((t - now).as_ps()); }
-  void horizon(Time& t, Time now) { h_.add(state_detail::clamped_horizon(t, now)); }
-  void bytes(std::span<std::uint8_t> run, std::string_view, std::string_view) {
-    h_.add_bytes(run.data(), run.size());
-  }
-  void shape(std::uint64_t n, std::string_view, std::string_view) { h_.add(n); }
-
-  [[nodiscard]] std::uint64_t digest() const { return h_.digest(); }
-
- private:
-  Fnv1a h_;
-};
 
 /// Appends a walk to a ByteWriter: flags as u8, counts and shapes as u64,
 /// times as i64, byte runs length-prefixed.

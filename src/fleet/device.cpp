@@ -107,7 +107,6 @@ void DeviceProgress::start(const FleetSpec& fleet, const DeviceSpec& spec,
   charge_pj = battery.charge().as_pj();
   result.final_soc = battery.soc();
   sample_busy_ps.clear();
-  proc_digest = 0;
   proc_blob.reset();
 }
 
@@ -140,12 +139,9 @@ bool DeviceProgress::begin_slice(const FleetSpec& fleet, const DeviceSpec& spec,
   return true;
 }
 
-SliceOutcomeKey DeviceProgress::slice_key(std::uint64_t reuse_key,
-                                          std::uint64_t state,
-                                          std::int64_t slo_ps) const {
-  return SliceOutcomeKey{reuse_key, state, slo_ps,
-                         static_cast<std::uint32_t>(buffered), mode,
-                         slo_ps > 0 ? tier : std::uint8_t{0}};
+SliceKey DeviceProgress::slice_key(std::int64_t slo_ps) const {
+  return SliceKey{slo_ps, static_cast<std::uint32_t>(buffered), mode,
+                  slo_ps > 0 ? tier : std::uint8_t{0}};
 }
 
 void DeviceProgress::end_slice(const SliceOutcome& out, SliceHistograms& bins) {

@@ -91,8 +91,8 @@ struct DeviceResult {
 
 /// One device's whole mutable state, and what a FleetSnapshot stores per
 /// device: the partial DeviceResult, the battery/policy lane, the load
-/// cursor, the processor checkpoint (state digest plus shared save_state
-/// blob; live snapshot devices only), and the per-slice busy times,
+/// cursor, the processor checkpoint (a shared save_state blob; live
+/// snapshot devices only), and the per-slice busy times,
 /// buffered until the device finishes (the busy_us Summary is fed
 /// device-major and must not interleave with other devices).
 /// begin_slice/end_slice are the only
@@ -109,10 +109,9 @@ struct DeviceProgress {
   int buffered = 0;         ///< arrivals awaiting execution in the next slice
   double charge_pj = 0.0;   ///< exact battery charge bits
   std::vector<std::int64_t> sample_busy_ps;  ///< per executed slice
-  /// Processor::state_digest() of the state the device stopped at, and that
-  /// state's save_state blob — shared with every device (and memo outcome)
-  /// at the same state. Set at a checkpoint for live devices only.
-  std::uint64_t proc_digest = 0;
+  /// The save_state blob of the processor state the device stopped at —
+  /// shared with every device (and memo state) at the same state. Set at a
+  /// checkpoint for live devices only.
   StateBlob proc_blob;
   /// The arrival cursor: loads.next() is the arrival of step next_k while
   /// next_k < loads.size(). Bound to the spec and envelope of the call
@@ -135,12 +134,10 @@ struct DeviceProgress {
   /// Returns true when the tier changed (the caller installs its placement).
   bool begin_slice(const FleetSpec& fleet, const DeviceSpec& spec, bool slo);
 
-  /// The memo key of the slice begin_slice just planned, starting from
-  /// processor state digest `state`. `slo_ps` is the device's active SLO
-  /// (0 = none; the tier then stays out of the key).
-  [[nodiscard]] SliceOutcomeKey slice_key(std::uint64_t reuse_key,
-                                          std::uint64_t state,
-                                          std::int64_t slo_ps) const;
+  /// The memo key, within the processor state's row, of the slice
+  /// begin_slice just planned. `slo_ps` is the device's active SLO (0 =
+  /// none; the tier then stays out of the key).
+  [[nodiscard]] SliceKey slice_key(std::int64_t slo_ps) const;
 
   /// Second half: drains `out.energy_pj` (clamped to the charge), counts the
   /// slice and bins it into `bins`, buffers its busy time and the slice's
@@ -176,7 +173,7 @@ class Device {
   /// Runs the slice DeviceProgress::begin_slice just planned on `p` (which
   /// returned `tier_changed`) on this device's processor, installing the
   /// tier or low-power placement it decided, and returns the slice's
-  /// outcome (post_state and blob unset). The caller applies it with
+  /// outcome (no next state). The caller applies it with
   /// end_slice. A whole run is start, then begin_slice/step/end_slice until
   /// done; the simulator interleaves step with memo replay, making the
   /// processor live (reset, or load_state of the device's blob) first.

@@ -1,65 +1,67 @@
 #include "fleet/outcome_cache.hpp"
 
+#include <algorithm>
+
 namespace hhpim::fleet {
 
-const SliceOutcome* OutcomeCache::lookup(const SliceOutcomeKey& key) const {
-  const ReadyMap* snap = ready_.load(std::memory_order_acquire);
-  if (snap == nullptr) return nullptr;
-  const auto it = snap->find(key);
-  return it != snap->end() ? &it->second : nullptr;
+namespace {
+
+/// A new row's capacity; a full row doubles.
+constexpr std::uint32_t kFirstRowSlots = 8;
+
+}  // namespace
+
+State& OutcomeCache::intern_locked(std::uint64_t reuse_key, std::string_view bytes) {
+  auto& machine = states_[reuse_key];
+  auto it = machine.find(bytes);
+  if (it == machine.end()) {
+    auto state = std::make_unique<State>(reuse_key, std::make_shared<const std::string>(bytes));
+    it = machine.emplace(*state->blob(), std::move(state)).first;
+  }
+  return *it->second;
 }
 
-void OutcomeCache::insert_batch(
-    const std::vector<std::pair<SliceOutcomeKey, SliceOutcome>>& entries) {
-  if (entries.empty()) return;
+const State& OutcomeCache::intern(std::uint64_t reuse_key, std::string_view bytes) {
   const std::lock_guard<std::mutex> lock{mu_};
-  const ReadyMap* cur = ready_.load(std::memory_order_relaxed);
-
-  // Cheap pre-check against the current snapshot: a shard re-recording a
-  // device whose keys all landed already (racing fallbacks, repeated runs
-  // against a warm cache) skips the copy-on-write entirely.
-  bool any_new = cur == nullptr;
-  if (!any_new) {
-    for (const auto& e : entries) {
-      if (cur->find(e.first) == cur->end()) {
-        any_new = true;
-        break;
-      }
-    }
-  }
-  if (!any_new) return;
-
-  auto next = std::make_unique<ReadyMap>(cur != nullptr ? *cur : ReadyMap{});
-  std::uint64_t inserted = 0;
-  for (const auto& e : entries) {
-    if (next->emplace(e.first, e.second).second) ++inserted;
-  }
-  if (inserted == 0) return;
-  insertions_ += inserted;
-  publish_locked(std::move(next));
+  return intern_locked(reuse_key, bytes);
 }
 
-const StateBlob* OutcomeCache::intern_blob(std::string_view bytes) {
+const SliceOutcome& OutcomeCache::record(const State& from, const SliceKey& key,
+                                         SliceOutcome out, std::string_view post) {
   const std::lock_guard<std::mutex> lock{mu_};
-  auto it = blobs_.find(bytes);
-  if (it == blobs_.end()) {
-    auto blob = std::make_shared<const std::string>(bytes);
-    it = blobs_.try_emplace(std::string_view{*blob}, std::move(blob)).first;
+  if (const SliceOutcome* first = from.find(key)) return *first;
+  // Every State is created non-const by intern_locked; rows are written
+  // only here, under mu_.
+  State& s = const_cast<State&>(from);
+  out.next = &intern_locked(s.reuse_key(), post);
+  if (s.size_ == s.live_.size()) {
+    // Moving a vector keeps its buffer, so readers of the old row are safe.
+    std::vector<State::Entry> row(s.size_ == 0 ? kFirstRowSlots : 2 * s.size_);
+    std::copy_n(s.live_.begin(), s.size_, row.begin());
+    s.row_.store(row.data(), std::memory_order_release);
+    if (!s.live_.empty()) s.superseded_.push_back(std::move(s.live_));
+    s.live_ = std::move(row);
   }
-  return &it->second;
-}
-
-void OutcomeCache::publish_locked(std::unique_ptr<const ReadyMap> next) {
-  ready_.store(next.get(), std::memory_order_release);
-  retired_.push_back(std::move(next));
+  std::atomic<std::uint32_t>& cell = s.index_[State::bucket(key)];
+  State::Entry& e = s.live_[s.size_];
+  e = State::Entry{key, out, cell.load(std::memory_order_relaxed)};
+  cell.store(++s.size_, std::memory_order_release);
+  return e.outcome;
 }
 
 OutcomeCache::Stats OutcomeCache::stats() const {
   const std::lock_guard<std::mutex> lock{mu_};
-  const ReadyMap* snap = ready_.load(std::memory_order_relaxed);
-  return Stats{.insertions = insertions_,
-               .entries = snap != nullptr ? snap->size() : 0,
-               .blobs = blobs_.size()};
+  Stats st;
+  for (const auto& [machine, states] : states_) {
+    st.states += states.size();
+    for (const auto& [bytes, s] : states) {
+      st.outcomes += s->size_;
+      st.slots += s->live_.size();
+      st.slots_kept += s->live_.size();
+      for (const auto& row : s->superseded_) st.slots_kept += row.size();
+    }
+  }
+  return st;
 }
 
 OutcomeCache& OutcomeCache::process_cache() {

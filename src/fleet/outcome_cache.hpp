@@ -1,51 +1,51 @@
-// Process-wide, thread-safe memo of whole-device slice outcomes.
+// Process-wide, thread-safe memo of whole-device slice outcomes: a finite
+// automaton over exact processor states.
 //
 // Most devices of a fleet share (arch config, model, placement-decision
 // stream) and differ only in seed jitter and battery trajectory. A slice's
 // outcome — energy requested, busy/movement time, deadline flag, and the
 // processor state it leaves behind — is a pure function of the processor's
-// behavior-relevant state at the slice boundary (sys::Processor::
-// state_digest), the placement mode the adaptation loop picked, and the
-// number of buffered tasks. Battery state never enters: the SoC only
-// influences a slice *through* the hysteresis mode decision, which is an
-// exact field of the key, and the drain clamp is re-applied at replay time
-// (exhaustion slices included). That is what lets the fleet replay memoized
-// outcomes byte-identically to the scalar Device::run path (pinned by
+// behavior-relevant state at the slice boundary (sys::Processor::save_state
+// bytes), the placement mode the adaptation loop picked, and the number of
+// buffered tasks. Battery state never enters: the SoC only influences a
+// slice *through* the hysteresis mode decision, which is an exact field of
+// the key, and the drain clamp is re-applied at replay time (exhaustion
+// slices included). That is what lets the fleet replay memoized outcomes
+// byte-identically to the scalar Device::run path (pinned by
 // tests/test_oracle.cpp: cold, warm, shared and segmented memos).
 //
-// Key anatomy (docs/PERF.md "Device-level memoization"):
-//   reuse_key  sys::processor_reuse_key(config, model) — which machine
-//   state      Processor::state_digest() before the slice — where it is
+// A State is named by its machine and its bytes, and by nothing else: the
+// cache interns one State per (sys::processor_reuse_key, save_state bytes),
+// compared byte for byte, so two states never share a name. A State owns
+// its blob and one write-once, append-only row of outcomes keyed by the
+// rest of the slice (docs/PERF.md "Device-level memoization"):
 //   slo_ps     the device's latency SLO (the frontier the policy picks from)
 //   n_tasks    the exact buffered-task count (the "load bucket")
 //   mode       fleet::DeviceMode for the slice (the "SoC bucket")
 //   tier       fleet::FrontierTier pinned for the slice (the "SLO bucket")
 // The buckets are exact, not approximations: two devices fall into the same
 // bucket only when the simulator would compute bit-identical slices for
-// them, so memoization changes wall-clock, never output.
+// them, so memoization changes wall-clock, never output. An outcome points
+// at the State the slice leaves, so a replayed device walks from state to
+// state without hashing anything; the blob is what lets it stop at a
+// checkpoint, or fall back to the exact path mid-stream, without rerunning
+// from step 0 (docs/PERF.md "Memo replay inside segments").
 //
-// Every outcome also carries its post-state's processor blob
-// (Processor::save_state), interned by exact bytes: a fleet converges onto
-// a handful of states, so a few dozen blobs serve every outcome. The blob
-// is what lets a replayed device stop at a checkpoint, or fall back to the
-// exact path mid-stream, without rerunning from step 0 (docs/PERF.md "Memo
-// replay inside segments").
+// A row is read through a dense index over (n_tasks, mode, tier): one cell
+// per bucket names the bucket's newest entry, and entries of one bucket
+// (other SLOs, and loads past the index's last row, which share it) chain
+// to older ones. A hit is State::find — two acquire loads, the cell and
+// the row, and a compare of the full key, with no hashing, no lock and no
+// shared write (docs/PERF.md "Exact outcome memo").
 //
-// Concurrency: completed outcomes live in an immutable snapshot map
-// published through an atomic pointer. A hit is one acquire load plus a hash
-// probe — no lock and no shared write: lookup() is const and counts nothing
-// (the fleet tallies its hits per shard), and the published pointer sits on
-// its own cache line, so neither a sibling's hit nor a recorder's blob
-// intern invalidates the line every reader loads (docs/PERF.md
-// "Contention-free memo hits"). Inserts arrive in per-shard batches (one
-// copy-on-write republish per batch, not per slice), first writer wins per
-// key; racing inserts of the same key are benign because honest writers
-// compute identical values. A recorder interns a slice's blob (intern_blob,
-// under the lock) before the slice's outcome is published, so every outcome
-// a lookup returns already points at an interned blob. Superseded snapshots
-// are retired, not freed, and interned blobs are never dropped until the
-// cache is destroyed, so a pointer returned by lookup() or intern_blob() —
-// and the blob it points at — stays valid for the cache's lifetime.
+// Concurrency: a recorder appends under the cache's mutex, first writer
+// wins per key, and publishes the entry at once: it writes the slot, then
+// release-stores its bucket's cell. A full row is copied into one twice its
+// capacity, published before the cell that needs it; the superseded array
+// stays allocated for readers still holding it, so what a State keeps is
+// under twice its live row. States are never dropped until the cache is
+// destroyed, so a pointer returned by find(), intern() or record() stays
+// valid for the cache's lifetime.
 #pragma once
 
 #include <atomic>
@@ -58,57 +58,31 @@
 #include <utility>
 #include <vector>
 
-#include "common/align.hpp"
-
 namespace hhpim::fleet {
 
-/// Value-semantic memo key; equality compares every field, so outcomes are
-/// never shared across distinct machines, states, loads, modes or SLO
-/// placements.
+/// A Processor::save_state blob, shared and immutable: devices (and memo
+/// states) at one processor state share one copy of its bytes.
+using StateBlob = std::shared_ptr<const std::string>;
+
+class State;
+
+/// What selects an outcome within one State's row; equality compares every
+/// field.
 ///
 /// `slo_ps`/`tier` exist because the SLO policy's frontier pick is decided
-/// *before* the slice runs: on the first slice the `state` digest predates
-/// the override the tier is about to install, so without these fields two
+/// *before* the slice runs: on the first slice the state predates the
+/// override the tier is about to install, so without these fields two
 /// devices with different SLOs (or different tiers at the same state) would
 /// share a bucket and replay each other's outcomes. Both are 0 whenever the
-/// device has no SLO, which keeps pre-SLO keys' contents unchanged.
-struct SliceOutcomeKey {
-  std::uint64_t reuse_key = 0;  ///< sys::processor_reuse_key(config, model)
-  std::uint64_t state = 0;      ///< Processor::state_digest() before the slice
-  std::int64_t slo_ps = 0;      ///< DeviceSpec::latency_slo_ps (0 = no SLO)
-  std::uint32_t n_tasks = 0;    ///< buffered tasks executed this slice
-  std::uint8_t mode = 0;        ///< fleet::DeviceMode for the slice
-  std::uint8_t tier = 0;        ///< fleet::FrontierTier pinned (0 when no SLO)
+/// device has no SLO.
+struct SliceKey {
+  std::int64_t slo_ps = 0;    ///< DeviceSpec::latency_slo_ps (0 = no SLO)
+  std::uint32_t n_tasks = 0;  ///< buffered tasks executed this slice
+  std::uint8_t mode = 0;      ///< fleet::DeviceMode for the slice
+  std::uint8_t tier = 0;      ///< fleet::FrontierTier pinned (0 when no SLO)
 
-  [[nodiscard]] bool operator==(const SliceOutcomeKey&) const = default;
-
-  /// Word-wise multiply–xorshift fold over the 64-bit fields, with
-  /// n_tasks, mode and tier packed into one word. Each step is a bijection
-  /// of the running value for a fixed word and of the word for a fixed
-  /// running value, so keys that differ in exactly one field always hash
-  /// apart. In-memory only: the hash is never persisted, so it may change
-  /// freely (the persisted digests use Fnv1a, common/hash.hpp).
-  struct Hash {
-    [[nodiscard]] std::size_t operator()(const SliceOutcomeKey& k) const {
-      std::uint64_t h = 0;
-      const auto mix = [&h](std::uint64_t v) {
-        h = (h ^ v) * 0x9e3779b97f4a7c15ULL;
-        h ^= h >> 29;
-      };
-      mix(k.reuse_key);
-      mix(k.state);
-      mix(static_cast<std::uint64_t>(k.slo_ps));
-      mix(static_cast<std::uint64_t>(k.n_tasks) |
-          static_cast<std::uint64_t>(k.mode) << 32 |
-          static_cast<std::uint64_t>(k.tier) << 40);
-      return static_cast<std::size_t>(h);
-    }
-  };
+  [[nodiscard]] bool operator==(const SliceKey&) const = default;
 };
-
-/// A Processor::save_state blob, shared and immutable: devices (and memo
-/// outcomes) at one processor state share one copy of its bytes.
-using StateBlob = std::shared_ptr<const std::string>;
 
 /// Everything a replayed slice contributes to a device run. `energy_pj` is
 /// the *requested* slice energy (sys::SliceStats::energy) — the battery's
@@ -118,13 +92,70 @@ struct SliceOutcome {
   double energy_pj = 0.0;
   std::int64_t busy_ps = 0;
   std::int64_t movement_ps = 0;
-  std::uint64_t post_state = 0;   ///< state_digest() after the slice
   std::uint64_t host_cycles = 0;  ///< host-core cycles (0 when host disabled)
   bool deadline_violated = false;
-  /// save_state() after the slice (post_state's bytes), as returned by the
-  /// cache's intern_blob(). Null only in hand-built entries that no device
-  /// resumes from.
-  const StateBlob* blob = nullptr;
+  /// The state the slice leaves the processor in; set by
+  /// OutcomeCache::record, null on an outcome straight from Device::step.
+  const State* next = nullptr;
+};
+
+/// One interned processor state of one machine, and the outcomes recorded
+/// from it. Created and owned by an OutcomeCache.
+class State {
+ public:
+  State(std::uint64_t reuse_key, StateBlob blob)
+      : reuse_key_(reuse_key), blob_(std::move(blob)) {}
+  State(const State&) = delete;
+  State& operator=(const State&) = delete;
+
+  /// Lock-free and read-only: the outcome recorded for `key` from this
+  /// state, or nullptr. Callers count their own hits and misses.
+  [[nodiscard]] const SliceOutcome* find(const SliceKey& key) const {
+    std::uint32_t slot = index_[bucket(key)].load(std::memory_order_acquire);
+    if (slot == 0) return nullptr;
+    const Entry* row = row_.load(std::memory_order_acquire);
+    do {
+      const Entry& e = row[slot - 1];
+      if (e.key == key) return &e.outcome;
+      slot = e.older;
+    } while (slot != 0);
+    return nullptr;
+  }
+
+  /// sys::processor_reuse_key of the machine this state belongs to.
+  [[nodiscard]] std::uint64_t reuse_key() const { return reuse_key_; }
+  /// The state's save_state bytes.
+  [[nodiscard]] const StateBlob& blob() const { return blob_; }
+
+ private:
+  friend class OutcomeCache;
+  struct Entry {
+    SliceKey key;
+    SliceOutcome outcome;
+    std::uint32_t older = 0;  ///< the bucket's previous entry (slot + 1; 0 = none)
+  };
+
+  /// Index rows: loads 0 .. kIndexedLoads - 2 have a row each, and larger
+  /// loads share the last one.
+  static constexpr std::uint32_t kIndexedLoads = 32;
+  /// A key's index cell: its load's row, then 1 bit of mode and 2 of tier
+  /// (DeviceMode and FrontierTier fit; other values share a bucket, told
+  /// apart by the full-key compare).
+  [[nodiscard]] static std::size_t bucket(const SliceKey& k) {
+    const std::uint32_t load = k.n_tasks < kIndexedLoads ? k.n_tasks : kIndexedLoads - 1;
+    return std::size_t{load} * 8 + (k.mode & 1u) * 4 + (k.tier & 3u);
+  }
+
+  const std::uint64_t reuse_key_;
+  const StateBlob blob_;
+  /// Per bucket, the slot + 1 of its newest entry (0 = empty). A cell is
+  /// stored after the entry it names and after the row that holds it.
+  std::atomic<std::uint32_t> index_[kIndexedLoads * 8] = {};
+  std::atomic<const Entry*> row_{nullptr};
+  // Written only under the owning cache's mutex.
+  std::uint32_t size_ = 0;
+  std::vector<Entry> live_;  ///< the published row, every slot constructed
+  std::vector<std::vector<Entry>> superseded_;
 };
 
 /// Thread-safe memo of slice outcomes. One instance is process-wide
@@ -132,9 +163,10 @@ struct SliceOutcome {
 class OutcomeCache {
  public:
   struct Stats {
-    std::uint64_t insertions = 0;  ///< keys actually added (first writer only)
-    std::size_t entries = 0;       ///< keys in the current snapshot
-    std::size_t blobs = 0;         ///< distinct post-state blobs interned
+    std::size_t states = 0;      ///< interned (machine, bytes) states
+    std::size_t outcomes = 0;    ///< recorded outcomes, over every row
+    std::size_t slots = 0;       ///< the live rows' capacity
+    std::size_t slots_kept = 0;  ///< slots plus every superseded row's
   };
 
   OutcomeCache() = default;
@@ -142,24 +174,20 @@ class OutcomeCache {
   OutcomeCache& operator=(const OutcomeCache&) = delete;
   ~OutcomeCache() = default;
 
-  /// Lock-free and read-only: the outcome memoized for `key`, or nullptr.
-  /// Callers count their own hits and misses. The pointer stays valid until
-  /// the cache is destroyed (snapshots are retired, never freed — memory
-  /// stays proportional to insert batches actually published, which state
-  /// convergence keeps small).
-  [[nodiscard]] const SliceOutcome* lookup(const SliceOutcomeKey& key) const;
+  /// The cache's State for these save_state bytes of machine `reuse_key`,
+  /// added when absent. Exact: keyed by the bytes themselves. Safe to call
+  /// concurrently.
+  [[nodiscard]] const State& intern(std::uint64_t reuse_key, std::string_view bytes);
 
-  /// Publishes recorded (key, outcome) pairs: one copy-on-write republish
-  /// for the whole batch, first writer wins per key, no republish when every
-  /// key is already present. Safe to call concurrently with lookups and
-  /// other inserts.
-  void insert_batch(
-      const std::vector<std::pair<SliceOutcomeKey, SliceOutcome>>& entries);
-
-  /// The cache's one copy of a processor blob with these bytes, added when
-  /// absent. Exact: keyed by the bytes themselves, not by a digest. Called
-  /// once per exact slice a recorder runs; safe to call concurrently.
-  [[nodiscard]] const StateBlob* intern_blob(std::string_view bytes);
+  /// Records `out`, the outcome of slice `key` run from `from`, whose
+  /// processor then saved `post`: interns `post` under from's machine as
+  /// the outcome's next state and appends it to from's row, published at
+  /// once. First writer wins: when `key` is already in the row, the row is
+  /// left as it is. Returns the row's outcome for `key`. `from` must come
+  /// from this cache. Safe to call concurrently with find() and other
+  /// records.
+  const SliceOutcome& record(const State& from, const SliceKey& key, SliceOutcome out,
+                             std::string_view post);
 
   [[nodiscard]] Stats stats() const;
 
@@ -167,29 +195,14 @@ class OutcomeCache {
   [[nodiscard]] static OutcomeCache& process_cache();
 
  private:
-  /// Immutable map of memoized outcomes. Never mutated after publication —
-  /// mutation copies it and publishes the copy.
-  using ReadyMap =
-      std::unordered_map<SliceOutcomeKey, SliceOutcome, SliceOutcomeKey::Hash>;
+  /// intern() with mu_ held.
+  State& intern_locked(std::uint64_t reuse_key, std::string_view bytes);
 
-  /// Publishes `next` as the current snapshot (mu_ held). The superseded
-  /// snapshot is retired — kept alive until destruction so concurrent
-  /// lock-free readers (and held outcome pointers) stay safe.
-  void publish_locked(std::unique_ptr<const ReadyMap> next);
-
-  /// Current snapshot; readers load-acquire and never lock. Owned by
-  /// retired_ (every snapshot ever published lives there). Alone on its
-  /// cache line: the members below are written on every exact slice.
-  alignas(kCacheLine) std::atomic<const ReadyMap*> ready_{nullptr};
-
-  /// Guards everything below and snapshot swaps.
-  alignas(kCacheLine) mutable std::mutex mu_;
-  std::vector<std::unique_ptr<const ReadyMap>> retired_;
-  /// Interned post-state blobs, keyed by a view of their own bytes. Map
-  /// nodes never move and are never erased, so a pointer to a node's value
-  /// stays valid.
-  std::unordered_map<std::string_view, StateBlob> blobs_;
-  std::uint64_t insertions_ = 0;
+  mutable std::mutex mu_;  ///< guards states_ and every row's writes
+  /// Per machine, its states keyed by a view of their own blob.
+  std::unordered_map<std::uint64_t,
+                     std::unordered_map<std::string_view, std::unique_ptr<State>>>
+      states_;
 };
 
 }  // namespace hhpim::fleet

@@ -30,8 +30,8 @@ enum class DeviceMode : std::uint8_t { kDynamic = 0, kLowPower };
 
 /// Which point of a LUT entry's Pareto frontier an SLO-aware device pins
 /// (placement/pareto.hpp; only meaningful when DeviceSpec::latency_slo_ps is
-/// set). Numeric values are part of the SliceOutcomeKey encoding — append
-/// only.
+/// set). Numeric values are part of the snapshot encoding (DeviceProgress::
+/// tier) and of the memo's SliceKey — append only.
 enum class FrontierTier : std::uint8_t {
   kBalanced = 0,     ///< min energy subject to the SLO (the frontier anchor)
   kPerformance = 1,  ///< min latency — battery is rich, buy headroom

@@ -8,6 +8,7 @@
 #include <fstream>
 #include <functional>
 #include <limits>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -344,7 +345,36 @@ FleetSnapshot FleetSimulator::drive(const FleetSpec& spec, int end_slice,
   OutcomeCache* const memo = resolve_outcome_cache();
   const std::uint64_t digest = spec.content_digest();
   const std::size_t n = expander.size();
+  const auto pair_of = [n_models](const DeviceSpec& ds) {
+    return ds.firmware_index * n_models + ds.model_index;
+  };
 
+  // Per-pair constants: the resolved firmware config and its processor
+  // reuse key (the pool's key and the memo states' machine), plus — filled
+  // below for used pairs only, since building an unused pair's LUT would
+  // cost a build nobody needs — the fresh processor's memo state, slice
+  // length and LUT.
+  struct PairInfo {
+    sys::SystemConfig config;
+    std::uint64_t reuse_key = 0;
+    const State* fresh = nullptr;  ///< a fresh processor's state (memo on)
+    std::int64_t slice_ps = 0;
+    /// The pair's LUT (null unless HH-PIM): immutable, kept alive by the
+    /// pool's processors for the whole call.
+    const placement::AllocationLut* lut = nullptr;
+  };
+  const std::size_t n_pairs = firmwares.size() * n_models;
+  std::vector<PairInfo> pairs(n_pairs);
+  for (std::size_t pair = 0; pair < n_pairs; ++pair) {
+    PairInfo& info = pairs[pair];
+    info.config = firmwares[pair / n_models];
+    info.config.lut_cache = cache;
+    info.reuse_key = sys::processor_reuse_key(info.config, models[pair % n_models]);
+  }
+
+  // With the memo on, each live device's blob resolved to its memo state,
+  // once per distinct (blob, machine): devices at one state share a blob.
+  std::vector<const State*> resumed;
   if (from != nullptr) {
     if (from->spec_digest != digest) {
       throw std::runtime_error(
@@ -370,10 +400,11 @@ FleetSnapshot FleetSimulator::drive(const FleetSpec& spec, int end_slice,
     // carries one busy sample per executed slice, and the carried histograms
     // have the spec's shape and one sample per slice executed fleet-wide.
     // Devices not yet started carry no header; start() writes it. A live
-    // device's processor blob is checked against its digest when it is
-    // loaded.
+    // device's processor blob is checked when it is loaded.
     std::uint64_t executed = 0;
     DeviceSpec ds;
+    std::map<std::pair<const std::string*, std::uint64_t>, const State*> resolved;
+    if (memo != nullptr) resumed.resize(n);
     for (std::size_t i = 0; i < n; ++i) {
       const DeviceProgress& p = from->devices[i];
       const DeviceResult& r = p.result;
@@ -418,6 +449,12 @@ FleetSnapshot FleetSimulator::drive(const FleetSpec& spec, int end_slice,
       }
       // Range-checked like a battery restore (std::invalid_argument).
       energy::Battery{spec.battery}.restore_charge(Energy::pj(p.charge_pj));
+      if (memo != nullptr && p.proc_blob != nullptr) {
+        const std::uint64_t machine = pairs[pair_of(ds)].reuse_key;
+        const auto [it, fresh] = resolved.try_emplace({p.proc_blob.get(), machine}, nullptr);
+        if (fresh) it->second = &memo->intern(machine, *p.proc_blob);
+        resumed[i] = it->second;
+      }
     }
     const auto check_bins = [executed](const sim::Histogram& carried,
                                        const sim::Histogram& shape, const char* name) {
@@ -457,9 +494,6 @@ FleetSnapshot FleetSimulator::drive(const FleetSpec& spec, int end_slice,
     if (from != nullptr && from->devices[i].done) return false;
     return final_segment || ds.join_slice < end_slice;
   };
-  const auto pair_of = [n_models](const DeviceSpec& ds) {
-    return ds.firmware_index * n_models + ds.model_index;
-  };
 
   // LUT-build accounting, single-threaded before any processor exists: a
   // newly-accounted key absent from the cache counts as one build (this
@@ -470,7 +504,6 @@ FleetSnapshot FleetSimulator::drive(const FleetSpec& spec, int end_slice,
   // Devices are visited in id order, so keys are counted in the order their
   // first active device appears, and the walk stops once every pair is
   // marked — a few devices into a large fleet.
-  const std::size_t n_pairs = firmwares.size() * n_models;
   std::vector<char> pair_used(n_pairs, 0);
   std::size_t pairs_marked = 0;
   DeviceSpec ds;
@@ -492,34 +525,19 @@ FleetSnapshot FleetSimulator::drive(const FleetSpec& spec, int end_slice,
     snap.lut_counted.push_back(key);
   }
 
-  // Per-pair constants: the resolved firmware config and its processor
-  // reuse key (the pool's key and the memo keys' machine field), plus the
-  // fresh-processor state digest, slice length and LUT of every used pair —
-  // only used pairs get a processor, since building an unused pair's LUT
-  // would cost a build nobody needs.
-  struct PairInfo {
-    sys::SystemConfig config;
-    std::uint64_t reuse_key = 0;
-    std::uint64_t init_state = 0;  ///< state_digest() of a fresh processor
-    std::int64_t slice_ps = 0;
-    /// The pair's LUT (null unless HH-PIM): immutable, kept alive by the
-    /// pool's processors for the whole call.
-    const placement::AllocationLut* lut = nullptr;
-  };
-  std::vector<PairInfo> pairs(n_pairs);
   sys::ProcessorPool pool;
   for (std::size_t pair = 0; pair < n_pairs; ++pair) {
+    if (pair_used[pair] == 0) continue;
     PairInfo& info = pairs[pair];
-    info.config = firmwares[pair / n_models];
-    info.config.lut_cache = cache;
-    info.reuse_key = sys::processor_reuse_key(info.config, models[pair % n_models]);
-    if (pair_used[pair] != 0) {
-      const sys::ProcessorPool::Lease lease =
-          pool.checkout(info.reuse_key, info.config, models[pair % n_models]);
-      info.init_state = lease.get().state_digest();
-      info.slice_ps = lease.get().slice_length().as_ps();
-      info.lut = lease.get().lut();
+    const sys::ProcessorPool::Lease lease =
+        pool.checkout(info.reuse_key, info.config, models[pair % n_models]);
+    if (memo != nullptr) {
+      ByteWriter fresh;
+      lease.get().save_state(fresh);
+      info.fresh = &memo->intern(info.reuse_key, fresh.bytes());
     }
+    info.slice_ps = lease.get().slice_length().as_ps();
+    info.lut = lease.get().lut();
   }
 
   const std::size_t shard_size = options_.shard_size;
@@ -554,11 +572,6 @@ FleetSnapshot FleetSimulator::drive(const FleetSpec& spec, int end_slice,
     /// run() and resume(): the device in flight (run_to advances devices in
     /// their snapshot slots).
     DeviceProgress progress;
-    /// The shard's recorded outcomes, published in ONE insert_batch at
-    /// shard end: every lookup of the shard sees the map as it stood when
-    /// the shard began, whatever its device order, at a fraction of the
-    /// copy-on-write churn of per-device inserts.
-    std::vector<std::pair<SliceOutcomeKey, SliceOutcome>> pending;
     ByteWriter save;  ///< save_state scratch, reused
     /// --shard-dir: the shard's JSONL lines, formatted as its devices
     /// finish and written to the shard file in one call.
@@ -587,7 +600,6 @@ FleetSnapshot FleetSimulator::drive(const FleetSpec& spec, int end_slice,
     std::uint64_t exact = 0;
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
-    w.pending.clear();
     w.jsonl.clear();
 
     // The leased processor's save_state bytes, in the reused scratch.
@@ -597,36 +609,33 @@ FleetSnapshot FleetSimulator::drive(const FleetSpec& spec, int end_slice,
       return w.save.bytes();
     };
 
-    // Advances a started device through local steps [p.next_k, k_end).
-    // Every slice runs begin_slice once, then one memo lookup: a hit applies
-    // the outcome and moves the chain digest and blob along; a miss makes
-    // the leased processor live (reset at step 0, else the current blob
-    // loaded and its digest checked), runs just this slice exact, records
-    // it, and goes back to lookups. Without the memo every slice misses, so
-    // the processor goes live once and stays live. Returns true when any
-    // slice ran exact.
-    const auto advance = [&](const DeviceSpec& ds, DeviceProgress& p, int k_end) {
+    // Advances a started device through local steps [p.next_k, k_end) from
+    // memo state `state` (its resumed state; a device at step 0 starts from
+    // the pair's fresh state). Every slice runs begin_slice once, then one
+    // lookup in the current state's row: a hit applies the outcome and moves
+    // to its next state; a miss makes the leased processor live (reset at
+    // step 0, else the current state's blob loaded), runs just this slice
+    // exact, and records it, published at once. Without the memo there is
+    // no state: every slice misses, so the processor goes live once and
+    // stays live. Returns true when any slice ran exact.
+    const auto advance = [&](const DeviceSpec& ds, DeviceProgress& p, int k_end,
+                             const State* state) {
       const PairInfo& info = pairs[pair_of(ds)];
       const bool slo = Device::slo_active(info.lut, ds.latency_slo_ps);
       const std::int64_t slo_ps = slo ? ds.latency_slo_ps : 0;
-      // The state the next slice starts from: its digest, and its blob (a
-      // plain pointer while replaying; shared ownership is taken only at a
-      // checkpoint, so replay workers never touch a shared refcount).
-      std::uint64_t state = p.next_k == 0 ? info.init_state : p.proc_digest;
-      const StateBlob* blob = &p.proc_blob;
+      if (p.next_k == 0) state = info.fresh;
       std::optional<Device> dev;  // built on the device's first miss
       bool live = false;          // the leased processor is at `state`
       bool ran_exact = false;
       while (!p.done && p.next_k < k_end) {
         const bool tier_changed = p.begin_slice(spec, ds, slo);
         // The mode/tier begin_slice decided is a key field, not part of the
-        // digest: the override flip it causes lands in the post digest.
-        const SliceOutcomeKey key = p.slice_key(info.reuse_key, state, slo_ps);
-        if (const SliceOutcome* out = memo != nullptr ? memo->lookup(key) : nullptr) {
+        // state: the override flip it causes lands in the next state.
+        const SliceKey key = p.slice_key(slo_ps);
+        if (const SliceOutcome* out = state != nullptr ? state->find(key) : nullptr) {
           ++hits;
           p.end_slice(*out, agg.slice_bins);
-          state = out->post_state;
-          blob = out->blob;
+          state = out->next;
           live = false;
           continue;
         }
@@ -639,40 +648,36 @@ FleetSnapshot FleetSimulator::drive(const FleetSpec& spec, int end_slice,
           }
           if (!dev) dev.emplace(spec, ds, models[ds.model_index], lease.get());
           if (p.next_k > 0) {
-            if (blob == nullptr || *blob == nullptr) {
+            const StateBlob& blob = state != nullptr ? state->blob() : p.proc_blob;
+            if (blob == nullptr) {
               throw std::runtime_error("fleet: device " + std::to_string(ds.id) +
                                        " has no processor state to resume from");
             }
-            ByteReader r{**blob};
+            ByteReader r{*blob};
             lease.get().load_state(r);
-            if (!r.at_end() || lease.get().state_digest() != state) {
-              throw std::runtime_error(
-                  "fleet: device " + std::to_string(ds.id) +
-                  "'s processor blob does not restore its recorded state digest");
+            if (!r.at_end()) {
+              throw std::runtime_error("fleet: device " + std::to_string(ds.id) +
+                                       "'s processor blob has " +
+                                       std::to_string(r.remaining()) + " trailing bytes");
             }
           }
           live = true;
         }
         SliceOutcome out = dev->step(p, tier_changed);
         if (memo != nullptr) {
-          // Record the slice with its post-state blob, for every later shard
-          // and for this device's own next miss.
-          out.post_state = lease.get().state_digest();
-          out.blob = memo->intern_blob(saved_state());
-          w.pending.emplace_back(key, out);
-          state = out.post_state;
-          blob = out.blob;
+          // Record the slice and its next state, for every device (this one
+          // included) that reaches this state and key.
+          out = memo->record(*state, key, out, saved_state());
+          state = out.next;
         }
         p.end_slice(out, agg.slice_bins);
         ran_exact = true;
       }
       if (final_segment || p.done) {
         p.proc_blob.reset();  // finished devices carry no processor blob
-      } else if (memo != nullptr) {
-        p.proc_digest = state;
-        if (blob != &p.proc_blob) p.proc_blob = *blob;
+      } else if (state != nullptr) {
+        p.proc_blob = state->blob();
       } else if (live) {
-        p.proc_digest = lease.get().state_digest();
         p.proc_blob = std::make_shared<const std::string>(saved_state());
       }
       if (!final_segment) {
@@ -726,7 +731,7 @@ FleetSnapshot FleetSimulator::drive(const FleetSpec& spec, int end_slice,
         p.start(spec, ds, pairs[pair_of(ds)].slice_ps, env);
         reserve_busy(0, 0, p.result.slices_total);
       }
-      if (advance(ds, p, k_end)) {
+      if (advance(ds, p, k_end, resumed.empty() ? nullptr : resumed[i])) {
         ++exact;
       } else {
         ++replayed;
@@ -735,7 +740,6 @@ FleetSnapshot FleetSimulator::drive(const FleetSpec& spec, int end_slice,
     }
     hhpim_devices.fetch_add(hhpim, std::memory_order_relaxed);
     if (memo != nullptr) {
-      if (!w.pending.empty()) memo->insert_batch(w.pending);
       memo_replayed.fetch_add(replayed, std::memory_order_relaxed);
       memo_exact.fetch_add(exact, std::memory_order_relaxed);
       memo_hits.fetch_add(hits, std::memory_order_relaxed);

@@ -19,12 +19,13 @@
 //     charging, hysteresis, tier pick, battery clamp, lifecycle — whether
 //     the slice runs on a sys::Processor or replays from the memo.
 //   * With FleetOptions::memoize_devices (default), every slice of every
-//     call — run, run_to and resume alike — is first looked up in the
-//     device-level outcome memo (fleet::OutcomeCache): a hit advances the
-//     device without touching a sys::Processor. A miss makes a leased
-//     processor live at the device's state (reset at step 0, else its
-//     current processor blob loaded) and runs just that slice exact,
-//     recording the outcome and its post-state blob for every later shard.
+//     call — run, run_to and resume alike — is first looked up in the row
+//     of the device's state in the device-level outcome memo
+//     (fleet::OutcomeCache): a hit advances the device to the outcome's next
+//     state without touching a sys::Processor. A miss makes a leased
+//     processor live at the device's state (reset at step 0, else the
+//     state's blob loaded) and runs just that slice exact, recording the
+//     outcome and its next state for every device, published at once.
 //     Replayed aggregate/JSONL output is byte-identical to the exact path
 //     (docs/PERF.md "Device-level memoization", "Memo replay inside
 //     segments").
@@ -165,7 +166,7 @@ class FleetSimulator {
   /// at that boundary. `end_slice` must lie in (start, spec.slices]; the
   /// trailing drain slices belong to the final segment (resume). Segments
   /// replay from the memo like run() — a live device stops at a checkpoint
-  /// holding its state digest and shared processor blob — bin their slices
+  /// holding its shared processor blob — bin their slices
   /// into the snapshot's slice histograms and buffer each device's busy
   /// times in its record; no JSONL or other aggregates are produced until
   /// resume().
@@ -185,8 +186,7 @@ class FleetSimulator {
   /// lut_shared — is byte-identical to run() on the same spec and options
   /// at any thread count, with a warm memo or a cold one (a fresh process:
   /// each live device loads its blob at its first miss — std::runtime_error
-  /// when the blob does not restore the stored digest — and its exact
-  /// slices re-seed the memo).
+  /// when the blob does not load — and its exact slices re-seed the memo).
   [[nodiscard]] FleetResult resume(const FleetSpec& spec,
                                    const FleetSnapshot& from) const;
 

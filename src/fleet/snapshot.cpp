@@ -23,9 +23,10 @@ namespace {
 // MEM-interface horizon). Version 6: a live device of a randomized load
 // shape stores its load cursor's generator words. Version 7: the slice
 // histograms are carried once, after the LUT keys, and a device's samples
-// are its busy column only.
+// are its busy column only. Version 8: a live device's processor field is
+// the blob-table index alone (the blob's bytes name its state; no digest).
 constexpr std::uint64_t kMagic = 0x706e736d69706868ULL;
-constexpr std::uint32_t kVersion = 7;
+constexpr std::uint32_t kVersion = 8;
 /// Magic + version; the checksummed payload follows.
 constexpr std::size_t kHeaderBytes = 12;
 
@@ -37,7 +38,7 @@ enum : std::uint16_t {
   kTagResult = 2,   ///< the DeviceResult fixed block
   kTagLane = 3,     ///< next_k, mode, switches, buffered, charge
   kTagSamples = 4,  ///< u64 n, then n busy i64s
-  kTagProc = 5,     ///< u32 blob-table index, u64 state digest (live only)
+  kTagProc = 5,     ///< u32 blob-table index (live only)
   kTagDeviceEnd = 6,
   /// SLO lane (latency_slo_ps, tier_switches, applied tier) — written only
   /// when the device carries an SLO, so no-SLO snapshots stay byte-identical
@@ -153,7 +154,6 @@ void write_device(W& w, const DeviceProgress& p, std::uint32_t blob) {
   if (blob != kNoBlob) {
     w.u16(kTagProc);
     w.u32(blob);
-    w.u64(p.proc_digest);
   }
   if (p.result.latency_slo_ps > 0 || p.result.tier_switches != 0 || p.tier != 255) {
     w.u16(kTagSlo);
@@ -239,7 +239,6 @@ DeviceProgress read_device(ByteReader& r, const std::vector<StateBlob>& blobs) {
                                    std::to_string(blobs.size()) + " blobs)");
         }
         p.proc_blob = blobs[i];
-        p.proc_digest = r.u64();
         break;
       }
       case kTagSlo:

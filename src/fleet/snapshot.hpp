@@ -12,9 +12,9 @@
 //
 // Processor state is stored once per distinct blob: a table of
 // Processor::save_state blobs deduplicated by bytes, and per live device an
-// index into it plus the state digest the blob must restore to (checked
-// when the device next runs exact). Devices of a converged fleet share a
-// few dozen blobs.
+// index into it. The bytes are the state's only name: a resuming run with
+// the memo on resolves each distinct blob to its OutcomeCache state once.
+// Devices of a converged fleet share a few dozen blobs.
 //
 // What is NOT stored: load traces (a live device's load cursor is rebuilt
 // from the spec at its next step; only a randomized shape's four generator

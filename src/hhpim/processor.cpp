@@ -58,7 +58,7 @@ std::string default_host_program() {
   // Per-slice scheduler: a0 = n_tasks on entry. Persistent state lives at
   // 0x800 (last slice's load) and 0x804 (descriptor digest) — a pure
   // function of (previous state, n_tasks), which is exactly the contract
-  // Processor::state_digest() needs for memo replay to stay exact.
+  // the saved processor state needs for memo replay to stay exact.
   return R"(
         li   s0, 0x800        # persistent scheduler state base
         lw   s1, 0(s0)        # tasks dispatched last slice
@@ -618,18 +618,12 @@ void Processor::visit_state(V& v, Time now) {
   xfer_->visit_state(v, now);
   // Host RAM is the scheduler's persistent state (registers are re-armed
   // per slice, the block cache is wall-clock-only). Visited only when the
-  // host exists — the reuse key pins its presence — so feature-off digests
-  // and blobs match pre-feature builds.
+  // host exists — the reuse key pins its presence — so feature-off blobs
+  // match pre-feature builds.
   if (host_ != nullptr) {
     v.bytes({host_->ram.data(), host_->ram.size()}, "host RAM size", "processor");
     if constexpr (V::kLoad) host_->engine.clear_cache();  // RAM rewritten behind the Bus
   }
-}
-
-std::uint64_t Processor::state_digest() const {
-  StateDigest d;
-  const_cast<Processor*>(this)->visit_state(d, now_);  // read-only visitor
-  return d.digest();
 }
 
 void Processor::save_state(ByteWriter& w) const {

@@ -48,10 +48,10 @@ namespace hhpim::sys {
 /// re-enters the program at pc 0 with a0 = n_tasks and sp at the top of host
 /// RAM, runs it to ECALL, and posts the retired cycles as host energy into
 /// the EnergyLedger. Host RAM persists across slices (scheduler state), is
-/// folded into state_digest()/save_state(), and rides the processor reuse
-/// key — so the fleet's outcome memo and snapshots stay exact. When disabled
-/// (the default) every digest, snapshot and output byte is identical to a
-/// build without the feature.
+/// part of save_state(), and rides the processor reuse key — so the fleet's
+/// outcome memo and snapshots stay exact. When disabled (the default) every
+/// saved state, snapshot and output byte is identical to a build without
+/// the feature.
 struct HostConfig {
   bool enabled = false;
   /// rv_asm source of the scheduler program; empty = the built-in default
@@ -198,25 +198,22 @@ class Processor {
   /// run. Cost: O(components); no allocation, no LUT work.
   void reset();
 
-  // --- State: one walk, three visitors (common/state_visitor.hpp) ----------
+  // --- State: one walk, two visitors (common/state_visitor.hpp) ------------
   // visit_state() names the allocation, the placement override, every
   // cluster and the inter-cluster link, and host RAM when the host exists.
-  // The three entry points below run it; all are meaningful only at slice
+  // The two entry points below run it; both are meaningful only at slice
   // boundaries (after construction, reset() or run_slice).
 
-  /// FNV digest of the walk. Two processors built from the same
-  /// processor_reuse_key inputs whose digests agree at a slice boundary
-  /// produce bit-identical SliceStats (and equal successor digests) for
-  /// equal run_slice inputs — the invariant the fleet's device-level
-  /// outcome memo (fleet::OutcomeCache) is keyed on; pinned by
-  /// tests/test_outcome_memo.
-  [[nodiscard]] std::uint64_t state_digest() const;
-
-  /// Checkpoint save of the walk. Slice energy is window-based and all
-  /// times are stored relative, so a restored processor continues
-  /// bit-identically with its clock rebased to zero (tests/test_oracle.cpp
-  /// pins this). The slice index is a SliceStats label, not state: a
-  /// restored processor numbers its slices from 0.
+  /// Checkpoint save of the walk. Two processors built from the same
+  /// processor_reuse_key inputs that save equal bytes at a slice boundary
+  /// produce bit-identical SliceStats (and equal successor bytes) for equal
+  /// run_slice inputs — the invariant the fleet's device-level outcome memo
+  /// (fleet::OutcomeCache) names its states by; pinned by
+  /// tests/test_outcome_memo. Slice energy is window-based and all times
+  /// are stored relative, so a restored processor continues bit-identically
+  /// with its clock rebased to zero (tests/test_oracle.cpp pins this). The
+  /// slice index is a SliceStats label, not state: a restored processor
+  /// numbers its slices from 0.
   void save_state(ByteWriter& w) const;
 
   /// Inverse of save_state(). Must be called on a freshly constructed or
@@ -245,7 +242,7 @@ class Processor {
   [[nodiscard]] Inventory inventory() const;
 
  private:
-  /// The state walk behind state_digest/save_state/load_state.
+  /// The state walk behind save_state/load_state.
   template <class V>
   void visit_state(V& v, Time now);
   void apply_movement(const placement::MovementPlan& plan);

@@ -39,9 +39,9 @@ class PlacementPolicy {
   /// transitioning from `current`.
   ///
   /// Contract: decide() must be a pure function of (current, n_tasks) and
-  /// construction-time state — no per-call mutable state. Neither
-  /// sys::Processor::state_digest() nor save_state() records policy state,
-  /// so the fleet's outcome memo (fleet::OutcomeCache) and checkpoint
+  /// construction-time state — no per-call mutable state.
+  /// sys::Processor::save_state() records no policy state, so the fleet's
+  /// outcome memo (fleet::OutcomeCache) and checkpoint
   /// snapshots (fleet::FleetSnapshot) would silently diverge from a stateful
   /// policy. Both shipped policies (StaticPolicy, DynamicLutPolicy) are
   /// pure.

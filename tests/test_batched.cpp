@@ -3,7 +3,7 @@
 // (Processor::reset) produce results bit-identical to the scalar per-task
 // loop (reached through the sys::testing::ScalarTasks seam) and to fresh
 // construction. The batched and scalar paths are compared after every slice
-// — SliceStats, state_digest() and save_state() bytes — across the paper's
+// — SliceStats and save_state() bytes — across the paper's
 // architectures and random cases (firmware incl. the host, models, loads
 // of 0/1/2/>=3 tasks, the low-power placement override on and off). Fleet
 // and grid byte identity is the differential oracle's (test_oracle.cpp).
@@ -14,10 +14,10 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "common/serialize.hpp"
 #include "fleet_cases.hpp"
 #include "hhpim/processor.hpp"
 #include "hhpim/scheduler.hpp"
+#include "state_bytes.hpp"
 #include "nn/zoo.hpp"
 #include "placement/lut_cache.hpp"
 
@@ -61,15 +61,9 @@ void expect_identical(const RunStats& a, const RunStats& b) {
   EXPECT_EQ(a.total_time.as_ps(), b.total_time.as_ps());
 }
 
-std::string saved(const Processor& p) {
-  ByteWriter w;
-  p.save_state(w);
-  return std::string{w.bytes()};
-}
-
 /// Runs `c` on a batched and a scalar processor slice by slice (arrivals of
 /// slice k execute in slice k+1, plus the drain slice), comparing the
-/// slice's stats, the state digest and the saved state after every slice.
+/// slice's stats and the saved state after every slice.
 void expect_batched_matches_scalar(const ProcessorCase& c) {
   const nn::Model& model = fleet::cases::zoo()[c.model];
   Processor batched{c.config, model};
@@ -87,8 +81,7 @@ void expect_batched_matches_scalar(const ProcessorCase& c) {
       scalar.set_placement_override(pin);
     }
     expect_identical(batched.run_slice(buffered), scalar.run_slice(buffered), k);
-    ASSERT_EQ(batched.state_digest(), scalar.state_digest()) << "slice " << k;
-    ASSERT_EQ(saved(batched), saved(scalar)) << "slice " << k;
+    ASSERT_EQ(state_bytes(batched), state_bytes(scalar)) << "slice " << k;
     buffered = k < c.loads.size() ? c.loads[k] : 0;
   }
 }

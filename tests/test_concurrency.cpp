@@ -3,7 +3,7 @@
 // get_or_build/contains/stats churn, waiter accounting when a joined build
 // fails, in-flight visibility in Stats, worker-count resolution and the
 // shared claim loop, the shared processor checkout pools, and the outcome
-// cache's get-or-insert races. Fleet byte identity across thread counts is
+// cache's record/find races on shared states. Fleet byte identity across thread counts is
 // the differential oracle's (test_oracle.cpp).
 //
 // All assertions run on the main thread after workers join — worker
@@ -387,64 +387,104 @@ TEST(ProcessorPool, ConcurrentCheckoutsAreDistinctAndRecycled) {
   EXPECT_EQ(alias_total, 0u);
 }
 
-// --- outcome-cache get-or-insert stress --------------------------------------
+// --- outcome-cache record/find race ------------------------------------------
 
-// 8 threads race lookup/insert_batch over an overlapping key range — the
-// device-memo access pattern (miss -> run exact -> publish batch). Honest
-// writers compute identical values, so any hit must carry the key's
-// canonical value no matter which thread's insert won. Each worker records
-// mismatches and hits into its own slots (lookup() itself counts nothing);
-// asserts run after the join (TSan-clean).
-TEST(FleetConcurrency, OutcomeCacheConcurrentGetOrInsert) {
+// 8 threads race find/record on four shared states, 48 keys each — the
+// device-memo access pattern (miss -> run exact -> record, published at
+// once) — while rows regrow under the readers (a row starts with 8 slots).
+// Each writer tags its outcome with its thread, so the first writer of a
+// key is visible: every outcome any thread gets back for a key must be that
+// one entry, complete, and point at the key's interned next state. Workers
+// record into their own slots (find() itself counts nothing); asserts run
+// after the join (TSan-clean).
+TEST(FleetConcurrency, OutcomeCacheRecordFindRace) {
   constexpr int kThreads = 8;
-  constexpr std::uint64_t kKeys = 64;
-  constexpr int kIters = 400;
+  constexpr std::uint32_t kStates = 4;
+  constexpr std::uint32_t kKeys = 48;
+  constexpr int kIters = 600;
   fleet::OutcomeCache cache;
+  std::vector<const fleet::State*> states;
+  for (std::uint32_t i = 0; i < kStates; ++i) {
+    states.push_back(&cache.intern(1, "state-" + std::to_string(i)));
+  }
+  // What thread t got back for (state, key): the outcome's address and the
+  // writer tag it carries.
+  struct Seen {
+    const fleet::SliceOutcome* at = nullptr;
+    std::uint64_t writer = 0;
+  };
+  std::vector<std::vector<Seen>> seen(kThreads, std::vector<Seen>(kStates * kKeys));
+  std::vector<std::uint64_t> bad(kThreads, 0);
   std::atomic<bool> start{false};
-  std::vector<std::uint64_t> mismatches(kThreads, 0);
-  std::vector<std::uint64_t> hits(kThreads, 0);
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&cache, &start, &mismatches, &hits, t] {
+    threads.emplace_back([&, t] {
       while (!start.load(std::memory_order_acquire)) {
         std::this_thread::yield();
       }
-      std::vector<std::pair<fleet::SliceOutcomeKey, fleet::SliceOutcome>> batch;
+      std::vector<Seen>& mine = seen[static_cast<std::size_t>(t)];
       for (int i = 0; i < kIters; ++i) {
-        const std::uint64_t k =
-            (static_cast<std::uint64_t>(i) + static_cast<std::uint64_t>(t) * 7) % kKeys;
-        const fleet::SliceOutcomeKey key{1, k, static_cast<std::uint32_t>(k % 3),
-                                         static_cast<std::uint8_t>(k % 2)};
-        const fleet::SliceOutcome* hit = cache.lookup(key);
-        if (hit == nullptr) {
-          batch.assign(1, {key, fleet::SliceOutcome{static_cast<double>(k),
-                                                    static_cast<std::int64_t>(k), 0,
-                                                    k ^ 0xabcdULL, 0, false}});
-          cache.insert_batch(batch);
-        } else {
-          ++hits[static_cast<std::size_t>(t)];
-          if (hit->post_state != (k ^ 0xabcdULL) ||
-              hit->energy_pj != static_cast<double>(k)) {
-            ++mismatches[static_cast<std::size_t>(t)];
-          }
+        const auto slot = static_cast<std::uint32_t>(i * 7 + t * 13) % (kStates * kKeys);
+        const std::uint32_t st = slot / kKeys;
+        const std::uint32_t k = slot % kKeys;
+        const fleet::SliceKey key{.slo_ps = 0, .n_tasks = k,
+                                  .mode = static_cast<std::uint8_t>(k % 3), .tier = 0};
+        const fleet::SliceOutcome* out = states[st]->find(key);
+        if (out == nullptr) {
+          out = &cache.record(
+              *states[st], key,
+              fleet::SliceOutcome{.energy_pj = static_cast<double>(slot),
+                                  .busy_ps = static_cast<std::int64_t>(k),
+                                  .movement_ps = static_cast<std::int64_t>(st),
+                                  .host_cycles = static_cast<std::uint64_t>(t),
+                                  .deadline_violated = k % 2 == 1},
+              "state-" + std::to_string((st + k) % kStates));
+        }
+        if (out->energy_pj != static_cast<double>(slot) ||
+            out->busy_ps != static_cast<std::int64_t>(k) ||
+            out->movement_ps != static_cast<std::int64_t>(st) ||
+            out->deadline_violated != (k % 2 == 1) ||
+            out->next == nullptr) {
+          ++bad[static_cast<std::size_t>(t)];
+          continue;
+        }
+        Seen& s = mine[slot];
+        if (s.at == nullptr) {
+          s = Seen{out, out->host_cycles};
+        } else if (s.writer != out->host_cycles) {
+          ++bad[static_cast<std::size_t>(t)];  // two writers won one key
         }
       }
     });
   }
   start.store(true, std::memory_order_release);
   for (auto& th : threads) th.join();
-  std::uint64_t total = 0;
-  for (const std::uint64_t m : mismatches) total += m;
-  EXPECT_EQ(total, 0u);
-  std::uint64_t total_hits = 0;
-  for (const std::uint64_t h : hits) total_hits += h;
+
+  for (int t = 0; t < kThreads; ++t) EXPECT_EQ(bad[static_cast<std::size_t>(t)], 0u);
+  std::size_t recorded = 0;
+  for (std::uint32_t slot = 0; slot < kStates * kKeys; ++slot) {
+    const std::uint32_t st = slot / kKeys;
+    const std::uint32_t k = slot % kKeys;
+    const fleet::SliceOutcome* now = states[st]->find(
+        fleet::SliceKey{.slo_ps = 0, .n_tasks = k, .mode = static_cast<std::uint8_t>(k % 3),
+                        .tier = 0});
+    if (now == nullptr) continue;
+    ++recorded;
+    // The next state is the interned one for the key's post bytes.
+    EXPECT_EQ(now->next, &cache.intern(1, "state-" + std::to_string((st + k) % kStates)));
+    for (int t = 0; t < kThreads; ++t) {
+      const Seen& s = seen[static_cast<std::size_t>(t)][slot];
+      if (s.at != nullptr) {
+        EXPECT_EQ(s.writer, now->host_cycles) << "slot " << slot;
+      }
+    }
+  }
   const fleet::OutcomeCache::Stats s = cache.stats();
-  // Every residue mod kKeys is visited, so the snapshot converges to
-  // exactly the canonical key set (first writer wins, no duplicates).
-  EXPECT_EQ(s.entries, static_cast<std::size_t>(kKeys));
-  EXPECT_EQ(s.insertions, kKeys);
-  EXPECT_GT(total_hits, 0u);
+  EXPECT_EQ(s.states, kStates);  // every next state was one of the four
+  EXPECT_EQ(s.outcomes, recorded);
+  EXPECT_EQ(recorded, static_cast<std::size_t>(kStates * kKeys));  // every slot visited
+  EXPECT_LE(s.slots_kept, 2 * s.slots);
 }
 
 }  // namespace

@@ -531,33 +531,23 @@ TEST(FleetSimulator, SloFieldsAppearOnlyWhenSet) {
 TEST(OutcomeCacheSlo, DifferentSlosNeverShareAMemoBucket) {
   // Two devices in identical processor states but with different SLOs (or
   // different tiers at the same SLO) must never replay each other's slices:
-  // the first slice's `pre` digest predates the tier override install, so
-  // only the key separates them.
+  // the first slice's state predates the tier override install, so only
+  // the key separates them.
   OutcomeCache cache;
-  SliceOutcomeKey base{};
-  base.reuse_key = 7;
-  base.state = 42;
-  base.slo_ps = 1'000'000;
-  base.n_tasks = 3;
-  base.mode = 0;
-  base.tier = 0;
-  std::vector<std::pair<SliceOutcomeKey, SliceOutcome>> batch;
-  batch.push_back({base, SliceOutcome{100.0, 5, 2, 99, 0, false}});
-  cache.insert_batch(batch);
-  ASSERT_NE(cache.lookup(base), nullptr);
+  const State& state = cache.intern(7, "state");
+  const SliceKey base{.slo_ps = 1'000'000, .n_tasks = 3, .mode = 0, .tier = 0};
+  (void)cache.record(state, base, SliceOutcome{100.0, 5, 2, 0, false, nullptr}, "next");
+  ASSERT_NE(state.find(base), nullptr);
 
-  SliceOutcomeKey other_slo = base;
+  SliceKey other_slo = base;
   other_slo.slo_ps = 2'000'000;
-  SliceOutcomeKey no_slo = base;
+  SliceKey no_slo = base;
   no_slo.slo_ps = 0;
-  SliceOutcomeKey other_tier = base;
+  SliceKey other_tier = base;
   other_tier.tier = static_cast<std::uint8_t>(FrontierTier::kPerformance);
-  EXPECT_NE(base, other_slo);
-  EXPECT_NE(base, no_slo);
-  EXPECT_NE(base, other_tier);
-  EXPECT_EQ(cache.lookup(other_slo), nullptr);
-  EXPECT_EQ(cache.lookup(no_slo), nullptr);
-  EXPECT_EQ(cache.lookup(other_tier), nullptr);
+  EXPECT_EQ(state.find(other_slo), nullptr);
+  EXPECT_EQ(state.find(no_slo), nullptr);
+  EXPECT_EQ(state.find(other_tier), nullptr);
 }
 
 TEST(FleetSimulator, AggregateCountsAreConsistent) {

@@ -1,6 +1,6 @@
 // Host-in-the-loop suite: the per-slice RISC-V scheduler co-simulation
 // (sys::HostConfig) and its byte-contracts — deterministic cycles and
-// energy, host state folded into state_digest()/save_state(), the reuse
+// energy, host state saved by save_state(), the reuse
 // key gated on the feature flag, and memo replay of host devices (fleet
 // byte identity with the host on is the differential oracle's,
 // test_oracle.cpp). The inverse contract matters just as much: with the
@@ -19,6 +19,7 @@
 #include "hhpim/processor.hpp"
 #include "nn/zoo.hpp"
 #include "placement/lut_cache.hpp"
+#include "state_bytes.hpp"
 
 namespace hhpim {
 namespace {
@@ -47,7 +48,7 @@ TEST(HostLoop, SliceRunsSchedulerDeterministically) {
     EXPECT_GT(sa.host_cycles, 0u);  // the scheduler runs even when idle
     EXPECT_EQ(sa.host_cycles, sb.host_cycles);
     EXPECT_DOUBLE_EQ(sa.energy.as_pj(), sb.energy.as_pj());
-    EXPECT_EQ(a.state_digest(), b.state_digest());
+    EXPECT_EQ(state_bytes(a), state_bytes(b));
   }
   // More dispatched tasks = more scheduler work.
   sys::Processor c{host_config(&luts), model};
@@ -73,24 +74,24 @@ TEST(HostLoop, HostEnergyLandsInTheLedger) {
   EXPECT_EQ(s_on.busy_time.as_ps(), s_off.busy_time.as_ps());
 }
 
-TEST(HostLoop, DigestAndResetFoldHostState) {
+TEST(HostLoop, SavedStateAndResetFoldHostState) {
   const nn::Model model = nn::zoo::efficientnet_b0();
   placement::LutCache luts;
   sys::Processor p{host_config(&luts), model};
-  const std::uint64_t fresh = p.state_digest();
+  const std::string fresh = state_bytes(p);
 
   (void)p.run_slice(3);
-  const std::uint64_t after = p.state_digest();
+  const std::string after = state_bytes(p);
   EXPECT_NE(after, fresh) << "scheduler state at 0x800 moved";
 
-  // Same slice sequence on a fresh machine reaches the same digest...
+  // Same slice sequence on a fresh machine reaches the same state...
   sys::Processor q{host_config(&luts), model};
   (void)q.run_slice(3);
-  EXPECT_EQ(q.state_digest(), after);
+  EXPECT_EQ(state_bytes(q), after);
 
   // ...and reset() restores the initial host RAM image exactly.
   p.reset();
-  EXPECT_EQ(p.state_digest(), fresh);
+  EXPECT_EQ(state_bytes(p), fresh);
 }
 
 TEST(HostLoop, SaveLoadRoundtripRestoresHostRam) {
@@ -100,10 +101,7 @@ TEST(HostLoop, SaveLoadRoundtripRestoresHostRam) {
   (void)p.run_slice(3);
   (void)p.run_slice(1);
 
-  ByteWriter w;
-  p.save_state(w);
-  const std::string blob = w.take();
-  const std::uint64_t at_save = p.state_digest();
+  const std::string blob = state_bytes(p);
 
   // Continue the original; replay the same tail on a restored clone.
   const sys::SliceStats cont = p.run_slice(4);
@@ -111,12 +109,12 @@ TEST(HostLoop, SaveLoadRoundtripRestoresHostRam) {
   sys::Processor clone{host_config(&luts), model};
   ByteReader r{blob};
   clone.load_state(r);
-  EXPECT_EQ(clone.state_digest(), at_save);
+  EXPECT_EQ(state_bytes(clone), blob);
   const sys::SliceStats replay = clone.run_slice(4);
 
   EXPECT_EQ(replay.host_cycles, cont.host_cycles);
   EXPECT_DOUBLE_EQ(replay.energy.as_pj(), cont.energy.as_pj());
-  EXPECT_EQ(clone.state_digest(), p.state_digest());
+  EXPECT_EQ(state_bytes(clone), state_bytes(p));
 }
 
 TEST(HostLoop, ReuseKeyGatedOnEnable) {

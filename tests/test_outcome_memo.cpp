@@ -1,26 +1,24 @@
-// Device-level outcome memoization suite: the OutcomeCache key/value
-// semantics (exact buckets, first-writer-wins, pointer stability across
-// publishes), the processor state digest it keys on, and what a warm memo
+// Device-level outcome memoization suite: the OutcomeCache semantics (states
+// named by machine and bytes, exact buckets, first-writer-wins, pointer
+// stability and bounded memory across row growth), the saved processor
+// state it names states by, and what a warm memo
 // must do on top of the differential oracle's byte identity
 // (test_oracle.cpp): count exactly its own lookups, and replay every
 // device of a warm fleet, exhaustion slices included.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
-#include <random>
 #include <string>
 #include <thread>
-#include <tuple>
-#include <utility>
-#include <vector>
 
 #include "fleet/outcome_cache.hpp"
 #include "fleet/simulator.hpp"
 #include "fleet_cases.hpp"
 #include "hhpim/processor.hpp"
+#include "mem/nvsim_lite.hpp"
 #include "nn/zoo.hpp"
 #include "placement/lut_cache.hpp"
+#include "state_bytes.hpp"
 
 namespace hhpim::fleet {
 namespace {
@@ -48,194 +46,150 @@ FleetSpec churn_fleet(int devices, int slices) {
 
 // --- cache semantics ---------------------------------------------------------
 
-TEST(OutcomeCache, LookupInsertStats) {
+TEST(OutcomeCache, InternRecordFindStats) {
   OutcomeCache cache;
-  // lookup() is read-only: it runs on a const cache and counts nothing
+  // A state is named by its machine and its bytes: equal bytes of one
+  // machine are one State, other bytes or another machine another.
+  const State& a = cache.intern(7, "state-a");
+  EXPECT_EQ(&cache.intern(7, std::string("state-a")), &a);
+  EXPECT_NE(&cache.intern(8, "state-a"), &a);
+  EXPECT_NE(&cache.intern(7, "state-b"), &a);
+  EXPECT_EQ(*a.blob(), "state-a");
+  EXPECT_EQ(a.reuse_key(), 7u);
+  EXPECT_EQ(cache.stats().states, 3u);
+
+  // find() is read-only: it runs on a const State and counts nothing
   // (callers tally their own hits and misses).
-  const OutcomeCache& reader = cache;
-  const SliceOutcomeKey key{7, 42, 3, 1};
-  EXPECT_EQ(reader.lookup(key), nullptr);  // a miss on the empty cache
+  const SliceKey key{3, 1, 0, 0};
+  EXPECT_EQ(a.find(key), nullptr);
+  const SliceOutcome& o =
+      cache.record(a, key, SliceOutcome{100.0, 5, 2, 0, true, nullptr}, "state-c");
+  EXPECT_EQ(a.find(key), &o);
+  EXPECT_DOUBLE_EQ(o.energy_pj, 100.0);
+  EXPECT_EQ(o.busy_ps, 5);
+  EXPECT_TRUE(o.deadline_violated);
+  // The outcome points at its next state, interned under a's machine.
+  EXPECT_EQ(o.next, &cache.intern(7, "state-c"));
+  EXPECT_EQ(cache.stats().states, 4u);
+  EXPECT_EQ(cache.stats().outcomes, 1u);
 
-  std::vector<std::pair<SliceOutcomeKey, SliceOutcome>> batch;
-  batch.push_back({key, SliceOutcome{100.0, 5, 2, 99, 0, true}});
-  cache.insert_batch(batch);
-  const SliceOutcome* hit = reader.lookup(key);
-  ASSERT_NE(hit, nullptr);
-  EXPECT_DOUBLE_EQ(hit->energy_pj, 100.0);
-  EXPECT_EQ(hit->busy_ps, 5);
-  EXPECT_EQ(hit->post_state, 99u);
-  EXPECT_TRUE(hit->deadline_violated);
-  EXPECT_EQ(reader.lookup(key), hit);  // a repeated hit is the same entry
-  EXPECT_EQ(cache.stats().insertions, 1u);
-  EXPECT_EQ(cache.stats().entries, 1u);
+  // First writer wins: a conflicting record neither replaces the outcome
+  // nor interns its post-state.
+  const SliceOutcome& again =
+      cache.record(a, key, SliceOutcome{.energy_pj = -1.0}, "state-d");
+  EXPECT_EQ(&again, &o);
+  EXPECT_DOUBLE_EQ(a.find(key)->energy_pj, 100.0);
+  EXPECT_EQ(cache.stats().states, 4u);
+  EXPECT_EQ(cache.stats().outcomes, 1u);
 
-  // First writer wins: a conflicting re-insert neither replaces the value
-  // nor counts as an insertion.
-  batch[0].second.energy_pj = -1.0;
-  cache.insert_batch(batch);
-  EXPECT_EQ(cache.stats().insertions, 1u);
-  EXPECT_DOUBLE_EQ(cache.lookup(key)->energy_pj, 100.0);
-
-  // A later publish copies the map, but outcomes already handed out stay
-  // valid (snapshots are retired, never freed).
-  batch[0].first.state = 43;
-  cache.insert_batch(batch);
-  EXPECT_EQ(cache.stats().entries, 2u);
-  EXPECT_DOUBLE_EQ(hit->energy_pj, 100.0);
-  EXPECT_NE(reader.lookup(key), hit);  // the current snapshot's copy
-  EXPECT_DOUBLE_EQ(reader.lookup(key)->energy_pj, 100.0);
+  // A full row regrows, but outcomes already handed out stay valid
+  // (superseded rows are kept), and what the cache keeps stays under twice
+  // its live slots.
+  for (std::uint32_t n = 10; n < 50; ++n) {
+    (void)cache.record(a, SliceKey{3, n, 0, 0}, SliceOutcome{.busy_ps = n}, "state-b");
+  }
+  EXPECT_DOUBLE_EQ(o.energy_pj, 100.0);
+  EXPECT_EQ(o.next, &cache.intern(7, "state-c"));
+  EXPECT_DOUBLE_EQ(a.find(key)->energy_pj, 100.0);
+  for (std::uint32_t n = 10; n < 50; ++n) {
+    ASSERT_NE(a.find(SliceKey{3, n, 0, 0}), nullptr);
+    EXPECT_EQ(a.find(SliceKey{3, n, 0, 0})->busy_ps, n);
+  }
+  const OutcomeCache::Stats st = cache.stats();
+  EXPECT_EQ(st.outcomes, 41u);
+  EXPECT_GE(st.slots, st.outcomes);
+  EXPECT_GT(st.slots_kept, st.slots);  // the row did regrow
+  EXPECT_LE(st.slots_kept, 2 * st.slots);
 
   // A cold memo is a fresh cache.
-  EXPECT_EQ(OutcomeCache{}.lookup(key), nullptr);
-}
-
-TEST(OutcomeCache, InternsPostStateBlobsByBytes) {
-  OutcomeCache cache;
-  // Equal bytes from two recorders share one copy; other bytes get their own.
-  const StateBlob* a1 = cache.intern_blob("state-a");
-  const StateBlob* a2 = cache.intern_blob(std::string("state-a"));
-  const StateBlob* b = cache.intern_blob("state-b");
-  EXPECT_EQ(a1, a2);
-  EXPECT_NE(a1, b);
-  EXPECT_EQ(**a1, "state-a");
-  EXPECT_EQ(**b, "state-b");
-  EXPECT_EQ(cache.stats().blobs, 2u);
-
-  // A published outcome carries the interned blob; both outlive a later
-  // publish.
-  std::vector<std::pair<SliceOutcomeKey, SliceOutcome>> batch;
-  batch.push_back({{7, 1, 0, 1}, SliceOutcome{.post_state = 10, .blob = a1}});
-  cache.insert_batch(batch);
-  const SliceOutcome* hit = cache.lookup({7, 1, 0, 1});
-  ASSERT_NE(hit, nullptr);
-  EXPECT_EQ(hit->blob, a1);
-  batch[0].first.state = 2;
-  cache.insert_batch(batch);
-  EXPECT_EQ(**hit->blob, "state-a");
-  EXPECT_EQ(cache.intern_blob("state-a"), a1);
+  EXPECT_EQ(OutcomeCache{}.intern(7, "state-a").find(key), nullptr);
 }
 
 TEST(OutcomeCache, KeysSeparateOnEveryField) {
   OutcomeCache cache;
-  const SliceOutcomeKey key{7, 42, 3, 1, 2, 1};
-  std::vector<std::pair<SliceOutcomeKey, SliceOutcome>> batch;
-  batch.push_back({key, SliceOutcome{}});
-  cache.insert_batch(batch);
-
-  ASSERT_NE(cache.lookup(key), nullptr);
-  // Exact buckets: changing any field — machine, state digest, SLO,
-  // buffered load, mode or tier — is a different key, never a fuzzy match.
-  EXPECT_EQ(cache.lookup({8, 42, 3, 1, 2, 1}), nullptr);
-  EXPECT_EQ(cache.lookup({7, 43, 3, 1, 2, 1}), nullptr);
-  EXPECT_EQ(cache.lookup({7, 42, 4, 1, 2, 1}), nullptr);
-  EXPECT_EQ(cache.lookup({7, 42, 3, 0, 2, 1}), nullptr);
-  EXPECT_EQ(cache.lookup({7, 42, 3, 1, 0, 1}), nullptr);
-  EXPECT_EQ(cache.lookup({7, 42, 3, 1, 2, 0}), nullptr);
-}
-
-// --- the in-memory key hash --------------------------------------------------
-
-std::uint64_t key_hash(const SliceOutcomeKey& k) {
-  return static_cast<std::uint64_t>(SliceOutcomeKey::Hash{}(k));
-}
-
-TEST(SliceOutcomeKeyHash, EverySingleFieldChangeMovesTheHash) {
-  // Every fold step is a bijection, so a key that differs from another in
-  // exactly one field never shares its hash — checked over a seeded sweep
-  // of base keys, every n_tasks in 0..500 and every mode/tier byte.
-  std::mt19937_64 rng{0x5eed};
-  for (int trial = 0; trial < 200; ++trial) {
-    const SliceOutcomeKey base{rng(), rng(), static_cast<std::int64_t>(rng() >> 1),
-                               static_cast<std::uint32_t>(rng() % 501),
-                               static_cast<std::uint8_t>(rng()),
-                               static_cast<std::uint8_t>(rng())};
-    const std::uint64_t h = key_hash(base);
-    const auto differs = [&](SliceOutcomeKey k) {
-      return !(k == base) && key_hash(k) != h;
-    };
-    for (int i = 0; i < 16; ++i) {
-      SliceOutcomeKey k = base;
-      k.reuse_key ^= rng() | 1;
-      EXPECT_TRUE(differs(k)) << "reuse_key, trial " << trial;
-      k = base;
-      k.state ^= rng() | 1;
-      EXPECT_TRUE(differs(k)) << "state, trial " << trial;
-      k = base;
-      k.slo_ps ^= static_cast<std::int64_t>(rng() | 1);
-      EXPECT_TRUE(differs(k)) << "slo_ps, trial " << trial;
-    }
-    for (std::uint32_t n = 0; n <= 500; ++n) {
-      SliceOutcomeKey k = base;
-      k.n_tasks = n;
-      if (n != base.n_tasks) {
-        EXPECT_TRUE(differs(k)) << "n_tasks=" << n;
-      }
-    }
-    for (int v = 0; v < 256; ++v) {
-      SliceOutcomeKey k = base;
-      k.mode = static_cast<std::uint8_t>(v);
-      if (k.mode != base.mode) {
-        EXPECT_TRUE(differs(k)) << "mode=" << v;
-      }
-      k = base;
-      k.tier = static_cast<std::uint8_t>(v);
-      if (k.tier != base.tier) {
-        EXPECT_TRUE(differs(k)) << "tier=" << v;
-      }
-    }
-  }
-}
-
-TEST(SliceOutcomeKeyHash, NoFullCollisionsOverManyDistinctKeys) {
-  // Fleet-shaped keys: a few machines, many states, small SLO, load, mode
-  // and tier ranges. 120k distinct keys, no two with the same 64-bit hash.
-  std::mt19937_64 rng{20250611};
-  std::vector<SliceOutcomeKey> keys;
-  while (keys.size() < 120000) {
-    keys.push_back({rng() % 8, rng(), static_cast<std::int64_t>(rng() % 4) * 1000000,
-                    static_cast<std::uint32_t>(rng() % 64),
-                    static_cast<std::uint8_t>(rng() % 3),
-                    static_cast<std::uint8_t>(rng() % 4)});
-  }
-  const auto as_tuple = [](const SliceOutcomeKey& k) {
-    return std::tuple{k.reuse_key, k.state, k.slo_ps, k.n_tasks, k.mode, k.tier};
-  };
-  std::sort(keys.begin(), keys.end(), [&](const auto& a, const auto& b) {
-    return as_tuple(a) < as_tuple(b);
-  });
-  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
-  ASSERT_GE(keys.size(), 100000u);
-
-  std::vector<std::uint64_t> hashes;
-  hashes.reserve(keys.size());
-  for (const SliceOutcomeKey& k : keys) hashes.push_back(key_hash(k));
-  std::sort(hashes.begin(), hashes.end());
-  EXPECT_EQ(std::adjacent_find(hashes.begin(), hashes.end()), hashes.end());
-}
-
-TEST(SliceOutcomeKeyHash, ModeAndTierOnlyKeysAreDistinctEntries) {
-  // mode and tier share one packed word with n_tasks: keys that differ only
-  // there must still land as separate entries with their own outcomes.
-  OutcomeCache cache;
-  std::vector<std::pair<SliceOutcomeKey, SliceOutcome>> batch;
+  const State& s = cache.intern(7, "state");
+  // mode and tier each take every value on their own: all 16 keys that
+  // differ only there are separate entries with their own outcomes.
   for (std::uint8_t mode = 0; mode < 4; ++mode) {
     for (std::uint8_t tier = 0; tier < 4; ++tier) {
-      batch.push_back({{7, 42, 0, 3, mode, tier},
-                       SliceOutcome{.post_state = 16u * mode + tier}});
+      (void)cache.record(s, SliceKey{3, 1, mode, tier},
+                         SliceOutcome{.busy_ps = 16 * mode + tier}, "next");
     }
   }
-  cache.insert_batch(batch);
-  EXPECT_EQ(cache.stats().entries, batch.size());
-  for (const auto& [key, outcome] : batch) {
-    const SliceOutcome* hit = cache.lookup(key);
-    ASSERT_NE(hit, nullptr);
-    EXPECT_EQ(hit->post_state, outcome.post_state);
+  EXPECT_EQ(cache.stats().outcomes, 16u);
+  for (std::uint8_t mode = 0; mode < 4; ++mode) {
+    for (std::uint8_t tier = 0; tier < 4; ++tier) {
+      const SliceOutcome* hit = s.find(SliceKey{3, 1, mode, tier});
+      ASSERT_NE(hit, nullptr);
+      EXPECT_EQ(hit->busy_ps, 16 * mode + tier);
+    }
   }
+  // Exact buckets: another SLO or load is another key, never a fuzzy match,
+  // and another state's row holds none of these outcomes.
+  EXPECT_EQ(s.find(SliceKey{4, 1, 2, 1}), nullptr);
+  EXPECT_EQ(s.find(SliceKey{3, 0, 2, 1}), nullptr);
+  EXPECT_EQ(s.find(SliceKey{3, 1, 4, 1}), nullptr);
+  EXPECT_EQ(cache.intern(7, "other").find(SliceKey{3, 1, 2, 1}), nullptr);
+  EXPECT_EQ(cache.intern(8, "state").find(SliceKey{3, 1, 2, 1}), nullptr);
 }
 
-// --- the digest the key is built on ------------------------------------------
+/// base_config() (HH-PIM) with NVSim-lite voltages at one Vdd_HP point,
+/// Vdd_LP fixed at 0.8 V.
+sys::SystemConfig at_vdd_hp(double vdd) {
+  sys::SystemConfig c = cases::base_config();
+  c.power = mem::NvsimLite{}.make_spec(vdd, 0.8);
+  return c;
+}
 
-TEST(ProcessorDigest, EqualWhenFreshOrReset_DivergesUnderLoad) {
+TEST(OutcomeCache, MachinesThatSaveEqualBytesNeverShareAnOutcome) {
+  // One arch and model at two Vdd_HP points: the fresh processors save the
+  // same bytes, but their slices cost different energy. The memo names a
+  // state by (machine, bytes), so neither machine replays the other's.
+  // (Two Vdd_LP points would not do: HH-PIM's fresh placement follows its
+  // LUT, which moves with Vdd_LP, so those fresh bytes already differ.)
+  placement::LutCache luts;
+  const nn::Model& model = cases::zoo()[0];
+  sys::SystemConfig hi = at_vdd_hp(1.2);
+  sys::SystemConfig lo = at_vdd_hp(1.0);
+  hi.lut_cache = &luts;
+  lo.lut_cache = &luts;
+  sys::Processor p_hi{hi, model};
+  sys::Processor p_lo{lo, model};
+  const std::string fresh = state_bytes(p_hi);
+  ASSERT_EQ(state_bytes(p_lo), fresh);
+  const std::uint64_t k_hi = sys::processor_reuse_key(hi, model);
+  const std::uint64_t k_lo = sys::processor_reuse_key(lo, model);
+  ASSERT_NE(k_hi, k_lo);
+  ASSERT_NE(p_hi.run_slice(3).energy.as_pj(), p_lo.run_slice(3).energy.as_pj());
+
+  OutcomeCache cache;
+  const State& s_hi = cache.intern(k_hi, fresh);
+  const State& s_lo = cache.intern(k_lo, fresh);
+  ASSERT_NE(&s_hi, &s_lo);
+  (void)cache.record(s_hi, SliceKey{0, 3, 0, 0}, SliceOutcome{}, state_bytes(p_hi));
+  EXPECT_EQ(s_lo.find(SliceKey{0, 3, 0, 0}), nullptr);
+
+  // Through the fleet: a memo warmed by one machine's fleet leaves the
+  // other's output exactly its memo-off reference, and replays none of it.
+  FleetSpec spec_hi = small_fleet(12, 5);
+  spec_hi.config = at_vdd_hp(1.2);
+  FleetSpec spec_lo = spec_hi;
+  spec_lo.config = at_vdd_hp(1.0);
+  (void)run_with(spec_lo, 1, &luts, nullptr);  // warm the LUTs (lut_builds = 0)
+  const FleetResult ref = run_with(spec_lo, 1, &luts, nullptr);
+  OutcomeCache memo;
+  (void)run_with(spec_hi, 2, &luts, &memo);
+  (void)run_with(spec_hi, 2, &luts, &memo);
+  const FleetResult got = run_with(spec_lo, 2, &luts, &memo);
+  EXPECT_EQ(got.to_jsonl(), ref.to_jsonl());
+  EXPECT_EQ(got.summary_to_json(), ref.summary_to_json());
+  EXPECT_GT(got.memo_exact_devices, 0u);
+  EXPECT_NE(ref.to_jsonl(), run_with(spec_hi, 1, &luts, nullptr).to_jsonl());
+}
+
+// --- the saved state the memo names states by ---------------------------------
+
+TEST(ProcessorState, EqualWhenFreshOrReset_DivergesUnderLoad) {
   const FleetSpec spec = small_fleet(1, 4);
   placement::LutCache luts;
   sys::SystemConfig config = spec.config;
@@ -243,14 +197,14 @@ TEST(ProcessorDigest, EqualWhenFreshOrReset_DivergesUnderLoad) {
 
   sys::Processor a{config, spec.models[0]};
   sys::Processor b{config, spec.models[0]};
-  const std::uint64_t fresh = a.state_digest();
-  EXPECT_EQ(fresh, b.state_digest());  // same machine, same boundary state
+  const std::string fresh = state_bytes(a);
+  EXPECT_EQ(fresh, state_bytes(b));  // same machine, same boundary state
 
   (void)a.run_slice(2);
-  EXPECT_NE(a.state_digest(), fresh);  // residency/occupancy moved
+  EXPECT_NE(state_bytes(a), fresh);  // residency/occupancy moved
 
   a.reset();
-  EXPECT_EQ(a.state_digest(), fresh);  // reset() == fresh construction
+  EXPECT_EQ(state_bytes(a), fresh);  // reset() == fresh construction
 }
 
 // --- fleet memo counters and warm replay --------------------------------------
@@ -280,8 +234,8 @@ TEST(OutcomeMemo, WarmCacheReplaysEveryDeviceByteIdentically) {
   // Non-exhausting battery: the steady state of a long-lived fleet
   // (ExhaustedDevicesReplayFromTheMemo covers devices that die).
   spec.battery.capacity = Energy::mj(5000.0);
-  // One LUT cache for every run: outcome keys embed the lut_cache pointer
-  // (sys::processor_reuse_key), so a per-run cache would cold-start the
+  // One LUT cache for every run: a memo state's machine embeds the
+  // lut_cache pointer (sys::processor_reuse_key), so a per-run cache would cold-start the
   // memo each time. Warm it first so lut_builds (part of the summary) is 0
   // in all compared runs.
   placement::LutCache luts;
@@ -337,6 +291,30 @@ TEST(OutcomeMemo, ExhaustedDevicesReplayFromTheMemo) {
     EXPECT_EQ(warm.memo_replayed_devices, static_cast<std::uint64_t>(spec.devices))
         << "threads=" << threads;
   }
+}
+
+TEST(OutcomeMemo, CheckpointedFleetKeepsUnderTwiceItsLiveSlots) {
+  // The memo's memory on a fleet that records across 60 shards in each of
+  // three segments: outcomes land in their state's row as they are recorded,
+  // and the superseded rows kept for lock-free readers stay under the live
+  // rows' size, however many shards recorded.
+  const FleetSpec spec = churn_fleet(120, 24);
+  placement::LutCache luts;
+  (void)run_with(spec, 1, &luts, nullptr);  // warm the LUTs (lut_builds = 0)
+  const FleetResult ref = run_with(spec, 1, &luts, nullptr);
+  OutcomeCache memo;
+  const FleetSimulator sim{cases::options(2, 2, &luts, &memo)};
+  FleetSnapshot snap = sim.run_to(spec, 8);
+  snap = sim.run_to(spec, 16, &snap);
+  const FleetResult got = sim.resume(spec, snap);
+  EXPECT_EQ(got.to_jsonl(), ref.to_jsonl());
+  EXPECT_GE(got.shard_count, 50u);
+
+  const OutcomeCache::Stats st = memo.stats();
+  EXPECT_GT(st.outcomes, 0u);
+  EXPECT_LE(st.outcomes, st.slots);
+  EXPECT_GT(st.slots_kept, st.slots);  // some row did regrow
+  EXPECT_LE(st.slots_kept, 2 * st.slots);
 }
 
 }  // namespace

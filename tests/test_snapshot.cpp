@@ -245,8 +245,9 @@ TEST(Snapshot, FailsLoudlyOnDamagedBlobs) {
   // processor blob inline, with no digest; version 4 processor blobs
   // carried a per-cluster controller; version 5 live devices carried no
   // load cursor words; version 6 devices carried an energy column and no
-  // histograms were carried).
-  for (const char old_version : {0, 1, 2, 3, 4, 5, 6}) {
+  // histograms were carried; version 7 live devices carried a state digest
+  // after their blob index).
+  for (const char old_version : {0, 1, 2, 3, 4, 5, 6, 7}) {
     std::string old = bytes;
     old[8] = old_version;
     try {
@@ -402,10 +403,7 @@ TEST(Snapshot, IdenticalBlobsAreStoredOnce) {
   snap.devices[1].proc_blob = shared;
   snap.devices[2].proc_blob = std::make_shared<const std::string>(a);  // a copy
   snap.devices[3].proc_blob = std::make_shared<const std::string>(b);
-  for (std::size_t d = 0; d < snap.devices.size(); ++d) {
-    snap.devices[d].started = true;
-    snap.devices[d].proc_digest = 100 + d;
-  }
+  for (DeviceProgress& p : snap.devices) p.started = true;
   const std::string bytes = snap.to_bytes();
   const auto occurrences = [&bytes](const std::string& needle) {
     int n = 0;
@@ -425,9 +423,6 @@ TEST(Snapshot, IdenticalBlobsAreStoredOnce) {
   EXPECT_NE(back.devices[0].proc_blob.get(), back.devices[3].proc_blob.get());
   EXPECT_EQ(*back.devices[0].proc_blob, a);
   EXPECT_EQ(*back.devices[3].proc_blob, b);
-  for (std::size_t d = 0; d < back.devices.size(); ++d) {
-    EXPECT_EQ(back.devices[d].proc_digest, 100 + d);
-  }
   EXPECT_EQ(back.to_bytes(), bytes);
 }
 
@@ -438,16 +433,12 @@ TEST(Snapshot, OutOfRangeBlobIndexThrowsRuntimeError) {
   snap.devices.resize(1);
   snap.devices[0].started = true;
   snap.devices[0].proc_blob = std::make_shared<const std::string>("blob");
-  snap.devices[0].proc_digest = 0x0123456789abcdefULL;
   const std::string bytes = snap.to_bytes();
-  // The device's proc field is a u32 index then the u64 digest: find the
-  // digest's little-endian bytes.
-  std::string digest(8, '\0');
-  put_u64(digest, 0, snap.devices[0].proc_digest);
-  const std::size_t at = bytes.find(digest);
-  ASSERT_NE(at, std::string::npos);
-  const std::size_t index_at = at - 4;
-  ASSERT_EQ(bytes.compare(index_at, 4, std::string(4, '\0')), 0);  // index 0
+  // The record ends with the proc field (u16 tag 5, u32 index) and the
+  // u16 end tag, then the stream's u64 checksum.
+  const std::size_t index_at = bytes.size() - 8 - 2 - 4;
+  ASSERT_EQ(bytes.compare(index_at - 2, 2, std::string{"\x05\0", 2}), 0);  // kTagProc
+  ASSERT_EQ(bytes.compare(index_at, 4, std::string(4, '\0')), 0);          // index 0
   for (const std::uint32_t bad : {1u, 0xfffffffeu, 0xffffffffu}) {
     std::string tampered = bytes;
     for (int i = 0; i < 4; ++i) tampered[index_at + i] = static_cast<char>(bad >> (8 * i));
@@ -457,59 +448,6 @@ TEST(Snapshot, OutOfRangeBlobIndexThrowsRuntimeError) {
     } catch (const std::runtime_error& e) {
       EXPECT_NE(std::string(e.what()).find("out of range"), std::string::npos) << e.what();
     }
-  }
-}
-
-TEST(Snapshot, ResumeRejectsBlobsThatDoNotRestoreTheirDigest) {
-  // The blob and the digest are both decoded values: a device whose blob
-  // restores a state other than its stored digest is refused when the
-  // device next runs exact — with the memo off, and with a cold memo (the
-  // fresh-process case, where every device misses first).
-  FleetSpec spec = small_fleet(6, 6);
-  spec.battery.capacity = Energy::mj(1000.0);  // every device stays live
-  for (const bool memo : {false, true}) {
-    placement::LutCache lut;
-    OutcomeCache first;
-    const FleetSnapshot good =
-        FleetSimulator{base_options(1, memo, &lut, &first)}.run_to(spec, 3);
-    std::size_t a = good.devices.size();
-    std::size_t b = good.devices.size();
-    for (std::size_t d = 0; d < good.devices.size(); ++d) {
-      const DeviceProgress& p = good.devices[d];
-      if (p.proc_blob == nullptr) continue;
-      if (a == good.devices.size()) {
-        a = d;
-      } else if (p.proc_digest != good.devices[a].proc_digest) {
-        b = d;
-        break;
-      }
-    }
-    ASSERT_LT(b, good.devices.size()) << "memo=" << memo;  // two live states
-
-    const std::vector<std::pair<const char*, void (*)(FleetSnapshot&, std::size_t,
-                                                      std::size_t)>>
-        tampers = {
-            {"digest", [](FleetSnapshot& s, std::size_t x, std::size_t) {
-               s.devices[x].proc_digest ^= 1;
-             }},
-            {"blob", [](FleetSnapshot& s, std::size_t x, std::size_t y) {
-               s.devices[x].proc_blob = s.devices[y].proc_blob;
-             }},
-        };
-    for (const auto& [name, tamper] : tampers) {
-      FleetSnapshot snap = good;
-      tamper(snap, a, b);
-      snap = FleetSnapshot::from_bytes(snap.to_bytes());
-      OutcomeCache cold;
-      const FleetSimulator sim{base_options(1, memo, &lut, &cold)};
-      EXPECT_THROW((void)sim.resume(spec, snap), std::runtime_error)
-          << name << " memo=" << memo;
-      EXPECT_THROW((void)sim.run_to(spec, 4, &snap), std::runtime_error)
-          << name << " memo=" << memo;
-    }
-    OutcomeCache cold;
-    EXPECT_NO_THROW(
-        (void)FleetSimulator{base_options(1, memo, &lut, &cold)}.resume(spec, good));
   }
 }
 
