@@ -12,12 +12,16 @@
 //               [--soc-low=0.3] [--soc-high=0.5] [--no-adapt]
 //               [--join-fraction=F] [--leave-fraction=F]   (device churn)
 //               [--charge-period=P] [--charge-window=W] [--charge-mj=E]
-//               [--envelope=pulsing|random|...] [--envelope-min=M]
+//               [--envelope=SHAPE] [--envelope-min=M]
 //               [--envelope-max=M] [--envelope-seed=S]
 //               [--checkpoint-every=N]  (run as resumable N-slice segments)
 //               [--snapshot-dir=DIR]    (save/load each segment's snapshot)
 //               [--no-device-memo] [--no-results]
 //               [--jsonl=PATH|-] [--summary=PATH|-] [--shard-dir=DIR] [--quiet]
+//
+// SHAPE (the fleet-wide load envelope) is one of low-constant, high-constant,
+// periodic-spike, periodic-spike-frequent, high-low-pulsing, random, ramp,
+// burst-decay or poisson.
 //
 // The same spec at any --threads value produces byte-identical JSONL and
 // summary output — CI diffs --threads=1 against --threads=2 as a

@@ -15,7 +15,10 @@
 //   StateLoader  reads them back from a ByteReader: Processor::load_state().
 //
 // So the loaded state is exactly the saved state, by construction, and a
-// new state field is written once.
+// new state field is written once. fleet/snapshot.cpp codes its own records
+// (the payload, LUT keys, carried histograms, device records) the same way:
+// one walk per record, run by an encoder over a ByteSizer or a ByteWriter
+// and by a decoder over a ByteReader.
 //
 // What a walk contains:
 //   * Behavior, not history. Two components whose walks agree at a slice

@@ -3,7 +3,6 @@
 #include <stdexcept>
 
 #include "common/rng.hpp"
-#include "nn/zoo.hpp"
 
 namespace hhpim::exp {
 
@@ -28,18 +27,6 @@ ScenarioSpec ScenarioSpec::fixed(std::string name, std::vector<int> loads) {
   s.explicit_loads = std::move(loads);
   s.is_fixed = true;
   return s;
-}
-
-ExperimentSpec ExperimentSpec::paper_grid(workload::ScenarioConfig wc) {
-  ExperimentSpec spec;
-  spec.name = "paper-grid";
-  const auto table1 = sys::ArchConfig::paper_table1();
-  spec.archs.assign(table1.begin(), table1.end());
-  spec.models = nn::zoo::paper_models();
-  for (const auto s : workload::all_scenarios()) {
-    spec.scenarios.push_back(ScenarioSpec::of(s, wc));
-  }
-  return spec;
 }
 
 std::size_t ExperimentSpec::run_count() const {

@@ -77,10 +77,6 @@ struct ExperimentSpec {
   std::uint64_t seed = 0x5eed2025;      ///< grid seed; per-run seeds derive from it
   bool share_hhpim_slice = true;        ///< pin each cell to HH-PIM's T (paper protocol)
 
-  /// The paper's full evaluation grid: Table I architectures × Table IV
-  /// models × Fig. 4 scenarios.
-  [[nodiscard]] static ExperimentSpec paper_grid(workload::ScenarioConfig wc = {});
-
   /// Grid cardinality (variants × archs × models × scenarios). O(1).
   [[nodiscard]] std::size_t run_count() const;
 

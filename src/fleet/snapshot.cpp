@@ -30,9 +30,10 @@ constexpr std::uint32_t kVersion = 8;
 /// Magic + version; the checksummed payload follows.
 constexpr std::size_t kHeaderBytes = 12;
 
-// Per-device field tags. Explicit tags (rather than bare field order) keep
-// the format self-describing: a reader meeting a tag it does not know
-// throws instead of misinterpreting the bytes that follow.
+// Per-device field tags. A record has one order: the required fields (tags
+// 1-4), then the optional sections that apply (5, 7, 8, 9), then the end tag
+// (6). A reader meeting any other tag (unknown, missing, repeated or out of
+// order) throws instead of misinterpreting the bytes that follow.
 enum : std::uint16_t {
   kTagFlags = 1,    ///< u8: bit0 started, bit1 done
   kTagResult = 2,   ///< the DeviceResult fixed block
@@ -42,9 +43,7 @@ enum : std::uint16_t {
   kTagDeviceEnd = 6,
   /// SLO lane (latency_slo_ps, tier_switches, applied tier) — written only
   /// when the device carries an SLO, so no-SLO snapshots stay byte-identical
-  /// to pre-SLO builds (and readable by them: the tag is self-describing
-  /// within this build; older readers fail loudly on it, which is the
-  /// intended behavior for a snapshot that genuinely needs the SLO fields).
+  /// to pre-SLO builds.
   kTagSlo = 7,
   /// RISC-V host cycle counter — written only when non-zero, so host-off
   /// snapshots stay byte-identical to pre-host builds (docs/RISCV.md).
@@ -54,290 +53,287 @@ enum : std::uint16_t {
   kTagLoads = 9,
 };
 
-/// Every device record carries these fields, so it is never shorter than
-/// min_device_bytes().
-constexpr unsigned kRequiredTags =
-    (1u << kTagFlags) | (1u << kTagResult) | (1u << kTagLane) | (1u << kTagSamples);
-
-/// Bytes per record, which bound a declared count by the bytes left.
+/// Bytes per record, which bound a declared count by the bytes left. The
+/// smallest device record is its flags (3), result (119), lane (23) and
+/// empty samples (10) fields and the end tag (2); a snapshot of only such
+/// records must decode (tests/test_snapshot.cpp pins it), so a format that
+/// shrinks the record shrinks this bound too.
 constexpr std::size_t kLutKeyBytes = 48;
 constexpr std::size_t kSampleBytes = 8;
 constexpr std::size_t kBinBytes = 8;
 constexpr std::size_t kBlobBytes = 8;  ///< the length prefix of an empty blob
+constexpr std::size_t kDeviceBytes = 157;
 
-/// No blob: a device record without kTagProc.
-constexpr std::uint32_t kNoBlob = 0xffffffffu;
+// Each record below is one walk, `template <class V> walk_*(V& v, ...)`,
+// that names its fields once, as processor state is named once by
+// visit_state (common/state_visitor.hpp). Three visitors run it: an Encoder
+// over a ByteSizer sizes the buffer exactly, an Encoder over a ByteWriter
+// fills it, and a Decoder over a ByteReader reads it back. So the reader
+// parses exactly what the writer wrote, by construction.
 
-/// The snapshot's processor blobs, each stored once: devices sharing a blob
-/// (the common case — a fleet converges onto a few processor states) are
-/// found by pointer, and distinct copies of equal bytes by content.
+/// Appends each field as its wire type. Only reads through the references
+/// it is handed (to_bytes casts const away to share the walk).
+template <class W>
+class Encoder {
+ public:
+  static constexpr bool kLoad = false;
+
+  explicit Encoder(W& w) : w_(w) {}
+
+  template <class T> void u8(T& x) { w_.u8(static_cast<std::uint8_t>(x)); }
+  template <class T> void u32(T& x) { w_.u32(static_cast<std::uint32_t>(x)); }
+  template <class T> void u64(T& x) { w_.u64(static_cast<std::uint64_t>(x)); }
+  template <class T> void i32(T& x) { w_.i32(static_cast<std::int32_t>(x)); }
+  template <class T> void i64(T& x) { w_.i64(static_cast<std::int64_t>(x)); }
+  void f64(double& x) { w_.f64(x); }
+  void i64s(std::vector<std::int64_t>& xs) { w_.i64s(xs); }
+  void blob(StateBlob& b) { w_.blob(*b); }
+  /// A counted list's u64 length.
+  template <class T>
+  void count(std::vector<T>& xs, std::size_t, const char*) {
+    w_.u64(static_cast<std::uint64_t>(xs.size()));
+  }
+  /// A required field's tag.
+  void field(std::uint16_t tag, const char*) { w_.u16(tag); }
+  /// An optional section's tag, when the section is `present`; returns
+  /// whether its fields follow.
+  bool section(std::uint16_t tag, bool present) {
+    if (present) w_.u16(tag);
+    return present;
+  }
+  [[nodiscard]] std::size_t position() const { return w_.size(); }
+
+ private:
+  W& w_;
+};
+
+/// Reads each field back, checking counts, tags and blob indices.
+class Decoder {
+ public:
+  static constexpr bool kLoad = true;
+
+  explicit Decoder(ByteReader& r) : r_(r) {}
+
+  template <class T> void u8(T& x) { x = static_cast<T>(r_.u8()); }
+  template <class T> void u32(T& x) { x = static_cast<T>(r_.u32()); }
+  template <class T> void u64(T& x) { x = static_cast<T>(r_.u64()); }
+  template <class T> void i32(T& x) { x = static_cast<T>(r_.i32()); }
+  template <class T> void i64(T& x) { x = static_cast<T>(r_.i64()); }
+  void f64(double& x) { x = r_.f64(); }
+  void i64s(std::vector<std::int64_t>& xs) { r_.i64s(xs); }
+  void blob(StateBlob& b) { b = std::make_shared<const std::string>(r_.blob()); }
+  /// Reads a u64 count and sizes `xs` to it, once `n` records of at least
+  /// `min_bytes` are known to fit in what is left: a corrupt count throws
+  /// instead of reserving the memory it names.
+  template <class T>
+  void count(std::vector<T>& xs, std::size_t min_bytes, const char* what) {
+    const std::size_t at = r_.position();
+    const std::uint64_t n = r_.u64();
+    if (n > r_.remaining() / min_bytes) {
+      throw std::runtime_error(
+          "snapshot: " + std::to_string(n) + " " + what + " declared at offset " +
+          std::to_string(at) + ", but only " + std::to_string(r_.remaining()) +
+          " bytes remain");
+    }
+    xs.resize(static_cast<std::size_t>(n));
+  }
+  void field(std::uint16_t tag, const char* name) {
+    const std::size_t at = r_.position();
+    const std::uint16_t got = r_.u16();
+    if (got != tag) {
+      throw std::runtime_error(
+          "snapshot: device field tag " + std::to_string(got) + " at offset " +
+          std::to_string(at) + ", where the record lacks its " + name +
+          " (an unknown, missing, repeated or out-of-order field)");
+    }
+  }
+  /// Takes the section when its tag comes next.
+  bool section(std::uint16_t tag, bool) {
+    ByteReader ahead = r_;
+    if (ahead.u16() != tag) return false;
+    r_ = ahead;
+    return true;
+  }
+  [[nodiscard]] std::size_t position() const { return r_.position(); }
+
+ private:
+  ByteReader& r_;
+};
+
+/// The snapshot's processor blobs, each stored once. Encoding, devices
+/// sharing a blob (the common case — a fleet converges onto a few processor
+/// states) are found by pointer, and distinct copies of equal bytes by
+/// content; decoding, `blobs` is filled from the stream.
 struct BlobTable {
-  std::vector<std::string_view> blobs;
-  std::vector<std::uint32_t> index;  ///< per device; kNoBlob = none
+  std::vector<StateBlob> blobs;
+  std::vector<std::uint32_t> index;  ///< per device, encoding only
 
+  BlobTable() = default;
   explicit BlobTable(const std::vector<DeviceProgress>& devices) {
     std::unordered_map<const std::string*, std::uint32_t> by_ptr;
     std::unordered_map<std::string_view, std::uint32_t> by_bytes;
     index.reserve(devices.size());
     for (const DeviceProgress& p : devices) {
       if (p.proc_blob == nullptr) {
-        index.push_back(kNoBlob);
+        index.push_back(0);  // no kTagProc section is written
         continue;
       }
       const auto [it, fresh] = by_ptr.try_emplace(p.proc_blob.get(), 0);
       if (fresh) {
         const auto [jt, new_bytes] = by_bytes.try_emplace(
             *p.proc_blob, static_cast<std::uint32_t>(blobs.size()));
-        if (new_bytes) blobs.push_back(*p.proc_blob);
+        if (new_bytes) blobs.push_back(p.proc_blob);
         it->second = jt->second;
       }
       index.push_back(it->second);
     }
   }
+
+  /// Blob `i`, whose index was read at `offset`.
+  [[nodiscard]] const StateBlob& at(std::uint32_t i, std::size_t offset) const {
+    if (i >= blobs.size()) {
+      throw std::runtime_error("snapshot: blob index " + std::to_string(i) +
+                               " at offset " + std::to_string(offset) +
+                               " is out of range (" + std::to_string(blobs.size()) +
+                               " blobs)");
+    }
+    return blobs[i];
+  }
 };
 
-/// Reads a u64 record count and checks that `n` records of at least
-/// `min_bytes` fit in what is left, so a corrupt count throws instead of
-/// reserving memory it names.
-std::size_t read_count(ByteReader& r, std::size_t min_bytes, const char* what) {
-  const std::size_t at = r.position();
-  const std::uint64_t n = r.u64();
-  if (n > r.remaining() / min_bytes) {
-    throw std::runtime_error(
-        "snapshot: " + std::to_string(n) + " " + what + " declared at offset " +
-        std::to_string(at) + ", but only " + std::to_string(r.remaining()) +
-        " bytes remain");
+/// Device `d`'s record.
+template <class V>
+void walk_device(V& v, DeviceProgress& p, const BlobTable& t, std::size_t d) {
+  v.field(kTagFlags, "flags field");
+  std::uint8_t flags = (p.started ? 1u : 0u) | (p.done ? 2u : 0u);
+  v.u8(flags);
+  if constexpr (V::kLoad) {
+    p.started = (flags & 1u) != 0;
+    p.done = (flags & 2u) != 0;
   }
-  return static_cast<std::size_t>(n);
-}
 
-// The encoder is written once over the writer type: a ByteSizer pass sizes
-// the buffer exactly, then a ByteWriter pass fills it.
-template <class W>
-void write_device(W& w, const DeviceProgress& p, std::uint32_t blob) {
-  w.u16(kTagFlags);
-  w.u8(static_cast<std::uint8_t>((p.started ? 1u : 0u) | (p.done ? 2u : 0u)));
+  v.field(kTagResult, "result field");
+  DeviceResult& r = p.result;
+  v.u32(r.id);
+  v.u32(r.model_index);
+  v.u8(r.scenario);
+  v.u64(r.seed);
+  v.i64(r.slice_ps);
+  v.i32(r.slices_total);
+  v.i32(r.slices_executed);
+  v.u64(r.tasks);
+  v.u64(r.tasks_dropped);
+  v.u64(r.deadline_violations);
+  v.f64(r.energy_pj);
+  v.f64(r.battery_capacity_pj);
+  v.f64(r.final_soc);
+  v.i32(r.exhausted_at_slice);
+  v.u32(r.mode_switches);
+  v.i32(r.low_power_slices);
+  v.i64(r.busy_time_ps);
+  v.i64(r.max_busy_ps);
+  v.i64(r.movement_time_ps);
 
-  w.u16(kTagResult);
-  const DeviceResult& r = p.result;
-  w.u32(r.id);
-  w.u32(r.model_index);
-  w.u8(static_cast<std::uint8_t>(r.scenario));
-  w.u64(r.seed);
-  w.i64(r.slice_ps);
-  w.i32(r.slices_total);
-  w.i32(r.slices_executed);
-  w.u64(r.tasks);
-  w.u64(r.tasks_dropped);
-  w.u64(r.deadline_violations);
-  w.f64(r.energy_pj);
-  w.f64(r.battery_capacity_pj);
-  w.f64(r.final_soc);
-  w.i32(r.exhausted_at_slice);
-  w.u32(r.mode_switches);
-  w.i32(r.low_power_slices);
-  w.i64(r.busy_time_ps);
-  w.i64(r.max_busy_ps);
-  w.i64(r.movement_time_ps);
+  v.field(kTagLane, "lane field");
+  v.i32(p.next_k);
+  v.u8(p.mode);
+  v.u32(p.switches);
+  v.i32(p.buffered);
+  v.f64(p.charge_pj);
 
-  w.u16(kTagLane);
-  w.i32(p.next_k);
-  w.u8(p.mode);
-  w.u32(p.switches);
-  w.i32(p.buffered);
-  w.f64(p.charge_pj);
+  v.field(kTagSamples, "samples field");
+  v.count(p.sample_busy_ps, kSampleBytes, "samples");
+  v.i64s(p.sample_busy_ps);
 
-  w.u16(kTagSamples);
-  w.u64(static_cast<std::uint64_t>(p.sample_busy_ps.size()));
-  w.i64s(p.sample_busy_ps);
-
-  if (blob != kNoBlob) {
-    w.u16(kTagProc);
-    w.u32(blob);
+  if (v.section(kTagProc, p.proc_blob != nullptr)) {
+    const std::size_t at = v.position();
+    std::uint32_t i = V::kLoad ? 0 : t.index[d];
+    v.u32(i);
+    if constexpr (V::kLoad) p.proc_blob = t.at(i, at);
   }
-  if (p.result.latency_slo_ps > 0 || p.result.tier_switches != 0 || p.tier != 255) {
-    w.u16(kTagSlo);
-    w.i64(p.result.latency_slo_ps);
-    w.u32(p.result.tier_switches);
-    w.u8(p.tier);
+  if (v.section(kTagSlo, r.latency_slo_ps > 0 || r.tier_switches != 0 || p.tier != 255)) {
+    v.i64(r.latency_slo_ps);
+    v.u32(r.tier_switches);
+    v.u8(p.tier);
   }
-  if (p.result.host_cycles != 0) {
-    w.u16(kTagHost);
-    w.u64(p.result.host_cycles);
+  if (v.section(kTagHost, r.host_cycles != 0)) v.u64(r.host_cycles);
+  workload::LoadStream::State words = p.loads.state();
+  if (v.section(kTagLoads, words != workload::LoadStream::State{})) {
+    for (std::uint64_t& word : words) v.u64(word);
+    if constexpr (V::kLoad) p.loads = workload::LoadStream{words};
   }
-  if (const workload::LoadStream::State words = p.loads.state();
-      words != workload::LoadStream::State{}) {
-    w.u16(kTagLoads);
-    for (const std::uint64_t word : words) w.u64(word);
-  }
-  w.u16(kTagDeviceEnd);
-}
-
-/// The smallest device record: the required fields, no samples.
-std::size_t min_device_bytes() {
-  ByteSizer s;
-  write_device(s, DeviceProgress{}, kNoBlob);
-  return s.size();
-}
-
-DeviceProgress read_device(ByteReader& r, const std::vector<StateBlob>& blobs) {
-  DeviceProgress p;
-  const std::size_t at = r.position();
-  unsigned seen = 0;  // bit t: tag t was read
-  for (;;) {
-    const std::uint16_t tag = r.u16();
-    if (tag < 32) seen |= 1u << tag;
-    switch (tag) {
-      case kTagFlags: {
-        const std::uint8_t f = r.u8();
-        p.started = (f & 1u) != 0;
-        p.done = (f & 2u) != 0;
-        break;
-      }
-      case kTagResult: {
-        DeviceResult& d = p.result;
-        d.id = r.u32();
-        d.model_index = r.u32();
-        d.scenario = static_cast<workload::Scenario>(r.u8());
-        d.seed = r.u64();
-        d.slice_ps = r.i64();
-        d.slices_total = r.i32();
-        d.slices_executed = r.i32();
-        d.tasks = r.u64();
-        d.tasks_dropped = r.u64();
-        d.deadline_violations = r.u64();
-        d.energy_pj = r.f64();
-        d.battery_capacity_pj = r.f64();
-        d.final_soc = r.f64();
-        d.exhausted_at_slice = r.i32();
-        d.mode_switches = r.u32();
-        d.low_power_slices = r.i32();
-        d.busy_time_ps = r.i64();
-        d.max_busy_ps = r.i64();
-        d.movement_time_ps = r.i64();
-        break;
-      }
-      case kTagLane:
-        p.next_k = r.i32();
-        p.mode = r.u8();
-        p.switches = r.u32();
-        p.buffered = r.i32();
-        p.charge_pj = r.f64();
-        break;
-      case kTagSamples: {
-        const std::size_t n = read_count(r, kSampleBytes, "samples");
-        p.sample_busy_ps.resize(n);
-        r.i64s(p.sample_busy_ps);
-        break;
-      }
-      case kTagProc: {
-        const std::uint32_t i = r.u32();
-        if (i >= blobs.size()) {
-          throw std::runtime_error("snapshot: blob index " + std::to_string(i) +
-                                   " at offset " + std::to_string(r.position() - 4) +
-                                   " is out of range (" +
-                                   std::to_string(blobs.size()) + " blobs)");
-        }
-        p.proc_blob = blobs[i];
-        break;
-      }
-      case kTagSlo:
-        p.result.latency_slo_ps = r.i64();
-        p.result.tier_switches = r.u32();
-        p.tier = r.u8();
-        break;
-      case kTagHost:
-        p.result.host_cycles = r.u64();
-        break;
-      case kTagLoads: {
-        workload::LoadStream::State words{};
-        for (std::uint64_t& word : words) word = r.u64();
-        p.loads = workload::LoadStream{words};
-        break;
-      }
-      case kTagDeviceEnd:
-        if ((seen & kRequiredTags) != kRequiredTags) {
-          throw std::runtime_error(
-              "snapshot: device record at offset " + std::to_string(at) +
-              " lacks its flags, result, lane or samples field");
-        }
-        return p;
-      default:
-        throw std::runtime_error(
-            "snapshot: unknown device field tag " + std::to_string(tag) +
-            " at offset " + std::to_string(r.position()) +
-            " (stream written by an incompatible build?)");
-    }
-  }
+  v.field(kTagDeviceEnd, "end tag");
 }
 
 /// A carried histogram: f64 lo, f64 hi, u64 bin count, the bins, then
 /// u64 underflow and u64 overflow (the total is their sum).
-template <class W>
-void write_histogram(W& w, const sim::Histogram& h) {
-  w.f64(h.lo());
-  w.f64(h.hi());
-  w.u64(static_cast<std::uint64_t>(h.bins().size()));
-  for (const std::uint64_t b : h.bins()) w.u64(b);
-  w.u64(h.underflow());
-  w.u64(h.overflow());
-}
-
-sim::Histogram read_histogram(ByteReader& r, const char* name) {
-  const std::size_t at = r.position();
-  const double lo = r.f64();
-  const double hi = r.f64();
-  std::vector<std::uint64_t> bins(read_count(r, kBinBytes, "histogram bins"));
-  for (std::uint64_t& b : bins) b = r.u64();
-  const std::uint64_t underflow = r.u64();
-  const std::uint64_t overflow = r.u64();
-  try {
-    return sim::Histogram::from_counts(lo, hi, std::move(bins), underflow, overflow);
-  } catch (const std::invalid_argument& e) {
-    throw std::runtime_error("snapshot: the " + std::string{name} +
-                             " histogram at offset " + std::to_string(at) +
-                             " is malformed (" + e.what() + ")");
+template <class V>
+void walk_histogram(V& v, sim::Histogram& h, const char* name) {
+  const std::size_t at = v.position();
+  double lo = h.lo();
+  double hi = h.hi();
+  std::vector<std::uint64_t> bins;
+  if constexpr (!V::kLoad) bins = h.bins();
+  std::uint64_t underflow = h.underflow();
+  std::uint64_t overflow = h.overflow();
+  v.f64(lo);
+  v.f64(hi);
+  v.count(bins, kBinBytes, "histogram bins");
+  for (std::uint64_t& b : bins) v.u64(b);
+  v.u64(underflow);
+  v.u64(overflow);
+  if constexpr (V::kLoad) {
+    try {
+      h = sim::Histogram::from_counts(lo, hi, std::move(bins), underflow, overflow);
+    } catch (const std::invalid_argument& e) {
+      throw std::runtime_error("snapshot: the " + std::string{name} +
+                               " histogram at offset " + std::to_string(at) +
+                               " is malformed (" + e.what() + ")");
+    }
   }
 }
 
-template <class W>
-void write_snapshot(W& w, const FleetSnapshot& s, const BlobTable& t) {
-  w.u64(kMagic);
-  w.u32(kVersion);
-  w.u64(s.spec_digest);
-  w.u32(static_cast<std::uint32_t>(s.next_slice));
-  w.u64(s.lut_builds);
-  w.u64(static_cast<std::uint64_t>(s.lut_counted.size()));
-  for (const placement::LutCacheKey& k : s.lut_counted) {
-    w.u64(k.topology_hash);
-    w.u64(k.arch_hash);
-    w.u64(k.cost_hash);
-    w.i64(k.slice_ps);
-    w.u64(k.total_weights);
-    w.i32(k.t_entries);
-    w.i32(k.k_blocks);
+/// The checksummed payload: the header fields, the counted LUT keys, the
+/// carried histograms, the blob table and the device records.
+template <class V>
+void walk_payload(V& v, FleetSnapshot& s, BlobTable& t) {
+  v.u64(s.spec_digest);
+  v.u32(s.next_slice);
+  v.u64(s.lut_builds);
+  v.count(s.lut_counted, kLutKeyBytes, "LUT keys");
+  for (placement::LutCacheKey& k : s.lut_counted) {
+    v.u64(k.topology_hash);
+    v.u64(k.arch_hash);
+    v.u64(k.cost_hash);
+    v.i64(k.slice_ps);
+    v.u64(k.total_weights);
+    v.i32(k.t_entries);
+    v.i32(k.k_blocks);
   }
-  write_histogram(w, s.slice_bins.busy_frac);
-  write_histogram(w, s.slice_bins.slice_energy);
-  w.u64(static_cast<std::uint64_t>(t.blobs.size()));
-  for (const std::string_view b : t.blobs) w.blob(b);
-  w.u64(static_cast<std::uint64_t>(s.devices.size()));
-  for (std::size_t i = 0; i < s.devices.size(); ++i) {
-    write_device(w, s.devices[i], t.index[i]);
-  }
+  walk_histogram(v, s.slice_bins.busy_frac, "busy_frac");
+  walk_histogram(v, s.slice_bins.slice_energy, "slice_energy");
+  v.count(t.blobs, kBlobBytes, "processor blobs");
+  for (StateBlob& b : t.blobs) v.blob(b);
+  v.count(s.devices, kDeviceBytes, "devices");
+  for (std::size_t d = 0; d < s.devices.size(); ++d) walk_device(v, s.devices[d], t, d);
 }
 
 }  // namespace
 
 std::string FleetSnapshot::to_bytes() const {
-  const BlobTable table{devices};
+  auto& self = const_cast<FleetSnapshot&>(*this);  // the encoders only read
+  BlobTable table{devices};
   ByteSizer sizer;
-  write_snapshot(sizer, *this, table);
-  const std::size_t size = sizer.size() + 8;  // + the checksum
+  Encoder sized{sizer};
+  walk_payload(sized, self, table);
+  const std::size_t size = kHeaderBytes + sizer.size() + 8;  // + the checksum
 
   ByteWriter w;
   w.reserve(size);
-  write_snapshot(w, *this, table);
+  w.u64(kMagic);
+  w.u32(kVersion);
+  Encoder out{w};
+  walk_payload(out, self, table);
   w.u64(checksum64(std::string_view{w.bytes()}.substr(kHeaderBytes)));
   if (w.size() != size) {
     throw std::logic_error("snapshot: encoded " + std::to_string(w.size()) +
@@ -369,36 +365,10 @@ FleetSnapshot FleetSnapshot::from_bytes(std::string_view bytes) {
   }
 
   ByteReader r{payload};
+  Decoder in{r};
   FleetSnapshot snap;
-  snap.spec_digest = r.u64();
-  snap.next_slice = static_cast<int>(r.u32());
-  snap.lut_builds = r.u64();
-  const std::size_t n_keys = read_count(r, kLutKeyBytes, "LUT keys");
-  snap.lut_counted.reserve(n_keys);
-  for (std::size_t i = 0; i < n_keys; ++i) {
-    placement::LutCacheKey k;
-    k.topology_hash = r.u64();
-    k.arch_hash = r.u64();
-    k.cost_hash = r.u64();
-    k.slice_ps = r.i64();
-    k.total_weights = r.u64();
-    k.t_entries = r.i32();
-    k.k_blocks = r.i32();
-    snap.lut_counted.push_back(k);
-  }
-  snap.slice_bins.busy_frac = read_histogram(r, "busy_frac");
-  snap.slice_bins.slice_energy = read_histogram(r, "slice_energy");
-  const std::size_t n_blobs = read_count(r, kBlobBytes, "processor blobs");
-  std::vector<StateBlob> blobs;
-  blobs.reserve(n_blobs);
-  for (std::size_t i = 0; i < n_blobs; ++i) {
-    blobs.push_back(std::make_shared<const std::string>(r.blob()));
-  }
-  const std::size_t n_devices = read_count(r, min_device_bytes(), "devices");
-  snap.devices.reserve(n_devices);
-  for (std::size_t i = 0; i < n_devices; ++i) {
-    snap.devices.push_back(read_device(r, blobs));
-  }
+  BlobTable table;
+  walk_payload(in, snap, table);
   if (!r.at_end()) {
     throw std::runtime_error(
         "snapshot: " + std::to_string(r.remaining()) +

@@ -1,6 +1,9 @@
 // Fleet checkpoint/restore: a FleetSnapshot is the whole fleet's state at a
 // global slice boundary, serialized with common/serialize ByteWriter/Reader
-// into a versioned, field-tagged, checksummed binary blob.
+// into a versioned, field-tagged, checksummed binary blob. Each record of
+// the format is one walk that names its fields once; the encoder (sizing,
+// then writing) and the decoder run that same walk, so what is read back is
+// what was written, by construction.
 //
 // Produced by FleetSimulator::run_to and consumed by run_to/resume: a
 // simulated week can run as N resumable segments — across process restarts
@@ -68,11 +71,11 @@ struct FleetSnapshot {
   /// a bad magic, a version other than this build's, a checksum mismatch, a
   /// truncated stream, a record count larger than the bytes left, a carried
   /// histogram with a bad shape or counts summing past 2^64 - 1, a device
-  /// record without its flags/result/lane/samples fields, a blob index past
-  /// the blob table, or an unknown field tag. Device identity and the
-  /// histograms' shape and totals are checked later, against the spec, by
-  /// FleetSimulator::run_to/resume; equal blobs decode to one shared
-  /// StateBlob.
+  /// record whose tags break the writer's one order (an unknown, missing,
+  /// repeated or out-of-order field), or a blob index past the blob table.
+  /// Device identity and the histograms' shape and totals are checked
+  /// later, against the spec, by FleetSimulator::run_to/resume; equal blobs
+  /// decode to one shared StateBlob.
   [[nodiscard]] static FleetSnapshot from_bytes(std::string_view bytes);
 
   /// to_bytes()/from_bytes() through a file. Throw std::runtime_error on

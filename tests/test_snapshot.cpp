@@ -359,9 +359,10 @@ TEST(Snapshot, HugeDeclaredCountsThrowRuntimeError) {
   }
 }
 
-TEST(Snapshot, DeviceRecordsNeedTheirRequiredFields) {
-  // A re-checksummed blob whose device record is a bare end tag (6), padded
-  // so the device count fits the bytes left: the record walk refuses it.
+/// A re-checksummed snapshot with one device whose record is `record`,
+/// followed by `pad` zero bytes (so a short record's count fits the bytes
+/// left and the record walk, not the count check, meets it).
+std::string forged_device(const std::string& record, std::size_t pad) {
   const std::string header = FleetSnapshot{}.to_bytes().substr(0, kHeaderBytes);
   ByteWriter w;
   w.raw(header);
@@ -379,15 +380,146 @@ TEST(Snapshot, DeviceRecordsNeedTheirRequiredFields) {
   }
   w.u64(0);  // processor blobs
   w.u64(1);  // devices
-  w.u16(6);  // end of device record
-  w.raw(std::string(256, '\0'));
+  w.raw(record);
+  w.raw(std::string(pad, '\0'));
   w.u64(0);  // checksum, filled below
+  return rechecksummed(w.take());
+}
+
+TEST(Snapshot, DeviceRecordsNeedTheirRequiredFields) {
+  // A device record that is a bare end tag (6): the record walk refuses it.
   try {
-    (void)FleetSnapshot::from_bytes(rechecksummed(w.take()));
+    (void)FleetSnapshot::from_bytes(forged_device(std::string{"\x06\0", 2}, 256));
     ADD_FAILURE() << "a device record without fields was accepted";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("lacks"), std::string::npos) << e.what();
   }
+
+  // Fields as the writer emits them, each its u16 tag and its body: the
+  // required flags, result (117 bytes), lane (21 bytes) and empty samples,
+  // the optional SLO and host sections, and the end tag.
+  using Field = std::function<void(ByteWriter&)>;
+  const Field flags = [](ByteWriter& w) { w.u16(1); w.u8(1); };
+  const Field result = [](ByteWriter& w) { w.u16(2); w.raw(std::string(117, '\0')); };
+  const Field lane = [](ByteWriter& w) { w.u16(3); w.raw(std::string(21, '\0')); };
+  const Field samples = [](ByteWriter& w) { w.u16(4); w.u64(0); };
+  const Field slo = [](ByteWriter& w) { w.u16(7); w.i64(5); w.u32(1); w.u8(0); };
+  const Field host = [](ByteWriter& w) { w.u16(8); w.u64(9); };
+  const Field unknown = [](ByteWriter& w) { w.u16(10); w.u64(0); };
+  const Field end = [](ByteWriter& w) { w.u16(6); };
+  const auto record = [](const std::vector<Field>& fields) {
+    ByteWriter w;
+    for (const Field& f : fields) f(w);
+    return w.take();
+  };
+
+  // In writer order the record decodes, and encodes back to its bytes.
+  const std::string good =
+      forged_device(record({flags, result, lane, samples, slo, host, end}), 0);
+  const FleetSnapshot back = FleetSnapshot::from_bytes(good);
+  ASSERT_EQ(back.devices.size(), 1u);
+  EXPECT_EQ(back.devices[0].result.latency_slo_ps, 5);
+  EXPECT_EQ(back.devices[0].result.host_cycles, 9u);
+  EXPECT_EQ(back.to_bytes(), good);
+
+  // Version 8 has one writer order: an unknown tag, a missing required
+  // field, optional sections out of order and a section given twice are
+  // each refused with the offset of the tag that does not belong. The short
+  // record is padded so its count fits the bytes left.
+  struct Forged {
+    const char* what;
+    std::vector<Field> fields;
+    std::size_t pad;
+  };
+  const std::vector<Forged> forged = {
+      {"an unknown tag", {flags, result, lane, samples, unknown, end}, 0},
+      {"no lane", {flags, result, samples, end}, 256},
+      {"sections out of order", {flags, result, lane, samples, host, slo, end}, 0},
+      {"a section twice", {flags, result, lane, samples, host, host, end}, 0},
+  };
+  for (const Forged& f : forged) {
+    try {
+      (void)FleetSnapshot::from_bytes(forged_device(record(f.fields), f.pad));
+      ADD_FAILURE() << "a device record with " << f.what << " was accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("offset"), std::string::npos)
+          << f.what << ": " << e.what();
+    }
+  }
+}
+
+TEST(Snapshot, PinnedBytesCoverEveryField) {
+  // A hand-built snapshot that sets every field the format carries. Its
+  // bytes are pinned, so a codec change that moves, drops or re-encodes a
+  // field fails here even when the encoder and the decoder still agree.
+  FleetSnapshot snap;
+  snap.spec_digest = 0x0123456789abcdefULL;
+  snap.next_slice = 17;
+  snap.lut_builds = 3;
+  snap.lut_counted = {{1, 2, 3, 4, 5, 6, 7}, {11, 12, 13, -14, 15, 16, 17}};
+  snap.slice_bins.busy_frac = sim::Histogram::from_counts(0.0, 1.0, {1, 2, 3}, 4, 5);
+  snap.slice_bins.slice_energy = sim::Histogram::from_counts(-1.0, 2.5, {6, 0}, 7, 8);
+  snap.devices.resize(5);
+  for (std::uint32_t i = 0; i < 5; ++i) snap.devices[i].result.id = i;
+  const StateBlob shared = std::make_shared<const std::string>("shared processor state");
+
+  // Device 0: live, with samples, an SLO lane, host cycles and cursor words.
+  DeviceProgress& live = snap.devices[0];
+  DeviceResult& r = live.result;
+  live.started = true;
+  r.model_index = 1;
+  r.scenario = workload::Scenario::kPoisson;
+  r.seed = 0xfeedULL;
+  r.slice_ps = 1'000'000;
+  r.slices_total = 40;
+  r.slices_executed = 3;
+  r.tasks = 21;
+  r.tasks_dropped = 2;
+  r.deadline_violations = 1;
+  r.energy_pj = 1.25e9;
+  r.battery_capacity_pj = 2.5e11;
+  r.final_soc = 0.75;
+  r.mode_switches = 2;
+  r.low_power_slices = 1;
+  r.busy_time_ps = 900;
+  r.max_busy_ps = 400;
+  r.movement_time_ps = 60;
+  r.latency_slo_ps = 500;
+  r.tier_switches = 4;
+  r.host_cycles = 12345;
+  live.next_k = 3;
+  live.mode = 1;
+  live.switches = 2;
+  live.tier = 1;
+  live.buffered = 5;
+  live.charge_pj = 1.875e11;
+  live.sample_busy_ps = {400, 300, 200};
+  live.proc_blob = shared;
+  live.loads = workload::LoadStream{{1, 2, 3, 4}};
+
+  // Device 1 shares device 0's blob; device 2 holds a distinct one.
+  snap.devices[1].started = true;
+  snap.devices[1].sample_busy_ps = {7};
+  snap.devices[1].proc_blob = shared;
+  snap.devices[2].started = true;
+  snap.devices[2].proc_blob = std::make_shared<const std::string>("other state");
+  // Device 3 is done (exhausted); device 4 has not started.
+  snap.devices[3].started = true;
+  snap.devices[3].done = true;
+  snap.devices[3].result.slices_executed = 2;
+  snap.devices[3].result.exhausted_at_slice = 1;
+
+  const std::string bytes = snap.to_bytes();
+  EXPECT_EQ(bytes.size(), 1223u);
+  EXPECT_EQ(checksum64(bytes), 0x40d40ed7365dc37cULL);
+  EXPECT_EQ(FleetSnapshot::from_bytes(bytes).to_bytes(), bytes);
+
+  // The smallest records bound a declared device count from above: a
+  // snapshot of only such records decodes.
+  FleetSnapshot minimal;
+  minimal.devices.resize(3);
+  const std::string small = minimal.to_bytes();
+  EXPECT_EQ(FleetSnapshot::from_bytes(small).to_bytes(), small);
 }
 
 TEST(Snapshot, IdenticalBlobsAreStoredOnce) {
