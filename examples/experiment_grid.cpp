@@ -111,12 +111,16 @@ int run_cli(const Cli& cli) {
   const bool quiet = cli.get_bool("quiet", false);
   if (!quiet) {
     const auto cache_stats = lut_cache.stats();
+    const auto memo = results.memo_counts();
     std::printf("grid: %zu archs x %zu models x %zu scenarios = %zu runs "
-                "(%u threads, %d slices; LUT cache: %llu built, %llu shared)\n\n",
+                "(%u threads, %d slices; LUT cache: %llu built, %llu shared; "
+                "slice memo: %llu exact, %llu replayed)\n\n",
                 spec.archs.size(), spec.models.size(), spec.scenarios.size(),
                 results.size(), resolve_threads(opts.threads), wc.slices,
                 static_cast<unsigned long long>(cache_stats.misses),
-                static_cast<unsigned long long>(cache_stats.hits));
+                static_cast<unsigned long long>(cache_stats.hits),
+                static_cast<unsigned long long>(memo.exact),
+                static_cast<unsigned long long>(memo.replayed));
     Table t{{"Arch", "Model", "Scenario", "total energy", "mean/slice", "misses",
              "busy (sum)"}};
     for (const auto& r : results.runs()) {

@@ -21,7 +21,7 @@
 //
 // SHAPE (the fleet-wide load envelope) is one of low-constant, high-constant,
 // periodic-spike, periodic-spike-frequent, high-low-pulsing, random, ramp,
-// burst-decay or poisson.
+// burst-decay or poisson. trace-replay is refused: no flag supplies its trace.
 //
 // The same spec at any --threads value produces byte-identical JSONL and
 // summary output — CI diffs --threads=1 against --threads=2 as a
@@ -71,6 +71,11 @@ int run_cli(const Cli& cli) {
     const auto shape = workload::from_string(envelope_arg);
     if (!shape.has_value()) {
       std::fprintf(stderr, "unknown envelope shape '%s'\n", envelope_arg.c_str());
+      return 1;
+    }
+    if (*shape == workload::Scenario::kTrace) {
+      std::fprintf(stderr, "--envelope=trace-replay needs a trace, which fleet_sim "
+                           "cannot supply: pick a generated shape\n");
       return 1;
     }
     spec.envelope.enabled = true;

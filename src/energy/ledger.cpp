@@ -31,9 +31,14 @@ void EnergyLedger::add(ComponentId c, Activity a, Energy e) {
   const std::size_t cell = c.idx_ * kActivities + static_cast<std::size_t>(a);
   pj_[cell] += e.as_pj();
   window_pj_ += e.as_pj();
-  if (record_ != nullptr) {
-    record_->push_back(RecordedPost{static_cast<std::uint32_t>(cell), e.as_pj()});
+  if (record_ != nullptr || capture_ != nullptr) [[unlikely]] {
+    log_post({static_cast<std::uint32_t>(cell), e.as_pj()});
   }
+}
+
+void EnergyLedger::log_post(const RecordedPost& post) {
+  if (record_ != nullptr) record_->push_back(post);
+  if (capture_ != nullptr) capture_->add(post);
 }
 
 void EnergyLedger::replay(const std::vector<RecordedPost>& posts, int repeats) {
@@ -44,21 +49,39 @@ void EnergyLedger::replay(const std::vector<RecordedPost>& posts, int repeats) {
       window_pj_ += p.pj;
     }
   }
+  if (capture_ != nullptr && repeats > 0) capture_->add_repeated(posts, repeats);
 }
 
-Energy EnergyLedger::total() const {
+void EnergyLedger::apply(std::span<double> cells, const PostLog& log) {
+  for (const PostLog::Run& run : log.runs) {
+    const std::span<const RecordedPost> seq{log.posts.data() + run.begin,
+                                            log.posts.data() + run.end};
+    for (int t = 0; t < run.times; ++t) {
+      for (const RecordedPost& p : seq) {
+        assert(p.cell < cells.size());
+        cells[p.cell] += p.pj;
+      }
+    }
+  }
+}
+
+Energy EnergyLedger::cells_total(std::span<const double> cells) {
   double sum = 0.0;
-  for (const double v : pj_) sum += v;
+  for (const double v : cells) sum += v;
   return Energy::pj(sum);
 }
 
-Energy EnergyLedger::total(Activity a) const {
+Energy EnergyLedger::cells_total(std::span<const double> cells, Activity a) {
   double sum = 0.0;
-  for (std::size_t i = 0; i < names_.size(); ++i) {
-    sum += pj_[i * kActivities + static_cast<std::size_t>(a)];
+  for (std::size_t i = static_cast<std::size_t>(a); i < cells.size(); i += kActivities) {
+    sum += cells[i];
   }
   return Energy::pj(sum);
 }
+
+Energy EnergyLedger::total() const { return cells_total(pj_); }
+
+Energy EnergyLedger::total(Activity a) const { return cells_total(pj_, a); }
 
 Energy EnergyLedger::component_total(ComponentId c) const {
   assert(c.valid());

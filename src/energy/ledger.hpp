@@ -1,10 +1,12 @@
 // Energy ledger: the single place where every joule in a simulation is
 // accounted. Components register once, then post dynamic energy per event and
 // leakage per powered interval. Benches query totals and per-category
-// breakdowns.
+// breakdowns. A capture hands a slice's whole post sequence to a caller that
+// replays it into a bare cell array later (exp::Runner's slice memo).
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -33,6 +35,40 @@ enum class Activity : std::uint8_t {
 struct RecordedPost {
   std::uint32_t cell = 0;  ///< index into the ledger's accumulator array
   double pj = 0.0;
+};
+
+/// A captured post sequence (EnergyLedger::begin_capture) as runs: each run
+/// is a stretch of posts applied `times` times in a row. A replay() is one
+/// run stored once; the adds around it are runs applied once. So a slice of
+/// n identical tasks costs about three tasks' posts, not n.
+struct PostLog {
+  struct Run {
+    std::uint32_t begin = 0;  ///< [begin, end) in `posts`
+    std::uint32_t end = 0;
+    int times = 1;
+  };
+  std::vector<RecordedPost> posts;
+  std::vector<Run> runs;
+
+  /// Appends one post, applied once.
+  void add(const RecordedPost& p) {
+    if (runs.empty() || runs.back().times != 1) {
+      const auto at = static_cast<std::uint32_t>(posts.size());
+      runs.push_back({at, at, 1});
+    }
+    posts.push_back(p);
+    ++runs.back().end;
+  }
+  /// Appends `seq`, applied `times` times in a row.
+  void add_repeated(const std::vector<RecordedPost>& seq, int times) {
+    const auto at = static_cast<std::uint32_t>(posts.size());
+    posts.insert(posts.end(), seq.begin(), seq.end());
+    runs.push_back({at, static_cast<std::uint32_t>(posts.size()), times});
+  }
+  void clear() {
+    posts.clear();
+    runs.clear();
+  }
 };
 
 /// Opaque handle returned by EnergyLedger::register_component.
@@ -68,10 +104,34 @@ class EnergyLedger {
   /// Recording while already recording replaces the sink.
   void begin_recording(std::vector<RecordedPost>* sink) { record_ = sink; }
   void end_recording() { record_ = nullptr; }
-  [[nodiscard]] bool recording() const { return record_ != nullptr; }
 
   /// Re-applies `posts` `repeats` times, preserving per-cell add order.
   void replay(const std::vector<RecordedPost>& posts, int repeats);
+
+  // --- Whole-slice capture (exp::Runner's slice memo) ----------------------
+  // A capture logs every post until end_capture(), in post order: each
+  // add(), whether or not a recording is open, and each replay() as one
+  // repeated run. apply() of the log to a copy of the cells leaves them
+  // bit-identical to this ledger's, without re-running the work that
+  // posted it.
+
+  /// Starts capturing into `log` (not owned; must outlive the capture).
+  void begin_capture(PostLog* log) { capture_ = log; }
+  void end_capture() { capture_ = nullptr; }
+
+  // --- Bare accumulator cells ----------------------------------------------
+  // A run that replays captured posts keeps its own cell array, laid out
+  // like this ledger's (cell_count() doubles, zero at the start) and read
+  // through the same sums as the ledger's totals.
+
+  [[nodiscard]] std::size_t cell_count() const { return pj_.size(); }
+  /// Cell-only apply: adds the logged posts to `cells` in post order.
+  /// Unlike replay(), it touches no window.
+  static void apply(std::span<double> cells, const PostLog& log);
+  /// total() of a ledger whose accumulators hold `cells`.
+  [[nodiscard]] static Energy cells_total(std::span<const double> cells);
+  /// total(a) of a ledger whose accumulators hold `cells`.
+  [[nodiscard]] static Energy cells_total(std::span<const double> cells, Activity a);
 
   // --- Slice-energy window -------------------------------------------------
   // A single running sum of every post (add or replay) since the last
@@ -113,10 +173,13 @@ class EnergyLedger {
 
  private:
   static constexpr std::size_t kActivities = static_cast<std::size_t>(Activity::kCount);
+  /// add()'s post to the open recording and capture (the unlikely branch).
+  void log_post(const RecordedPost& post);
   std::vector<std::string> names_;
   std::vector<double> pj_;  // names_.size() * kActivities, row-major
   double window_pj_ = 0.0;  // posts since begin_window(), summed from zero
   std::vector<RecordedPost>* record_ = nullptr;  // active recording sink, if any
+  PostLog* capture_ = nullptr;                   // active capture log, if any
 };
 
 /// Tracks the powered intervals of one leaky component and posts the

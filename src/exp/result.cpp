@@ -30,6 +30,15 @@ const RunResult& ResultSet::at(const std::string& arch, const std::string& model
   return *r;
 }
 
+ResultSet::MemoCounts ResultSet::memo_counts() const {
+  MemoCounts c;
+  for (const RunResult& r : runs_) {
+    c.exact += r.memo_exact;
+    c.replayed += r.memo_replayed;
+  }
+  return c;
+}
+
 void ResultSet::write_json(std::ostream& os, bool include_slices) const {
   const std::string bytes = to_json(include_slices);
   os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));

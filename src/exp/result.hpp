@@ -55,6 +55,12 @@ struct RunResult {
 
   std::vector<SliceMetrics> slice_metrics;  ///< filled when keep_slices is set
 
+  // How the run's slice memo served its slices (exp::Runner::execute);
+  // memo_exact + memo_replayed == slices. Not serialized: the JSON and CSV
+  // bytes are the same whatever the memo did.
+  std::uint64_t memo_exact = 0;     ///< slices the processor ran
+  std::uint64_t memo_replayed = 0;  ///< slices replayed from the memo
+
   [[nodiscard]] Energy total_energy() const { return Energy::pj(total_energy_pj); }
   [[nodiscard]] Time total_time() const { return Time::ps(total_time_ps); }
 };
@@ -83,6 +89,14 @@ class ResultSet {
   /// `include_slices` (and only for runs that retained them).
   void write_json(std::ostream& os, bool include_slices = false) const;
   [[nodiscard]] std::string to_json(bool include_slices = false) const;
+
+  /// The runs' memo counts summed (RunResult::memo_exact/memo_replayed).
+  /// The memo lives for one run, so they do not depend on thread count.
+  struct MemoCounts {
+    std::uint64_t exact = 0;
+    std::uint64_t replayed = 0;
+  };
+  [[nodiscard]] MemoCounts memo_counts() const;
 
   /// CSV: one header row, then one row per run (aggregates only).
   void write_csv(std::ostream& os) const;

@@ -1,9 +1,15 @@
 #include "exp/runner.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <optional>
+#include <string>
+#include <string_view>
+#include <unordered_map>
 #include <utility>
+#include <vector>
 
+#include "common/serialize.hpp"
 #include "common/threads.hpp"
 #include "energy/ledger.hpp"
 #include "placement/lut_cache.hpp"
@@ -15,6 +21,53 @@ placement::LutCache* Runner::resolve_lut_cache() const {
                                        : &placement::LutCache::process_cache();
 }
 
+namespace {
+
+/// One memoized slice: what a replay applies to the run.
+struct SliceOutcome {
+  std::int64_t busy_ps = 0;
+  std::int64_t movement_ps = 0;
+  double energy_pj = 0.0;
+  bool deadline_violated = false;
+  std::uint32_t next = 0;  ///< the state the slice leaves
+  energy::PostLog posts;   ///< the slice's ledger posts
+};
+
+/// The slice memo of one run: states interned by their exact
+/// Processor::save_state bytes, and one outcome per (state, n_tasks) seen.
+/// Equal bytes and an equal load give bit-identical SliceStats, posts and
+/// successor bytes (Processor::save_state), so a replayed slice is exact.
+class SliceMemo {
+ public:
+  /// The id of the state `bytes` names, interning it on first sight.
+  std::uint32_t intern(std::string_view bytes) {
+    const auto [it, fresh] =
+        ids_.try_emplace(std::string{bytes}, static_cast<std::uint32_t>(blobs_.size()));
+    if (fresh) blobs_.push_back(&it->first);
+    return it->second;
+  }
+  [[nodiscard]] const std::string& blob(std::uint32_t state) const { return *blobs_[state]; }
+
+  [[nodiscard]] const SliceOutcome* find(std::uint32_t state, int n_tasks) const {
+    const auto it = outcomes_.find(key(state, n_tasks));
+    return it != outcomes_.end() ? &it->second : nullptr;
+  }
+  const SliceOutcome& record(std::uint32_t state, int n_tasks, SliceOutcome out) {
+    return outcomes_.emplace(key(state, n_tasks), std::move(out)).first->second;
+  }
+
+ private:
+  static std::uint64_t key(std::uint32_t state, int n_tasks) {
+    return (std::uint64_t{state} << 32) | static_cast<std::uint32_t>(n_tasks);
+  }
+
+  std::unordered_map<std::string, std::uint32_t> ids_;
+  std::vector<const std::string*> blobs_;  // id -> interned bytes (map nodes are stable)
+  std::unordered_map<std::uint64_t, SliceOutcome> outcomes_;
+};
+
+}  // namespace
+
 RunResult Runner::execute(const RunSpec& spec, bool keep_slices,
                           placement::LutCache* lut_cache, sys::ProcessorPool* pool) {
   sys::SystemConfig config = spec.config;
@@ -24,8 +77,6 @@ RunResult Runner::execute(const RunSpec& spec, bool keep_slices,
   if (pool != nullptr) lease = pool->checkout(config, spec.model);
   sys::Processor& proc =
       pool != nullptr ? lease.get() : local.emplace(config, spec.model);
-  const sys::RunStats stats = proc.run_scenario(spec.loads);
-  const energy::EnergyLedger& ledger = proc.ledger();
 
   RunResult r;
   r.index = spec.index;
@@ -35,30 +86,72 @@ RunResult Runner::execute(const RunSpec& spec, bool keep_slices,
   r.scenario = spec.scenario;
   r.seed = spec.seed;
   r.slice_ps = proc.slice_length().as_ps();
-  r.slices = static_cast<int>(stats.slices.size());
-  r.tasks = stats.tasks;
-  r.deadline_violations = stats.deadline_violations;
-  r.total_energy_pj = stats.total_energy.as_pj();
-  r.mean_slice_energy_pj = stats.mean_slice_energy().as_pj();
-  r.dynamic_energy_pj = ledger.dynamic_total().as_pj();
-  r.leakage_energy_pj = ledger.total(energy::Activity::kLeakage).as_pj();
-  r.transfer_energy_pj = ledger.total(energy::Activity::kTransfer).as_pj();
-  r.total_time_ps = stats.total_time.as_ps();
-  for (const sys::SliceStats& s : stats.slices) {
-    r.busy_time_ps += s.busy_time.as_ps();
-    r.max_busy_ps = std::max(r.max_busy_ps, s.busy_time.as_ps());
-    r.movement_time_ps += s.movement_time.as_ps();
-    if (keep_slices) {
-      SliceMetrics m;
-      m.slice = s.slice;
-      m.tasks = s.tasks_executed;
-      m.busy_ps = s.busy_time.as_ps();
-      m.movement_ps = s.movement_time.as_ps();
-      m.energy_pj = s.energy.as_pj();
-      m.deadline_violated = s.deadline_violated;
-      r.slice_metrics.push_back(m);
+  r.slices = static_cast<int>(spec.loads.size()) + 1;
+
+  // Processor::run_scenario, walked slice by slice through the run's memo:
+  // slice k executes the inferences that arrived in slice k-1, and one
+  // trailing slice drains the last arrivals. A hit leaves the processor
+  // alone and adds the stored posts to the run's own cells; a miss makes
+  // the processor live at the current state, runs the slice exact and
+  // records it. The cells see every post in run order, so they end
+  // bit-identical to the ledger of an uninterrupted run.
+  SliceMemo memo;
+  std::vector<double> cells(proc.ledger().cell_count(), 0.0);
+  energy::PostLog captured;  // a miss's posts
+  ByteWriter saved;
+  const auto save = [&] {
+    saved.clear();
+    proc.save_state(saved);
+    return memo.intern(saved.bytes());
+  };
+  std::uint32_t state = save();
+  std::uint32_t live = state;  // the state the processor stands at
+  int buffered = 0;
+  for (std::size_t k = 0; k <= spec.loads.size(); ++k) {
+    const SliceOutcome* out = memo.find(state, buffered);
+    if (out != nullptr) {
+      ++r.memo_replayed;
+    } else {
+      ++r.memo_exact;
+      if (live != state) {
+        proc.reset();
+        ByteReader in{memo.blob(state)};
+        proc.load_state(in);
+      }
+      captured.clear();
+      const sys::SliceStats s = proc.run_slice(buffered, captured);
+      live = save();
+      // The copy sizes the stored log exactly; `captured` keeps its capacity.
+      out = &memo.record(state, buffered,
+                         {s.busy_time.as_ps(), s.movement_time.as_ps(), s.energy.as_pj(),
+                          s.deadline_violated, live, captured});
     }
+    energy::EnergyLedger::apply(cells, out->posts);
+    r.tasks += static_cast<std::uint64_t>(buffered);
+    r.deadline_violations += out->deadline_violated ? 1 : 0;
+    r.total_time_ps += std::max(r.slice_ps, out->busy_ps);
+    r.busy_time_ps += out->busy_ps;
+    r.max_busy_ps = std::max(r.max_busy_ps, out->busy_ps);
+    r.movement_time_ps += out->movement_ps;
+    if (keep_slices) {
+      // The label is the walk position: a restored processor numbers its
+      // slices from 0.
+      r.slice_metrics.push_back({static_cast<int>(k), buffered, out->busy_ps,
+                                 out->movement_ps, out->energy_pj,
+                                 out->deadline_violated});
+    }
+    state = out->next;
+    buffered = k < spec.loads.size() ? spec.loads[k] : 0;
   }
+
+  const Energy total = energy::EnergyLedger::cells_total(cells);
+  const Energy leakage = energy::EnergyLedger::cells_total(cells, energy::Activity::kLeakage);
+  r.total_energy_pj = total.as_pj();
+  r.mean_slice_energy_pj = (total / static_cast<double>(r.slices)).as_pj();
+  r.dynamic_energy_pj = (total - leakage).as_pj();
+  r.leakage_energy_pj = leakage.as_pj();
+  r.transfer_energy_pj =
+      energy::EnergyLedger::cells_total(cells, energy::Activity::kTransfer).as_pj();
   return r;
 }
 

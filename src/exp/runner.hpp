@@ -18,10 +18,23 @@
 // own pool). The LutCache the options name must itself be thread-safe
 // (placement::LutCache is) and outlive every call that uses it.
 //
-// Cost: one scenario execution per run — O(runs · slices · tasks/slice)
-// simulation work — plus one Processor construction per (config, model)
-// overlap and one LUT build (O(t_entries · k_blocks) DP entries) per distinct
-// HH-PIM key the cache does not already hold.
+// Slice memo: each run walks its slices through a memo that lives for that
+// run, keyed by (the processor's interned save_state bytes, the slice's
+// load). A hit replays the slice's stored SliceStats fields and ledger posts
+// without touching the processor; a miss loads the state into the processor
+// (unless it already stands there), runs the slice exact and records it.
+// Equal bytes and load give the same bits, so results match run_scenario on
+// a fresh processor bit for bit (tests/test_exp.cpp). The memo is per run,
+// so its counts (RunResult::memo_exact/memo_replayed) do not depend on the
+// thread count.
+//
+// Cost: per run, one exact slice (O(tasks/slice) simulation plus a
+// save_state) per distinct (state, load) pair, and for every other slice
+// one replay of its ledger posts, O(posts); memory is the run's distinct
+// states and their outcomes, freed when the run ends. Plus one Processor
+// construction per (config, model) overlap and one LUT build
+// (O(t_entries · k_blocks) DP entries) per distinct HH-PIM key the cache
+// does not already hold.
 #pragma once
 
 #include <vector>

@@ -526,6 +526,18 @@ SliceStats Processor::run_slice(int n_tasks) {
   return stats;
 }
 
+SliceStats Processor::run_slice(int n_tasks, energy::PostLog& posts) {
+  // Ends the capture on every exit: a throwing slice must not leave the
+  // ledger appending to the caller's log.
+  struct EndCapture {
+    energy::EnergyLedger& ledger;
+    ~EndCapture() { ledger.end_capture(); }
+  };
+  ledger_.begin_capture(&posts);
+  const EndCapture end{ledger_};
+  return run_slice(n_tasks);
+}
+
 std::uint64_t Processor::run_host_slice(int n_tasks) {
   riscv::BlockEngine& e = host_->engine;
   const std::uint64_t before = e.cycles();

@@ -170,6 +170,10 @@ class Processor {
   /// Executes one slice: runs `n_tasks` buffered inferences. Advances the
   /// internal clock by (at least) one slice.
   SliceStats run_slice(int n_tasks);
+  /// run_slice(n_tasks) that also logs every ledger post the slice makes
+  /// into `posts` (EnergyLedger::begin_capture), the batched kernel's
+  /// replayed posts included. exp::Runner's slice memo stores the log.
+  SliceStats run_slice(int n_tasks, energy::PostLog& posts);
 
   /// Online adaptation hook (hhpim::fleet): from the next run_slice on, pin
   /// the placement to `alloc` instead of consulting the constructed policy.

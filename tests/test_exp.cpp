@@ -1,17 +1,25 @@
 // Experiment-runner suite: grid expansion, shared-slice protocol, runner vs
-// direct Processor parity, the PowerSpec override, and the load-bearing
-// property of the subsystem — the same spec run at 1 and 8 threads yields
-// byte-identical JSON and CSV.
+// direct Processor parity (the slice memo's differential test), the memo
+// counts, the PowerSpec override, and the load-bearing property of the
+// subsystem — the same spec run at 1 and 8 threads yields byte-identical
+// JSON and CSV.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <sstream>
+#include <vector>
 
+#include "common/rng.hpp"
+#include "energy/ledger.hpp"
 #include "exp/runner.hpp"
 #include "exp/spec.hpp"
 #include "hhpim/metrics.hpp"
 #include "hhpim/processor.hpp"
 #include "mem/nvsim_lite.hpp"
 #include "nn/zoo.hpp"
+#include "placement/lut_cache.hpp"
 #include "workload/scenario.hpp"
 
 namespace hhpim::exp {
@@ -95,17 +103,156 @@ TEST(ExperimentSpec, SharedSliceMatchesProcessorDerivation) {
   EXPECT_EQ(sys::derived_slice_length(hh, nn::zoo::efficientnet_b0()), p.slice_length());
 }
 
-TEST(Runner, MatchesDirectProcessorRun) {
-  const auto runs = small_grid(1).expand();
-  const RunResult via_runner = Runner::execute(runs[3]);  // HH-PIM
-  ASSERT_EQ(via_runner.arch, "HH-PIM");
+// The RunResult of a fresh Processor's run_scenario, field by field: what
+// the runner computed before its slice memo.
+RunResult direct_result(const RunSpec& spec, placement::LutCache* cache) {
+  sys::SystemConfig config = spec.config;
+  config.lut_cache = cache;
+  sys::Processor p{config, spec.model};
+  const sys::RunStats stats = p.run_scenario(spec.loads);
+  const energy::EnergyLedger& ledger = p.ledger();
+  RunResult r;
+  r.index = spec.index;
+  r.variant = spec.variant;
+  r.arch = spec.arch;
+  r.model = spec.model_name;
+  r.scenario = spec.scenario;
+  r.seed = spec.seed;
+  r.slice_ps = p.slice_length().as_ps();
+  r.slices = static_cast<int>(stats.slices.size());
+  r.tasks = stats.tasks;
+  r.deadline_violations = stats.deadline_violations;
+  r.total_energy_pj = stats.total_energy.as_pj();
+  r.mean_slice_energy_pj = stats.mean_slice_energy().as_pj();
+  r.dynamic_energy_pj = ledger.dynamic_total().as_pj();
+  r.leakage_energy_pj = ledger.total(energy::Activity::kLeakage).as_pj();
+  r.transfer_energy_pj = ledger.total(energy::Activity::kTransfer).as_pj();
+  r.total_time_ps = stats.total_time.as_ps();
+  for (const sys::SliceStats& s : stats.slices) {
+    r.busy_time_ps += s.busy_time.as_ps();
+    r.max_busy_ps = std::max(r.max_busy_ps, s.busy_time.as_ps());
+    r.movement_time_ps += s.movement_time.as_ps();
+    r.slice_metrics.push_back({s.slice, s.tasks_executed, s.busy_time.as_ps(),
+                               s.movement_time.as_ps(), s.energy.as_pj(),
+                               s.deadline_violated});
+  }
+  return r;
+}
 
-  sys::Processor p{runs[3].config, runs[3].model};
-  const sys::RunStats direct = p.run_scenario(runs[3].loads);
-  EXPECT_EQ(via_runner.total_energy_pj, direct.total_energy.as_pj());
-  EXPECT_EQ(via_runner.tasks, direct.tasks);
-  EXPECT_EQ(via_runner.deadline_violations, direct.deadline_violations);
-  EXPECT_EQ(via_runner.total_time_ps, direct.total_time.as_ps());
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+// Every RunResult field, doubles bit for bit; the memo counts must cover
+// every slice.
+void expect_bit_equal(const RunResult& got, const RunResult& want) {
+  SCOPED_TRACE(want.arch + " / " + want.model + " / " + want.scenario + " / '" +
+               want.variant + "'");
+  EXPECT_EQ(got.index, want.index);
+  EXPECT_EQ(got.variant, want.variant);
+  EXPECT_EQ(got.arch, want.arch);
+  EXPECT_EQ(got.model, want.model);
+  EXPECT_EQ(got.scenario, want.scenario);
+  EXPECT_EQ(got.seed, want.seed);
+  EXPECT_EQ(got.slice_ps, want.slice_ps);
+  EXPECT_EQ(got.slices, want.slices);
+  EXPECT_EQ(got.tasks, want.tasks);
+  EXPECT_EQ(got.deadline_violations, want.deadline_violations);
+  EXPECT_EQ(bits(got.total_energy_pj), bits(want.total_energy_pj));
+  EXPECT_EQ(bits(got.mean_slice_energy_pj), bits(want.mean_slice_energy_pj));
+  EXPECT_EQ(bits(got.dynamic_energy_pj), bits(want.dynamic_energy_pj));
+  EXPECT_EQ(bits(got.leakage_energy_pj), bits(want.leakage_energy_pj));
+  EXPECT_EQ(bits(got.transfer_energy_pj), bits(want.transfer_energy_pj));
+  EXPECT_EQ(got.total_time_ps, want.total_time_ps);
+  EXPECT_EQ(got.busy_time_ps, want.busy_time_ps);
+  EXPECT_EQ(got.max_busy_ps, want.max_busy_ps);
+  EXPECT_EQ(got.movement_time_ps, want.movement_time_ps);
+  ASSERT_EQ(got.slice_metrics.size(), want.slice_metrics.size());
+  for (std::size_t k = 0; k < want.slice_metrics.size(); ++k) {
+    const SliceMetrics& g = got.slice_metrics[k];
+    const SliceMetrics& w = want.slice_metrics[k];
+    EXPECT_EQ(g.slice, w.slice) << "slice " << k;
+    EXPECT_EQ(g.tasks, w.tasks) << "slice " << k;
+    EXPECT_EQ(g.busy_ps, w.busy_ps) << "slice " << k;
+    EXPECT_EQ(g.movement_ps, w.movement_ps) << "slice " << k;
+    EXPECT_EQ(bits(g.energy_pj), bits(w.energy_pj)) << "slice " << k;
+    EXPECT_EQ(g.deadline_violated, w.deadline_violated) << "slice " << k;
+  }
+  EXPECT_EQ(got.memo_exact + got.memo_replayed, static_cast<std::uint64_t>(want.slices));
+}
+
+// The slice memo's differential test: every field of every run, pooled
+// (run) and on a processor of its own (execute), equals a fresh
+// Processor's run_scenario. Four Table I archs x three models x the nine
+// generator shapes plus a random trace with empty slices and loads past 32,
+// at the default spec, an NVSim-lite spec and with the host core on.
+TEST(Runner, MatchesDirectProcessorRun) {
+  ExperimentSpec spec = small_grid(1, 24);
+  spec.models = nn::zoo::paper_models();
+  spec.scenarios.clear();
+  workload::ScenarioConfig wc;
+  wc.slices = 24;
+  for (int s = 0; s <= static_cast<int>(workload::Scenario::kPoisson); ++s) {
+    spec.scenarios.push_back(ScenarioSpec::of(static_cast<workload::Scenario>(s), wc));
+  }
+  Rng rng{33};
+  std::vector<int> loads(48);
+  for (int& n : loads) n = rng.next_below(3) == 0 ? 0 : static_cast<int>(rng.next_below(41));
+  loads[5] = loads[6] = loads[7] = 37;
+  spec.scenarios.push_back(ScenarioSpec::fixed("random-loads", std::move(loads)));
+  sys::SystemConfig nvsim = fast_config();
+  nvsim.power = mem::NvsimLite{}.make_spec(1.2, 0.7);
+  sys::SystemConfig host = fast_config();
+  host.host.enabled = true;
+  spec.variants.push_back({"nvsim-0.7", nvsim});
+  spec.variants.push_back({"host", host});
+  spec.variants.front().name = "default";
+  ASSERT_EQ(spec.run_count(), 4u * 3u * 10u * 3u);
+
+  placement::LutCache cache;
+  RunnerOptions opts;
+  opts.threads = 2;
+  opts.keep_slices = true;
+  opts.lut_cache = &cache;
+  const ResultSet pooled = Runner{opts}.run(spec);
+  const std::vector<RunSpec> runs = spec.expand();
+  ASSERT_EQ(pooled.size(), runs.size());
+  std::uint64_t replayed = 0;
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    const RunResult want = direct_result(runs[i], &cache);
+    expect_bit_equal(pooled.runs()[i], want);
+    expect_bit_equal(Runner::execute(runs[i], true, &cache), want);
+    replayed += pooled.runs()[i].memo_replayed;
+  }
+  EXPECT_GT(replayed, 0u);  // the memo is exercised, not bypassed
+}
+
+TEST(Runner, MemoCountsCoverEverySliceAndLeaveBytesAlone) {
+  ExperimentSpec spec = small_grid(3, 12);
+  RunnerOptions one;
+  one.threads = 1;
+  one.keep_slices = true;
+  RunnerOptions four = one;
+  four.threads = 4;
+  const ResultSet r1 = Runner{one}.run(spec);
+  const ResultSet r4 = Runner{four}.run(spec);
+  std::uint64_t slices = 0;
+  for (const RunResult& r : r1.runs()) slices += static_cast<std::uint64_t>(r.slices);
+  const ResultSet::MemoCounts c1 = r1.memo_counts();
+  const ResultSet::MemoCounts c4 = r4.memo_counts();
+  EXPECT_EQ(c1.exact + c1.replayed, slices);
+  EXPECT_GT(c1.replayed, 0u);
+  // Per-run memos: the same counts at any thread count.
+  EXPECT_EQ(c1.exact, c4.exact);
+  EXPECT_EQ(c1.replayed, c4.replayed);
+  // The counts never reach the bytes.
+  std::vector<RunResult> zeroed = r1.runs();
+  for (RunResult& r : zeroed) r.memo_exact = r.memo_replayed = 0;
+  ResultSet without{std::move(zeroed)};
+  without.experiment_name = r1.experiment_name;
+  for (const bool slices_too : {false, true}) {
+    EXPECT_EQ(r1.to_json(slices_too), without.to_json(slices_too));
+    EXPECT_EQ(r1.to_json(slices_too), r4.to_json(slices_too));
+  }
+  EXPECT_EQ(r1.to_csv(), without.to_csv());
 }
 
 TEST(Runner, GridIsByteIdenticalAcrossThreadCounts) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 namespace hhpim::energy {
 namespace {
 
@@ -48,6 +50,47 @@ TEST(EnergyLedger, BreakdownMentionsComponentsAndTotal) {
   const std::string s = ledger.breakdown();
   EXPECT_NE(s.find("hp0.sram"), std::string::npos);
   EXPECT_NE(s.find("TOTAL"), std::string::npos);
+}
+
+// A capture around a nested record/replay logs the replay as one repeated
+// run, and applying the log to zeroed cells gives the ledger's bits.
+TEST(EnergyLedger, CaptureAppliesToTheSameCells) {
+  EnergyLedger ledger;
+  const ComponentId a = ledger.register_component("a");
+  const ComponentId b = ledger.register_component("b");
+  PostLog log;
+  std::vector<RecordedPost> task;
+  ledger.begin_capture(&log);
+  ledger.add(a, Activity::kMemRead, Energy::pj(0.1));
+  ledger.begin_recording(&task);
+  ledger.add(b, Activity::kCompute, Energy::pj(0.2));
+  ledger.add(a, Activity::kMemRead, Energy::pj(0.3));
+  ledger.end_recording();
+  ledger.replay(task, 3);
+  ledger.add_leakage(b, Power::mw(0.7), Time::ns(1.3));
+  ledger.end_capture();
+
+  ASSERT_EQ(log.runs.size(), 3u);
+  EXPECT_EQ(log.runs[0].end - log.runs[0].begin, 3u);  // the adds before the replay
+  EXPECT_EQ(log.runs[1].end - log.runs[1].begin, 2u);
+  EXPECT_EQ(log.runs[1].times, 3);
+  EXPECT_EQ(log.runs[2].end - log.runs[2].begin, 1u);
+
+  std::vector<double> cells(ledger.cell_count(), 0.0);
+  EnergyLedger::apply(cells, log);
+  constexpr auto kActivities = static_cast<std::size_t>(Activity::kCount);
+  for (std::size_t i = 0; i < ledger.component_count(); ++i) {
+    for (std::size_t act = 0; act < kActivities; ++act) {
+      EXPECT_EQ(cells[i * kActivities + act],
+                ledger.component_total_by_index(i, static_cast<Activity>(act)).as_pj());
+    }
+  }
+  EXPECT_EQ(EnergyLedger::cells_total(cells).as_pj(), ledger.total().as_pj());
+  EXPECT_EQ(EnergyLedger::cells_total(cells, Activity::kLeakage).as_pj(),
+            ledger.total(Activity::kLeakage).as_pj());
+
+  ledger.add(a, Activity::kCompute, 1_pJ);
+  EXPECT_EQ(log.posts.size(), 6u);  // an ended capture logs nothing
 }
 
 TEST(LeakageTracker, IntegratesOnIntervals) {
