@@ -20,18 +20,12 @@ constexpr auto kNeedsEscape = [] {
   return t;
 }();
 
-/// Room a number needs: the longest double is 24 chars
-/// ("-2.2250738585072014e-308"), the longest integer 20.
-constexpr std::size_t kMaxNumber = 32;
-
-/// Writes `v`, or "null" when it is not finite, at `first` (kMaxNumber
-/// bytes of room); returns the end.
-char* format_number(char* first, double v) {
-  if (!std::isfinite(v)) return std::copy_n("null", 4, first);
-  return std::to_chars(first, first + kMaxNumber, v).ptr;
-}
-
 }  // namespace
+
+char* json_number_to(char* first, double v) {
+  if (!std::isfinite(v)) return std::copy_n("null", 4, first);
+  return std::to_chars(first, first + kJsonNumberMax, v).ptr;
+}
 
 std::string json_escape(std::string_view s) {
   static constexpr char kHex[] = "0123456789abcdef";
@@ -60,8 +54,8 @@ std::string json_escape(std::string_view s) {
 }
 
 std::string json_number(double v) {
-  char buf[kMaxNumber];
-  return std::string(buf, format_number(buf, v));
+  char buf[kJsonNumberMax];
+  return std::string(buf, json_number_to(buf, v));
 }
 
 // The stage: every token is stored into stage_ with plain stores, and the
@@ -119,12 +113,11 @@ void JsonWriter::put_string(std::string_view s) {
 
 template <typename Int>
 void JsonWriter::put_integer(Int v) {
-  char* const first = room(kMaxNumber);
-  staged_ += static_cast<std::size_t>(std::to_chars(first, first + kMaxNumber, v).ptr - first);
+  char* const first = room(kJsonNumberMax);
+  staged_ += static_cast<std::size_t>(std::to_chars(first, first + kJsonNumberMax, v).ptr - first);
 }
 
 void JsonWriter::newline_indent() {
-  if (style_ == Style::kCompact) return;
   put('\n');
   const std::size_t n = 2 * depth_;  // <= 2 * kMaxDepth < kStage
   std::fill_n(room(n), n, ' ');
@@ -199,8 +192,7 @@ void JsonWriter::key(std::string_view k) {
   level.first = false;
   newline_indent();
   put_string(k);
-  put(':');
-  if (style_ == Style::kPretty) put(' ');
+  put(": ");
   level.ctx = Ctx::kObjectValue;
 }
 
@@ -212,8 +204,8 @@ void JsonWriter::value(std::string_view v) {
 
 void JsonWriter::value(double v) {
   before_value();
-  char* const first = room(kMaxNumber);
-  staged_ += static_cast<std::size_t>(format_number(first, v) - first);
+  char* const first = room(kJsonNumberMax);
+  staged_ += static_cast<std::size_t>(json_number_to(first, v) - first);
   after_value();
 }
 

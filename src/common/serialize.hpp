@@ -30,6 +30,14 @@ namespace hhpim {
 /// NaN/Inf (not valid JSON numbers) render as null.
 [[nodiscard]] std::string json_number(double v);
 
+/// Room a JSON number needs: the longest double is 24 chars
+/// ("-2.2250738585072014e-308"), the longest 64-bit integer 20.
+inline constexpr std::size_t kJsonNumberMax = 32;
+
+/// json_number without the string: writes the rendering at `first`, which
+/// has kJsonNumberMax bytes of room, and returns its end.
+[[nodiscard]] char* json_number_to(char* first, double v);
+
 /// JSON writer with 2-space indentation that appends to a caller-owned
 /// string. Usage:
 ///
@@ -52,17 +60,15 @@ namespace hhpim {
 /// needs escaping. Callers that own a std::ostream write the finished
 /// string once.
 ///
-/// Style::kCompact emits no whitespace at all — one value per line of
-/// output. This is what JSON Lines (JSONL) emitters use: the fleet
-/// simulator writes one compact object per device, '\n'-separated, so shard
-/// files can be streamed, diffed and concatenated line-wise.
+/// The fleet's JSON Lines (one whitespace-free object per device) do not go
+/// through this writer: every line has the same keys in the same order, so
+/// fleet::FleetResult's formatter copies their text from a template and
+/// formats only the values, with json_escape and json_number_to.
 class JsonWriter {
  public:
-  enum class Style : std::uint8_t { kPretty, kCompact };
   static constexpr std::size_t kMaxDepth = 64;
 
-  explicit JsonWriter(std::string& out, Style style = Style::kPretty)
-      : out_(out), style_(style) {}
+  explicit JsonWriter(std::string& out) : out_(out) {}
   JsonWriter(const JsonWriter&) = delete;  // a copy would stage bytes twice
   JsonWriter& operator=(const JsonWriter&) = delete;
 
@@ -117,7 +123,6 @@ class JsonWriter {
   void flush();
 
   std::string& out_;
-  Style style_ = Style::kPretty;
   std::array<Level, kMaxDepth> stack_{};
   std::size_t depth_ = 0;
   bool top_written_ = false;

@@ -1,9 +1,12 @@
 #include "fleet/simulator.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
+#include <charconv>
 #include <condition_variable>
 #include <cstdio>
+#include <cstring>
 #include <exception>
 #include <fstream>
 #include <functional>
@@ -44,57 +47,139 @@ OutcomeCache* FleetSimulator::resolve_outcome_cache() const {
 
 namespace {
 
-/// The one JSONL formatter: appends one compact line per device, in order.
-/// FleetResult::write_jsonl/to_jsonl and the shard files all go through it,
-/// so their bytes agree. `model_names` resolves DeviceResult::model_index;
-/// an index outside it (a hand-built or corrupted result) throws
-/// std::out_of_range naming the device.
-void append_device_lines(std::string& out, std::span<const DeviceResult> devices,
-                         const std::vector<std::string>& model_names) {
-  for (const DeviceResult& r : devices) {
-    if (r.model_index >= model_names.size()) {
-      throw std::out_of_range("fleet JSONL: device " + std::to_string(r.id) +
-                              " has model index " + std::to_string(r.model_index) +
-                              " outside its " + std::to_string(model_names.size()) +
-                              "-name model table");
+/// Counts a device line's bytes, each value at its bound: at least what a
+/// LineWriter writes for the same calls.
+struct LineBound {
+  std::size_t n = 0;
+  template <std::size_t N>
+  void text(const char (&)[N]) { n += N - 1; }
+  void text(std::string_view s) { n += s.size(); }
+  template <typename T>
+  void value(T) { n += kJsonNumberMax; }
+};
+
+/// Writes a device line at `p`: constant text is copied, values go through
+/// std::to_chars (doubles through json_number_to, so non-finite ones print
+/// null).
+struct LineWriter {
+  char* p;
+  template <std::size_t N>
+  void text(const char (&s)[N]) {
+    std::memcpy(p, s, N - 1);
+    p += N - 1;
+  }
+  void text(std::string_view s) {
+    std::memcpy(p, s.data(), s.size());
+    p += s.size();
+  }
+  template <typename Int>
+  void value(Int v) { p = std::to_chars(p, p + kJsonNumberMax, v).ptr; }
+  void value(double v) { p = json_number_to(p, v); }
+};
+
+/// The one JSONL formatter: one whitespace-free JSON object per device,
+/// '\n'-terminated. FleetResult::write_jsonl/to_jsonl and the shard files
+/// all go through it, so their bytes agree. Every line has the same keys
+/// in the same order, so the constant text is a template: the escaped
+/// "model" text of each model name is built once, with the constant text
+/// around it, and a line copies it and formats only the values.
+class DeviceLines {
+ public:
+  /// `model_names` resolves DeviceResult::model_index.
+  explicit DeviceLines(const std::vector<std::string>& model_names) {
+    models_.reserve(model_names.size());
+    for (const std::string& name : model_names) {
+      std::string& text = models_.emplace_back(",\"model\":\"");
+      text.append(json_escape(name)).append("\",\"scenario\":\"");
     }
-    JsonWriter w{out, JsonWriter::Style::kCompact};
-    w.begin_object();
-    w.field("device", static_cast<std::uint64_t>(r.id));
-    w.field("model", model_names[r.model_index]);
-    w.field("scenario", std::string_view{workload::to_string(r.scenario)});
-    w.field("seed", r.seed);
-    w.field("slice_ps", r.slice_ps);
-    w.field("slices_total", r.slices_total);
-    w.field("slices_executed", r.slices_executed);
-    w.field("tasks", r.tasks);
-    w.field("tasks_dropped", r.tasks_dropped);
-    w.field("deadline_violations", r.deadline_violations);
-    w.field("energy_pj", r.energy_pj);
-    w.field("battery_capacity_pj", r.battery_capacity_pj);
-    w.field("final_soc", r.final_soc);
-    w.field("exhausted_at_slice", r.exhausted_at_slice);
-    w.field("mode_switches", static_cast<std::uint64_t>(r.mode_switches));
-    w.field("low_power_slices", r.low_power_slices);
-    w.field("busy_time_ps", r.busy_time_ps);
-    w.field("max_busy_ps", r.max_busy_ps);
-    w.field("movement_time_ps", r.movement_time_ps);
+  }
+
+  /// Appends one line per device, in order. An index outside the model
+  /// table (a hand-built or corrupted result) throws std::out_of_range
+  /// naming the device.
+  void append(std::string& out, std::span<const DeviceResult> devices) const {
+    for (const DeviceResult& r : devices) {
+      if (r.model_index >= models_.size()) {
+        throw std::out_of_range("fleet JSONL: device " + std::to_string(r.id) +
+                                " has model index " + std::to_string(r.model_index) +
+                                " outside its " + std::to_string(models_.size()) +
+                                "-name model table");
+      }
+      const std::string_view model = models_[r.model_index];
+      const std::string_view scenario = scenarios()[static_cast<std::uint8_t>(r.scenario)];
+      LineBound bound;
+      line(bound, r, model, scenario);
+      const std::size_t at = out.size();
+      out.resize(at + bound.n);
+      LineWriter w{out.data() + at};
+      line(w, r, model, scenario);
+      out.resize(static_cast<std::size_t>(w.p - out.data()));
+    }
+  }
+
+ private:
+  /// The scenario name of every Scenario byte, escaped, with the constant
+  /// text up to the seed.
+  static const std::array<std::string, 256>& scenarios() {
+    static const std::array<std::string, 256> table = [] {
+      std::array<std::string, 256> t;
+      for (std::size_t v = 0; v < t.size(); ++v) {
+        t[v] = json_escape(workload::to_string(static_cast<workload::Scenario>(v)));
+        t[v].append("\",\"seed\":");
+      }
+      return t;
+    }();
+    return table;
+  }
+
+  /// A key's constant text, then its value.
+  template <typename Out, std::size_t N, typename T>
+  static void field(Out& o, const char (&key)[N], T v) {
+    o.text(key);
+    o.value(v);
+  }
+
+  /// The line, as text and values in order, for a LineBound or a
+  /// LineWriter; `model` and `scenario` are the table texts of the device.
+  template <typename Out>
+  static void line(Out& o, const DeviceResult& r, std::string_view model,
+                   std::string_view scenario) {
+    field(o, "{\"device\":", r.id);
+    o.text(model);
+    o.text(scenario);
+    o.value(r.seed);
+    field(o, ",\"slice_ps\":", r.slice_ps);
+    field(o, ",\"slices_total\":", r.slices_total);
+    field(o, ",\"slices_executed\":", r.slices_executed);
+    field(o, ",\"tasks\":", r.tasks);
+    field(o, ",\"tasks_dropped\":", r.tasks_dropped);
+    field(o, ",\"deadline_violations\":", r.deadline_violations);
+    field(o, ",\"energy_pj\":", r.energy_pj);
+    field(o, ",\"battery_capacity_pj\":", r.battery_capacity_pj);
+    field(o, ",\"final_soc\":", r.final_soc);
+    field(o, ",\"exhausted_at_slice\":", r.exhausted_at_slice);
+    field(o, ",\"mode_switches\":", r.mode_switches);
+    field(o, ",\"low_power_slices\":", r.low_power_slices);
+    field(o, ",\"busy_time_ps\":", r.busy_time_ps);
+    field(o, ",\"max_busy_ps\":", r.max_busy_ps);
+    field(o, ",\"movement_time_ps\":", r.movement_time_ps);
     if (r.host_cycles > 0) {
       // Appended only when the firmware co-simulates the RISC-V host, so
       // host-off fleets keep the pre-host line layout byte for byte
       // (pinned by tests/test_host_loop.cpp).
-      w.field("host_cycles", r.host_cycles);
+      field(o, ",\"host_cycles\":", r.host_cycles);
     }
     if (r.latency_slo_ps > 0) {
       // Appended only for SLO devices so no-SLO fleets keep the pre-SLO line
       // layout byte for byte (pinned by tests/test_fleet.cpp).
-      w.field("latency_slo_ps", r.latency_slo_ps);
-      w.field("tier_switches", static_cast<std::uint64_t>(r.tier_switches));
+      field(o, ",\"latency_slo_ps\":", r.latency_slo_ps);
+      field(o, ",\"tier_switches\":", r.tier_switches);
     }
-    w.end_object();
-    out += '\n';
+    o.text("}\n");
   }
-}
+
+  std::vector<std::string> models_;  ///< `,"model":"<escaped>","scenario":"`
+};
 
 /// The ordered-chunk pipeline behind write_jsonl and to_jsonl: formats
 /// `r.devices` in shard-sized chunks on up to `r.threads` threads and hands
@@ -112,6 +197,7 @@ void append_device_lines(std::string& out, std::span<const DeviceResult> devices
 /// join.
 void format_in_order(const FleetResult& r,
                      const std::function<bool(std::string_view)>& emit) {
+  const DeviceLines lines{r.model_names};
   const std::span<const DeviceResult> all{r.devices};
   const std::size_t chunk = std::max<std::size_t>(r.shard_size, 1);
   const std::size_t chunks = (all.size() + chunk - 1) / chunk;
@@ -145,8 +231,7 @@ void format_in_order(const FleetResult& r,
       std::string& bytes = slots[c % ring];
       bytes.clear();
       const std::size_t b = c * chunk;
-      append_device_lines(bytes, all.subspan(b, std::min(chunk, all.size() - b)),
-                          r.model_names);
+      lines.append(bytes, all.subspan(b, std::min(chunk, all.size() - b)));
     } catch (...) {
       halt(std::current_exception());
       return;
@@ -587,11 +672,15 @@ FleetSnapshot FleetSimulator::drive(const FleetSpec& spec, int end_slice,
   std::atomic<std::uint64_t> memo_hits{0};
   std::atomic<std::uint64_t> memo_misses{0};
 
+  // --shard-dir: one line template for the whole call (lines are appended
+  // one device at a time, as each finishes).
+  std::optional<DeviceLines> lines;
+  if (final_segment && !options_.shard_dir.empty()) lines.emplace(final_out->model_names);
+
   auto run_shard = [&](std::size_t s, Scratch& w) {
     const std::size_t begin = s * shard_size;
     const std::size_t end = std::min(n, begin + shard_size);
     FleetAggregate agg{spec.histograms};
-    const bool stream = final_segment && !options_.shard_dir.empty();
     // Held across consecutive devices of one reuse key; returned to the
     // pool on a key switch or at shard end.
     sys::ProcessorPool::Lease lease;
@@ -694,7 +783,7 @@ FleetSnapshot FleetSimulator::drive(const FleetSpec& spec, int end_slice,
     const auto finish = [&](std::size_t i, const DeviceProgress& p) {
       agg.add_finished_device(p);
       if (options_.keep_results) final_out->devices[i] = p.result;
-      if (stream) append_device_lines(w.jsonl, {&p.result, 1}, final_out->model_names);
+      if (lines) lines->append(w.jsonl, {&p.result, 1});
     };
 
     for (std::size_t i = begin; i < end; ++i) {
@@ -746,7 +835,7 @@ FleetSnapshot FleetSimulator::drive(const FleetSpec& spec, int end_slice,
       memo_misses.fetch_add(misses, std::memory_order_relaxed);
     }
 
-    if (stream) {
+    if (lines) {
       // The lines sit in the worker's buffer; write the file in one call:
       // no handoff ever blocks a sibling worker.
       const std::string path = shard_path(options_.shard_dir, s);

@@ -135,9 +135,13 @@ struct FleetResult {
   std::uint64_t memo_hits = 0;              ///< lookups that found an outcome
   std::uint64_t memo_misses = 0;            ///< lookups that ran the slice exact
 
-  /// One compact JSON object per device, '\n'-separated (JSON Lines).
-  /// Byte-identical to the concatenation of the run's shard files, at any
-  /// `threads`: one formatter serves both. Shard-sized chunks are formatted
+  /// One whitespace-free JSON object per device, '\n'-separated (JSON
+  /// Lines). Byte-identical to the concatenation of the run's shard files,
+  /// at any `threads`: one formatter serves both. It builds a line template
+  /// once per call (each model's escaped "model" text and the constant text
+  /// between values), so a line copies that text and formats only its
+  /// values; a line is sized from its escaped model name plus a fixed bound
+  /// per number, so any name length fits. Shard-sized chunks are formatted
   /// on `threads` threads into a ring of ~2×threads reused strings (memory
   /// is bounded by a few chunks, not by the fleet) and written strictly in
   /// chunk order by the calling thread, the only one that touches `os`.

@@ -66,7 +66,8 @@ std::shared_ptr<const AllocationLut> LutCache::get_or_build(const LutCacheKey& k
   if (!future.valid()) {
     std::shared_ptr<const AllocationLut> lut;
     try {
-      lut = std::make_shared<const AllocationLut>(AllocationLut::build(model, params));
+      lut = std::make_shared<const AllocationLut>(build_ ? build_(model, params)
+                                                         : AllocationLut::build(model, params));
     } catch (...) {
       {
         // Only the builder removes a slot, so the one under `key` is ours.

@@ -35,6 +35,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -44,6 +45,8 @@
 #include "placement/lut.hpp"
 
 namespace hhpim::placement {
+
+namespace testing { struct LutBuilds; }  // the build seam of the tests
 
 /// Digest of every field of a CostModel (per-space times/energies/leakage/
 /// capacities/module counts, uses_per_weight, gate granularity). Two cost
@@ -119,6 +122,11 @@ class LutCache {
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
   std::uint64_t failed_joins_ = 0;
+  /// Test seam (placement::testing::LutBuilds sets it; empty otherwise): a
+  /// builder's call runs it in place of AllocationLut::build, outside the
+  /// lock, so a test can hold a build in flight.
+  std::function<AllocationLut(const CostModel&, const LutParams&)> build_;
+  friend struct testing::LutBuilds;
 };
 
 }  // namespace hhpim::placement

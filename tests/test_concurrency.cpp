@@ -13,9 +13,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <latch>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -32,6 +32,22 @@
 #include "hhpim/processor_pool.hpp"
 #include "nn/zoo.hpp"
 #include "placement/lut_cache.hpp"
+
+namespace hhpim::placement::testing {
+
+/// Holds `cache`'s builds in flight: each announces itself on `entered`,
+/// then waits for `release` before it builds.
+struct LutBuilds {
+  static void hold(LutCache& cache, std::latch& entered, std::latch& release) {
+    cache.build_ = [&entered, &release](const CostModel& m, const LutParams& p) {
+      entered.count_down();
+      release.wait();
+      return AllocationLut::build(m, p);
+    };
+  }
+};
+
+}  // namespace hhpim::placement::testing
 
 namespace hhpim {
 namespace {
@@ -167,33 +183,32 @@ TEST(LutCacheConcurrency, FailedBuildStormNeverCountsHits) {
 }
 
 // Stats must reflect a build in flight, and a waiter that joins a
-// successful build is a hit only once the future resolves.
+// successful build is a hit only once the future resolves. The build is held
+// in flight by the test: it blocks until the main thread has read the stats.
 TEST(LutCacheConcurrency, StatsReflectInFlightBuilds) {
   placement::LutCache cache;
   const placement::CostModel m = stress_model();
-  // Big enough that the builder is still inside AllocationLut::build when
-  // the main thread polls (an r256 build of its anchors takes ~15 ms on a
-  // 4-thread x86 VM, an r128 one under 2 ms; the poll loop below runs
-  // within microseconds of the spawn).
-  const placement::LutParams slow = stress_params(256);
-  const auto key = placement::LutCacheKey::make(3, 4, m, slow);
+  const placement::LutParams p = stress_params(8);
+  const auto key = placement::LutCacheKey::make(3, 4, m, p);
+  std::latch entered{1};
+  std::latch release{1};
+  placement::testing::LutBuilds::hold(cache, entered, release);
 
-  std::thread builder{[&] { (void)cache.get_or_build(key, m, slow); }};
-  bool saw_in_flight = false;
-  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
-  while (std::chrono::steady_clock::now() < deadline) {
-    const auto s = cache.stats();
-    if (s.in_flight == 1 && s.entries == 1) {
-      saw_in_flight = true;
-      break;
-    }
-    if (s.entries == 1 && s.in_flight == 0) break;  // build already done
-  }
-  std::thread waiter{[&] { (void)cache.get_or_build(key, m, slow); }};
+  std::thread builder{[&] { (void)cache.get_or_build(key, m, p); }};
+  entered.wait();
+  const auto during = cache.stats();
+  std::thread waiter{[&] { (void)cache.get_or_build(key, m, p); }};
+  // The waiter, joined or not, counts nothing until the build resolves.
+  const auto joined = cache.stats();
+  release.count_down();
   builder.join();
   waiter.join();
 
-  EXPECT_TRUE(saw_in_flight);
+  EXPECT_EQ(during.in_flight, 1u);
+  EXPECT_EQ(during.entries, 1u);
+  EXPECT_EQ(during.misses, 1u);
+  EXPECT_EQ(joined.in_flight, 1u);
+  EXPECT_EQ(joined.hits, 0u);
   const auto s = cache.stats();
   EXPECT_EQ(s.misses, 1u);
   EXPECT_EQ(s.hits, 1u);  // the waiter, joined or arriving after the build

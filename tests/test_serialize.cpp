@@ -65,25 +65,6 @@ TEST(JsonWriter, EmptyContainersStayCompact) {
   EXPECT_EQ(os, "{\n  \"a\": [],\n  \"o\": {}\n}");
 }
 
-TEST(JsonWriter, CompactStyleEmitsNoWhitespace) {
-  std::string os;
-  JsonWriter w{os, JsonWriter::Style::kCompact};
-  w.begin_object();
-  w.field("name", "grid");
-  w.key("runs");
-  w.begin_array();
-  w.begin_object();
-  w.field("i", 0);
-  w.field("ok", true);
-  w.end_object();
-  w.value(2.5);
-  w.end_array();
-  w.end_object();
-  EXPECT_TRUE(w.done());
-  // One line, no spaces: the JSONL device-line format of the fleet shards.
-  EXPECT_EQ(os, "{\"name\":\"grid\",\"runs\":[{\"i\":0,\"ok\":true},2.5]}");
-}
-
 TEST(JsonWriter, MisuseThrows) {
   std::string os;
   JsonWriter w{os};
@@ -96,14 +77,14 @@ TEST(JsonWriter, MisuseThrows) {
 
 TEST(JsonWriter, AppendsToTheCallersString) {
   std::string out = "prefix ";
-  JsonWriter w{out, JsonWriter::Style::kCompact};
+  JsonWriter w{out};
   w.value(1);
   EXPECT_EQ(out, "prefix 1");
 }
 
 TEST(JsonWriter, IntegerExtremes) {
   std::string out;
-  JsonWriter w{out, JsonWriter::Style::kCompact};
+  JsonWriter w{out};
   w.begin_array();
   w.value(std::numeric_limits<std::int64_t>::min());
   w.value(std::numeric_limits<std::int64_t>::max());
@@ -112,27 +93,36 @@ TEST(JsonWriter, IntegerExtremes) {
   w.value(-1);
   w.end_array();
   EXPECT_EQ(out,
-            "[-9223372036854775808,9223372036854775807,18446744073709551615,0,-1]");
+            "[\n  -9223372036854775808,\n  9223372036854775807,\n  18446744073709551615,"
+            "\n  0,\n  -1\n]");
 }
 
 TEST(JsonWriter, EscapesKeysAndValues) {
   std::string out;
-  JsonWriter w{out, JsonWriter::Style::kCompact};
+  JsonWriter w{out};
   w.begin_object();
   w.field(std::string_view{"a\"b\\c\n\x1f"}, "\t\u00e9");
   w.end_object();
-  EXPECT_EQ(out, "{\"a\\\"b\\\\c\\n\\u001f\":\"\\t\u00e9\"}");
+  EXPECT_EQ(out, "{\n  \"a\\\"b\\\\c\\n\\u001f\": \"\\t\u00e9\"\n}");
 }
 
 TEST(JsonWriter, NestingDepthIsBounded) {
   std::string out;
-  JsonWriter w{out, JsonWriter::Style::kCompact};
+  JsonWriter w{out};
   for (std::size_t i = 0; i < JsonWriter::kMaxDepth; ++i) w.begin_array();
   EXPECT_THROW(w.begin_array(), std::logic_error);
   for (std::size_t i = 0; i < JsonWriter::kMaxDepth; ++i) w.end_array();
   EXPECT_TRUE(w.done());
-  EXPECT_EQ(out, std::string(JsonWriter::kMaxDepth, '[') +
-                     std::string(JsonWriter::kMaxDepth, ']'));
+  // Each level on its own line, indented by its depth; the innermost is
+  // empty and closes on its own line.
+  const auto line = [](std::size_t depth, char bracket) {
+    return '\n' + std::string(2 * depth, ' ') + bracket;
+  };
+  std::string want = "[";
+  for (std::size_t i = 1; i < JsonWriter::kMaxDepth; ++i) want += line(i, '[');
+  want += "]";
+  for (std::size_t i = JsonWriter::kMaxDepth - 1; i-- > 0;) want += line(i, ']');
+  EXPECT_EQ(out, want);
 }
 
 TEST(CsvWriter, QuotesOnlyWhenNeeded) {
