@@ -29,10 +29,12 @@ void FleetAggregate::add_device(const DeviceResult& r) {
   final_soc.add(r.final_soc);
 }
 
+void FleetAggregate::add_busy(const BusyColumn& busy) {
+  busy.for_each([this](std::int64_t busy_ps) { add_busy(busy_ps); });
+}
+
 void FleetAggregate::add_finished_device(const DeviceProgress& p) {
-  for (const std::int64_t busy_ps : p.sample_busy_ps) {
-    busy_us.add(Time::ps(busy_ps).as_us());
-  }
+  add_busy(p.busy);
   add_device(p.result);
 }
 

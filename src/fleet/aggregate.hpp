@@ -24,6 +24,7 @@ namespace hhpim::fleet {
 
 struct DeviceResult;    // fleet/device.hpp
 struct DeviceProgress;  // fleet/device.hpp
+class BusyColumn;       // fleet/device.hpp
 
 /// The two per-slice histograms, binned in the slice that executes: busy
 /// time as a fraction of the slice length T, and everything the slice
@@ -56,10 +57,19 @@ class FleetAggregate {
   /// Accounts one finished device (its counters and totals).
   void add_device(const DeviceResult& r);
 
-  /// Accounts a finished device's buffered busy times into `busy_us` in
-  /// slice order, then its totals. Welford adds depend on order, so every
-  /// run path feeds them device-major; the slice histograms were binned as
-  /// the slices ran.
+  /// Accounts one slice's busy time into `busy_us`. Welford adds depend on
+  /// order, so every run path feeds them device-major: a final segment feeds
+  /// a device's stored column (below), then each of its slices as it runs.
+  void add_busy(std::int64_t busy_ps) { busy_us.add(Time::ps(busy_ps).as_us()); }
+
+  /// Accounts a stored busy column into `busy_us`, in slice order.
+  void add_busy(const BusyColumn& busy);
+
+  /// Accounts a device that finished in an earlier, bounded segment: its
+  /// stored busy column, then its totals. Only stored columns are fed here —
+  /// a device finishing in a final segment fed its samples as it ran and
+  /// holds an empty column. The slice histograms were binned as the slices
+  /// ran.
   void add_finished_device(const DeviceProgress& p);
 
   /// Adds `other` into this aggregate. Shapes must match (throws

@@ -1,6 +1,9 @@
 #include "fleet/device.hpp"
 
 #include <algorithm>
+#include <array>
+#include <stdexcept>
+#include <string>
 
 #include "energy/battery.hpp"
 #include "fleet/aggregate.hpp"
@@ -81,6 +84,75 @@ void Device::init_slo_tiers() {
   slo_ok_ = true;
 }
 
+void BusyColumn::push(std::int64_t busy_ps) {
+  const std::size_t n = values_.size();
+  for (std::size_t c = 0; c < n; ++c) {
+    if (values_[c] == busy_ps) {
+      codes_.push_back(static_cast<std::uint8_t>(c));
+      return;
+    }
+  }
+  if (n < kSpill) {
+    values_.push_back(busy_ps);
+    codes_.push_back(static_cast<std::uint8_t>(n));
+  } else {
+    codes_.push_back(kSpill);
+    spill_.push_back(busy_ps);
+  }
+}
+
+void BusyColumn::clear() {
+  values_.clear();
+  codes_.clear();
+  spill_.clear();
+}
+
+void BusyColumn::check(std::size_t at) const {
+  const auto refuse = [at](const std::string& what) {
+    throw std::runtime_error("snapshot: the busy column at offset " + std::to_string(at) +
+                             " " + what);
+  };
+  const std::size_t n = values_.size();
+  if (n > kSpill) {
+    refuse("holds " + std::to_string(n) + " values, more than " + std::to_string(kSpill));
+  }
+  // Duplicates, without sorting: each value marks one bit of a 4096-bit
+  // filter (a multiplicative hash), and only a value whose bit is already
+  // set is compared with the values before it.
+  std::array<std::uint64_t, 64> seen{};
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::int64_t v = values_[i];
+    const std::uint64_t h = (static_cast<std::uint64_t>(v) * 0x9e3779b97f4a7c15ULL) >> 52;
+    std::uint64_t& word = seen[h >> 6];
+    const std::uint64_t bit = std::uint64_t{1} << (h & 63);
+    if ((word & bit) != 0) {
+      for (std::size_t j = 0; j < i; ++j) {
+        if (values_[j] == v) refuse("holds the value " + std::to_string(v) + " twice");
+      }
+    }
+    word |= bit;
+  }
+  // One branch-free pass over the codes; the refusal names the first bad one.
+  const auto limit = static_cast<std::uint8_t>(n);  // n <= 255, checked above
+  std::size_t spilled = 0;
+  std::uint8_t past = 0;
+  for (const std::uint8_t c : codes_) {
+    spilled += static_cast<std::size_t>(c == kSpill);
+    past |= static_cast<std::uint8_t>(static_cast<std::uint8_t>(c >= limit) &
+                                      static_cast<std::uint8_t>(c != kSpill));
+  }
+  if (past != 0) {
+    const auto bad = std::find_if(codes_.begin(), codes_.end(),
+                                  [n](std::uint8_t c) { return c >= n && c != kSpill; });
+    refuse("codes sample " + std::to_string(bad - codes_.begin()) + " as " +
+           std::to_string(*bad) + ", past its " + std::to_string(n) + " values");
+  }
+  if (spilled != spill_.size()) {
+    refuse("holds " + std::to_string(spill_.size()) + " spill values for " +
+           std::to_string(spilled) + " spill codes");
+  }
+}
+
 void DeviceProgress::start(const FleetSpec& fleet, const DeviceSpec& spec,
                            std::int64_t slice_ps, std::span<const double> env) {
   start_load_stream(spec, env, loads);
@@ -106,7 +178,7 @@ void DeviceProgress::start(const FleetSpec& fleet, const DeviceSpec& spec,
   buffered = 0;
   charge_pj = battery.charge().as_pj();
   result.final_soc = battery.soc();
-  sample_busy_ps.clear();
+  busy.clear();
   proc_blob.reset();
 }
 
@@ -144,7 +216,8 @@ SliceKey DeviceProgress::slice_key(std::int64_t slo_ps) const {
                   slo_ps > 0 ? tier : std::uint8_t{0}};
 }
 
-void DeviceProgress::end_slice(const SliceOutcome& out, SliceHistograms& bins) {
+void DeviceProgress::end_slice(const SliceOutcome& out, FleetAggregate& agg,
+                               bool feed_busy) {
   const int n_loads = loads.size();
   const int arriving = next_k < n_loads ? loads.next() : 0;
   const double drained = out.energy_pj < charge_pj ? out.energy_pj : charge_pj;
@@ -160,8 +233,12 @@ void DeviceProgress::end_slice(const SliceOutcome& out, SliceHistograms& bins) {
   r.movement_time_ps += out.movement_ps;
   r.host_cycles += out.host_cycles;
   if (mode == static_cast<std::uint8_t>(DeviceMode::kLowPower)) ++r.low_power_slices;
-  sample_busy_ps.push_back(out.busy_ps);
-  bins.add(out.busy_ps, r.slice_ps, out.energy_pj);
+  if (feed_busy) {
+    agg.add_busy(out.busy_ps);
+  } else {
+    busy.push(out.busy_ps);
+  }
+  agg.slice_bins.add(out.busy_ps, r.slice_ps, out.energy_pj);
 
   if (drained < out.energy_pj) {
     // The battery died during this slice: the slice's work happened (the
@@ -191,11 +268,12 @@ DeviceResult Device::run(FleetAggregate* agg) {
   const std::vector<double> env = fleet_.envelope_multipliers();
   DeviceProgress p;
   p.start(fleet_, spec_, proc_->slice_length().as_ps(), env);
-  std::optional<SliceHistograms> discard;
-  SliceHistograms& bins =
-      agg != nullptr ? agg->slice_bins : discard.emplace(fleet_.histograms);
-  while (!p.done) p.end_slice(step(p, p.begin_slice(fleet_, spec_, slo_ok_)), bins);
-  if (agg != nullptr) agg->add_finished_device(p);
+  std::optional<FleetAggregate> discard;
+  FleetAggregate& a = agg != nullptr ? *agg : discard.emplace(fleet_.histograms);
+  // One segment to completion: each slice's busy time feeds busy_us as it
+  // runs, so no busy column is held.
+  while (!p.done) p.end_slice(step(p, p.begin_slice(fleet_, spec_, slo_ok_)), a, true);
+  a.add_device(p.result);
   return p.result;
 }
 

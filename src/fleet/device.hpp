@@ -12,8 +12,9 @@
 //                   replayed from the fleet's outcome memo
 //   end_slice    4. drain the slice's requested energy, clamped to the
 //                   charge; count; bin the slice into the slice histograms;
-//                   buffer its busy time and the slice's arrivals, drawn
-//                   from the device's load cursor
+//                   feed its busy time to busy_us (a bounded segment buffers
+//                   it instead); buffer the slice's arrivals, drawn from
+//                   the device's load cursor
 //                5. battery hit zero mid-slice -> record exhaustion, stop;
 //                   arrivals that never executed are counted as dropped
 //
@@ -44,8 +45,7 @@ class LutCache;  // placement/lut_cache.hpp — only a pointer is passed through
 
 namespace hhpim::fleet {
 
-class FleetAggregate;    // fleet/aggregate.hpp
-struct SliceHistograms;  // fleet/aggregate.hpp
+class FleetAggregate;  // fleet/aggregate.hpp
 
 /// Everything one device run produces; one JSONL line each (the schema is
 /// documented in docs/FLEET.md). Times are picoseconds, energies picojoules
@@ -89,11 +89,66 @@ struct DeviceResult {
   std::uint64_t host_cycles = 0;
 };
 
+/// A device's per-slice busy times, in slice order, dictionary-coded: up to
+/// 255 distinct values in first-seen order, one u8 code per slice, and a
+/// spill list of raw values taken by code 255 once the dictionary is full.
+/// Through the outcome memo a device replays a few hundred stored outcomes,
+/// so its slices name a few dozen distinct busy times: one byte per slice
+/// keeps every value exactly. Only bounded segments buffer samples here
+/// (FleetSimulator::run_to); a final segment feeds busy_us as it runs.
+class BusyColumn {
+ public:
+  /// The code of a spilled sample; also the dictionary's capacity.
+  static constexpr std::uint8_t kSpill = 255;
+
+  void push(std::int64_t busy_ps);
+  /// Empties the column, keeping its capacity.
+  void clear();
+  /// Capacity for `n` samples' codes.
+  void reserve(std::size_t n) { codes_.reserve(n); }
+  [[nodiscard]] std::size_t size() const { return codes_.size(); }
+  [[nodiscard]] bool empty() const { return codes_.empty(); }
+
+  /// Calls `f(busy_ps)` for every sample, in slice order.
+  template <class F>
+  void for_each(F&& f) const {
+    const std::int64_t* spilled = spill_.data();
+    for (const std::uint8_t c : codes_) f(c == kSpill ? *spilled++ : values_[c]);
+  }
+
+  /// The snapshot codec's walk (fleet/snapshot.cpp), as the column is held:
+  /// the values, the codes and the spill, each a counted column. A loading
+  /// walk then refuses a column push() could not have built
+  /// (std::runtime_error): more than 255 values, a value twice, a code past
+  /// the values other than 255, or a spill count other than the number of
+  /// 255 codes.
+  template <class V>
+  void walk(V& v) {
+    const std::size_t at = v.position();
+    v.count(values_, sizeof(std::int64_t), "busy values");
+    v.i64s(values_);
+    v.count(codes_, 1, "busy codes");
+    v.u8s(codes_);
+    v.count(spill_, sizeof(std::int64_t), "busy spill values");
+    v.i64s(spill_);
+    if constexpr (V::kLoad) check(at);
+  }
+
+ private:
+  /// Throws std::runtime_error, naming offset `at`, unless the column is
+  /// one push() could have built.
+  void check(std::size_t at) const;
+
+  std::vector<std::int64_t> values_;  ///< distinct, first-seen order, <= 255
+  std::vector<std::uint8_t> codes_;   ///< per slice: a value's index, or kSpill
+  std::vector<std::int64_t> spill_;   ///< per kSpill code, in slice order
+};
+
 /// One device's whole mutable state, and what a FleetSnapshot stores per
 /// device: the partial DeviceResult, the battery/policy lane, the load
 /// cursor, the processor checkpoint (a shared save_state blob; live
-/// snapshot devices only), and the per-slice busy times,
-/// buffered until the device finishes (the busy_us Summary is fed
+/// snapshot devices only), and — in a bounded segment only — the per-slice
+/// busy times, buffered until the final segment (the busy_us Summary is fed
 /// device-major and must not interleave with other devices).
 /// begin_slice/end_slice are the only
 /// per-slice step: the exact slice (Device::step) and the memo replay
@@ -108,7 +163,9 @@ struct DeviceProgress {
   std::uint8_t tier = 255;  ///< FrontierTier applied (255 = none yet; SLO only)
   int buffered = 0;         ///< arrivals awaiting execution in the next slice
   double charge_pj = 0.0;   ///< exact battery charge bits
-  std::vector<std::int64_t> sample_busy_ps;  ///< per executed slice
+  /// Busy time per executed slice, filled by bounded segments only; empty
+  /// while a final segment runs (its samples go straight into busy_us).
+  BusyColumn busy;
   /// The save_state blob of the processor state the device stopped at —
   /// shared with every device (and memo state) at the same state. Set at a
   /// checkpoint for live devices only.
@@ -140,11 +197,14 @@ struct DeviceProgress {
   [[nodiscard]] SliceKey slice_key(std::int64_t slo_ps) const;
 
   /// Second half: drains `out.energy_pj` (clamped to the charge), counts the
-  /// slice and bins it into `bins`, buffers its busy time and the slice's
-  /// arrivals (from `loads`), and ends the stream on exhaustion — the
-  /// arrivals left in the cursor are dropped — or after the last step (an
-  /// early leaver drops its final buffer).
-  void end_slice(const SliceOutcome& out, SliceHistograms& bins);
+  /// slice and bins it into `agg.slice_bins`, accounts its busy time,
+  /// buffers the slice's arrivals (from `loads`), and ends the stream on
+  /// exhaustion — the arrivals left in the cursor are dropped — or after the
+  /// last step (an early leaver drops its final buffer). With `feed_busy`
+  /// (a final segment, or Device::run) the busy time goes straight into
+  /// `agg.busy_us`, so the caller must have fed the device's stored column
+  /// first; otherwise (a bounded segment) it is pushed onto `busy`.
+  void end_slice(const SliceOutcome& out, FleetAggregate& agg, bool feed_busy);
 };
 
 class Device {

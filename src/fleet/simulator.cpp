@@ -94,6 +94,22 @@ class DeviceLines {
     }
   }
 
+  /// A bound on any device line: every value at its widest, the longest
+  /// model and scenario texts, and every optional field.
+  [[nodiscard]] std::size_t max_line() const {
+    const auto longest = [](const auto& texts) {
+      std::size_t n = 0;
+      for (const std::string& t : texts) n = std::max(n, t.size());
+      return n;
+    };
+    DeviceResult r;
+    r.host_cycles = 1;
+    r.latency_slo_ps = 1;
+    LineBound bound;
+    line(bound, r, {}, {});
+    return bound.n + longest(models_) + longest(scenarios());
+  }
+
   /// Appends one line per device, in order. An index outside the model
   /// table (a hand-built or corrupted result) throws std::out_of_range
   /// naming the device.
@@ -306,6 +322,10 @@ void FleetResult::write_jsonl(std::ostream& os) const {
 
 std::string FleetResult::to_jsonl() const {
   std::string out;
+  // Reserved once at a bound of the whole text, so the text is never
+  // regrown (and recopied) by doubling. The bound is about twice a typical
+  // line; the tail past the text is never written.
+  out.reserve(DeviceLines{model_names}.max_line() * devices.size());
   format_in_order(*this, [&out](std::string_view bytes) {
     out += bytes;
     return true;
@@ -494,9 +514,9 @@ FleetSnapshot FleetSimulator::drive(const FleetSpec& spec, int end_slice,
       const DeviceProgress& p = from->devices[i];
       const DeviceResult& r = p.result;
       if (r.slices_executed < 0 ||
-          p.sample_busy_ps.size() != static_cast<std::size_t>(r.slices_executed)) {
+          p.busy.size() != static_cast<std::size_t>(r.slices_executed)) {
         throw std::runtime_error("snapshot: device " + std::to_string(i) + " carries " +
-                                 std::to_string(p.sample_busy_ps.size()) +
+                                 std::to_string(p.busy.size()) +
                                  " busy samples for " +
                                  std::to_string(r.slices_executed) + " executed slices");
       }
@@ -723,7 +743,7 @@ FleetSnapshot FleetSimulator::drive(const FleetSpec& spec, int end_slice,
         const SliceKey key = p.slice_key(slo_ps);
         if (const SliceOutcome* out = state != nullptr ? state->find(key) : nullptr) {
           ++hits;
-          p.end_slice(*out, agg.slice_bins);
+          p.end_slice(*out, agg, final_segment);
           state = out->next;
           live = false;
           continue;
@@ -759,7 +779,7 @@ FleetSnapshot FleetSimulator::drive(const FleetSpec& spec, int end_slice,
           out = memo->record(*state, key, out, saved_state());
           state = out.next;
         }
-        p.end_slice(out, agg.slice_bins);
+        p.end_slice(out, agg, final_segment);
         ran_exact = true;
       }
       if (final_segment || p.done) {
@@ -778,8 +798,9 @@ FleetSnapshot FleetSimulator::drive(const FleetSpec& spec, int end_slice,
       return ran_exact;
     };
 
-    // Accounts a finished device at its ordinal position: busy samples, then
-    // totals — the device-major order of one uninterrupted run.
+    // Accounts a finished device at its ordinal position: its stored busy
+    // samples (none for a device that ran in this segment: it fed them as it
+    // ran), then totals — the device-major order of one uninterrupted run.
     const auto finish = [&](std::size_t i, const DeviceProgress& p) {
       agg.add_finished_device(p);
       if (options_.keep_results) final_out->devices[i] = p.result;
@@ -810,12 +831,17 @@ FleetSnapshot FleetSimulator::drive(const FleetSpec& spec, int end_slice,
       const auto reserve_busy = [&](std::size_t executed, int next_k, int slices_total) {
         if (final_segment) return;
         const int to_run = std::max(0, std::min(k_end, slices_total) - next_k);
-        p.sample_busy_ps.reserve(executed + static_cast<std::size_t>(to_run));
+        p.busy.reserve(executed + static_cast<std::size_t>(to_run));
       };
       if (src != nullptr && src->started) {
-        reserve_busy(src->sample_busy_ps.size(), src->next_k, src->result.slices_total);
+        reserve_busy(src->busy.size(), src->next_k, src->result.slices_total);
         p = *src;
         p.loads = resume_load_stream(ds, env, p.next_k, p.loads.state());
+        if (final_segment) {
+          // The stored samples go first; end_slice feeds the rest as they run.
+          agg.add_busy(p.busy);
+          p.busy.clear();
+        }
       } else {
         p.start(spec, ds, pairs[pair_of(ds)].slice_ps, env);
         reserve_busy(0, 0, p.result.slices_total);

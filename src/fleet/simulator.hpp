@@ -172,8 +172,9 @@ class FleetSimulator {
   /// replay from the memo like run() — a live device stops at a checkpoint
   /// holding its shared processor blob — bin their slices
   /// into the snapshot's slice histograms and buffer each device's busy
-  /// times in its record; no JSONL or other aggregates are produced until
-  /// resume().
+  /// times in its record (a fleet::BusyColumn, one byte per slice); no
+  /// JSONL or other aggregates are produced until resume(), which feeds
+  /// each stored column to busy_us before the device's next slice.
   /// The snapshot is pinned to FleetSpec::content_digest() — run_to/resume
   /// throw std::runtime_error on a digest mismatch, a device that does not
   /// match its spec or stand at the snapshot's slice, a device whose busy

@@ -1,5 +1,6 @@
 #include "fleet/snapshot.hpp"
 
+#include <cstring>
 #include <fstream>
 #include <memory>
 #include <stdexcept>
@@ -25,8 +26,10 @@ namespace {
 // histograms are carried once, after the LUT keys, and a device's samples
 // are its busy column only. Version 8: a live device's processor field is
 // the blob-table index alone (the blob's bytes name its state; no digest).
+// Version 9: the busy column is dictionary-coded (its distinct values, one u8
+// code per slice, and the spilled values; fleet::BusyColumn).
 constexpr std::uint64_t kMagic = 0x706e736d69706868ULL;
-constexpr std::uint32_t kVersion = 8;
+constexpr std::uint32_t kVersion = 9;
 /// Magic + version; the checksummed payload follows.
 constexpr std::size_t kHeaderBytes = 12;
 
@@ -38,7 +41,7 @@ enum : std::uint16_t {
   kTagFlags = 1,    ///< u8: bit0 started, bit1 done
   kTagResult = 2,   ///< the DeviceResult fixed block
   kTagLane = 3,     ///< next_k, mode, switches, buffered, charge
-  kTagSamples = 4,  ///< u64 n, then n busy i64s
+  kTagSamples = 4,  ///< the busy column: counted values, u8 codes, spill
   kTagProc = 5,     ///< u32 blob-table index (live only)
   kTagDeviceEnd = 6,
   /// SLO lane (latency_slo_ps, tier_switches, applied tier) — written only
@@ -55,14 +58,13 @@ enum : std::uint16_t {
 
 /// Bytes per record, which bound a declared count by the bytes left. The
 /// smallest device record is its flags (3), result (119), lane (23) and
-/// empty samples (10) fields and the end tag (2); a snapshot of only such
-/// records must decode (tests/test_snapshot.cpp pins it), so a format that
-/// shrinks the record shrinks this bound too.
+/// empty samples (26: the tag and three counts) fields and the end tag (2);
+/// a snapshot of only such records must decode (tests/test_snapshot.cpp
+/// pins it), so a format that shrinks the record shrinks this bound too.
 constexpr std::size_t kLutKeyBytes = 48;
-constexpr std::size_t kSampleBytes = 8;
 constexpr std::size_t kBinBytes = 8;
 constexpr std::size_t kBlobBytes = 8;  ///< the length prefix of an empty blob
-constexpr std::size_t kDeviceBytes = 157;
+constexpr std::size_t kDeviceBytes = 173;
 
 // Each record below is one walk, `template <class V> walk_*(V& v, ...)`,
 // that names its fields once, as processor state is named once by
@@ -87,6 +89,9 @@ class Encoder {
   template <class T> void i64(T& x) { w_.i64(static_cast<std::int64_t>(x)); }
   void f64(double& x) { w_.f64(x); }
   void i64s(std::vector<std::int64_t>& xs) { w_.i64s(xs); }
+  void u8s(std::vector<std::uint8_t>& xs) {
+    w_.raw({reinterpret_cast<const char*>(xs.data()), xs.size()});
+  }
   void blob(StateBlob& b) { w_.blob(*b); }
   /// A counted list's u64 length.
   template <class T>
@@ -121,6 +126,10 @@ class Decoder {
   template <class T> void i64(T& x) { x = static_cast<T>(r_.i64()); }
   void f64(double& x) { x = r_.f64(); }
   void i64s(std::vector<std::int64_t>& xs) { r_.i64s(xs); }
+  void u8s(std::vector<std::uint8_t>& xs) {
+    const std::string_view bytes = r_.raw(xs.size());
+    if (!xs.empty()) std::memcpy(xs.data(), bytes.data(), bytes.size());
+  }
   void blob(StateBlob& b) { b = std::make_shared<const std::string>(r_.blob()); }
   /// Reads a u64 count and sizes `xs` to it, once `n` records of at least
   /// `min_bytes` are known to fit in what is left: a corrupt count throws
@@ -242,8 +251,7 @@ void walk_device(V& v, DeviceProgress& p, const BlobTable& t, std::size_t d) {
   v.f64(p.charge_pj);
 
   v.field(kTagSamples, "samples field");
-  v.count(p.sample_busy_ps, kSampleBytes, "samples");
-  v.i64s(p.sample_busy_ps);
+  p.busy.walk(v);
 
   if (v.section(kTagProc, p.proc_blob != nullptr)) {
     const std::size_t at = v.position();

@@ -109,6 +109,60 @@ TEST(Snapshot, WeekScaleSegmentsMatchUninterrupted) {
   EXPECT_EQ(seg.summary, whole.summary);
 }
 
+TEST(Snapshot, DirectBusyFeedMatchesEveryCutAndDeviceRun) {
+  // A final segment feeds busy_us as its slices run, after the stored column
+  // of each device resumed or finished earlier; Device::run feeds it as it
+  // runs too. One shot, a cut at every slice and per-device Device::run must
+  // give the same bytes, at 1 and 4 threads with the memo on and off. Some
+  // devices exhaust or leave before the last cut, so finished devices'
+  // stored columns are fed as well.
+  FleetSpec spec = small_fleet(40, 12);
+  spec.lifecycle.join_fraction = 0.3;
+  spec.lifecycle.leave_fraction = 0.3;
+  placement::LutCache ref_lut;
+  const FleetResult ref = FleetSimulator{base_options(1, false, &ref_lut, nullptr)}.run(spec);
+  const RunOutput want{ref.to_jsonl(), ref.summary_to_json()};
+
+  const FleetSnapshot last =
+      FleetSimulator{base_options(1, false, &ref_lut, nullptr)}.run_to(spec, spec.slices - 1);
+  const auto finished_with_samples =
+      std::count_if(last.devices.begin(), last.devices.end(),
+                    [](const DeviceProgress& p) { return p.done && !p.busy.empty(); });
+  EXPECT_GT(finished_with_samples, 0);
+
+  std::vector<int> every;
+  for (int k = 1; k < spec.slices; ++k) every.push_back(k);
+  for (const unsigned threads : {1U, 4U}) {
+    for (const bool memo : {false, true}) {
+      const RunOutput whole = run_whole(spec, threads, memo);
+      EXPECT_EQ(whole.jsonl, want.jsonl) << "threads=" << threads << " memo=" << memo;
+      EXPECT_EQ(whole.summary, want.summary) << "threads=" << threads << " memo=" << memo;
+      const RunOutput seg = run_segmented(spec, every, threads, memo);
+      EXPECT_EQ(seg.jsonl, want.jsonl) << "threads=" << threads << " memo=" << memo;
+      EXPECT_EQ(seg.summary, want.summary) << "threads=" << threads << " memo=" << memo;
+    }
+  }
+
+  // Device::run per device, each shard into its own aggregate, merged in
+  // shard order (base_options' shard size, 7).
+  FleetResult per = ref;
+  per.devices.clear();
+  per.aggregate = FleetAggregate{spec.histograms};
+  const std::vector<nn::Model> models = spec.resolved_models();
+  const DeviceExpander expander{spec};
+  DeviceSpec ds;
+  for (std::size_t begin = 0; begin < expander.size(); begin += 7) {
+    FleetAggregate shard{spec.histograms};
+    for (std::size_t i = begin; i < std::min(expander.size(), begin + 7); ++i) {
+      expander.at(i, ds);
+      per.devices.push_back(Device{spec, ds, models[ds.model_index], &ref_lut}.run(&shard));
+    }
+    per.aggregate.merge(shard);
+  }
+  EXPECT_EQ(per.to_jsonl(), want.jsonl);
+  EXPECT_EQ(per.summary_to_json(), want.summary);
+}
+
 // --- loud failure: window, digest, blob --------------------------------------
 
 TEST(Snapshot, RejectsBadWindows) {
@@ -186,7 +240,7 @@ TEST(Snapshot, FailsLoudlyOnDamagedBlobs) {
     live.battery.capacity = Energy::mj(1000.0);
     const FleetSnapshot one_snap = sim.run_to(live, 3);
     ASSERT_NE(one_snap.devices[0].proc_blob, nullptr);
-    ASSERT_FALSE(one_snap.devices[0].sample_busy_ps.empty());
+    ASSERT_FALSE(one_snap.devices[0].busy.empty());
     const std::string one = one_snap.to_bytes();
     std::string flipped = one;
     for (std::size_t at = kHeaderBytes; at < flipped.size(); ++at) {
@@ -246,8 +300,8 @@ TEST(Snapshot, FailsLoudlyOnDamagedBlobs) {
   // carried a per-cluster controller; version 5 live devices carried no
   // load cursor words; version 6 devices carried an energy column and no
   // histograms were carried; version 7 live devices carried a state digest
-  // after their blob index).
-  for (const char old_version : {0, 1, 2, 3, 4, 5, 6, 7}) {
+  // after their blob index; version 8 stored the busy column as raw i64s).
+  for (const char old_version : {0, 1, 2, 3, 4, 5, 6, 7, 8}) {
     std::string old = bytes;
     old[8] = old_version;
     try {
@@ -289,7 +343,8 @@ std::uint64_t u64_at(const std::string& blob, std::size_t at) {
 
 TEST(Snapshot, HugeDeclaredCountsThrowRuntimeError) {
   // A re-checksummed blob that declares more LUT keys, histogram bins,
-  // processor blobs, devices or samples than its bytes can hold must throw
+  // processor blobs, devices or busy values, codes or spill values than its
+  // bytes can hold must throw
   // std::runtime_error — not reserve the memory it names (std::bad_alloc)
   // or past max_size() (std::length_error).
   FleetSnapshot snap;
@@ -299,7 +354,7 @@ TEST(Snapshot, HugeDeclaredCountsThrowRuntimeError) {
   snap.lut_counted.resize(1);
   snap.devices.resize(2);
   snap.devices[0].started = true;
-  snap.devices[0].sample_busy_ps = {10, 20, 30};
+  for (const std::int64_t busy_ps : {10, 20, 30}) snap.devices[0].busy.push(busy_ps);
   snap.devices[0].proc_blob = std::make_shared<const std::string>("blob");
   const std::string bytes = snap.to_bytes();
 
@@ -307,8 +362,10 @@ TEST(Snapshot, HugeDeclaredCountsThrowRuntimeError) {
   // slice and build count; each key is 48 bytes; each carried histogram is
   // lo and hi (16 bytes), its bin count, 8 bytes per bin, then underflow
   // and overflow (16); the blob table's one blob is a u64 length and 4
-  // bytes; device 0's sample count follows its flags (3 bytes), result
-  // (2 + 117) and lane (2 + 21) fields and the samples tag (2).
+  // bytes; device 0's busy-value count follows its flags (3 bytes), result
+  // (2 + 117) and lane (2 + 21) fields and the samples tag (2), and its
+  // three values (24 bytes) come before the code count, whose three codes
+  // come before the spill count.
   const AggregateShape shape;
   const std::size_t key_count = kHeaderBytes + 8 + 4 + 8;
   const std::size_t busy_bins = key_count + 8 + 48 + 16;
@@ -317,6 +374,8 @@ TEST(Snapshot, HugeDeclaredCountsThrowRuntimeError) {
   const std::size_t blob_length = blob_count + 8;
   const std::size_t device_count = blob_length + 8 + 4;
   const std::size_t sample_count = device_count + 8 + 3 + 119 + 23 + 2;
+  const std::size_t code_count = sample_count + 8 + 24;
+  const std::size_t spill_count = code_count + 8 + 3;
   ASSERT_EQ(u64_at(bytes, key_count), 1u);
   ASSERT_EQ(u64_at(bytes, busy_bins), shape.busy_frac_bins);
   ASSERT_EQ(u64_at(bytes, energy_bins), shape.slice_energy_bins);
@@ -324,6 +383,8 @@ TEST(Snapshot, HugeDeclaredCountsThrowRuntimeError) {
   ASSERT_EQ(u64_at(bytes, blob_length), 4u);
   ASSERT_EQ(u64_at(bytes, device_count), 2u);
   ASSERT_EQ(u64_at(bytes, sample_count), 3u);
+  ASSERT_EQ(u64_at(bytes, code_count), 3u);
+  ASSERT_EQ(u64_at(bytes, spill_count), 0u);
   EXPECT_EQ(FleetSnapshot::from_bytes(patched(bytes, sample_count, 3)).to_bytes(), bytes);
 
   // A histogram without bins, or whose counts sum past 2^64 - 1, is
@@ -343,7 +404,8 @@ TEST(Snapshot, HugeDeclaredCountsThrowRuntimeError) {
   }
 
   for (const std::size_t at :
-       {key_count, busy_bins, energy_bins, blob_count, device_count, sample_count}) {
+       {key_count, busy_bins, energy_bins, blob_count, device_count, sample_count, code_count,
+        spill_count}) {
     for (const std::uint64_t n :
          {std::uint64_t{1} << 40, std::numeric_limits<std::uint64_t>::max()}) {
       try {
@@ -396,13 +458,14 @@ TEST(Snapshot, DeviceRecordsNeedTheirRequiredFields) {
   }
 
   // Fields as the writer emits them, each its u16 tag and its body: the
-  // required flags, result (117 bytes), lane (21 bytes) and empty samples,
-  // the optional SLO and host sections, and the end tag.
+  // required flags, result (117 bytes), lane (21 bytes) and an empty busy
+  // column (three zero counts), the optional SLO and host sections, and the
+  // end tag.
   using Field = std::function<void(ByteWriter&)>;
   const Field flags = [](ByteWriter& w) { w.u16(1); w.u8(1); };
   const Field result = [](ByteWriter& w) { w.u16(2); w.raw(std::string(117, '\0')); };
   const Field lane = [](ByteWriter& w) { w.u16(3); w.raw(std::string(21, '\0')); };
-  const Field samples = [](ByteWriter& w) { w.u16(4); w.u64(0); };
+  const Field samples = [](ByteWriter& w) { w.u16(4); w.u64(0); w.u64(0); w.u64(0); };
   const Field slo = [](ByteWriter& w) { w.u16(7); w.i64(5); w.u32(1); w.u8(0); };
   const Field host = [](ByteWriter& w) { w.u16(8); w.u64(9); };
   const Field unknown = [](ByteWriter& w) { w.u16(10); w.u64(0); };
@@ -422,7 +485,7 @@ TEST(Snapshot, DeviceRecordsNeedTheirRequiredFields) {
   EXPECT_EQ(back.devices[0].result.host_cycles, 9u);
   EXPECT_EQ(back.to_bytes(), good);
 
-  // Version 8 has one writer order: an unknown tag, a missing required
+  // Version 9 has one writer order: an unknown tag, a missing required
   // field, optional sections out of order and a section given twice are
   // each refused with the offset of the tag that does not belong. The short
   // record is padded so its count fits the bytes left.
@@ -444,6 +507,119 @@ TEST(Snapshot, DeviceRecordsNeedTheirRequiredFields) {
     } catch (const std::runtime_error& e) {
       EXPECT_NE(std::string(e.what()).find("offset"), std::string::npos)
           << f.what << ": " << e.what();
+    }
+  }
+}
+
+/// `c`'s samples, in slice order.
+std::vector<std::int64_t> samples_of(const BusyColumn& c) {
+  std::vector<std::int64_t> out;
+  out.reserve(c.size());
+  c.for_each([&out](std::int64_t busy_ps) { out.push_back(busy_ps); });
+  return out;
+}
+
+/// `c` without its last sample.
+BusyColumn without_last(const BusyColumn& c) {
+  std::vector<std::int64_t> samples = samples_of(c);
+  samples.pop_back();
+  BusyColumn out;
+  for (const std::int64_t busy_ps : samples) out.push(busy_ps);
+  return out;
+}
+
+TEST(Snapshot, BusyColumnSpillsPastItsDictionaryAndRoundTrips) {
+  // 600 samples over 300 distinct values, met twice in one order: the first
+  // 255 fill the dictionary and recur as their codes, and the other 45
+  // spill each time they occur.
+  std::vector<std::int64_t> raw;
+  for (int i = 0; i < 600; ++i) raw.push_back(1'000'003LL * ((i * 7) % 300) + 17);
+  FleetSnapshot snap;
+  snap.devices.resize(1);
+  DeviceProgress& p = snap.devices[0];
+  p.started = true;
+  p.done = true;
+  p.result.slices_executed = static_cast<int>(raw.size());
+  const std::size_t empty_bytes = snap.to_bytes().size();
+  for (const std::int64_t busy_ps : raw) p.busy.push(busy_ps);
+  ASSERT_EQ(p.busy.size(), raw.size());
+  EXPECT_EQ(samples_of(p.busy), raw);
+
+  // Stored as held: 8 bytes per dictionary value, one per slice, and 8 per
+  // spilled sample.
+  const std::string bytes = snap.to_bytes();
+  EXPECT_EQ(bytes.size(), empty_bytes + 255 * 8 + raw.size() + 2 * 45 * 8);
+  const FleetSnapshot back = FleetSnapshot::from_bytes(bytes);
+  EXPECT_EQ(back.to_bytes(), bytes);
+  EXPECT_EQ(samples_of(back.devices[0].busy), raw);
+
+  // The decoded column feeds busy_us the same values in the same order:
+  // bit-equal to feeding the raw samples.
+  sim::Summary want;
+  for (const std::int64_t busy_ps : raw) want.add(Time::ps(busy_ps).as_us());
+  FleetAggregate fed;
+  fed.add_finished_device(back.devices[0]);
+  EXPECT_EQ(fed.devices, 1u);
+  EXPECT_EQ(fed.busy_us.count(), want.count());
+  EXPECT_EQ(fed.busy_us.mean(), want.mean());
+  EXPECT_EQ(fed.busy_us.stddev(), want.stddev());
+  EXPECT_EQ(fed.busy_us.min(), want.min());
+  EXPECT_EQ(fed.busy_us.max(), want.max());
+}
+
+TEST(Snapshot, RefusesBusyColumnsPushCouldNotBuild) {
+  // A done device whose busy column is forged part by part: the counted
+  // values, the counted u8 codes and the counted spill values.
+  const auto record = [](const std::vector<std::int64_t>& values,
+                         const std::vector<std::uint8_t>& codes,
+                         const std::vector<std::int64_t>& spill) {
+    ByteWriter w;
+    w.u16(1);  // flags: started, done
+    w.u8(3);
+    w.u16(2);  // result
+    w.raw(std::string(117, '\0'));
+    w.u16(3);  // lane
+    w.raw(std::string(21, '\0'));
+    w.u16(4);  // samples
+    w.u64(values.size());
+    w.i64s(values);
+    w.u64(codes.size());
+    w.raw({reinterpret_cast<const char*>(codes.data()), codes.size()});
+    w.u64(spill.size());
+    w.i64s(spill);
+    w.u16(6);  // end
+    return forged_device(w.take(), 0);
+  };
+
+  // A code of 255 takes the next spill value, even before the dictionary is
+  // full; such a column decodes and encodes back to its bytes.
+  const std::string good = record({5, 9}, {0, 1, 255, 0}, {11});
+  const FleetSnapshot back = FleetSnapshot::from_bytes(good);
+  EXPECT_EQ(samples_of(back.devices[0].busy), (std::vector<std::int64_t>{5, 9, 11, 5}));
+  EXPECT_EQ(back.to_bytes(), good);
+
+  std::vector<std::int64_t> many(256);
+  for (std::size_t i = 0; i < many.size(); ++i) many[i] = static_cast<std::int64_t>(i);
+  struct Forged {
+    const char* what;
+    std::string bytes;
+    const char* says;
+  };
+  const std::vector<Forged> forged = {
+      {"256 values", record(many, {}, {}), "more than 255"},
+      {"a value twice", record({5, 9, 5}, {0, 1, 2}, {}), "twice"},
+      {"a code past the values", record({5, 9}, {0, 2}, {}), "past its 2 values"},
+      {"a spill value without its code", record({5}, {0}, {3}), "1 spill values for 0"},
+      {"a spill code without its value", record({5}, {0, 255}, {}), "0 spill values for 1"},
+  };
+  for (const Forged& f : forged) {
+    try {
+      (void)FleetSnapshot::from_bytes(f.bytes);
+      ADD_FAILURE() << "a busy column with " << f.what << " was accepted";
+    } catch (const std::runtime_error& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("busy column"), std::string::npos) << f.what << ": " << msg;
+      EXPECT_NE(msg.find(f.says), std::string::npos) << f.what << ": " << msg;
     }
   }
 }
@@ -493,13 +669,13 @@ TEST(Snapshot, PinnedBytesCoverEveryField) {
   live.tier = 1;
   live.buffered = 5;
   live.charge_pj = 1.875e11;
-  live.sample_busy_ps = {400, 300, 200};
+  for (const std::int64_t busy_ps : {400, 300, 400}) live.busy.push(busy_ps);
   live.proc_blob = shared;
   live.loads = workload::LoadStream{{1, 2, 3, 4}};
 
   // Device 1 shares device 0's blob; device 2 holds a distinct one.
   snap.devices[1].started = true;
-  snap.devices[1].sample_busy_ps = {7};
+  snap.devices[1].busy.push(7);
   snap.devices[1].proc_blob = shared;
   snap.devices[2].started = true;
   snap.devices[2].proc_blob = std::make_shared<const std::string>("other state");
@@ -510,8 +686,8 @@ TEST(Snapshot, PinnedBytesCoverEveryField) {
   snap.devices[3].result.exhausted_at_slice = 1;
 
   const std::string bytes = snap.to_bytes();
-  EXPECT_EQ(bytes.size(), 1223u);
-  EXPECT_EQ(checksum64(bytes), 0x40d40ed7365dc37cULL);
+  EXPECT_EQ(bytes.size(), 1299u);
+  EXPECT_EQ(checksum64(bytes), 0xab027793b5b9d731ULL);
   EXPECT_EQ(FleetSnapshot::from_bytes(bytes).to_bytes(), bytes);
 
   // The smallest records bound a declared device count from above: a
@@ -670,10 +846,11 @@ TEST(Snapshot, ResumeRejectsDevicesThatDoNotMatchTheSpec) {
   const std::string done_name = "device " + std::to_string(done);
   const std::vector<std::pair<std::string, std::function<void(FleetSnapshot&)>>>
       counts = {
-          {live_name, [live](FleetSnapshot& s) { s.devices[live].sample_busy_ps.push_back(1); }},
-          {live_name, [live](FleetSnapshot& s) { s.devices[live].sample_busy_ps.pop_back(); }},
-          {done_name, [done](FleetSnapshot& s) { s.devices[done].sample_busy_ps.push_back(1); }},
-          {done_name, [done](FleetSnapshot& s) { s.devices[done].sample_busy_ps.clear(); }},
+          {live_name, [live](FleetSnapshot& s) { s.devices[live].busy.push(1); }},
+          {live_name,
+           [live](FleetSnapshot& s) { s.devices[live].busy = without_last(s.devices[live].busy); }},
+          {done_name, [done](FleetSnapshot& s) { s.devices[done].busy.push(1); }},
+          {done_name, [done](FleetSnapshot& s) { s.devices[done].busy.clear(); }},
           {"busy_frac", [](FleetSnapshot& s) { s.slice_bins.busy_frac.add(0.5); }},
           {"busy_frac", [](FleetSnapshot& s) { s.slice_bins.busy_frac.reset(); }},
           {"slice_energy", [](FleetSnapshot& s) { s.slice_bins.slice_energy.add(1.0); }},
