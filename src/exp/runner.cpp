@@ -3,15 +3,13 @@
 #include <algorithm>
 #include <cstdint>
 #include <optional>
-#include <string>
-#include <string_view>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "common/serialize.hpp"
 #include "common/threads.hpp"
 #include "energy/ledger.hpp"
+#include "fleet/outcome_cache.hpp"
 #include "placement/lut_cache.hpp"
 
 namespace hhpim::exp {
@@ -21,60 +19,14 @@ placement::LutCache* Runner::resolve_lut_cache() const {
                                        : &placement::LutCache::process_cache();
 }
 
-namespace {
-
-/// One memoized slice: what a replay applies to the run.
-struct SliceOutcome {
-  std::int64_t busy_ps = 0;
-  std::int64_t movement_ps = 0;
-  double energy_pj = 0.0;
-  bool deadline_violated = false;
-  std::uint32_t next = 0;  ///< the state the slice leaves
-  energy::PostLog posts;   ///< the slice's ledger posts
-};
-
-/// The slice memo of one run: states interned by their exact
-/// Processor::save_state bytes, and one outcome per (state, n_tasks) seen.
-/// Equal bytes and an equal load give bit-identical SliceStats, posts and
-/// successor bytes (Processor::save_state), so a replayed slice is exact.
-class SliceMemo {
- public:
-  /// The id of the state `bytes` names, interning it on first sight.
-  std::uint32_t intern(std::string_view bytes) {
-    const auto [it, fresh] =
-        ids_.try_emplace(std::string{bytes}, static_cast<std::uint32_t>(blobs_.size()));
-    if (fresh) blobs_.push_back(&it->first);
-    return it->second;
-  }
-  [[nodiscard]] const std::string& blob(std::uint32_t state) const { return *blobs_[state]; }
-
-  [[nodiscard]] const SliceOutcome* find(std::uint32_t state, int n_tasks) const {
-    const auto it = outcomes_.find(key(state, n_tasks));
-    return it != outcomes_.end() ? &it->second : nullptr;
-  }
-  const SliceOutcome& record(std::uint32_t state, int n_tasks, SliceOutcome out) {
-    return outcomes_.emplace(key(state, n_tasks), std::move(out)).first->second;
-  }
-
- private:
-  static std::uint64_t key(std::uint32_t state, int n_tasks) {
-    return (std::uint64_t{state} << 32) | static_cast<std::uint32_t>(n_tasks);
-  }
-
-  std::unordered_map<std::string, std::uint32_t> ids_;
-  std::vector<const std::string*> blobs_;  // id -> interned bytes (map nodes are stable)
-  std::unordered_map<std::uint64_t, SliceOutcome> outcomes_;
-};
-
-}  // namespace
-
 RunResult Runner::execute(const RunSpec& spec, bool keep_slices,
                           placement::LutCache* lut_cache, sys::ProcessorPool* pool) {
   sys::SystemConfig config = spec.config;
   if (config.lut_cache == nullptr) config.lut_cache = lut_cache;
+  const std::uint64_t machine = sys::processor_reuse_key(config, spec.model);
   std::optional<sys::Processor> local;
   sys::ProcessorPool::Lease lease;
-  if (pool != nullptr) lease = pool->checkout(config, spec.model);
+  if (pool != nullptr) lease = pool->checkout(machine, config, spec.model);
   sys::Processor& proc =
       pool != nullptr ? lease.get() : local.emplace(config, spec.model);
 
@@ -90,43 +42,30 @@ RunResult Runner::execute(const RunSpec& spec, bool keep_slices,
 
   // Processor::run_scenario, walked slice by slice through the run's memo:
   // slice k executes the inferences that arrived in slice k-1, and one
-  // trailing slice drains the last arrivals. A hit leaves the processor
-  // alone and adds the stored posts to the run's own cells; a miss makes
-  // the processor live at the current state, runs the slice exact and
-  // records it. The cells see every post in run order, so they end
-  // bit-identical to the ledger of an uninterrupted run.
-  SliceMemo memo;
+  // trailing slice drains the last arrivals. A hit adds the stored posts to
+  // the run's own cells; a miss makes the processor live at the current
+  // state and runs the memo's exact step. The cells see every post in run
+  // order, so they end bit-identical to the ledger of an uninterrupted run.
+  fleet::OutcomeCache memo;
   std::vector<double> cells(proc.ledger().cell_count(), 0.0);
-  energy::PostLog captured;  // a miss's posts
-  ByteWriter saved;
-  const auto save = [&] {
-    saved.clear();
-    proc.save_state(saved);
-    return memo.intern(saved.bytes());
-  };
-  std::uint32_t state = save();
-  std::uint32_t live = state;  // the state the processor stands at
+  energy::PostLog captured;  // a miss's posts (the memo keeps a copy)
+  ByteWriter save;
+  proc.save_state(save);
+  const fleet::State* state = &memo.intern(machine, save.bytes());
+  const fleet::State* live = state;  // the state the processor stands at
   int buffered = 0;
   for (std::size_t k = 0; k <= spec.loads.size(); ++k) {
-    const SliceOutcome* out = memo.find(state, buffered);
+    const fleet::SliceKey key{.n_tasks = static_cast<std::uint32_t>(buffered)};
+    const fleet::SliceOutcome* out = state->find(key);
     if (out != nullptr) {
       ++r.memo_replayed;
     } else {
       ++r.memo_exact;
-      if (live != state) {
-        proc.reset();
-        ByteReader in{memo.blob(state)};
-        proc.load_state(in);
-      }
-      captured.clear();
-      const sys::SliceStats s = proc.run_slice(buffered, captured);
-      live = save();
-      // The copy sizes the stored log exactly; `captured` keeps its capacity.
-      out = &memo.record(state, buffered,
-                         {s.busy_time.as_ps(), s.movement_time.as_ps(), s.energy.as_pj(),
-                          s.deadline_violated, live, captured});
+      if (live != state) proc.restore(*state->blob());
+      out = &memo.run_exact(*state, key, proc, save, &captured);
+      live = out->next;
     }
-    energy::EnergyLedger::apply(cells, out->posts);
+    energy::EnergyLedger::apply(cells, *out->posts);
     r.tasks += static_cast<std::uint64_t>(buffered);
     r.deadline_violations += out->deadline_violated ? 1 : 0;
     r.total_time_ps += std::max(r.slice_ps, out->busy_ps);

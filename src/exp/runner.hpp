@@ -18,15 +18,14 @@
 // own pool). The LutCache the options name must itself be thread-safe
 // (placement::LutCache is) and outlive every call that uses it.
 //
-// Slice memo: each run walks its slices through a memo that lives for that
-// run, keyed by (the processor's interned save_state bytes, the slice's
-// load). A hit replays the slice's stored SliceStats fields and ledger posts
-// without touching the processor; a miss loads the state into the processor
-// (unless it already stands there), runs the slice exact and records it.
-// Equal bytes and load give the same bits, so results match run_scenario on
-// a fresh processor bit for bit (tests/test_exp.cpp). The memo is per run,
-// so its counts (RunResult::memo_exact/memo_replayed) do not depend on the
-// thread count.
+// Slice memo: each run walks its slices through a fleet::OutcomeCache of
+// its own, the fleet's memo, keyed by the slice's load alone. A hit replays
+// the slice's stored SliceStats fields and ledger posts without touching
+// the processor; a miss restores the state (Processor::restore, unless the
+// processor stands there) and runs OutcomeCache::run_exact, capturing the
+// posts. Results match run_scenario on a fresh processor bit for bit (the
+// grid half of tests/test_oracle.cpp), and the per-run memo's counts
+// (RunResult::memo_exact/memo_replayed) do not depend on the thread count.
 //
 // Cost: per run, one exact slice (O(tasks/slice) simulation plus a
 // save_state) per distinct (state, load) pair, and for every other slice

@@ -272,12 +272,15 @@ DeviceResult Device::run(FleetAggregate* agg) {
   FleetAggregate& a = agg != nullptr ? *agg : discard.emplace(fleet_.histograms);
   // One segment to completion: each slice's busy time feeds busy_us as it
   // runs, so no busy column is held.
-  while (!p.done) p.end_slice(step(p, p.begin_slice(fleet_, spec_, slo_ok_)), a, true);
+  while (!p.done) {
+    place(p, p.begin_slice(fleet_, spec_, slo_ok_));
+    p.end_slice(SliceOutcome::of(proc_->run_slice(p.buffered)), a, true);
+  }
   a.add_device(p.result);
   return p.result;
 }
 
-SliceOutcome Device::step(const DeviceProgress& p, bool tier_changed) {
+void Device::place(const DeviceProgress& p, bool tier_changed) {
   if (tier_changed) {
     proc_->set_placement_override(slo_allocs_[p.tier]);
   } else if (!slo_ok_ && fleet_.adapt) {
@@ -288,12 +291,6 @@ SliceOutcome Device::step(const DeviceProgress& p, bool tier_changed) {
       proc_->set_placement_override(std::nullopt);
     }
   }
-  const sys::SliceStats s = proc_->run_slice(p.buffered);
-  return SliceOutcome{.energy_pj = s.energy.as_pj(),
-                      .busy_ps = s.busy_time.as_ps(),
-                      .movement_ps = s.movement_time.as_ps(),
-                      .host_cycles = s.host_cycles,
-                      .deadline_violated = s.deadline_violated};
 }
 
 }  // namespace hhpim::fleet

@@ -7,8 +7,8 @@
 //   begin_slice  1. charging window: recharge, clamped to capacity
 //                2. observe SoC -> hysteresis mode (next_mode); SLO devices
 //                   also pick a frontier tier (select_tier)
-//   (outcome)    3. run the slice: on a sys::Processor (Device::step, with
-//                   the mode/tier installed as a placement override) or
+//   (outcome)    3. run the slice: on a sys::Processor (Device::place
+//                   installs the mode/tier as a placement override) or
 //                   replayed from the fleet's outcome memo
 //   end_slice    4. drain the slice's requested energy, clamped to the
 //                   charge; count; bin the slice into the slice histograms;
@@ -150,9 +150,9 @@ class BusyColumn {
 /// snapshot devices only), and — in a bounded segment only — the per-slice
 /// busy times, buffered until the final segment (the busy_us Summary is fed
 /// device-major and must not interleave with other devices).
-/// begin_slice/end_slice are the only
-/// per-slice step: the exact slice (Device::step) and the memo replay
-/// (FleetSimulator) both go through them, so every policy rule exists once.
+/// begin_slice/end_slice are the only per-slice step: the exact slice
+/// (Device::place, then the slice) and the memo replay (FleetSimulator) both
+/// go through them, so every policy rule exists once.
 struct DeviceProgress {
   DeviceResult result;
   int next_k = 0;           ///< next local step (slice) to execute
@@ -230,14 +230,13 @@ class Device {
   /// into `agg` (may be null). Call once.
   DeviceResult run(FleetAggregate* agg);
 
-  /// Runs the slice DeviceProgress::begin_slice just planned on `p` (which
-  /// returned `tier_changed`) on this device's processor, installing the
-  /// tier or low-power placement it decided, and returns the slice's
-  /// outcome (no next state). The caller applies it with
-  /// end_slice. A whole run is start, then begin_slice/step/end_slice until
-  /// done; the simulator interleaves step with memo replay, making the
-  /// processor live (reset, or load_state of the device's blob) first.
-  [[nodiscard]] SliceOutcome step(const DeviceProgress& p, bool tier_changed);
+  /// Installs the tier or low-power placement DeviceProgress::begin_slice
+  /// decided (returning `tier_changed`) for the slice planned on `p`, on
+  /// this device's processor. A whole run is start, then begin_slice,
+  /// place, the slice and end_slice until done; the simulator interleaves
+  /// slices with memo replay, making the processor live (reset, or
+  /// Processor::restore of the device's blob) before place.
+  void place(const DeviceProgress& p, bool tier_changed);
 
   /// Whether the device runs the SLO frontier policy: it has an SLO and its
   /// LUT (null = not HH-PIM) has a feasible entry for it. The flag

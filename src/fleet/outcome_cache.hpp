@@ -1,35 +1,30 @@
-// Process-wide, thread-safe memo of whole-device slice outcomes: a finite
-// automaton over exact processor states.
-//
-// Most devices of a fleet share (arch config, model, placement-decision
-// stream) and differ only in seed jitter and battery trajectory. A slice's
-// outcome — energy requested, busy/movement time, deadline flag, and the
-// processor state it leaves behind — is a pure function of the processor's
-// behavior-relevant state at the slice boundary (sys::Processor::save_state
-// bytes), the placement mode the adaptation loop picked, and the number of
-// buffered tasks. Battery state never enters: the SoC only influences a
-// slice *through* the hysteresis mode decision, which is an exact field of
-// the key, and the drain clamp is re-applied at replay time (exhaustion
-// slices included). That is what lets the fleet replay memoized outcomes
-// byte-identically to the scalar Device::run path (pinned by
-// tests/test_oracle.cpp: cold, warm, shared and segmented memos).
+// Thread-safe memo of slice outcomes, a finite automaton over exact
+// processor states, with two callers: the fleet's devices
+// (FleetSimulator::drive, by default on the process-wide cache) and the exp
+// grid's runs (exp::Runner::execute, a private cache per run). A slice's
+// outcome — energy requested, busy/movement time, deadline flag, ledger
+// posts, and the state it leaves — is a pure function of the processor's
+// save_state bytes at the slice boundary, its machine, and the key below.
+// Battery state never enters: the SoC only acts through the mode decision,
+// an exact key field, and the drain clamp is re-applied at replay time. So
+// both callers replay byte-identically to their exact paths
+// (tests/test_oracle.cpp, a fleet half and a grid half).
 //
 // A State is named by its machine and its bytes, and by nothing else: the
 // cache interns one State per (sys::processor_reuse_key, save_state bytes),
-// compared byte for byte, so two states never share a name. A State owns
-// its blob and one write-once, append-only row of outcomes keyed by the
-// rest of the slice (docs/PERF.md "Device-level memoization"):
+// compared byte for byte. A State owns its blob and one write-once,
+// append-only row of outcomes keyed by the rest of the slice
+// (docs/PERF.md "Device-level memoization"):
 //   slo_ps     the device's latency SLO (the frontier the policy picks from)
 //   n_tasks    the exact buffered-task count (the "load bucket")
 //   mode       fleet::DeviceMode for the slice (the "SoC bucket")
 //   tier       fleet::FrontierTier pinned for the slice (the "SLO bucket")
-// The buckets are exact, not approximations: two devices fall into the same
-// bucket only when the simulator would compute bit-identical slices for
-// them, so memoization changes wall-clock, never output. An outcome points
-// at the State the slice leaves, so a replayed device walks from state to
-// state without hashing anything; the blob is what lets it stop at a
-// checkpoint, or fall back to the exact path mid-stream, without rerunning
-// from step 0 (docs/PERF.md "Memo replay inside segments").
+// The grid keys on n_tasks alone. The buckets are exact: memoization
+// changes wall-clock, never output. An outcome points at the State the
+// slice leaves, so a replay walks from state to state without hashing; the
+// blob lets a caller fall back to the exact path mid-stream
+// (Processor::restore, then run_exact, the one miss step) or stop at a
+// checkpoint (docs/PERF.md "Memo replay inside segments").
 //
 // A row is read through a dense index over (n_tasks, mode, tier): one cell
 // per bucket names the bucket's newest entry, and entries of one bucket
@@ -43,13 +38,14 @@
 // release-stores its bucket's cell. A full row is copied into one twice its
 // capacity, published before the cell that needs it; the superseded array
 // stays allocated for readers still holding it, so what a State keeps is
-// under twice its live row. States are never dropped until the cache is
-// destroyed, so a pointer returned by find(), intern() or record() stays
-// valid for the cache's lifetime.
+// under twice its live row. Nothing is dropped until the cache is
+// destroyed, so a pointer from find(), intern() or record(), and an
+// outcome's `posts`, stays valid for the cache's lifetime.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -57,6 +53,10 @@
 #include <unordered_map>
 #include <utility>
 #include <vector>
+
+#include "common/serialize.hpp"
+#include "energy/ledger.hpp"
+#include "hhpim/processor.hpp"
 
 namespace hhpim::fleet {
 
@@ -84,19 +84,25 @@ struct SliceKey {
   [[nodiscard]] bool operator==(const SliceKey&) const = default;
 };
 
-/// Everything a replayed slice contributes to a device run. `energy_pj` is
-/// the *requested* slice energy (sys::SliceStats::energy) — the battery's
-/// drain clamp is re-applied per device at replay time, so one outcome
-/// serves devices with any charge, including the one it exhausts.
+/// Everything a replayed slice contributes to a device or grid run.
+/// `energy_pj` is the *requested* slice energy (sys::SliceStats::energy) —
+/// the battery's drain clamp is re-applied per device at replay time, so one
+/// outcome serves devices with any charge, including the one it exhausts.
 struct SliceOutcome {
+  /// The fields of `s`; no next state, no posts.
+  [[nodiscard]] static SliceOutcome of(const sys::SliceStats& s);
+
   double energy_pj = 0.0;
   std::int64_t busy_ps = 0;
   std::int64_t movement_ps = 0;
   std::uint64_t host_cycles = 0;  ///< host-core cycles (0 when host disabled)
   bool deadline_violated = false;
   /// The state the slice leaves the processor in; set by
-  /// OutcomeCache::record, null on an outcome straight from Device::step.
+  /// OutcomeCache::record, null on an outcome straight from a processor.
   const State* next = nullptr;
+  /// The slice's ledger posts, in storage the cache owns; null when the
+  /// recorder captured none (the fleet never does).
+  const energy::PostLog* posts = nullptr;
 };
 
 /// One interned processor state of one machine, and the outcomes recorded
@@ -182,12 +188,20 @@ class OutcomeCache {
   /// Records `out`, the outcome of slice `key` run from `from`, whose
   /// processor then saved `post`: interns `post` under from's machine as
   /// the outcome's next state and appends it to from's row, published at
-  /// once. First writer wins: when `key` is already in the row, the row is
-  /// left as it is. Returns the row's outcome for `key`. `from` must come
-  /// from this cache. Safe to call concurrently with find() and other
-  /// records.
+  /// once, with a copy of `posts` (null = none captured) as its posts.
+  /// First writer wins: when `key` is already in the row, the row is left
+  /// as it is. Returns the row's outcome for `key`. `from` must come from
+  /// this cache. Safe to call concurrently with find() and other records.
   const SliceOutcome& record(const State& from, const SliceKey& key, SliceOutcome out,
-                             std::string_view post);
+                             std::string_view post, const energy::PostLog* posts = nullptr);
+
+  /// The miss step of both callers: runs slice `key` exact on `proc`, which
+  /// stands at `from` (Processor::restore) with the slice's placement
+  /// installed, capturing its ledger posts into `posts` when that is not
+  /// null; saves the state it leaves into `save` and records the outcome,
+  /// posts included. Returns the row's outcome for `key`.
+  const SliceOutcome& run_exact(const State& from, const SliceKey& key, sys::Processor& proc,
+                                ByteWriter& save, energy::PostLog* posts = nullptr);
 
   [[nodiscard]] Stats stats() const;
 
@@ -198,11 +212,13 @@ class OutcomeCache {
   /// intern() with mu_ held.
   State& intern_locked(std::uint64_t reuse_key, std::string_view bytes);
 
-  mutable std::mutex mu_;  ///< guards states_ and every row's writes
+  mutable std::mutex mu_;  ///< guards states_, posts_ and every row's writes
   /// Per machine, its states keyed by a view of their own blob.
   std::unordered_map<std::uint64_t,
                      std::unordered_map<std::string_view, std::unique_ptr<State>>>
       states_;
+  /// The recorded outcomes' post logs (deque: appends never move them).
+  std::deque<energy::PostLog> posts_;
 };
 
 }  // namespace hhpim::fleet

@@ -711,20 +711,14 @@ FleetSnapshot FleetSimulator::drive(const FleetSpec& spec, int end_slice,
     std::uint64_t misses = 0;
     w.jsonl.clear();
 
-    // The leased processor's save_state bytes, in the reused scratch.
-    const auto saved_state = [&]() -> std::string_view {
-      w.save.clear();
-      lease.get().save_state(w.save);
-      return w.save.bytes();
-    };
-
     // Advances a started device through local steps [p.next_k, k_end) from
     // memo state `state` (its resumed state; a device at step 0 starts from
     // the pair's fresh state). Every slice runs begin_slice once, then one
     // lookup in the current state's row: a hit applies the outcome and moves
     // to its next state; a miss makes the leased processor live (reset at
-    // step 0, else the current state's blob loaded), runs just this slice
-    // exact, and records it, published at once. Without the memo there is
+    // step 0, else Processor::restore of the current state's blob), runs
+    // just this slice exact and records it (OutcomeCache::run_exact, the
+    // grid's miss step too), published at once. Without the memo there is
     // no state: every slice misses, so the processor goes live once and
     // stays live. Returns true when any slice ran exact.
     const auto advance = [&](const DeviceSpec& ds, DeviceProgress& p, int k_end,
@@ -750,35 +744,35 @@ FleetSnapshot FleetSimulator::drive(const FleetSpec& spec, int end_slice,
         }
         ++misses;
         if (!live) {
-          if (lease && lease.key() == info.reuse_key) {
-            lease.get().reset();
-          } else {
+          const bool same_key = lease && lease.key() == info.reuse_key;
+          if (!same_key) {
             lease = pool.checkout(info.reuse_key, info.config, models[ds.model_index]);
           }
-          if (!dev) dev.emplace(spec, ds, models[ds.model_index], lease.get());
           if (p.next_k > 0) {
             const StateBlob& blob = state != nullptr ? state->blob() : p.proc_blob;
             if (blob == nullptr) {
               throw std::runtime_error("fleet: device " + std::to_string(ds.id) +
                                        " has no processor state to resume from");
             }
-            ByteReader r{*blob};
-            lease.get().load_state(r);
-            if (!r.at_end()) {
-              throw std::runtime_error("fleet: device " + std::to_string(ds.id) +
-                                       "'s processor blob has " +
-                                       std::to_string(r.remaining()) + " trailing bytes");
+            try {
+              lease.get().restore(*blob);
+            } catch (const std::runtime_error& e) {
+              throw std::runtime_error("fleet: device " + std::to_string(ds.id) + ": " +
+                                       e.what());
             }
+          } else if (same_key) {
+            lease.get().reset();
           }
+          if (!dev) dev.emplace(spec, ds, models[ds.model_index], lease.get());
           live = true;
         }
-        SliceOutcome out = dev->step(p, tier_changed);
-        if (memo != nullptr) {
-          // Record the slice and its next state, for every device (this one
-          // included) that reaches this state and key.
-          out = memo->record(*state, key, out, saved_state());
-          state = out.next;
-        }
+        dev->place(p, tier_changed);
+        // With the memo, record the slice and its next state, for every
+        // device (this one included) that reaches this state and key.
+        const SliceOutcome out = memo != nullptr
+                                     ? memo->run_exact(*state, key, lease.get(), w.save)
+                                     : SliceOutcome::of(lease.get().run_slice(p.buffered));
+        state = out.next;
         p.end_slice(out, agg, final_segment);
         ran_exact = true;
       }
@@ -787,7 +781,9 @@ FleetSnapshot FleetSimulator::drive(const FleetSpec& spec, int end_slice,
       } else if (state != nullptr) {
         p.proc_blob = state->blob();
       } else if (live) {
-        p.proc_blob = std::make_shared<const std::string>(saved_state());
+        w.save.clear();
+        lease.get().save_state(w.save);
+        p.proc_blob = std::make_shared<const std::string>(w.save.bytes());
       }
       if (!final_segment) {
         // The snapshot outlives this call's envelope: its cursor keeps only

@@ -651,6 +651,16 @@ void Processor::load_state(ByteReader& r) {
   visit_state(l, now_);
 }
 
+void Processor::restore(std::string_view blob) {
+  reset();
+  ByteReader r{blob};
+  load_state(r);
+  if (!r.at_end()) {
+    throw std::runtime_error("processor state blob has " + std::to_string(r.remaining()) +
+                             " trailing bytes");
+  }
+}
+
 std::uint64_t processor_reuse_key(const SystemConfig& config,
                                   const nn::Model& model) {
   Fnv1a h;

@@ -15,6 +15,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/units.hpp"
@@ -172,7 +173,7 @@ class Processor {
   SliceStats run_slice(int n_tasks);
   /// run_slice(n_tasks) that also logs every ledger post the slice makes
   /// into `posts` (EnergyLedger::begin_capture), the batched kernel's
-  /// replayed posts included. exp::Runner's slice memo stores the log.
+  /// replayed posts included (fleet::OutcomeCache::run_exact stores it).
   SliceStats run_slice(int n_tasks, energy::PostLog& posts);
 
   /// Online adaptation hook (hhpim::fleet): from the next run_slice on, pin
@@ -210,14 +211,13 @@ class Processor {
 
   /// Checkpoint save of the walk. Two processors built from the same
   /// processor_reuse_key inputs that save equal bytes at a slice boundary
-  /// produce bit-identical SliceStats (and equal successor bytes) for equal
-  /// run_slice inputs — the invariant the fleet's device-level outcome memo
-  /// (fleet::OutcomeCache) names its states by; pinned by
-  /// tests/test_outcome_memo. Slice energy is window-based and all times
-  /// are stored relative, so a restored processor continues bit-identically
-  /// with its clock rebased to zero (tests/test_oracle.cpp pins this). The
-  /// slice index is a SliceStats label, not state: a restored processor
-  /// numbers its slices from 0.
+  /// produce bit-identical SliceStats, ledger posts and successor bytes for
+  /// equal run_slice inputs — the invariant fleet::OutcomeCache names the
+  /// fleet's and the exp grid's states by (tests/test_oracle.cpp). Slice
+  /// energy is window-based and times are stored relative, so a restored
+  /// processor continues bit-identically with its clock rebased to zero.
+  /// The slice index is a SliceStats label, not state: a restored
+  /// processor numbers its slices from 0.
   void save_state(ByteWriter& w) const;
 
   /// Inverse of save_state(). Must be called on a freshly constructed or
@@ -225,6 +225,10 @@ class Processor {
   /// Throws std::runtime_error when the blob's component shape does not
   /// match this processor's (wrong arch/model for the snapshot).
   void load_state(ByteReader& r);
+
+  /// reset(), then load_state() of the whole of `blob`. Throws
+  /// std::runtime_error on another machine's shape or on trailing bytes.
+  void restore(std::string_view blob);
 
   [[nodiscard]] Time slice_length() const { return slice_; }
   [[nodiscard]] const placement::CostModel& cost_model() const { return cost_; }

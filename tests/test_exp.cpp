@@ -1,20 +1,17 @@
 // Experiment-runner suite: grid expansion, shared-slice protocol, runner vs
-// direct Processor parity (the slice memo's differential test), the memo
-// counts, the PowerSpec override, and the load-bearing property of the
+// direct Processor parity over the full paper grid (the random grids of
+// test_oracle.cpp cover the execution strategies), the memo counts, the PowerSpec override, and the load-bearing property of the
 // subsystem — the same spec run at 1 and 8 threads yields byte-identical
 // JSON and CSV.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <bit>
 #include <cstdint>
-#include <sstream>
 #include <vector>
 
 #include "common/rng.hpp"
-#include "energy/ledger.hpp"
 #include "exp/runner.hpp"
 #include "exp/spec.hpp"
+#include "grid_cases.hpp"
 #include "hhpim/metrics.hpp"
 #include "hhpim/processor.hpp"
 #include "mem/nvsim_lite.hpp"
@@ -103,82 +100,6 @@ TEST(ExperimentSpec, SharedSliceMatchesProcessorDerivation) {
   EXPECT_EQ(sys::derived_slice_length(hh, nn::zoo::efficientnet_b0()), p.slice_length());
 }
 
-// The RunResult of a fresh Processor's run_scenario, field by field: what
-// the runner computed before its slice memo.
-RunResult direct_result(const RunSpec& spec, placement::LutCache* cache) {
-  sys::SystemConfig config = spec.config;
-  config.lut_cache = cache;
-  sys::Processor p{config, spec.model};
-  const sys::RunStats stats = p.run_scenario(spec.loads);
-  const energy::EnergyLedger& ledger = p.ledger();
-  RunResult r;
-  r.index = spec.index;
-  r.variant = spec.variant;
-  r.arch = spec.arch;
-  r.model = spec.model_name;
-  r.scenario = spec.scenario;
-  r.seed = spec.seed;
-  r.slice_ps = p.slice_length().as_ps();
-  r.slices = static_cast<int>(stats.slices.size());
-  r.tasks = stats.tasks;
-  r.deadline_violations = stats.deadline_violations;
-  r.total_energy_pj = stats.total_energy.as_pj();
-  r.mean_slice_energy_pj = stats.mean_slice_energy().as_pj();
-  r.dynamic_energy_pj = ledger.dynamic_total().as_pj();
-  r.leakage_energy_pj = ledger.total(energy::Activity::kLeakage).as_pj();
-  r.transfer_energy_pj = ledger.total(energy::Activity::kTransfer).as_pj();
-  r.total_time_ps = stats.total_time.as_ps();
-  for (const sys::SliceStats& s : stats.slices) {
-    r.busy_time_ps += s.busy_time.as_ps();
-    r.max_busy_ps = std::max(r.max_busy_ps, s.busy_time.as_ps());
-    r.movement_time_ps += s.movement_time.as_ps();
-    r.slice_metrics.push_back({s.slice, s.tasks_executed, s.busy_time.as_ps(),
-                               s.movement_time.as_ps(), s.energy.as_pj(),
-                               s.deadline_violated});
-  }
-  return r;
-}
-
-std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
-
-// Every RunResult field, doubles bit for bit; the memo counts must cover
-// every slice.
-void expect_bit_equal(const RunResult& got, const RunResult& want) {
-  SCOPED_TRACE(want.arch + " / " + want.model + " / " + want.scenario + " / '" +
-               want.variant + "'");
-  EXPECT_EQ(got.index, want.index);
-  EXPECT_EQ(got.variant, want.variant);
-  EXPECT_EQ(got.arch, want.arch);
-  EXPECT_EQ(got.model, want.model);
-  EXPECT_EQ(got.scenario, want.scenario);
-  EXPECT_EQ(got.seed, want.seed);
-  EXPECT_EQ(got.slice_ps, want.slice_ps);
-  EXPECT_EQ(got.slices, want.slices);
-  EXPECT_EQ(got.tasks, want.tasks);
-  EXPECT_EQ(got.deadline_violations, want.deadline_violations);
-  EXPECT_EQ(bits(got.total_energy_pj), bits(want.total_energy_pj));
-  EXPECT_EQ(bits(got.mean_slice_energy_pj), bits(want.mean_slice_energy_pj));
-  EXPECT_EQ(bits(got.dynamic_energy_pj), bits(want.dynamic_energy_pj));
-  EXPECT_EQ(bits(got.leakage_energy_pj), bits(want.leakage_energy_pj));
-  EXPECT_EQ(bits(got.transfer_energy_pj), bits(want.transfer_energy_pj));
-  EXPECT_EQ(got.total_time_ps, want.total_time_ps);
-  EXPECT_EQ(got.busy_time_ps, want.busy_time_ps);
-  EXPECT_EQ(got.max_busy_ps, want.max_busy_ps);
-  EXPECT_EQ(got.movement_time_ps, want.movement_time_ps);
-  ASSERT_EQ(got.slice_metrics.size(), want.slice_metrics.size());
-  for (std::size_t k = 0; k < want.slice_metrics.size(); ++k) {
-    const SliceMetrics& g = got.slice_metrics[k];
-    const SliceMetrics& w = want.slice_metrics[k];
-    EXPECT_EQ(g.slice, w.slice) << "slice " << k;
-    EXPECT_EQ(g.tasks, w.tasks) << "slice " << k;
-    EXPECT_EQ(g.busy_ps, w.busy_ps) << "slice " << k;
-    EXPECT_EQ(g.movement_ps, w.movement_ps) << "slice " << k;
-    EXPECT_EQ(bits(g.energy_pj), bits(w.energy_pj)) << "slice " << k;
-    EXPECT_EQ(g.deadline_violated, w.deadline_violated) << "slice " << k;
-  }
-  EXPECT_EQ(got.memo_exact + got.memo_replayed, static_cast<std::uint64_t>(want.slices));
-}
-
 // The slice memo's differential test: every field of every run, pooled
 // (run) and on a processor of its own (execute), equals a fresh
 // Processor's run_scenario. Four Table I archs x three models x the nine
@@ -217,9 +138,9 @@ TEST(Runner, MatchesDirectProcessorRun) {
   ASSERT_EQ(pooled.size(), runs.size());
   std::uint64_t replayed = 0;
   for (std::size_t i = 0; i < runs.size(); ++i) {
-    const RunResult want = direct_result(runs[i], &cache);
-    expect_bit_equal(pooled.runs()[i], want);
-    expect_bit_equal(Runner::execute(runs[i], true, &cache), want);
+    const RunResult want = cases::direct_result(runs[i], &cache);
+    EXPECT_EQ(cases::difference(pooled.runs()[i], want), "");
+    EXPECT_EQ(cases::difference(Runner::execute(runs[i], true, &cache), want), "");
     replayed += pooled.runs()[i].memo_replayed;
   }
   EXPECT_GT(replayed, 0u);  // the memo is exercised, not bypassed

@@ -1,4 +1,4 @@
-// The differential fleet oracle: output bytes must not depend on how the
+// The differential oracle: output bytes must not depend on how the
 // simulator runs. For each random case (fleet_cases.hpp) the reference is
 // one thread, memo off, one shot, and every strategy must reproduce its
 // JSONL and summary bytes: 2 and 4 threads (with a cold memo and shard
@@ -9,7 +9,17 @@
 // count exactly its own work, and every live processor blob of every cut
 // must pass the state-walk check. A failing case is shrunk (one feature
 // dropped at a time, then devices and slices halved) and printed as C++.
-// HHPIM_ORACLE_CASES and HHPIM_ORACLE_SEED set the case count and seed.
+//
+// The grid half does the same for exp::Runner, whose runs replay slices
+// through the same fleet::OutcomeCache: for each random grid
+// (grid_cases.hpp) the reference is a fresh processor's run_scenario per
+// run, and run_all at 1, 2 and 4 threads and execute() without a pool, on
+// shared and private LUT caches, keep_slices on and off, must reproduce
+// every RunResult field bit for bit. A failing grid is shrunk (axis entries
+// dropped, then slices halved) and printed as C++.
+//
+// HHPIM_ORACLE_CASES and HHPIM_ORACLE_SEED set the case count and seed of
+// both halves.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -30,8 +40,10 @@
 
 #include "common/serialize.hpp"
 #include "fleet/outcome_cache.hpp"
+#include "exp/runner.hpp"
 #include "fleet/simulator.hpp"
 #include "fleet_cases.hpp"
+#include "grid_cases.hpp"
 #include "placement/lut_cache.hpp"
 #include "state_bytes.hpp"
 
@@ -352,6 +364,115 @@ TEST(Oracle, EveryExecutionStrategyReproducesTheReference) {
   if (!failed && n_cases >= kDefaultCases) {  // the walk's properties were exercised
     EXPECT_GT(walk.blobs, 0);
     EXPECT_GT(walk.shared_states, 0);
+  }
+}
+
+// --- the grid half ------------------------------------------------------------
+
+/// Runs the exp::Runner strategies on `spec`'s runs — run_all at 1, 2 and 4
+/// threads and execute() without a pool — on a LUT cache shared across the
+/// case's strategies or one of their own, with keep_slices on or off: the
+/// four strategies take the four (LUT, keep_slices) pairs, rotated by
+/// `rotation`, so four consecutive cases run every combination. "" when
+/// every RunResult equals a fresh processor's run_scenario and every
+/// strategy counts the same memo work per run, else "<strategy>: <what
+/// differed>".
+std::string run_grid_oracle(const exp::ExperimentSpec& spec, std::uint64_t rotation) {
+  std::string strategy = "reference (fresh processors, private LUT builds)";
+  try {
+    const std::vector<exp::RunSpec> runs = spec.expand();
+    std::vector<exp::RunResult> want;
+    for (const exp::RunSpec& r : runs) want.push_back(exp::cases::direct_result(r, nullptr));
+    std::vector<std::uint64_t> exact;  // per run, the first strategy's exact slices
+    const auto same = [&](std::size_t i, const exp::RunResult& got, bool keep) {
+      if (const std::string d = exp::cases::difference(got, want[i], keep); !d.empty()) {
+        throw Mismatch("run " + std::to_string(i) + ": " + d);
+      }
+      if (exact.size() == i) exact.push_back(got.memo_exact);
+      if (exact[i] != got.memo_exact) throw Mismatch("run " + std::to_string(i) + "'s memo counts");
+    };
+    placement::LutCache shared;
+    for (const unsigned threads : {1u, 2u, 4u, 0u}) {  // 0: execute() without a pool
+      const std::uint64_t pair = (rotation + threads) % 4;
+      const bool share = (pair & 1) != 0;
+      const bool keep = (pair & 2) != 0;
+      strategy = (threads == 0 ? std::string{"execute without a pool"}
+                               : "run_all at " + std::to_string(threads) + " threads") +
+                 ", " + (share ? "shared" : "private") + " LUTs, keep_slices " +
+                 (keep ? "on" : "off");
+      placement::LutCache own;
+      placement::LutCache* const luts = share ? &shared : &own;
+      if (threads == 0) {
+        for (std::size_t i = 0; i < runs.size(); ++i) {
+          same(i, exp::Runner::execute(runs[i], keep, luts), keep);
+        }
+        continue;
+      }
+      const exp::ResultSet rs =
+          exp::Runner{{.threads = threads, .keep_slices = keep, .lut_cache = luts}}.run_all(runs);
+      if (rs.size() != runs.size()) throw Mismatch("result count");
+      for (std::size_t i = 0; i < runs.size(); ++i) same(i, rs.runs()[i], keep);
+    }
+  } catch (const std::exception& e) {
+    return strategy + ": " + e.what();
+  }
+  return "";
+}
+
+/// Shrinks failing `spec` in place while it still fails (one axis entry
+/// dropped at a time, then each scenario's slices halved); returns its
+/// failure.
+std::string shrink_grid(exp::ExperimentSpec& spec, std::uint64_t rotation, std::string failure) {
+  const auto still_fails = [&](exp::ExperimentSpec candidate) {
+    std::string f = run_grid_oracle(candidate, rotation);
+    if (f.empty()) return false;
+    spec = std::move(candidate);
+    failure = std::move(f);
+    return true;
+  };
+  const auto drop_each = [&](auto axis) {
+    for (std::size_t i = (spec.*axis).size(); i-- > 0 && (spec.*axis).size() > 1;) {
+      exp::ExperimentSpec candidate = spec;
+      (candidate.*axis).erase((candidate.*axis).begin() + static_cast<std::ptrdiff_t>(i));
+      (void)still_fails(std::move(candidate));
+    }
+  };
+  drop_each(&exp::ExperimentSpec::archs);
+  drop_each(&exp::ExperimentSpec::models);
+  drop_each(&exp::ExperimentSpec::scenarios);
+  drop_each(&exp::ExperimentSpec::variants);
+  for (bool halved = true; halved;) {
+    halved = false;
+    for (std::size_t i = 0; i < spec.scenarios.size(); ++i) {
+      exp::ExperimentSpec candidate = spec;
+      exp::ScenarioSpec& s = candidate.scenarios[i];
+      if (s.is_fixed ? s.explicit_loads.empty() : s.cfg.slices <= 1) continue;
+      if (s.is_fixed) {
+        s.explicit_loads.resize(s.explicit_loads.size() / 2);
+      } else {
+        s.cfg.slices /= 2;
+      }
+      halved = still_fails(std::move(candidate)) || halved;
+    }
+  }
+  return failure;
+}
+
+TEST(Oracle, EveryGridStrategyReproducesFreshProcessors) {
+  const std::uint64_t n_cases = env_or("HHPIM_ORACLE_CASES", kDefaultCases);
+  const std::uint64_t seed = env_or("HHPIM_ORACLE_SEED", kDefaultSeed);
+  SplitMix64 rng{seed};
+  bool failed = false;
+  for (std::uint64_t i = 0; i < n_cases && !failed; ++i) {
+    exp::ExperimentSpec spec = exp::cases::random_grid(rng);
+    const std::string failure = run_grid_oracle(spec, i);
+    failed = !failure.empty();
+    if (!failed) continue;
+    const std::string original = exp::cases::print_grid(spec);
+    const std::string shrunk = shrink_grid(spec, i, failure);
+    ADD_FAILURE() << "grid case " << i << " of HHPIM_ORACLE_SEED=" << seed << " fails: "
+                  << failure << "\n" << original << "shrunk, it fails: " << shrunk << "\n"
+                  << exp::cases::print_grid(spec);
   }
 }
 

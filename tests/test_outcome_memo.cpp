@@ -1,16 +1,24 @@
-// Device-level outcome memoization suite: the OutcomeCache semantics (states
-// named by machine and bytes, exact buckets, first-writer-wins, pointer
-// stability and bounded memory across row growth), the saved processor
-// state it names states by, and what a warm memo
+// Outcome memoization suite: the OutcomeCache semantics (states named by
+// machine and bytes, exact buckets, first-writer-wins, pointer stability and
+// bounded memory across row growth, stored ledger posts), the saved
+// processor state it names states by and the one restore path both engines
+// take back to it, and what a warm memo
 // must do on top of the differential oracle's byte identity
 // (test_oracle.cpp): count exactly its own lookups, and replay every
 // device of a warm fleet, exhaustion slices included.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
+#include <iterator>
+#include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
+#include <vector>
 
+#include "common/serialize.hpp"
+#include "energy/ledger.hpp"
 #include "fleet/outcome_cache.hpp"
 #include "fleet/simulator.hpp"
 #include "fleet_cases.hpp"
@@ -65,6 +73,7 @@ TEST(OutcomeCache, InternRecordFindStats) {
   const SliceOutcome& o =
       cache.record(a, key, SliceOutcome{100.0, 5, 2, 0, true, nullptr}, "state-c");
   EXPECT_EQ(a.find(key), &o);
+  EXPECT_EQ(o.posts, nullptr);  // recorded without posts
   EXPECT_DOUBLE_EQ(o.energy_pj, 100.0);
   EXPECT_EQ(o.busy_ps, 5);
   EXPECT_TRUE(o.deadline_violated);
@@ -103,6 +112,57 @@ TEST(OutcomeCache, InternRecordFindStats) {
 
   // A cold memo is a fresh cache.
   EXPECT_EQ(OutcomeCache{}.intern(7, "state-a").find(key), nullptr);
+}
+
+TEST(OutcomeCache, StoredPostsReplayTheirSliceAcrossRowGrowth) {
+  // Thirteen outcomes from one state, five of them past the index's last
+  // load row (they chain in one bucket), so the row doubles from 8 to 16
+  // slots: every outcome run_exact recorded with posts still yields them,
+  // and EnergyLedger::apply of them gives a fresh processor's slice cells
+  // bit for bit. The one recorded without posts has none.
+  placement::LutCache luts;
+  sys::SystemConfig config = cases::base_config();
+  config.lut_cache = &luts;
+  const nn::Model& model = cases::zoo()[0];
+  sys::Processor proc{config, model};
+  const std::string fresh = state_bytes(proc);
+  OutcomeCache cache;
+  const State& s = cache.intern(sys::processor_reuse_key(config, model), fresh);
+  const std::uint32_t loads[] = {0, 1, 2, 3, 5, 8, 13, 21, 31, 32, 33, 40};
+  ByteWriter save;
+  energy::PostLog captured;
+  for (const std::uint32_t n : loads) {
+    proc.restore(fresh);
+    (void)cache.run_exact(s, SliceKey{0, n, 0, 0}, proc, save, &captured);
+  }
+  proc.restore(fresh);
+  EXPECT_EQ(cache.run_exact(s, SliceKey{0, 45, 0, 0}, proc, save).posts, nullptr);
+  const OutcomeCache::Stats st = cache.stats();
+  EXPECT_EQ(st.outcomes, std::size(loads) + 1);
+  EXPECT_EQ(st.slots, 16u);
+  EXPECT_EQ(st.slots_kept, 24u);  // the first row is kept for its readers
+
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  for (const std::uint32_t n : loads) {
+    SCOPED_TRACE(n);
+    const SliceOutcome* o = s.find(SliceKey{0, n, 0, 0});
+    ASSERT_NE(o, nullptr);
+    ASSERT_NE(o->posts, nullptr);
+    sys::Processor ref{config, model};  // its ledger holds the one slice's posts
+    EXPECT_EQ(bits(o->energy_pj), bits(ref.run_slice(static_cast<int>(n)).energy.as_pj()));
+    const energy::EnergyLedger& ledger = ref.ledger();
+    std::vector<double> cells(ledger.cell_count(), 0.0);
+    energy::EnergyLedger::apply(cells, *o->posts);
+    constexpr auto kActivities = static_cast<std::size_t>(energy::Activity::kCount);
+    for (std::size_t c = 0; c < ledger.component_count(); ++c) {
+      for (std::size_t a = 0; a < kActivities; ++a) {
+        EXPECT_EQ(bits(cells[c * kActivities + a]),
+                  bits(ledger.component_total_by_index(c, static_cast<energy::Activity>(a))
+                           .as_pj()))
+            << ledger.component_name(c) << " activity " << a;
+      }
+    }
+  }
 }
 
 TEST(OutcomeCache, KeysSeparateOnEveryField) {
@@ -205,6 +265,65 @@ TEST(ProcessorState, EqualWhenFreshOrReset_DivergesUnderLoad) {
 
   a.reset();
   EXPECT_EQ(state_bytes(a), fresh);  // reset() == fresh construction
+}
+
+TEST(ProcessorState, RestoreTakesWholeBlobsOfItsOwnMachineOnly) {
+  placement::LutCache luts;
+  sys::SystemConfig config = cases::base_config();
+  config.lut_cache = &luts;
+  const nn::Model& model = cases::zoo()[0];
+  sys::Processor a{config, model};
+  (void)a.run_slice(4);
+  const std::string saved = state_bytes(a);
+  sys::Processor b{config, model};
+  (void)b.run_slice(9);
+  b.restore(saved);  // resets first: b's own history is gone
+  EXPECT_EQ(state_bytes(b), saved);
+  EXPECT_EQ(b.run_slice(3).energy.as_pj(), a.run_slice(3).energy.as_pj());
+
+  // Bytes past the state are refused, saying how many.
+  try {
+    b.restore(saved + "xy");
+    ADD_FAILURE() << "a blob with trailing bytes was restored";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string{e.what()}.find("2 trailing bytes"), std::string::npos) << e.what();
+  }
+  // So is another machine's shape: Baseline-PIM has no LP cluster.
+  sys::SystemConfig baseline = config;
+  baseline.arch = sys::ArchConfig::baseline();
+  EXPECT_THROW(b.restore(state_bytes(sys::Processor{baseline, model})), std::runtime_error);
+  // A refused restore leaves nothing behind that a good one keeps.
+  b.restore(saved);
+  EXPECT_EQ(state_bytes(b), saved);
+}
+
+TEST(ProcessorState, FleetRefusesTrailingBytesNamingTheDevice) {
+  // A checkpointed device's processor blob with a byte too many: resuming
+  // refuses it through Processor::restore, memo on or off, and the message
+  // names the device.
+  const FleetSpec spec = small_fleet(6, 6);
+  placement::LutCache luts;
+  FleetSnapshot snap = FleetSimulator{cases::options(1, 4, &luts, nullptr)}.run_to(spec, 3);
+  std::size_t live = snap.devices.size();
+  for (std::size_t d = 0; d < snap.devices.size() && live == snap.devices.size(); ++d) {
+    if (snap.devices[d].proc_blob != nullptr) live = d;
+  }
+  ASSERT_LT(live, snap.devices.size());
+  snap.devices[live].proc_blob =
+      std::make_shared<const std::string>(*snap.devices[live].proc_blob + "x");
+  const std::string id = std::to_string(snap.devices[live].result.id);
+  for (const bool memo : {false, true}) {
+    OutcomeCache outcomes;
+    try {
+      (void)FleetSimulator{cases::options(1, 4, &luts, memo ? &outcomes : nullptr)}.resume(
+          spec, snap);
+      ADD_FAILURE() << "a blob with trailing bytes was resumed, memo " << memo;
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("fleet: device " + id + ": "), std::string::npos) << what;
+      EXPECT_NE(what.find("1 trailing bytes"), std::string::npos) << what;
+    }
+  }
 }
 
 // --- fleet memo counters and warm replay --------------------------------------
