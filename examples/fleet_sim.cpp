@@ -197,11 +197,12 @@ int run_cli(const Cli& cli) {
       // Stats only — hit/miss counts vary with worker interleaving, which is
       // why they are printed here and never written into the summary JSON.
       std::printf("device memo: %llu replayed, %llu exact (%llu hits, "
-                  "%llu misses)\n",
+                  "%llu misses; %llu devices replayed whole)\n",
                   static_cast<unsigned long long>(result.memo_replayed_devices),
                   static_cast<unsigned long long>(result.memo_exact_devices),
                   static_cast<unsigned long long>(result.memo_hits),
-                  static_cast<unsigned long long>(result.memo_misses));
+                  static_cast<unsigned long long>(result.memo_misses),
+                  static_cast<unsigned long long>(result.memo_device_replays));
     }
     std::printf("wall: %.3f s (%.1f devices/s)\n\n", wall_s,
                 spec.devices > 0 ? static_cast<double>(spec.devices) / wall_s : 0.0);

@@ -33,11 +33,6 @@ void FleetAggregate::add_busy(const BusyColumn& busy) {
   busy.for_each([this](std::int64_t busy_ps) { add_busy(busy_ps); });
 }
 
-void FleetAggregate::add_finished_device(const DeviceProgress& p) {
-  add_busy(p.busy);
-  add_device(p.result);
-}
-
 void FleetAggregate::merge(const FleetAggregate& o) {
   devices += o.devices;
   executed_slices += o.executed_slices;

@@ -22,9 +22,8 @@
 
 namespace hhpim::fleet {
 
-struct DeviceResult;    // fleet/device.hpp
-struct DeviceProgress;  // fleet/device.hpp
-class BusyColumn;       // fleet/device.hpp
+struct DeviceResult;  // fleet/device.hpp
+class BusyColumn;     // fleet/device.hpp
 
 /// The two per-slice histograms, binned in the slice that executes: busy
 /// time as a fraction of the slice length T, and everything the slice
@@ -62,15 +61,10 @@ class FleetAggregate {
   /// a device's stored column (below), then each of its slices as it runs.
   void add_busy(std::int64_t busy_ps) { busy_us.add(Time::ps(busy_ps).as_us()); }
 
-  /// Accounts a stored busy column into `busy_us`, in slice order.
+  /// Accounts a stored busy column into `busy_us`, in slice order: a device
+  /// that ran in earlier, bounded segments, before its later slices or its
+  /// totals.
   void add_busy(const BusyColumn& busy);
-
-  /// Accounts a device that finished in an earlier, bounded segment: its
-  /// stored busy column, then its totals. Only stored columns are fed here —
-  /// a device finishing in a final segment fed its samples as it ran and
-  /// holds an empty column. The slice histograms were binned as the slices
-  /// ran.
-  void add_finished_device(const DeviceProgress& p);
 
   /// Adds `other` into this aggregate. Shapes must match (throws
   /// std::invalid_argument via Histogram::merge otherwise). Summary merges

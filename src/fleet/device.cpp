@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <stdexcept>
 #include <string>
 
@@ -84,21 +85,42 @@ void Device::init_slo_tiers() {
   slo_ok_ = true;
 }
 
-void BusyColumn::push(std::int64_t busy_ps) {
-  const std::size_t n = values_.size();
-  for (std::size_t c = 0; c < n; ++c) {
-    if (values_[c] == busy_ps) {
-      codes_.push_back(static_cast<std::uint8_t>(c));
-      return;
-    }
+std::size_t BusyColumn::Index::home(std::int64_t value) {
+  // A multiplicative hash's top bits.
+  return static_cast<std::size_t>((static_cast<std::uint64_t>(value) * 0x9e3779b97f4a7c15ULL) >>
+                                  (64 - std::countr_zero(kSlots)));
+}
+
+void BusyColumn::Index::bind(const BusyColumn& column) {
+  codes_.fill(kSpill);
+  for (std::size_t c = 0; c < column.values_.size(); ++c) {
+    insert(column.values_[c], static_cast<std::uint8_t>(c));
   }
-  if (n < kSpill) {
+}
+
+std::uint8_t BusyColumn::Index::find(std::int64_t value) const {
+  for (std::size_t s = home(value);; s = (s + 1) % kSlots) {
+    if (codes_[s] == kSpill || values_[s] == value) return codes_[s];
+  }
+}
+
+void BusyColumn::Index::insert(std::int64_t value, std::uint8_t code) {
+  std::size_t s = home(value);
+  while (codes_[s] != kSpill) s = (s + 1) % kSlots;
+  values_[s] = value;
+  codes_[s] = code;
+}
+
+void BusyColumn::push(std::int64_t busy_ps, Index& index) {
+  std::uint8_t code = index.find(busy_ps);
+  if (code == kSpill && values_.size() < kSpill) {
+    code = static_cast<std::uint8_t>(values_.size());
     values_.push_back(busy_ps);
-    codes_.push_back(static_cast<std::uint8_t>(n));
-  } else {
-    codes_.push_back(kSpill);
+    index.insert(busy_ps, code);
+  } else if (code == kSpill) {
     spill_.push_back(busy_ps);
   }
+  codes_.push_back(code);
 }
 
 void BusyColumn::clear() {
@@ -217,7 +239,7 @@ SliceKey DeviceProgress::slice_key(std::int64_t slo_ps) const {
 }
 
 void DeviceProgress::end_slice(const SliceOutcome& out, FleetAggregate& agg,
-                               bool feed_busy) {
+                               BusyColumn::Index* busy_index) {
   const int n_loads = loads.size();
   const int arriving = next_k < n_loads ? loads.next() : 0;
   const double drained = out.energy_pj < charge_pj ? out.energy_pj : charge_pj;
@@ -233,10 +255,10 @@ void DeviceProgress::end_slice(const SliceOutcome& out, FleetAggregate& agg,
   r.movement_time_ps += out.movement_ps;
   r.host_cycles += out.host_cycles;
   if (mode == static_cast<std::uint8_t>(DeviceMode::kLowPower)) ++r.low_power_slices;
-  if (feed_busy) {
+  if (busy_index == nullptr) {
     agg.add_busy(out.busy_ps);
   } else {
-    busy.push(out.busy_ps);
+    busy.push(out.busy_ps, *busy_index);
   }
   agg.slice_bins.add(out.busy_ps, r.slice_ps, out.energy_pj);
 
@@ -274,7 +296,7 @@ DeviceResult Device::run(FleetAggregate* agg) {
   // runs, so no busy column is held.
   while (!p.done) {
     place(p, p.begin_slice(fleet_, spec_, slo_ok_));
-    p.end_slice(SliceOutcome::of(proc_->run_slice(p.buffered)), a, true);
+    p.end_slice(SliceOutcome::of(proc_->run_slice(p.buffered)), a, nullptr);
   }
   a.add_device(p.result);
   return p.result;

@@ -27,6 +27,7 @@
 #pragma once
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -101,7 +102,41 @@ class BusyColumn {
   /// The code of a spilled sample; also the dictionary's capacity.
   static constexpr std::uint8_t kSpill = 255;
 
-  void push(std::int64_t busy_ps);
+  /// An exact value → code index of one column's dictionary, held by a
+  /// worker rather than by each column (a column stays one byte per
+  /// slice): bind() it to a column, then push that column's samples through
+  /// it. A push to the column without it, or a bind to another column,
+  /// leaves it stale until the next bind.
+  class Index {
+   public:
+    void bind(const BusyColumn& column);
+
+   private:
+    friend class BusyColumn;
+    /// Open addressing at a load of at most 255/512, so a probe stops.
+    static constexpr std::size_t kSlots = 512;
+    static_assert(std::has_single_bit(kSlots));
+    /// The slot a probe for `value` starts at.
+    [[nodiscard]] static std::size_t home(std::int64_t value);
+    /// The value's code, or kSpill when the dictionary does not hold it.
+    [[nodiscard]] std::uint8_t find(std::int64_t value) const;
+    void insert(std::int64_t value, std::uint8_t code);
+
+    std::array<std::int64_t, kSlots> values_{};
+    std::array<std::uint8_t, kSlots> codes_{};  ///< kSpill = an empty slot
+  };
+
+  /// Appends one sample: a value the dictionary holds takes its code, a new
+  /// one the next code while there is room, else kSpill and a spill entry.
+  /// Binds a fresh index per call; a run of pushes passes a bound one.
+  void push(std::int64_t busy_ps) {
+    Index index;
+    index.bind(*this);
+    push(busy_ps, index);
+  }
+  /// push() through `index`, bound to this column: one hash probe, where
+  /// the dictionary alone would take a scan.
+  void push(std::int64_t busy_ps, Index& index);
   /// Empties the column, keeping its capacity.
   void clear();
   /// Capacity for `n` samples' codes.
@@ -200,11 +235,12 @@ struct DeviceProgress {
   /// slice and bins it into `agg.slice_bins`, accounts its busy time,
   /// buffers the slice's arrivals (from `loads`), and ends the stream on
   /// exhaustion — the arrivals left in the cursor are dropped — or after the
-  /// last step (an early leaver drops its final buffer). With `feed_busy`
-  /// (a final segment, or Device::run) the busy time goes straight into
-  /// `agg.busy_us`, so the caller must have fed the device's stored column
-  /// first; otherwise (a bounded segment) it is pushed onto `busy`.
-  void end_slice(const SliceOutcome& out, FleetAggregate& agg, bool feed_busy);
+  /// last step (an early leaver drops its final buffer). Without
+  /// `busy_index` (a final segment, or Device::run) the busy time goes
+  /// straight into `agg.busy_us`, so the caller must have fed the device's
+  /// stored column first; with it (a bounded segment) the busy time is
+  /// pushed onto `busy` through the index, which the caller bound to `busy`.
+  void end_slice(const SliceOutcome& out, FleetAggregate& agg, BusyColumn::Index* busy_index);
 };
 
 class Device {

@@ -19,6 +19,8 @@
 #include <stdexcept>
 #include <string_view>
 #include <thread>
+#include <type_traits>
+#include <unordered_map>
 
 #include "common/align.hpp"
 #include "common/serialize.hpp"
@@ -214,7 +216,7 @@ class DeviceLines {
 void format_in_order(const FleetResult& r,
                      const std::function<bool(std::string_view)>& emit) {
   const DeviceLines lines{r.model_names};
-  const std::span<const DeviceResult> all{r.devices};
+  const std::span<const DeviceResult> all{r.devices.begin(), r.devices.size()};
   const std::size_t chunk = std::max<std::size_t>(r.shard_size, 1);
   const std::size_t chunks = (all.size() + chunk - 1) / chunk;
   const auto threads = static_cast<unsigned>(std::min<std::size_t>(
@@ -313,6 +315,21 @@ void format_in_order(const FleetResult& r,
 
 }  // namespace
 
+DeviceResults::Builder::Block DeviceResults::Builder::allocate(std::size_t n) {
+  if (n == 0) return nullptr;
+  return Block{static_cast<DeviceResult*>(::operator new(n * sizeof(DeviceResult)))};
+}
+
+DeviceResults::DeviceResults(std::span<const DeviceResult> results)
+    : block_(Builder::allocate(results.size())), size_(results.size()) {
+  std::uninitialized_copy(results.begin(), results.end(), block_.get());
+}
+
+DeviceResults& DeviceResults::operator=(const DeviceResults& other) {
+  if (this != &other) *this = DeviceResults{other};
+  return *this;
+}
+
 void FleetResult::write_jsonl(std::ostream& os) const {
   format_in_order(*this, [&os](std::string_view bytes) {
     os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
@@ -406,6 +423,48 @@ std::string shard_path(const std::string& dir, std::size_t shard) {
   std::snprintf(name, sizeof name, "shard-%05zu.jsonl", shard);
   return dir + "/" + name;
 }
+
+/// What the aggregate reads of one slice of a recorded device.
+struct SliceSample {
+  std::int64_t busy_ps = 0;
+  double energy_pj = 0.0;
+};
+
+/// A device's run, recorded for whole-device replay: its result (id and
+/// seed are the recorded device's) and its slices in order.
+struct DeviceRecord {
+  DeviceResult result;
+  std::vector<SliceSample> slices;
+};
+
+/// A walk_run_inputs visitor appending each key field's bytes to `out`:
+/// equal bytes mean equal fields.
+struct RunKeyWriter {
+  std::string& out;
+  template <class T>
+    requires std::is_arithmetic_v<T> || std::is_enum_v<T>
+  void key(T v) {
+    out.append(reinterpret_cast<const char*>(&v), sizeof v);
+  }
+  void key(const std::string& s) {
+    key(s.size());
+    out.append(s);
+  }
+  void key(const std::vector<int>& v) {
+    key(v.size());
+    out.append(reinterpret_cast<const char*>(v.data()), v.size() * sizeof(int));
+  }
+  template <class T>
+  void echo(const T&) {}
+};
+
+/// Hashes run keys, also as string_views (lookups build no string).
+struct RunKeyHash {
+  using is_transparent = void;
+  std::size_t operator()(std::string_view key) const {
+    return std::hash<std::string_view>{}(key);
+  }
+};
 
 }  // namespace
 
@@ -657,17 +716,19 @@ FleetSnapshot FleetSimulator::drive(const FleetSpec& spec, int end_slice,
                              .threads = resolve_threads(options_.threads)};
     final_out->model_names.reserve(models.size());
     for (const nn::Model& m : models) final_out->model_names.push_back(m.name());
-    if (options_.keep_results) final_out->devices.resize(n);
   }
+  // The results' storage, raw: each worker constructs its devices' slots.
+  std::optional<DeviceResults::Builder> results;
+  if (final_segment && options_.keep_results) results.emplace(n);
 
   // One slot per shard in every segment (a bounded one keeps only the slice
   // histograms), each on its own cache line: a worker finishing shard s
-  // move-assigns into slot s while a sibling fills s±1 — without the
+  // moves its aggregate into slot s while a sibling fills s±1 — without the
   // alignment those writes would false-share a line.
   struct alignas(kCacheLine) ShardSlot {
-    FleetAggregate agg;
+    std::optional<FleetAggregate> agg;
   };
-  std::vector<ShardSlot> shard_aggs(shards, ShardSlot{FleetAggregate{spec.histograms}});
+  std::vector<ShardSlot> shard_aggs(shards);
 
   // Per-worker buffers, reused across the worker's shards and devices, on
   // their own cache lines: the device in flight is written every slice.
@@ -678,9 +739,17 @@ FleetSnapshot FleetSimulator::drive(const FleetSpec& spec, int end_slice,
     /// their snapshot slots).
     DeviceProgress progress;
     ByteWriter save;  ///< save_state scratch, reused
+    BusyColumn::Index busy_index;  ///< bound to the column of the device in flight
     /// --shard-dir: the shard's JSONL lines, formatted as its devices
     /// finish and written to the shard file in one call.
     std::string jsonl;
+    /// Whole-device replay: the run-input key of every device this worker
+    /// started in this call, with the run of the key's second device (null
+    /// until then, so inputs that never repeat hold no record).
+    std::unordered_map<std::string, std::unique_ptr<DeviceRecord>, RunKeyHash, std::equal_to<>>
+        records;
+    std::string key;                   ///< the device in flight's key
+    std::vector<SliceSample> slices;   ///< the slices of a device being recorded
   };
   // This call's memo economy, summed once per shard from run_shard locals
   // (a lookup itself writes nothing shared), and its HH-PIM devices (every
@@ -691,6 +760,11 @@ FleetSnapshot FleetSimulator::drive(const FleetSpec& spec, int end_slice,
   std::atomic<std::uint64_t> memo_exact{0};
   std::atomic<std::uint64_t> memo_hits{0};
   std::atomic<std::uint64_t> memo_misses{0};
+  std::atomic<std::uint64_t> memo_device_replays{0};
+  std::atomic<std::uint64_t> memo_device_replay_slices{0};
+  // A device that starts in a final segment also finishes in it, so with
+  // the memo on it may replay whole.
+  const bool replay_whole = final_segment && memo != nullptr;
 
   // --shard-dir: one line template for the whole call (lines are appended
   // one device at a time, as each finishes).
@@ -709,6 +783,8 @@ FleetSnapshot FleetSimulator::drive(const FleetSpec& spec, int end_slice,
     std::uint64_t exact = 0;
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
+    std::uint64_t device_replays = 0;
+    std::uint64_t device_replay_slices = 0;
     w.jsonl.clear();
 
     // Advances a started device through local steps [p.next_k, k_end) from
@@ -720,10 +796,17 @@ FleetSnapshot FleetSimulator::drive(const FleetSpec& spec, int end_slice,
     // just this slice exact and records it (OutcomeCache::run_exact, the
     // grid's miss step too), published at once. Without the memo there is
     // no state: every slice misses, so the processor goes live once and
-    // stays live. Returns true when any slice ran exact.
+    // stays live. Each slice is appended to `record` when it is non-null.
+    // Returns true when any slice ran exact.
     const auto advance = [&](const DeviceSpec& ds, DeviceProgress& p, int k_end,
-                             const State* state) {
+                             const State* state, std::vector<SliceSample>* record) {
       const PairInfo& info = pairs[pair_of(ds)];
+      // A bounded segment buffers busy times in the device's column.
+      if (!final_segment) w.busy_index.bind(p.busy);
+      const auto end = [&](const SliceOutcome& out) {
+        p.end_slice(out, agg, final_segment ? nullptr : &w.busy_index);
+        if (record != nullptr) record->push_back({out.busy_ps, out.energy_pj});
+      };
       const bool slo = Device::slo_active(info.lut, ds.latency_slo_ps);
       const std::int64_t slo_ps = slo ? ds.latency_slo_ps : 0;
       if (p.next_k == 0) state = info.fresh;
@@ -737,7 +820,7 @@ FleetSnapshot FleetSimulator::drive(const FleetSpec& spec, int end_slice,
         const SliceKey key = p.slice_key(slo_ps);
         if (const SliceOutcome* out = state != nullptr ? state->find(key) : nullptr) {
           ++hits;
-          p.end_slice(*out, agg, final_segment);
+          end(*out);
           state = out->next;
           live = false;
           continue;
@@ -745,10 +828,13 @@ FleetSnapshot FleetSimulator::drive(const FleetSpec& spec, int end_slice,
         ++misses;
         if (!live) {
           const bool same_key = lease && lease.key() == info.reuse_key;
+          const bool restoring = p.next_k > 0;  // restore() resets first
           if (!same_key) {
-            lease = pool.checkout(info.reuse_key, info.config, models[ds.model_index]);
+            lease = pool.checkout(info.reuse_key, info.config, models[ds.model_index],
+                                  restoring ? sys::ProcessorPool::Reuse::kAsLeft
+                                            : sys::ProcessorPool::Reuse::kReset);
           }
-          if (p.next_k > 0) {
+          if (restoring) {
             const StateBlob& blob = state != nullptr ? state->blob() : p.proc_blob;
             if (blob == nullptr) {
               throw std::runtime_error("fleet: device " + std::to_string(ds.id) +
@@ -773,7 +859,7 @@ FleetSnapshot FleetSimulator::drive(const FleetSpec& spec, int end_slice,
                                      ? memo->run_exact(*state, key, lease.get(), w.save)
                                      : SliceOutcome::of(lease.get().run_slice(p.buffered));
         state = out.next;
-        p.end_slice(out, agg, final_segment);
+        end(out);
         ran_exact = true;
       }
       if (final_segment || p.done) {
@@ -794,13 +880,29 @@ FleetSnapshot FleetSimulator::drive(const FleetSpec& spec, int end_slice,
       return ran_exact;
     };
 
-    // Accounts a finished device at its ordinal position: its stored busy
-    // samples (none for a device that ran in this segment: it fed them as it
-    // ran), then totals — the device-major order of one uninterrupted run.
-    const auto finish = [&](std::size_t i, const DeviceProgress& p) {
-      agg.add_finished_device(p);
-      if (options_.keep_results) final_out->devices[i] = p.result;
-      if (lines) lines->append(w.jsonl, {&p.result, 1});
+    // Accounts a finished device's totals at its ordinal position, after
+    // its slices' busy times: the device-major order of one uninterrupted
+    // run.
+    const auto finish = [&](std::size_t i, const DeviceResult& r) {
+      agg.add_device(r);
+      if (results) results->set(i, r);
+      if (lines) lines->append(w.jsonl, {&r, 1});
+    };
+    // Device i replays `record`: its slices in order, as end_slice fed the
+    // recorded device's, then the recorded result under this device's id
+    // and seed (the only fields walk_run_inputs echoes into a result).
+    const auto replay = [&](std::size_t i, const DeviceSpec& ds, const DeviceRecord& record) {
+      for (const SliceSample& s : record.slices) {
+        agg.add_busy(s.busy_ps);
+        agg.slice_bins.add(s.busy_ps, record.result.slice_ps, s.energy_pj);
+      }
+      DeviceResult r = record.result;
+      r.id = ds.id;
+      r.seed = ds.seed;
+      finish(i, r);
+      ++replayed;
+      ++device_replays;
+      device_replay_slices += record.slices.size();
     };
 
     for (std::size_t i = begin; i < end; ++i) {
@@ -812,7 +914,8 @@ FleetSnapshot FleetSimulator::drive(const FleetSpec& spec, int end_slice,
         // Finished in an earlier segment (the final one accounts its stored
         // result) or not joined yet (carried to the next snapshot as is).
         if (final_segment) {
-          finish(i, *src);
+          agg.add_busy(src->busy);
+          finish(i, src->result);
         } else if (src != nullptr) {
           snap.devices[i] = *src;
         }
@@ -829,6 +932,9 @@ FleetSnapshot FleetSimulator::drive(const FleetSpec& spec, int end_slice,
         const int to_run = std::max(0, std::min(k_end, slices_total) - next_k);
         p.busy.reserve(executed + static_cast<std::size_t>(to_run));
       };
+      // With replay_whole: the device's entry in w.records, set when this
+      // device is its key's second and its run is to be recorded.
+      std::unique_ptr<DeviceRecord>* record = nullptr;
       if (src != nullptr && src->started) {
         reserve_busy(src->busy.size(), src->next_k, src->result.slices_total);
         p = *src;
@@ -839,15 +945,33 @@ FleetSnapshot FleetSimulator::drive(const FleetSpec& spec, int end_slice,
           p.busy.clear();
         }
       } else {
+        if (replay_whole && !workload::LoadStream::randomized(ds.scenario)) {
+          w.key.clear();
+          RunKeyWriter keys{w.key};
+          walk_run_inputs(keys, ds);
+          const auto it = w.records.find(std::string_view{w.key});
+          if (it == w.records.end()) {
+            w.records.emplace(w.key, nullptr);  // first sighting: the key only
+          } else if (it->second != nullptr) {
+            replay(i, ds, *it->second);
+            continue;
+          } else {
+            record = &it->second;
+            w.slices.clear();
+          }
+        }
         p.start(spec, ds, pairs[pair_of(ds)].slice_ps, env);
         reserve_busy(0, 0, p.result.slices_total);
       }
-      if (advance(ds, p, k_end, resumed.empty() ? nullptr : resumed[i])) {
+      if (advance(ds, p, k_end, resumed.empty() ? nullptr : resumed[i],
+                  record != nullptr ? &w.slices : nullptr)) {
         ++exact;
       } else {
         ++replayed;
       }
-      if (final_segment) finish(i, p);
+      if (final_segment) finish(i, p.result);
+      // Stored only once the run is complete: a run that throws leaves none.
+      if (record != nullptr) *record = std::make_unique<DeviceRecord>(p.result, w.slices);
     }
     hhpim_devices.fetch_add(hhpim, std::memory_order_relaxed);
     if (memo != nullptr) {
@@ -855,6 +979,8 @@ FleetSnapshot FleetSimulator::drive(const FleetSpec& spec, int end_slice,
       memo_exact.fetch_add(exact, std::memory_order_relaxed);
       memo_hits.fetch_add(hits, std::memory_order_relaxed);
       memo_misses.fetch_add(misses, std::memory_order_relaxed);
+      memo_device_replays.fetch_add(device_replays, std::memory_order_relaxed);
+      memo_device_replay_slices.fetch_add(device_replay_slices, std::memory_order_relaxed);
     }
 
     if (lines) {
@@ -867,7 +993,7 @@ FleetSnapshot FleetSimulator::drive(const FleetSpec& spec, int end_slice,
       out.close();
       if (!out) throw std::runtime_error("fleet: write failed for " + path);
     }
-    shard_aggs[s].agg = std::move(agg);
+    shard_aggs[s].agg.emplace(std::move(agg));
   };
 
   const unsigned workers = resolve_workers(options_.threads, shards);
@@ -875,14 +1001,15 @@ FleetSnapshot FleetSimulator::drive(const FleetSpec& spec, int end_slice,
   claim_each(shards, workers,
              [&](unsigned worker, std::size_t s) { run_shard(s, scratch[worker]); });
   if (!final_segment) {
-    for (const ShardSlot& slot : shard_aggs) snap.slice_bins.merge(slot.agg.slice_bins);
+    for (const ShardSlot& slot : shard_aggs) snap.slice_bins.merge(slot.agg->slice_bins);
     return snap;
   }
+  if (results) final_out->devices = std::move(*results).finish();
 
   // Merge in shard-index order: Summary merges are order-sensitive in the
   // last floating-point bit, so a fixed order keeps output byte-identical
   // at any thread count. The earlier segments' slices are binned in `snap`.
-  for (const ShardSlot& slot : shard_aggs) final_out->aggregate.merge(slot.agg);
+  for (const ShardSlot& slot : shard_aggs) final_out->aggregate.merge(*slot.agg);
   final_out->aggregate.slice_bins.merge(snap.slice_bins);
   // Shared: the devices that ran on a LUT they didn't build. Only HH-PIM
   // devices resolve through the LUT cache; static archs in a mixed-firmware
@@ -894,6 +1021,9 @@ FleetSnapshot FleetSimulator::drive(const FleetSpec& spec, int end_slice,
   final_out->memo_exact_devices = memo_exact.load(std::memory_order_relaxed);
   final_out->memo_hits = memo_hits.load(std::memory_order_relaxed);
   final_out->memo_misses = memo_misses.load(std::memory_order_relaxed);
+  final_out->memo_device_replays = memo_device_replays.load(std::memory_order_relaxed);
+  final_out->memo_device_replay_slices =
+      memo_device_replay_slices.load(std::memory_order_relaxed);
   return snap;
 }
 

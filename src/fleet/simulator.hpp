@@ -29,6 +29,14 @@
 //     Replayed aggregate/JSONL output is byte-identical to the exact path
 //     (docs/PERF.md "Device-level memoization", "Memo replay inside
 //     segments").
+//   * With the memo on, a final segment also replays whole devices: a
+//     worker keys each device it starts in the call on its run inputs
+//     (walk_run_inputs), records the run of a key's second device (its
+//     result and per-slice busy time and energy) and replays later devices
+//     of that key from the record — their slices feed the aggregate in
+//     device order, and only id and seed are patched into the result. Shapes
+//     that draw random numbers are never keyed: each device's seed makes it
+//     distinct (docs/PERF.md "Whole-device replay").
 //   * When FleetOptions::shard_dir is set, each worker streams its shard's
 //     device lines to <dir>/shard-NNNNN.jsonl as the shard completes — a
 //     fleet of millions never holds all results in memory
@@ -44,8 +52,12 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <ostream>
+#include <span>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "fleet/aggregate.hpp"
@@ -86,20 +98,84 @@ struct FleetOptions {
   /// run_to() and resume(): a slice whose (processor state, mode, load) key
   /// is warm replays through the per-slice step without running a
   /// Processor; a miss runs that one slice exact and records it for later
-  /// devices. Off = the exact reference path (every slice on a Processor).
-  /// Output is byte-identical with memoization on or off, segmented or
-  /// not, at any thread count (pinned by tests/test_oracle.cpp); only
-  /// wall-clock changes.
+  /// devices. In a final segment it also replays whole devices whose run
+  /// inputs repeat (walk_run_inputs). Off = the exact reference path (every
+  /// slice on a Processor). Output is byte-identical with memoization on or
+  /// off, segmented or not, at any thread count (pinned by
+  /// tests/test_oracle.cpp); only wall-clock changes.
   bool memoize_devices = true;
   /// Cache used when `memoize_devices` (not owned; must outlive the run).
   /// nullptr = the process-wide fleet::OutcomeCache::process_cache().
   OutcomeCache* outcome_cache = nullptr;
 };
 
+/// Per-device results in device-id order, in one heap block. DeviceResult
+/// is trivially copyable and destructible, so the block is never
+/// value-initialized: a run allocates it raw through a Builder and its shard
+/// workers construct each slot in place, so no thread writes the whole
+/// fleet's results before the workers start.
+class DeviceResults {
+ public:
+  static_assert(std::is_trivially_copyable_v<DeviceResult> &&
+                std::is_trivially_destructible_v<DeviceResult>);
+
+  /// Uninitialized storage for `n` results, each constructed once by
+  /// set(). Only finish() makes them readable, so a run that throws frees
+  /// the block without reading a slot.
+  class Builder {
+   public:
+    explicit Builder(std::size_t n) : block_(allocate(n)), size_(n) {}
+    /// Constructs slot i (i < n; each slot once). Distinct slots may be set
+    /// from distinct threads.
+    void set(std::size_t i, const DeviceResult& r) { std::construct_at(block_.get() + i, r); }
+    /// The results. Precondition: every slot was set.
+    [[nodiscard]] DeviceResults finish() && { return DeviceResults{std::move(block_), size_}; }
+
+   private:
+    friend class DeviceResults;
+    struct Free {
+      void operator()(DeviceResult* p) const { ::operator delete(p); }
+    };
+    using Block = std::unique_ptr<DeviceResult[], Free>;
+    static Block allocate(std::size_t n);
+
+    Block block_;
+    std::size_t size_ = 0;
+  };
+
+  DeviceResults() = default;
+  /// A copy of `results`: how tests and library callers build a list by hand.
+  explicit DeviceResults(std::span<const DeviceResult> results);
+  DeviceResults(const DeviceResults& other) : DeviceResults(std::span{other.begin(), other.end()}) {}
+  DeviceResults& operator=(const DeviceResults& other);
+  /// A moved-from list is empty.
+  DeviceResults(DeviceResults&& other) noexcept
+      : block_(std::move(other.block_)), size_(std::exchange(other.size_, 0)) {}
+  DeviceResults& operator=(DeviceResults&& other) noexcept {
+    block_ = std::move(other.block_);
+    size_ = std::exchange(other.size_, 0);
+    return *this;
+  }
+
+  [[nodiscard]] std::size_t size() const { return size_; }
+  [[nodiscard]] DeviceResult* begin() { return block_.get(); }
+  [[nodiscard]] DeviceResult* end() { return block_.get() + size_; }
+  [[nodiscard]] const DeviceResult* begin() const { return block_.get(); }
+  [[nodiscard]] const DeviceResult* end() const { return block_.get() + size_; }
+  [[nodiscard]] DeviceResult& operator[](std::size_t i) { return block_[i]; }
+  [[nodiscard]] const DeviceResult& operator[](std::size_t i) const { return block_[i]; }
+
+ private:
+  DeviceResults(Builder::Block block, std::size_t size) : block_(std::move(block)), size_(size) {}
+
+  Builder::Block block_;
+  std::size_t size_ = 0;
+};
+
 struct FleetResult {
   std::string fleet_name;
   /// Per-device results in device-id order (empty when !keep_results).
-  std::vector<DeviceResult> devices;
+  DeviceResults devices;
   /// The run's model-name table: DeviceResult::model_index points in here
   /// (the FleetSpec's resolved model population, in order). Interning the
   /// name at the spec level is what keeps DeviceResult allocation-free.
@@ -121,19 +197,25 @@ struct FleetResult {
   std::uint64_t lut_shared = 0;
 
   /// Device-memo economy of this call (zero when memoization is off; for
-  /// resume(), the final segment only). The run tallies its own lookups per
+  /// resume(), the final segment only). The run tallies its own work per
   /// shard, so these count exactly this call's work, whatever else shares
-  /// the cache: memo_hits + memo_misses is the slices this call executed
-  /// (one lookup each) and memo_replayed_devices + memo_exact_devices the
-  /// devices it advanced. The replayed/exact and hit/miss splits are
-  /// deterministic at one thread but vary with worker interleaving and
-  /// cache warmth — which is exactly why none of these appear in
-  /// summary_to_json() (the summary must stay byte-identical at any thread
-  /// count and with the memo toggled).
-  std::uint64_t memo_replayed_devices = 0;  ///< every slice a memo hit
+  /// the cache: memo_replayed_devices + memo_exact_devices is the devices it
+  /// advanced. A device replayed whole (FleetSimulator's whole-device
+  /// replay) makes no lookup, so memo_hits + memo_misses is the slices this
+  /// call executed minus memo_device_replay_slices, not every executed
+  /// slice. The replayed/exact and hit/miss splits are deterministic at one
+  /// thread but vary with worker interleaving and cache warmth — which is
+  /// exactly why none of these appear in summary_to_json() (the summary must
+  /// stay byte-identical at any thread count and with the memo toggled).
+  std::uint64_t memo_replayed_devices = 0;  ///< every slice a memo hit, or replayed whole
   std::uint64_t memo_exact_devices = 0;     ///< at least one slice run exact
   std::uint64_t memo_hits = 0;              ///< lookups that found an outcome
   std::uint64_t memo_misses = 0;            ///< lookups that ran the slice exact
+  /// Devices replayed whole from their worker's record of an earlier device
+  /// with the same run inputs (counted in memo_replayed_devices too), and
+  /// the slices they replayed.
+  std::uint64_t memo_device_replays = 0;
+  std::uint64_t memo_device_replay_slices = 0;
 
   /// One whitespace-free JSON object per device, '\n'-separated (JSON
   /// Lines). Byte-identical to the concatenation of the run's shard files,

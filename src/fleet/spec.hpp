@@ -69,6 +69,51 @@ struct DeviceSpec {
   std::int64_t latency_slo_ps = 0;
 };
 
+/// Names every DeviceSpec field once, in declaration order: `v.key(x)` for
+/// each input a device's run reads from its start, `v.echo(x)` for the ones
+/// it only copies into its DeviceResult (id, seed) or never reads. Within one
+/// FleetSimulator call (one FleetSpec, envelope and set of machines), two
+/// devices whose keys agree run identically up to their echoes: the
+/// simulator's whole-device replay keys on this walk. The structured
+/// bindings list every field of DeviceSpec and ScenarioConfig, so a field
+/// added to either does not compile here until it is classified.
+template <class V>
+void walk_run_inputs(V& v, const DeviceSpec& ds) {
+  const auto& [id, model_index, scenario, cfg, phase, seed, firmware_index, join_slice,
+               leave_slice, latency_slo_ps] = ds;
+  const auto& [slices, low, high, spike_period, spike_period_frequent, pulse_width, cfg_seed,
+               burst_period, burst_decay, poisson_mean, trace_path, trace] = cfg;
+  v.echo(id);
+  v.key(model_index);
+  v.key(scenario);
+  v.key(slices);
+  v.key(low);
+  v.key(high);
+  v.key(spike_period);
+  v.key(spike_period_frequent);
+  v.key(pulse_width);
+  // The generator seed: only the randomized shapes draw from it.
+  if (workload::LoadStream::randomized(scenario)) {
+    v.key(cfg_seed);
+  } else {
+    v.echo(cfg_seed);
+  }
+  v.key(burst_period);
+  v.key(burst_decay);
+  v.key(poisson_mean);
+  v.key(trace_path);
+  v.key(trace);
+  // The rotation as the load cursor reads it (LoadStream::init): modulo the
+  // trace length, of the phase taken as unsigned.
+  v.key(slices > 0 ? static_cast<std::uint64_t>(phase) % static_cast<std::uint64_t>(slices)
+                   : static_cast<std::uint64_t>(phase));
+  v.echo(seed);
+  v.key(firmware_index);
+  v.key(join_slice);
+  v.key(leave_slice);
+  v.key(latency_slo_ps);
+}
+
 /// Random lifecycle draws of the expansion: each device independently joins
 /// late / leaves early with these probabilities (uniform slice within the
 /// legal range). Zero fractions draw nothing, so default specs expand

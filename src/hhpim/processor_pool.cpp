@@ -31,7 +31,7 @@ void ProcessorPool::Lease::release() {
 
 ProcessorPool::Lease ProcessorPool::checkout(std::uint64_t key,
                                              const SystemConfig& config,
-                                             const nn::Model& model) {
+                                             const nn::Model& model, Reuse reuse) {
   std::unique_ptr<Processor> p;
   {
     const std::lock_guard<std::mutex> lock{mu_};
@@ -42,7 +42,7 @@ ProcessorPool::Lease ProcessorPool::checkout(std::uint64_t key,
     }
   }
   if (p != nullptr) {
-    p->reset();
+    if (reuse == Reuse::kReset) p->reset();
   } else {
     p = std::make_unique<Processor>(config, model);
   }

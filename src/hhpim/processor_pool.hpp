@@ -37,7 +37,8 @@ class ProcessorPool {
     Lease& operator=(const Lease&) = delete;
     ~Lease();
 
-    /// The leased processor, in just-constructed state at checkout.
+    /// The leased processor, in just-constructed state at checkout (unless
+    /// checked out with Reuse::kAsLeft).
     [[nodiscard]] Processor& get() const { return *proc_; }
     /// The reuse key the lease was checked out under.
     [[nodiscard]] std::uint64_t key() const { return key_; }
@@ -53,12 +54,21 @@ class ProcessorPool {
     std::unique_ptr<Processor> proc_;
   };
 
-  /// A processor for (config, model) in just-constructed state. `key` must
-  /// be processor_reuse_key(config, model), precomputed by the caller so hot
+  /// What checkout() does to a pooled processor it hands out again.
+  enum class Reuse : std::uint8_t {
+    kReset,   ///< reset() it: the lease starts in just-constructed state
+    /// Leave it as its last lease left it, for a caller that loads a state
+    /// into it at once (Processor::restore resets first): one reset, not two.
+    kAsLeft,
+  };
+
+  /// A processor for (config, model) in just-constructed state (a pooled
+  /// one is reset() unless `reuse` is kAsLeft). `key` must be
+  /// processor_reuse_key(config, model), precomputed by the caller so hot
   /// loops do not rehash; `config.lut_cache` must already be resolved (it is
   /// part of the key). Safe to call from any thread.
   [[nodiscard]] Lease checkout(std::uint64_t key, const SystemConfig& config,
-                               const nn::Model& model);
+                               const nn::Model& model, Reuse reuse = Reuse::kReset);
   /// Same, hashing the key here.
   [[nodiscard]] Lease checkout(const SystemConfig& config, const nn::Model& model) {
     return checkout(processor_reuse_key(config, model), config, model);

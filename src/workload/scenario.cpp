@@ -128,11 +128,15 @@ void LoadStream::init(Scenario s, const ScenarioConfig& cfg, int phase, int join
     throw std::invalid_argument("LoadStream: position outside [0, slices]");
   }
   // Every field back to its default (a deterministic shape's words are all
-  // zero), keeping only the burst table's storage.
+  // zero), keeping the burst table and its decay. A table holds the loads of
+  // the low and high of the streams since it was computed, so a change of
+  // either empties it.
   std::vector<int> table = std::move(burst_);
+  const double tabled_decay = burst_decay_;
+  if (cfg.low != low_ || cfg.high != high_) table.clear();
   *this = LoadStream{};
-  table.clear();
   burst_ = std::move(table);
+  burst_decay_ = tabled_decay;
   scenario_ = s;
   n_ = cfg.slices;
   k_ = k;
@@ -175,12 +179,17 @@ void LoadStream::init(Scenario s, const ScenarioConfig& cfg, int phase, int join
             "ScenarioConfig: kBurstDecay needs burst_period > 0 and burst_decay in (0, 1]");
       }
       // Trace index i decays for i % burst_period slices; only the phases a
-      // trace of n slices reaches are tabled.
-      const double span = static_cast<double>(high_ - low_);
-      burst_.resize(static_cast<std::size_t>(std::min(cfg.burst_period, n_)));
-      for (std::size_t ph = 0; ph < burst_.size(); ++ph) {
-        const double amplitude = span * std::pow(cfg.burst_decay, static_cast<double>(ph));
-        burst_[ph] = low_ + static_cast<int>(std::llround(amplitude));
+      // trace of n slices reaches are tabled. A kept table of the same size
+      // and decay holds the same bits.
+      const auto size = static_cast<std::size_t>(std::min(cfg.burst_period, n_));
+      if (burst_.size() != size || burst_decay_ != cfg.burst_decay) {
+        const double span = static_cast<double>(high_ - low_);
+        burst_.resize(size);
+        for (std::size_t ph = 0; ph < size; ++ph) {
+          const double amplitude = span * std::pow(cfg.burst_decay, static_cast<double>(ph));
+          burst_[ph] = low_ + static_cast<int>(std::llround(amplitude));
+        }
+        burst_decay_ = cfg.burst_decay;
       }
       cycle_ = static_cast<std::int64_t>(burst_.size());
       break;

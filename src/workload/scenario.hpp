@@ -121,8 +121,10 @@ class LoadStream {
              std::span<const double> envelope, int k, const State& state);
 
   /// Rebinds this cursor to arrival 0 of the stream the constructor above
-  /// builds, reusing the burst table's storage: a fleet device restarts the
-  /// cursor it carries without a heap allocation.
+  /// builds, reusing the burst table's storage — and the table itself while
+  /// low, high, decay and the tabled period are unchanged: a fleet device
+  /// restarts the cursor it carries without a heap allocation or a
+  /// std::pow.
   void start(Scenario s, const ScenarioConfig& cfg, int phase, int join,
              std::span<const double> envelope);
 
@@ -167,6 +169,7 @@ class LoadStream {
   double steps_ = 1.0;           ///< kRamp: slices - 1 (1 for one slice)
   double limit_ = 0.0;           ///< kPoisson: exp(-mean)
   std::vector<int> burst_;       ///< kBurstDecay: the load at each burst phase
+  double burst_decay_ = 0.0;     ///< the decay burst_ was computed with
   Rng rng_{State{}};
   std::span<const double> env_;
   std::size_t env_at_ = 0;       ///< (join + k) mod env_.size()

@@ -120,8 +120,12 @@ inline FleetCase random_fleet_case(SplitMix64& rng) {
   FleetCase c;
   FleetSpec& s = c.spec;
   s.name = "oracle";
-  s.devices = static_cast<int>(below(rng, 13));
-  s.slices = 1 + static_cast<int>(below(rng, 16));
+  // One case in three repeats run inputs: more devices over fewer slices,
+  // so fewer (phase, lifecycle window) classes, and whole-device replay
+  // serves a key's third device on.
+  const bool repeats = one_in(rng, 3);
+  s.devices = static_cast<int>(repeats ? 16 + below(rng, 33) : below(rng, 13));
+  s.slices = 1 + static_cast<int>(below(rng, repeats ? 6 : 16));
   const auto any_device = [&] { return static_cast<std::uint32_t>(below(rng, s.devices)); };
   const auto any_slice = [&] { return static_cast<int>(below(rng, s.slices)); };
   s.seed = rng.next();

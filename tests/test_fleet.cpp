@@ -14,6 +14,8 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <type_traits>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "energy/battery.hpp"
@@ -567,6 +569,184 @@ TEST(FleetSimulator, AggregateCountsAreConsistent) {
   // Every executed slice contributed one sample to each slice histogram.
   EXPECT_EQ(r.aggregate.slice_bins.busy_frac.total(), executed);
   EXPECT_EQ(r.aggregate.slice_bins.slice_energy.total(), executed);
+}
+
+// --- whole-device replay and worker-built results ------------------------------
+
+/// A walk_run_inputs visitor keeping each key field's bytes and counting the
+/// echoes.
+struct KeyBytes {
+  std::string bytes;
+  int echoes = 0;
+  template <class T>
+    requires std::is_arithmetic_v<T> || std::is_enum_v<T>
+  void key_of(T v) {
+    bytes.append(reinterpret_cast<const char*>(&v), sizeof v);
+  }
+  template <class T>
+  void key(const T& v) {
+    if constexpr (std::is_arithmetic_v<T> || std::is_enum_v<T>) {
+      key_of(v);
+    } else {
+      key_of(v.size());
+      for (const auto& e : v) key_of(e);
+    }
+  }
+  template <class T>
+  void echo(const T&) {
+    ++echoes;
+  }
+};
+
+std::string run_key(const DeviceSpec& ds, int* echoes = nullptr) {
+  KeyBytes k;
+  walk_run_inputs(k, ds);
+  if (echoes != nullptr) *echoes = k.echoes;
+  return k.bytes;
+}
+
+TEST(WholeDeviceReplay, RunKeyNamesWhatTheRunReads) {
+  DeviceSpec base;
+  base.scenario = workload::Scenario::kPulsing;
+  base.cfg.slices = 12;
+  base.phase = 5;
+  base.leave_slice = 12;
+  int echoes = 0;
+  const std::string key = run_key(base, &echoes);
+  EXPECT_EQ(echoes, 3);  // id, seed and the generator seed of a deterministic shape
+
+  // Echoes and the rotation's whole turns leave the key as it is.
+  const auto same = [&](auto&& mutate, const char* what) {
+    DeviceSpec d = base;
+    mutate(d);
+    EXPECT_EQ(run_key(d), key) << what;
+  };
+  same([](DeviceSpec& d) { d.id = 77; }, "id");
+  same([](DeviceSpec& d) { d.seed = 9; }, "seed");
+  same([](DeviceSpec& d) { d.cfg.seed = 9; }, "cfg.seed of a deterministic shape");
+  same([](DeviceSpec& d) { d.phase += d.cfg.slices; }, "phase + slices");
+  // A negative phase rotates the trace as its unsigned value does.
+  DeviceSpec negative = base;
+  negative.phase = -1;
+  DeviceSpec rotated = base;
+  rotated.phase = static_cast<int>(static_cast<std::uint64_t>(-1) % 12);
+  EXPECT_EQ(run_key(negative), run_key(rotated));
+  EXPECT_EQ(device_loads(negative), device_loads(rotated));
+
+  // Every input the run reads moves it.
+  const auto moves = [&](auto&& mutate, const char* what) {
+    DeviceSpec d = base;
+    mutate(d);
+    EXPECT_NE(run_key(d), key) << what;
+  };
+  moves([](DeviceSpec& d) { d.model_index = 1; }, "model_index");
+  moves([](DeviceSpec& d) { d.scenario = workload::Scenario::kBurstDecay; }, "scenario");
+  moves([](DeviceSpec& d) { d.cfg.slices = 11; }, "cfg.slices");
+  moves([](DeviceSpec& d) { d.cfg.low = 3; }, "cfg.low");
+  moves([](DeviceSpec& d) { d.cfg.high = 11; }, "cfg.high");
+  moves([](DeviceSpec& d) { d.cfg.spike_period = 3; }, "cfg.spike_period");
+  moves([](DeviceSpec& d) { d.cfg.spike_period_frequent = 3; }, "cfg.spike_period_frequent");
+  moves([](DeviceSpec& d) { d.cfg.pulse_width = 3; }, "cfg.pulse_width");
+  moves([](DeviceSpec& d) { d.cfg.burst_period = 3; }, "cfg.burst_period");
+  moves([](DeviceSpec& d) { d.cfg.burst_decay = 0.25; }, "cfg.burst_decay");
+  moves([](DeviceSpec& d) { d.cfg.poisson_mean = 2.0; }, "cfg.poisson_mean");
+  moves([](DeviceSpec& d) { d.cfg.trace_path = "t"; }, "cfg.trace_path");
+  moves([](DeviceSpec& d) { d.cfg.trace = {1}; }, "cfg.trace");
+  moves([](DeviceSpec& d) { d.phase = 6; }, "phase");
+  moves([](DeviceSpec& d) { d.firmware_index = 1; }, "firmware_index");
+  moves([](DeviceSpec& d) { d.join_slice = 1; }, "join_slice");
+  moves([](DeviceSpec& d) { d.leave_slice = 11; }, "leave_slice");
+  moves([](DeviceSpec& d) { d.latency_slo_ps = 1; }, "latency_slo_ps");
+  // A randomized shape draws from its generator seed: it is keyed.
+  DeviceSpec random = base;
+  random.scenario = workload::Scenario::kRandom;
+  DeviceSpec reseeded = random;
+  reseeded.cfg.seed = 9;
+  EXPECT_NE(run_key(random), run_key(reseeded));
+}
+
+/// A fleet of deterministic shapes whose run inputs repeat: one model, no
+/// churn, so phase, shape and firmware make a few dozen classes.
+FleetSpec repeating_fleet(int devices) {
+  FleetSpec spec = small_fleet(devices, 6);
+  spec.mix = {workload::Scenario::kPulsing, workload::Scenario::kBurstDecay,
+              workload::Scenario::kPeriodicSpike, workload::Scenario::kRandom};
+  spec.battery.capacity = Energy::mj(40.0);  // some devices exhaust
+  spec.charging = {4, 1, Energy::mj(3.0)};
+  return spec;
+}
+
+TEST(WholeDeviceReplay, WorkerBuiltResultsMatchAtAnyThreadCount) {
+  // Workers construct the result slots of their shards in place, and a
+  // device whose run inputs repeat replays whole: every result, the JSONL
+  // and the summary equal the one-thread, memo-off run at 1, 2, 4 and 8
+  // threads, memo on and off.
+  const FleetSpec spec = repeating_fleet(150);
+  placement::LutCache luts;
+  (void)cases::run_with(spec, 1, &luts, nullptr);  // warm: lut_builds 0 below
+  const FleetResult ref = cases::run_with(spec, 1, &luts, nullptr);
+  ASSERT_EQ(ref.devices.size(), 150u);
+  const std::string jsonl = ref.to_jsonl();
+  const std::string summary = ref.summary_to_json();
+  for (const unsigned threads : {1u, 2u, 4u, 8u}) {
+    for (const bool memo : {false, true}) {
+      OutcomeCache outcomes;
+      const FleetResult r = cases::run_with(spec, threads, &luts, memo ? &outcomes : nullptr);
+      const std::string where = "threads=" + std::to_string(threads) + " memo=" +
+                                std::to_string(memo);
+      ASSERT_EQ(r.devices.size(), ref.devices.size()) << where;
+      for (std::size_t i = 0; i < r.devices.size(); ++i) {
+        EXPECT_EQ(r.devices[i].id, i) << where;
+        EXPECT_EQ(r.devices[i].seed, ref.devices[i].seed) << where;
+        EXPECT_EQ(r.devices[i].energy_pj, ref.devices[i].energy_pj) << where;
+      }
+      EXPECT_EQ(r.to_jsonl(), jsonl) << where;
+      EXPECT_EQ(r.summary_to_json(), summary) << where;
+      if (memo && threads == 1) {
+        // One worker sees every class: all but the first two devices of
+        // each of the 18 deterministic (shape, phase) classes replay whole,
+        // about half the fleet (a quarter draws the randomized shape).
+        EXPECT_GT(3 * r.memo_device_replays, r.aggregate.devices) << where;
+      }
+      if (!memo) {
+        EXPECT_EQ(r.memo_device_replays, 0u) << where;
+      }
+    }
+  }
+  // Copies and hand-built lists hold the same results.
+  const FleetResult copy = ref;
+  EXPECT_EQ(copy.to_jsonl(), jsonl);
+  FleetResult by_hand = ref;
+  by_hand.devices = DeviceResults{std::vector<DeviceResult>(ref.devices.begin(), ref.devices.end())};
+  EXPECT_EQ(by_hand.to_jsonl(), jsonl);
+  const DeviceResults taken = std::move(by_hand.devices);
+  EXPECT_EQ(taken.size(), ref.devices.size());
+  EXPECT_EQ(by_hand.devices.size(), 0u);  // moved from: empty
+  EXPECT_EQ(by_hand.to_jsonl(), "");
+}
+
+TEST(WholeDeviceReplay, ResultsAreDroppedWhenAShardThrows) {
+  // One live device of a checkpoint carries a blob that does not load, so
+  // its shard throws while the others finish: resume() rethrows and no
+  // result escapes, with results kept (the workers' raw storage is freed
+  // without a read; ASan/LSan check it) at any thread count.
+  const FleetSpec spec = repeating_fleet(96);
+  placement::LutCache luts;
+  FleetSnapshot snap = FleetSimulator{cases::options(2, 8, &luts, nullptr)}.run_to(spec, 3);
+  std::size_t live = snap.devices.size();
+  for (std::size_t d = 40; d < snap.devices.size() && live == snap.devices.size(); ++d) {
+    if (snap.devices[d].proc_blob != nullptr) live = d;
+  }
+  ASSERT_LT(live, snap.devices.size());
+  snap.devices[live].proc_blob = std::make_shared<const std::string>("not a state");
+  for (const unsigned threads : {1u, 2u, 4u, 8u}) {
+    for (const bool memo : {false, true}) {
+      OutcomeCache outcomes;
+      FleetOptions o = cases::options(threads, 8, &luts, memo ? &outcomes : nullptr);
+      EXPECT_THROW((void)FleetSimulator{o}.resume(spec, snap), std::runtime_error)
+          << "threads=" << threads << " memo=" << memo;
+    }
+  }
 }
 
 }  // namespace

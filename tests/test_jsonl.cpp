@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <limits>
 #include <random>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 #include <streambuf>
@@ -226,7 +227,7 @@ void write_device_line(std::ostream& os, const fleet::DeviceResult& r,
   os << '\n';
 }
 
-std::string jsonl(const std::vector<fleet::DeviceResult>& devices,
+std::string jsonl(std::span<const fleet::DeviceResult> devices,
                   const std::vector<std::string>& model_names) {
   std::ostringstream os;
   for (const fleet::DeviceResult& r : devices) write_device_line(os, r, model_names);
@@ -351,9 +352,9 @@ std::vector<fleet::DeviceResult> seeded_devices(std::size_t n, std::size_t n_nam
 TEST(JsonlGolden, DeviceLinesMatchTheOstreamFormatter) {
   fleet::FleetResult result;
   result.model_names = tricky_names();
-  result.devices = seeded_devices(1500, result.model_names.size(), 0x5eed2025);
+  result.devices = fleet::DeviceResults{seeded_devices(1500, result.model_names.size(), 0x5eed2025)};
   // The edges pinned by name, whatever the generator drew.
-  fleet::DeviceResult& first = result.devices.front();
+  fleet::DeviceResult& first = result.devices[0];
   first.seed = std::numeric_limits<std::uint64_t>::max();
   first.slice_ps = std::numeric_limits<std::int64_t>::min();
   first.busy_time_ps = std::numeric_limits<std::int64_t>::max();
@@ -400,7 +401,7 @@ TEST(JsonlGolden, AnEmptyResultWritesNothing) {
 TEST(JsonlGolden, ModelIndexOutsideTheTableThrowsNamingTheDevice) {
   fleet::FleetResult result;
   result.model_names = tricky_names();
-  result.devices = seeded_devices(600, result.model_names.size(), 11);
+  result.devices = fleet::DeviceResults{seeded_devices(600, result.model_names.size(), 11)};
   result.shard_size = 16;
   result.devices[500].id = 424242;
   result.devices[500].model_index = static_cast<std::uint32_t>(result.model_names.size());
@@ -454,7 +455,7 @@ TEST(JsonlGolden, AFailedStreamStopsFormatting) {
   // chunks beyond the failed one, far fewer than all 200.
   fleet::FleetResult result;
   result.model_names = tricky_names();
-  result.devices = seeded_devices(2000, result.model_names.size(), 13);
+  result.devices = fleet::DeviceResults{seeded_devices(2000, result.model_names.size(), 13)};
   result.shard_size = 10;
   const std::vector<fleet::DeviceResult> first_chunk(result.devices.begin(),
                                                      result.devices.begin() + 10);
@@ -490,7 +491,7 @@ TEST(JsonlGolden, EveryNameAndScenarioRoundTheFormatter) {
       r.id = m * 100 + s;
       r.model_index = m;
       r.scenario = static_cast<workload::Scenario>(s);
-      result.devices = {r};
+      result.devices = fleet::DeviceResults{std::span{&r, 1}};
       EXPECT_EQ(result.to_jsonl(), ref::jsonl(result.devices, result.model_names))
           << "model " << m << ", scenario " << s;
     }

@@ -2,13 +2,15 @@
 // simulator runs. For each random case (fleet_cases.hpp) the reference is
 // one thread, memo off, one shot, and every strategy must reproduce its
 // JSONL and summary bytes: 2 and 4 threads (with a cold memo and shard
-// files), a warm memo, one memo shared by two concurrent runs, the case's
-// checkpoint cuts (through bytes with warm caches, through files with fresh
-// caches per segment), and per-device Device::run on fresh processors
-// running the scalar task loop, merged in shard order. Every memo run must
-// count exactly its own work, and every live processor blob of every cut
-// must pass the state-walk check. A failing case is shrunk (one feature
-// dropped at a time, then devices and slices halved) and printed as C++.
+// files), whole-device replay in one shard (its summary against a memo-off
+// run of one shard), a warm memo, one memo shared by two concurrent runs,
+// the case's checkpoint cuts (through bytes with warm caches, through files
+// with fresh caches per segment), and per-device Device::run on fresh
+// processors running the scalar task loop, merged in shard order. Every memo run must count exactly its own work,
+// and every live processor blob of every cut must pass the state-walk
+// check. A failing case is shrunk (one feature dropped at a time, then
+// devices and slices halved) and printed as C++. The test reports how many
+// devices the cases replayed whole, and fails when none did.
 //
 // The grid half does the same for exp::Runner, whose runs replay slices
 // through the same fleet::OutcomeCache: for each random grid
@@ -100,8 +102,10 @@ struct StateWalk {
 };
 
 /// Runs every strategy on `c`: "" when all reproduce the reference, else
-/// "<strategy>: <what differed>".
-std::string run_oracle(const FleetCase& c, StateWalk& walk, const fs::path& tmp) {
+/// "<strategy>: <what differed>". Adds the devices its runs replayed whole
+/// to `device_replays`.
+std::string run_oracle(const FleetCase& c, StateWalk& walk, std::uint64_t& device_replays,
+                       const fs::path& tmp) {
   const FleetSpec& spec = c.spec;
   std::string strategy = "reference (1 thread, memo off, one shot)";
   try {
@@ -110,7 +114,9 @@ std::string run_oracle(const FleetCase& c, StateWalk& walk, const fs::path& tmp)
         FleetSimulator{cases::options(1, c.shard_size, &ref_luts, nullptr)}.run(spec);
     const std::string want_jsonl = ref.to_jsonl();
     const std::string want_summary = ref.summary_to_json();
+    // Compares on the calling thread only, so it also tallies the replays.
     const auto same = [&](const FleetResult& got) {
+      device_replays += got.memo_device_replays;
       if (const std::string j = got.to_jsonl(); j != want_jsonl) {
         throw Mismatch("JSONL " + first_difference(j, want_jsonl));
       }
@@ -118,12 +124,15 @@ std::string run_oracle(const FleetCase& c, StateWalk& walk, const fs::path& tmp)
         throw Mismatch("summary " + first_difference(s, want_summary));
       }
     };
-    // One call's memo counters: its lookups are the slices it ran, its
-    // replayed + exact devices the ones it advanced; all zero, memo off.
+    // One call's memo counters: its lookups and its slices replayed with
+    // whole devices are the slices it ran, its replayed + exact devices the
+    // ones it advanced; all zero, memo off.
     const auto counters = [](const FleetResult& r, bool memo, std::uint64_t slices,
                              std::uint64_t devices) {
-      if (r.memo_hits + r.memo_misses != (memo ? slices : 0) ||
-          r.memo_replayed_devices + r.memo_exact_devices != (memo ? devices : 0)) {
+      if (r.memo_hits + r.memo_misses + r.memo_device_replay_slices != (memo ? slices : 0) ||
+          r.memo_replayed_devices + r.memo_exact_devices != (memo ? devices : 0) ||
+          r.memo_device_replays > r.memo_replayed_devices ||
+          (r.memo_device_replays == 0) != (r.memo_device_replay_slices == 0)) {
         throw Mismatch("memo counters disagree with the " + std::to_string(slices) +
                        " slices and " + std::to_string(devices) + " devices the call ran");
       }
@@ -167,6 +176,32 @@ std::string run_oracle(const FleetCase& c, StateWalk& walk, const fs::path& tmp)
       }
       fs::remove_all(dir);
       if (files != want_jsonl) throw Mismatch("shard files " + first_difference(files, want_jsonl));
+    }
+
+    strategy = "whole-device replay (1 thread, one shard, against its own memo-off summary)";
+    {
+      // One aggregate for the fleet: replayed devices interleave with run
+      // ones in a single device-major Welford order. A summary counts its
+      // shards, so the memo-off run of the same shape is its reference.
+      const auto one_shard = [&](placement::LutCache& luts, OutcomeCache* memo) {
+        return FleetSimulator{cases::options(1, std::max<std::size_t>(spec.devices, 1), &luts,
+                                             memo)}
+            .run(spec);
+      };
+      placement::LutCache off_luts;
+      placement::LutCache on_luts;
+      OutcomeCache memo;
+      const FleetResult off = one_shard(off_luts, nullptr);
+      const FleetResult on = one_shard(on_luts, &memo);
+      counters(on, true, on.aggregate.executed_slices, static_cast<std::uint64_t>(spec.devices));
+      device_replays += on.memo_device_replays;
+      if (const std::string j = on.to_jsonl(); j != want_jsonl) {
+        throw Mismatch("JSONL " + first_difference(j, want_jsonl));
+      }
+      if (const std::string got = on.summary_to_json(), want = off.summary_to_json();
+          got != want) {
+        throw Mismatch("summary " + first_difference(got, want));
+      }
     }
 
     strategy = "warm memo (one OutcomeCache, run twice)";
@@ -246,7 +281,7 @@ std::string run_oracle(const FleetCase& c, StateWalk& walk, const fs::path& tmp)
 
     strategy = "per-device Device::run on fresh scalar processors";
     FleetResult per = ref;
-    per.devices.clear();
+    std::vector<DeviceResult> devices;
     per.aggregate = FleetAggregate{spec.histograms};
     const std::vector<nn::Model> models = spec.resolved_models();
     const std::vector<double> env = spec.envelope_multipliers();
@@ -271,10 +306,11 @@ std::string run_oracle(const FleetCase& c, StateWalk& walk, const fs::path& tmp)
         }
         sys::Processor proc{Device::device_config(spec, ds, &ref_luts), models[ds.model_index]};
         sys::testing::ScalarTasks::enable(proc);
-        per.devices.push_back(Device{spec, ds, models[ds.model_index], proc}.run(&shard));
+        devices.push_back(Device{spec, ds, models[ds.model_index], proc}.run(&shard));
       }
       per.aggregate.merge(shard);
     }
+    per.devices = DeviceResults{devices};
     same(per);
   } catch (const std::exception& e) {
     return strategy + ": " + e.what();
@@ -315,7 +351,8 @@ std::string shrink(FleetCase& c, std::string failure, const fs::path& tmp) {
   const auto still_fails = [&](FleetCase candidate) {
     cases::normalize(candidate);
     StateWalk walk;
-    std::string f = run_oracle(candidate, walk, tmp);
+    std::uint64_t device_replays = 0;
+    std::string f = run_oracle(candidate, walk, device_replays, tmp);
     if (f.empty()) return false;
     c = std::move(candidate);
     failure = std::move(f);
@@ -348,10 +385,11 @@ TEST(Oracle, EveryExecutionStrategyReproducesTheReference) {
   fs::create_directories(tmp);
   SplitMix64 rng{seed};
   StateWalk walk;
+  std::uint64_t device_replays = 0;
   bool failed = false;
   for (std::uint64_t i = 0; i < n_cases && !failed; ++i) {
     FleetCase c = cases::random_fleet_case(rng);
-    const std::string failure = run_oracle(c, walk, tmp);
+    const std::string failure = run_oracle(c, walk, device_replays, tmp);
     failed = !failure.empty();
     if (!failed) continue;
     const std::string original = cases::print_case(c);
@@ -361,9 +399,13 @@ TEST(Oracle, EveryExecutionStrategyReproducesTheReference) {
                   << cases::print_case(c);
   }
   fs::remove_all(tmp);
-  if (!failed && n_cases >= kDefaultCases) {  // the walk's properties were exercised
+  std::printf("[ oracle   ] %llu devices replayed whole over %llu cases\n",
+              static_cast<unsigned long long>(device_replays),
+              static_cast<unsigned long long>(n_cases));
+  if (!failed && n_cases >= kDefaultCases) {  // the walk's and replay's properties were exercised
     EXPECT_GT(walk.blobs, 0);
     EXPECT_GT(walk.shared_states, 0);
+    EXPECT_GT(device_replays, 0u);
   }
 }
 

@@ -23,6 +23,7 @@
 #include "fleet/simulator.hpp"
 #include "fleet_cases.hpp"
 #include "hhpim/processor.hpp"
+#include "hhpim/processor_pool.hpp"
 #include "mem/nvsim_lite.hpp"
 #include "nn/zoo.hpp"
 #include "placement/lut_cache.hpp"
@@ -297,6 +298,38 @@ TEST(ProcessorState, RestoreTakesWholeBlobsOfItsOwnMachineOnly) {
   EXPECT_EQ(state_bytes(b), saved);
 }
 
+TEST(ProcessorState, PoolCheckoutForARestoreSkipsOnlyTheReset) {
+  // A pooled processor checked out for a restore comes back as its last
+  // lease left it (the restore resets it once); any other checkout resets.
+  placement::LutCache luts;
+  sys::SystemConfig config = cases::base_config();
+  config.lut_cache = &luts;
+  const nn::Model& model = cases::zoo()[0];
+  sys::Processor reference{config, model};
+  const std::string fresh = state_bytes(reference);
+  (void)reference.run_slice(5);
+  const std::string target = state_bytes(reference);
+  sys::ProcessorPool pool;
+  std::string used;
+  {
+    const sys::ProcessorPool::Lease lease = pool.checkout(config, model);
+    (void)lease.get().run_slice(9);
+    used = state_bytes(lease.get());
+  }
+  ASSERT_NE(used, fresh);
+  {
+    const sys::ProcessorPool::Lease lease =
+        pool.checkout(sys::processor_reuse_key(config, model), config, model,
+                      sys::ProcessorPool::Reuse::kAsLeft);
+    EXPECT_EQ(state_bytes(lease.get()), used);
+    lease.get().restore(target);
+    EXPECT_EQ(state_bytes(lease.get()), target);
+    EXPECT_EQ(lease.get().run_slice(3).energy.as_pj(), reference.run_slice(3).energy.as_pj());
+  }
+  const sys::ProcessorPool::Lease lease = pool.checkout(config, model);
+  EXPECT_EQ(state_bytes(lease.get()), fresh);
+}
+
 TEST(ProcessorState, FleetRefusesTrailingBytesNamingTheDevice) {
   // A checkpointed device's processor blob with a byte too many: resuming
   // refuses it through Processor::restore, memo on or off, and the message
@@ -340,8 +373,10 @@ TEST(OutcomeMemo, ConcurrentRunsOnOneCacheCountOnlyTheirOwnLookups) {
   std::thread other{[&] { ra = run_with(a, 2, &luts, &memo); }};
   rb = run_with(b, 2, &luts, &memo);
   other.join();
-  EXPECT_EQ(ra.memo_hits + ra.memo_misses, ra.aggregate.executed_slices);
-  EXPECT_EQ(rb.memo_hits + rb.memo_misses, rb.aggregate.executed_slices);
+  EXPECT_EQ(ra.memo_hits + ra.memo_misses + ra.memo_device_replay_slices,
+            ra.aggregate.executed_slices);
+  EXPECT_EQ(rb.memo_hits + rb.memo_misses + rb.memo_device_replay_slices,
+            rb.aggregate.executed_slices);
   EXPECT_EQ(ra.memo_replayed_devices + ra.memo_exact_devices,
             static_cast<std::uint64_t>(a.devices));
   EXPECT_EQ(rb.memo_replayed_devices + rb.memo_exact_devices,

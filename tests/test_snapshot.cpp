@@ -146,19 +146,20 @@ TEST(Snapshot, DirectBusyFeedMatchesEveryCutAndDeviceRun) {
   // Device::run per device, each shard into its own aggregate, merged in
   // shard order (base_options' shard size, 7).
   FleetResult per = ref;
-  per.devices.clear();
   per.aggregate = FleetAggregate{spec.histograms};
   const std::vector<nn::Model> models = spec.resolved_models();
   const DeviceExpander expander{spec};
   DeviceSpec ds;
+  std::vector<DeviceResult> devices;
   for (std::size_t begin = 0; begin < expander.size(); begin += 7) {
     FleetAggregate shard{spec.histograms};
     for (std::size_t i = begin; i < std::min(expander.size(), begin + 7); ++i) {
       expander.at(i, ds);
-      per.devices.push_back(Device{spec, ds, models[ds.model_index], &ref_lut}.run(&shard));
+      devices.push_back(Device{spec, ds, models[ds.model_index], &ref_lut}.run(&shard));
     }
     per.aggregate.merge(shard);
   }
+  per.devices = DeviceResults{devices};
   EXPECT_EQ(per.to_jsonl(), want.jsonl);
   EXPECT_EQ(per.summary_to_json(), want.summary);
 }
@@ -558,8 +559,7 @@ TEST(Snapshot, BusyColumnSpillsPastItsDictionaryAndRoundTrips) {
   sim::Summary want;
   for (const std::int64_t busy_ps : raw) want.add(Time::ps(busy_ps).as_us());
   FleetAggregate fed;
-  fed.add_finished_device(back.devices[0]);
-  EXPECT_EQ(fed.devices, 1u);
+  fed.add_busy(back.devices[0].busy);
   EXPECT_EQ(fed.busy_us.count(), want.count());
   EXPECT_EQ(fed.busy_us.mean(), want.mean());
   EXPECT_EQ(fed.busy_us.stddev(), want.stddev());
@@ -1016,10 +1016,11 @@ TEST(LoadCursor, ExhaustionAcrossThePhaseWrapMatchesEverywhere) {
   int tail_across_wrap = 0;
   std::uint64_t dropped = 0;
   std::vector<int> loads;
+  std::vector<DeviceResult> results;
   for (const DeviceSpec& ds : devices) {
     Device dev{spec, ds, spec.models[ds.model_index], &lut};
-    alone.devices.push_back(dev.run(nullptr));
-    const DeviceResult& r = alone.devices.back();
+    results.push_back(dev.run(nullptr));
+    const DeviceResult& r = results.back();
     device_loads_into(ds, env, loads);
     std::uint64_t tail = 0;
     if (r.exhausted_at_slice >= 0) {
@@ -1040,6 +1041,7 @@ TEST(LoadCursor, ExhaustionAcrossThePhaseWrapMatchesEverywhere) {
   EXPECT_GE(after_wrap, 3);
   EXPECT_GE(tail_across_wrap, 3);
   EXPECT_GT(dropped, 0u);
+  alone.devices = DeviceResults{results};
   const std::string want = alone.to_jsonl();
 
   std::vector<int> every_slice;

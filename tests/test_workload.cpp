@@ -430,6 +430,46 @@ TEST(LoadStream, StartInPlaceMatchesAFreshStream) {
   }
 }
 
+TEST(LoadStream, BurstTableFollowsEveryShapeChange) {
+  // A restarted cursor keeps its burst table only while low, high, decay
+  // and the tabled period (min(burst_period, slices)) are unchanged,
+  // streams of other shapes in between included: after each change, and
+  // after one back, it yields what generate() does.
+  ScenarioConfig base;
+  base.slices = 40;
+  base.low = 1;
+  base.high = 9;
+  base.burst_period = 8;
+  base.burst_decay = 0.5;
+  std::vector<ScenarioConfig> shapes(7, base);
+  shapes[1].low = 2;
+  shapes[2].high = 12;
+  shapes[3].burst_decay = 0.75;
+  shapes[4].burst_period = 5;
+  shapes[5].slices = 6;  // fewer slices than the period: a shorter table
+  shapes[6].seed = 99;   // read by no deterministic shape: the table stays
+  LoadStream cursor;
+  const auto check = [&](const ScenarioConfig& c, const char* what) {
+    cursor.start(Scenario::kBurstDecay, c, 3, 0, {});
+    std::vector<int> got;
+    while (!cursor.done()) got.push_back(cursor.next());
+    const std::vector<int> trace = generate(Scenario::kBurstDecay, c);
+    ASSERT_EQ(got.size(), trace.size()) << what;
+    for (std::size_t k = 0; k < trace.size(); ++k) {
+      ASSERT_EQ(got[k], trace[(k + 3) % trace.size()]) << what << ", arrival " << k;
+    }
+  };
+  for (std::size_t i = 0; i < shapes.size(); ++i) {
+    const std::string what = "shape " + std::to_string(i);
+    check(shapes[i], what.c_str());
+    check(base, (what + ", then back").c_str());
+    // A pulsing stream of shape i in between, then a burst of shape i.
+    cursor.start(Scenario::kPulsing, shapes[i], 0, 0, {});
+    check(shapes[i], (what + " after a pulsing stream").c_str());
+    cursor.start(Scenario::kPulsing, base, 0, 0, {});
+  }
+}
+
 TEST(LoadStream, RejectsTracesAndBadPositions) {
   ScenarioConfig cfg;
   cfg.trace = {1, 2, 3};
