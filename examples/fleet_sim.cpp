@@ -163,9 +163,9 @@ int run_cli(const Cli& cli) {
           std::snprintf(name, sizeof name, "/snapshot-%06d.bin", end);
           const std::string path = snapshot_dir + name;
           snap.save(path);
-          snap = fleet::FleetSnapshot::load(path);
+          snap = fleet::FleetSnapshot::load(path, opts.threads);
         } else {
-          snap = fleet::FleetSnapshot::from_bytes(snap.to_bytes());
+          snap = fleet::FleetSnapshot::from_bytes(snap.to_bytes(), opts.threads);
         }
         have = true;
         ++segments;

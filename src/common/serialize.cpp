@@ -256,6 +256,12 @@ void CsvWriter::row(const std::vector<std::string>& cells) {
   os_ << '\n';
 }
 
+void SpanWriter::overflow(std::size_t n) const {
+  throw std::logic_error("SpanWriter: " + std::to_string(n) + " bytes past offset " +
+                         std::to_string(n_) + " overrun a span of " +
+                         std::to_string(out_.size()));
+}
+
 void ByteReader::truncated(std::size_t n) const {
   throw std::runtime_error(
       "snapshot: truncated stream (need " + std::to_string(n) +

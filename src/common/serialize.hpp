@@ -1,6 +1,6 @@
 // Minimal deterministic JSON and CSV writers for experiment results, plus
-// the fixed-width binary reader/writer pair the fleet checkpoint format is
-// built on.
+// the fixed-width binary writers, sizer and reader the fleet checkpoint
+// format is built on.
 //
 // All writers produce byte-stable output for equal inputs: JSON keys are
 // emitted in call order, doubles use std::to_chars shortest round-trip
@@ -215,12 +215,76 @@ class ByteSizer {
   std::size_t n_ = 0;
 };
 
+/// Writes the bytes a ByteWriter appends for the same calls straight into a
+/// caller-owned span, sized beforehand (by a ByteSizer): no append per
+/// field, so workers can fill disjoint spans of one buffer. A write past the
+/// span's end throws std::logic_error (a sizing bug) before touching it.
+class SpanWriter {
+ public:
+  explicit SpanWriter(std::span<char> out) : out_(out) {}
+
+  void u8(std::uint8_t v) { put(v, 1); }
+  void u16(std::uint16_t v) { put(v, 2); }
+  void u32(std::uint32_t v) { put(v, 4); }
+  void u64(std::uint64_t v) { put(v, 8); }
+  void i32(std::int32_t v) { put(static_cast<std::uint32_t>(v), 4); }
+  void i64(std::int64_t v) { put(static_cast<std::uint64_t>(v), 8); }
+  void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
+  void i64s(std::span<const std::int64_t> v) { column(v); }
+  void f64s(std::span<const double> v) { column(v); }
+  void blob(std::string_view v) {
+    u64(v.size());
+    raw(v);
+  }
+  void raw(std::string_view v) {
+    char* at = room(v.size());
+    if (!v.empty()) std::memcpy(at, v.data(), v.size());
+  }
+
+  /// Bytes written so far.
+  [[nodiscard]] std::size_t size() const { return n_; }
+  /// Whether the span is exactly filled.
+  [[nodiscard]] bool full() const { return n_ == out_.size(); }
+
+ private:
+  char* room(std::size_t n) {
+    if (out_.size() - n_ < n) [[unlikely]] overflow(n);
+    char* at = out_.data() + n_;
+    n_ += n;
+    return at;
+  }
+  void put(std::uint64_t v, std::size_t n) {
+    char* at = room(n);
+    if constexpr (std::endian::native == std::endian::little) {
+      std::memcpy(at, &v, n);
+    } else {
+      for (std::size_t i = 0; i < n; ++i) at[i] = static_cast<char>((v >> (8 * i)) & 0xffu);
+    }
+  }
+  template <typename T>
+  void column(std::span<const T> v) {
+    if constexpr (std::endian::native == std::endian::little) {
+      raw({reinterpret_cast<const char*>(v.data()), v.size_bytes()});
+    } else {
+      for (const T x : v) u64(std::bit_cast<std::uint64_t>(x));
+    }
+  }
+  [[noreturn]] void overflow(std::size_t n) const;
+
+  std::span<char> out_;
+  std::size_t n_ = 0;
+};
+
 /// Reader over a ByteWriter stream. Every accessor throws std::runtime_error
 /// with a position diagnostic when the stream is shorter than the requested
 /// field — a truncated snapshot fails loudly, never misreads.
 class ByteReader {
  public:
   explicit ByteReader(std::string_view bytes) : bytes_(bytes) {}
+  /// Reads `bytes` from offset `pos` on: positions (and diagnostics) stay
+  /// offsets into `bytes`, so a reader over one part of a larger stream
+  /// reports where in the stream it stands.
+  ByteReader(std::string_view bytes, std::size_t pos) : bytes_(bytes), pos_(pos) {}
 
   [[nodiscard]] std::uint8_t u8() { return static_cast<std::uint8_t>(take(1)); }
   [[nodiscard]] std::uint16_t u16() { return static_cast<std::uint16_t>(take(2)); }

@@ -17,7 +17,7 @@
 // So the loaded state is exactly the saved state, by construction, and a
 // new state field is written once. fleet/snapshot.cpp codes its own records
 // (the payload, LUT keys, carried histograms, device records) the same way:
-// one walk per record, run by an encoder over a ByteSizer or a ByteWriter
+// one walk per record, run by an encoder over a ByteSizer or a SpanWriter
 // and by a decoder over a ByteReader.
 //
 // What a walk contains:

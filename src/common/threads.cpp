@@ -38,14 +38,18 @@ void claim_each(std::size_t n, unsigned workers,
                 const std::function<void(unsigned worker, std::size_t i)>& body) {
   std::atomic<std::size_t> next{0};
   std::mutex error_mutex;
-  std::exception_ptr first_error;
+  std::exception_ptr lowest_error;  // of the lowest failing index so far
+  std::size_t lowest_index = n;
   const auto work = [&](unsigned worker) {
     for (std::size_t i; (i = next.fetch_add(1, std::memory_order_relaxed)) < n;) {
       try {
         body(worker, i);
       } catch (...) {
         const std::lock_guard<std::mutex> lock{error_mutex};
-        if (!first_error) first_error = std::current_exception();
+        if (i < lowest_index) {
+          lowest_index = i;
+          lowest_error = std::current_exception();
+        }
       }
     }
   };
@@ -57,7 +61,7 @@ void claim_each(std::size_t n, unsigned workers,
     for (unsigned w = 0; w < workers; ++w) threads.emplace_back(work, w);
     for (std::thread& t : threads) t.join();
   }
-  if (first_error) std::rethrow_exception(first_error);
+  if (lowest_error) std::rethrow_exception(lowest_error);
 }
 
 }  // namespace hhpim

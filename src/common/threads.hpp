@@ -23,8 +23,9 @@ namespace hhpim {
 /// threads that each claim one index per relaxed fetch_add on a shared
 /// counter; `worker` in [0, workers) names the calling thread, for per-worker
 /// scratch. One worker runs inline on the calling thread. A throwing call
-/// does not stop the loop: every other index still runs, and the first
-/// exception caught is rethrown after the join.
+/// does not stop the loop: every other index still runs, and the exception
+/// of the lowest failing index is rethrown after the join — the same one at
+/// any worker count.
 void claim_each(std::size_t n, unsigned workers,
                 const std::function<void(unsigned worker, std::size_t i)>& body);
 

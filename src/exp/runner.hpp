@@ -65,8 +65,8 @@ class Runner {
  public:
   explicit Runner(RunnerOptions options = {}) : options_(options) {}
 
-  /// Expands and executes the grid. Propagates the first run exception (all
-  /// other runs still complete).
+  /// Expands and executes the grid. Propagates the exception of the failing
+  /// run of the lowest index (all other runs still complete).
   [[nodiscard]] ResultSet run(const ExperimentSpec& spec) const;
 
   /// Executes pre-expanded runs (possibly a filtered subset of an expanded

@@ -640,6 +640,7 @@ FleetSnapshot FleetSimulator::drive(const FleetSpec& spec, int end_slice,
 
   FleetSnapshot snap;
   snap.spec_digest = digest;
+  snap.threads = resolve_threads(options_.threads);
   snap.next_slice = final_segment ? spec.slices : end_slice;
   if (from != nullptr) {
     snap.lut_builds = from->lut_builds;

@@ -243,8 +243,9 @@ class FleetSimulator {
  public:
   explicit FleetSimulator(FleetOptions options = {});
 
-  /// Expands and executes the fleet. Propagates the first device/shard
-  /// exception (other shards still complete).
+  /// Expands and executes the fleet. Propagates the exception of the
+  /// failing shard of the lowest index, the same at any thread count (other
+  /// shards still complete).
   [[nodiscard]] FleetResult run(const FleetSpec& spec) const;
 
   /// Checkpointed execution: advances the fleet through global slices

@@ -1,14 +1,17 @@
 #include "fleet/snapshot.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <fstream>
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <unordered_map>
 #include <utility>
 
 #include "common/hash.hpp"
 #include "common/serialize.hpp"
+#include "common/threads.hpp"
 
 namespace hhpim::fleet {
 namespace {
@@ -27,11 +30,18 @@ namespace {
 // are its busy column only. Version 8: a live device's processor field is
 // the blob-table index alone (the blob's bytes name its state; no digest).
 // Version 9: the busy column is dictionary-coded (its distinct values, one u8
-// code per slice, and the spilled values; fleet::BusyColumn).
+// code per slice, and the spilled values; fleet::BusyColumn). Version 10:
+// the device records are split into frames of kFrameDevices devices, each
+// with its byte length and checksum64 in a frame table after the device
+// count; the trailing checksum covers the payload up to the frames.
 constexpr std::uint64_t kMagic = 0x706e736d69706868ULL;
-constexpr std::uint32_t kVersion = 9;
-/// Magic + version; the checksummed payload follows.
+constexpr std::uint32_t kVersion = 10;
+/// Magic + version; the payload and the trailing checksum follow.
 constexpr std::size_t kHeaderBytes = 12;
+/// Devices per frame (the last frame holds the rest). A format constant, not
+/// the thread count or the shard size, so the bytes are the same at any
+/// thread count by construction.
+constexpr std::size_t kFrameDevices = 256;
 
 // Per-device field tags. A record has one order: the required fields (tags
 // 1-4), then the optional sections that apply (5, 7, 8, 9), then the end tag
@@ -69,11 +79,11 @@ constexpr std::size_t kDeviceBytes = 173;
 // Each record below is one walk, `template <class V> walk_*(V& v, ...)`,
 // that names its fields once, as processor state is named once by
 // visit_state (common/state_visitor.hpp). Three visitors run it: an Encoder
-// over a ByteSizer sizes the buffer exactly, an Encoder over a ByteWriter
+// over a ByteSizer sizes the buffer exactly, an Encoder over a SpanWriter
 // fills it, and a Decoder over a ByteReader reads it back. So the reader
 // parses exactly what the writer wrote, by construction.
 
-/// Appends each field as its wire type. Only reads through the references
+/// Writes each field as its wire type. Only reads through the references
 /// it is handed (to_bytes casts const away to share the walk).
 template <class W>
 class Encoder {
@@ -301,10 +311,21 @@ void walk_histogram(V& v, sim::Histogram& h, const char* name) {
   }
 }
 
-/// The checksummed payload: the header fields, the counted LUT keys, the
-/// carried histograms, the blob table and the device records.
+/// A frame table entry: the frame's bytes and their checksum64.
+struct Frame {
+  std::uint64_t length = 0;
+  std::uint64_t checksum = 0;
+};
+
+[[nodiscard]] std::size_t frame_count(std::size_t devices) {
+  return (devices + kFrameDevices - 1) / kFrameDevices;
+}
+
+/// The payload before the frames, which the trailing checksum covers: the
+/// header fields, the counted LUT keys, the carried histograms, the blob
+/// table, the device count and the frame table.
 template <class V>
-void walk_payload(V& v, FleetSnapshot& s, BlobTable& t) {
+void walk_head(V& v, FleetSnapshot& s, BlobTable& t, std::vector<Frame>& frames) {
   v.u64(s.spec_digest);
   v.u32(s.next_slice);
   v.u64(s.lut_builds);
@@ -323,7 +344,27 @@ void walk_payload(V& v, FleetSnapshot& s, BlobTable& t) {
   v.count(t.blobs, kBlobBytes, "processor blobs");
   for (StateBlob& b : t.blobs) v.blob(b);
   v.count(s.devices, kDeviceBytes, "devices");
-  for (std::size_t d = 0; d < s.devices.size(); ++d) walk_device(v, s.devices[d], t, d);
+  if constexpr (V::kLoad) frames.resize(frame_count(s.devices.size()));
+  for (Frame& f : frames) {
+    v.u64(f.length);
+    v.u64(f.checksum);
+  }
+}
+
+/// Frame `f`: the records of its devices, in id order.
+template <class V>
+void walk_frame(V& v, FleetSnapshot& s, const BlobTable& t, std::size_t f) {
+  const std::size_t end = std::min(s.devices.size(), (f + 1) * kFrameDevices);
+  for (std::size_t d = f * kFrameDevices; d < end; ++d) walk_device(v, s.devices[d], t, d);
+}
+
+/// Throws std::logic_error unless `w` filled its span: the sizing walk and
+/// the writing walk disagree.
+void expect_full(const SpanWriter& w, std::size_t sized, const char* what) {
+  if (!w.full()) {
+    throw std::logic_error("snapshot: encoded " + std::to_string(w.size()) + " bytes of " +
+                           what + ", sized " + std::to_string(sized));
+  }
 }
 
 }  // namespace
@@ -331,26 +372,44 @@ void walk_payload(V& v, FleetSnapshot& s, BlobTable& t) {
 std::string FleetSnapshot::to_bytes() const {
   auto& self = const_cast<FleetSnapshot&>(*this);  // the encoders only read
   BlobTable table{devices};
-  ByteSizer sizer;
-  Encoder sized{sizer};
-  walk_payload(sized, self, table);
-  const std::size_t size = kHeaderBytes + sizer.size() + 8;  // + the checksum
+  // Sizing walks add constants and counts only: serially it costs less
+  // than a second round of workers would.
+  std::vector<Frame> frames(frame_count(devices.size()));
+  for (std::size_t f = 0; f < frames.size(); ++f) {
+    ByteSizer sizer;
+    Encoder sized{sizer};
+    walk_frame(sized, self, table, f);
+    frames[f].length = sizer.size();
+  }
+  ByteSizer head_sizer;
+  Encoder head_sized{head_sizer};
+  walk_head(head_sized, self, table, frames);
+  // Frame f spans [at[f], at[f + 1]) of the buffer; the checksum follows.
+  std::vector<std::size_t> at(frames.size() + 1, kHeaderBytes + head_sizer.size());
+  for (std::size_t f = 0; f < frames.size(); ++f) at[f + 1] = at[f] + frames[f].length;
+  std::string out(at.back() + 8, '\0');
 
-  ByteWriter w;
-  w.reserve(size);
+  const unsigned workers = resolve_workers(threads, frames.size());
+  claim_each(frames.size(), workers, [&](unsigned, std::size_t f) {
+    const std::span<char> span{out.data() + at[f], frames[f].length};
+    SpanWriter w{span};
+    Encoder enc{w};
+    walk_frame(enc, self, table, f);
+    expect_full(w, span.size(), "a frame");
+    frames[f].checksum = checksum64({span.data(), span.size()});
+  });
+  SpanWriter w{{out.data(), at.front()}};
   w.u64(kMagic);
   w.u32(kVersion);
-  Encoder out{w};
-  walk_payload(out, self, table);
-  w.u64(checksum64(std::string_view{w.bytes()}.substr(kHeaderBytes)));
-  if (w.size() != size) {
-    throw std::logic_error("snapshot: encoded " + std::to_string(w.size()) +
-                           " bytes, sized " + std::to_string(size));
-  }
-  return w.take();
+  Encoder enc{w};
+  walk_head(enc, self, table, frames);
+  expect_full(w, at.front(), "the head");
+  SpanWriter{{out.data() + at.back(), 8}}.u64(
+      checksum64(std::string_view{out}.substr(kHeaderBytes, at.front() - kHeaderBytes)));
+  return out;
 }
 
-FleetSnapshot FleetSnapshot::from_bytes(std::string_view bytes) {
+FleetSnapshot FleetSnapshot::from_bytes(std::string_view bytes, unsigned threads) {
   ByteReader header{bytes};
   if (header.u64() != kMagic) {
     throw std::runtime_error("snapshot: bad magic (not a fleet snapshot)");
@@ -366,22 +425,57 @@ FleetSnapshot FleetSnapshot::from_bytes(std::string_view bytes) {
   }
   const std::string_view payload =
       bytes.substr(kHeaderBytes, header.remaining() - 8);
-  ByteReader tail{bytes.substr(bytes.size() - 8)};
-  if (checksum64(payload) != tail.u64()) {
-    throw std::runtime_error(
-        "snapshot: checksum mismatch (corrupted or truncated stream)");
-  }
 
+  // The head, serially; its walk bounds every count by the bytes left, so
+  // it reads forged counts safely before the checksum is known.
   ByteReader r{payload};
   Decoder in{r};
   FleetSnapshot snap;
+  snap.threads = resolve_threads(threads);
   BlobTable table;
-  walk_payload(in, snap, table);
-  if (!r.at_end()) {
+  std::vector<Frame> frames;
+  walk_head(in, snap, table, frames);
+  ByteReader tail{bytes.substr(bytes.size() - 8)};
+  if (checksum64(payload.substr(0, r.position())) != tail.u64()) {
     throw std::runtime_error(
-        "snapshot: " + std::to_string(r.remaining()) +
-        " trailing payload bytes after the last device record");
+        "snapshot: checksum mismatch (corrupted or truncated stream)");
   }
+  // Frame f spans [at[f], at[f + 1]) of the payload, which the frames fill.
+  std::vector<std::size_t> at(frames.size() + 1, r.position());
+  for (std::size_t f = 0; f < frames.size(); ++f) {
+    const std::size_t left = payload.size() - at[f];
+    if (frames[f].length > left) {
+      throw std::runtime_error("snapshot: frame " + std::to_string(f) + " at offset " +
+                               std::to_string(at[f]) + " declares " +
+                               std::to_string(frames[f].length) + " bytes, but only " +
+                               std::to_string(left) + " bytes remain");
+    }
+    at[f + 1] = at[f] + static_cast<std::size_t>(frames[f].length);
+  }
+  if (at.back() != payload.size()) {
+    throw std::runtime_error("snapshot: the frames end at offset " +
+                             std::to_string(at.back()) + ", but the payload holds " +
+                             std::to_string(payload.size()) + " bytes");
+  }
+
+  // The frames, on the workers; claim_each rethrows the lowest failing
+  // frame's error, so the diagnostic does not depend on the thread count.
+  const unsigned workers = resolve_workers(threads, frames.size());
+  claim_each(frames.size(), workers, [&](unsigned, std::size_t f) {
+    if (checksum64(payload.substr(at[f], at[f + 1] - at[f])) != frames[f].checksum) {
+      throw std::runtime_error("snapshot: checksum mismatch in frame " + std::to_string(f) +
+                               " at offset " + std::to_string(at[f]));
+    }
+    ByteReader fr{payload.substr(0, at[f + 1]), at[f]};
+    Decoder dec{fr};
+    walk_frame(dec, snap, table, f);
+    if (!fr.at_end()) {
+      throw std::runtime_error("snapshot: the device records of frame " + std::to_string(f) +
+                               " end at offset " + std::to_string(fr.position()) +
+                               ", short of the frame's end at offset " +
+                               std::to_string(at[f + 1]));
+    }
+  });
   return snap;
 }
 
@@ -393,7 +487,7 @@ void FleetSnapshot::save(const std::string& path) const {
   if (!out) throw std::runtime_error("snapshot: write failed for " + path);
 }
 
-FleetSnapshot FleetSnapshot::load(const std::string& path) {
+FleetSnapshot FleetSnapshot::load(const std::string& path, unsigned threads) {
   std::ifstream in(path, std::ios::binary | std::ios::ate);
   if (!in) throw std::runtime_error("snapshot: cannot open " + path);
   const std::streamoff size = in.tellg();
@@ -404,7 +498,7 @@ FleetSnapshot FleetSnapshot::load(const std::string& path) {
   if (in.gcount() != size) {
     throw std::runtime_error("snapshot: read failed for " + path);
   }
-  return from_bytes(bytes);
+  return from_bytes(bytes, threads);
 }
 
 }  // namespace hhpim::fleet

@@ -174,7 +174,7 @@ void LoadStream::init(Scenario s, const ScenarioConfig& cfg, int phase, int join
       steps_ = n_ > 1 ? static_cast<double>(n_ - 1) : 1.0;
       break;
     case Scenario::kBurstDecay: {
-      if (cfg.burst_period <= 0 || cfg.burst_decay <= 0.0 || cfg.burst_decay > 1.0) {
+      if (cfg.burst_period <= 0 || !(cfg.burst_decay > 0.0 && cfg.burst_decay <= 1.0)) {
         throw std::invalid_argument(
             "ScenarioConfig: kBurstDecay needs burst_period > 0 and burst_decay in (0, 1]");
       }
@@ -197,7 +197,7 @@ void LoadStream::init(Scenario s, const ScenarioConfig& cfg, int phase, int join
     case Scenario::kPoisson:
       // Upper bound keeps exp(-mean) well away from underflow, where Knuth's
       // method degenerates; per-slice inference counts are far below this.
-      if (cfg.poisson_mean <= 0.0 || cfg.poisson_mean > 500.0) {
+      if (!(cfg.poisson_mean > 0.0 && cfg.poisson_mean <= 500.0)) {
         throw std::invalid_argument(
             "ScenarioConfig: kPoisson needs poisson_mean in (0, 500]");
       }

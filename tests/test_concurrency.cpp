@@ -345,6 +345,33 @@ TEST(ClaimEach, RunsEveryIndexOnceAndRethrowsAfterTheJoin) {
   EXPECT_EQ(calls, 0);
 }
 
+// The lowest failing index's exception surfaces, not the first in time:
+// index 40 throws while index 3 still waits for it, and 3 is reported.
+TEST(ClaimEach, RethrowsTheLowestFailingIndex) {
+  constexpr std::size_t kItems = 64;
+  for (int rep = 0; rep < 200; ++rep) {
+    std::atomic<bool> high_thrown{false};
+    try {
+      claim_each(kItems, 4, [&](unsigned, std::size_t i) {
+        if (i == 40) {
+          high_thrown.store(true);
+          throw std::runtime_error("index 40");
+        }
+        if (i == 3) {
+          // Bounded: the other three workers reach index 40 meanwhile.
+          for (int spin = 0; spin < 100000 && !high_thrown.load(); ++spin) {
+            std::this_thread::yield();
+          }
+          throw std::runtime_error("index 3");
+        }
+      });
+      ADD_FAILURE() << "rep " << rep << ": no exception surfaced";
+    } catch (const std::runtime_error& e) {
+      ASSERT_EQ(std::string(e.what()), "index 3") << "rep " << rep;
+    }
+  }
+}
+
 // --- shared processor checkout pool ------------------------------------------
 
 TEST(ProcessorPool, ConcurrentCheckoutsAreDistinctAndRecycled) {

@@ -279,6 +279,16 @@ TEST(ByteWriter, SizerCountsWhatTheWriterWrites) {
   reserved.reserve(s.size());
   write(reserved);
   EXPECT_EQ(reserved.bytes(), w.bytes());
+
+  // A SpanWriter over a span of the sized length writes the same bytes and
+  // fills it; a write past its end throws before touching the byte after.
+  std::string buffer(s.size() + 1, '\x7f');
+  SpanWriter into{{buffer.data(), s.size()}};
+  write(into);
+  EXPECT_TRUE(into.full());
+  EXPECT_EQ(buffer.substr(0, s.size()), w.bytes());
+  EXPECT_THROW(into.u8(0), std::logic_error);
+  EXPECT_EQ(buffer.back(), '\x7f');
 }
 
 TEST(ByteReader, TruncationThrowsWithPositionDiagnostics) {
@@ -317,6 +327,16 @@ TEST(ByteReader, TruncationThrowsWithPositionDiagnostics) {
     EXPECT_EQ(r.i64(), 1);
     EXPECT_EQ(error_of([&] { r.f64s(one_more); }),
               "snapshot: truncated stream (need 16 bytes at offset 8, have 7)");
+  }
+  {
+    // A reader over a prefix, started part-way in, ends at the prefix's end
+    // and reports offsets from its start.
+    const std::string five = bytes_of({1, 2, 3, 4, 5});
+    ByteReader r{std::string_view{five}.substr(0, 4), 2};
+    EXPECT_EQ(r.position(), 2u);
+    EXPECT_EQ(r.u8(), 3);
+    EXPECT_EQ(error_of([&] { (void)r.u16(); }),
+              "snapshot: truncated stream (need 2 bytes at offset 3, have 1)");
   }
 }
 

@@ -1,8 +1,10 @@
 // Checkpoint/restore suite: the format's loud-failure guarantees
-// (truncated, corrupted, other-version, wrong-spec blobs and devices that do
-// not match the spec all throw with a diagnostic), lifecycle/envelope/
-// charging semantics, the load cursors' literal references, slice binning,
-// LUT-build accounting across segments, and a week-scale segmented run. That
+// (truncated, corrupted, other-version, wrong-spec blobs, forged frame
+// tables and devices that do not match the spec all throw with a
+// diagnostic, the same at any thread count), frames encoded alike at any
+// thread count, lifecycle/envelope/charging semantics, the load cursors'
+// literal references, slice binning, LUT-build accounting across
+// segments, and a week-scale segmented run. That
 // a run cut into resumable segments (FleetSimulator::run_to + resume)
 // reproduces the uninterrupted run's bytes on any spec is the differential
 // oracle's (test_oracle.cpp), as is the processor state-walk check on every
@@ -16,6 +18,7 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -301,8 +304,10 @@ TEST(Snapshot, FailsLoudlyOnDamagedBlobs) {
   // carried a per-cluster controller; version 5 live devices carried no
   // load cursor words; version 6 devices carried an energy column and no
   // histograms were carried; version 7 live devices carried a state digest
-  // after their blob index; version 8 stored the busy column as raw i64s).
-  for (const char old_version : {0, 1, 2, 3, 4, 5, 6, 7, 8}) {
+  // after their blob index; version 8 stored the busy column as raw i64s;
+  // version 9 stored the device records unframed, after their count, and
+  // checksummed them with the rest of the payload).
+  for (const char old_version : {0, 1, 2, 3, 4, 5, 6, 7, 8, 9}) {
     std::string old = bytes;
     old[8] = old_version;
     try {
@@ -322,12 +327,63 @@ void put_u64(std::string& blob, std::size_t at, std::uint64_t v) {
   for (int i = 0; i < 8; ++i) blob[at + i] = static_cast<char>(v >> (8 * i));
 }
 
-/// `blob` with its trailing checksum recomputed, as a deliberate forger
-/// would: only the payload walk can catch what it carries.
+/// A blob's frame table as a forger reads it from the documented layout
+/// (docs/FLEET.md), not through the codec: blob offsets of the table and of
+/// the first frame, and each frame's declared length.
+struct FrameLayout {
+  std::size_t table = 0;
+  std::size_t frames = 0;
+  std::vector<std::uint64_t> lengths;
+};
+
+/// `blob`'s frame layout, or nullopt when its head does not parse (a forged
+/// count the decoder refuses before it reaches any checksum).
+std::optional<FrameLayout> frame_layout(const std::string& blob) {
+  try {
+    ByteReader r{std::string_view{blob}.substr(0, blob.size() - 8), kHeaderBytes};
+    const auto skip = [&r](std::uint64_t n, std::size_t width) {
+      if (n > r.remaining() / width) throw std::runtime_error("count past the end");
+      (void)r.raw(static_cast<std::size_t>(n) * width);
+    };
+    skip(1, 8 + 4 + 8);  // spec digest, next slice, LUT builds
+    skip(r.u64(), 48);   // the LUT keys
+    for (int h = 0; h < 2; ++h) {  // the carried histograms
+      skip(1, 16);                 // lo, hi
+      skip(r.u64(), 8);            // the bins
+      skip(1, 16);                 // underflow, overflow
+    }
+    for (std::uint64_t b = r.u64(); b > 0; --b) (void)r.blob();
+    const std::uint64_t devices = r.u64();
+    if (devices > r.remaining()) return std::nullopt;
+    FrameLayout l;
+    l.table = r.position();
+    for (std::uint64_t f = 0; f < (devices + 255) / 256; ++f) {
+      l.lengths.push_back(r.u64());
+      (void)r.u64();  // its checksum
+    }
+    l.frames = r.position();
+    return l;
+  } catch (const std::runtime_error&) {
+    return std::nullopt;
+  }
+}
+
+/// `blob` with its frame checksums and its trailing checksum recomputed, as
+/// a deliberate forger would: only the walks can catch what it carries. A
+/// frame whose declared length runs past the end keeps its checksum, as do
+/// the frames after it.
 std::string rechecksummed(std::string blob) {
-  const std::string_view payload =
-      std::string_view{blob}.substr(kHeaderBytes, blob.size() - kHeaderBytes - 8);
-  put_u64(blob, blob.size() - 8, checksum64(payload));
+  const std::optional<FrameLayout> l = frame_layout(blob);
+  if (!l) return blob;
+  std::size_t at = l->frames;
+  for (std::size_t f = 0; f < l->lengths.size(); ++f) {
+    if (l->lengths[f] > blob.size() - 8 - at) break;
+    const auto length = static_cast<std::size_t>(l->lengths[f]);
+    put_u64(blob, l->table + 16 * f + 8, checksum64(std::string_view{blob}.substr(at, length)));
+    at += length;
+  }
+  put_u64(blob, blob.size() - 8,
+          checksum64(std::string_view{blob}.substr(kHeaderBytes, l->frames - kHeaderBytes)));
   return blob;
 }
 
@@ -363,7 +419,8 @@ TEST(Snapshot, HugeDeclaredCountsThrowRuntimeError) {
   // slice and build count; each key is 48 bytes; each carried histogram is
   // lo and hi (16 bytes), its bin count, 8 bytes per bin, then underflow
   // and overflow (16); the blob table's one blob is a u64 length and 4
-  // bytes; device 0's busy-value count follows its flags (3 bytes), result
+  // bytes; the frame table's one entry (16 bytes) follows the device count;
+  // device 0's busy-value count follows its flags (3 bytes), result
   // (2 + 117) and lane (2 + 21) fields and the samples tag (2), and its
   // three values (24 bytes) come before the code count, whose three codes
   // come before the spill count.
@@ -374,7 +431,7 @@ TEST(Snapshot, HugeDeclaredCountsThrowRuntimeError) {
   const std::size_t blob_count = energy_bins + 8 + 8 * shape.slice_energy_bins + 16;
   const std::size_t blob_length = blob_count + 8;
   const std::size_t device_count = blob_length + 8 + 4;
-  const std::size_t sample_count = device_count + 8 + 3 + 119 + 23 + 2;
+  const std::size_t sample_count = device_count + 8 + 16 + 3 + 119 + 23 + 2;
   const std::size_t code_count = sample_count + 8 + 24;
   const std::size_t spill_count = code_count + 8 + 3;
   ASSERT_EQ(u64_at(bytes, key_count), 1u);
@@ -443,6 +500,8 @@ std::string forged_device(const std::string& record, std::size_t pad) {
   }
   w.u64(0);  // processor blobs
   w.u64(1);  // devices
+  w.u64(record.size() + pad);  // the frame table: frame 0's length
+  w.u64(0);                    // and its checksum, filled below
   w.raw(record);
   w.raw(std::string(pad, '\0'));
   w.u64(0);  // checksum, filled below
@@ -486,7 +545,7 @@ TEST(Snapshot, DeviceRecordsNeedTheirRequiredFields) {
   EXPECT_EQ(back.devices[0].result.host_cycles, 9u);
   EXPECT_EQ(back.to_bytes(), good);
 
-  // Version 9 has one writer order: an unknown tag, a missing required
+  // Version 10 has one writer order: an unknown tag, a missing required
   // field, optional sections out of order and a section given twice are
   // each refused with the offset of the tag that does not belong. The short
   // record is padded so its count fits the bytes left.
@@ -686,8 +745,8 @@ TEST(Snapshot, PinnedBytesCoverEveryField) {
   snap.devices[3].result.exhausted_at_slice = 1;
 
   const std::string bytes = snap.to_bytes();
-  EXPECT_EQ(bytes.size(), 1299u);
-  EXPECT_EQ(checksum64(bytes), 0xab027793b5b9d731ULL);
+  EXPECT_EQ(bytes.size(), 1315u);
+  EXPECT_EQ(checksum64(bytes), 0xc19afcd362d45a22ULL);
   EXPECT_EQ(FleetSnapshot::from_bytes(bytes).to_bytes(), bytes);
 
   // The smallest records bound a declared device count from above: a
@@ -756,6 +815,176 @@ TEST(Snapshot, OutOfRangeBlobIndexThrowsRuntimeError) {
     } catch (const std::runtime_error& e) {
       EXPECT_NE(std::string(e.what()).find("out of range"), std::string::npos) << e.what();
     }
+  }
+}
+
+/// A hand-built snapshot of `n` devices whose records differ in size and
+/// sections: unjoined, live (on one of three shared blobs or a blob of its
+/// own, some with SLO, host and cursor sections) and done devices, with
+/// busy columns of 0 to 6 samples.
+FleetSnapshot varied_snapshot(std::size_t n) {
+  FleetSnapshot snap;
+  snap.spec_digest = 0x5eed;
+  snap.next_slice = 9;
+  const std::vector<StateBlob> shared = {
+      std::make_shared<const std::string>("state a"),
+      std::make_shared<const std::string>("state b"),
+      std::make_shared<const std::string>(std::string(300, 'c'))};
+  snap.devices.resize(n);
+  for (std::size_t d = 0; d < n; ++d) {
+    DeviceProgress& p = snap.devices[d];
+    p.result.id = static_cast<std::uint32_t>(d);
+    p.result.seed = 0x9e3779b97f4a7c15ULL * (d + 1);
+    if (d % 5 == 0) continue;  // not yet joined
+    p.started = true;
+    for (std::size_t k = 0; k < d % 7; ++k) p.busy.push(static_cast<std::int64_t>(100 * (k % 3)));
+    p.next_k = static_cast<int>(d % 7);
+    p.result.energy_pj = 1.5 * static_cast<double>(d);
+    if (d % 5 == 4) {
+      p.done = true;
+      continue;
+    }
+    p.proc_blob = d % 11 == 0 ? std::make_shared<const std::string>("own " + std::to_string(d))
+                              : shared[d % 3];
+    if (d % 3 == 1) {
+      p.result.latency_slo_ps = 1000;
+      p.tier = 0;
+    }
+    if (d % 4 == 2) p.result.host_cycles = d;
+    if (d % 6 == 1) p.loads = workload::LoadStream{{d, 2, 3, 4}};
+  }
+  return snap;
+}
+
+/// `snap` encoded on `threads` threads.
+std::string encoded(FleetSnapshot snap, unsigned threads) {
+  snap.threads = threads;
+  return snap.to_bytes();
+}
+
+TEST(Snapshot, FramesEncodeAlikeAtAnyThreadCount) {
+  // Frames hold 256 devices whatever the thread count: around each frame
+  // boundary the bytes are the same on 1 to 8 threads, and decoding on 1 or
+  // 8 threads gives back the same snapshot.
+  for (const std::size_t n : {0, 1, 255, 256, 257, 513}) {
+    const FleetSnapshot snap = varied_snapshot(n);
+    const std::string bytes = encoded(snap, 1);
+    for (const unsigned threads : {2u, 3u, 4u, 8u}) {
+      EXPECT_EQ(encoded(snap, threads), bytes) << n << " devices, " << threads << " threads";
+    }
+    const std::optional<FrameLayout> layout = frame_layout(bytes);
+    ASSERT_TRUE(layout.has_value());
+    EXPECT_EQ(layout->lengths.size(), (n + 255) / 256) << n << " devices";
+    std::uint64_t framed = 0;
+    for (const std::uint64_t length : layout->lengths) framed += length;
+    EXPECT_EQ(layout->frames + framed + 8, bytes.size()) << n << " devices";
+
+    const FleetSnapshot one = FleetSnapshot::from_bytes(bytes, 1);
+    const FleetSnapshot eight = FleetSnapshot::from_bytes(bytes, 8);
+    EXPECT_EQ(one.threads, 1u);
+    EXPECT_EQ(eight.threads, 8u);
+    EXPECT_EQ(encoded(one, 1), bytes) << n << " devices";
+    EXPECT_EQ(encoded(eight, 1), bytes) << n << " devices";
+    ASSERT_EQ(eight.devices.size(), n);
+    for (std::size_t d = 0; d < n; ++d) {
+      const DeviceProgress& want = snap.devices[d];
+      const DeviceProgress& got = eight.devices[d];
+      EXPECT_EQ(got.result.id, want.result.id);
+      EXPECT_EQ(got.busy.size(), want.busy.size());
+      EXPECT_EQ(got.proc_blob == nullptr, want.proc_blob == nullptr);
+      if (want.proc_blob != nullptr) {
+        EXPECT_EQ(*got.proc_blob, *want.proc_blob) << d;
+      }
+    }
+    // Devices sharing a blob share it decoded, across frames too.
+    if (n > 256) {
+      EXPECT_EQ(eight.devices[1].proc_blob.get(), eight.devices[256].proc_blob.get());
+    }
+  }
+}
+
+/// The runtime_error from_bytes throws for `blob` at `threads` threads.
+std::string refusal(const std::string& blob, unsigned threads) {
+  try {
+    (void)FleetSnapshot::from_bytes(blob, threads);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "accepted";
+}
+
+TEST(Snapshot, RefusesForgedFrameTables) {
+  // Three frames (256, 256 and 88 devices), forged through a recomputed
+  // frame table: each refusal names payload offsets (blob offsets less the
+  // 12 header bytes), at any thread count.
+  const std::string bytes = encoded(varied_snapshot(600), 4);
+  const FrameLayout l = *frame_layout(bytes);
+  ASSERT_EQ(l.lengths.size(), 3u);
+  std::vector<std::size_t> start = {l.frames - kHeaderBytes};  // payload offsets
+  for (const std::uint64_t length : l.lengths) start.push_back(start.back() + length);
+  const std::size_t payload = bytes.size() - kHeaderBytes - 8;
+  ASSERT_EQ(start.back(), payload);
+  const auto length_at = [&l](std::size_t f) { return l.table + 16 * f; };
+
+  struct Forged {
+    const char* what;
+    std::string bytes;
+    std::string says;
+  };
+  const std::vector<Forged> forged = {
+      {"a length past the end", patched(bytes, length_at(1), payload),
+       "frame 1 at offset " + std::to_string(start[1]) + " declares " +
+           std::to_string(payload) + " bytes, but only " +
+           std::to_string(payload - start[1]) + " bytes remain"},
+      {"lengths short of the payload", patched(bytes, length_at(2), l.lengths[2] - 8),
+       "the frames end at offset " + std::to_string(payload - 8) +
+           ", but the payload holds " + std::to_string(payload) + " bytes"},
+      {"lengths past the payload", patched(bytes, length_at(2), l.lengths[2] + 8),
+       "frame 2 at offset " + std::to_string(start[2])},
+      // Two bytes moved from frame 1 to frame 0: frame 0's records end two
+      // bytes short of its end (and frame 1 starts mid-record).
+      {"records that end early",
+       patched(patched(bytes, length_at(0), l.lengths[0] + 2), length_at(1), l.lengths[1] - 2),
+       "the device records of frame 0 end at offset " + std::to_string(start[1]) +
+           ", short of the frame's end at offset " + std::to_string(start[1] + 2)},
+      // Two bytes moved from frame 0 to frame 1: frame 0's last end tag
+      // runs past its end.
+      {"records that run late",
+       patched(patched(bytes, length_at(0), l.lengths[0] - 2), length_at(1), l.lengths[1] + 2),
+       "need 2 bytes at offset " + std::to_string(start[1] - 2) + ", have 0"},
+  };
+  for (const Forged& f : forged) {
+    for (const unsigned threads : {1u, 4u}) {
+      const std::string msg = refusal(f.bytes, threads);
+      EXPECT_NE(msg.find(f.says), std::string::npos)
+          << f.what << " at " << threads << " threads: " << msg;
+    }
+  }
+}
+
+TEST(Snapshot, ReportsTheLowestCorruptFrame) {
+  // Frames 1 and 2 each fail their checksum; frame 1 is reported at every
+  // thread count. A damaged head wins over both.
+  const std::string bytes = encoded(varied_snapshot(600), 4);
+  const FrameLayout l = *frame_layout(bytes);
+  ASSERT_EQ(l.lengths.size(), 3u);
+  const std::size_t frame1 = l.frames + l.lengths[0];
+  const std::size_t frame2 = frame1 + l.lengths[1];
+  std::string damaged = bytes;
+  damaged[frame1 + 5] = static_cast<char>(damaged[frame1 + 5] ^ 0x10);
+  damaged[frame2 + 7] = static_cast<char>(damaged[frame2 + 7] ^ 0x01);
+  const std::string says =
+      "checksum mismatch in frame 1 at offset " + std::to_string(frame1 - kHeaderBytes);
+  for (const unsigned threads : {1u, 2u, 3u, 8u}) {
+    for (int rep = 0; rep < 10; ++rep) {
+      const std::string msg = refusal(damaged, threads);
+      EXPECT_NE(msg.find(says), std::string::npos) << threads << " threads: " << msg;
+    }
+  }
+  damaged[kHeaderBytes] = static_cast<char>(damaged[kHeaderBytes] ^ 0x01);  // the spec digest
+  for (const unsigned threads : {1u, 8u}) {
+    const std::string msg = refusal(damaged, threads);
+    EXPECT_NE(msg.find("checksum mismatch (corrupted"), std::string::npos) << msg;
   }
 }
 

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -174,6 +175,19 @@ TEST(Scenario, PoissonValidation) {
   EXPECT_THROW((void)generate(Scenario::kPoisson, bad), std::invalid_argument);
   // Means past the exp(-mean) underflow point would degenerate silently.
   bad.poisson_mean = 800.0;
+  EXPECT_THROW((void)generate(Scenario::kPoisson, bad), std::invalid_argument);
+}
+
+TEST(Scenario, NanParametersAreRefused) {
+  // A NaN compares false against every bound, so each range check is
+  // written as "not in range": a NaN decay or mean throws instead of
+  // reaching std::llround or Knuth's loop.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  ScenarioConfig bad;
+  bad.burst_decay = nan;
+  EXPECT_THROW((void)generate(Scenario::kBurstDecay, bad), std::invalid_argument);
+  bad = ScenarioConfig{};
+  bad.poisson_mean = nan;
   EXPECT_THROW((void)generate(Scenario::kPoisson, bad), std::invalid_argument);
 }
 
